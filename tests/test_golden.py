@@ -1,0 +1,139 @@
+"""Golden outputs: sha256 pins of the CLI's deterministic artifacts.
+
+Each case runs one subcommand on small seeded inputs and hashes the files it
+writes, so any change to the training, perturbation, attribution or Monte-Carlo
+arithmetic shows up as a changed byte. The wall-clock ``runtime_seconds`` field
+is dropped from ``report.json`` before hashing; every other byte is pinned.
+
+The pins hold for the NumPy/BLAS build they were computed with; a build that
+rounds matrix products differently changes them. To re-pin after an intended
+output change, run ``python tests/test_golden.py`` and paste its output over
+GOLDEN, and say in CHANGES.md which outputs changed and why.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+
+import pytest
+
+from attrsparse.cli import main
+
+# (case, argv template); {data}, {blobs}, {model} and {out} are filled in
+_SYNTH = [
+    ("toy.json", ["synth", "gaussian", "--n", "240", "--seed", "3",
+                  "--strengths", "1.0,0.4,0.1,0.05,0.05,0.0"]),
+    ("blobs.json", ["synth", "blobs", "--n", "160", "--height", "4", "--width", "4",
+                    "--seed", "2"]),
+]
+
+CASES = [
+    ("compare-linear", ["compare", "--data", "{data}", "--eps-list", "0.05,0.2",
+                        "--lam-list", "0.01,0.05", "--epochs", "6", "--use-bias"]),
+    ("compare-mlp", ["compare", "--data", "{blobs}", "--model", "mlp", "--hidden", "6",
+                     "--epochs", "3", "--eps-list", "0.1", "--lam-list", "0.05",
+                     "--method", "numeric", "--steps", "24"]),
+    ("train-mlp-adversarial", ["train", "--data", "{blobs}", "--model", "mlp",
+                               "--hidden", "6,4", "--regime", "adversarial", "--eps", "0.1",
+                               "--epochs", "3", "--seed", "1"]),
+    ("train-linear-l1", ["train", "--data", "{data}", "--regime", "l1", "--lam", "0.05",
+                         "--epochs", "6", "--optimizer", "sgd", "--lr", "0.1"]),
+    ("train-linear-adversarial-hinge", ["train", "--data", "{data}", "--regime",
+                                        "adversarial", "--eps", "0.1", "--epochs", "6",
+                                        "--loss", "hinge", "--use-bias"]),
+    ("attribute-mlp-numeric", ["attribute", "--data", "{blobs}", "--model", "{model}",
+                               "--method", "numeric", "--steps", "24"]),
+    ("verify-lemmaD1-gaussian", ["verify", "lemmaD1", "--n", "20000", "--seed", "4",
+                                 "--out", "{out}/report.json"]),
+    ("verify-lemmaD1-uniform", ["verify", "lemmaD1", "--n", "20000", "--seed", "5",
+                                "--noise-kind", "uniform", "--noise-sd", "0.5",
+                                "--balance", "0.3", "--eps", "0.2",
+                                "--out", "{out}/report.json"]),
+    ("verify-lemmaD1-hinge", ["verify", "lemmaD1", "--n", "20000", "--seed", "6",
+                              "--loss", "hinge", "--noise-kind", "uniform",
+                              "--strengths", "0.9,0.2,-0.1",
+                              "--out", "{out}/report.json"]),
+]
+
+GOLDEN = {
+    'attribute-mlp-numeric/attributions.csv': 'd9e0cee2248aed7a5df929c82266aecfea2cbb9af5e69f33551187f68adee045',
+    'attribute-mlp-numeric/impact_features.csv': '56385dae0debf6fad85ab6dc0e3b28b31332747ea8a8a4a302391b95752240c6',
+    'attribute-mlp-numeric/impact_values.csv': '56385dae0debf6fad85ab6dc0e3b28b31332747ea8a8a4a302391b95752240c6',
+    'compare-linear/distributions.csv': '7a0397c1b5a4a551292812db8a49dc060c5cc1d3d3b0bf71400ab028b462fbde',
+    'compare-linear/report.json': '9c9f64acaaf01ff3e518e727f1a944512ea75f61c2c9c41298ee1e0dfa5a7ed5',
+    'compare-linear/table.csv': 'c19f650e80b8c95b66d6a9d2a1fcf598df96c58b175804c2261b355587187477',
+    'compare-linear/tradeoff.csv': '6ac29e45891f3c97ac267f43fcec3145034782be28a5d37978589ae79fffe273',
+    'compare-mlp/distributions.csv': '777984b0d1937e2a3d1aab778df6bb8530bc9ccc2a3e3f255da3d2d101d3b933',
+    'compare-mlp/report.json': '239f7d3ef4b9b9233a182730cb3c14f61b4550decb81ee0dce27a67dc02055f6',
+    'compare-mlp/table.csv': '16517c02429ec9e0be95366f75a88e426a34d2d0dac200e74ce1267f3bace55c',
+    'compare-mlp/tradeoff.csv': '28aa9a732aacc8c4f184882ac5c6e822e0cf829e3544407c20db97297ae64e1b',
+    'train-linear-adversarial-hinge/model.json': '7b782473506a7e07233cc47af08d10226d1a5af201ca91b091af6354321e64f4',
+    'train-linear-adversarial-hinge/resolved_config.json': 'ea0d5f010af10760f34a44b7af9746cc73350a6af894c0639f436b74cd6fa5ea',
+    'train-linear-adversarial-hinge/trace.csv': '12f6daa9b1e5ac897c90bb70256377c656f133648f68fa6d50f3c5c43aa1491c',
+    'train-linear-l1/model.json': 'c431315aa3b13a60b1bf58170258a3137f4b0e6737464c04a4bd44c70683248a',
+    'train-linear-l1/resolved_config.json': '35d60a88c72f06634dd18824d5c4dda3b29c164f83b29bed8bd358be53538f1b',
+    'train-linear-l1/trace.csv': '201094ce13e92a778ad1e37918751ab9c8bdde2d652f21ee59a84d5289060cd1',
+    'train-mlp-adversarial/model.json': '7bfce20abdb1957878458716f26383d23f45ab880d7c5876dac1c60ca08b4848',
+    'train-mlp-adversarial/resolved_config.json': 'd0daa72e17e0e15c4caa7c23a47ff111cb17cb70e2ddbedcb199a135fdf2dcfb',
+    'train-mlp-adversarial/trace.csv': 'e0454a6985a3a6b2931780de16368c8402db3105cb46811566126801413464bd',
+    'verify-lemmaD1-gaussian/report.json': 'e69677be98a0886a39b4e89f67af0804a6d1658f7ec3ce6ad737b020de89a2de',
+    'verify-lemmaD1-hinge/report.json': '0a85819df0a1ae3522de08dcd308ae0774aab8ae2890b7ca64d1a7d503706767',
+    'verify-lemmaD1-uniform/report.json': 'b1f72deaf477aa3d5dd6d1c9411f93ce81b13010fd1d03fbe11369f4bbb8dafe',
+}
+
+
+def _digest(path) -> str:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if os.path.basename(path) == "report.json":
+        doc = json.loads(raw)
+        doc.pop("runtime_seconds", None)
+        raw = (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    return hashlib.sha256(raw).hexdigest()
+
+
+def run_cases(root) -> dict:
+    """Run every case under ``root``; map "case/file" to its sha256."""
+    paths = {}
+    for name, argv in _SYNTH:
+        paths[name] = os.path.join(root, name)
+        assert main([*argv, "--out", paths[name]]) == 0
+    digests = {}
+    for case, template in CASES:
+        out = os.path.join(root, case)
+        os.makedirs(out, exist_ok=True)
+        fill = {"data": paths["toy.json"], "blobs": paths["blobs.json"], "out": out,
+                "model": os.path.join(root, "train-mlp-adversarial", "model.json")}
+        argv = [arg.format(**fill) for arg in template]
+        if argv[0] != "verify":
+            argv += ["--out-dir", out]
+        assert main(argv) == 0, case
+        for fname in sorted(os.listdir(out)):
+            digests[f"{case}/{fname}"] = _digest(os.path.join(out, fname))
+    return digests
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    return run_cases(str(tmp_path_factory.mktemp("golden")))
+
+
+def test_golden_file_set(digests):
+    assert sorted(digests) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_golden_output(digests, key):
+    assert digests.get(key) == GOLDEN[key], f"{key} changed"
+
+
+if __name__ == "__main__":
+    import tempfile
+    from contextlib import redirect_stdout
+
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(sys.stderr):
+        pins = run_cases(tmp)
+    for key, value in sorted(pins.items()):
+        sys.stdout.write(f"    {key!r}: {value!r},\n")
