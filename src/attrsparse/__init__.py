@@ -7,129 +7,5 @@ measures attribution sparseness with the Gini index; and checks the governing
 guarantees by Monte-Carlo and exact algebra.
 """
 from ._version import __version__
-from .adversarial import (
-    PerturbationBudget,
-    PgdConfig,
-    adversarial_loss,
-    adversarial_loss_gradient,
-    closed_form_perturbation,
-    default_pgd_config,
-    one_vs_all_perturbation,
-    pgd_perturb_batch,
-    pgd_perturbation,
-)
-from .attribution import (
-    AttributionVector,
-    ImpactReport,
-    attribute_dataset,
-    ig_closed_form,
-    ig_numeric,
-    impact_report,
-    write_pgm,
-)
-from .data import (
-    Dataset,
-    FeatureGroup,
-    FeatureStrengths,
-    SyntheticSpec,
-    blob_image_spec,
-    decode_row,
-    generate_synthetic,
-    load_csv,
-    load_dataset,
-    save_dataset,
-    translate_features,
-)
-from .losses import LOSS_KINDS, LossSpec, loss, loss_gradient, make_loss, sigmoid
-from .models import (
-    LinearModel,
-    MlpModel,
-    OneVsAllModel,
-    classify,
-    init_mlp,
-    load_model,
-    mlp_loss_gradient,
-    model_from_dict,
-    model_to_dict,
-    predict,
-    save_model,
-)
-from .pipeline import (
-    CompareOutcome,
-    run_compare,
-    write_distribution_csv,
-    write_table_csv,
-    write_tradeoff_csv,
-)
-from .sparseness import (
-    GiniReport,
-    SparsenessComparison,
-    compare_regimes,
-    gini,
-    gini_of_attribution,
-    make_gini_report,
-)
-from .theory import (
-    MonteCarloEstimate,
-    SyntheticConditionalSampler,
-    TheoremCheckResult,
-    WeightedAverageSpec,
-    attribution_shift_norm,
-    check_lemma_exp_bound,
-    check_theorem1_bound,
-    check_theorem1_limit,
-    check_theorem3_identity,
-    estimate_gprimebar,
-    expected_update,
-    verify_zero_weight_update,
-    weighted_average,
-)
-from .training import (
-    REGIMES,
-    EvalResult,
-    TrainConfig,
-    TrainingDivergedError,
-    TrainTrace,
-    evaluate,
-    soft_threshold,
-    train,
-    train_one_vs_all,
-    train_stable_ig,
-)
 
-__all__ = [
-    "__version__",
-    # losses
-    "LossSpec", "make_loss", "LOSS_KINDS", "loss", "loss_gradient", "sigmoid",
-    # models
-    "LinearModel", "MlpModel", "OneVsAllModel", "predict", "classify",
-    "mlp_loss_gradient", "init_mlp", "model_to_dict", "model_from_dict",
-    "save_model", "load_model",
-    # data
-    "FeatureGroup", "Dataset", "FeatureStrengths", "SyntheticSpec", "load_csv",
-    "translate_features", "generate_synthetic", "blob_image_spec", "decode_row",
-    "save_dataset", "load_dataset",
-    # adversarial
-    "PerturbationBudget", "PgdConfig", "default_pgd_config",
-    "closed_form_perturbation", "adversarial_loss", "adversarial_loss_gradient",
-    "pgd_perturbation", "pgd_perturb_batch", "one_vs_all_perturbation",
-    # attribution
-    "AttributionVector", "ImpactReport", "ig_numeric", "ig_closed_form",
-    "attribute_dataset", "impact_report", "write_pgm",
-    # sparseness
-    "gini", "gini_of_attribution", "GiniReport", "SparsenessComparison",
-    "make_gini_report", "compare_regimes",
-    # training
-    "REGIMES", "TrainConfig", "TrainTrace", "TrainingDivergedError", "train",
-    "train_stable_ig", "train_one_vs_all", "evaluate", "EvalResult",
-    "soft_threshold",
-    # theory
-    "SyntheticConditionalSampler", "MonteCarloEstimate", "WeightedAverageSpec",
-    "TheoremCheckResult", "weighted_average", "estimate_gprimebar",
-    "expected_update", "verify_zero_weight_update", "check_theorem1_bound",
-    "check_theorem1_limit", "check_lemma_exp_bound", "check_theorem3_identity",
-    "attribution_shift_norm",
-    # pipeline
-    "CompareOutcome", "run_compare", "write_table_csv",
-    "write_distribution_csv", "write_tradeoff_csv",
-]
+__all__ = ["__version__"]

@@ -4,8 +4,6 @@ from __future__ import annotations
 import json
 import os
 
-import numpy as np
-
 _THREADS_ENV = "ATTRSPARSE_THREADS"
 
 
@@ -37,9 +35,3 @@ def chunk_bounds(n: int, chunk: int):
         yield start, stop
         start = stop
 
-
-def as_1d_float(x, name="array") -> np.ndarray:
-    a = np.asarray(x, dtype=float)
-    if a.ndim != 1:
-        raise ValueError(f"{name} must be 1-dimensional, got shape {a.shape}")
-    return a

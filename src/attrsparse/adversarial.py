@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossSpec, make_loss
-from .models import LinearModel, MlpModel, OneVsAllModel
+from .losses import LossSpec, linear_loss_and_grads, make_loss
+from .models import LinearModel, MlpModel
 
 __all__ = [
     "PerturbationBudget",
@@ -17,10 +17,7 @@ __all__ = [
     "default_pgd_config",
     "closed_form_perturbation",
     "adversarial_loss",
-    "adversarial_loss_gradient",
-    "pgd_perturbation",
     "pgd_perturb_batch",
-    "one_vs_all_perturbation",
 ]
 
 
@@ -78,36 +75,14 @@ def adversarial_loss(spec: LossSpec, model: LinearModel, x, y, budget: Perturbat
     return spec.g(budget.epsilon * np.abs(model.w).sum() - y * margin)
 
 
-def adversarial_loss_gradient(spec: LossSpec, model: LinearModel, x, y,
-                              budget: PerturbationBudget):
-    """Weight gradient of the worst-case loss:
-    -g'(eps*||w||_1 - y<w,x>) * (y*x - sign(w)*eps), elementwise.
-
-    Batch input (n, d) returns per-example gradient rows.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    margin = model.margin(x)
-    slope = spec.gprime(budget.epsilon * np.abs(model.w).sum() - y * margin)
-    shift = np.sign(model.w) * budget.epsilon
-    if x.ndim == 1:
-        return -slope * (y * x - shift)
-    return -slope[:, None] * (y[:, None] * x - shift[None, :])
-
-
-def _model_loss_and_input_grad(spec, model, X, y):
-    """Training loss g(-y*margin) per example and its gradient in the input."""
-    y = np.asarray(y, dtype=float)
+def _loss_and_input_grad(spec, model, X, y):
+    """Per-example natural loss and its input gradient, from the model
+    family's gradient engine."""
     if isinstance(model, MlpModel):
-        logit, _, _ = model._forward(X)
-        z = -y * logit
-        dlogit = -y * spec.gprime(z)
-        _, _, dx = model.backprop(X, dlogit)
-        return spec.g(z), dx
-    margin = X @ model.w + (model.bias or 0.0)
-    z = -y * margin
-    dx = (-y * spec.gprime(z))[:, None] * model.w[None, :]
-    return spec.g(z), dx
+        losses, _, dx = model.loss_and_grads(spec, X, y)
+    else:
+        losses, _, dx = linear_loss_and_grads(spec, model.w, model.bias, X, y)
+    return losses, dx
 
 
 def pgd_perturb_batch(model, X, y, budget: PerturbationBudget, cfg: PgdConfig,
@@ -120,6 +95,7 @@ def pgd_perturb_batch(model, X, y, budget: PerturbationBudget, cfg: PgdConfig,
     """
     spec = spec or make_loss("logistic-nll")
     X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
     eps = budget.epsilon
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -128,37 +104,14 @@ def pgd_perturb_batch(model, X, y, budget: PerturbationBudget, cfg: PgdConfig,
     else:
         delta = np.zeros_like(X)
     start = delta.copy()
-    start_loss, _ = _model_loss_and_input_grad(spec, model, X + delta, y)
+    start_loss, _ = _loss_and_input_grad(spec, model, X + delta, y)
     for _ in range(cfg.steps):
-        _, dx = _model_loss_and_input_grad(spec, model, X + delta, y)
+        _, dx = _loss_and_input_grad(spec, model, X + delta, y)
         delta = np.clip(delta + cfg.step_size * np.sign(dx), -eps, eps)
         if clamp01:
             delta = np.clip(delta, -X, 1.0 - X)
-    final_loss, _ = _model_loss_and_input_grad(spec, model, X + delta, y)
+    final_loss, _ = _loss_and_input_grad(spec, model, X + delta, y)
     worse = final_loss < start_loss
     if np.any(worse):
         delta[worse] = start[worse]
     return delta
-
-
-def pgd_perturbation(model, x, y, budget: PerturbationBudget, cfg: PgdConfig,
-                     spec: LossSpec | None = None, rng=None, clamp01=False):
-    """Single-example wrapper around pgd_perturb_batch."""
-    if budget.epsilon <= 0:
-        raise ValueError("pgd needs epsilon > 0")
-    x = np.asarray(x, dtype=float)
-    delta = pgd_perturb_batch(model, x[None, :], [y], budget, cfg,
-                              spec=spec, rng=rng, clamp01=clamp01)
-    return delta[0]
-
-
-def one_vs_all_perturbation(model: OneVsAllModel, y_class: int,
-                            budget: PerturbationBudget):
-    """Per-head closed forms: head i sees label +1 iff i == y_class."""
-    if not 0 <= y_class < model.n_classes:
-        raise ValueError(f"class {y_class} out of range for {model.n_classes} heads")
-    out = []
-    for i, head in enumerate(model.heads):
-        y_i = 1.0 if i == y_class else -1.0
-        out.append(closed_form_perturbation(head, y_i, budget))
-    return out

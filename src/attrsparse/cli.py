@@ -479,33 +479,19 @@ def cmd_verify(args) -> int:
                 estimate=worst, reference=0.0, se=0.0, n_samples=trials,
                 passed=bool(worst <= tol), detail=f"tol={tol:g}"))
     elif args.check == "lemmaD1":
-        strengths = _strengths_from(args, default="0.6,0.3,-0.2,0.1,0.05")
-        a = np.asarray(strengths)
-        rng = np.random.default_rng(seed)
-        w = rng.normal(0.0, 1.0, size=a.size)
-        w0 = abs(w[0])
-        rest = w[1:]
+        sampler = _verify_sampler(args, _strengths_from(args, default="0.6,0.3,-0.2,0.1,0.05"))
+        w = np.random.default_rng(seed).normal(0.0, 1.0, size=sampler.dim)
         eps = args.eps if args.eps is not None else 0.1
         margin_const = eps * np.abs(w).sum()
-        balance = args.balance if args.balance is not None else 0.5
-        noise_sd = args.noise_sd if args.noise_sd is not None else 1.0
-        noise_kind = args.noise_kind or "gaussian"
 
-        def sampler(m, rng2):
-            y = np.where(rng2.uniform(size=m) < balance, 1.0, -1.0)
-            if noise_kind == "gaussian":
-                noise = rng2.normal(0.0, noise_sd, size=(m, a.size))
-            else:
-                noise = rng2.uniform(-noise_sd, noise_sd, size=(m, a.size))
-            X = a * y[:, None] + noise
-            z = y * X[:, 0]
-            v = y[:, None] * X[:, 1:]
-            return z, v, y
+        def draw(m, rng):
+            X, y = sampler.sample(m, rng)
+            return y * X[:, 0], y[:, None] * X[:, 1:], y
 
         def f(z, v):
-            return spec.gprime(margin_const - w0 * z - v @ rest)
+            return spec.gprime(margin_const - abs(w[0]) * z - v @ w[1:])
 
-        results = [check_lemma_exp_bound(f, sampler, n, seed=seed)]
+        results = [check_lemma_exp_bound(f, draw, n, seed=seed)]
 
     doc = {
         "format_version": 1,

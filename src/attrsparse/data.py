@@ -20,7 +20,6 @@ __all__ = [
     "translate_features",
     "generate_synthetic",
     "blob_image_spec",
-    "decode_row",
     "save_dataset",
     "load_dataset",
 ]
@@ -77,6 +76,11 @@ class Dataset:
             raise ValueError(f"labels shape {self.labels.shape} does not match {n} examples")
         if len(self.feature_names) != d:
             raise ValueError("feature_names length does not match feature count")
+        bad = np.argwhere(~np.isfinite(self.features))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"example {i}, feature {self.feature_names[j]!r}: "
+                             f"non-finite value {float(self.features[i, j])!r}")
         self._validate_labels()
         self._validate_groups()
         perm = np.random.default_rng(self.split_seed).permutation(n)
@@ -292,22 +296,6 @@ def load_csv(path, schema, label_column, *, delimiter=",", split_seed=0,
         split_seed=split_seed,
         label_map=label_map,
     )
-
-
-def decode_row(ds: Dataset, row) -> dict:
-    """Recover original column values from one encoded row."""
-    row = np.asarray(row, dtype=float)
-    out = {}
-    for g in ds.encoding_map:
-        if g.kind == "numeric":
-            out[g.name] = float(row[g.start])
-        else:
-            block = row[g.start:g.stop]
-            hot = np.flatnonzero(block == 1.0)
-            if hot.size != 1:
-                raise ValueError(f"column {g.name!r}: block is not one-hot")
-            out[g.name] = g.categories[hot[0]]
-    return out
 
 
 def translate_features(ds: Dataset):

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["LossSpec", "make_loss", "LOSS_KINDS", "loss", "loss_gradient", "sigmoid"]
+__all__ = ["LossSpec", "make_loss", "LOSS_KINDS", "loss", "linear_loss_and_grads", "sigmoid"]
 
 
 def sigmoid(z):
@@ -86,16 +86,22 @@ def loss(spec: LossSpec, model, x, y):
     return spec.g(-np.asarray(y, dtype=float) * margin)
 
 
-def loss_gradient(spec: LossSpec, model, x, y):
-    """Gradient of the natural loss w.r.t. the weights: -y * g'(-y<w,x>) * x.
+def linear_loss_and_grads(spec: LossSpec, w, bias, X, y, epsilon: float = 0.0):
+    """The linear family's one gradient engine, from one pass over a batch.
 
-    Accepts a single example (d,) or a batch (n, d); the batch form returns
-    per-example gradient rows (n, d).
+    Per-example loss is the worst case over the eps-box,
+    g(eps*||w||_1 - y*(<w, x> + bias)); epsilon=0 is the natural loss bit for
+    bit. Returns (per-example loss (n,), parameter gradients summed over the
+    batch [weights (d,), then the bias when it is not None], per-example input
+    gradients (n, d)).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    margin = model.margin(x)
-    coef = -y * spec.gprime(-y * margin)
-    if x.ndim == 1:
-        return coef * x
-    return coef[:, None] * x
+    margin = X @ w
+    if bias is not None:
+        margin = margin + bias
+    z = epsilon * np.abs(w).sum() - y * margin
+    gp = spec.gprime(z)
+    coeff = -(gp * y)
+    grads = [(coeff[:, None] * X + gp[:, None] * (np.sign(w) * epsilon)[None, :]).sum(axis=0)]
+    if bias is not None:
+        grads.append(np.asarray(coeff.sum()))
+    return spec.g(z), grads, coeff[:, None] * w[None, :]

@@ -1,4 +1,4 @@
-"""Model families: linear scoring models, small dense MLPs, one-vs-all stacks.
+"""Model families: linear scoring models and small dense MLPs.
 
 All models expose margin(x) -> raw score(s) so the margin losses apply
 uniformly; probability-style output goes through value(x).
@@ -11,15 +11,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import fmt_float
-from .losses import LossSpec, make_loss, sigmoid
+from .losses import LossSpec, sigmoid
 
 __all__ = [
     "LinearModel",
     "MlpModel",
-    "OneVsAllModel",
-    "predict",
     "classify",
-    "mlp_loss_gradient",
     "init_mlp",
     "model_to_dict",
     "model_from_dict",
@@ -168,15 +165,14 @@ class MlpModel:
     def value(self, x):
         return sigmoid(self.margin(x))
 
-    def backprop(self, X, dlogit):
-        """Reverse pass from dLoss/dlogit (n,).
+    def backprop(self, cache, dlogit):
+        """Reverse pass from dLoss/dlogit (n,) through the cached forward pass
+        ``cache = self._forward(X)``.
 
         Returns (weight_grads, bias_grads, input_grads): parameter gradients
         are summed over the batch, input gradients are per example (n, d).
         """
-        X = np.asarray(X, dtype=float)
-        dlogit = np.asarray(dlogit, dtype=float)
-        _, pre, acts = self._forward(X)
+        _, pre, acts = cache
         weight_grads = [None] * len(self.weights)
         bias_grads = [None] * len(self.biases)
         delta = dlogit[:, None]  # gradient at the output unit
@@ -190,76 +186,35 @@ class MlpModel:
             upstream = delta @ self.weights[l].T
         return weight_grads, bias_grads, upstream
 
+    def loss_and_grads(self, spec: LossSpec, X, y):
+        """The MLP family's one gradient engine: g(-y * logit) on a batch
+        X (n, d) from one forward and one reverse pass.
+
+        Returns (per-example loss (n,), parameter gradients summed over the
+        batch [weights by layer, then biases by layer], per-example input
+        gradients (n, d)).
+        """
+        cache = self._forward(X)
+        z = -y * cache[0]
+        weight_grads, bias_grads, dx = self.backprop(cache, -y * spec.gprime(z))
+        return spec.g(z), weight_grads + bias_grads, dx
+
     def value_and_input_gradient(self, x):
-        """F(x) = sigmoid(logit) and dF/dx via one reverse pass."""
+        """F(x) = sigmoid(logit) and dF/dx via one forward and one reverse pass."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        X = x[None, :] if single else x
-        logit, _, _ = self._forward(X)
-        p = sigmoid(logit)
-        slope = p * (1.0 - p)
-        _, _, dx = self.backprop(X, slope)
+        cache = self._forward(x[None, :] if single else x)
+        p = sigmoid(cache[0])
+        _, _, dx = self.backprop(cache, p * (1.0 - p))
         if single:
             return float(p[0]), dx[0]
         return p, dx
 
 
-@dataclass
-class OneVsAllModel:
-    """k >= 3 linear heads over a shared input; class = argmax head margin."""
-
-    heads: list
-
-    def __post_init__(self):
-        if len(self.heads) < 3:
-            raise ValueError("one-vs-all model needs at least 3 heads")
-        dims = {h.dim for h in self.heads}
-        if len(dims) != 1:
-            raise ValueError(f"heads disagree on input dimension: {sorted(dims)}")
-
-    @property
-    def dim(self) -> int:
-        return self.heads[0].dim
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.heads)
-
-    def margins(self, x):
-        """Stack of head margins; shape (k,) for one example, (n, k) for a batch."""
-        x = np.asarray(x, dtype=float)
-        out = np.stack([h.margin(x) for h in self.heads], axis=-1)
-        return out
-
-
-def predict(model, x):
-    """Linear/MLP: output value (probability for sigmoid); one-vs-all: class index."""
-    if isinstance(model, OneVsAllModel):
-        return np.argmax(model.margins(x), axis=-1)
-    return model.value(x)
-
-
 def classify(model, x):
-    """Hard labels: +1 where value >= 0.5 else -1; one-vs-all returns class index."""
-    if isinstance(model, OneVsAllModel):
-        return predict(model, x)
+    """Hard labels: +1 where value >= 0.5 else -1."""
     p = model.value(x)
     return np.where(np.asarray(p) >= 0.5, 1.0, -1.0)
-
-
-def mlp_loss_gradient(model: MlpModel, x, y, spec: LossSpec | None = None):
-    """Gradients of g(-y * logit) w.r.t. all parameters and the input.
-
-    Returns ((weight_grads, bias_grads), input_grad) for one example.
-    """
-    spec = spec or make_loss("logistic-nll")
-    x = np.asarray(x, dtype=float)
-    y = float(y)
-    X = x[None, :]
-    logit, _, _ = model._forward(X)
-    dlogit = -y * spec.gprime(-y * logit)
-    wg, bg, dx = model.backprop(X, dlogit)
-    return (wg, bg), dx[0]
 
 
 def init_mlp(layer_sizes, rng, hidden_activation="softplus") -> MlpModel:
@@ -306,12 +261,6 @@ def model_to_dict(model) -> dict:
             "weights": [_encode(W) for W in model.weights],
             "biases": [_encode(b) for b in model.biases],
         }
-    if isinstance(model, OneVsAllModel):
-        return {
-            "format_version": _FORMAT_VERSION,
-            "kind": "one-vs-all",
-            "heads": [model_to_dict(h) for h in model.heads],
-        }
     raise TypeError(f"cannot serialize model of type {type(model).__name__}")
 
 
@@ -330,8 +279,6 @@ def model_from_dict(data: dict):
             biases=[_decode(b) for b in data["biases"]],
             hidden_activation=data["hidden_activation"],
         )
-    if kind == "one-vs-all":
-        return OneVsAllModel(heads=[model_from_dict(h) for h in data["heads"]])
     raise ValueError(f"unknown model kind {kind!r}")
 
 

@@ -15,7 +15,7 @@ from ._version import __version__
 from .attribution import attribute_dataset
 from .data import Dataset
 from .losses import LossSpec
-from .sparseness import GiniReport, compare_regimes, make_gini_report
+from .sparseness import gini_gap, make_gini_report
 from .training import TrainConfig, evaluate, train
 
 __all__ = [
@@ -95,14 +95,7 @@ def run_compare(ds: Dataset, spec: LossSpec, eps_list, lam_list, base_cfg: Train
     gaps = {}
 
     def add_regime(tag: str, kind: str):
-        if kind == "adversarial":
-            cmp_ = compare_regimes(natural_report, reports[tag], None, accuracies)
-            gap, drop = cmp_.gap_adversarial, cmp_.accuracy_drop_adversarial_pct
-            per_example = cmp_.per_example_gap_adversarial
-        else:
-            cmp_ = compare_regimes(natural_report, None, reports[tag], accuracies)
-            gap, drop = cmp_.gap_l1, cmp_.accuracy_drop_l1_pct
-            per_example = cmp_.per_example_gap_l1
+        gap, drop, per_example = gini_gap(natural_report, reports[tag], accuracies)
         gaps[tag] = {"gini_gap": gap, "accuracy_drop_pct": drop}
         table_rows.append({
             "dataset": dataset_id, "attr": attr_tag, "model": tag,

@@ -1,4 +1,4 @@
-"""Gini-index sparseness of attribution magnitudes and regime comparisons."""
+"""Gini-index sparseness of attribution magnitudes and the gap between regimes."""
 from __future__ import annotations
 
 import math
@@ -12,8 +12,7 @@ __all__ = [
     "gini_of_attribution",
     "GiniReport",
     "make_gini_report",
-    "SparsenessComparison",
-    "compare_regimes",
+    "gini_gap",
 ]
 
 
@@ -70,23 +69,16 @@ def make_gini_report(attribs, regime_tag: str, split_key: str = "") -> GiniRepor
     return GiniReport(regime_tag=regime_tag, per_example=values, split_key=split_key)
 
 
-@dataclass
-class SparsenessComparison:
-    """Mean-Gini gaps of the robust regimes over the natural one, the matching
-    accuracy drops (percentage points), and per-example gap distributions."""
+def gini_gap(natural: GiniReport, other: GiniReport, accuracies: dict):
+    """How much sparser and how much less accurate ``other`` is than the
+    natural regime, paired per example on the same split.
 
-    natural_mean_gini: float
-    gap_adversarial: float | None = None
-    gap_l1: float | None = None
-    accuracy_drop_adversarial_pct: float | None = None
-    accuracy_drop_l1_pct: float | None = None
-    per_example_gap_adversarial: np.ndarray | None = None
-    per_example_gap_l1: np.ndarray | None = None
-    adversarial_tag: str | None = None
-    l1_tag: str | None = None
-
-
-def _check_match(natural: GiniReport, other: GiniReport):
+    accuracies maps regime tags to test accuracy in [0, 1]. Returns
+    (mean-Gini gap, accuracy drop in percentage points, per-example gaps).
+    """
+    for report in (natural, other):
+        if report.regime_tag not in accuracies:
+            raise ValueError(f"missing accuracy for regime {report.regime_tag!r}")
     if other.per_example.shape != natural.per_example.shape:
         raise ValueError(
             f"regime {other.regime_tag!r} evaluated on {other.per_example.size} examples, "
@@ -96,33 +88,5 @@ def _check_match(natural: GiniReport, other: GiniReport):
         raise ValueError(
             f"regime {other.regime_tag!r} split key {other.split_key!r} != {natural.split_key!r}"
         )
-
-
-def compare_regimes(natural: GiniReport, adversarial: GiniReport | None,
-                    l1: GiniReport | None, accuracies: dict) -> SparsenessComparison:
-    """Gaps are mean(robust regime Gini) - mean(natural Gini), paired per example.
-
-    accuracies maps regime tags to test accuracy in [0, 1]; drops are reported
-    in percentage points relative to the natural model.
-    """
-    if natural.regime_tag not in accuracies:
-        raise ValueError(f"missing accuracy for regime {natural.regime_tag!r}")
-    acc_n = accuracies[natural.regime_tag]
-    out = SparsenessComparison(natural_mean_gini=natural.mean)
-    if adversarial is not None:
-        _check_match(natural, adversarial)
-        if adversarial.regime_tag not in accuracies:
-            raise ValueError(f"missing accuracy for regime {adversarial.regime_tag!r}")
-        out.gap_adversarial = adversarial.mean - natural.mean
-        out.per_example_gap_adversarial = adversarial.per_example - natural.per_example
-        out.accuracy_drop_adversarial_pct = 100.0 * (acc_n - accuracies[adversarial.regime_tag])
-        out.adversarial_tag = adversarial.regime_tag
-    if l1 is not None:
-        _check_match(natural, l1)
-        if l1.regime_tag not in accuracies:
-            raise ValueError(f"missing accuracy for regime {l1.regime_tag!r}")
-        out.gap_l1 = l1.mean - natural.mean
-        out.per_example_gap_l1 = l1.per_example - natural.per_example
-        out.accuracy_drop_l1_pct = 100.0 * (acc_n - accuracies[l1.regime_tag])
-        out.l1_tag = l1.regime_tag
-    return out
+    drop = 100.0 * (accuracies[natural.regime_tag] - accuracies[other.regime_tag])
+    return other.mean - natural.mean, drop, other.per_example - natural.per_example

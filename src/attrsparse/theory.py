@@ -14,11 +14,9 @@ from .losses import LossSpec
 
 __all__ = [
     "SyntheticConditionalSampler",
-    "MonteCarloEstimate",
     "WeightedAverageSpec",
     "TheoremCheckResult",
     "weighted_average",
-    "estimate_gprimebar",
     "expected_update",
     "verify_zero_weight_update",
     "check_theorem1_bound",
@@ -73,13 +71,6 @@ class SyntheticConditionalSampler:
             idx = np.asarray(self.shared_factor_indices, dtype=int)
             X[:, idx] += self.shared_factor_weight * t[:, None]
         return X, y
-
-
-@dataclass(frozen=True)
-class MonteCarloEstimate:
-    value: float
-    se: float
-    n_samples: int
 
 
 @dataclass(frozen=True)
@@ -162,19 +153,6 @@ def _mc_stats(per_sample_fn, n: int, seed: int, width: int):
 
 def _margin_arg(spec, w, epsilon, X, y):
     return epsilon * np.abs(w).sum() - y * (X @ w)
-
-
-def estimate_gprimebar(spec: LossSpec, w, epsilon: float, sampler, n: int,
-                       seed: int = 0) -> MonteCarloEstimate:
-    """Mean derivative of the loss at the worst-case margin, with its SE."""
-    w = np.asarray(w, dtype=float)
-
-    def stat(rng, m):
-        X, y = sampler.sample(m, rng)
-        return spec.gprime(_margin_arg(spec, w, epsilon, X, y))[:, None]
-
-    mean, se = _mc_stats(stat, n, seed, 1)
-    return MonteCarloEstimate(float(mean[0]), float(se[0]), n)
 
 
 def expected_update(spec: LossSpec, w, epsilon: float, sampler, n: int,

@@ -5,6 +5,7 @@ adversarial arithmetic step for step).
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -12,8 +13,8 @@ import numpy as np
 
 from .adversarial import PerturbationBudget, PgdConfig, default_pgd_config, pgd_perturb_batch
 from .data import Dataset
-from .losses import LossSpec, make_loss
-from .models import LinearModel, MlpModel, OneVsAllModel, classify, init_mlp
+from .losses import LossSpec, linear_loss_and_grads, make_loss
+from .models import LinearModel, MlpModel, classify, init_mlp
 from .sparseness import gini
 
 __all__ = [
@@ -22,8 +23,6 @@ __all__ = [
     "TrainTrace",
     "TrainingDivergedError",
     "train",
-    "train_stable_ig",
-    "train_one_vs_all",
     "evaluate",
     "EvalResult",
     "soft_threshold",
@@ -58,12 +57,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}; choose one of {REGIMES}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.l1_strength < 0:
-            raise ValueError("l1_strength must be >= 0")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if not (math.isfinite(self.l1_strength) and self.l1_strength >= 0):
+            raise ValueError(f"l1_strength must be finite and >= 0, got {self.l1_strength}")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
         if self.optimizer not in ("adam", "sgd"):
@@ -131,33 +130,6 @@ def _make_optimizer(kind, params, lr):
     return _Adam(params, lr) if kind == "adam" else _Sgd(params, lr)
 
 
-def _linear_batch_grads(spec, w, bias, X, y, epsilon):
-    """Mean weight (and bias) gradient of the worst-case objective; epsilon=0
-    reproduces the natural objective bit for bit."""
-    margin = X @ w
-    if bias is not None:
-        margin = margin + bias[()]
-    z = epsilon * np.abs(w).sum() - y * margin
-    gp = spec.gprime(z)
-    coeff = -(gp * y)
-    grad_w = (coeff[:, None] * X + gp[:, None] * (np.sign(w) * epsilon)[None, :]).mean(axis=0)
-    grads = [grad_w]
-    if bias is not None:
-        grads.append(np.asarray(coeff.mean()))
-    batch_loss = float(spec.g(z).mean())
-    return grads, batch_loss
-
-
-def _mlp_batch_grads(spec, model, X, y):
-    logit, _, _ = model._forward(X)
-    z = -y * logit
-    dlogit = -y * spec.gprime(z)
-    wg, bg, _ = model.backprop(X, dlogit)
-    n = X.shape[0]
-    grads = [g / n for g in wg] + [g / n for g in bg]
-    return grads, float(spec.g(z).mean())
-
-
 def _weight_vector(params_w):
     return params_w[0] if len(params_w) == 1 else np.concatenate([w.ravel() for w in params_w])
 
@@ -191,17 +163,13 @@ def train(ds: Dataset, spec: LossSpec, cfg: TrainConfig):
     weights (never the bias) after every optimizer step.
     """
     if not ds.binary:
-        raise ValueError("binary labels required; use train_one_vs_all for multi-class")
-    return _train_binary(ds.features[ds.train_indices], ds.labels[ds.train_indices], spec, cfg)
-
-
-def _train_binary(X, y, spec: LossSpec, cfg: TrainConfig):
+        raise ValueError("binary labels required")
     if cfg.regime == "stable-ig" and cfg.model_kind != "linear":
         raise ValueError("stable-ig training requires a linear model")
+    X, y = ds.features[ds.train_indices], ds.labels[ds.train_indices]
     n, d = X.shape
     rng = np.random.default_rng(cfg.seed)
-    adversarial_like = cfg.regime in ("adversarial", "stable-ig")
-    epsilon = cfg.epsilon if adversarial_like else 0.0
+    epsilon = cfg.epsilon if cfg.regime in ("adversarial", "stable-ig") else 0.0
 
     if cfg.model_kind == "linear":
         w = np.zeros(d)
@@ -226,13 +194,14 @@ def _train_binary(X, y, spec: LossSpec, cfg: TrainConfig):
         for lo in range(0, n, cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
             Xb, yb = X[batch], y[batch]
-            if cfg.model_kind == "linear":
-                grads, batch_loss = _linear_batch_grads(spec, w, bias, Xb, yb, epsilon)
+            if model is None:
+                losses, grads, _ = linear_loss_and_grads(spec, w, bias, Xb, yb, epsilon)
             else:
-                if adversarial_like and epsilon > 0.0:
-                    delta = pgd_perturb_batch(model, Xb, yb, budget, pgd_cfg, spec=spec, rng=rng)
-                    Xb = Xb + delta
-                grads, batch_loss = _mlp_batch_grads(spec, model, Xb, yb)
+                if epsilon > 0.0:
+                    Xb = Xb + pgd_perturb_batch(model, Xb, yb, budget, pgd_cfg, spec=spec, rng=rng)
+                losses, grads, _ = model.loss_and_grads(spec, Xb, yb)
+            grads = [g / batch.size for g in grads]
+            batch_loss = float(losses.mean())
             if cfg.regime == "l1":
                 batch_loss += cfg.l1_strength * float(np.abs(_weight_vector(weight_arrays)).sum())
             if not np.isfinite(batch_loss) or batch_loss > DIVERGENCE_LIMIT:
@@ -261,36 +230,6 @@ def _train_binary(X, y, spec: LossSpec, cfg: TrainConfig):
     return final, trace
 
 
-def train_stable_ig(ds: Dataset, spec: LossSpec, cfg: TrainConfig):
-    """Minimize loss plus worst-case attribution movement; the per-example
-    objective is algebraically identical to the adversarial one (the identity
-    checked by theory.check_theorem3_identity), so this runs the identical
-    update arithmetic (trajectories match bit for bit)."""
-    if cfg.regime != "stable-ig":
-        cfg = TrainConfig(**{**cfg.__dict__, "regime": "stable-ig"})
-    return train(ds, spec, cfg)
-
-
-def train_one_vs_all(ds: Dataset, spec: LossSpec, cfg: TrainConfig):
-    """One linear head per class on +1/-1 relabelings; k >= 3 classes."""
-    if ds.binary:
-        raise ValueError("one-vs-all training expects class-index labels")
-    if cfg.model_kind != "linear":
-        raise ValueError("one-vs-all heads are linear")
-    classes = np.unique(ds.labels).astype(int)
-    if classes.size < 3:
-        raise ValueError("one-vs-all needs at least 3 classes")
-    X = ds.features[ds.train_indices]
-    y = ds.labels[ds.train_indices]
-    heads, traces = [], []
-    for c in classes:
-        yc = np.where(y == c, 1.0, -1.0)
-        head, tr = _train_binary(X, yc, spec, cfg)
-        heads.append(head)
-        traces.append(tr)
-    return OneVsAllModel(heads=heads), traces
-
-
 @dataclass(frozen=True)
 class EvalResult:
     accuracy: float
@@ -305,14 +244,6 @@ def evaluate(model, ds: Dataset, split: str = "test", spec: LossSpec | None = No
         raise ValueError(f"{split} split is empty")
     X = ds.features[idx]
     y = ds.labels[idx]
-    if isinstance(model, OneVsAllModel):
-        margins = model.margins(X)
-        preds = np.argmax(margins, axis=-1)
-        acc = float((preds == y.astype(int)).mean())
-        k = model.n_classes
-        signs = np.where(np.arange(k)[None, :] == y.astype(int)[:, None], 1.0, -1.0)
-        mean_loss = float(spec.g(-signs * margins).sum(axis=1).mean())
-        return EvalResult(acc, mean_loss)
     preds = classify(model, X)
     acc = float((preds == y).mean())
     mean_loss = float(spec.g(-y * model.margin(X)).mean())

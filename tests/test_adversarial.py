@@ -9,15 +9,12 @@ from attrsparse.adversarial import (
     PerturbationBudget,
     PgdConfig,
     adversarial_loss,
-    adversarial_loss_gradient,
     closed_form_perturbation,
     default_pgd_config,
-    one_vs_all_perturbation,
     pgd_perturb_batch,
-    pgd_perturbation,
 )
-from attrsparse.losses import LOSS_KINDS, loss, make_loss
-from attrsparse.models import LinearModel, MlpModel, OneVsAllModel, init_mlp
+from attrsparse.losses import LOSS_KINDS, linear_loss_and_grads, loss, make_loss
+from attrsparse.models import LinearModel, init_mlp
 
 LOG1PE = 1.3132616875182228  # ln(1 + e)
 
@@ -85,15 +82,16 @@ def test_adversarial_loss_batch_and_gradient_shapes():
     y = np.where(rng.uniform(size=6) < 0.5, 1.0, -1.0)
     budget = PerturbationBudget(0.2)
     vals = adversarial_loss(spec, model, X, y, budget)
-    grads = adversarial_loss_gradient(spec, model, X, y, budget)
+    losses, (grad_sum,), dx = linear_loss_and_grads(spec, model.w, None, X, y, 0.2)
     assert vals.shape == (6,)
-    assert grads.shape == (6, 4)
+    assert grad_sum.shape == (4,) and dx.shape == (6, 4)
+    np.testing.assert_allclose(losses, vals, rtol=1e-14)
+    rows = [linear_loss_and_grads(spec, model.w, None, X[i:i + 1], y[i:i + 1], 0.2)[1][0]
+            for i in range(6)]
+    np.testing.assert_allclose(np.sum(rows, axis=0), grad_sum, rtol=1e-12, atol=1e-15)
     for i in range(6):
         assert float(adversarial_loss(spec, model, X[i], y[i], budget)) == \
             pytest.approx(float(vals[i]), rel=1e-14)
-        np.testing.assert_allclose(
-            adversarial_loss_gradient(spec, model, X[i], y[i], budget),
-            grads[i], rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("kind", ["logistic-nll", "softplus-hinge"])
@@ -106,7 +104,7 @@ def test_adversarial_gradient_matches_fd(kind):
     x = rng.normal(size=5)
     y = -1.0
     budget = PerturbationBudget(0.3)
-    grad = adversarial_loss_gradient(spec, LinearModel(w=w), x, y, budget)
+    _, (grad,), _ = linear_loss_and_grads(spec, w, None, x[None, :], np.asarray([y]), 0.3)
     h = 1e-7
     fd = np.empty(5)
     for i in range(5):
@@ -196,19 +194,6 @@ def test_pgd_clamp01():
     assert np.all(np.abs(delta) <= 0.4 + 1e-12)
 
 
-def test_pgd_single_example_wrapper():
-    spec = make_loss("logistic-nll")
-    model = LinearModel(w=np.asarray([1.0, -1.0]))
-    x = np.asarray([0.3, 0.4])
-    delta = pgd_perturbation(model, x, 1.0, PerturbationBudget(0.1),
-                             PgdConfig(steps=30, seed=0), spec=spec)
-    assert delta.shape == (2,)
-    np.testing.assert_allclose(delta, [-0.1, 0.1], atol=1e-12)
-    with pytest.raises(ValueError, match="epsilon > 0"):
-        pgd_perturbation(model, x, 1.0, PerturbationBudget(0.0),
-                         PgdConfig(steps=1))
-
-
 def test_mlp_pgd_beats_random_noise():
     spec = make_loss("logistic-nll")
     rng = np.random.default_rng(8)
@@ -224,7 +209,7 @@ def test_mlp_pgd_beats_random_noise():
     assert pgd_loss > noise_loss
 
 
-# --- configuration objects and multi-class ---------------------------------------
+# --- configuration objects -------------------------------------------------------
 
 def test_budget_and_config_validation():
     with pytest.raises(ValueError, match="epsilon"):
@@ -244,18 +229,3 @@ def test_default_pgd_step_counts():
     assert default_pgd_config(0.0).steps == 10
     assert default_pgd_config(0.1).step_size == 0.01
 
-
-def test_one_vs_all_perturbation():
-    model = OneVsAllModel(heads=[
-        LinearModel(w=np.asarray([1.0, 0.0])),
-        LinearModel(w=np.asarray([0.0, -1.0])),
-        LinearModel(w=np.asarray([1.0, 1.0])),
-    ])
-    budget = PerturbationBudget(0.2)
-    deltas = one_vs_all_perturbation(model, 1, budget)
-    assert len(deltas) == 3
-    np.testing.assert_array_equal(deltas[1], [-0.0, 0.2])   # true head: y=+1
-    np.testing.assert_array_equal(deltas[0], [0.2, 0.0])    # other heads: y=-1
-    np.testing.assert_array_equal(deltas[2], [0.2, 0.2])
-    with pytest.raises(ValueError, match="out of range"):
-        one_vs_all_perturbation(model, 3, budget)

@@ -164,6 +164,19 @@ def test_train_divergence_exit_2(tmp_path, capsys):
     assert "training diverged" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--lr", "nan"],
+    ["--regime", "adversarial", "--eps", "nan"],
+    ["--regime", "l1", "--lam", "inf"],
+])
+def test_train_non_finite_parameter_exit_1(synth_json, tmp_path, capsys, flags):
+    rc = main(["train", "--data", str(synth_json), *flags, "--epochs", "1",
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "must be finite" in err and "diverged" not in err
+
+
 def test_train_missing_data_file(tmp_path, capsys):
     rc = main(["train", "--data", str(tmp_path / "nope.json"),
                "--out-dir", str(tmp_path)])
@@ -220,6 +233,20 @@ def test_train_csv_without_schema_fails(csv_file, tmp_path, capsys):
                "--out-dir", str(tmp_path)])
     assert rc == 1
     assert "--label-column" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_non_finite_csv_feature_exit_1(csv_file, tmp_path, capsys, command):
+    lines = csv_file.read_text(encoding="utf-8").splitlines()
+    for i, bad in ((3, "nan"), (7, "inf")):
+        label, color, _ = lines[i].split(",")
+        lines[i] = f"{label},{color},{bad}"
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main([command, "--data", str(bad_csv), "--infer-schema", "--label-column", "label",
+               "--epochs", "1", "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "example 2, feature 'amount': non-finite value nan" in capsys.readouterr().err
 
 
 # --- compare ----------------------------------------------------------------------

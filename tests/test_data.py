@@ -9,7 +9,6 @@ from attrsparse.data import (
     FeatureGroup,
     SyntheticSpec,
     blob_image_spec,
-    decode_row,
     generate_synthetic,
     load_csv,
     load_dataset,
@@ -124,6 +123,14 @@ def test_load_csv_non_numeric_cell_names_row(tmp_path):
         load_csv(path, SCHEMA, "label")
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_load_csv_rejects_non_finite_numbers(tmp_path, bad):
+    rows = [["red", "1.0", "yes"], ["red", bad, "no"], ["red", "2.0", "yes"]]
+    path = _write_csv(tmp_path / "bad.csv", ["color", "size", "label"], rows)
+    with pytest.raises(ValueError, match=f"example 1, feature 'size': non-finite value {bad}"):
+        load_csv(path, SCHEMA, "label")
+
+
 def test_load_csv_unseen_test_category_names_row(tmp_path):
     # find a test-split row for n=12, seed 0, and plant a unique category there
     n = 12
@@ -158,14 +165,6 @@ def test_split_is_seeded_70_30(tmp_path):
     np.testing.assert_array_equal(ds.split("test"), ds.test_indices)
     with pytest.raises(ValueError, match="unknown split"):
         ds.split("validation")
-
-
-def test_decode_row(mixed_csv):
-    ds = load_csv(mixed_csv, SCHEMA, "label")
-    decoded = decode_row(ds, ds.features[0])
-    assert decoded == {"color": "red", "size": 1.5}
-    with pytest.raises(ValueError, match="not one-hot"):
-        decode_row(ds, np.zeros(ds.dim))
 
 
 # --- translation ---------------------------------------------------------------
@@ -301,6 +300,9 @@ def test_dataset_validation():
                 feature_names=["a", "b"],
                 encoding_map=(FeatureGroup("f0", "numeric", 0, 1),
                               FeatureGroup("f1", "categorical", 0, 2, ("x", "y"))))
+    with pytest.raises(ValueError, match="non-finite"):
+        Dataset(features=np.asarray([[1.0], [np.inf], [0.0]]), labels=np.ones(3),
+                feature_names=["f0"], encoding_map=g)
     with pytest.raises(ValueError, match="one-hot"):
         Dataset(features=np.asarray([[0.5, 0.5]]), labels=np.ones(1),
                 feature_names=["c=x", "c=y"],

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attrsparse.losses import LOSS_KINDS, loss, loss_gradient, make_loss, sigmoid
+from attrsparse.losses import LOSS_KINDS, linear_loss_and_grads, loss, make_loss, sigmoid
 from attrsparse.models import LinearModel
 
 LN2 = 0.6931471805599453
@@ -107,34 +107,28 @@ def test_loss_of_linear_model():
 
 @pytest.mark.parametrize("kind", ["logistic-nll", "softplus-hinge"])
 def test_loss_gradient_matches_finite_difference(kind):
+    # the linear engine at epsilon=0: weight, bias and input gradients of
+    # the natural loss of one example
     spec = make_loss(kind)
     rng = np.random.default_rng(7)
     w = rng.normal(size=4)
+    b = 0.3
     x = rng.normal(size=4)
     y = -1.0
-    grad = loss_gradient(spec, LinearModel(w=w), x, y)
+    losses, (gw, gb), dx = linear_loss_and_grads(spec, w, np.asarray(b), x[None, :],
+                                                 np.asarray([y]))
+
+    def at(w_, b_, x_):
+        return float(loss(spec, LinearModel(w=w_, bias=b_), x_, y))
+
+    assert float(losses[0]) == pytest.approx(at(w, b, x), abs=1e-12)
     h = 1e-6
-    fd = np.empty(4)
     for i in range(4):
-        wp, wm = w.copy(), w.copy()
-        wp[i] += h
-        wm[i] -= h
-        fd[i] = (float(loss(spec, LinearModel(w=wp), x, y))
-                 - float(loss(spec, LinearModel(w=wm), x, y))) / (2 * h)
-    np.testing.assert_allclose(grad, fd, atol=1e-5)
-
-
-def test_loss_gradient_batch_rows_match_single():
-    spec = make_loss("logistic-nll")
-    rng = np.random.default_rng(11)
-    w = rng.normal(size=3)
-    X = rng.normal(size=(5, 3))
-    y = np.asarray([1.0, -1.0, 1.0, 1.0, -1.0])
-    model = LinearModel(w=w)
-    batch = loss_gradient(spec, model, X, y)
-    assert batch.shape == (5, 3)
-    for i in range(5):
-        np.testing.assert_array_equal(batch[i], loss_gradient(spec, model, X[i], y[i]))
+        e = np.zeros(4)
+        e[i] = h
+        assert gw[i] == pytest.approx((at(w + e, b, x) - at(w - e, b, x)) / (2 * h), abs=1e-5)
+        assert dx[0, i] == pytest.approx((at(w, b, x + e) - at(w, b, x - e)) / (2 * h), abs=1e-5)
+    assert float(gb) == pytest.approx((at(w, b + h, x) - at(w, b - h, x)) / (2 * h), abs=1e-5)
 
 
 # --- hypothesis properties --------------------------------------------------

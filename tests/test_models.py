@@ -9,14 +9,11 @@ from attrsparse.losses import make_loss, sigmoid
 from attrsparse.models import (
     LinearModel,
     MlpModel,
-    OneVsAllModel,
     classify,
     init_mlp,
     load_model,
-    mlp_loss_gradient,
     model_from_dict,
     model_to_dict,
-    predict,
     save_model,
 )
 
@@ -145,12 +142,14 @@ def test_mlp_parameter_gradients_match_fd():
     model = _tiny_mlp()
     x = np.asarray([0.4, -0.9])
     y = -1.0
-    (wg, bg), _ = mlp_loss_gradient(model, x, y, spec)
+    losses, grads, _ = model.loss_and_grads(spec, x[None, :], np.asarray([y]))
+    wg, bg = grads[:2], grads[2:]
     h = 1e-6
 
     def loss_at(m):
         return float(spec.g(np.asarray(-y * m.margin(x))))
 
+    assert float(losses[0]) == pytest.approx(loss_at(model), abs=1e-12)
     for layer in range(2):
         W = model.weights[layer]
         for idx in np.ndindex(W.shape):
@@ -177,7 +176,8 @@ def test_mlp_input_loss_gradient_matches_fd():
     model = _tiny_mlp()
     x = np.asarray([0.4, -0.9])
     y = 1.0
-    _, dx = mlp_loss_gradient(model, x, y, spec)
+    _, _, dx = model.loss_and_grads(spec, x[None, :], np.asarray([y]))
+    dx = dx[0]
     h = 1e-6
     for i in range(2):
         xp, xm = x.copy(), x.copy()
@@ -219,36 +219,25 @@ def test_init_mlp():
         init_mlp([4, 3], rng)
 
 
-# --- one-vs-all and prediction helpers ----------------------------------------
+def test_mlp_gradients_run_one_forward_pass(monkeypatch):
+    model = _tiny_mlp()
+    X = np.asarray([[0.4, -0.9], [0.1, 0.2], [-0.3, 0.5]])
+    y = np.asarray([1.0, -1.0, 1.0])
+    calls = []
+    forward = MlpModel._forward
 
-def _ova():
-    return OneVsAllModel(heads=[
-        LinearModel(w=np.asarray([1.0, 0.0])),
-        LinearModel(w=np.asarray([0.0, 1.0])),
-        LinearModel(w=np.asarray([-1.0, -1.0])),
-    ])
+    def counted(self, X):
+        calls.append(X.shape)
+        return forward(self, X)
 
-
-def test_one_vs_all():
-    model = _ova()
-    assert model.n_classes == 3
-    assert model.dim == 2
-    x = np.asarray([2.0, 1.0])
-    np.testing.assert_array_equal(model.margins(x), [2.0, 1.0, -3.0])
-    assert int(predict(model, x)) == 0
-    X = np.asarray([[2.0, 1.0], [-1.0, -1.0]])
-    np.testing.assert_array_equal(predict(model, X), [0, 2])
-    np.testing.assert_array_equal(classify(model, X), [0, 2])
+    monkeypatch.setattr(MlpModel, "_forward", counted)
+    model.loss_and_grads(make_loss("logistic-nll"), X, y)
+    assert len(calls) == 1
+    model.value_and_input_gradient(X)
+    assert len(calls) == 2
 
 
-def test_one_vs_all_validation():
-    with pytest.raises(ValueError, match="at least 3"):
-        OneVsAllModel(heads=[LinearModel(w=np.ones(2))] * 2)
-    with pytest.raises(ValueError, match="dimension"):
-        OneVsAllModel(heads=[LinearModel(w=np.ones(2)),
-                             LinearModel(w=np.ones(3)),
-                             LinearModel(w=np.ones(2))])
-
+# --- prediction helpers -------------------------------------------------------
 
 def test_classify_ties_to_positive():
     model = LinearModel(w=np.zeros(2))  # value exactly 0.5 everywhere
@@ -286,16 +275,6 @@ def test_mlp_roundtrip_bit_exact(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["kind"] == "mlp"
     assert isinstance(doc["weights"][0][0][0], str)
-
-
-def test_ova_roundtrip(tmp_path):
-    model = _ova()
-    path = tmp_path / "ova.json"
-    save_model(model, path)
-    back = load_model(path)
-    assert isinstance(back, OneVsAllModel)
-    for h1, h2 in zip(model.heads, back.heads):
-        np.testing.assert_array_equal(h1.w, h2.w)
 
 
 def test_serialization_errors():

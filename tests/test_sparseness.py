@@ -1,5 +1,5 @@
 """Gini sparseness: frozen exact values, agreement with two independently
-coded oracle formulas, invariance properties, and regime comparison."""
+coded oracle formulas, invariance properties, and the gap between regimes."""
 import math
 
 import numpy as np
@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from attrsparse.attribution import AttributionVector
 from attrsparse.sparseness import (
     GiniReport,
-    compare_regimes,
     gini,
+    gini_gap,
     gini_of_attribution,
     make_gini_report,
 )
@@ -160,31 +160,27 @@ def test_compare_regimes_gaps_and_drops():
     adv = GiniReport("adversarial(eps=0.1)", np.asarray([0.5, 0.5]), split_key="k")
     l1 = GiniReport("l1(lam=0.02)", np.asarray([0.3, 0.7]), split_key="k")
     acc = {"natural": 0.90, "adversarial(eps=0.1)": 0.85, "l1(lam=0.02)": 0.92}
-    cmpr = compare_regimes(nat, adv, l1, acc)
-    assert cmpr.natural_mean_gini == pytest.approx(0.3)
-    assert cmpr.gap_adversarial == pytest.approx(0.2)
-    assert cmpr.gap_l1 == pytest.approx(0.2)
+    gap, drop, per_example = gini_gap(nat, adv, acc)
+    assert gap == pytest.approx(0.2)
     # lower robust accuracy shows as a positive drop in percentage points
-    assert cmpr.accuracy_drop_adversarial_pct == pytest.approx(5.0)
-    assert cmpr.accuracy_drop_l1_pct == pytest.approx(-2.0)
-    np.testing.assert_allclose(cmpr.per_example_gap_adversarial, [0.3, 0.1])
-    np.testing.assert_allclose(cmpr.per_example_gap_l1, [0.1, 0.3])
-    assert cmpr.adversarial_tag == "adversarial(eps=0.1)"
-    assert cmpr.l1_tag == "l1(lam=0.02)"
+    assert drop == pytest.approx(5.0)
+    np.testing.assert_allclose(per_example, [0.3, 0.1])
+    gap, drop, per_example = gini_gap(nat, l1, acc)
+    assert gap == pytest.approx(0.2)
+    assert drop == pytest.approx(-2.0)
+    np.testing.assert_allclose(per_example, [0.1, 0.3])
 
 
 def test_compare_regimes_partial_and_errors():
     nat = GiniReport("natural", np.asarray([0.2, 0.4]), split_key="k")
     adv = GiniReport("adv", np.asarray([0.5, 0.5]), split_key="k")
-    only_nat = compare_regimes(nat, None, None, {"natural": 0.9})
-    assert only_nat.gap_adversarial is None and only_nat.gap_l1 is None
     with pytest.raises(ValueError, match="missing accuracy for regime 'natural'"):
-        compare_regimes(nat, adv, None, {"adv": 0.8})
+        gini_gap(nat, adv, {"adv": 0.8})
     with pytest.raises(ValueError, match="missing accuracy for regime 'adv'"):
-        compare_regimes(nat, adv, None, {"natural": 0.9})
+        gini_gap(nat, adv, {"natural": 0.9})
     short = GiniReport("adv", np.asarray([0.5]), split_key="k")
     with pytest.raises(ValueError, match="splits differ"):
-        compare_regimes(nat, short, None, {"natural": 0.9, "adv": 0.8})
+        gini_gap(nat, short, {"natural": 0.9, "adv": 0.8})
     other_split = GiniReport("adv", np.asarray([0.5, 0.5]), split_key="other")
     with pytest.raises(ValueError, match="split key"):
-        compare_regimes(nat, other_split, None, {"natural": 0.9, "adv": 0.8})
+        gini_gap(nat, other_split, {"natural": 0.9, "adv": 0.8})

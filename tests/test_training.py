@@ -5,7 +5,7 @@ import pytest
 
 from attrsparse.data import Dataset, FeatureGroup, SyntheticSpec, generate_synthetic
 from attrsparse.losses import make_loss
-from attrsparse.models import LinearModel, MlpModel, OneVsAllModel
+from attrsparse.models import LinearModel, MlpModel
 from attrsparse.sparseness import gini
 from attrsparse.training import (
     REGIMES,
@@ -15,8 +15,6 @@ from attrsparse.training import (
     evaluate,
     soft_threshold,
     train,
-    train_one_vs_all,
-    train_stable_ig,
 )
 
 LOGISTIC = make_loss("logistic-nll")
@@ -73,9 +71,6 @@ def test_stable_ig_is_bitwise_adversarial():
     m_stb, t_stb = train(ds, LOGISTIC, cfg_stb)
     np.testing.assert_array_equal(m_adv.w, m_stb.w)
     assert t_adv.loss == t_stb.loss
-    # the helper coerces any regime to stable-ig
-    m_via, _ = train_stable_ig(ds, LOGISTIC, cfg_adv)
-    np.testing.assert_array_equal(m_via.w, m_adv.w)
 
 
 def test_stable_ig_requires_linear():
@@ -233,7 +228,7 @@ def test_mlp_adversarial_pgd_path_runs():
     assert trace.loss != t_nat.loss
 
 
-# --- one-vs-all ----------------------------------------------------------------
+# --- multi-class labels ------------------------------------------------------
 
 def _three_class_dataset(seed=0, n=300):
     rng = np.random.default_rng(seed)
@@ -245,28 +240,9 @@ def _three_class_dataset(seed=0, n=300):
                    split_seed=seed, translated=True)
 
 
-def test_one_vs_all_training():
-    ds = _three_class_dataset()
-    model, traces = train_one_vs_all(ds, LOGISTIC, TrainConfig(epochs=10, use_bias=True))
-    assert isinstance(model, OneVsAllModel)
-    assert model.n_classes == 3 and len(traces) == 3
-    assert evaluate(model, ds).accuracy >= 0.95
-
-
-def test_one_vs_all_validation():
-    binary = _easy_dataset()
-    with pytest.raises(ValueError, match="class-index"):
-        train_one_vs_all(binary, LOGISTIC, TrainConfig(epochs=1))
-    ds = _three_class_dataset()
-    with pytest.raises(ValueError, match="linear"):
-        train_one_vs_all(ds, LOGISTIC, TrainConfig(model_kind="mlp", epochs=1))
-    two = Dataset(ds.features, (ds.labels > 0).astype(float), ["f0", "f1"],
-                  ds.encoding_map, translated=True)
-    assert not two.binary or True  # labels {0,1} parse as class indices
-    with pytest.raises(ValueError, match="at least 3 classes"):
-        train_one_vs_all(two, LOGISTIC, TrainConfig(epochs=1))
+def test_train_rejects_multiclass_labels():
     with pytest.raises(ValueError, match="binary labels required"):
-        train(ds, LOGISTIC, TrainConfig(epochs=1))
+        train(_three_class_dataset(), LOGISTIC, TrainConfig(epochs=1))
 
 
 def test_config_validation():
@@ -287,3 +263,7 @@ def test_config_validation():
         TrainConfig(optimizer="lbfgs")
     with pytest.raises(ValueError, match="unknown model kind"):
         TrainConfig(model_kind="tree")
+    for field in ("learning_rate", "l1_strength", "epsilon"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                TrainConfig(**{field: bad})
