@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossSpec, linear_loss_and_grads, make_loss
+from .losses import LossSpec, linear_loss_and_grads, loss, make_loss
 from .models import LinearModel, MlpModel
 
 __all__ = [
@@ -75,14 +75,14 @@ def adversarial_loss(spec: LossSpec, model: LinearModel, x, y, budget: Perturbat
     return spec.g(budget.epsilon * np.abs(model.w).sum() - y * margin)
 
 
-def _loss_and_input_grad(spec, model, X, y):
-    """Per-example natural loss and its input gradient, from the model
-    family's gradient engine."""
+def _input_grad(spec, model, X, y):
+    """Per-example input gradient of the natural loss, from the model
+    family's gradient engine without its parameter gradients."""
     if isinstance(model, MlpModel):
-        losses, _, dx = model.loss_and_grads(spec, X, y)
-    else:
-        losses, _, dx = linear_loss_and_grads(spec, model.w, model.bias, X, y)
-    return losses, dx
+        return model.loss_and_grads(spec, X, y, params=False)[2]
+    bias = None if model.bias is None else np.asarray([model.bias])
+    _, _, coeff = linear_loss_and_grads(spec, model.w[None], bias, X, y)
+    return coeff[0][:, None] * model.w
 
 
 def pgd_perturb_batch(model, X, y, budget: PerturbationBudget, cfg: PgdConfig,
@@ -104,13 +104,13 @@ def pgd_perturb_batch(model, X, y, budget: PerturbationBudget, cfg: PgdConfig,
     else:
         delta = np.zeros_like(X)
     start = delta.copy()
-    start_loss, _ = _loss_and_input_grad(spec, model, X + delta, y)
+    start_loss = loss(spec, model, X + delta, y)  # a forward pass only
     for _ in range(cfg.steps):
-        _, dx = _loss_and_input_grad(spec, model, X + delta, y)
+        dx = _input_grad(spec, model, X + delta, y)
         delta = np.clip(delta + cfg.step_size * np.sign(dx), -eps, eps)
         if clamp01:
             delta = np.clip(delta, -X, 1.0 - X)
-    final_loss, _ = _loss_and_input_grad(spec, model, X + delta, y)
+    final_loss = loss(spec, model, X + delta, y)
     worse = final_loss < start_loss
     if np.any(worse):
         delta[worse] = start[worse]

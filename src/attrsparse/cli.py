@@ -161,32 +161,6 @@ def _train_config(resolved: dict) -> TrainConfig:
     )
 
 
-def _infer_schema(path, label_column, delimiter) -> dict:
-    """Column kinds sniffed from the CSV: numeric iff every value parses."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, header row required") from None
-        rows = [row for row in reader if row]
-    if label_column not in header:
-        raise ValueError(f"label column {label_column!r} not in header {header}")
-    columns = []
-    for j, name in enumerate(header):
-        if name == label_column:
-            continue
-        kind = "numeric"
-        for row in rows:
-            try:
-                float(row[j])
-            except (ValueError, IndexError):
-                kind = "categorical"
-                break
-        columns.append([name, kind])
-    return {"label_column": label_column, "columns": columns}
-
-
 def _schema_pairs(columns) -> list:
     if isinstance(columns, dict):
         return [(name, kind) for name, kind in columns.items()]
@@ -218,8 +192,7 @@ def _load_data(args) -> Dataset:
     elif getattr(args, "infer_schema", False):
         if not label_column:
             raise ValueError("--infer-schema needs --label-column")
-        doc = _infer_schema(path, label_column, delimiter)
-        columns = doc["columns"]
+        columns = None  # load_csv infers the kinds from the rows it reads
         positive_label = getattr(args, "positive_label", None)
     else:
         raise ValueError("CSV input needs --schema FILE or --infer-schema")
@@ -228,7 +201,7 @@ def _load_data(args) -> Dataset:
     split_seed = getattr(args, "split_seed", None)
     return load_csv(
         path,
-        _schema_pairs(columns),
+        None if columns is None else _schema_pairs(columns),
         label_column,
         delimiter=delimiter,
         split_seed=0 if split_seed is None else int(split_seed),

@@ -172,17 +172,7 @@ class SyntheticSpec:
         return len(self.strengths)
 
 
-def load_csv(path, schema, label_column, *, delimiter=",", split_seed=0,
-             positive_label=None) -> Dataset:
-    """Read a headed CSV into an encoded Dataset.
-
-    schema: iterable of (column_name, kind) with kind "categorical" or
-    "numeric", covering every non-label column. Categories are fitted on the
-    training split only (first-seen order); a test-split category unseen in
-    training is an error. Binary labels map to {-1,+1} (sorted raw values, or
-    positive_label forced to +1); more than two distinct values become class
-    indices 0..k-1 in sorted order.
-    """
+def _column_kinds(schema, label_column):
     kinds = {}
     order = []
     for name, kind in schema:
@@ -192,6 +182,40 @@ def load_csv(path, schema, label_column, *, delimiter=",", split_seed=0,
             continue
         kinds[name] = kind
         order.append(name)
+    return kinds, order
+
+
+def _sniff_schema(header, rows, label_column):
+    """(name, kind) per non-label column: numeric iff every value parses."""
+    columns = []
+    for j, name in enumerate(header):
+        if name == label_column:
+            continue
+        kind = "numeric"
+        for row in rows:
+            try:
+                float(row[j])
+            except (ValueError, IndexError):
+                kind = "categorical"
+                break
+        columns.append((name, kind))
+    return columns
+
+
+def load_csv(path, schema, label_column, *, delimiter=",", split_seed=0,
+             positive_label=None) -> Dataset:
+    """Read a headed CSV into an encoded Dataset.
+
+    schema: iterable of (column_name, kind) with kind "categorical" or
+    "numeric", covering every non-label column; None infers it from the rows
+    read (numeric iff every value parses as a float). Categories are fitted on the
+    training split only (first-seen order); a test-split category unseen in
+    training is an error. Binary labels map to {-1,+1} (sorted raw values, or
+    positive_label forced to +1); more than two distinct values become class
+    indices 0..k-1 in sorted order.
+    """
+    if schema is not None:
+        kinds, order = _column_kinds(schema, label_column)
 
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -203,6 +227,8 @@ def load_csv(path, schema, label_column, *, delimiter=",", split_seed=0,
 
     if label_column not in header:
         raise ValueError(f"label column {label_column!r} not in header {header}")
+    if schema is None:
+        kinds, order = _column_kinds(_sniff_schema(header, rows, label_column), label_column)
     missing = [c for c in header if c != label_column and c not in kinds]
     if missing:
         raise ValueError(f"schema does not name columns: {missing}")

@@ -18,7 +18,7 @@ def sigmoid(z):
     """Numerically stable logistic function, elementwise."""
     z = np.asarray(z, dtype=float)
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _softplus(z):
@@ -81,27 +81,31 @@ def make_loss(kind: str) -> LossSpec:
 
 
 def loss(spec: LossSpec, model, x, y):
-    """Natural loss g(-y * margin) of a linear model on one example (or a batch)."""
+    """Natural loss g(-y * margin) of a model on one example (or a batch)."""
     margin = model.margin(x)
     return spec.g(-np.asarray(y, dtype=float) * margin)
 
 
-def linear_loss_and_grads(spec: LossSpec, w, bias, X, y, epsilon: float = 0.0):
-    """The linear family's one gradient engine, from one pass over a batch.
+def linear_loss_and_grads(spec: LossSpec, w, bias, X, y, epsilon=0.0):
+    """The linear family's one gradient engine: k stacked models on one batch.
 
-    Per-example loss is the worst case over the eps-box,
+    w is (k, d), bias (k,) or None, epsilon a scalar or (k,). Per-example
+    loss is the worst case over each model's eps-box,
     g(eps*||w||_1 - y*(<w, x> + bias)); epsilon=0 is the natural loss bit for
-    bit. Returns (per-example loss (n,), parameter gradients summed over the
-    batch [weights (d,), then the bias when it is not None], per-example input
-    gradients (n, d)).
+    bit, and every row is bit-identical to the same model trained alone.
+    Returns (per-example loss (k, n), parameter gradients summed over the
+    batch [weights (k, d), then the bias (k,) when it is not None], coeff
+    (k, n)), where coeff[:, :, None] * w[:, None, :] is the per-example input
+    gradient of the natural loss.
     """
-    margin = X @ w
+    epsilon = np.asarray(epsilon, dtype=float).reshape(-1, 1)
+    margin = np.matmul(X, w[..., None])[..., 0]
     if bias is not None:
-        margin = margin + bias
-    z = epsilon * np.abs(w).sum() - y * margin
+        margin = margin + bias[:, None]
+    z = epsilon * np.abs(w).sum(axis=1, keepdims=True) - y * margin
     gp = spec.gprime(z)
     coeff = -(gp * y)
-    grads = [(coeff[:, None] * X + gp[:, None] * (np.sign(w) * epsilon)[None, :]).sum(axis=0)]
+    grads = [(coeff[..., None] * X + gp[..., None] * (np.sign(w) * epsilon)[:, None, :]).sum(axis=1)]
     if bias is not None:
-        grads.append(np.asarray(coeff.sum()))
-    return spec.g(z), grads, coeff[:, None] * w[None, :]
+        grads.append(coeff.sum(axis=1))
+    return spec.g(z), grads, coeff

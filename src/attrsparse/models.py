@@ -108,8 +108,12 @@ def _act_deriv(kind, t):
 class MlpModel:
     """Dense feed-forward net with a single sigmoid output unit.
 
-    weights[l] has shape (fan_in, fan_out); the last layer has fan_out 1.
-    margin(x) is the pre-sigmoid output logit, so the margin losses apply.
+    weights[l] has shape (fan_in, fan_out) and biases[l] (fan_out,); the last
+    layer has fan_out 1. margin(x) is the pre-sigmoid output logit, so the
+    margin losses apply. A training stack of k models sharing one
+    architecture puts a leading model axis on every parameter, (k, fan_in,
+    fan_out) and (k, fan_out); its forward and reverse passes return one row
+    per model, each bit-identical to that model's own pass.
     """
 
     weights: list = field(default_factory=list)
@@ -123,35 +127,39 @@ class MlpModel:
             raise ValueError(f"unknown hidden activation {self.hidden_activation!r}")
         self.weights = [np.asarray(W, dtype=float) for W in self.weights]
         self.biases = [np.asarray(b, dtype=float) for b in self.biases]
+        lead = self.weights[0].shape[:-2]  # () for one model, (k,) for a stack
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            if W.ndim != 2 or b.ndim != 1 or W.shape[1] != b.shape[0]:
+            if W.ndim not in (2, 3) or W.shape[:-2] != lead or b.shape != lead + W.shape[-1:]:
                 raise ValueError(f"layer {i}: weight shape {W.shape} and bias shape {b.shape} disagree")
-            if i > 0 and self.weights[i - 1].shape[1] != W.shape[0]:
-                raise ValueError(f"layer {i}: fan-in {W.shape[0]} != previous fan-out")
+            if i > 0 and self.weights[i - 1].shape[-1] != W.shape[-2]:
+                raise ValueError(f"layer {i}: fan-in {W.shape[-2]} != previous fan-out")
             _check_finite(W, f"layer {i} weights")
             _check_finite(b, f"layer {i} biases")
-        if self.weights[-1].shape[1] != 1:
+        if self.weights[-1].shape[-1] != 1:
             raise ValueError("output layer must have a single unit")
 
     @property
     def dim(self) -> int:
-        return self.weights[0].shape[0]
+        return self.weights[0].shape[-2]
 
     @property
     def layer_sizes(self):
-        return [self.weights[0].shape[0]] + [W.shape[1] for W in self.weights]
+        return [self.dim] + [W.shape[-1] for W in self.weights]
 
     def _forward(self, X):
-        """Forward pass caching pre-activations; X must be 2-d (n, d)."""
+        """Forward pass caching pre-activations; X must be 2-d (n, d).
+
+        The logit is (n,), or (k, n) for a stack of k models.
+        """
         pre = []      # pre-activation per hidden layer
         acts = [X]    # layer inputs, starting with the data
         h = X
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            t = h @ W + b
+            t = h @ W + b[..., None, :]
             pre.append(t)
             h = _act(self.hidden_activation, t)
             acts.append(h)
-        logit = (h @ self.weights[-1] + self.biases[-1])[:, 0]
+        logit = (h @ self.weights[-1] + self.biases[-1][..., None, :])[..., 0]
         return logit, pre, acts
 
     def margin(self, x):
@@ -165,47 +173,52 @@ class MlpModel:
     def value(self, x):
         return sigmoid(self.margin(x))
 
-    def backprop(self, cache, dlogit):
+    def backprop(self, cache, dlogit, *, params=True, inputs=True):
         """Reverse pass from dLoss/dlogit (n,) through the cached forward pass
         ``cache = self._forward(X)``.
 
         Returns (weight_grads, bias_grads, input_grads): parameter gradients
-        are summed over the batch, input gradients are per example (n, d).
+        are summed over the batch, input gradients are per example (n, d);
+        a stack adds its leading model axis to each. params=False skips the
+        parameter products (both lists come back empty) and inputs=False the
+        last input product (input_grads is None); what is computed does not
+        change bit for bit.
         """
         _, pre, acts = cache
-        weight_grads = [None] * len(self.weights)
-        bias_grads = [None] * len(self.biases)
-        delta = dlogit[:, None]  # gradient at the output unit
-        weight_grads[-1] = acts[-1].T @ delta
-        bias_grads[-1] = delta.sum(axis=0)
-        upstream = delta @ self.weights[-1].T
-        for l in range(len(self.weights) - 2, -1, -1):
-            delta = upstream * _act_deriv(self.hidden_activation, pre[l])
-            weight_grads[l] = acts[l].T @ delta
-            bias_grads[l] = delta.sum(axis=0)
-            upstream = delta @ self.weights[l].T
+        weight_grads, bias_grads = [], []
+        delta = dlogit[..., None]  # gradient at the output unit
+        for l in range(len(self.weights) - 1, -1, -1):
+            if l < len(pre):
+                delta = upstream * _act_deriv(self.hidden_activation, pre[l])
+            if params:
+                weight_grads.insert(0, np.swapaxes(acts[l], -1, -2) @ delta)
+                bias_grads.insert(0, delta.sum(axis=-2))
+            upstream = delta @ np.swapaxes(self.weights[l], -1, -2) if l or inputs else None
         return weight_grads, bias_grads, upstream
 
-    def loss_and_grads(self, spec: LossSpec, X, y):
+    def loss_and_grads(self, spec: LossSpec, X, y, *, params=True, inputs=True):
         """The MLP family's one gradient engine: g(-y * logit) on a batch
         X (n, d) from one forward and one reverse pass.
 
         Returns (per-example loss (n,), parameter gradients summed over the
         batch [weights by layer, then biases by layer], per-example input
-        gradients (n, d)).
+        gradients (n, d)); a stack adds its leading model axis to each.
+        params and inputs are those of backprop.
         """
         cache = self._forward(X)
         z = -y * cache[0]
-        weight_grads, bias_grads, dx = self.backprop(cache, -y * spec.gprime(z))
+        weight_grads, bias_grads, dx = self.backprop(cache, -y * spec.gprime(z),
+                                                     params=params, inputs=inputs)
         return spec.g(z), weight_grads + bias_grads, dx
 
     def value_and_input_gradient(self, x):
-        """F(x) = sigmoid(logit) and dF/dx via one forward and one reverse pass."""
+        """F(x) = sigmoid(logit) and dF/dx via one forward and one
+        input-only reverse pass."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         cache = self._forward(x[None, :] if single else x)
         p = sigmoid(cache[0])
-        _, _, dx = self.backprop(cache, p * (1.0 - p))
+        _, _, dx = self.backprop(cache, p * (1.0 - p), params=False)
         if single:
             return float(p[0]), dx[0]
         return p, dx

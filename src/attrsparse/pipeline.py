@@ -16,7 +16,7 @@ from .attribution import attribute_dataset
 from .data import Dataset
 from .losses import LossSpec
 from .sparseness import gini_gap, make_gini_report
-from .training import TrainConfig, evaluate, train
+from .training import TrainConfig, evaluate, regime_tag, train_many, uses_pgd
 
 __all__ = [
     "CompareOutcome",
@@ -64,25 +64,24 @@ def run_compare(ds: Dataset, spec: LossSpec, eps_list, lam_list, base_cfg: Train
 
     models, traces, reports, accuracies, mean_losses = {}, {}, {}, {}, {}
 
-    def fit(tag: str, cfg: TrainConfig):
-        model, trace = train(ds, spec, cfg)
+    sweep = ([_regime_cfg(base_cfg, "adversarial", epsilon=float(eps)) for eps in eps_list]
+             + [_regime_cfg(base_cfg, "l1", l1_strength=float(lam)) for lam in lam_list])
+    cfgs = {regime_tag(cfg): cfg for cfg in [_regime_cfg(base_cfg, "natural")] + sweep}
+
+    # Fits that share the seed's random stream train as one stack; an MLP
+    # with PGD draws its random starts from that stream and trains alone.
+    shared = [tag for tag, cfg in cfgs.items() if not uses_pgd(cfg)]
+    for group in [shared] + [[tag] for tag in cfgs if tag not in shared]:
+        for tag, (model, trace) in zip(group, train_many(ds, spec, [cfgs[t] for t in group])):
+            models[tag], traces[tag] = model, trace
+
+    for tag in cfgs:
+        model = models[tag]
         ev = evaluate(model, ds, split="test", spec=spec)
         attribs = attribute_dataset(model, ds, baseline, method=method, steps=steps)
-        models[tag] = model
-        traces[tag] = trace
         accuracies[tag] = ev.accuracy
         mean_losses[tag] = ev.mean_loss
         reports[tag] = make_gini_report(attribs, tag, split_key)
-        return cfg
-
-    cfgs = {}
-    cfgs["natural"] = fit("natural", _regime_cfg(base_cfg, "natural"))
-    for eps in eps_list:
-        tag = f"adversarial(eps={eps:g})"
-        cfgs[tag] = fit(tag, _regime_cfg(base_cfg, "adversarial", epsilon=float(eps)))
-    for lam in lam_list:
-        tag = f"l1(lam={lam:g})"
-        cfgs[tag] = fit(tag, _regime_cfg(base_cfg, "l1", l1_strength=float(lam)))
 
     attr_tag = "ig-closed" if method == "closed" else f"ig-numeric[{steps}]"
     natural_report = reports["natural"]
@@ -94,7 +93,8 @@ def run_compare(ds: Dataset, spec: LossSpec, eps_list, lam_list, base_cfg: Train
     tradeoff_rows = [("natural", "", accuracies["natural"], natural_report.mean)]
     gaps = {}
 
-    def add_regime(tag: str, kind: str):
+    for cfg in sweep:
+        tag = regime_tag(cfg)
         gap, drop, per_example = gini_gap(natural_report, reports[tag], accuracies)
         gaps[tag] = {"gini_gap": gap, "accuracy_drop_pct": drop}
         table_rows.append({
@@ -103,13 +103,8 @@ def run_compare(ds: Dataset, spec: LossSpec, eps_list, lam_list, base_cfg: Train
         })
         for row_pos, example_idx in enumerate(ds.test_indices):
             distribution_rows.append((int(example_idx), tag, float(per_example[row_pos])))
-        param = cfgs[tag].epsilon if kind == "adversarial" else cfgs[tag].l1_strength
+        param = cfg.epsilon if cfg.regime == "adversarial" else cfg.l1_strength
         tradeoff_rows.append((tag, param, accuracies[tag], reports[tag].mean))
-
-    for eps in eps_list:
-        add_regime(f"adversarial(eps={eps:g})", "adversarial")
-    for lam in lam_list:
-        add_regime(f"l1(lam={lam:g})", "l1")
 
     report = {
         "format_version": 1,

@@ -1,6 +1,7 @@
-"""Minibatch training loops for the four regimes: natural, worst-case
+"""The minibatch training loop for the four regimes: natural, worst-case
 (adversarial), l1-proximal, and stable-attribution (which shares the
-adversarial arithmetic step for step).
+adversarial arithmetic step for step), run over a stack of models that
+share one random stream.
 """
 from __future__ import annotations
 
@@ -23,6 +24,9 @@ __all__ = [
     "TrainTrace",
     "TrainingDivergedError",
     "train",
+    "train_many",
+    "uses_pgd",
+    "regime_tag",
     "evaluate",
     "EvalResult",
     "soft_threshold",
@@ -130,15 +134,25 @@ def _make_optimizer(kind, params, lr):
     return _Adam(params, lr) if kind == "adam" else _Sgd(params, lr)
 
 
-def _weight_vector(params_w):
-    return params_w[0] if len(params_w) == 1 else np.concatenate([w.ravel() for w in params_w])
+def _weight_rows(weights):
+    """Every weight of each model in a stack, one row per model, in layer order."""
+    return np.concatenate([W.reshape(W.shape[0], -1) for W in weights], axis=1)
 
 
-def _trace_point(spec, cfg, model, weight_arrays, X, y):
+def regime_tag(cfg):
+    """The regime with its strength, e.g. "adversarial(eps=0.1)": how reports
+    and errors name a model."""
+    if cfg.regime in ("adversarial", "stable-ig"):
+        return f"{cfg.regime}(eps={cfg.epsilon:g})"
+    if cfg.regime == "l1":
+        return f"l1(lam={cfg.l1_strength:g})"
+    return cfg.regime
+
+
+def _trace_point(spec, cfg, model, wv, X, y):
     margin = model.margin(X)
-    wv = _weight_vector(weight_arrays)
     l1 = float(np.abs(wv).sum())
-    if cfg.regime in ("adversarial", "stable-ig") and not isinstance(model, MlpModel):
+    if cfg.regime in ("adversarial", "stable-ig") and isinstance(model, LinearModel):
         z = cfg.epsilon * l1 - y * margin
     else:
         z = -y * margin
@@ -152,82 +166,147 @@ def _trace_point(spec, cfg, model, weight_arrays, X, y):
     return mean_loss, acc, l1, wg
 
 
-def train(ds: Dataset, spec: LossSpec, cfg: TrainConfig):
-    """Fit a model on the training split; deterministic given cfg.seed.
+_SHARED = ("seed", "epochs", "batch_size", "optimizer", "learning_rate", "model_kind", "use_bias")
+_SHARED_MLP = ("hidden_sizes", "hidden_activation")
 
-    Returns (model, trace). The adversarial regime perturbs every batch
-    example with the current-weight closed form (linear) or projected
-    gradient ascent (MLP) before the gradient step; the stable-ig regime is
-    the same arithmetic by the worst-case-attribution equivalence and is
-    limited to linear models; l1 applies proximal soft-thresholding to the
-    weights (never the bias) after every optimizer step.
+
+def uses_pgd(cfg):
+    """True for an MLP fit that draws PGD starts from its seed's stream, so
+    it cannot share that stream with other fits."""
+    return cfg.model_kind == "mlp" and cfg.regime == "adversarial" and cfg.epsilon > 0.0
+
+
+def _check_stack(cfgs):
+    if not cfgs:
+        raise ValueError("train_many needs at least one config")
+    first = cfgs[0]
+    shared = _SHARED + (_SHARED_MLP if first.model_kind == "mlp" else ())
+    for cfg in cfgs:
+        if cfg.regime == "stable-ig" and cfg.model_kind != "linear":
+            raise ValueError("stable-ig training requires a linear model")
+        for name in shared:
+            if getattr(cfg, name) != getattr(first, name):
+                raise ValueError(f"stacked configs must share {name}: {getattr(first, name)!r} "
+                                 f"!= {getattr(cfg, name)!r}")
+        if len(cfgs) > 1 and uses_pgd(cfg):
+            raise ValueError(f"{regime_tag(cfg)} draws PGD starts from the shared generator "
+                             "and must train alone")
+
+
+def _unstack(cfg, params, i, copy=False):
+    """Model i of the stack, viewing the stacked parameters unless copy."""
+    take = (lambda a: a[i].copy()) if copy else (lambda a: a[i])
+    if cfg.model_kind == "linear":
+        bias = None if len(params) == 1 else float(params[1][i])
+        return LinearModel(w=take(params[0]), activation="sigmoid", bias=bias)
+    half = len(params) // 2
+    return MlpModel(weights=[take(W) for W in params[:half]],
+                    biases=[take(b) for b in params[half:]],
+                    hidden_activation=cfg.hidden_activation)
+
+
+def train_many(ds: Dataset, spec: LossSpec, cfgs):
+    """Fit one model per config as one stacked program; deterministic given
+    the shared seed.
+
+    The configs must share one random stream: the same seed, epochs, batch
+    size, optimizer, learning rate, model kind and shape, and bias. Every
+    parameter carries a leading model axis, and each model keeps its own
+    epsilon, l1 strength and proximal mask, so each returned (model, trace)
+    is bit-identical to that config trained alone. An adversarial MLP with
+    eps > 0 draws its PGD starts from the shared stream and must be alone.
+
+    The adversarial regime perturbs every batch example with the
+    current-weight closed form (linear) or projected gradient ascent (MLP)
+    before the gradient step; the stable-ig regime is the same arithmetic by
+    the worst-case-attribution equivalence and is limited to linear models;
+    l1 applies proximal soft-thresholding to the weights (never the bias)
+    after every optimizer step. Returns [(model, trace)] in config order.
     """
+    cfgs = list(cfgs)
+    _check_stack(cfgs)
     if not ds.binary:
         raise ValueError("binary labels required")
-    if cfg.regime == "stable-ig" and cfg.model_kind != "linear":
-        raise ValueError("stable-ig training requires a linear model")
+    cfg, k = cfgs[0], len(cfgs)
     X, y = ds.features[ds.train_indices], ds.labels[ds.train_indices]
     n, d = X.shape
     rng = np.random.default_rng(cfg.seed)
-    epsilon = cfg.epsilon if cfg.regime in ("adversarial", "stable-ig") else 0.0
+    epsilon = np.asarray([c.epsilon if c.regime in ("adversarial", "stable-ig") else 0.0
+                          for c in cfgs])
+    is_l1 = np.asarray([c.regime == "l1" for c in cfgs])
+    lam = np.asarray([c.l1_strength for c in cfgs])
+    prox = is_l1 & (lam > 0.0)
+    threshold = cfg.learning_rate * lam[prox]
+    any_l1, any_prox = bool(is_l1.any()), bool(prox.any())
 
     if cfg.model_kind == "linear":
-        w = np.zeros(d)
-        bias = np.zeros(()) if cfg.use_bias else None
-        params = [w] + ([bias] if bias is not None else [])
-        model = None
-        weight_arrays = [w]
+        bias = np.zeros(k) if cfg.use_bias else None
+        params = [np.zeros((k, d))] + ([bias] if cfg.use_bias else [])
+        weights = params[:1]
+        stack = pgd_model = None
     else:
-        model = init_mlp([d, *cfg.hidden_sizes, 1], rng, cfg.hidden_activation)
-        params = list(model.weights) + list(model.biases)
-        weight_arrays = model.weights
-        budget = PerturbationBudget(epsilon)
-        pgd_cfg = cfg.pgd or default_pgd_config(epsilon, seed=cfg.seed)
+        one = init_mlp([d, *cfg.hidden_sizes, 1], rng, cfg.hidden_activation)
+        stack = MlpModel(weights=[np.repeat(W[None], k, axis=0) for W in one.weights],
+                         biases=[np.repeat(b[None], k, axis=0) for b in one.biases],
+                         hidden_activation=cfg.hidden_activation)
+        params = stack.weights + stack.biases
+        weights = stack.weights
+        pgd_model = _unstack(cfg, params, 0) if uses_pgd(cfg) else None
+        if pgd_model is not None:
+            budget = PerturbationBudget(cfg.epsilon)
+            pgd_cfg = cfg.pgd or default_pgd_config(cfg.epsilon, seed=cfg.seed)
 
     optimizer = _make_optimizer(cfg.optimizer, params, cfg.learning_rate)
-    prox = cfg.regime == "l1" and cfg.l1_strength > 0.0
-    threshold = cfg.learning_rate * cfg.l1_strength
-    trace = TrainTrace()
+    traces = [TrainTrace() for _ in cfgs]
     step = 0
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
             Xb, yb = X[batch], y[batch]
-            if model is None:
-                losses, grads, _ = linear_loss_and_grads(spec, w, bias, Xb, yb, epsilon)
+            if stack is None:
+                losses, grads, _ = linear_loss_and_grads(spec, params[0], bias, Xb, yb, epsilon)
             else:
-                if epsilon > 0.0:
-                    Xb = Xb + pgd_perturb_batch(model, Xb, yb, budget, pgd_cfg, spec=spec, rng=rng)
-                losses, grads, _ = model.loss_and_grads(spec, Xb, yb)
+                if pgd_model is not None:
+                    Xb = Xb + pgd_perturb_batch(pgd_model, Xb, yb, budget, pgd_cfg, spec=spec, rng=rng)
+                losses, grads, _ = stack.loss_and_grads(spec, Xb, yb, inputs=False)
             grads = [g / batch.size for g in grads]
-            batch_loss = float(losses.mean())
-            if cfg.regime == "l1":
-                batch_loss += cfg.l1_strength * float(np.abs(_weight_vector(weight_arrays)).sum())
-            if not np.isfinite(batch_loss) or batch_loss > DIVERGENCE_LIMIT:
+            batch_loss = losses.mean(axis=-1)
+            if any_l1:
+                l1 = np.abs(_weight_rows([W[is_l1] for W in weights])).sum(axis=1)
+                batch_loss[is_l1] += lam[is_l1] * l1
+            bad = ~(batch_loss <= DIVERGENCE_LIMIT)  # NaN compares False too
+            if bad.any():
+                i = int(np.argmax(bad))
                 raise TrainingDivergedError(
-                    f"objective {batch_loss!r} exceeded {DIVERGENCE_LIMIT:g} at step {step}", step)
+                    f"{regime_tag(cfgs[i])}: objective {float(batch_loss[i])!r} exceeded "
+                    f"{DIVERGENCE_LIMIT:g} at step {step}", step)
             optimizer.step(grads)
-            if prox:
-                for arr in weight_arrays:
-                    arr[...] = soft_threshold(arr, threshold)
+            if any_prox:
+                for arr in weights:
+                    thr = threshold.reshape((-1,) + (1,) * (arr.ndim - 1))
+                    arr[prox] = soft_threshold(arr[prox], thr)
             step += 1
-        snapshot = model if model is not None else LinearModel(
-            w=w.copy(), activation="sigmoid",
-            bias=None if bias is None else float(bias[()]))
-        lo_, ac_, l1_, gi_ = _trace_point(spec, cfg, snapshot, weight_arrays, X, y)
-        trace.loss.append(lo_)
-        trace.accuracy.append(ac_)
-        trace.weight_l1.append(l1_)
-        trace.weight_gini.append(gi_)
+        rows = _weight_rows(weights)
+        for i, c in enumerate(cfgs):
+            point = _trace_point(spec, c, _unstack(c, params, i), rows[i], X, y)
+            for series, value in zip((traces[i].loss, traces[i].accuracy,
+                                      traces[i].weight_l1, traces[i].weight_gini), point):
+                series.append(value)
 
-    if cfg.model_kind == "linear":
-        final = LinearModel(w=w.copy(), activation="sigmoid",
-                            bias=None if bias is None else float(bias[()]))
-    else:
-        final = model
-    trace.final_model = final
-    return final, trace
+    out = []
+    for i, (c, trace) in enumerate(zip(cfgs, traces)):
+        trace.final_model = _unstack(c, params, i, copy=True)
+        out.append((trace.final_model, trace))
+    return out
+
+
+def train(ds: Dataset, spec: LossSpec, cfg: TrainConfig):
+    """Fit one model on the training split: the k=1 case of train_many.
+
+    Returns (model, trace).
+    """
+    return train_many(ds, spec, [cfg])[0]
 
 
 @dataclass(frozen=True)

@@ -82,13 +82,13 @@ def test_adversarial_loss_batch_and_gradient_shapes():
     y = np.where(rng.uniform(size=6) < 0.5, 1.0, -1.0)
     budget = PerturbationBudget(0.2)
     vals = adversarial_loss(spec, model, X, y, budget)
-    losses, (grad_sum,), dx = linear_loss_and_grads(spec, model.w, None, X, y, 0.2)
+    losses, (grad_sum,), coeff = linear_loss_and_grads(spec, model.w[None], None, X, y, 0.2)
     assert vals.shape == (6,)
-    assert grad_sum.shape == (4,) and dx.shape == (6, 4)
-    np.testing.assert_allclose(losses, vals, rtol=1e-14)
-    rows = [linear_loss_and_grads(spec, model.w, None, X[i:i + 1], y[i:i + 1], 0.2)[1][0]
+    assert losses.shape == (1, 6) and grad_sum.shape == (1, 4) and coeff.shape == (1, 6)
+    np.testing.assert_allclose(losses[0], vals, rtol=1e-14)
+    rows = [linear_loss_and_grads(spec, model.w[None], None, X[i:i + 1], y[i:i + 1], 0.2)[1][0][0]
             for i in range(6)]
-    np.testing.assert_allclose(np.sum(rows, axis=0), grad_sum, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(np.sum(rows, axis=0), grad_sum[0], rtol=1e-12, atol=1e-15)
     for i in range(6):
         assert float(adversarial_loss(spec, model, X[i], y[i], budget)) == \
             pytest.approx(float(vals[i]), rel=1e-14)
@@ -104,7 +104,9 @@ def test_adversarial_gradient_matches_fd(kind):
     x = rng.normal(size=5)
     y = -1.0
     budget = PerturbationBudget(0.3)
-    _, (grad,), _ = linear_loss_and_grads(spec, w, None, x[None, :], np.asarray([y]), 0.3)
+    _, (grad,), _ = linear_loss_and_grads(spec, w[None], None, x[None, :], np.asarray([y]),
+                                          np.asarray([0.3]))
+    grad = grad[0]
     h = 1e-7
     fd = np.empty(5)
     for i in range(5):

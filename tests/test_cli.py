@@ -1,7 +1,9 @@
 """Command-line contract: exit codes, file outputs, determinism, and the
 documented defaults, exercised in-process through main(argv)."""
+import builtins
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -235,6 +237,35 @@ def test_train_csv_without_schema_fails(csv_file, tmp_path, capsys):
     assert "--label-column" in capsys.readouterr().err
 
 
+def test_infer_schema_reads_the_csv_once(csv_file, tmp_path, monkeypatch):
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(os.fspath(file) if isinstance(file, (str, os.PathLike)) else file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    rc = main(["train", "--data", str(csv_file), "--infer-schema", "--label-column", "label",
+               "--epochs", "1", "--out-dir", str(tmp_path / "run")])
+    monkeypatch.undo()
+    assert rc == 0
+    assert opened.count(str(csv_file)) == 1
+
+
+@pytest.mark.parametrize("content, message", [
+    ("", "empty file, header row required"),
+    ("color,amount\nred,1.0\n", "label column 'label' not in header ['color', 'amount']"),
+])
+def test_infer_schema_csv_errors_exit_1(tmp_path, capsys, content, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(content, encoding="utf-8")
+    rc = main(["train", "--data", str(path), "--infer-schema", "--label-column", "label",
+               "--out-dir", str(tmp_path / "run")])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["train", "compare"])
 def test_non_finite_csv_feature_exit_1(csv_file, tmp_path, capsys, command):
     lines = csv_file.read_text(encoding="utf-8").splitlines()
@@ -279,6 +310,17 @@ def test_compare_outputs_and_determinism(synth_json, tmp_path, capsys):
     rep.pop("runtime_seconds")
     rep2.pop("runtime_seconds")
     assert rep == rep2
+
+
+def test_compare_divergence_names_the_model_exit_2(synth_json, tmp_path, capsys):
+    # the linear fits train as one stack; only the eps=1e7 model's objective
+    # explodes, and the error names it
+    rc = main(["compare", "--data", str(synth_json), "--epochs", "2", "--optimizer", "sgd",
+               "--lr", "1", "--eps-list", "0.1,1e7", "--lam-list", "0.02",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "training diverged: adversarial(eps=1e+07):" in err and "at step 1" in err
 
 
 def test_compare_empty_eps_list(synth_json, tmp_path):

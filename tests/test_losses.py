@@ -52,6 +52,24 @@ def test_sigmoid_values_and_stability():
     assert big[0] == 0.0 and big[1] == 1.0
 
 
+def test_sigmoid_matches_two_branch_reference_bitwise():
+    def two_branch(z):
+        z = np.asarray(z, dtype=float)
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+    rng = np.random.default_rng(20)
+    z = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0, 36.7, -36.7, 745.2, -745.2],
+        rng.normal(size=100_000), 20.0 * rng.normal(size=100_000)])
+    got, want = sigmoid(z), two_branch(z)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    assert np.isnan(got[4]) and got[2] == 1.0 and got[3] == 0.0
+    for scalar in (0.0, -0.0, 3.0, -3.0, np.inf, -np.inf):
+        assert float(sigmoid(scalar)) == float(two_branch(scalar))
+
+
 # --- calculus and shape properties -----------------------------------------
 
 @pytest.mark.parametrize("kind", LOSS_KINDS)
@@ -107,16 +125,18 @@ def test_loss_of_linear_model():
 
 @pytest.mark.parametrize("kind", ["logistic-nll", "softplus-hinge"])
 def test_loss_gradient_matches_finite_difference(kind):
-    # the linear engine at epsilon=0: weight, bias and input gradients of
-    # the natural loss of one example
+    # the linear engine at epsilon=0, as a stack of one model: weight, bias
+    # and input gradients (coeff * w) of the natural loss of one example
     spec = make_loss(kind)
     rng = np.random.default_rng(7)
     w = rng.normal(size=4)
     b = 0.3
     x = rng.normal(size=4)
     y = -1.0
-    losses, (gw, gb), dx = linear_loss_and_grads(spec, w, np.asarray(b), x[None, :],
-                                                 np.asarray([y]))
+    losses, (gw, gb), coeff = linear_loss_and_grads(spec, w[None], np.asarray([b]), x[None, :],
+                                                    np.asarray([y]))
+    assert losses.shape == (1, 1) and gw.shape == (1, 4) and gb.shape == (1,)
+    losses, gw, gb, dx = losses[0], gw[0], gb[0], coeff[0][:, None] * w
 
     def at(w_, b_, x_):
         return float(loss(spec, LinearModel(w=w_, bias=b_), x_, y))

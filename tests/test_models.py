@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from attrsparse.adversarial import PerturbationBudget, PgdConfig, pgd_perturb_batch
 from attrsparse.losses import make_loss, sigmoid
 from attrsparse.models import (
     LinearModel,
@@ -176,7 +177,8 @@ def test_mlp_input_loss_gradient_matches_fd():
     model = _tiny_mlp()
     x = np.asarray([0.4, -0.9])
     y = 1.0
-    _, _, dx = model.loss_and_grads(spec, x[None, :], np.asarray([y]))
+    # the input-only chain that PGD runs
+    _, _, dx = model.loss_and_grads(spec, x[None, :], np.asarray([y]), params=False)
     dx = dx[0]
     h = 1e-6
     for i in range(2):
@@ -221,20 +223,45 @@ def test_init_mlp():
 
 def test_mlp_gradients_run_one_forward_pass(monkeypatch):
     model = _tiny_mlp()
+    spec = make_loss("logistic-nll")
     X = np.asarray([[0.4, -0.9], [0.1, 0.2], [-0.3, 0.5]])
     y = np.asarray([1.0, -1.0, 1.0])
-    calls = []
-    forward = MlpModel._forward
+    _, full_grads, full_dx = model.loss_and_grads(spec, X, y)
+    calls, reverse = [], []
+    forward, backprop = MlpModel._forward, MlpModel.backprop
 
     def counted(self, X):
         calls.append(X.shape)
         return forward(self, X)
 
+    def recorded(self, cache, dlogit, **kwargs):
+        reverse.append(kwargs.get("params", True))
+        return backprop(self, cache, dlogit, **kwargs)
+
     monkeypatch.setattr(MlpModel, "_forward", counted)
-    model.loss_and_grads(make_loss("logistic-nll"), X, y)
+    monkeypatch.setattr(MlpModel, "backprop", recorded)
+    model.loss_and_grads(spec, X, y)
     assert len(calls) == 1
     model.value_and_input_gradient(X)
-    assert len(calls) == 2
+    assert len(calls) == 2 and reverse[-1] is False
+
+    # the input-only chain skips the parameter products and keeps the bits
+    _, grads, dx = model.loss_and_grads(spec, X, y, params=False)
+    assert grads == [] and len(calls) == 3
+    np.testing.assert_array_equal(dx, full_dx)
+    # and the parameter-only chain skips the last input product
+    _, grads, dx = model.loss_and_grads(spec, X, y, inputs=False)
+    assert dx is None
+    for a, b in zip(grads, full_grads):
+        np.testing.assert_array_equal(a, b)
+
+    # PGD: one forward pass per step plus the start and final loss checks,
+    # and never the parameter products
+    del calls[:], reverse[:]
+    cfg = PgdConfig(steps=5, step_size=0.05, seed=3)
+    pgd_perturb_batch(model, X, y, PerturbationBudget(0.2), cfg, spec=spec)
+    assert len(calls) == cfg.steps + 2
+    assert reverse == [False] * cfg.steps
 
 
 # --- prediction helpers -------------------------------------------------------

@@ -1,5 +1,7 @@
 """Training loops: regime equivalences (bitwise), proximal sparsity, divergence
 detection, determinism, and evaluation."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from attrsparse.training import (
     evaluate,
     soft_threshold,
     train,
+    train_many,
 )
 
 LOGISTIC = make_loss("logistic-nll")
@@ -267,3 +270,111 @@ def test_config_validation():
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 TrainConfig(**{field: bad})
+
+
+# --- stacked training ---------------------------------------------------------
+
+def _assert_same_fit(stacked, alone):
+    (m_s, t_s), (m_a, t_a) = stacked, alone
+    assert type(m_s) is type(m_a)
+    if isinstance(m_a, LinearModel):
+        np.testing.assert_array_equal(m_s.w, m_a.w)
+        assert m_s.bias == m_a.bias
+    else:
+        for a, b in zip(m_s.weights + m_s.biases, m_a.weights + m_a.biases):
+            np.testing.assert_array_equal(a, b)
+    for series in ("loss", "accuracy", "weight_l1", "weight_gini"):
+        np.testing.assert_array_equal(getattr(t_s, series), getattr(t_a, series))
+    assert t_s.final_model is m_s
+
+
+def _sweep(base, eps_list, lam_list):
+    return ([replace(base, regime="natural")]
+            + [replace(base, regime="adversarial", epsilon=e) for e in eps_list]
+            + [replace(base, regime="l1", l1_strength=lam) for lam in lam_list])
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("use_bias", [False, True])
+def test_linear_stack_matches_each_model_alone(optimizer, use_bias):
+    ds = _noisy_dataset(seed=4, n=300)
+    base = TrainConfig(epochs=3, seed=4, optimizer=optimizer, learning_rate=0.05,
+                       use_bias=use_bias)
+    cfgs = _sweep(base, (0.0, 0.1, 0.3), (0.0, 0.03, 0.3))
+    # an l1 strength outside the l1 regime neither penalises nor shrinks
+    cfgs.append(replace(base, regime="adversarial", epsilon=0.1, l1_strength=0.3))
+    cfgs.append(replace(base, regime="stable-ig", epsilon=0.2))
+    stacked = train_many(ds, LOGISTIC, cfgs)
+    assert len(stacked) == len(cfgs)
+    for cfg, fit in zip(cfgs, stacked):
+        _assert_same_fit(fit, train(ds, LOGISTIC, cfg))
+    # the l1 sweep zeroes some weights exactly, so the masks did act, and
+    # only on l1 rows
+    assert np.sum(stacked[-3][0].w == 0.0) > 0
+    _assert_same_fit(stacked[-2], stacked[2])
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_mlp_stack_matches_each_model_alone(optimizer):
+    ds = _noisy_dataset(seed=5, n=200)
+    base = TrainConfig(model_kind="mlp", hidden_sizes=(6, 3), epochs=2, seed=5,
+                       optimizer=optimizer, learning_rate=0.05)
+    cfgs = _sweep(base, (0.0,), (0.01, 0.1))
+    stacked = train_many(ds, LOGISTIC, cfgs)
+    for cfg, fit in zip(cfgs, stacked):
+        _assert_same_fit(fit, train(ds, LOGISTIC, cfg))
+    assert not np.array_equal(stacked[0][0].weights[0], stacked[-1][0].weights[0])
+
+
+def test_stacked_divergence_names_the_model_and_step():
+    ds = _noisy_dataset(seed=0, n=300)
+    base = TrainConfig(epochs=2, optimizer="sgd", learning_rate=1.0)
+    cfgs = _sweep(base, (0.1, 1e7), (0.02,))
+    with pytest.raises(TrainingDivergedError) as stacked:
+        train_many(ds, LOGISTIC, cfgs)
+    with pytest.raises(TrainingDivergedError) as alone:
+        train(ds, LOGISTIC, cfgs[2])
+    assert str(stacked.value) == str(alone.value)
+    assert str(stacked.value).startswith("adversarial(eps=1e+07): objective ")
+    assert stacked.value.step == alone.value.step == 1
+    for cfg in cfgs[:2] + cfgs[3:]:
+        train(ds, LOGISTIC, cfg)  # the other models alone do not diverge
+
+    # the l1 penalty counts toward its own model's objective only
+    easy = _easy_dataset(n=200)
+    big = Dataset(easy.features * 100, easy.labels.copy(), list(easy.feature_names),
+                  easy.encoding_map, split_seed=easy.split_seed, translated=True)
+    base = TrainConfig(epochs=2, optimizer="sgd", learning_rate=1000.0)
+    cfgs = [base, replace(base, regime="adversarial", epsilon=0.0, l1_strength=10.0),
+            replace(base, regime="l1", l1_strength=10.0)]
+    with pytest.raises(TrainingDivergedError, match=r"^l1\(lam=10\): objective .* at step 1$"):
+        train_many(big, LOGISTIC, cfgs)
+    train_many(big, LOGISTIC, cfgs[:2])
+
+
+@pytest.mark.parametrize("change", [
+    {"seed": 1}, {"epochs": 3}, {"batch_size": 16}, {"optimizer": "sgd"},
+    {"learning_rate": 0.02}, {"model_kind": "mlp"}, {"use_bias": True},
+])
+def test_train_many_rejects_configs_that_cannot_share_a_stream(change):
+    ds = _easy_dataset(n=60)
+    base = TrainConfig(epochs=2)
+    name = next(iter(change))
+    with pytest.raises(ValueError, match=f"must share {name}"):
+        train_many(ds, LOGISTIC, [base, replace(base, regime="l1", l1_strength=0.1, **change)])
+
+
+def test_train_many_rejects_mlp_groups_that_cannot_share_a_stream():
+    ds = _easy_dataset(n=60)
+    base = TrainConfig(model_kind="mlp", hidden_sizes=(4,), epochs=1)
+    for change in ({"hidden_sizes": (5,)}, {"hidden_activation": "tanh"}):
+        with pytest.raises(ValueError, match="must share hidden_"):
+            train_many(ds, LOGISTIC, [base, replace(base, **change)])
+    pgd = replace(base, regime="adversarial", epsilon=0.1)
+    with pytest.raises(ValueError, match=r"adversarial\(eps=0.1\) draws PGD starts"):
+        train_many(ds, LOGISTIC, [base, pgd])
+    with pytest.raises(ValueError, match="at least one config"):
+        train_many(ds, LOGISTIC, [])
+    # alone, or with eps = 0 (no PGD), the adversarial MLP is accepted
+    assert len(train_many(ds, LOGISTIC, [pgd])) == 1
+    assert len(train_many(ds, LOGISTIC, [base, replace(pgd, epsilon=0.0)])) == 2
