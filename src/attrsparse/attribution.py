@@ -16,6 +16,7 @@ __all__ = [
     "ImpactReport",
     "ig_numeric",
     "ig_closed_form",
+    "check_method",
     "attribute_dataset",
     "impact_report",
     "write_pgm",
@@ -79,30 +80,55 @@ def ig_numeric(model, x, u, steps: int = DEFAULT_REPORT_STEPS) -> AttributionVec
     return AttributionVector(values, u, "model-output", residual)
 
 
-def ig_closed_form(model: LinearModel, x, u) -> AttributionVector:
-    """Exact path integral for F(x) = A(<w, x>):
+def _closed_form_rows(model, X, u):
+    """Exact path integrals for the rows of X (n, d) against one baseline u:
 
         IG = [F(x) - F(u)] * ((x - u) * w) / <x - u, w>
 
+    Returns (values (n, d), completeness residuals (n,), degenerate (n,)).
     A zero denominator with F(x) = F(u) yields the zero attribution flagged
     degenerate; a zero denominator with differing values cannot happen for a
     strictly monotone activation and is reported as an error.
     """
     if not isinstance(model, LinearModel):
         raise TypeError("closed form applies to linear models only")
-    x, u = _check_dims(model, x, u)
-    diff = x - u
-    denom = float(diff @ model.w)
-    fx = float(np.asarray(model.value(x)))
+    if X.shape[1] != model.dim:
+        raise ValueError(f"input dimension {X.shape[1]} != model dimension {model.dim}")
+    # Taking each row as a (1, d) block makes matmul run one dot product per
+    # row, the kernel of x @ w for a single row; a 2-d X @ w is a
+    # matrix-vector product, which rounds differently.
+    diff = X - u
+    denom = (diff[:, None, :] @ model.w)[:, 0]
+    fx = np.asarray(model.value(X[:, None, :]), dtype=float).reshape(-1)
     fu = float(np.asarray(model.value(u)))
-    if denom == 0.0:
-        if fx == fu:
-            return AttributionVector(np.zeros_like(diff), u, "model-output", 0.0, degenerate=True)
+    degenerate = denom == 0.0
+    if np.any(fx[degenerate] != fu):
         raise ValueError("zero score change <x-u, w> with differing outputs; "
                          "activation violates strict monotonicity")
-    values = (fx - fu) * (diff * model.w) / denom
-    residual = abs(float(values.sum()) - (fx - fu))
-    return AttributionVector(values, u, "model-output", residual)
+    delta = fx - fu  # exactly 0 on degenerate rows, so their residual is 0
+    values = np.divide(delta[:, None] * (diff * model.w), denom[:, None],
+                       out=np.zeros_like(diff), where=~degenerate[:, None])
+    return values, np.abs(values.sum(axis=1) - delta), degenerate
+
+
+def ig_closed_form(model: LinearModel, x, u) -> AttributionVector:
+    """Exact path integral for F(x) = A(<w, x>): the one-row case of the
+    closed-form kernel used by attribute_dataset."""
+    x, u = _check_dims(model, x, u)
+    values, residual, degenerate = _closed_form_rows(model, x[None, :], u)
+    return AttributionVector(values[0], u, "model-output", float(residual[0]),
+                             degenerate=bool(degenerate[0]))
+
+
+def check_method(method: str, steps: int, model_kind: str = "linear"):
+    """Reject an unknown method, the closed form for a non-linear model kind,
+    or fewer than one numeric path step."""
+    if method not in ("closed", "numeric"):
+        raise ValueError(f"unknown method {method!r}; use 'closed' or 'numeric'")
+    if method == "closed" and model_kind != "linear":
+        raise TypeError("closed form applies to linear models only")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
 
 
 def attribute_dataset(model, ds: Dataset, u, method: str = "closed",
@@ -112,29 +138,33 @@ def attribute_dataset(model, ds: Dataset, u, method: str = "closed",
 
     With the default target, F is the predicted probability of the example's
     true class; for y = -1 that is 1 - F(x), whose attribution is the negated
-    model-output attribution (sign flip, residual unchanged).
+    model-output attribution (sign flip, residual unchanged). The closed form
+    attributes the whole split as one array; its vectors view rows of it.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (ds.dim,):
         raise ValueError(f"baseline shape {u.shape} does not match dimension {ds.dim}")
-    if method not in ("closed", "numeric"):
-        raise ValueError(f"unknown method {method!r}; use 'closed' or 'numeric'")
+    check_method(method, steps)
     if target not in ("true-class-probability", "model-output"):
         raise ValueError(f"unknown target {target!r}")
-    if target == "true-class-probability" and not ds.binary:
+    true_class = target == "true-class-probability"
+    if true_class and not ds.binary:
         raise ValueError("true-class target needs binary labels")
     idx = ds.split(split)
+    description = "p(true class)" if true_class else "model-output"
+    if method == "closed":
+        values, residual, degenerate = _closed_form_rows(model, ds.features[idx], u)
+        if true_class:
+            flip = ds.labels[idx] == -1.0
+            values[flip] = -values[flip]
+        return [AttributionVector(row, u, description, r, degenerate=g)
+                for row, r, g in zip(values, residual.tolist(), degenerate.tolist())]
     out = []
     for i in idx:
-        x = ds.features[i]
-        if method == "closed":
-            attr = ig_closed_form(model, x, u)
-        else:
-            attr = ig_numeric(model, x, u, steps=steps)
-        if target == "true-class-probability":
-            if ds.labels[i] == -1.0:
-                attr.values = -attr.values
-            attr.target_description = "p(true class)"
+        attr = ig_numeric(model, ds.features[i], u, steps=steps)
+        if true_class and ds.labels[i] == -1.0:
+            attr.values = -attr.values
+        attr.target_description = description
         out.append(attr)
     return out
 

@@ -35,7 +35,7 @@ from .pipeline import (
     write_table_csv,
     write_tradeoff_csv,
 )
-from .sparseness import gini
+from .sparseness import gini_rows
 from .theory import (
     SyntheticConditionalSampler,
     TheoremCheckResult,
@@ -289,7 +289,7 @@ def cmd_compare(args) -> int:
     lam_list = _parse_float_list("0.02" if args.lam_list is None else args.lam_list)
     dataset_id = args.dataset_id or os.path.splitext(os.path.basename(args.data))[0]
     method = args.method or "closed"
-    steps = args.steps or 256
+    steps = 256 if args.steps is None else args.steps
     outcome = run_compare(ds, spec, eps_list, lam_list, base_cfg,
                           dataset_id=dataset_id, method=method, steps=steps)
     out = _out_dir(args)
@@ -314,7 +314,7 @@ def cmd_attribute(args) -> int:
     else:
         u = np.zeros(ds.dim)
     method = args.method or "closed"
-    steps = args.steps or 256
+    steps = 256 if args.steps is None else args.steps
     split = args.split or "test"
     target = args.target or "true-class-probability"
     attribs = attribute_dataset(model, ds, u, method=method, steps=steps,
@@ -378,7 +378,10 @@ def _read_vector_rows(path) -> tuple:
 
 def cmd_gini(args) -> int:
     data, _ = _read_vector_rows(args.input)
-    values = [gini(np.abs(row)) for row in data]
+    values = np.empty(len(data))
+    for width in {row.size for row in data}:  # rows of one width score as one array
+        same = [i for i, row in enumerate(data) if row.size == width]
+        values[same] = gini_rows(np.abs([data[i] for i in same]))
     mean = float(np.mean(values))
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:

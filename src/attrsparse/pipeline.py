@@ -12,7 +12,7 @@ import numpy as np
 
 from ._util import fmt_float
 from ._version import __version__
-from .attribution import attribute_dataset
+from .attribution import attribute_dataset, check_method
 from .data import Dataset
 from .losses import LossSpec
 from .sparseness import gini_gap, make_gini_report
@@ -55,8 +55,10 @@ def run_compare(ds: Dataset, spec: LossSpec, eps_list, lam_list, base_cfg: Train
     """Train one natural model plus one model per epsilon and per lambda (same
     seed and split), attribute the unperturbed test split against the given
     baseline (zero by default), and report mean-Gini gaps and accuracy drops.
+    The attribution settings are checked before any model trains.
     """
     started = time.perf_counter()
+    check_method(method, steps, base_cfg.model_kind)
     if baseline is None:
         baseline = np.zeros(ds.dim)
     n_test = ds.test_indices.size

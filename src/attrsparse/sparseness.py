@@ -9,41 +9,46 @@ import numpy as np
 
 __all__ = [
     "gini",
-    "gini_of_attribution",
+    "gini_rows",
     "GiniReport",
     "make_gini_report",
     "gini_gap",
 ]
 
 
-def gini(v) -> float:
-    """Sparseness of a non-negative vector, in [0, 1].
+def gini_rows(V) -> np.ndarray:
+    """Sparseness of each row of a non-negative (n, d) array, each in [0, 1].
 
     Sorted ascending, G(v) = 1 - 2 * sum_k (v_(k)/||v||_1) * ((d - k + 0.5)/d),
     computed here in the algebraically equal rank form
-    sum_k v_(k) * (2k - d - 1) / (d * ||v||_1) with exact summation, so an
-    all-equal vector scores exactly 0. A zero vector scores 0 with a warning.
+    sum_k v_(k) * (2k - d - 1) / (d * ||v||_1) with one exact (correctly
+    rounded) sum per row for the total and for the rank-weighted sum, so an
+    all-equal row scores exactly 0. An all-zero row scores 0 with a warning.
     Raises on negative entries.
     """
+    V = np.asarray(V, dtype=float)
+    if V.ndim != 2 or V.shape[1] == 0:
+        raise ValueError("gini needs non-empty rows: an (n, d) array with d >= 1")
+    if np.any(V < 0):
+        raise ValueError("gini is defined for non-negative values only")
+    d = V.shape[1]
+    ordered = np.sort(V, axis=1, kind="stable")
+    ranks = 2.0 * np.arange(1, d + 1) - d - 1
+    total = np.asarray([math.fsum(row) for row in ordered.tolist()])
+    num = np.asarray([math.fsum(row) for row in (ordered * ranks).tolist()])
+    zero = total == 0.0
+    if zero.any():
+        warnings.warn("gini of an all-zero vector is degenerate; returning 0", stacklevel=2)
+    g = np.divide(num, d * total, out=np.zeros_like(total), where=~zero)
+    return np.where(g < 0.0, 0.0, g)
+
+
+def gini(v) -> float:
+    """Sparseness of one non-negative vector: the one-row case of gini_rows."""
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("gini needs a non-empty 1-d vector")
-    if np.any(v < 0):
-        raise ValueError("gini is defined for non-negative values only")
-    total = math.fsum(v.tolist())
-    if total == 0.0:
-        warnings.warn("gini of an all-zero vector is degenerate; returning 0", stacklevel=2)
-        return 0.0
-    d = v.size
-    ordered = np.sort(v, kind="stable")
-    ranks = 2.0 * np.arange(1, d + 1) - d - 1
-    num = math.fsum((ordered * ranks).tolist())
-    return max(num / (d * total), 0.0)
-
-
-def gini_of_attribution(attr) -> float:
-    """Gini of the absolute attribution values (0, with a warning, if all zero)."""
-    return gini(np.abs(attr.values))
+    return float(gini_rows(v[None, :])[0])
 
 
 @dataclass
@@ -65,7 +70,9 @@ class GiniReport:
 
 
 def make_gini_report(attribs, regime_tag: str, split_key: str = "") -> GiniReport:
-    values = np.array([gini_of_attribution(a) for a in attribs])
+    if not attribs:
+        raise ValueError("no attributions given")
+    values = gini_rows(np.abs(np.stack([a.values for a in attribs])))
     return GiniReport(regime_tag=regime_tag, per_example=values, split_key=split_key)
 
 

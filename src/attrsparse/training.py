@@ -16,7 +16,7 @@ from .adversarial import PerturbationBudget, PgdConfig, default_pgd_config, pgd_
 from .data import Dataset
 from .losses import LossSpec, linear_loss_and_grads, make_loss
 from .models import LinearModel, MlpModel, classify, init_mlp
-from .sparseness import gini
+from .sparseness import gini_rows
 
 __all__ = [
     "REGIMES",
@@ -149,20 +149,24 @@ def regime_tag(cfg):
     return cfg.regime
 
 
-def _trace_point(spec, cfg, model, wv, X, y):
-    margin = model.margin(X)
-    l1 = float(np.abs(wv).sum())
-    if cfg.regime in ("adversarial", "stable-ig") and isinstance(model, LinearModel):
-        z = cfg.epsilon * l1 - y * margin
-    else:
-        z = -y * margin
-    mean_loss = float(spec.g(z).mean())
-    if cfg.regime == "l1":
-        mean_loss += cfg.l1_strength * l1
-    acc = float((np.where(np.asarray(margin) >= 0.0, 1.0, -1.0) == y).mean())
+def _trace_points(spec, margins, rows, y, epsilon, is_l1, lam):
+    """Loss, accuracy, weight l1 norm and weight Gini of every model in a
+    stack on the training split: one row of each per model.
+
+    margins is (k, n); rows holds each model's weights, one row per model.
+    epsilon is non-zero only for the linear models whose loss is the
+    worst case over the eps-box; l1 models add lam * ||w||_1.
+    """
+    l1 = np.abs(rows).sum(axis=1)
+    z = -y * margins
+    adv = epsilon > 0.0
+    z[adv] = epsilon[adv, None] * l1[adv, None] - y * margins[adv]
+    mean_loss = spec.g(z).mean(axis=1)
+    mean_loss[is_l1] += lam[is_l1] * l1[is_l1]
+    acc = (np.where(margins >= 0.0, 1.0, -1.0) == y).mean(axis=1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        wg = gini(np.abs(wv))
+        wg = gini_rows(np.abs(rows))
     return mean_loss, acc, l1, wg
 
 
@@ -257,6 +261,7 @@ def train_many(ds: Dataset, spec: LossSpec, cfgs):
             pgd_cfg = cfg.pgd or default_pgd_config(cfg.epsilon, seed=cfg.seed)
 
     optimizer = _make_optimizer(cfg.optimizer, params, cfg.learning_rate)
+    trace_eps = epsilon if stack is None else np.zeros(k)  # an MLP traces its natural loss
     traces = [TrainTrace() for _ in cfgs]
     step = 0
     for _ in range(cfg.epochs):
@@ -287,11 +292,17 @@ def train_many(ds: Dataset, spec: LossSpec, cfgs):
                     thr = threshold.reshape((-1,) + (1,) * (arr.ndim - 1))
                     arr[prox] = soft_threshold(arr[prox], thr)
             step += 1
-        rows = _weight_rows(weights)
-        for i, c in enumerate(cfgs):
-            point = _trace_point(spec, c, _unstack(c, params, i), rows[i], X, y)
-            for series, value in zip((traces[i].loss, traces[i].accuracy,
-                                      traces[i].weight_l1, traces[i].weight_gini), point):
+        if stack is None:
+            margins = np.matmul(X, params[0][..., None])[..., 0]
+            if bias is not None:
+                margins = margins + bias[:, None]
+        else:
+            margins = stack.margin(X)
+        points = _trace_points(spec, margins, _weight_rows(weights), y,
+                               trace_eps, is_l1, lam)
+        for trace, point in zip(traces, zip(*(p.tolist() for p in points))):
+            for series, value in zip((trace.loss, trace.accuracy,
+                                      trace.weight_l1, trace.weight_gini), point):
                 series.append(value)
 
     out = []

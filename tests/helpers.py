@@ -9,6 +9,7 @@ real files (see data/README.md).
 from __future__ import annotations
 
 import csv
+import math
 import os
 
 import numpy as np
@@ -18,6 +19,19 @@ from attrsparse.data import Dataset, load_csv
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 MUSHROOM_PATH = os.path.abspath(os.path.join(DATA_DIR, "mushroom.csv"))
 SPAMBASE_PATH = os.path.abspath(os.path.join(DATA_DIR, "spambase.csv"))
+
+
+def gini_row_reference(v) -> float:
+    """The Gini index of one non-negative vector in the rank form with exact
+    sums, coded one 1-d row at a time (0 for an all-zero vector)."""
+    v = np.asarray(v, dtype=float)
+    total = math.fsum(v.tolist())
+    if total == 0.0:
+        return 0.0
+    d = v.size
+    ordered = np.sort(v, kind="stable")
+    ranks = 2.0 * np.arange(1, d + 1) - d - 1
+    return max(math.fsum((ordered * ranks).tolist()) / (d * total), 0.0)
 
 
 def make_categorical_csv(path, n=2000, seed=0) -> str:

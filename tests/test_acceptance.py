@@ -33,7 +33,7 @@ from attrsparse.theory import (
     check_theorem3_identity,
     verify_zero_weight_update,
 )
-from attrsparse.training import TrainConfig, evaluate, train
+from attrsparse.training import TrainConfig, evaluate, train, train_many
 
 C1, C2, C3, C4, C5, C6, C7, C8 = ACCEPTANCE_CRITERIA
 
@@ -291,8 +291,7 @@ def test_blob_image_mlp_sparseness_ordering(acceptance):
         base = dict(model_kind="mlp", hidden_sizes=(16,), epochs=18, seed=seed)
         baseline = np.zeros(ds.dim)
 
-        def fit_gini(cfg):
-            model, _ = train(ds, LOGISTIC, cfg)
+        def acc_gini(model):
             acc = evaluate(model, ds).accuracy
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # collapsed models attribute to nothing
@@ -300,13 +299,16 @@ def test_blob_image_mlp_sparseness_ordering(acceptance):
                 mean_g = make_gini_report(attribs, "tag").mean
             return acc, mean_g
 
-        acc_nat, gini_nat = fit_gini(TrainConfig(**base))
-        _, gini_adv = fit_gini(TrainConfig(regime="adversarial", epsilon=0.1, **base))
-        qualifying = [
-            g for lam in lams
-            for acc, g in [fit_gini(TrainConfig(regime="l1", l1_strength=lam, **base))]
-            if acc >= acc_nat - 0.02
-        ]
+        # the natural and l1 fits share the seed's random stream and train as
+        # one stack; the adversarial fit draws PGD starts from its own stream
+        stack = train_many(ds, LOGISTIC, [TrainConfig(**base)] + [
+            TrainConfig(regime="l1", l1_strength=lam, **base) for lam in lams])
+        adversarial, _ = train(ds, LOGISTIC, TrainConfig(regime="adversarial", epsilon=0.1,
+                                                         **base))
+        acc_nat, gini_nat = acc_gini(stack[0][0])
+        _, gini_adv = acc_gini(adversarial)
+        qualifying = [g for acc, g in (acc_gini(model) for model, _ in stack[1:])
+                      if acc >= acc_nat - 0.02]
         g_nat.append(gini_nat)
         g_adv.append(gini_adv)
         if qualifying:

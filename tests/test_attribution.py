@@ -1,5 +1,7 @@
 """Path-integral attributions: exact closed form, midpoint-rule convergence,
 completeness, dataset-level aggregation, and graymap export."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,15 @@ def test_closed_form_degenerate_and_error_branches():
     bad = _Inconsistent(w=np.asarray([1.0, -1.0]))
     with pytest.raises(ValueError, match="monotonicity"):
         ig_closed_form(bad, np.asarray([1.0, 1.0]), np.zeros(2))
+
+    class _InconsistentRows(LinearModel):
+        def value(self, x):  # output not a function of the margin, row by row
+            return np.sum(np.asarray(x, dtype=float), axis=-1)
+
+    ds = _toy_dataset()
+    ds.features[ds.test_indices[-1]] = (2.0, 2.0, 0.0)  # <x, w> == 0, sum(x) != 0
+    with pytest.raises(ValueError, match="monotonicity"):
+        attribute_dataset(_InconsistentRows(w=np.asarray([1.0, -1.0, 0.0])), ds, np.zeros(3))
 
 
 def test_closed_form_rejects_nonlinear_model(rng):
@@ -177,6 +188,10 @@ def test_attribute_dataset_validation():
         attribute_dataset(model, ds, np.zeros(3), method="exact")
     with pytest.raises(ValueError, match="unknown target"):
         attribute_dataset(model, ds, np.zeros(3), target="logit")
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        attribute_dataset(model, ds, np.zeros(3), steps=0)
+    with pytest.raises(TypeError, match="linear"):
+        attribute_dataset(init_mlp([3, 2, 1], np.random.default_rng(0)), ds, np.zeros(3))
     multi = Dataset(ds.features, np.arange(10) % 3, ds.feature_names,
                     ds.encoding_map, split_seed=0)
     with pytest.raises(ValueError, match="binary"):
@@ -214,3 +229,70 @@ def test_write_pgm_exact_bytes(tmp_path):
     assert p.read_text(encoding="ascii") == "P2\n2 2\n255\n0 64\n128 255\n"
     write_pgm(np.zeros(4), (2, 2), p)
     assert p.read_text(encoding="ascii") == "P2\n2 2\n255\n0 0\n0 0\n"
+
+
+# --- the split-at-once closed form against the per-row formula ---------------------
+
+def _closed_form_row_reference(model, x, u):
+    """The per-example closed form, one 1-d row at a time: values, residual,
+    degenerate flag."""
+    diff = x - u
+    denom = float(diff @ model.w)
+    fx = float(np.asarray(model.value(x)))
+    fu = float(np.asarray(model.value(u)))
+    if denom == 0.0:
+        assert fx == fu
+        return np.zeros_like(diff), 0.0, True
+    values = (fx - fu) * (diff * model.w) / denom
+    return values, abs(float(values.sum()) - (fx - fu)), False
+
+
+def _degenerate_rich_dataset(rng, n=240, d=52):
+    """Random rows plus rows equal to the baseline and rows orthogonal to w."""
+    w = rng.normal(size=d)
+    w[:2] = (1.0, -1.0)
+    X = rng.normal(size=(n, d))
+    u = np.zeros(d)
+    X[0:4] = u                               # x == u: zero path
+    X[4:12] = 0.0
+    X[4:12, :2] = rng.normal(size=(8, 1))    # <x - u, w> == 0 exactly
+    y = np.where(rng.uniform(size=n) < 0.5, 1.0, -1.0)
+    y[4:12] = (1.0, -1.0) * 4                # degenerate rows of both classes
+    groups = tuple(FeatureGroup(f"f{i}", "numeric", i, i + 1) for i in range(d))
+    return Dataset(X, y, [g.name for g in groups], groups, split_seed=1), w, u
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("bias", [None, 0.37])
+@pytest.mark.parametrize("activation", ["sigmoid", "identity"])
+def test_split_closed_form_matches_per_row_formula_bitwise(bias, activation):
+    rng = np.random.default_rng(7)
+    ds, w, zero = _degenerate_rich_dataset(rng)
+    model = LinearModel(w=w, activation=activation, bias=bias)
+    negative_zero_rows = 0
+    for split, target, u in itertools.product(("train", "test"),
+                                              ("true-class-probability", "model-output"),
+                                              (zero, rng.normal(size=ds.dim))):
+        idx = ds.split(split)
+        got = attribute_dataset(model, ds, u, split=split, target=target)
+        assert len(got) == idx.size
+        for attr, i in zip(got, idx):
+            values, residual, degenerate = _closed_form_row_reference(model, ds.features[i], u)
+            if target == "true-class-probability" and ds.labels[i] == -1.0:
+                values = -values
+            assert _same_bits(attr.values, values), (split, target, i)
+            assert _same_bits(attr.completeness_residual, residual)
+            assert attr.degenerate is degenerate
+            assert attr.target_description == (
+                "p(true class)" if target == "true-class-probability" else "model-output")
+            negative_zero_rows += degenerate and bool(np.signbit(attr.values).all())
+        base = got[0].values.base  # the vectors view one matrix
+        assert base is not None and all(a.values.base is base for a in got)
+    assert negative_zero_rows > 0  # the sign flip of a zero attribution is -0.0
+    one = ig_closed_form(model, ds.features[5], zero)
+    values, residual, degenerate = _closed_form_row_reference(model, ds.features[5], zero)
+    assert degenerate and one.degenerate and _same_bits(one.values, values)

@@ -341,6 +341,34 @@ def test_compare_dataset_id_defaults_to_file_stem(synth_json, tmp_path):
     assert rep["dataset"] == "toy"
 
 
+@pytest.fixture
+def no_training(monkeypatch):
+    """Fails the test if compare starts to train anything."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model was trained")
+    monkeypatch.setattr("attrsparse.pipeline.train_many", refuse)
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_compare_rejects_steps_below_one_before_training(synth_json, tmp_path, capsys,
+                                                          no_training, steps):
+    for method in ("numeric", "closed"):
+        rc = main(["compare", "--data", str(synth_json), "--method", method,
+                   "--steps", steps, "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert f"steps must be >= 1, got {steps}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_compare_closed_form_rejects_mlp_before_training(synth_json, tmp_path, capsys,
+                                                         no_training):
+    rc = main(["compare", "--data", str(synth_json), "--model", "mlp",
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert "closed form applies to linear models only" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 # --- attribute --------------------------------------------------------------------
 
 def test_attribute_outputs(synth_json, trained_model, tmp_path):
@@ -433,6 +461,16 @@ def test_attribute_baseline_file(synth_json, trained_model, tmp_path):
                str(trained_model), "--baseline-file", str(wrong),
                "--out-dir", str(out)])
     assert rc == 1
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_attribute_rejects_steps_below_one(synth_json, trained_model, tmp_path, capsys, steps):
+    for method in ("numeric", "closed"):
+        rc = main(["attribute", "--data", str(synth_json), "--model", str(trained_model),
+                   "--method", method, "--steps", steps, "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert f"steps must be >= 1, got {steps}" in capsys.readouterr().err
+    assert not (tmp_path / "attributions.csv").exists()
 
 
 # --- gini -------------------------------------------------------------------------

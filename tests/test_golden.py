@@ -21,7 +21,8 @@ import pytest
 
 from attrsparse.cli import main
 
-# (case, argv template); {data}, {blobs}, {model} and {out} are filled in
+# (case, argv template); {data}, {blobs}, {model}, {linear}, {root} and {out}
+# are filled in; a case that names no {out} file writes into --out-dir
 _SYNTH = [
     ("toy.json", ["synth", "gaussian", "--n", "240", "--seed", "3",
                   "--strengths", "1.0,0.4,0.1,0.05,0.05,0.0"]),
@@ -45,6 +46,12 @@ CASES = [
                                         "--loss", "hinge", "--use-bias"]),
     ("attribute-mlp-numeric", ["attribute", "--data", "{blobs}", "--model", "{model}",
                                "--method", "numeric", "--steps", "24"]),
+    ("attribute-linear-closed", ["attribute", "--data", "{data}", "--model", "{linear}"]),
+    ("attribute-linear-closed-model-output", ["attribute", "--data", "{data}",
+                                              "--model", "{linear}",
+                                              "--target", "model-output"]),
+    ("gini-attributions", ["gini", "--input", "{root}/attribute-linear-closed/attributions.csv",
+                           "--out", "{out}/gini.csv"]),
     ("verify-lemmaD1-gaussian", ["verify", "lemmaD1", "--n", "20000", "--seed", "4",
                                  "--out", "{out}/report.json"]),
     ("verify-lemmaD1-uniform", ["verify", "lemmaD1", "--n", "20000", "--seed", "5",
@@ -58,6 +65,12 @@ CASES = [
 ]
 
 GOLDEN = {
+    'attribute-linear-closed-model-output/attributions.csv': '6f1318f19d36bb04c0f4db6c853d8da2158dae7b9d88f20baf302f37e3da774d',
+    'attribute-linear-closed-model-output/impact_features.csv': '5f0dec3e1ae67f10026f2bf1236eeb9442eb238a461534e22a9d9abf2402691c',
+    'attribute-linear-closed-model-output/impact_values.csv': '5f0dec3e1ae67f10026f2bf1236eeb9442eb238a461534e22a9d9abf2402691c',
+    'attribute-linear-closed/attributions.csv': '10d79c01c7ac03e9d0e2a612fdf84f2d0d86b6811ab0898dd030cdc496850b0f',
+    'attribute-linear-closed/impact_features.csv': '5f0dec3e1ae67f10026f2bf1236eeb9442eb238a461534e22a9d9abf2402691c',
+    'attribute-linear-closed/impact_values.csv': '5f0dec3e1ae67f10026f2bf1236eeb9442eb238a461534e22a9d9abf2402691c',
     'attribute-mlp-numeric/attributions.csv': 'd9e0cee2248aed7a5df929c82266aecfea2cbb9af5e69f33551187f68adee045',
     'attribute-mlp-numeric/impact_features.csv': '56385dae0debf6fad85ab6dc0e3b28b31332747ea8a8a4a302391b95752240c6',
     'attribute-mlp-numeric/impact_values.csv': '56385dae0debf6fad85ab6dc0e3b28b31332747ea8a8a4a302391b95752240c6',
@@ -69,6 +82,7 @@ GOLDEN = {
     'compare-mlp/report.json': '239f7d3ef4b9b9233a182730cb3c14f61b4550decb81ee0dce27a67dc02055f6',
     'compare-mlp/table.csv': '16517c02429ec9e0be95366f75a88e426a34d2d0dac200e74ce1267f3bace55c',
     'compare-mlp/tradeoff.csv': '28aa9a732aacc8c4f184882ac5c6e822e0cf829e3544407c20db97297ae64e1b',
+    'gini-attributions/gini.csv': 'ef60dc9b0fb7d8f6748fdbe4da0871aa5d9d20ed99cf51d6faa9b37e2cc1ebbe',
     'train-linear-adversarial-hinge/model.json': '7b782473506a7e07233cc47af08d10226d1a5af201ca91b091af6354321e64f4',
     'train-linear-adversarial-hinge/resolved_config.json': 'ea0d5f010af10760f34a44b7af9746cc73350a6af894c0639f436b74cd6fa5ea',
     'train-linear-adversarial-hinge/trace.csv': '12f6daa9b1e5ac897c90bb70256377c656f133648f68fa6d50f3c5c43aa1491c',
@@ -105,9 +119,11 @@ def run_cases(root) -> dict:
         out = os.path.join(root, case)
         os.makedirs(out, exist_ok=True)
         fill = {"data": paths["toy.json"], "blobs": paths["blobs.json"], "out": out,
-                "model": os.path.join(root, "train-mlp-adversarial", "model.json")}
+                "root": root,
+                "model": os.path.join(root, "train-mlp-adversarial", "model.json"),
+                "linear": os.path.join(root, "train-linear-adversarial-hinge", "model.json")}
         argv = [arg.format(**fill) for arg in template]
-        if argv[0] != "verify":
+        if not any("{out}" in arg for arg in template):
             argv += ["--out-dir", out]
         assert main(argv) == 0, case
         for fname in sorted(os.listdir(out)):

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from attrsparse.attribution import AttributionVector
+from helpers import gini_row_reference
+
 from attrsparse.sparseness import (
     GiniReport,
     gini,
     gini_gap,
-    gini_of_attribution,
+    gini_rows,
     make_gini_report,
 )
 
@@ -32,6 +34,22 @@ def _gini_lorenz_form(v):
     shares = np.concatenate([[0.0], np.cumsum(v) / total])
     area = math.fsum(((shares[k] + shares[k + 1]) / 2.0 / v.size) for k in range(v.size))
     return 1.0 - 2.0 * area
+
+
+def test_gini_rows_matches_per_row_formula_bitwise(rng):
+    for d in (1, 2, 3, 17, 52, 200):
+        V = rng.exponential(size=(60, d)) * (rng.uniform(size=(60, d)) < 0.8)
+        V[0] = 2.75                      # all equal: exactly 0
+        V[1] = 0.0                       # all zero: warns, scores 0
+        V[2] = 10.0 ** rng.uniform(-12, 12, size=d)  # wide dynamic range
+        with pytest.warns(UserWarning, match="all-zero"):
+            got = gini_rows(V)
+        assert got.shape == (60,)
+        for g, row in zip(got.tolist(), V):
+            ref = gini_row_reference(row)
+            assert g == ref and math.copysign(1.0, g) == math.copysign(1.0, ref), (d, row)
+        assert got[0] == 0.0 and got[1] == 0.0
+        assert gini(V[2]) == got[2]
 
 
 def test_exact_values():
@@ -65,6 +83,12 @@ def test_validation_errors():
         gini(np.asarray([]))
     with pytest.raises(ValueError, match="non-empty"):
         gini(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="non-negative"):
+        gini_rows(np.asarray([[1.0, 2.0], [0.5, -0.5]]))
+    with pytest.raises(ValueError, match="non-empty"):
+        gini_rows(np.zeros((3, 0)))
+    with pytest.raises(ValueError, match="non-empty"):
+        gini_rows(np.ones(4))
 
 
 def test_matches_two_independent_oracles(rng):
@@ -127,9 +151,11 @@ def test_hypothesis_bounds_and_oracle(vals):
     assert g == pytest.approx(_gini_share_form(v), abs=1e-12)
 
 
-def test_gini_of_attribution_uses_magnitudes():
+def test_make_gini_report_uses_magnitudes():
     attr = AttributionVector(np.asarray([-3.0, 1.0, 0.0]), np.zeros(3), "t", 0.0)
-    assert gini_of_attribution(attr) == 0.5
+    assert make_gini_report([attr], "t").per_example.tolist() == [0.5]
+    with pytest.raises(ValueError, match="no attributions"):
+        make_gini_report([], "t")
 
 
 # --- reports and regime comparison ------------------------------------------------

@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import gini_row_reference
+
 from attrsparse.data import Dataset, FeatureGroup, SyntheticSpec, generate_synthetic
 from attrsparse.losses import make_loss
 from attrsparse.models import LinearModel, MlpModel
@@ -324,6 +326,43 @@ def test_mlp_stack_matches_each_model_alone(optimizer):
     for cfg, fit in zip(cfgs, stacked):
         _assert_same_fit(fit, train(ds, LOGISTIC, cfg))
     assert not np.array_equal(stacked[0][0].weights[0], stacked[-1][0].weights[0])
+
+
+def _trace_point_reference(spec, cfg, model, X, y):
+    """One model's trace point, computed from that model alone."""
+    weights = [model.w] if isinstance(model, LinearModel) else model.weights
+    wv = np.concatenate([W.ravel() for W in weights])
+    margin = model.margin(X)
+    l1 = float(np.abs(wv).sum())
+    if cfg.regime in ("adversarial", "stable-ig") and isinstance(model, LinearModel):
+        z = cfg.epsilon * l1 - y * margin
+    else:
+        z = -y * margin
+    mean_loss = float(spec.g(z).mean())
+    if cfg.regime == "l1":
+        mean_loss += cfg.l1_strength * l1
+    acc = float((np.where(margin >= 0.0, 1.0, -1.0) == y).mean())
+    return mean_loss, acc, l1, gini_row_reference(np.abs(wv))
+
+
+@pytest.mark.parametrize("kind", ["linear", "linear-bias", "linear-hinge", "mlp"])
+def test_stacked_trace_matches_each_model_formula_bitwise(kind):
+    ds = _noisy_dataset(seed=6, n=300)
+    spec = make_loss("hinge") if kind == "linear-hinge" else LOGISTIC
+    if kind == "mlp":
+        base = TrainConfig(model_kind="mlp", hidden_sizes=(5,), epochs=2, seed=6)
+        groups = [_sweep(base, (0.0,), (0.01, 0.3)),
+                  [replace(base, regime="adversarial", epsilon=0.1)]]
+    else:
+        base = TrainConfig(epochs=2, seed=6, learning_rate=0.05, use_bias=kind == "linear-bias")
+        cfgs = _sweep(base, (0.0, 0.1, 0.3), (0.01, 5.0))
+        groups = [cfgs + [replace(base, regime="stable-ig", epsilon=0.2)]]
+    X, y = ds.features[ds.train_indices], ds.labels[ds.train_indices]
+    for cfgs in groups:
+        for cfg, (model, trace) in zip(cfgs, train_many(ds, spec, cfgs)):
+            last = (trace.loss[-1], trace.accuracy[-1], trace.weight_l1[-1],
+                    trace.weight_gini[-1])
+            assert last == _trace_point_reference(spec, cfg, model, X, y), cfg
 
 
 def test_stacked_divergence_names_the_model_and_step():
