@@ -86,9 +86,11 @@ def _closed_form_rows(model, X, u):
         IG = [F(x) - F(u)] * ((x - u) * w) / <x - u, w>
 
     Returns (values (n, d), completeness residuals (n,), degenerate (n,)).
-    A zero denominator with F(x) = F(u) yields the zero attribution flagged
-    degenerate; a zero denominator with differing values cannot happen for a
-    strictly monotone activation and is reported as an error.
+    A zero denominator yields the zero attribution flagged degenerate, with
+    residual |F(x) - F(u)|. That is 0 unless <x, w> and <u, w> round apart
+    while <x - u, w> rounds to 0; outputs that differ at equal margins, or at
+    margins further apart than rounding allows, cannot come from a strictly
+    monotone activation and are reported as an error.
     """
     if not isinstance(model, LinearModel):
         raise TypeError("closed form applies to linear models only")
@@ -102,13 +104,26 @@ def _closed_form_rows(model, X, u):
     fx = np.asarray(model.value(X[:, None, :]), dtype=float).reshape(-1)
     fu = float(np.asarray(model.value(u)))
     degenerate = denom == 0.0
-    if np.any(fx[degenerate] != fu):
+    split = degenerate & (fx != fu)
+    if split.any() and not _margins_round_apart(model, X[split], u):
         raise ValueError("zero score change <x-u, w> with differing outputs; "
                          "activation violates strict monotonicity")
-    delta = fx - fu  # exactly 0 on degenerate rows, so their residual is 0
+    delta = fx - fu
     values = np.divide(delta[:, None] * (diff * model.w), denom[:, None],
                        out=np.zeros_like(diff), where=~degenerate[:, None])
     return values, np.abs(values.sum(axis=1) - delta), degenerate
+
+
+def _margins_round_apart(model, X, u) -> bool:
+    """Whether every row's margin differs from the baseline's, by no more
+    than the rounding of the two dot products (and the bias) can explain."""
+    mx = np.asarray(model.margin(X[:, None, :]), dtype=float).reshape(-1)
+    mu = float(model.margin(u))
+    scale = (np.abs(X) @ np.abs(model.w) + float(np.abs(u) @ np.abs(model.w))
+             + abs(model.bias or 0.0))
+    bound = 4.0 * (model.dim + 2) * np.finfo(float).eps * scale
+    gap = np.abs(mx - mu)
+    return bool(np.all((gap > 0.0) & (gap <= bound)))
 
 
 def ig_closed_form(model: LinearModel, x, u) -> AttributionVector:

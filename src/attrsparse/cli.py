@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -42,7 +43,9 @@ from .theory import (
     WeightedAverageSpec,
     check_lemma_exp_bound,
     check_theorem1_bound,
+    check_sample_count,
     check_theorem3_identity,
+    theorem3_instances,
     verify_zero_weight_update,
 )
 from .training import REGIMES, TrainConfig, TrainingDivergedError, evaluate, train
@@ -414,14 +417,26 @@ def cmd_verify(args) -> int:
     spec = make_loss(args.loss or "logistic-nll")
     seed = args.seed if args.seed is not None else 0
     n = args.n if args.n is not None else 100_000
+    eps = args.eps if args.eps is not None else 0.1
+    configs = args.configs if args.configs is not None else 5
+    trials = args.trials if args.trials is not None else 1000
+    # a check over no instances, or over too few samples, would pass on no
+    # evidence: reject its sizes before anything is drawn
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValueError(f"--eps must be a finite number >= 0, got {eps}")
+    if args.check == "thm3":
+        if trials < 1:
+            raise ValueError(f"--trials must be >= 1, got {trials}")
+    else:
+        check_sample_count(n)
+    if args.check == "thm1-bound" and configs < 1:
+        raise ValueError(f"--configs must be >= 1, got {configs}")
     results = []
 
     if args.check == "thm1-zero":
         sampler = _verify_sampler(args, _strengths_from(args))
         results = verify_zero_weight_update(spec, sampler, n, seed=seed)
     elif args.check == "thm1-bound":
-        eps = args.eps if args.eps is not None else 0.1
-        configs = args.configs if args.configs is not None else 5
         for k in range(configs):
             rng = np.random.default_rng([seed, k])
             d = 6
@@ -436,20 +451,13 @@ def cmd_verify(args) -> int:
             res.check_id = f"weighted-update-bound[{k}]"
             results.append(res)
     elif args.check == "thm3":
-        trials = args.trials if args.trials is not None else 1000
         tol = args.tol if args.tol is not None else 1e-9
         losses = LOSS_KINDS if (args.loss in (None, "all")) else (spec.kind,)
+        # one draw of the instances serves every loss, one call per dimension
+        groups = theorem3_instances(trials, seed).values()
         for kind in losses:
             loss_spec = make_loss(kind)
-            rng = np.random.default_rng(seed)
-            worst = 0.0
-            for _ in range(trials):
-                d = int(rng.integers(2, 12))
-                w = rng.normal(0.0, 1.0, size=d)
-                x = rng.normal(0.0, 1.0, size=d)
-                y = 1.0 if rng.uniform() < 0.5 else -1.0
-                eps = float(rng.uniform(0.0, 1.0))
-                worst = max(worst, check_theorem3_identity(loss_spec, w, x, y, eps))
+            worst = max(float(check_theorem3_identity(loss_spec, *g).max()) for g in groups)
             results.append(TheoremCheckResult(
                 check_id=f"worst-case-attribution-identity[{kind}]",
                 estimate=worst, reference=0.0, se=0.0, n_samples=trials,
@@ -457,12 +465,12 @@ def cmd_verify(args) -> int:
     elif args.check == "lemmaD1":
         sampler = _verify_sampler(args, _strengths_from(args, default="0.6,0.3,-0.2,0.1,0.05"))
         w = np.random.default_rng(seed).normal(0.0, 1.0, size=sampler.dim)
-        eps = args.eps if args.eps is not None else 0.1
         margin_const = eps * np.abs(w).sum()
 
         def draw(m, rng):
             X, y = sampler.sample(m, rng)
-            return y * X[:, 0], y[:, None] * X[:, 1:], y
+            X *= y[:, None]
+            return X[:, 0].copy(), X[:, 1:], y
 
         def f(z, v):
             return spec.gprime(margin_const - abs(w[0]) * z - v @ w[1:])

@@ -17,6 +17,7 @@ __all__ = [
     "WeightedAverageSpec",
     "TheoremCheckResult",
     "weighted_average",
+    "check_sample_count",
     "expected_update",
     "verify_zero_weight_update",
     "check_theorem1_bound",
@@ -24,9 +25,11 @@ __all__ = [
     "check_lemma_exp_bound",
     "check_theorem3_identity",
     "attribution_shift_norm",
+    "theorem3_instances",
 ]
 
 _CHUNK = 1 << 16
+_ROWS = 1 << 14
 MIN_REPORT_SAMPLES = 10_000
 
 
@@ -59,13 +62,16 @@ class SyntheticConditionalSampler:
         return len(self.strengths)
 
     def sample(self, m: int, rng):
+        """(X (m, d), y (m,)); X is a fresh array the caller may overwrite."""
         a = np.asarray(self.strengths)
         y = np.where(rng.uniform(size=m) < self.class_balance, 1.0, -1.0)
         if self.noise_kind == "gaussian":
-            noise = rng.normal(0.0, self.noise_sd, size=(m, a.size))
+            X = rng.normal(0.0, self.noise_sd, size=(m, a.size))
         else:
-            noise = rng.uniform(-self.noise_sd, self.noise_sd, size=(m, a.size))
-        X = a * y[:, None] + noise
+            X = rng.uniform(-self.noise_sd, self.noise_sd, size=(m, a.size))
+        # row blocks keep the a * y temporary small; each entry is one add
+        for lo, hi in chunk_bounds(m, _ROWS):
+            X[lo:hi] += a * y[lo:hi, None]
         if self.shared_factor_indices and self.shared_factor_weight != 0.0:
             t = rng.normal(0.0, 1.0, size=m)
             idx = np.asarray(self.shared_factor_indices, dtype=int)
@@ -118,20 +124,31 @@ class TheoremCheckResult:
         }
 
 
+def check_sample_count(n: int):
+    """Reject a Monte-Carlo size below the floor for reported estimates."""
+    if n < MIN_REPORT_SAMPLES:
+        raise ValueError(f"n must be >= {MIN_REPORT_SAMPLES} for reported estimates, got {n}")
+
+
 def _mc_stats(per_sample_fn, n: int, seed: int, width: int):
     """Accumulate mean and standard error of a per-sample statistic vector.
 
     Sampling runs in fixed-size chunks seeded as (seed, chunk_index); chunks
     may execute on worker threads (ATTRSPARSE_THREADS) but are always reduced
-    in index order, so results do not depend on the thread count.
+    in index order, so results do not depend on the thread count. A chunk's
+    statistic is a C-ordered (m, width) array, which sum(axis=0) adds up row
+    by row (another layout rounds differently); it is squared in place.
     """
+    check_sample_count(n)
     bounds = list(chunk_bounds(n, _CHUNK))
 
     def run(task):
         ci, (lo, hi) = task
         rng = np.random.default_rng([seed, ci])
         stats = per_sample_fn(rng, hi - lo)
-        return stats.sum(axis=0), (stats * stats).sum(axis=0)
+        total = stats.sum(axis=0)
+        stats *= stats
+        return total, stats.sum(axis=0)
 
     tasks = list(enumerate(bounds))
     workers = worker_count()
@@ -151,8 +168,11 @@ def _mc_stats(per_sample_fn, n: int, seed: int, width: int):
     return mean, se
 
 
-def _margin_arg(spec, w, epsilon, X, y):
-    return epsilon * np.abs(w).sum() - y * (X @ w)
+def _worst_case_slope(spec, w, budget, X, y):
+    """g'(eps*|w|_1 - y*<x, w>) per row, with budget = eps*|w|_1."""
+    t = X @ w
+    t *= y
+    return spec.gprime(np.subtract(budget, t, out=t))
 
 
 def expected_update(spec: LossSpec, w, epsilon: float, sampler, n: int,
@@ -160,15 +180,17 @@ def expected_update(spec: LossSpec, w, epsilon: float, sampler, n: int,
     """Expected unit-learning-rate weight update under worst-case training:
     per-coordinate mean of g'(margin) * (y*x_i - sign(w_i)*eps), with SEs.
     """
-    if n < MIN_REPORT_SAMPLES:
-        raise ValueError(f"n must be >= {MIN_REPORT_SAMPLES} for reported estimates")
     w = np.asarray(w, dtype=float)
     shift = np.sign(w) * epsilon
+    budget = epsilon * np.abs(w).sum()
 
     def stat(rng, m):
         X, y = sampler.sample(m, rng)
-        gp = spec.gprime(_margin_arg(spec, w, epsilon, X, y))
-        return gp[:, None] * (y[:, None] * X - shift[None, :])
+        gp = _worst_case_slope(spec, w, budget, X, y)
+        X *= y[:, None]
+        X -= shift
+        X *= gp[:, None]
+        return X
 
     return _mc_stats(stat, n, seed, w.size)
 
@@ -206,15 +228,23 @@ def _weighted_update_stats(spec, wspec, epsilon, sampler, n, seed):
     denom = np.abs(w_s).sum()
     a = np.asarray(sampler.strengths)
     abar = float((w_s * a[idx]).sum() / denom)
-    shift = np.sign(w) * epsilon
+    shift_s = (np.sign(w) * epsilon)[idx]
+    budget = epsilon * np.abs(w).sum()
 
     def stat(rng, m):
         X, y = sampler.sample(m, rng)
-        gp = spec.gprime(_margin_arg(spec, w, epsilon, X, y))
-        upd = gp[:, None] * (y[:, None] * X[:, idx] - shift[idx][None, :])
-        s = (upd * w_s[None, :]).sum(axis=1) / denom
-        b = gp * (abar - epsilon)
-        return np.stack([s, b, s - b], axis=1)
+        gp = _worst_case_slope(spec, w, budget, X, y)
+        upd = X[:, idx]
+        upd *= y[:, None]
+        upd -= shift_s
+        upd *= gp[:, None]
+        upd *= w_s
+        out = np.empty((m, 3))
+        s, b, gap = out.T
+        np.divide(upd.sum(axis=1), denom, out=s)
+        np.multiply(gp, abar - epsilon, out=b)
+        np.subtract(s, b, out=gap)
+        return out
 
     mean, se = _mc_stats(stat, n, seed, 3)
     return mean, se, abar
@@ -271,14 +301,16 @@ def check_lemma_exp_bound(f, sampler, n: int, seed: int = 0) -> TheoremCheckResu
     """E[Z * f(Z, V)] <= E[Z] * E[f(Z, V)] for f non-increasing in Z when
     (Z independent of V given Y) and E(Z|Y) = E(Z); checked at 3 SE using the
     covariance estimator's sampling error."""
+    check_sample_count(n)
     rng = np.random.default_rng(seed)
     z, v, _y = sampler(n, rng)
     fv = f(z, v)
+    z_mean, f_mean = z.mean(), fv.mean()
     estimate = float((z * fv).mean())
-    reference = float(z.mean() * fv.mean())
+    reference = float(z_mean * f_mean)
     # the gap estimate - reference equals the mean centered cross product,
     # which is exactly 0 (not just tiny) for constant f or constant Z
-    centered = (z - z.mean()) * (fv - fv.mean())
+    centered = (z - z_mean) * (fv - f_mean)
     gap = float(centered.mean())
     se = float(centered.std(ddof=1) / np.sqrt(n))
     return TheoremCheckResult(
@@ -291,33 +323,72 @@ def check_lemma_exp_bound(f, sampler, n: int, seed: int = 0) -> TheoremCheckResu
     )
 
 
-def attribution_shift_norm(spec: LossSpec, w, x, y, delta) -> float:
+def _row_dot(A, B):
+    """Per-row <a, b> of two (m, d) blocks. A (1, d) @ (d, 1) product runs one
+    dot product per row, the kernel of a 1-d a @ b, so each row rounds as
+    the one-row call would; a 2-d A @ b is a matrix-vector product, which
+    rounds differently."""
+    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
+
+
+def attribution_shift_norm(spec: LossSpec, w, x, y, delta):
     """l1 norm of the attribution of the per-label loss map v -> g(-y<w,v>)
-    taken from baseline x to input x + delta (exact closed form)."""
-    w = np.asarray(w, dtype=float)
-    x = np.asarray(x, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    y = float(y)
-    wl = -y * w  # the loss map is g(<wl, v>)
-    denom = float(delta @ wl)
-    f0 = float(spec.g(np.asarray(x @ wl)))
-    f1 = float(spec.g(np.asarray((x + delta) @ wl)))
-    if denom == 0.0:
-        if f0 == f1:
-            return 0.0
+    taken from baseline x to input x + delta (exact closed form).
+
+    w, x and delta are (m, d) blocks and y is (m,), one instance per row, and
+    the result is one norm per row; a 1-d call is the one-row case and
+    returns a float.
+    """
+    w, x, y, delta = (np.asarray(t, dtype=float) for t in (w, x, y, delta))
+    if x.ndim == 1:
+        return float(attribution_shift_norm(spec, w[None, :], x[None, :], y[None],
+                                            delta[None, :])[0])
+    wl = -y[:, None] * w  # the loss map is g(<wl, v>)
+    denom = _row_dot(delta, wl)
+    f0 = spec.g(_row_dot(x, wl))
+    f1 = spec.g(_row_dot(x + delta, wl))
+    flat = denom == 0.0
+    if np.any(f0[flat] != f1[flat]):
         raise ValueError("zero score change with differing loss values")
-    values = (f1 - f0) * (delta * wl) / denom
-    return float(np.abs(values).sum())
+    values = delta * wl
+    values *= (f1 - f0)[:, None]
+    # a flat row keeps (f1 - f0) * delta * wl = +-0, so its norm is 0
+    np.divide(values, denom[:, None], out=values, where=~flat[:, None])
+    return np.abs(values, out=values).sum(axis=1)
 
 
-def check_theorem3_identity(spec: LossSpec, w, x, y, epsilon: float) -> float:
+def check_theorem3_identity(spec: LossSpec, w, x, y, epsilon):
     """|[natural loss + worst-case attribution shift] - worst-case loss| at the
-    closed-form maximizer delta_i = -y * sign(w_i) * eps."""
-    w = np.asarray(w, dtype=float)
-    x = np.asarray(x, dtype=float)
-    y = float(y)
-    delta = -y * np.sign(w) * epsilon
-    natural = float(spec.g(np.asarray(-y * (x @ w))))
-    lhs = natural + attribution_shift_norm(spec, w, x, y, delta)
-    rhs = float(spec.g(np.asarray(epsilon * np.abs(w).sum() - y * (x @ w))))
-    return abs(lhs - rhs)
+    closed-form maximizer delta_i = -y * sign(w_i) * eps.
+
+    w and x are (m, d) blocks, y and epsilon are (m,), one instance per row,
+    and the result is one residual per row; a 1-d call is the one-row case
+    and returns a float.
+    """
+    w, x, y, epsilon = (np.asarray(t, dtype=float) for t in (w, x, y, epsilon))
+    if x.ndim == 1:
+        return float(check_theorem3_identity(spec, w[None, :], x[None, :], y[None],
+                                             epsilon[None])[0])
+    delta = -y[:, None] * np.sign(w) * epsilon[:, None]
+    score = _row_dot(x, w)
+    lhs = spec.g(-y * score) + attribution_shift_norm(spec, w, x, y, delta)
+    rhs = spec.g(epsilon * np.abs(w).sum(axis=1) - y * score)
+    return np.abs(lhs - rhs)
+
+
+def theorem3_instances(trials: int, seed: int) -> dict:
+    """Random instances (w, x, y, eps) for the identity check, grouped by
+    dimension: d -> (W (m, d), X (m, d), y (m,), eps (m,)). Each trial draws
+    d in 2..11, w and x standard normal, a fair y and eps uniform in [0, 1)
+    from one default_rng(seed) stream, in trial order."""
+    rng = np.random.default_rng(seed)
+    groups = {}
+    for _ in range(trials):
+        d = int(rng.integers(2, 12))
+        w = rng.normal(0.0, 1.0, size=d)
+        x = rng.normal(0.0, 1.0, size=d)
+        y = 1.0 if rng.uniform() < 0.5 else -1.0
+        eps = float(rng.uniform(0.0, 1.0))
+        groups.setdefault(d, []).append((w, x, y, eps))
+    return {d: tuple(np.asarray(column) for column in zip(*rows))
+            for d, rows in sorted(groups.items())}

@@ -85,6 +85,35 @@ def test_closed_form_degenerate_and_error_branches():
         attribute_dataset(_InconsistentRows(w=np.asarray([1.0, -1.0, 0.0])), ds, np.zeros(3))
 
 
+@pytest.mark.parametrize("activation", ["identity", "sigmoid"])
+@pytest.mark.parametrize("bias", [None, 0.3])
+def test_closed_form_rounding_split_is_degenerate_not_an_error(activation, bias):
+    # <x - u, w> rounds to exactly 0 while <x, w> and <u, w> round apart
+    model = LinearModel(w=np.asarray([1.0, 1.0]), activation=activation, bias=bias)
+    x = np.asarray([0.7661528715366753, -0.772527513734584])
+    u = np.asarray([0.1257302210933933, -0.1321048632913019])
+    assert float((x - u) @ model.w) == 0.0
+    assert float(model.margin(x)) != float(model.margin(u))
+    gap = float(model.value(x)) - float(model.value(u))
+    assert abs(gap) < 1e-15
+    attr = ig_closed_form(model, x, u)
+    assert attr.degenerate
+    np.testing.assert_array_equal(attr.values, [0.0, 0.0])
+    assert attr.completeness_residual == abs(gap)
+    if activation == "identity":
+        assert gap != 0.0
+
+
+def test_closed_form_margin_gap_beyond_rounding_is_an_error():
+    class _Offset(LinearModel):
+        def margin(self, x):  # margins far apart at a zero denominator
+            return super().margin(x) + np.sum(np.asarray(x, dtype=float), axis=-1)
+
+    model = _Offset(w=np.asarray([1.0, -1.0]), activation="identity")
+    with pytest.raises(ValueError, match="monotonicity"):
+        ig_closed_form(model, np.asarray([1.0, 1.0]), np.zeros(2))
+
+
 def test_closed_form_rejects_nonlinear_model(rng):
     mlp = init_mlp([3, 2, 1], rng)
     with pytest.raises(TypeError, match="linear"):

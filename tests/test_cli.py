@@ -590,6 +590,39 @@ def test_verify_thread_env_does_not_change_bytes(tmp_path, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_verify_bound_thread_env_does_not_change_bytes(tmp_path, monkeypatch):
+    # 140k samples span three Monte-Carlo chunks per configuration
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    argv = ["verify", "thm1-bound", "--n", "140000", "--configs", "2", "--seed", "5"]
+    monkeypatch.setenv("ATTRSPARSE_THREADS", "1")
+    assert main([*argv, "--out", str(a)]) == 0
+    monkeypatch.setenv("ATTRSPARSE_THREADS", "2")
+    assert main([*argv, "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["thm3", "--trials", "0"], "--trials must be >= 1, got 0"),
+    (["thm3", "--trials", "-3"], "--trials must be >= 1, got -3"),
+    (["thm1-bound", "--configs", "0"], "--configs must be >= 1, got 0"),
+    (["lemmaD1", "--n", "5"], "n must be >= 10000 for reported estimates, got 5"),
+    (["thm1-bound", "--n", "9999"], "n must be >= 10000 for reported estimates, got 9999"),
+    (["thm1-bound", "--eps", "-0.5"], "--eps must be a finite number >= 0, got -0.5"),
+    (["lemmaD1", "--eps", "nan"], "--eps must be a finite number >= 0, got nan"),
+])
+def test_verify_rejects_vacuous_sizes_before_sampling(tmp_path, capsys, monkeypatch,
+                                                       argv, message):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before rejecting its arguments")
+
+    monkeypatch.setattr("attrsparse.theory.SyntheticConditionalSampler.sample", no_sampling)
+    monkeypatch.setattr("attrsparse.cli.theorem3_instances", no_sampling)
+    out = tmp_path / "r.json"
+    assert main(["verify", *argv, "--out", str(out)]) == 1
+    assert f"attrsparse: error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_hinge_with_uniform_noise(tmp_path):
     out = tmp_path / "r.json"
     rc = main(["verify", "thm1-zero", "--n", "20000", "--loss", "hinge",

@@ -62,6 +62,21 @@ CASES = [
                               "--loss", "hinge", "--noise-kind", "uniform",
                               "--strengths", "0.9,0.2,-0.1",
                               "--out", "{out}/report.json"]),
+    ("verify-thm1-bound", ["verify", "thm1-bound", "--n", "70000", "--configs", "2",
+                           "--seed", "3", "--out", "{out}/report.json"]),
+    ("verify-thm1-bound-uniform", ["verify", "thm1-bound", "--n", "20000", "--configs", "2",
+                                   "--seed", "4", "--loss", "softplus-hinge",
+                                   "--noise-kind", "uniform", "--balance", "0.3",
+                                   "--eps", "0.2", "--out", "{out}/report.json"]),
+    ("verify-thm1-zero-gaussian", ["verify", "thm1-zero", "--n", "20000", "--seed", "1",
+                                   "--out", "{out}/report.json"]),
+    ("verify-thm1-zero-hinge", ["verify", "thm1-zero", "--n", "20000", "--seed", "2",
+                                "--loss", "hinge", "--noise-kind", "uniform",
+                                "--out", "{out}/report.json"]),
+    ("verify-thm3-all", ["verify", "thm3", "--trials", "300", "--seed", "7",
+                         "--out", "{out}/report.json"]),
+    ("verify-thm3-hinge", ["verify", "thm3", "--trials", "200", "--seed", "8",
+                           "--loss", "hinge", "--out", "{out}/report.json"]),
 ]
 
 GOLDEN = {
@@ -95,6 +110,12 @@ GOLDEN = {
     'verify-lemmaD1-gaussian/report.json': 'e69677be98a0886a39b4e89f67af0804a6d1658f7ec3ce6ad737b020de89a2de',
     'verify-lemmaD1-hinge/report.json': '0a85819df0a1ae3522de08dcd308ae0774aab8ae2890b7ca64d1a7d503706767',
     'verify-lemmaD1-uniform/report.json': 'b1f72deaf477aa3d5dd6d1c9411f93ce81b13010fd1d03fbe11369f4bbb8dafe',
+    'verify-thm1-bound-uniform/report.json': '0c37c1378a8b50aa3846f55798aff49bffa34be98c85924e3c7196b7fa6830b2',
+    'verify-thm1-bound/report.json': '7ace3ac6d129fff3b0c50e26e364ef59927497647e99fc5cbe5bd30ea74f96f3',
+    'verify-thm1-zero-gaussian/report.json': '4358bdbfdac10ffaf680104020084fe14854eea9a27297bfc6f5902201c6ca30',
+    'verify-thm1-zero-hinge/report.json': 'de7ab66cf0f85380655fcbc76b0b80e868f75f1ffddc588fccf8a901b67767ae',
+    'verify-thm3-all/report.json': '67e362dd6b54b15af72d2a2ec81737d4cc70d6fea657c0f793b4b2caf996cab7',
+    'verify-thm3-hinge/report.json': '1d73279de03dc7c9b7edf795b74e5edb7a7b8a81fecc3210e25aac1978ab591f',
 }
 
 

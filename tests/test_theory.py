@@ -13,6 +13,7 @@ from attrsparse.theory import (
     check_theorem1_limit,
     check_theorem3_identity,
     expected_update,
+    theorem3_instances,
     verify_zero_weight_update,
     weighted_average,
 )
@@ -218,6 +219,185 @@ def test_closed_form_perturbation_maximizes_attribution_shift():
             assert attribution_shift_norm(LOGISTIC, w, x, y, delta) <= best + 1e-12
         corner = eps * np.where(rng.uniform(size=d) < 0.5, 1.0, -1.0)
         assert attribution_shift_norm(LOGISTIC, w, x, y, corner) <= best + 1e-12
+
+
+# --- the batched identity against the per-instance formulas ------------------------
+
+def _shift_norm_reference(spec, w, x, y, delta):
+    """attribution_shift_norm coded one 1-d instance at a time."""
+    wl = -y * w
+    denom = float(delta @ wl)
+    f0 = float(spec.g(np.asarray(x @ wl)))
+    f1 = float(spec.g(np.asarray((x + delta) @ wl)))
+    if denom == 0.0:
+        assert f0 == f1
+        return 0.0
+    return float(np.abs((f1 - f0) * (delta * wl) / denom).sum())
+
+
+def _identity_reference(spec, w, x, y, eps):
+    """check_theorem3_identity coded one 1-d instance at a time."""
+    delta = -y * np.sign(w) * eps
+    natural = float(spec.g(np.asarray(-y * (x @ w))))
+    lhs = natural + _shift_norm_reference(spec, w, x, y, delta)
+    rhs = float(spec.g(np.asarray(eps * np.abs(w).sum() - y * (x @ w))))
+    return abs(lhs - rhs)
+
+
+def _identity_rows(d, m=300):
+    """Random instances plus edge rows: eps = 0, exact zero weights, all-zero
+    weights, and hinge kinks of the natural and of the worst-case margin."""
+    rng = np.random.default_rng(100 + d)
+    W = rng.normal(size=(m, d))
+    X = rng.normal(size=(m, d))
+    y = np.where(rng.uniform(size=m) < 0.5, 1.0, -1.0)
+    eps = rng.uniform(size=m)
+    eps[:20] = 0.0
+    W[20:60][rng.uniform(size=(40, d)) < 0.5] = 0.0
+    W[60:70] = 0.0
+    W[70:90] = 0.0
+    W[70:90, 0] = 1.0
+    X[70:80, 0] = y[70:80]              # -y<x, w> = -1: natural loss at the kink
+    X[80:90, 0] = 1.5 * y[80:90]
+    eps[80:90] = 0.5                    # eps|w|_1 - y<x, w> = -1: worst case at the kink
+    return W, X, y, eps
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_batched_identity_matches_per_row_formula_bitwise(d):
+    W, X, y, eps = _identity_rows(d)
+    D = -y[:, None] * np.sign(W) * eps[:, None]
+    rows = list(zip(W, X, y, eps, D))
+    for kind in LOSS_KINDS:
+        spec = make_loss(kind)
+        got = check_theorem3_identity(spec, W, X, y, eps)
+        want = [_identity_reference(spec, w, x, t, e) for w, x, t, e, _ in rows]
+        assert _same_bits(got, want), kind
+        shift = attribution_shift_norm(spec, W, X, y, D)
+        assert _same_bits(shift, [_shift_norm_reference(spec, w, x, t, dl)
+                                  for w, x, t, _, dl in rows]), kind
+        # the 1-d call is the one-row case
+        one = check_theorem3_identity(spec, W[85], X[85], y[85], eps[85])
+        assert type(one) is float and _same_bits(one, want[85])
+        one = attribution_shift_norm(spec, W[0], X[0], y[0], D[0])
+        assert type(one) is float and _same_bits(one, 0.0)
+    # the kink rows sit exactly at the hinge's kink z = -1
+    assert np.all(-y[70:80] * X[70:80, 0] == -1.0)
+    assert np.all(eps[80:90] - y[80:90] * X[80:90, 0] == -1.0)
+
+
+def test_theorem3_instances_follow_the_per_trial_stream():
+    groups = theorem3_instances(300, seed=5)
+    rng = np.random.default_rng(5)
+    rows = {}
+    for _ in range(300):
+        d = int(rng.integers(2, 12))
+        w = rng.normal(0.0, 1.0, size=d)
+        x = rng.normal(0.0, 1.0, size=d)
+        y = 1.0 if rng.uniform() < 0.5 else -1.0
+        rows.setdefault(d, []).append((w, x, y, float(rng.uniform(0.0, 1.0))))
+    assert list(groups) == sorted(rows)
+    for d, (W, X, y, eps) in groups.items():
+        assert W.shape == X.shape == (len(rows[d]), d)
+        for k, (w, x, t, e) in enumerate(rows[d]):
+            assert _same_bits(W[k], w) and _same_bits(X[k], x)
+            assert y[k] == t and eps[k] == e
+
+
+# --- in-place Monte-Carlo statistics against the formulas they replace --------------
+
+def _sample_reference(s, m, rng):
+    """SyntheticConditionalSampler.sample as one expression per step."""
+    a = np.asarray(s.strengths)
+    y = np.where(rng.uniform(size=m) < s.class_balance, 1.0, -1.0)
+    if s.noise_kind == "gaussian":
+        noise = rng.normal(0.0, s.noise_sd, size=(m, a.size))
+    else:
+        noise = rng.uniform(-s.noise_sd, s.noise_sd, size=(m, a.size))
+    X = a * y[:, None] + noise
+    if s.shared_factor_indices and s.shared_factor_weight != 0.0:
+        t = rng.normal(0.0, 1.0, size=m)
+        X[:, np.asarray(s.shared_factor_indices)] += s.shared_factor_weight * t[:, None]
+    return X, y
+
+
+@pytest.mark.parametrize("kw", [
+    {},
+    {"noise_kind": "uniform", "noise_sd": 0.5, "class_balance": 0.3},
+    {"shared_factor_indices": (1, 3), "shared_factor_weight": 0.7},
+], ids=["gaussian", "uniform", "shared-factor"])
+@pytest.mark.parametrize("m", [1, 1000, 40_000])
+def test_sampler_matches_reference_bitwise(kw, m):
+    s = _sampler(**kw)
+    X, y = s.sample(m, np.random.default_rng(9))
+    X_ref, y_ref = _sample_reference(s, m, np.random.default_rng(9))
+    assert _same_bits(X, X_ref) and _same_bits(y, y_ref)
+    assert X.flags.c_contiguous
+
+
+def _mc_reference(stat, n, seed, width):
+    total, total_sq = np.zeros(width), np.zeros(width)
+    for ci, lo in enumerate(range(0, n, 1 << 16)):
+        stats = stat(np.random.default_rng([seed, ci]), min(lo + (1 << 16), n) - lo)
+        total += stats.sum(axis=0)
+        total_sq += (stats * stats).sum(axis=0)
+    mean = total / n
+    return mean, np.sqrt(np.maximum(total_sq / n - mean * mean, 0.0) / n)
+
+
+def _slope_reference(spec, w, eps, X, y):
+    return spec.gprime(eps * np.abs(w).sum() - y * (X @ w))
+
+
+@pytest.mark.parametrize("w", [[0.7], [0.3, -0.2, 0.0, 0.4, 0.1]], ids=["d1", "d5"])
+def test_expected_update_matches_reference_bitwise(w):
+    w = np.asarray(w)
+    s = _sampler(strengths=(0.8, -0.5, 0.3, 0.0, 0.1)[:w.size])
+    shift = np.sign(w) * 0.1
+
+    def stat(rng, m):
+        X, y = s.sample(m, rng)
+        gp = _slope_reference(LOGISTIC, w, 0.1, X, y)
+        return gp[:, None] * (y[:, None] * X - shift[None, :])
+
+    got = expected_update(LOGISTIC, w, 0.1, s, 140_000, seed=4)
+    want = _mc_reference(stat, 140_000, 4, w.size)
+    assert all(_same_bits(g, r) for g, r in zip(got, want))
+
+
+def test_theorem1_bound_matches_reference_bitwise():
+    w = np.asarray([0.9, -0.4, 0.3, 0.2, -1.1, 0.5])
+    wspec = WeightedAverageSpec(indices=(4, 0, 2), w=w)
+    s = _sampler(strengths=(0.6, 0.3, -0.2, 0.1, 0.4, -0.5))
+    idx = list(wspec.indices)
+    denom = np.abs(w[idx]).sum()
+    abar = float((w[idx] * np.asarray(s.strengths)[idx]).sum() / denom)
+
+    def stat(rng, m):
+        X, y = s.sample(m, rng)
+        gp = _slope_reference(LOGISTIC, w, 0.2, X, y)
+        upd = gp[:, None] * (y[:, None] * X[:, idx] - (np.sign(w) * 0.2)[idx][None, :])
+        sv = (upd * w[idx][None, :]).sum(axis=1) / denom
+        b = gp * (abar - 0.2)
+        return np.stack([sv, b, sv - b], axis=1)
+
+    mean, se = _mc_reference(stat, 140_000, 8, 3)
+    res = check_theorem1_bound(LOGISTIC, wspec, 0.2, s, 140_000, seed=8)
+    assert _same_bits([res.estimate, res.reference, res.se], [mean[0], mean[1], se[2]])
+
+
+def test_checks_need_enough_samples():
+    wspec = WeightedAverageSpec(indices=(0,), w=np.asarray([1.0, 0.5]))
+    s = _sampler(strengths=(0.1, 0.2))
+    with pytest.raises(ValueError, match="10000"):
+        check_theorem1_bound(LOGISTIC, wspec, 0.1, s, 9_999)
+    with pytest.raises(ValueError, match="10000"):
+        check_lemma_exp_bound(lambda z, v: -z, _zv_sampler((0.6, 0.3)), 5)
 
 
 # --- infrastructure -----------------------------------------------------------------
