@@ -77,9 +77,11 @@ def adversarial_loss(spec: LossSpec, model: LinearModel, x, y, budget: Perturbat
 
 def _input_grad(spec, model, X, y):
     """Per-example input gradient of the natural loss, from the model
-    family's gradient engine without its parameter gradients."""
+    family's gradient engine without its parameter gradients (and, for an
+    MLP, without the loss values)."""
     if isinstance(model, MlpModel):
-        return model.loss_and_grads(spec, X, y, params=False)[2]
+        cache = model._forward(X)
+        return model.backprop(cache, -y * spec.gprime(-y * cache[0]), params=False)[2]
     bias = None if model.bias is None else np.asarray([model.bias])
     _, _, coeff = linear_loss_and_grads(spec, model.w[None], bias, X, y)
     return coeff[0][:, None] * model.w
@@ -104,13 +106,25 @@ def pgd_perturb_batch(model, X, y, budget: PerturbationBudget, cfg: PgdConfig,
     else:
         delta = np.zeros_like(X)
     start = delta.copy()
-    start_loss = loss(spec, model, X + delta, y)  # a forward pass only
+    moved = np.add(X, delta)  # X + delta, refilled in place each step
+    start_loss = loss(spec, model, moved, y)  # a forward pass only
+    if clamp01:
+        low, high = -X, 1.0 - X
     for _ in range(cfg.steps):
-        dx = _input_grad(spec, model, X + delta, y)
-        delta = np.clip(delta + cfg.step_size * np.sign(dx), -eps, eps)
+        step = np.sign(_input_grad(spec, model, moved, y))
+        step *= cfg.step_size
+        delta += step
+        # The clip of delta to [-eps, eps], then to [-X, 1 - X], in place.
+        # Operand order keeps np.clip's signed-zero ties: np.maximum and
+        # np.minimum return their second operand on a tie, and np.clip keeps
+        # delta against scalar bounds but the bound against array bounds.
+        np.maximum(-eps, delta, out=delta)
+        np.minimum(eps, delta, out=delta)
         if clamp01:
-            delta = np.clip(delta, -X, 1.0 - X)
-    final_loss = loss(spec, model, X + delta, y)
+            np.maximum(delta, low, out=delta)
+            np.minimum(delta, high, out=delta)
+        np.add(X, delta, out=moved)
+    final_loss = loss(spec, model, moved, y)
     worse = final_loss < start_loss
     if np.any(worse):
         delta[worse] = start[worse]

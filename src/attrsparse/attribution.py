@@ -1,15 +1,17 @@
-"""Integrated-gradients attribution: midpoint-rule path integration for any
-differentiable model, the exact closed form for linear scoring models, and
+"""Integrated-gradients attribution: midpoint-rule path integration for
+linear models and MLPs, the exact closed form for linear scoring models, and
 dataset-level impact aggregation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import chunk_bounds
 from .data import Dataset
-from .models import LinearModel
+from .losses import sigmoid
+from .models import LinearModel, MlpModel
 
 __all__ = [
     "AttributionVector",
@@ -62,22 +64,61 @@ def _check_dims(model, x, u):
 
 def ig_numeric(model, x, u, steps: int = DEFAULT_REPORT_STEPS) -> AttributionVector:
     """Midpoint-rule approximation of the gradient path integral from u to x:
-
-        IG_i ~ (x_i - u_i) * (1/m) * sum_k dF/dx_i at u + ((k - 0.5)/m)(x - u)
-    """
+    the one-row case of the numeric kernel used by attribute_dataset."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     x, u = _check_dims(model, x, u)
-    diff = x - u
-    alphas = (np.arange(1, steps + 1) - 0.5) / steps
-    points = u[None, :] + alphas[:, None] * diff[None, :]
-    _, grads = model.value_and_input_gradient(points)
-    accumulated = grads.mean(axis=0)
-    values = diff * accumulated
-    fx = float(np.asarray(model.value(x)))
+    values, residual = _numeric_rows(model, x[None, :], u, steps)
+    return AttributionVector(values[0], u, "model-output", float(residual[0]))
+
+
+def _numeric_rows(model, X, u, steps):
+    """Midpoint-rule path integrals for the rows of X (n, d) against one
+    baseline u:
+
+        IG_i ~ (x_i - u_i) * (1/S) * sum_k dF/dx_i at u + ((k - 0.5)/S)(x - u)
+
+    The path enters the model only through its first layer, whose output
+    along it is a + alpha*c with a = u @ W0 + b0 and c = (x - u) @ W0, and the
+    mean input gradient is W0 times the mean gradient at that output. So each
+    row takes one (d, h1) product in and one (h1, d) product out, and the S
+    path points run through the layers above as one (rows, S, h) block. A
+    linear model is the case with no hidden layer, W0 = w as one column.
+    Returns (values (n, d), completeness residuals (n,)).
+    """
+    if isinstance(model, LinearModel):
+        W0, a, widest = model.w[:, None], np.atleast_1d(model.margin(u)), 1
+    else:
+        W0 = model.weights[0]
+        a = u @ W0 + model.biases[0]
+        widest = max(W.shape[-1] for W in model.weights)
+    # Blocks hold no temporary larger than one row's S x max(d, h) points.
+    rows = max(1, max(model.dim, widest) // widest)
+    alphas = ((np.arange(1, steps + 1) - 0.5) / steps)[:, None]
+    diff = X - u
+    grads = np.empty_like(diff)
+    # Each row is its own (1, d) and (1, h1) product, so its bits do not
+    # depend on the block it lands in.
+    for start, stop in chunk_bounds(len(X), rows):
+        first = a + alphas * (diff[start:stop, None, :] @ W0)
+        mean = _first_layer_grad(model, first).mean(axis=1)
+        grads[start:stop] = (mean[:, None, :] @ W0.T)[:, 0]
+    values = diff * grads
+    fx = np.asarray(model.value(X[:, None, :]), dtype=float).reshape(-1)
     fu = float(np.asarray(model.value(u)))
-    residual = abs(float(values.sum()) - (fx - fu))
-    return AttributionVector(values, u, "model-output", residual)
+    return values, np.abs(values.sum(axis=1) - (fx - fu))
+
+
+def _first_layer_grad(model, first):
+    """dF/dt at the first layer's output t = first, any leading axes."""
+    if isinstance(model, MlpModel):
+        cache = model._forward(None, first=first)
+        p = sigmoid(cache[0])
+        return model.backprop(cache, p * (1.0 - p), params=False, first=True)[2]
+    if model.activation == "identity":
+        return np.ones_like(first)
+    p = sigmoid(first)
+    return p * (1.0 - p)
 
 
 def _closed_form_rows(model, X, u):
@@ -153,7 +194,7 @@ def attribute_dataset(model, ds: Dataset, u, method: str = "closed",
 
     With the default target, F is the predicted probability of the example's
     true class; for y = -1 that is 1 - F(x), whose attribution is the negated
-    model-output attribution (sign flip, residual unchanged). The closed form
+    model-output attribution (sign flip, residual unchanged). Either method
     attributes the whole split as one array; its vectors view rows of it.
     """
     u = np.asarray(u, dtype=float)
@@ -169,19 +210,14 @@ def attribute_dataset(model, ds: Dataset, u, method: str = "closed",
     description = "p(true class)" if true_class else "model-output"
     if method == "closed":
         values, residual, degenerate = _closed_form_rows(model, ds.features[idx], u)
-        if true_class:
-            flip = ds.labels[idx] == -1.0
-            values[flip] = -values[flip]
-        return [AttributionVector(row, u, description, r, degenerate=g)
-                for row, r, g in zip(values, residual.tolist(), degenerate.tolist())]
-    out = []
-    for i in idx:
-        attr = ig_numeric(model, ds.features[i], u, steps=steps)
-        if true_class and ds.labels[i] == -1.0:
-            attr.values = -attr.values
-        attr.target_description = description
-        out.append(attr)
-    return out
+    else:
+        values, residual = _numeric_rows(model, ds.features[idx], u, steps)
+        degenerate = np.zeros(idx.size, dtype=bool)
+    if true_class:
+        flip = ds.labels[idx] == -1.0
+        values[flip] = -values[flip]
+    return [AttributionVector(row, u, description, r, degenerate=g)
+            for row, r, g in zip(values, residual.tolist(), degenerate.tolist())]
 
 
 def impact_report(attribs, ds: Dataset) -> ImpactReport:

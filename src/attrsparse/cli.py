@@ -18,7 +18,7 @@ import numpy as np
 
 from ._util import canonical_json, fmt_float
 from ._version import __version__
-from .attribution import attribute_dataset, impact_report, write_pgm
+from .attribution import DEFAULT_REPORT_STEPS, attribute_dataset, impact_report, write_pgm
 from .data import (
     Dataset,
     SyntheticSpec,
@@ -292,7 +292,7 @@ def cmd_compare(args) -> int:
     lam_list = _parse_float_list("0.02" if args.lam_list is None else args.lam_list)
     dataset_id = args.dataset_id or os.path.splitext(os.path.basename(args.data))[0]
     method = args.method or "closed"
-    steps = 256 if args.steps is None else args.steps
+    steps = DEFAULT_REPORT_STEPS if args.steps is None else args.steps
     outcome = run_compare(ds, spec, eps_list, lam_list, base_cfg,
                           dataset_id=dataset_id, method=method, steps=steps)
     out = _out_dir(args)
@@ -317,7 +317,7 @@ def cmd_attribute(args) -> int:
     else:
         u = np.zeros(ds.dim)
     method = args.method or "closed"
-    steps = 256 if args.steps is None else args.steps
+    steps = DEFAULT_REPORT_STEPS if args.steps is None else args.steps
     split = args.split or "test"
     target = args.target or "true-class-probability"
     attribs = attribute_dataset(model, ds, u, method=method, steps=steps,
@@ -550,7 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help='l1 strengths, comma separated (default "0.02"; "" for none)')
     p.add_argument("--dataset-id", help="dataset tag in reports (default: file stem)")
     p.add_argument("--method", choices=("closed", "numeric"), help="attribution method")
-    p.add_argument("--steps", type=int, help="path steps for numeric attribution (default 256)")
+    p.add_argument("--steps", type=int,
+                   help=f"path steps for numeric attribution (default {DEFAULT_REPORT_STEPS})")
     p.add_argument("--out-dir", help="output directory (default .)")
     p.set_defaults(func=cmd_compare)
 
@@ -558,7 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     p.add_argument("--model", required=True, help="model JSON file")
     p.add_argument("--method", choices=("closed", "numeric"), help="attribution method")
-    p.add_argument("--steps", type=int, help="path steps for numeric attribution (default 256)")
+    p.add_argument("--steps", type=int,
+                   help=f"path steps for numeric attribution (default {DEFAULT_REPORT_STEPS})")
     p.add_argument("--split", choices=("train", "test"), help="split to attribute (default test)")
     p.add_argument("--target", choices=("true-class-probability", "model-output"),
                    help="attribution target (default true-class-probability)")

@@ -146,21 +146,23 @@ class MlpModel:
     def layer_sizes(self):
         return [self.dim] + [W.shape[-1] for W in self.weights]
 
-    def _forward(self, X):
+    def _forward(self, X, first=None):
         """Forward pass caching pre-activations; X must be 2-d (n, d).
 
-        The logit is (n,), or (k, n) for a stack of k models.
+        The logit is (n,), or (k, n) for a stack of k models. ``first``, when
+        given, replaces the first layer's output X @ W0 + b0 (X then only
+        fills the cache's input slot); its leading axes carry through to the
+        logit.
         """
+        t = X @ self.weights[0] + self.biases[0][..., None, :] if first is None else first
         pre = []      # pre-activation per hidden layer
         acts = [X]    # layer inputs, starting with the data
-        h = X
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            t = h @ W + b[..., None, :]
+        for W, b in zip(self.weights[1:], self.biases[1:]):
             pre.append(t)
             h = _act(self.hidden_activation, t)
             acts.append(h)
-        logit = (h @ self.weights[-1] + self.biases[-1][..., None, :])[..., 0]
-        return logit, pre, acts
+            t = h @ W + b[..., None, :]
+        return t[..., 0], pre, acts
 
     def margin(self, x):
         x = np.asarray(x, dtype=float)
@@ -173,7 +175,7 @@ class MlpModel:
     def value(self, x):
         return sigmoid(self.margin(x))
 
-    def backprop(self, cache, dlogit, *, params=True, inputs=True):
+    def backprop(self, cache, dlogit, *, params=True, inputs=True, first=False):
         """Reverse pass from dLoss/dlogit (n,) through the cached forward pass
         ``cache = self._forward(X)``.
 
@@ -182,7 +184,9 @@ class MlpModel:
         a stack adds its leading model axis to each. params=False skips the
         parameter products (both lists come back empty) and inputs=False the
         last input product (input_grads is None); what is computed does not
-        change bit for bit.
+        change bit for bit. first=True also skips that product and returns,
+        in place of the input gradients, the gradient at the first layer's
+        output (n, h1), whose product with W0 transposed they are.
         """
         _, pre, acts = cache
         weight_grads, bias_grads = [], []
@@ -191,10 +195,11 @@ class MlpModel:
             if l < len(pre):
                 delta = upstream * _act_deriv(self.hidden_activation, pre[l])
             if params:
-                weight_grads.insert(0, np.swapaxes(acts[l], -1, -2) @ delta)
+                weight_grads.insert(0, acts[l].swapaxes(-1, -2) @ delta)
                 bias_grads.insert(0, delta.sum(axis=-2))
-            upstream = delta @ np.swapaxes(self.weights[l], -1, -2) if l or inputs else None
-        return weight_grads, bias_grads, upstream
+            upstream = (delta @ self.weights[l].swapaxes(-1, -2)
+                        if l or (inputs and not first) else None)
+        return weight_grads, bias_grads, delta if first else upstream
 
     def loss_and_grads(self, spec: LossSpec, X, y, *, params=True, inputs=True):
         """The MLP family's one gradient engine: g(-y * logit) on a batch

@@ -12,7 +12,7 @@ import numpy as np
 
 from ._util import fmt_float
 from ._version import __version__
-from .attribution import attribute_dataset, check_method
+from .attribution import DEFAULT_REPORT_STEPS, attribute_dataset, check_method
 from .data import Dataset
 from .losses import LossSpec
 from .sparseness import gini_gap, make_gini_report
@@ -51,7 +51,7 @@ def _cfg_dict(cfg: TrainConfig) -> dict:
 
 def run_compare(ds: Dataset, spec: LossSpec, eps_list, lam_list, base_cfg: TrainConfig,
                 *, dataset_id: str = "dataset", method: str = "closed",
-                steps: int = 256, baseline=None) -> CompareOutcome:
+                steps: int = DEFAULT_REPORT_STEPS, baseline=None) -> CompareOutcome:
     """Train one natural model plus one model per epsilon and per lambda (same
     seed and split), attribute the unperturbed test split against the given
     baseline (zero by default), and report mean-Gini gaps and accuracy drops.

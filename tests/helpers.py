@@ -15,6 +15,8 @@ import os
 import numpy as np
 
 from attrsparse.data import Dataset, load_csv
+from attrsparse.losses import linear_loss_and_grads, loss, make_loss
+from attrsparse.models import MlpModel
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 MUSHROOM_PATH = os.path.abspath(os.path.join(DATA_DIR, "mushroom.csv"))
@@ -32,6 +34,52 @@ def gini_row_reference(v) -> float:
     ordered = np.sort(v, kind="stable")
     ranks = 2.0 * np.arange(1, d + 1) - d - 1
     return max(math.fsum((ordered * ranks).tolist()) / (d * total), 0.0)
+
+
+def ig_midpoint_reference(model, x, u, steps):
+    """The midpoint rule evaluated point by point: the model's input
+    gradient at all S path points, averaged. Returns (values, residual)."""
+    diff = x - u
+    alphas = (np.arange(1, steps + 1) - 0.5) / steps
+    points = u[None, :] + alphas[:, None] * diff[None, :]
+    _, grads = model.value_and_input_gradient(points)
+    values = diff * grads.mean(axis=0)
+    fx = float(np.asarray(model.value(x)))
+    fu = float(np.asarray(model.value(u)))
+    return values, abs(float(values.sum()) - (fx - fu))
+
+
+def pgd_clip_reference(model, X, y, budget, cfg, spec=None, rng=None, clamp01=False):
+    """Projected signed-gradient ascent written with fresh arrays, the full
+    loss-and-gradient call and np.clip at every step: the plain form of
+    adversarial.pgd_perturb_batch."""
+    spec = spec or make_loss("logistic-nll")
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    eps = budget.epsilon
+    if rng is None:
+        rng = np.random.default_rng(cfg.seed)
+    if cfg.random_start:
+        delta = rng.uniform(-eps, eps, size=X.shape)
+    else:
+        delta = np.zeros_like(X)
+    start = delta.copy()
+    start_loss = loss(spec, model, X + delta, y)
+    for _ in range(cfg.steps):
+        if isinstance(model, MlpModel):
+            dx = model.loss_and_grads(spec, X + delta, y, params=False)[2]
+        else:
+            bias = None if model.bias is None else np.asarray([model.bias])
+            coeff = linear_loss_and_grads(spec, model.w[None], bias, X + delta, y)[2]
+            dx = coeff[0][:, None] * model.w
+        delta = np.clip(delta + cfg.step_size * np.sign(dx), -eps, eps)
+        if clamp01:
+            delta = np.clip(delta, -X, 1.0 - X)
+    final_loss = loss(spec, model, X + delta, y)
+    worse = final_loss < start_loss
+    if np.any(worse):
+        delta[worse] = start[worse]
+    return delta
 
 
 def make_categorical_csv(path, n=2000, seed=0) -> str:

@@ -15,6 +15,7 @@ from attrsparse.adversarial import (
 )
 from attrsparse.losses import LOSS_KINDS, linear_loss_and_grads, loss, make_loss
 from attrsparse.models import LinearModel, init_mlp
+from helpers import pgd_clip_reference
 
 LOG1PE = 1.3132616875182228  # ln(1 + e)
 
@@ -209,6 +210,43 @@ def test_mlp_pgd_beats_random_noise():
     noise = np.random.default_rng(3).uniform(-0.3, 0.3, size=X.shape)
     noise_loss = float(np.mean(spec.g(-y * model.margin(X + noise))))
     assert pgd_loss > noise_loss
+
+
+def _pgd_model(kind, rng, d):
+    if kind == "linear":
+        return LinearModel(w=rng.normal(size=d), bias=0.3)
+    model = init_mlp([d, 5, 3, 1], rng, hidden_activation=kind)
+    model.biases = [rng.normal(size=b.shape) for b in model.biases]
+    return model
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("kind", ["linear", "softplus", "relu"])
+def test_pgd_matches_clip_loop_bytewise(kind, eps):
+    # Features on {0, 1/2, 1} with some -0.0, and eps = 0, make the clips
+    # meet their bounds at signed zeros, where in-place np.maximum/np.minimum
+    # and np.clip could round apart.
+    rng = np.random.default_rng(11)
+    d = 7
+    model = _pgd_model(kind, rng, d)
+    X = rng.integers(0, 3, size=(24, d)) / 2.0
+    X[rng.uniform(size=X.shape) < 0.1] = -0.0
+    y = np.where(rng.uniform(size=24) < 0.5, 1.0, -1.0)
+    budget = PerturbationBudget(eps)
+    for loss_kind, clamp01, random_start in itertools.product(
+            ("logistic-nll", "hinge"), (False, True), (False, True)):
+        spec = make_loss(loss_kind)
+        cfg = PgdConfig(steps=12, step_size=0.04, random_start=random_start, seed=5)
+        got = pgd_perturb_batch(model, X, y, budget, cfg, spec=spec, clamp01=clamp01)
+        want = pgd_clip_reference(model, X, y, budget, cfg, spec=spec, clamp01=clamp01)
+        case = (loss_kind, clamp01, random_start)
+        assert got.tobytes() == want.tobytes(), case  # signed zeros too
+        shared = np.random.default_rng(9)
+        got = pgd_perturb_batch(model, X, y, budget, cfg, spec=spec, clamp01=clamp01,
+                                rng=shared)
+        want = pgd_clip_reference(model, X, y, budget, cfg, spec=spec, clamp01=clamp01,
+                                  rng=np.random.default_rng(9))
+        assert got.tobytes() == want.tobytes(), case
 
 
 # --- configuration objects -------------------------------------------------------

@@ -1,5 +1,6 @@
 """Path-integral attributions: exact closed form, midpoint-rule convergence,
 completeness, dataset-level aggregation, and graymap export."""
+import copy
 import itertools
 
 import numpy as np
@@ -14,6 +15,7 @@ from attrsparse.attribution import (
 )
 from attrsparse.data import Dataset, FeatureGroup
 from attrsparse.models import LinearModel, init_mlp
+from helpers import ig_midpoint_reference
 
 SIGMOID_3 = 0.9525741268224334
 IG_HAND = (0.15085804227414445, 0.3017160845482889)  # (s(3)-0.5)*(1/3, 2/3)
@@ -325,3 +327,76 @@ def test_split_closed_form_matches_per_row_formula_bitwise(bias, activation):
     one = ig_closed_form(model, ds.features[5], zero)
     values, residual, degenerate = _closed_form_row_reference(model, ds.features[5], zero)
     assert degenerate and one.degenerate and _same_bits(one.values, values)
+
+
+# --- the split-level numeric kernel ----------------------------------------------
+
+def _numeric_models(rng, d):
+    """Linear models and MLPs of hidden widths 16 and (6, 4) in every
+    hidden activation, with non-zero biases."""
+    models = [LinearModel(w=rng.normal(size=d)),
+              LinearModel(w=rng.normal(size=d), activation="identity", bias=-0.4)]
+    for hidden, act in itertools.product(((16,), (6, 4)), ("softplus", "tanh", "relu")):
+        mlp = init_mlp([d, *hidden, 1], rng, hidden_activation=act)
+        mlp.biases = [0.3 * rng.normal(size=b.shape) for b in mlp.biases]
+        models.append(mlp)
+    return models
+
+
+def _numeric_dataset(rng, n, d):
+    X = rng.uniform(size=(n, d))
+    X[:3] = 0.0                                  # rows at the zero baseline
+    y = np.where(rng.uniform(size=n) < 0.5, 1.0, -1.0)
+    groups = tuple(FeatureGroup(f"f{i}", "numeric", i, i + 1) for i in range(d))
+    return Dataset(X, y, [g.name for g in groups], groups, split_seed=3)
+
+
+def _on_test_rows(ds, idx):
+    view = copy.copy(ds)
+    view.test_indices = np.asarray(idx)
+    return view
+
+
+@pytest.mark.parametrize("steps", [1, 24])
+def test_numeric_row_does_not_depend_on_its_block(steps):
+    # d = 40 puts 2 (hidden 16), 6 (hidden 6, 4) or 40 (linear)
+    # rows in a block, so a row lands at different block offsets when it is
+    # attributed alone, among 5 rows, or with its whole split.
+    rng = np.random.default_rng(21)
+    ds = _numeric_dataset(rng, 80, 40)
+    for model, u in itertools.product(_numeric_models(rng, ds.dim),
+                                      (np.zeros(ds.dim), rng.uniform(size=ds.dim))):
+        singles = {i: ig_numeric(model, ds.features[i], u, steps=steps)
+                   for i in range(ds.features.shape[0])}
+        runs = [(split, ds.split(split)) for split in ("train", "test")]
+        runs += [("test", [i]) for i in ds.test_indices[:4]]
+        runs += [("test", ds.test_indices[k:k + 5]) for k in (0, 3, 7)]
+        for split, idx in runs:
+            view = _on_test_rows(ds, idx) if split == "test" else ds
+            got = attribute_dataset(model, view, u, method="numeric", steps=steps,
+                                    split=split, target="model-output")
+            assert len(got) == len(idx)
+            for attr, i in zip(got, idx):
+                one = singles[i]
+                assert _same_bits(attr.values, one.values), (model, split, i)
+                assert attr.completeness_residual == one.completeness_residual
+                assert attr.degenerate is False
+            base = got[0].values.base  # the vectors view one matrix
+            assert base is not None and all(a.values.base is base for a in got)
+
+
+def test_numeric_kernel_matches_pointwise_midpoint_rule():
+    rng = np.random.default_rng(22)
+    d, steps = 12, 24
+    ds = _numeric_dataset(rng, 40, d)
+    for model in _numeric_models(rng, d):
+        for u in (np.zeros(d), rng.uniform(size=d)):
+            got = attribute_dataset(model, ds, u, method="numeric", steps=steps,
+                                    split="train", target="model-output")
+            want = [ig_midpoint_reference(model, ds.features[i], u, steps)
+                    for i in ds.train_indices]
+            scale = max(float(np.abs(v).max()) for v, _ in want)
+            assert scale > 0.0
+            for attr, (values, residual) in zip(got, want):
+                np.testing.assert_allclose(attr.values, values, rtol=0, atol=1e-12 * scale)
+                assert abs(attr.completeness_residual - residual) <= 1e-12 * scale * d

@@ -86,14 +86,14 @@ GOLDEN = {
     'attribute-linear-closed/attributions.csv': '10d79c01c7ac03e9d0e2a612fdf84f2d0d86b6811ab0898dd030cdc496850b0f',
     'attribute-linear-closed/impact_features.csv': '5f0dec3e1ae67f10026f2bf1236eeb9442eb238a461534e22a9d9abf2402691c',
     'attribute-linear-closed/impact_values.csv': '5f0dec3e1ae67f10026f2bf1236eeb9442eb238a461534e22a9d9abf2402691c',
-    'attribute-mlp-numeric/attributions.csv': 'd9e0cee2248aed7a5df929c82266aecfea2cbb9af5e69f33551187f68adee045',
-    'attribute-mlp-numeric/impact_features.csv': '56385dae0debf6fad85ab6dc0e3b28b31332747ea8a8a4a302391b95752240c6',
-    'attribute-mlp-numeric/impact_values.csv': '56385dae0debf6fad85ab6dc0e3b28b31332747ea8a8a4a302391b95752240c6',
+    'attribute-mlp-numeric/attributions.csv': 'd5238c7728f1b8ebb857c26a978ed329f627876285a057deb477b2c150e50407',
+    'attribute-mlp-numeric/impact_features.csv': 'b642d3758425d2387cea53d636340169b87b85d5a4c726a65cadafd95c6cd601',
+    'attribute-mlp-numeric/impact_values.csv': 'b642d3758425d2387cea53d636340169b87b85d5a4c726a65cadafd95c6cd601',
     'compare-linear/distributions.csv': '7a0397c1b5a4a551292812db8a49dc060c5cc1d3d3b0bf71400ab028b462fbde',
     'compare-linear/report.json': '9c9f64acaaf01ff3e518e727f1a944512ea75f61c2c9c41298ee1e0dfa5a7ed5',
     'compare-linear/table.csv': 'c19f650e80b8c95b66d6a9d2a1fcf598df96c58b175804c2261b355587187477',
     'compare-linear/tradeoff.csv': '6ac29e45891f3c97ac267f43fcec3145034782be28a5d37978589ae79fffe273',
-    'compare-mlp/distributions.csv': '777984b0d1937e2a3d1aab778df6bb8530bc9ccc2a3e3f255da3d2d101d3b933',
+    'compare-mlp/distributions.csv': '96c6199472da248519c2ca65164929ebee8370eef38759025f40b0b3c36ff1f1',
     'compare-mlp/report.json': '239f7d3ef4b9b9233a182730cb3c14f61b4550decb81ee0dce27a67dc02055f6',
     'compare-mlp/table.csv': '16517c02429ec9e0be95366f75a88e426a34d2d0dac200e74ce1267f3bace55c',
     'compare-mlp/tradeoff.csv': '28aa9a732aacc8c4f184882ac5c6e822e0cf829e3544407c20db97297ae64e1b',
