@@ -19,13 +19,13 @@ __all__ = [
     "ig_numeric",
     "ig_closed_form",
     "check_method",
+    "check_baseline",
     "attribute_dataset",
     "impact_report",
     "write_pgm",
 ]
 
 DEFAULT_REPORT_STEPS = 256
-ORACLE_STEPS = 4096
 
 
 @dataclass
@@ -187,6 +187,16 @@ def check_method(method: str, steps: int, model_kind: str = "linear"):
         raise ValueError(f"steps must be >= 1, got {steps}")
 
 
+def check_baseline(u, dim: int):
+    """The baseline as a float vector; reject a wrong shape or a non-finite entry."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (dim,):
+        raise ValueError(f"baseline shape {u.shape} does not match dimension {dim}")
+    if not np.all(np.isfinite(u)):
+        raise ValueError(f"baseline has non-finite entries: {u[~np.isfinite(u)][:4]}")
+    return u
+
+
 def attribute_dataset(model, ds: Dataset, u, method: str = "closed",
                       steps: int = DEFAULT_REPORT_STEPS, split: str = "test",
                       target: str = "true-class-probability"):
@@ -197,9 +207,7 @@ def attribute_dataset(model, ds: Dataset, u, method: str = "closed",
     model-output attribution (sign flip, residual unchanged). Either method
     attributes the whole split as one array; its vectors view rows of it.
     """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (ds.dim,):
-        raise ValueError(f"baseline shape {u.shape} does not match dimension {ds.dim}")
+    u = check_baseline(u, ds.dim)
     check_method(method, steps)
     if target not in ("true-class-probability", "model-output"):
         raise ValueError(f"unknown target {target!r}")

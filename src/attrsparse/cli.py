@@ -40,11 +40,12 @@ from .sparseness import gini_rows
 from .theory import (
     SyntheticConditionalSampler,
     TheoremCheckResult,
-    WeightedAverageSpec,
     check_lemma_exp_bound,
-    check_theorem1_bound,
     check_sample_count,
+    check_theorem1_bound,
     check_theorem3_identity,
+    lemma_d1_instance,
+    theorem1_bound_instances,
     theorem3_instances,
     verify_zero_weight_update,
 )
@@ -376,6 +377,9 @@ def _read_vector_rows(path) -> tuple:
         data = [np.asarray([float(v) for v in row[keep]]) for row in rows]
     except ValueError as exc:
         raise ValueError(f"{path}: non-numeric cell ({exc})") from None
+    for i, row in enumerate(data):
+        if not np.all(np.isfinite(row)):
+            raise ValueError(f"{path}: data row {i}: non-finite cell")
     return data, header
 
 
@@ -405,25 +409,19 @@ def _strengths_from(args, default="0.8,-0.5,0.3,0.0,0.1") -> tuple:
 
 
 def _verify_sampler(args, strengths) -> SyntheticConditionalSampler:
-    return SyntheticConditionalSampler(
-        strengths=strengths,
-        noise_sd=args.noise_sd if args.noise_sd is not None else 1.0,
-        class_balance=args.balance if args.balance is not None else 0.5,
-        noise_kind=args.noise_kind or "gaussian",
-    )
+    return SyntheticConditionalSampler(strengths=strengths, noise_sd=args.noise_sd,
+                                       class_balance=args.balance, noise_kind=args.noise_kind)
 
 
 def cmd_verify(args) -> int:
     spec = make_loss(args.loss or "logistic-nll")
-    seed = args.seed if args.seed is not None else 0
-    n = args.n if args.n is not None else 100_000
-    eps = args.eps if args.eps is not None else 0.1
-    configs = args.configs if args.configs is not None else 5
-    trials = args.trials if args.trials is not None else 1000
-    # a check over no instances, or over too few samples, would pass on no
-    # evidence: reject its sizes before anything is drawn
-    if not (math.isfinite(eps) and eps >= 0.0):
-        raise ValueError(f"--eps must be a finite number >= 0, got {eps}")
+    seed, n, eps, configs, trials, tol = (args.seed, args.n, args.eps, args.configs,
+                                          args.trials, args.tol)
+    # a check over no instances or samples, or with an infinite tolerance,
+    # would pass on no evidence: reject its sizes before anything is drawn
+    for flag, value in (("--eps", eps), ("--tol", tol)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{flag} must be a finite number >= 0, got {value}")
     if args.check == "thm3":
         if trials < 1:
             raise ValueError(f"--trials must be >= 1, got {trials}")
@@ -437,21 +435,12 @@ def cmd_verify(args) -> int:
         sampler = _verify_sampler(args, _strengths_from(args))
         results = verify_zero_weight_update(spec, sampler, n, seed=seed)
     elif args.check == "thm1-bound":
-        for k in range(configs):
-            rng = np.random.default_rng([seed, k])
-            d = 6
-            strengths = tuple(rng.uniform(-0.8, 0.8, size=d).tolist())
-            w = rng.normal(0.0, 1.0, size=d)
-            size = int(rng.integers(1, d + 1))
-            subset = tuple(sorted(rng.choice(d, size=size, replace=False).tolist()))
-            sampler = _verify_sampler(args, strengths)
-            wspec = WeightedAverageSpec(indices=subset, w=w)
-            res = check_theorem1_bound(spec, wspec, eps, sampler, n,
-                                       seed=seed * 100_003 + k)
+        for k, (strengths, wspec, check_seed) in enumerate(theorem1_bound_instances(configs, seed)):
+            res = check_theorem1_bound(spec, wspec, eps, _verify_sampler(args, strengths), n,
+                                       seed=check_seed)
             res.check_id = f"weighted-update-bound[{k}]"
             results.append(res)
     elif args.check == "thm3":
-        tol = args.tol if args.tol is not None else 1e-9
         losses = LOSS_KINDS if (args.loss in (None, "all")) else (spec.kind,)
         # one draw of the instances serves every loss, one call per dimension
         groups = theorem3_instances(trials, seed).values()
@@ -464,17 +453,7 @@ def cmd_verify(args) -> int:
                 passed=bool(worst <= tol), detail=f"tol={tol:g}"))
     elif args.check == "lemmaD1":
         sampler = _verify_sampler(args, _strengths_from(args, default="0.6,0.3,-0.2,0.1,0.05"))
-        w = np.random.default_rng(seed).normal(0.0, 1.0, size=sampler.dim)
-        margin_const = eps * np.abs(w).sum()
-
-        def draw(m, rng):
-            X, y = sampler.sample(m, rng)
-            X *= y[:, None]
-            return X[:, 0].copy(), X[:, 1:], y
-
-        def f(z, v):
-            return spec.gprime(margin_const - abs(w[0]) * z - v @ w[1:])
-
+        f, draw = lemma_d1_instance(spec, sampler, eps, seed)
         results = [check_lemma_exp_bound(f, draw, n, seed=seed)]
 
     doc = {
@@ -591,7 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sampler noise family (default gaussian; uniform suits hinge)")
     p.add_argument("--balance", type=float, help="P(y=+1) (default 0.5)")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, n=100_000, trials=1000, configs=5, eps=0.1, tol=1e-9, seed=0,
+                   noise_sd=1.0, noise_kind="gaussian", balance=0.5)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset JSON")
     p.add_argument("kind", choices=("gaussian", "blobs"), help="generator family")

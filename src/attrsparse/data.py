@@ -1,5 +1,5 @@
-"""Dataset ingestion, one-hot encoding, class-midpoint feature translation,
-and synthetic generators with known per-feature class association.
+"""Dataset ingestion, one-hot encoding, the seeded train/test split, and
+synthetic generators with known per-feature class association.
 """
 from __future__ import annotations
 
@@ -14,10 +14,8 @@ from ._util import fmt_float
 __all__ = [
     "FeatureGroup",
     "Dataset",
-    "FeatureStrengths",
     "SyntheticSpec",
     "load_csv",
-    "translate_features",
     "generate_synthetic",
     "blob_image_spec",
     "save_dataset",
@@ -131,19 +129,6 @@ class Dataset:
         if which == "test":
             return self.test_indices
         raise ValueError(f"unknown split {which!r}; use 'train' or 'test'")
-
-
-@dataclass(frozen=True)
-class FeatureStrengths:
-    """Per-feature directed class association: E(y * x_i) after translation."""
-
-    values: np.ndarray
-    source: str = "estimated"
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("strengths must be finite")
 
 
 @dataclass(frozen=True)
@@ -322,37 +307,6 @@ def load_csv(path, schema, label_column, *, delimiter=",", split_seed=0,
         split_seed=split_seed,
         label_map=label_map,
     )
-
-
-def translate_features(ds: Dataset):
-    """Shift every feature by the midpoint of its two class-conditional means.
-
-    Means are estimated on the training split only. Returns the shifted
-    dataset and the estimated directed strengths
-    (mean(x | y=+1) - mean(x | y=-1)) / 2.
-    """
-    if not ds.binary:
-        raise ValueError("translation requires binary labels")
-    tr = ds.train_indices
-    y = ds.labels[tr]
-    pos = ds.features[tr][y == 1.0]
-    neg = ds.features[tr][y == -1.0]
-    if len(pos) == 0 or len(neg) == 0:
-        raise ValueError("both classes must be present in the training split")
-    mu_pos = pos.mean(axis=0)
-    mu_neg = neg.mean(axis=0)
-    shift = 0.5 * (mu_pos + mu_neg)
-    strengths = 0.5 * (mu_pos - mu_neg)
-    shifted = Dataset(
-        features=ds.features - shift,
-        labels=ds.labels.copy(),
-        feature_names=list(ds.feature_names),
-        encoding_map=ds.encoding_map,
-        split_seed=ds.split_seed,
-        label_map=ds.label_map,
-        translated=True,
-    )
-    return shifted, FeatureStrengths(values=strengths, source="estimated")
 
 
 def generate_synthetic(spec: SyntheticSpec, n: int) -> Dataset:

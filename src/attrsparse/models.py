@@ -69,20 +69,6 @@ class LinearModel:
         m = self.margin(x)
         return sigmoid(m) if self.activation == "sigmoid" else m
 
-    def value_and_input_gradient(self, x):
-        """F(x) and dF/dx; batch rows give one gradient row each."""
-        x = np.asarray(x, dtype=float)
-        m = self.margin(x)
-        if self.activation == "sigmoid":
-            p = sigmoid(m)
-            slope = p * (1.0 - p)
-        else:
-            p = m
-            slope = np.ones_like(np.asarray(m, dtype=float))
-        if x.ndim == 1:
-            return p, slope * self.w
-        return p, np.asarray(slope)[:, None] * self.w[None, :]
-
 
 _HIDDEN_ACTS = ("softplus", "tanh", "relu")
 
@@ -215,18 +201,6 @@ class MlpModel:
         weight_grads, bias_grads, dx = self.backprop(cache, -y * spec.gprime(z),
                                                      params=params, inputs=inputs)
         return spec.g(z), weight_grads + bias_grads, dx
-
-    def value_and_input_gradient(self, x):
-        """F(x) = sigmoid(logit) and dF/dx via one forward and one
-        input-only reverse pass."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        cache = self._forward(x[None, :] if single else x)
-        p = sigmoid(cache[0])
-        _, _, dx = self.backprop(cache, p * (1.0 - p), params=False)
-        if single:
-            return float(p[0]), dx[0]
-        return p, dx
 
 
 def classify(model, x):

@@ -12,7 +12,7 @@ import numpy as np
 
 from ._util import fmt_float
 from ._version import __version__
-from .attribution import DEFAULT_REPORT_STEPS, attribute_dataset, check_method
+from .attribution import DEFAULT_REPORT_STEPS, attribute_dataset, check_baseline, check_method
 from .data import Dataset
 from .losses import LossSpec
 from .sparseness import gini_gap, make_gini_report
@@ -59,8 +59,7 @@ def run_compare(ds: Dataset, spec: LossSpec, eps_list, lam_list, base_cfg: Train
     """
     started = time.perf_counter()
     check_method(method, steps, base_cfg.model_kind)
-    if baseline is None:
-        baseline = np.zeros(ds.dim)
+    baseline = np.zeros(ds.dim) if baseline is None else check_baseline(baseline, ds.dim)
     n_test = ds.test_indices.size
     split_key = f"{dataset_id}:test:{n_test}"
 

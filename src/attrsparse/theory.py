@@ -4,8 +4,9 @@ expectation bound behind it, and the exact worst-case-attribution identity.
 """
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -16,7 +17,6 @@ __all__ = [
     "SyntheticConditionalSampler",
     "WeightedAverageSpec",
     "TheoremCheckResult",
-    "weighted_average",
     "check_sample_count",
     "expected_update",
     "verify_zero_weight_update",
@@ -25,6 +25,8 @@ __all__ = [
     "check_lemma_exp_bound",
     "check_theorem3_identity",
     "attribution_shift_norm",
+    "theorem1_bound_instances",
+    "lemma_d1_instance",
     "theorem3_instances",
 ]
 
@@ -39,23 +41,24 @@ class SyntheticConditionalSampler:
 
     noise_kind "gaussian" draws sd * N(0,1); "uniform" draws sd * U(-1,1)
     (bounded support, used for losses with a kink that must stay clear of it).
-    A complement block sharing one latent factor can be switched on to keep a
-    strict subset S conditionally independent of correlated leftovers.
     """
 
     strengths: tuple
     noise_sd: float = 1.0
     class_balance: float = 0.5
     noise_kind: str = "gaussian"
-    shared_factor_indices: tuple | None = None
-    shared_factor_weight: float = 0.0
 
     def __post_init__(self):
         if self.noise_kind not in ("gaussian", "uniform"):
             raise ValueError(f"unknown noise kind {self.noise_kind!r}")
         if not 0.0 < self.class_balance < 1.0:
             raise ValueError("class_balance must be in (0, 1)")
-        object.__setattr__(self, "strengths", tuple(float(v) for v in self.strengths))
+        strengths = tuple(float(v) for v in self.strengths)
+        if not strengths or not all(math.isfinite(v) for v in strengths):
+            raise ValueError(f"strengths must be one or more finite numbers, got {strengths}")
+        if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0.0):
+            raise ValueError(f"noise_sd must be a finite number >= 0, got {self.noise_sd}")
+        object.__setattr__(self, "strengths", strengths)
 
     @property
     def dim(self) -> int:
@@ -72,10 +75,6 @@ class SyntheticConditionalSampler:
         # row blocks keep the a * y temporary small; each entry is one add
         for lo, hi in chunk_bounds(m, _ROWS):
             X[lo:hi] += a * y[lo:hi, None]
-        if self.shared_factor_indices and self.shared_factor_weight != 0.0:
-            t = rng.normal(0.0, 1.0, size=m)
-            idx = np.asarray(self.shared_factor_indices, dtype=int)
-            X[:, idx] += self.shared_factor_weight * t[:, None]
         return X, y
 
 
@@ -96,12 +95,6 @@ class WeightedAverageSpec:
             raise ValueError("weights must not vanish on S")
 
 
-def weighted_average(q, wspec: WeightedAverageSpec) -> float:
-    idx = list(wspec.indices)
-    w = wspec.w[idx]
-    return float((w * np.asarray(q, dtype=float)[idx]).sum() / np.abs(w).sum())
-
-
 @dataclass
 class TheoremCheckResult:
     check_id: str
@@ -113,15 +106,9 @@ class TheoremCheckResult:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check_id,
-            "estimate": self.estimate,
-            "reference": self.reference,
-            "se": self.se,
-            "n_samples": self.n_samples,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
+        doc = asdict(self)
+        doc["check"] = doc.pop("check_id")
+        return doc
 
 
 def check_sample_count(n: int):
@@ -374,6 +361,41 @@ def check_theorem3_identity(spec: LossSpec, w, x, y, epsilon):
     lhs = spec.g(-y * score) + attribution_shift_norm(spec, w, x, y, delta)
     rhs = spec.g(epsilon * np.abs(w).sum(axis=1) - y * score)
     return np.abs(lhs - rhs)
+
+
+def theorem1_bound_instances(configs: int, seed: int):
+    """Random configurations for the weighted-update bound: yields one
+    (strengths, WeightedAverageSpec, check seed) per k < configs. Each draws
+    d = 6 strengths uniform in [-0.8, 0.8), w standard normal and a non-empty
+    subset S from its own default_rng([seed, k]); its check samples with
+    seed * 100_003 + k."""
+    d = 6
+    for k in range(configs):
+        rng = np.random.default_rng([seed, k])
+        strengths = tuple(rng.uniform(-0.8, 0.8, size=d).tolist())
+        w = rng.normal(0.0, 1.0, size=d)
+        size = int(rng.integers(1, d + 1))
+        subset = tuple(sorted(rng.choice(d, size=size, replace=False).tolist()))
+        yield strengths, WeightedAverageSpec(indices=subset, w=w), seed * 100_003 + k
+
+
+def lemma_d1_instance(spec: LossSpec, sampler, epsilon: float, seed: int):
+    """Lemma D1 at worst-case training's loss slope, as (f, draw) for
+    check_lemma_exp_bound: Z = y*x_0, V = y*x_rest and
+    f(z, v) = g'(eps*|w|_1 - |w_0| z - <w_rest, v>), non-increasing in z, with
+    w standard normal from default_rng(seed)."""
+    w = np.random.default_rng(seed).normal(0.0, 1.0, size=sampler.dim)
+    margin_const = epsilon * np.abs(w).sum()
+
+    def draw(m, rng):
+        X, y = sampler.sample(m, rng)
+        X *= y[:, None]
+        return X[:, 0].copy(), X[:, 1:], y
+
+    def f(z, v):
+        return spec.gprime(margin_const - abs(w[0]) * z - v @ w[1:])
+
+    return f, draw
 
 
 def theorem3_instances(trials: int, seed: int) -> dict:

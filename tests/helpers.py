@@ -15,7 +15,7 @@ import os
 import numpy as np
 
 from attrsparse.data import Dataset, load_csv
-from attrsparse.losses import linear_loss_and_grads, loss, make_loss
+from attrsparse.losses import linear_loss_and_grads, loss, make_loss, sigmoid
 from attrsparse.models import MlpModel
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
@@ -38,11 +38,21 @@ def gini_row_reference(v) -> float:
 
 def ig_midpoint_reference(model, x, u, steps):
     """The midpoint rule evaluated point by point: the model's input
-    gradient at all S path points, averaged. Returns (values, residual)."""
+    gradient at all S path points, averaged. The gradient is taken directly,
+    by a full reverse pass through an MLP and as p(1-p) * w (w for the
+    identity activation) for a linear model. Returns (values, residual)."""
     diff = x - u
     alphas = (np.arange(1, steps + 1) - 0.5) / steps
     points = u[None, :] + alphas[:, None] * diff[None, :]
-    _, grads = model.value_and_input_gradient(points)
+    if isinstance(model, MlpModel):
+        cache = model._forward(points)
+        p = sigmoid(cache[0])
+        grads = model.backprop(cache, p * (1.0 - p), params=False)[2]
+    elif model.activation == "identity":
+        grads = np.ones((steps, 1)) * model.w
+    else:
+        p = sigmoid(model.margin(points))
+        grads = (p * (1.0 - p))[:, None] * model.w
     values = diff * grads.mean(axis=0)
     fx = float(np.asarray(model.value(x)))
     fu = float(np.asarray(model.value(u)))

@@ -1,0 +1,74 @@
+"""The public API is what the program itself uses: every name a module of
+``src/attrsparse`` exports in ``__all__`` must be referenced from code in
+``src/``, apart from a short list of names kept on purpose for callers
+outside it."""
+import ast
+import os
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "attrsparse")
+
+# name -> why it is public although no code in src/ refers to it
+ALLOWED = {
+    "ig_numeric": "one-row case of the split-level numeric IG kernel",
+    "ig_closed_form": "one-row case of the split-level closed-form IG kernel",
+    "gini": "one-row case of gini_rows",
+    "closed_form_perturbation": "exact worst-case perturbation that tests compare PGD against",
+    "adversarial_loss": "exact worst-case loss that tests compare training against",
+    "check_theorem1_limit": "the limit-equality check of acceptance criterion 4",
+}
+
+
+def _modules():
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read(), filename=name)
+
+
+def _exports(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _references(node, skip):
+    """Names read and attributes taken anywhere under node, except inside the
+    definition named ``skip`` (a recursive call is no outside use). Docstrings
+    and __all__ entries are string constants, so they never count."""
+    found = set()
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and n.name == skip:
+            continue
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        stack.extend(ast.iter_child_nodes(n))
+    return found
+
+
+def test_every_export_is_used_by_the_program():
+    modules = list(_modules())
+    unused = []
+    for module, tree in modules:
+        for name in _exports(tree):
+            if name in ALLOWED:
+                continue
+            if not any(name in _references(other, name) for _, other in modules):
+                unused.append(f"{module}: {name}")
+    assert not unused, f"exported but unused in src/: {unused}"
+
+
+def test_allowlist_names_real_unused_exports():
+    # an allowance for a name that is no longer exported, or that src/ now
+    # uses, would hide nothing and should go
+    modules = list(_modules())
+    exported = {name for _, tree in modules for name in _exports(tree)}
+    assert set(ALLOWED) <= exported
+    used = {name for name in ALLOWED
+            if any(name in _references(tree, name) for _, tree in modules)}
+    assert not used, f"allowed but used in src/: {sorted(used)}"

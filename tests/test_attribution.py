@@ -14,6 +14,7 @@ from attrsparse.attribution import (
     write_pgm,
 )
 from attrsparse.data import Dataset, FeatureGroup
+from attrsparse.losses import sigmoid
 from attrsparse.models import LinearModel, init_mlp
 from helpers import ig_midpoint_reference
 
@@ -138,9 +139,8 @@ def test_numeric_single_step_is_midpoint_gradient():
     model = LinearModel(w=np.asarray([1.0, -2.0]))
     x, u = np.asarray([0.8, 0.2]), np.asarray([0.0, 0.4])
     attr = ig_numeric(model, x, u, steps=1)
-    mid = (x + u) / 2.0
-    _, grad = model.value_and_input_gradient(mid)
-    np.testing.assert_allclose(attr.values, (x - u) * grad, rtol=1e-14)
+    p = float(sigmoid(model.margin((x + u) / 2.0)))
+    np.testing.assert_allclose(attr.values, (x - u) * p * (1.0 - p) * model.w, rtol=1e-14)
 
 
 def test_numeric_matches_closed_form_and_converges(rng):
@@ -215,6 +215,9 @@ def test_attribute_dataset_validation():
     model = LinearModel(w=np.asarray([1.0, -0.5, 0.2]))
     with pytest.raises(ValueError, match="baseline shape"):
         attribute_dataset(model, ds, np.zeros(4))
+    for bad, method in itertools.product((np.nan, np.inf, -np.inf), ("closed", "numeric")):
+        with pytest.raises(ValueError, match="baseline has non-finite entries"):
+            attribute_dataset(model, ds, np.asarray([bad, 0.0, 0.0]), method=method)
     with pytest.raises(ValueError, match="unknown method"):
         attribute_dataset(model, ds, np.zeros(3), method="exact")
     with pytest.raises(ValueError, match="unknown target"):

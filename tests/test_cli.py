@@ -461,6 +461,14 @@ def test_attribute_baseline_file(synth_json, trained_model, tmp_path):
                str(trained_model), "--baseline-file", str(wrong),
                "--out-dir", str(out)])
     assert rc == 1
+    # a NaN or infinite entry would make every attribution NaN
+    for value in ("NaN", "Infinity"):
+        wrong.write_text(f"[{value}, 0.0, 0.0, 0.0]", encoding="utf-8")
+        rc = main(["attribute", "--data", str(synth_json), "--model",
+                   str(trained_model), "--baseline-file", str(wrong),
+                   "--out-dir", str(tmp_path / "nan")])
+        assert rc == 1
+        assert not (tmp_path / "nan" / "attributions.csv").exists()
 
 
 @pytest.mark.parametrize("steps", ["0", "-3"])
@@ -514,6 +522,12 @@ def test_gini_error_cases(tmp_path, capsys):
     mixed = tmp_path / "m.csv"
     mixed.write_text("1,2\n3,oops\n", encoding="utf-8")
     assert main(["gini", "--input", str(mixed)]) == 1
+    for cell in ("nan", "inf", "-inf"):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"3,1,0\n1,{cell},1\n", encoding="utf-8")
+        assert main(["gini", "--input", str(bad), "--out", str(tmp_path / "g.csv")]) == 1
+        assert "data row 1: non-finite cell" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
 
 
 # --- verify -----------------------------------------------------------------------
@@ -609,6 +623,18 @@ def test_verify_bound_thread_env_does_not_change_bytes(tmp_path, monkeypatch):
     (["thm1-bound", "--n", "9999"], "n must be >= 10000 for reported estimates, got 9999"),
     (["thm1-bound", "--eps", "-0.5"], "--eps must be a finite number >= 0, got -0.5"),
     (["lemmaD1", "--eps", "nan"], "--eps must be a finite number >= 0, got nan"),
+    # an infinite tolerance passes every residual, a NaN one fails every one
+    (["thm3", "--tol", "inf"], "--tol must be a finite number >= 0, got inf"),
+    (["thm3", "--tol", "nan"], "--tol must be a finite number >= 0, got nan"),
+    (["thm3", "--tol=-1e-09"], "--tol must be a finite number >= 0, got -1e-09"),
+    # no strengths: no coordinates to check, or no Z to draw
+    (["thm1-zero", "--strengths", ","], "strengths must be one or more finite numbers, got ()"),
+    (["lemmaD1", "--strengths", ","], "strengths must be one or more finite numbers, got ()"),
+    (["thm1-zero", "--strengths", "0.5,inf"],
+     "strengths must be one or more finite numbers, got (0.5, inf)"),
+    (["thm1-zero", "--noise-sd", "nan"], "noise_sd must be a finite number >= 0, got nan"),
+    (["thm1-bound", "--noise-sd", "-1"], "noise_sd must be a finite number >= 0, got -1.0"),
+    (["lemmaD1", "--noise-sd", "inf"], "noise_sd must be a finite number >= 0, got inf"),
 ])
 def test_verify_rejects_vacuous_sizes_before_sampling(tmp_path, capsys, monkeypatch,
                                                        argv, message):

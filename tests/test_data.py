@@ -1,4 +1,4 @@
-"""Dataset ingestion, encoding, splitting, translation, synthetic generators."""
+"""Dataset ingestion, encoding, splitting, the translated flag, synthetic generators."""
 import csv
 
 import numpy as np
@@ -13,7 +13,6 @@ from attrsparse.data import (
     load_csv,
     load_dataset,
     save_dataset,
-    translate_features,
 )
 
 from helpers import categorical_schema, make_categorical_csv
@@ -167,58 +166,17 @@ def test_split_is_seeded_70_30(tmp_path):
         ds.split("validation")
 
 
-# --- translation ---------------------------------------------------------------
-
-def test_translate_features_formulas():
-    rng = np.random.default_rng(4)
-    n, d = 200, 3
-    y = np.where(rng.uniform(size=n) < 0.5, 1.0, -1.0)
-    X = rng.normal(size=(n, d)) + y[:, None] * np.asarray([1.0, -0.5, 0.0])
-    groups = tuple(FeatureGroup(f"f{i}", "numeric", i, i + 1) for i in range(d))
-    ds = Dataset(features=X, labels=y, feature_names=[f"f{i}" for i in range(d)],
-                 encoding_map=groups)
-    shifted, strengths = translate_features(ds)
-    tr = ds.train_indices
-    mu_pos = X[tr][y[tr] == 1.0].mean(axis=0)
-    mu_neg = X[tr][y[tr] == -1.0].mean(axis=0)
-    np.testing.assert_allclose(strengths.values, 0.5 * (mu_pos - mu_neg), atol=1e-12)
-    np.testing.assert_allclose(shifted.features, X - 0.5 * (mu_pos + mu_neg), atol=1e-12)
-    assert shifted.translated
-    # translated class-conditional means are +/- the strengths
-    st = shifted.features[tr]
-    np.testing.assert_allclose(st[y[tr] == 1.0].mean(axis=0), strengths.values, atol=1e-12)
-    np.testing.assert_allclose(st[y[tr] == -1.0].mean(axis=0), -strengths.values, atol=1e-12)
-    # translating again moves nothing (midpoint of +/-a is 0)
-    twice, again = translate_features(shifted)
-    np.testing.assert_allclose(twice.features, shifted.features, atol=1e-12)
-    np.testing.assert_allclose(again.values, strengths.values, atol=1e-12)
-
-
-def test_translate_features_estimates_true_strengths():
-    # held-out sanity: estimated strengths within 3 SE of the generator's
-    spec = SyntheticSpec(strengths=(0.8, -0.3, 0.0), noise_sd=(1.0, 1.0, 1.0), seed=6)
-    ds = generate_synthetic(spec, 20000)
-    _, strengths = translate_features(ds)
-    n_train = len(ds.train_indices)
-    se = 1.0 / np.sqrt(n_train)  # conservative: noise sd 1 per class
-    np.testing.assert_allclose(strengths.values, [0.8, -0.3, 0.0], atol=3 * se)
-
-
-def test_translate_requires_both_classes():
-    X = np.ones((10, 1))
-    ds = Dataset(features=X, labels=np.ones(10),
-                 feature_names=["f0"],
-                 encoding_map=(FeatureGroup("f0", "numeric", 0, 1),))
-    with pytest.raises(ValueError, match="both classes"):
-        translate_features(ds)
-
+# --- translated features ---------------------------------------------------------
 
 def test_translated_categorical_skips_one_hot_check(tmp_path):
     path = make_categorical_csv(tmp_path / "cat.csv", n=40, seed=1)
     ds = load_csv(path, categorical_schema(path), "class")
-    shifted, _ = translate_features(ds)  # blocks no longer 0/1: must not raise
-    assert shifted.translated
-    assert not np.all(np.isin(shifted.features, (0.0, 1.0)))
+    shifted = ds.features - ds.features.mean(axis=0)  # blocks no longer 0/1
+    with pytest.raises(ValueError, match="one-hot"):
+        Dataset(shifted, ds.labels, ds.feature_names, ds.encoding_map)
+    kept = Dataset(shifted, ds.labels, ds.feature_names, ds.encoding_map, translated=True)
+    assert kept.translated
+    assert not np.all(np.isin(kept.features, (0.0, 1.0)))
 
 
 # --- synthetic generators -------------------------------------------------------

@@ -123,6 +123,22 @@ def test_empty_sweeps():
     assert len(out.tradeoff_rows) == 1
 
 
+@pytest.mark.parametrize("baseline, message", [
+    ([0.0, np.nan], "baseline has non-finite entries"),
+    ([np.inf, 0.0], "baseline has non-finite entries"),
+    ([0.0, 0.0, 0.0], "baseline shape"),
+])
+def test_bad_baseline_is_rejected_before_training(monkeypatch, baseline, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("trained before rejecting the baseline")
+
+    monkeypatch.setattr("attrsparse.pipeline.train_many", refuse)
+    spec = SyntheticSpec(strengths=(0.8, 0.1), noise_sd=(1.0, 1.0), seed=1)
+    ds = generate_synthetic(spec, 120)
+    with pytest.raises(ValueError, match=message):
+        run_compare(ds, LOGISTIC, [0.1], [], TrainConfig(epochs=2), baseline=np.asarray(baseline))
+
+
 def test_numeric_method_tag_and_steps():
     spec = SyntheticSpec(strengths=(0.8, 0.1), noise_sd=(1.0, 1.0), seed=1)
     ds = generate_synthetic(spec, 120)

@@ -13,9 +13,10 @@ from attrsparse.theory import (
     check_theorem1_limit,
     check_theorem3_identity,
     expected_update,
+    lemma_d1_instance,
+    theorem1_bound_instances,
     theorem3_instances,
     verify_zero_weight_update,
-    weighted_average,
 )
 
 LN2 = 0.6931471805599453
@@ -90,8 +91,11 @@ def test_expected_update_matches_quadrature_oracle():
 
 
 def test_weighted_average_hand_value_and_validation():
+    # the bound's abar is the weighted average sum_S w_i a_i / sum_S |w_i| of
+    # the strengths: (2*1 + 3*3) / (2 + 3) = 2.2
     wspec = WeightedAverageSpec(indices=(0, 2), w=np.asarray([2.0, -1.0, 3.0]))
-    assert weighted_average(np.asarray([1.0, 2.0, 3.0]), wspec) == pytest.approx(2.2, abs=1e-15)
+    res = check_theorem1_bound(LOGISTIC, wspec, 0.1, _sampler((1.0, 2.0, 3.0)), 10_000)
+    assert res.detail.endswith("abar=2.2")
     with pytest.raises(ValueError, match="non-empty"):
         WeightedAverageSpec(indices=(), w=np.asarray([1.0]))
     with pytest.raises(ValueError, match="vanish"):
@@ -130,11 +134,17 @@ def test_limit_residual_shrinks_with_weight_scale():
 
 # --- conditional-expectation bound ------------------------------------------------
 
-def _zv_sampler(strengths, f_strength=0.0, **kw):
-    base = SyntheticConditionalSampler(strengths=strengths, **kw)
+def _zv_sampler(strengths, shared=(), weight=0.0):
+    """(Z, V, Y) with Z = y*x_0 and V = y*x_rest; the features in ``shared``
+    (never x_0) also load ``weight`` times one latent normal factor, which
+    correlates them with each other but leaves Z independent of V given Y."""
+    base = SyntheticConditionalSampler(strengths=strengths)
 
     def sample(n, rng):
         X, y = base.sample(n, rng)
+        if shared:
+            t = rng.normal(0.0, 1.0, size=n)
+            X[:, np.asarray(shared)] += weight * t[:, None]
         return y * X[:, 0], y[:, None] * X[:, 1:], y
 
     return sample
@@ -173,8 +183,7 @@ def test_lemma_canned_loss_instantiation_passes():
     plain = _zv_sampler((0.6, 0.3, -0.2, 0.1))
     res = check_lemma_exp_bound(f, plain, 100_000, seed=0)
     assert res.passed
-    shared = _zv_sampler((0.6, 0.3, -0.2, 0.1),
-                         shared_factor_indices=(1, 2, 3), shared_factor_weight=0.7)
+    shared = _zv_sampler((0.6, 0.3, -0.2, 0.1), shared=(1, 2, 3), weight=0.7)
     res2 = check_lemma_exp_bound(f, shared, 100_000, seed=0)
     assert res2.passed
 
@@ -309,6 +318,31 @@ def test_theorem3_instances_follow_the_per_trial_stream():
             assert y[k] == t and eps[k] == e
 
 
+def test_theorem1_bound_instances_follow_their_own_streams():
+    got = list(theorem1_bound_instances(4, seed=3))
+    assert len(got) == 4
+    for k, (strengths, wspec, check_seed) in enumerate(got):
+        rng = np.random.default_rng([3, k])
+        assert strengths == tuple(rng.uniform(-0.8, 0.8, size=6).tolist())
+        assert _same_bits(wspec.w, rng.normal(0.0, 1.0, size=6))
+        size = int(rng.integers(1, 7))
+        assert wspec.indices == tuple(sorted(rng.choice(6, size=size, replace=False).tolist()))
+        assert check_seed == 3 * 100_003 + k
+
+
+def test_lemma_d1_instance_draws_z_v_and_a_non_increasing_f():
+    sampler = _sampler((0.6, 0.3, -0.2))
+    f, draw = lemma_d1_instance(LOGISTIC, sampler, 0.1, seed=4)
+    z, v, y = draw(1000, np.random.default_rng(0))
+    X, y_ref = sampler.sample(1000, np.random.default_rng(0))
+    assert _same_bits(y, y_ref)
+    assert _same_bits(z, y * X[:, 0]) and _same_bits(v, y[:, None] * X[:, 1:])
+    w = np.random.default_rng(4).normal(0.0, 1.0, size=3)
+    want = LOGISTIC.gprime(0.1 * np.abs(w).sum() - abs(w[0]) * z - v @ w[1:])
+    assert _same_bits(f(z, v), want)
+    assert np.all(f(z + 0.5, v) <= f(z, v))
+
+
 # --- in-place Monte-Carlo statistics against the formulas they replace --------------
 
 def _sample_reference(s, m, rng):
@@ -319,18 +353,13 @@ def _sample_reference(s, m, rng):
         noise = rng.normal(0.0, s.noise_sd, size=(m, a.size))
     else:
         noise = rng.uniform(-s.noise_sd, s.noise_sd, size=(m, a.size))
-    X = a * y[:, None] + noise
-    if s.shared_factor_indices and s.shared_factor_weight != 0.0:
-        t = rng.normal(0.0, 1.0, size=m)
-        X[:, np.asarray(s.shared_factor_indices)] += s.shared_factor_weight * t[:, None]
-    return X, y
+    return a * y[:, None] + noise, y
 
 
 @pytest.mark.parametrize("kw", [
     {},
     {"noise_kind": "uniform", "noise_sd": 0.5, "class_balance": 0.3},
-    {"shared_factor_indices": (1, 3), "shared_factor_weight": 0.7},
-], ids=["gaussian", "uniform", "shared-factor"])
+], ids=["gaussian", "uniform"])
 @pytest.mark.parametrize("m", [1, 1000, 40_000])
 def test_sampler_matches_reference_bitwise(kw, m):
     s = _sampler(**kw)
@@ -419,6 +448,13 @@ def test_sampler_validation_and_uniform_support():
         SyntheticConditionalSampler(strengths=(0.1,), noise_kind="laplace")
     with pytest.raises(ValueError, match="class_balance"):
         SyntheticConditionalSampler(strengths=(0.1,), class_balance=1.0)
+    for strengths in ((), (0.1, np.nan), (np.inf, 0.2)):
+        with pytest.raises(ValueError, match="strengths must be one or more finite numbers"):
+            SyntheticConditionalSampler(strengths=strengths)
+    # noise_sd = 0 stays valid: it makes the exact zero-weight case
+    for noise_sd in (np.nan, np.inf, -0.5):
+        with pytest.raises(ValueError, match="noise_sd must be a finite number >= 0"):
+            SyntheticConditionalSampler(strengths=(0.1,), noise_sd=noise_sd)
     s = SyntheticConditionalSampler(strengths=(0.5, -0.2), noise_sd=0.3,
                                     noise_kind="uniform")
     X, y = s.sample(5_000, np.random.default_rng(0))
