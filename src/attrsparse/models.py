@@ -74,20 +74,20 @@ _HIDDEN_ACTS = ("softplus", "tanh", "relu")
 
 
 def _act(kind, t):
+    """A hidden activation and its derivative at t from one pass; softplus
+    is max(t, 0) + log1p(exp(-|t|)) on NumPy's vectorised exp and log1p, and
+    its derivative is sigmoid(t) bit for bit. Sums and quotients are taken in
+    place, as numeric IG's blocks outgrow NumPy's small-buffer cache."""
     if kind == "softplus":
-        return np.logaddexp(0.0, t)
+        e = np.exp(-np.abs(t))
+        h = np.log1p(e)
+        h += np.maximum(t, 0.0)
+        dh = np.where(t >= 0, 1.0, e)
+        return h, np.divide(dh, np.add(e, 1.0, out=e), out=dh)
     if kind == "tanh":
-        return np.tanh(t)
-    return np.maximum(0.0, t)
-
-
-def _act_deriv(kind, t):
-    if kind == "softplus":
-        return sigmoid(t)
-    if kind == "tanh":
-        th = np.tanh(t)
-        return 1.0 - th * th
-    return np.where(t > 0.0, 1.0, 0.0)
+        h = np.tanh(t)
+        return h, 1.0 - h * h
+    return np.maximum(0.0, t), np.where(t > 0.0, 1.0, 0.0)
 
 
 @dataclass
@@ -133,7 +133,8 @@ class MlpModel:
         return [self.dim] + [W.shape[-1] for W in self.weights]
 
     def _forward(self, X, first=None):
-        """Forward pass caching pre-activations; X must be 2-d (n, d).
+        """Forward pass on X (n, d) returning (logit, derivatives, layer
+        inputs), with each hidden activation's derivative cached for backprop.
 
         The logit is (n,), or (k, n) for a stack of k models. ``first``, when
         given, replaces the first layer's output X @ W0 + b0 (X then only
@@ -141,14 +142,14 @@ class MlpModel:
         logit.
         """
         t = X @ self.weights[0] + self.biases[0][..., None, :] if first is None else first
-        pre = []      # pre-activation per hidden layer
+        derivs = []   # activation derivative per hidden layer
         acts = [X]    # layer inputs, starting with the data
         for W, b in zip(self.weights[1:], self.biases[1:]):
-            pre.append(t)
-            h = _act(self.hidden_activation, t)
+            h, dh = _act(self.hidden_activation, t)
+            derivs.append(dh)
             acts.append(h)
             t = h @ W + b[..., None, :]
-        return t[..., 0], pre, acts
+        return t[..., 0], derivs, acts
 
     def margin(self, x):
         x = np.asarray(x, dtype=float)
@@ -163,7 +164,7 @@ class MlpModel:
 
     def backprop(self, cache, dlogit, *, params=True, inputs=True, first=False):
         """Reverse pass from dLoss/dlogit (n,) through the cached forward pass
-        ``cache = self._forward(X)``.
+        ``cache = self._forward(X)``, using the activation derivatives it cached.
 
         Returns (weight_grads, bias_grads, input_grads): parameter gradients
         are summed over the batch, input gradients are per example (n, d);
@@ -174,12 +175,12 @@ class MlpModel:
         in place of the input gradients, the gradient at the first layer's
         output (n, h1), whose product with W0 transposed they are.
         """
-        _, pre, acts = cache
+        _, derivs, acts = cache
         weight_grads, bias_grads = [], []
         delta = dlogit[..., None]  # gradient at the output unit
         for l in range(len(self.weights) - 1, -1, -1):
-            if l < len(pre):
-                delta = upstream * _act_deriv(self.hidden_activation, pre[l])
+            if l < len(derivs):
+                delta = np.multiply(upstream, derivs[l], out=upstream)
             if params:
                 weight_grads.insert(0, acts[l].swapaxes(-1, -2) @ delta)
                 bias_grads.insert(0, delta.sum(axis=-2))

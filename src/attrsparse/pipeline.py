@@ -38,8 +38,8 @@ class CompareOutcome:
     gini_reports: dict = field(default_factory=dict)
 
 
-def _regime_cfg(base: TrainConfig, regime: str, **overrides) -> TrainConfig:
-    return replace(base, regime=regime, **overrides)
+def _strength(cfg: TrainConfig) -> float:
+    return cfg.epsilon if cfg.regime == "adversarial" else cfg.l1_strength
 
 
 def _cfg_dict(cfg: TrainConfig) -> dict:
@@ -65,9 +65,15 @@ def run_compare(ds: Dataset, spec: LossSpec, eps_list, lam_list, base_cfg: Train
 
     models, traces, reports, accuracies, mean_losses = {}, {}, {}, {}, {}
 
-    sweep = ([_regime_cfg(base_cfg, "adversarial", epsilon=float(eps)) for eps in eps_list]
-             + [_regime_cfg(base_cfg, "l1", l1_strength=float(lam)) for lam in lam_list])
-    cfgs = {regime_tag(cfg): cfg for cfg in [_regime_cfg(base_cfg, "natural")] + sweep}
+    sweep = ([replace(base_cfg, regime="adversarial", epsilon=float(eps)) for eps in eps_list]
+             + [replace(base_cfg, regime="l1", l1_strength=float(lam)) for lam in lam_list])
+    cfgs = {"natural": replace(base_cfg, regime="natural")}
+    for cfg in sweep:
+        tag = regime_tag(cfg)
+        if tag in cfgs:  # the tag keys every model and report row
+            raise ValueError(f"sweep values {_strength(cfgs[tag])!r} and {_strength(cfg)!r} "
+                             f"both name the model {tag}")
+        cfgs[tag] = cfg
 
     # Fits that share the seed's random stream train as one stack; an MLP
     # with PGD draws its random starts from that stream and trains alone.
@@ -104,8 +110,7 @@ def run_compare(ds: Dataset, spec: LossSpec, eps_list, lam_list, base_cfg: Train
         })
         for row_pos, example_idx in enumerate(ds.test_indices):
             distribution_rows.append((int(example_idx), tag, float(per_example[row_pos])))
-        param = cfg.epsilon if cfg.regime == "adversarial" else cfg.l1_strength
-        tradeoff_rows.append((tag, param, accuracies[tag], reports[tag].mean))
+        tradeoff_rows.append((tag, _strength(cfg), accuracies[tag], reports[tag].mean))
 
     report = {
         "format_version": 1,

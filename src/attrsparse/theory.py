@@ -323,13 +323,9 @@ def attribution_shift_norm(spec: LossSpec, w, x, y, delta):
     taken from baseline x to input x + delta (exact closed form).
 
     w, x and delta are (m, d) blocks and y is (m,), one instance per row, and
-    the result is one norm per row; a 1-d call is the one-row case and
-    returns a float.
+    the result is one norm per row.
     """
     w, x, y, delta = (np.asarray(t, dtype=float) for t in (w, x, y, delta))
-    if x.ndim == 1:
-        return float(attribution_shift_norm(spec, w[None, :], x[None, :], y[None],
-                                            delta[None, :])[0])
     wl = -y[:, None] * w  # the loss map is g(<wl, v>)
     denom = _row_dot(delta, wl)
     f0 = spec.g(_row_dot(x, wl))
@@ -349,13 +345,9 @@ def check_theorem3_identity(spec: LossSpec, w, x, y, epsilon):
     closed-form maximizer delta_i = -y * sign(w_i) * eps.
 
     w and x are (m, d) blocks, y and epsilon are (m,), one instance per row,
-    and the result is one residual per row; a 1-d call is the one-row case
-    and returns a float.
+    and the result is one residual per row.
     """
     w, x, y, epsilon = (np.asarray(t, dtype=float) for t in (w, x, y, epsilon))
-    if x.ndim == 1:
-        return float(check_theorem3_identity(spec, w[None, :], x[None, :], y[None],
-                                             epsilon[None])[0])
     delta = -y[:, None] * np.sign(w) * epsilon[:, None]
     score = _row_dot(x, w)
     lhs = spec.g(-y * score) + attribution_shift_norm(spec, w, x, y, delta)

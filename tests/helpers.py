@@ -23,6 +23,12 @@ MUSHROOM_PATH = os.path.abspath(os.path.join(DATA_DIR, "mushroom.csv"))
 SPAMBASE_PATH = os.path.abspath(os.path.join(DATA_DIR, "spambase.csv"))
 
 
+def one_row(check, spec, *instance) -> float:
+    """A row-block theorem check (w, x, ... as (m, d) and (m,) blocks) on one
+    1-d instance, passed as a (1, d) block; returns its one row."""
+    return float(check(spec, *(np.asarray(t, dtype=float)[None] for t in instance))[0])
+
+
 def gini_row_reference(v) -> float:
     """The Gini index of one non-negative vector in the rank form with exact
     sums, coded one 1-d row at a time (0 for an all-zero vector)."""

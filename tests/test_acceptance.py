@@ -16,7 +16,13 @@ import warnings
 import numpy as np
 
 from conftest import ACCEPTANCE_CRITERIA
-from helpers import MUSHROOM_PATH, SPAMBASE_PATH, load_mushroom_file, load_spambase_file
+from helpers import (
+    MUSHROOM_PATH,
+    SPAMBASE_PATH,
+    load_mushroom_file,
+    load_spambase_file,
+    one_row,
+)
 
 from attrsparse.adversarial import PerturbationBudget, adversarial_loss
 from attrsparse.attribution import attribute_dataset, ig_closed_form, ig_numeric
@@ -102,7 +108,7 @@ def test_worst_case_attribution_equivalence(acceptance):
             x = rng.normal(size=d)
             y = 1.0 if rng.uniform() < 0.5 else -1.0
             eps = float(rng.uniform(0.01, 0.5))
-            worst = max(worst, check_theorem3_identity(spec, w, x, y, eps))
+            worst = max(worst, one_row(check_theorem3_identity, spec, w, x, y, eps))
     identity_ok = worst <= 1e-9
 
     # (b) the stability-penalty regime must replay the adversarial regime
@@ -226,7 +232,8 @@ def test_worst_case_loss_maximality(acceptance):
             brute = float(np.max(spec.g(corner_margins)))
             closed = adversarial_loss(spec, model, x, y, budget)
             worst_gap = max(worst_gap, abs(closed - brute))
-            worst_identity = max(worst_identity, check_theorem3_identity(spec, w, x, y, eps))
+            worst_identity = max(worst_identity,
+                                 one_row(check_theorem3_identity, spec, w, x, y, eps))
     ok = worst_gap <= 1e-12 and worst_identity <= 1e-12
     acceptance.check(C6, ok, (
         f"max closed-vs-corner gap {worst_gap:.3e}, max identity residual "

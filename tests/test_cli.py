@@ -369,6 +369,21 @@ def test_compare_closed_form_rejects_mlp_before_training(synth_json, tmp_path, c
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("flag, values, named", [
+    ("--eps-list", "0.1,0.1000001", "0.1 and 0.1000001"),
+    ("--eps-list", "0.1,0.1", "0.1 and 0.1"),
+    ("--lam-list", "0.05,0.2,0.0500000001", "0.05 and 0.0500000001"),
+])
+def test_compare_rejects_colliding_sweep_values_before_training(synth_json, tmp_path, capsys,
+                                                                no_training, flag, values,
+                                                                named):
+    rc = main(["compare", "--data", str(synth_json), flag, values, "--out-dir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"sweep values {named} both name the model" in err
+    assert not (tmp_path / "report.json").exists()
+
+
 # --- attribute --------------------------------------------------------------------
 
 def test_attribute_outputs(synth_json, trained_model, tmp_path):

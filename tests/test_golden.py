@@ -5,10 +5,13 @@ writes, so any change to the training, perturbation, attribution or Monte-Carlo
 arithmetic shows up as a changed byte. The wall-clock ``runtime_seconds`` field
 is dropped from ``report.json`` before hashing; every other byte is pinned.
 
-The pins hold for the NumPy/BLAS build they were computed with; a build that
-rounds matrix products differently changes them. To re-pin after an intended
-output change, run ``python tests/test_golden.py`` and paste its output over
-GOLDEN, and say in CHANGES.md which outputs changed and why.
+The pins hold for the NumPy build they were computed with: its BLAS rounds the
+matrix products, and its vectorised exp and log1p (which the MLP's softplus
+runs on) round differently from the C library's; another build can change
+them. To re-pin after an intended output change, run
+``python tests/test_golden.py``: it prints the new GOLDEN to stdout, which is
+pasted over GOLDEN, and names on stderr each key whose digest differs from
+GOLDEN. Say in CHANGES.md which outputs changed and why.
 """
 from __future__ import annotations
 
@@ -86,15 +89,15 @@ GOLDEN = {
     'attribute-linear-closed/attributions.csv': '10d79c01c7ac03e9d0e2a612fdf84f2d0d86b6811ab0898dd030cdc496850b0f',
     'attribute-linear-closed/impact_features.csv': '5f0dec3e1ae67f10026f2bf1236eeb9442eb238a461534e22a9d9abf2402691c',
     'attribute-linear-closed/impact_values.csv': '5f0dec3e1ae67f10026f2bf1236eeb9442eb238a461534e22a9d9abf2402691c',
-    'attribute-mlp-numeric/attributions.csv': 'd5238c7728f1b8ebb857c26a978ed329f627876285a057deb477b2c150e50407',
-    'attribute-mlp-numeric/impact_features.csv': 'b642d3758425d2387cea53d636340169b87b85d5a4c726a65cadafd95c6cd601',
-    'attribute-mlp-numeric/impact_values.csv': 'b642d3758425d2387cea53d636340169b87b85d5a4c726a65cadafd95c6cd601',
+    'attribute-mlp-numeric/attributions.csv': '15b1ed84c1eff0d768436c638a5552d1ce9190f73028a2fb7f20db6857ba17bb',
+    'attribute-mlp-numeric/impact_features.csv': '8c5e56b561e8c13841ffb3d058b77b50ed357b47cbf5e493d3a1e631b9c96e56',
+    'attribute-mlp-numeric/impact_values.csv': '8c5e56b561e8c13841ffb3d058b77b50ed357b47cbf5e493d3a1e631b9c96e56',
     'compare-linear/distributions.csv': '7a0397c1b5a4a551292812db8a49dc060c5cc1d3d3b0bf71400ab028b462fbde',
     'compare-linear/report.json': '9c9f64acaaf01ff3e518e727f1a944512ea75f61c2c9c41298ee1e0dfa5a7ed5',
     'compare-linear/table.csv': 'c19f650e80b8c95b66d6a9d2a1fcf598df96c58b175804c2261b355587187477',
     'compare-linear/tradeoff.csv': '6ac29e45891f3c97ac267f43fcec3145034782be28a5d37978589ae79fffe273',
-    'compare-mlp/distributions.csv': '96c6199472da248519c2ca65164929ebee8370eef38759025f40b0b3c36ff1f1',
-    'compare-mlp/report.json': '239f7d3ef4b9b9233a182730cb3c14f61b4550decb81ee0dce27a67dc02055f6',
+    'compare-mlp/distributions.csv': '3cf2ff66abaf784b8d26862f35c123950ed83b89370317f2eeadf1fd2adbdf8b',
+    'compare-mlp/report.json': 'f9db3c5a5260fc07e795820cefc8380b9528d427d9fc19213c67c6296f588ba8',
     'compare-mlp/table.csv': '16517c02429ec9e0be95366f75a88e426a34d2d0dac200e74ce1267f3bace55c',
     'compare-mlp/tradeoff.csv': '28aa9a732aacc8c4f184882ac5c6e822e0cf829e3544407c20db97297ae64e1b',
     'gini-attributions/gini.csv': 'ef60dc9b0fb7d8f6748fdbe4da0871aa5d9d20ed99cf51d6faa9b37e2cc1ebbe',
@@ -104,9 +107,9 @@ GOLDEN = {
     'train-linear-l1/model.json': 'c431315aa3b13a60b1bf58170258a3137f4b0e6737464c04a4bd44c70683248a',
     'train-linear-l1/resolved_config.json': '35d60a88c72f06634dd18824d5c4dda3b29c164f83b29bed8bd358be53538f1b',
     'train-linear-l1/trace.csv': '201094ce13e92a778ad1e37918751ab9c8bdde2d652f21ee59a84d5289060cd1',
-    'train-mlp-adversarial/model.json': '7bfce20abdb1957878458716f26383d23f45ab880d7c5876dac1c60ca08b4848',
+    'train-mlp-adversarial/model.json': 'a9d99a223dd712317fc4f06a545aeb3aeec2a30423e11a6326d3ff361535b44d',
     'train-mlp-adversarial/resolved_config.json': 'd0daa72e17e0e15c4caa7c23a47ff111cb17cb70e2ddbedcb199a135fdf2dcfb',
-    'train-mlp-adversarial/trace.csv': 'e0454a6985a3a6b2931780de16368c8402db3105cb46811566126801413464bd',
+    'train-mlp-adversarial/trace.csv': '9c854efa320ce4d85547a8e65247cc670e2945fd54f08f6fefcd1673aea2c123',
     'verify-lemmaD1-gaussian/report.json': 'e69677be98a0886a39b4e89f67af0804a6d1658f7ec3ce6ad737b020de89a2de',
     'verify-lemmaD1-hinge/report.json': '0a85819df0a1ae3522de08dcd308ae0774aab8ae2890b7ca64d1a7d503706767',
     'verify-lemmaD1-uniform/report.json': 'b1f72deaf477aa3d5dd6d1c9411f93ce81b13010fd1d03fbe11369f4bbb8dafe',
@@ -174,3 +177,6 @@ if __name__ == "__main__":
         pins = run_cases(tmp)
     for key, value in sorted(pins.items()):
         sys.stdout.write(f"    {key!r}: {value!r},\n")
+    for key in sorted(set(pins) | set(GOLDEN)):
+        if pins.get(key) != GOLDEN.get(key):
+            sys.stderr.write(f"differs from GOLDEN: {key}\n")

@@ -11,6 +11,7 @@ from attrsparse.losses import make_loss, sigmoid
 from attrsparse.models import (
     LinearModel,
     MlpModel,
+    _act,
     classify,
     init_mlp,
     load_model,
@@ -109,6 +110,44 @@ def test_mlp_activations_forward(act):
         h = np.maximum(0.0, t)
     expected = 2.0 * h[0] - 1.5 * h[1] + 0.3
     assert float(model.margin(x)) == pytest.approx(expected, abs=1e-12)
+
+
+def _act_grid():
+    """±0, subnormals, the exp under- and overflow edges, and normal draws
+    from 0.01 to 300 in scale."""
+    edges = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 709.0, 709.78, 745.0, 745.2,
+             800.0, 1e-300, 36.0, 37.0]
+    rng = np.random.default_rng(11)
+    draws = [scale * rng.standard_normal(4000) for scale in (0.01, 0.3, 1.0, 5.0, 40.0, 300.0)]
+    grid = np.concatenate([np.asarray(edges), *draws])
+    return np.concatenate([grid, -grid])
+
+
+def test_act_softplus_contract():
+    t = _act_grid()
+    value, deriv = _act("softplus", t)
+    want = np.logaddexp(0.0, t)
+    # both sides are >= 0, where the int64 bit patterns count ulps
+    ulps = np.abs(value.view(np.int64) - want.view(np.int64))
+    assert np.all(value >= 0.0) and ulps.max() <= 4, t[np.argmax(ulps)]
+    np.testing.assert_array_equal(deriv, sigmoid(t))
+
+    ends = np.asarray([np.inf, -np.inf, np.nan])
+    with np.errstate(invalid="ignore"):
+        value, deriv = _act("softplus", ends)
+        np.testing.assert_array_equal(value, np.logaddexp(0.0, ends))
+    np.testing.assert_array_equal(deriv, sigmoid(ends))
+    assert np.isnan(value[2]) and np.isnan(deriv[2])
+
+
+def test_act_tanh_and_relu_contract():
+    t = _act_grid()
+    value, deriv = _act("tanh", t)
+    np.testing.assert_array_equal(value, np.tanh(t))
+    np.testing.assert_array_equal(deriv, 1 - np.tanh(t) ** 2)
+    value, deriv = _act("relu", t)
+    np.testing.assert_array_equal(value, np.maximum(0, t))
+    np.testing.assert_array_equal(deriv, np.where(t > 0, 1, 0))
 
 
 def test_single_layer_mlp_equals_linear():

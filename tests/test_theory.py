@@ -2,6 +2,7 @@
 oracles, the conditional-expectation bound, and the exact loss identity."""
 import numpy as np
 import pytest
+from helpers import one_row
 
 from attrsparse.losses import LOSS_KINDS, make_loss
 from attrsparse.theory import (
@@ -192,16 +193,14 @@ def test_lemma_canned_loss_instantiation_passes():
 
 def test_attribution_shift_norm_hand_value():
     spec = LOGISTIC
-    shift = attribution_shift_norm(spec, np.asarray([1.0]), np.asarray([0.0]),
-                                   1.0, np.asarray([-0.3]))
+    shift = one_row(attribution_shift_norm, spec, [1.0], [0.0], 1.0, [-0.3])
     assert shift == pytest.approx(G_LOG_03 - LN2, abs=1e-15)
-    assert attribution_shift_norm(spec, np.asarray([1.0, 2.0]), np.asarray([0.5, -0.5]),
-                                  -1.0, np.zeros(2)) == 0.0
+    assert one_row(attribution_shift_norm, spec, [1.0, 2.0], [0.5, -0.5], -1.0,
+                   np.zeros(2)) == 0.0
 
 
 def test_identity_hand_case_and_fuzz():
-    assert check_theorem3_identity(LOGISTIC, np.asarray([1.0]), np.asarray([0.0]),
-                                   1.0, 0.3) <= 1e-15
+    assert one_row(check_theorem3_identity, LOGISTIC, [1.0], [0.0], 1.0, 0.3) <= 1e-15
     rng = np.random.default_rng(7)
     for kind in LOSS_KINDS:
         spec = make_loss(kind)
@@ -211,7 +210,7 @@ def test_identity_hand_case_and_fuzz():
             x = rng.normal(size=d)
             y = 1.0 if rng.uniform() < 0.5 else -1.0
             eps = float(rng.uniform(0.0, 1.0))
-            assert check_theorem3_identity(spec, w, x, y, eps) <= 1e-12
+            assert one_row(check_theorem3_identity, spec, w, x, y, eps) <= 1e-12
 
 
 def test_closed_form_perturbation_maximizes_attribution_shift():
@@ -222,12 +221,12 @@ def test_closed_form_perturbation_maximizes_attribution_shift():
         x = rng.normal(size=d)
         y = 1.0 if rng.uniform() < 0.5 else -1.0
         eps = float(rng.uniform(0.05, 0.8))
-        best = attribution_shift_norm(LOGISTIC, w, x, y, -y * np.sign(w) * eps)
+        best = one_row(attribution_shift_norm, LOGISTIC, w, x, y, -y * np.sign(w) * eps)
         for _ in range(20):
             delta = rng.uniform(-eps, eps, size=d)
-            assert attribution_shift_norm(LOGISTIC, w, x, y, delta) <= best + 1e-12
+            assert one_row(attribution_shift_norm, LOGISTIC, w, x, y, delta) <= best + 1e-12
         corner = eps * np.where(rng.uniform(size=d) < 0.5, 1.0, -1.0)
-        assert attribution_shift_norm(LOGISTIC, w, x, y, corner) <= best + 1e-12
+        assert one_row(attribution_shift_norm, LOGISTIC, w, x, y, corner) <= best + 1e-12
 
 
 # --- the batched identity against the per-instance formulas ------------------------
@@ -290,11 +289,10 @@ def test_batched_identity_matches_per_row_formula_bitwise(d):
         shift = attribution_shift_norm(spec, W, X, y, D)
         assert _same_bits(shift, [_shift_norm_reference(spec, w, x, t, dl)
                                   for w, x, t, _, dl in rows]), kind
-        # the 1-d call is the one-row case
-        one = check_theorem3_identity(spec, W[85], X[85], y[85], eps[85])
-        assert type(one) is float and _same_bits(one, want[85])
-        one = attribution_shift_norm(spec, W[0], X[0], y[0], D[0])
-        assert type(one) is float and _same_bits(one, 0.0)
+        # a (1, d) block is the one-row case
+        assert _same_bits(one_row(check_theorem3_identity, spec, W[85], X[85], y[85], eps[85]),
+                          want[85])
+        assert _same_bits(one_row(attribution_shift_norm, spec, W[0], X[0], y[0], D[0]), 0.0)
     # the kink rows sit exactly at the hinge's kink z = -1
     assert np.all(-y[70:80] * X[70:80, 0] == -1.0)
     assert np.all(eps[80:90] - y[80:90] * X[80:90, 0] == -1.0)
