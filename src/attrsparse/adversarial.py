@@ -88,7 +88,7 @@ def _input_grad(spec, model, X, y):
 
 
 def pgd_perturb_batch(model, X, y, budget: PerturbationBudget, cfg: PgdConfig,
-                      spec: LossSpec | None = None, rng=None, clamp01=False):
+                      spec: LossSpec | None = None, rng=None):
     """Projected signed-gradient ascent on a batch; rows perturbed independently.
 
     Deterministic given cfg.seed (or a caller-supplied generator). If the final
@@ -108,21 +108,15 @@ def pgd_perturb_batch(model, X, y, budget: PerturbationBudget, cfg: PgdConfig,
     start = delta.copy()
     moved = np.add(X, delta)  # X + delta, refilled in place each step
     start_loss = loss(spec, model, moved, y)  # a forward pass only
-    if clamp01:
-        low, high = -X, 1.0 - X
     for _ in range(cfg.steps):
         step = np.sign(_input_grad(spec, model, moved, y))
         step *= cfg.step_size
         delta += step
-        # The clip of delta to [-eps, eps], then to [-X, 1 - X], in place.
-        # Operand order keeps np.clip's signed-zero ties: np.maximum and
-        # np.minimum return their second operand on a tie, and np.clip keeps
-        # delta against scalar bounds but the bound against array bounds.
+        # np.clip(delta, -eps, eps) in place. Operand order keeps np.clip's
+        # signed-zero ties: on a tie np.maximum and np.minimum return their
+        # second operand, and np.clip keeps delta against scalar bounds.
         np.maximum(-eps, delta, out=delta)
         np.minimum(eps, delta, out=delta)
-        if clamp01:
-            np.maximum(delta, low, out=delta)
-            np.minimum(delta, high, out=delta)
         np.add(X, delta, out=moved)
     final_loss = loss(spec, model, moved, y)
     worse = final_loss < start_loss

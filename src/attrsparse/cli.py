@@ -21,8 +21,8 @@ from ._version import __version__
 from .attribution import DEFAULT_REPORT_STEPS, attribute_dataset, impact_report, write_pgm
 from .data import (
     Dataset,
-    SyntheticSpec,
-    blob_image_spec,
+    SyntheticConditionalSampler,
+    blob_sampler,
     generate_synthetic,
     load_csv,
     load_dataset,
@@ -38,7 +38,6 @@ from .pipeline import (
 )
 from .sparseness import gini_rows
 from .theory import (
-    SyntheticConditionalSampler,
     TheoremCheckResult,
     check_lemma_exp_bound,
     check_sample_count,
@@ -68,18 +67,12 @@ class _Parser(argparse.ArgumentParser):
 # shared parsing helpers
 # ---------------------------------------------------------------------------
 
-def _parse_float_list(text) -> list:
-    if text is None:
-        return []
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
+def _parse_float_list(text: str) -> list:
     body = text.strip().strip("[]")
-    if not body:
-        return []
     return [float(tok) for tok in body.split(",") if tok.strip()]
 
 
-def _parse_int_list(text) -> list:
+def _parse_int_list(text: str) -> list:
     return [int(v) for v in _parse_float_list(text)]
 
 
@@ -404,13 +397,26 @@ def cmd_gini(args) -> int:
     return 0
 
 
-def _strengths_from(args, default="0.8,-0.5,0.3,0.0,0.1") -> tuple:
+def _strengths_from(args, default) -> tuple:
     return tuple(_parse_float_list(args.strengths or default))
 
 
-def _verify_sampler(args, strengths) -> SyntheticConditionalSampler:
-    return SyntheticConditionalSampler(strengths=strengths, noise_sd=args.noise_sd,
-                                       class_balance=args.balance, noise_kind=args.noise_kind)
+def _given(args, **flags) -> dict:
+    """{parameter: value} for each flag (parameter=flag attribute) the user set."""
+    values = {key: getattr(args, flag, None) for key, flag in flags.items()}
+    return {key: v for key, v in values.items() if v is not None}
+
+
+def _sampler(args, strengths=None) -> SyntheticConditionalSampler:
+    """The sampler of synth and verify from the flags the user gave: the given
+    strengths, or else the blob image of synth's blob flags. An unset flag
+    keeps the signature default of the sampler or of blob_sampler."""
+    noise = _given(args, noise_sd="noise_sd", class_balance="balance", noise_kind="noise_kind")
+    if strengths is None:
+        return blob_sampler(**noise, **_given(
+            args, height="height", width="width", strong_amplitude="strong",
+            weak_amplitude="weak", blob_sigma="sigma"))
+    return SyntheticConditionalSampler(strengths=strengths, **noise)
 
 
 def cmd_verify(args) -> int:
@@ -432,11 +438,11 @@ def cmd_verify(args) -> int:
     results = []
 
     if args.check == "thm1-zero":
-        sampler = _verify_sampler(args, _strengths_from(args))
+        sampler = _sampler(args, _strengths_from(args, "0.8,-0.5,0.3,0.0,0.1"))
         results = verify_zero_weight_update(spec, sampler, n, seed=seed)
     elif args.check == "thm1-bound":
         for k, (strengths, wspec, check_seed) in enumerate(theorem1_bound_instances(configs, seed)):
-            res = check_theorem1_bound(spec, wspec, eps, _verify_sampler(args, strengths), n,
+            res = check_theorem1_bound(spec, wspec, eps, _sampler(args, strengths), n,
                                        seed=check_seed)
             res.check_id = f"weighted-update-bound[{k}]"
             results.append(res)
@@ -452,7 +458,7 @@ def cmd_verify(args) -> int:
                 estimate=worst, reference=0.0, se=0.0, n_samples=trials,
                 passed=bool(worst <= tol), detail=f"tol={tol:g}"))
     elif args.check == "lemmaD1":
-        sampler = _verify_sampler(args, _strengths_from(args, default="0.6,0.3,-0.2,0.1,0.05"))
+        sampler = _sampler(args, _strengths_from(args, "0.6,0.3,-0.2,0.1,0.05"))
         f, draw = lemma_d1_instance(spec, sampler, eps, seed)
         results = [check_lemma_exp_bound(f, draw, n, seed=seed)]
 
@@ -478,26 +484,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    n = args.n if args.n is not None else 2000
-    balance = args.balance if args.balance is not None else 0.5
+    strengths = None
     if args.kind == "gaussian":
-        strengths = _parse_float_list(
-            args.strengths or "1.0,0.05,0.05,0.05,0.05,0.05,0.05,0.05,0.05,0.05")
-        noise_sd = args.noise_sd if args.noise_sd is not None else 1.0
-        spec = SyntheticSpec(strengths=tuple(strengths),
-                             noise_sd=(noise_sd,) * len(strengths),
-                             class_balance=balance, seed=seed)
-    else:
-        spec = blob_image_spec(
-            height=args.height if args.height is not None else 8,
-            width=args.width if args.width is not None else 8,
-            strong_amplitude=args.strong if args.strong is not None else 1.0,
-            weak_amplitude=args.weak if args.weak is not None else 0.05,
-            blob_sigma=args.sigma if args.sigma is not None else 1.3,
-            noise_sd=args.noise_sd if args.noise_sd is not None else 0.5,
-            class_balance=balance, seed=seed)
-    ds = generate_synthetic(spec, n)
+        strengths = _strengths_from(args, "1.0,0.05,0.05,0.05,0.05,0.05,0.05,0.05,0.05,0.05")
+    ds = generate_synthetic(_sampler(args, strengths), args.n, args.seed)
     save_dataset(ds, args.out)
     print(f"wrote {args.out}: {ds.n_examples} examples, {ds.dim} features, kind={args.kind}")
     return 0
@@ -570,8 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sampler noise family (default gaussian; uniform suits hinge)")
     p.add_argument("--balance", type=float, help="P(y=+1) (default 0.5)")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.set_defaults(func=cmd_verify, n=100_000, trials=1000, configs=5, eps=0.1, tol=1e-9, seed=0,
-                   noise_sd=1.0, noise_kind="gaussian", balance=0.5)
+    p.set_defaults(func=cmd_verify, n=100_000, trials=1000, configs=5, eps=0.1, tol=1e-9, seed=0)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset JSON")
     p.add_argument("kind", choices=("gaussian", "blobs"), help="generator family")
@@ -586,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strong", type=float, help="blobs: center signal amplitude (default 1.0)")
     p.add_argument("--weak", type=float, help="blobs: background amplitude (default 0.05)")
     p.add_argument("--sigma", type=float, help="blobs: blob radius (default 1.3)")
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, n=2000, seed=0)
 
     return parser
 

@@ -1,29 +1,38 @@
 """Dataset ingestion, one-hot encoding, the seeded train/test split, and
-synthetic generators with known per-feature class association.
+the class-conditional sampler with known per-feature class association that
+both synthetic datasets and the theory checks draw from.
 """
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import fmt_float
+from ._util import chunk_bounds, fmt_float
 
 __all__ = [
     "FeatureGroup",
     "Dataset",
-    "SyntheticSpec",
+    "SyntheticConditionalSampler",
     "load_csv",
     "generate_synthetic",
-    "blob_image_spec",
+    "blob_sampler",
     "save_dataset",
     "load_dataset",
 ]
 
 TRAIN_FRACTION = 0.7
 _SIDECAR_VERSION = 1
+_ROWS = 1 << 14
+
+
+def _train_indices(n: int, split_seed: int) -> np.ndarray:
+    """Sorted training rows of the seeded 70/30 split of n examples."""
+    perm = np.random.default_rng(split_seed).permutation(n)
+    return np.sort(perm[: int(round(TRAIN_FRACTION * n))])
 
 
 @dataclass(frozen=True)
@@ -81,10 +90,8 @@ class Dataset:
                              f"non-finite value {float(self.features[i, j])!r}")
         self._validate_labels()
         self._validate_groups()
-        perm = np.random.default_rng(self.split_seed).permutation(n)
-        n_train = int(round(TRAIN_FRACTION * n))
-        self.train_indices = np.sort(perm[:n_train])
-        self.test_indices = np.sort(perm[n_train:])
+        self.train_indices = _train_indices(n, self.split_seed)
+        self.test_indices = np.delete(np.arange(n), self.train_indices)
 
     def _validate_labels(self):
         uniq = np.unique(self.labels)
@@ -132,29 +139,46 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class SyntheticSpec:
-    """Gaussian generator: label y = +1 w.p. class_balance, x_i = a_i*y + noise."""
+class SyntheticConditionalSampler:
+    """Features conditionally independent given the label: x_i = a_i*y + noise.
+
+    noise_kind "gaussian" draws sd * N(0,1); "uniform" draws sd * U(-1,1)
+    (bounded support, used for losses with a kink that must stay clear of it).
+    """
 
     strengths: tuple
-    noise_sd: tuple
+    noise_sd: float = 1.0
     class_balance: float = 0.5
-    seed: int = 0
+    noise_kind: str = "gaussian"
 
     def __post_init__(self):
-        a = np.asarray(self.strengths, dtype=float)
-        sd = np.broadcast_to(np.asarray(self.noise_sd, dtype=float), a.shape).copy()
-        if a.ndim != 1 or a.size < 1:
-            raise ValueError("strengths must be a non-empty vector")
-        if not np.all(sd > 0):
-            raise ValueError("noise_sd must be positive elementwise")
+        if self.noise_kind not in ("gaussian", "uniform"):
+            raise ValueError(f"unknown noise kind {self.noise_kind!r}")
         if not 0.0 < self.class_balance < 1.0:
-            raise ValueError("class_balance must be strictly between 0 and 1")
-        object.__setattr__(self, "strengths", tuple(a.tolist()))
-        object.__setattr__(self, "noise_sd", tuple(sd.tolist()))
+            raise ValueError("class_balance must be in (0, 1)")
+        strengths = tuple(float(v) for v in self.strengths)
+        if not strengths or not all(math.isfinite(v) for v in strengths):
+            raise ValueError(f"strengths must be one or more finite numbers, got {strengths}")
+        if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0.0):
+            raise ValueError(f"noise_sd must be a finite number >= 0, got {self.noise_sd}")
+        object.__setattr__(self, "strengths", strengths)
 
     @property
     def dim(self) -> int:
         return len(self.strengths)
+
+    def sample(self, m: int, rng):
+        """(X (m, d), y (m,)); X is a fresh array the caller may overwrite."""
+        a = np.asarray(self.strengths)
+        y = np.where(rng.uniform(size=m) < self.class_balance, 1.0, -1.0)
+        if self.noise_kind == "gaussian":
+            X = rng.normal(0.0, self.noise_sd, size=(m, a.size))
+        else:
+            X = rng.uniform(-self.noise_sd, self.noise_sd, size=(m, a.size))
+        # row blocks keep the a * y temporary small; each entry is one add
+        for lo, hi in chunk_bounds(m, _ROWS):
+            X[lo:hi] += a * y[lo:hi, None]
+        return X, y
 
 
 def _column_kinds(schema, label_column):
@@ -227,9 +251,7 @@ def load_csv(path, schema, label_column, *, delimiter=",", split_seed=0,
             raise ValueError(f"row {i}: expected {len(header)} fields, got {len(row)}")
 
     # split before fitting any statistic; categories come from train rows only
-    perm = np.random.default_rng(split_seed).permutation(n)
-    train_rows = np.zeros(n, dtype=bool)
-    train_rows[perm[: int(round(TRAIN_FRACTION * n))]] = True
+    train_rows = _train_indices(n, split_seed)
 
     categories = {}
     for name in order:
@@ -238,9 +260,7 @@ def load_csv(path, schema, label_column, *, delimiter=",", split_seed=0,
         seen = []
         have = set()
         j = col_idx[name]
-        for i in range(n):
-            if not train_rows[i]:
-                continue
+        for i in train_rows:
             v = rows[i][j]
             if v not in have:
                 have.add(v)
@@ -309,29 +329,26 @@ def load_csv(path, schema, label_column, *, delimiter=",", split_seed=0,
     )
 
 
-def generate_synthetic(spec: SyntheticSpec, n: int) -> Dataset:
-    """Draw n examples: y by class_balance, x_i = a_i*y + Gaussian(0, sd_i)."""
+def generate_synthetic(sampler: SyntheticConditionalSampler, n: int, seed: int = 0) -> Dataset:
+    """Draw n examples from sampler with default_rng(seed) into a Dataset of
+    numeric features f0, f1, ... split by the same seed."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(spec.seed)
-    a = np.asarray(spec.strengths)
-    sd = np.asarray(spec.noise_sd)
-    y = np.where(rng.uniform(size=n) < spec.class_balance, 1.0, -1.0)
-    X = a * y[:, None] + rng.normal(0.0, 1.0, size=(n, a.size)) * sd
-    names = [f"f{i}" for i in range(a.size)]
+    X, y = sampler.sample(n, np.random.default_rng(seed))
+    names = [f"f{i}" for i in range(sampler.dim)]
     groups = tuple(FeatureGroup(nm, "numeric", i, i + 1) for i, nm in enumerate(names))
     return Dataset(
         features=X,
         labels=y,
         feature_names=names,
         encoding_map=groups,
-        split_seed=spec.seed,
+        split_seed=seed,
         translated=True,
     )
 
 
-def blob_image_spec(height=8, width=8, *, strong_amplitude=1.0, weak_amplitude=0.05,
-                    blob_sigma=1.3, noise_sd=0.5, class_balance=0.5, seed=0) -> SyntheticSpec:
+def blob_sampler(height=8, width=8, *, strong_amplitude=1.0, weak_amplitude=0.05,
+                 blob_sigma=1.3, noise_sd=0.5, class_balance=0.5) -> SyntheticConditionalSampler:
     """Synthetic image task: the class mean is a centered bright/dark blob.
 
     Pixels near the image center carry a strong class signal, the rest a weak
@@ -341,12 +358,8 @@ def blob_image_spec(height=8, width=8, *, strong_amplitude=1.0, weak_amplitude=0
     cr, cw = (height - 1) / 2.0, (width - 1) / 2.0
     bump = np.exp(-((rr - cr) ** 2 + (cc - cw) ** 2) / (2.0 * blob_sigma**2))
     strengths = weak_amplitude + (strong_amplitude - weak_amplitude) * bump
-    return SyntheticSpec(
-        strengths=tuple(strengths.ravel().tolist()),
-        noise_sd=(noise_sd,) * (height * width),
-        class_balance=class_balance,
-        seed=seed,
-    )
+    return SyntheticConditionalSampler(strengths=tuple(strengths.ravel().tolist()),
+                                       noise_sd=noise_sd, class_balance=class_balance)
 
 
 def save_dataset(ds: Dataset, path):

@@ -4,7 +4,6 @@ expectation bound behind it, and the exact worst-case-attribution identity.
 """
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -14,7 +13,6 @@ from ._util import chunk_bounds, worker_count
 from .losses import LossSpec
 
 __all__ = [
-    "SyntheticConditionalSampler",
     "WeightedAverageSpec",
     "TheoremCheckResult",
     "check_sample_count",
@@ -31,51 +29,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
-_ROWS = 1 << 14
 MIN_REPORT_SAMPLES = 10_000
-
-
-@dataclass(frozen=True)
-class SyntheticConditionalSampler:
-    """Features conditionally independent given the label: x_i = a_i*y + noise.
-
-    noise_kind "gaussian" draws sd * N(0,1); "uniform" draws sd * U(-1,1)
-    (bounded support, used for losses with a kink that must stay clear of it).
-    """
-
-    strengths: tuple
-    noise_sd: float = 1.0
-    class_balance: float = 0.5
-    noise_kind: str = "gaussian"
-
-    def __post_init__(self):
-        if self.noise_kind not in ("gaussian", "uniform"):
-            raise ValueError(f"unknown noise kind {self.noise_kind!r}")
-        if not 0.0 < self.class_balance < 1.0:
-            raise ValueError("class_balance must be in (0, 1)")
-        strengths = tuple(float(v) for v in self.strengths)
-        if not strengths or not all(math.isfinite(v) for v in strengths):
-            raise ValueError(f"strengths must be one or more finite numbers, got {strengths}")
-        if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0.0):
-            raise ValueError(f"noise_sd must be a finite number >= 0, got {self.noise_sd}")
-        object.__setattr__(self, "strengths", strengths)
-
-    @property
-    def dim(self) -> int:
-        return len(self.strengths)
-
-    def sample(self, m: int, rng):
-        """(X (m, d), y (m,)); X is a fresh array the caller may overwrite."""
-        a = np.asarray(self.strengths)
-        y = np.where(rng.uniform(size=m) < self.class_balance, 1.0, -1.0)
-        if self.noise_kind == "gaussian":
-            X = rng.normal(0.0, self.noise_sd, size=(m, a.size))
-        else:
-            X = rng.uniform(-self.noise_sd, self.noise_sd, size=(m, a.size))
-        # row blocks keep the a * y temporary small; each entry is one add
-        for lo, hi in chunk_bounds(m, _ROWS):
-            X[lo:hi] += a * y[lo:hi, None]
-        return X, y
 
 
 @dataclass(frozen=True)

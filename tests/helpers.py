@@ -65,7 +65,7 @@ def ig_midpoint_reference(model, x, u, steps):
     return values, abs(float(values.sum()) - (fx - fu))
 
 
-def pgd_clip_reference(model, X, y, budget, cfg, spec=None, rng=None, clamp01=False):
+def pgd_clip_reference(model, X, y, budget, cfg, spec=None, rng=None):
     """Projected signed-gradient ascent written with fresh arrays, the full
     loss-and-gradient call and np.clip at every step: the plain form of
     adversarial.pgd_perturb_batch."""
@@ -89,8 +89,6 @@ def pgd_clip_reference(model, X, y, budget, cfg, spec=None, rng=None, clamp01=Fa
             coeff = linear_loss_and_grads(spec, model.w[None], bias, X + delta, y)[2]
             dx = coeff[0][:, None] * model.w
         delta = np.clip(delta + cfg.step_size * np.sign(dx), -eps, eps)
-        if clamp01:
-            delta = np.clip(delta, -X, 1.0 - X)
     final_loss = loss(spec, model, X + delta, y)
     worse = final_loss < start_loss
     if np.any(worse):

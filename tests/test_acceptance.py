@@ -26,13 +26,12 @@ from helpers import (
 
 from attrsparse.adversarial import PerturbationBudget, adversarial_loss
 from attrsparse.attribution import attribute_dataset, ig_closed_form, ig_numeric
-from attrsparse.data import SyntheticSpec, blob_image_spec, generate_synthetic
+from attrsparse.data import SyntheticConditionalSampler, blob_sampler, generate_synthetic
 from attrsparse.losses import make_loss
 from attrsparse.models import LinearModel
 from attrsparse.pipeline import run_compare
 from attrsparse.sparseness import gini, make_gini_report
 from attrsparse.theory import (
-    SyntheticConditionalSampler,
     WeightedAverageSpec,
     check_theorem1_bound,
     check_theorem1_limit,
@@ -113,8 +112,8 @@ def test_worst_case_attribution_equivalence(acceptance):
 
     # (b) the stability-penalty regime must replay the adversarial regime
     # bit for bit when seed and budget agree
-    spec = SyntheticSpec(strengths=(1.2, -0.7, 0.4, 0.1), noise_sd=(0.6,) * 4, seed=5)
-    ds = generate_synthetic(spec, 500)
+    sampler = SyntheticConditionalSampler(strengths=(1.2, -0.7, 0.4, 0.1), noise_sd=0.6)
+    ds = generate_synthetic(sampler, 500, seed=5)
     kw = dict(epsilon=0.1, epochs=8, seed=3)
     m_adv, t_adv = train(ds, LOGISTIC, TrainConfig(regime="adversarial", **kw))
     m_stb, t_stb = train(ds, LOGISTIC, TrainConfig(regime="stable-ig", **kw))
@@ -292,9 +291,9 @@ def test_blob_image_mlp_sparseness_ordering(acceptance):
     lams = (0.01, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75)
     g_nat, g_adv, g_best_l1 = [], [], []
     for seed in range(5):
-        ds = generate_synthetic(blob_image_spec(
+        ds = generate_synthetic(blob_sampler(
             8, 8, strong_amplitude=0.69, weak_amplitude=0.085, blob_sigma=0.55,
-            noise_sd=0.50, seed=seed), 5000)
+            noise_sd=0.50), 5000, seed)
         base = dict(model_kind="mlp", hidden_sizes=(16,), epochs=18, seed=seed)
         baseline = np.zeros(ds.dim)
 

@@ -183,20 +183,6 @@ def test_pgd_zero_start_monotone_on_linear():
     np.testing.assert_allclose(delta[0], [-0.01, 0.01], atol=1e-15)
 
 
-def test_pgd_clamp01():
-    spec = make_loss("logistic-nll")
-    rng = np.random.default_rng(7)
-    model = LinearModel(w=rng.normal(size=5))
-    X = rng.uniform(size=(6, 5))
-    y = np.where(rng.uniform(size=6) < 0.5, 1.0, -1.0)
-    budget = PerturbationBudget(0.4)
-    cfg = PgdConfig(steps=15, step_size=0.05, seed=1)
-    delta = pgd_perturb_batch(model, X, y, budget, cfg, spec=spec, clamp01=True)
-    pert = X + delta
-    assert np.all(pert >= -1e-12) and np.all(pert <= 1.0 + 1e-12)
-    assert np.all(np.abs(delta) <= 0.4 + 1e-12)
-
-
 def test_mlp_pgd_beats_random_noise():
     spec = make_loss("logistic-nll")
     rng = np.random.default_rng(8)
@@ -233,18 +219,16 @@ def test_pgd_matches_clip_loop_bytewise(kind, eps):
     X[rng.uniform(size=X.shape) < 0.1] = -0.0
     y = np.where(rng.uniform(size=24) < 0.5, 1.0, -1.0)
     budget = PerturbationBudget(eps)
-    for loss_kind, clamp01, random_start in itertools.product(
-            ("logistic-nll", "hinge"), (False, True), (False, True)):
+    for loss_kind, random_start in itertools.product(("logistic-nll", "hinge"), (False, True)):
         spec = make_loss(loss_kind)
         cfg = PgdConfig(steps=12, step_size=0.04, random_start=random_start, seed=5)
-        got = pgd_perturb_batch(model, X, y, budget, cfg, spec=spec, clamp01=clamp01)
-        want = pgd_clip_reference(model, X, y, budget, cfg, spec=spec, clamp01=clamp01)
-        case = (loss_kind, clamp01, random_start)
+        got = pgd_perturb_batch(model, X, y, budget, cfg, spec=spec)
+        want = pgd_clip_reference(model, X, y, budget, cfg, spec=spec)
+        case = (loss_kind, random_start)
         assert got.tobytes() == want.tobytes(), case  # signed zeros too
         shared = np.random.default_rng(9)
-        got = pgd_perturb_batch(model, X, y, budget, cfg, spec=spec, clamp01=clamp01,
-                                rng=shared)
-        want = pgd_clip_reference(model, X, y, budget, cfg, spec=spec, clamp01=clamp01,
+        got = pgd_perturb_batch(model, X, y, budget, cfg, spec=spec, rng=shared)
+        want = pgd_clip_reference(model, X, y, budget, cfg, spec=spec,
                                   rng=np.random.default_rng(9))
         assert got.tobytes() == want.tobytes(), case
 

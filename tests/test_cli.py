@@ -57,7 +57,7 @@ def test_usage_errors_exit_1(capsys):
 
 # --- synth -----------------------------------------------------------------------
 
-def test_synth_gaussian_output(synth_json, tmp_path):
+def test_synth_gaussian_output(synth_json, tmp_path, capsys):
     ds = load_dataset(synth_json)
     assert ds.n_examples == 200 and ds.dim == 4
     assert set(np.unique(ds.labels)) == {-1.0, 1.0}
@@ -66,6 +66,16 @@ def test_synth_gaussian_output(synth_json, tmp_path):
                "--strengths", "1.0,0.05,0.05,0.05", "--seed", "0"])
     assert rc == 0
     assert synth_json.read_bytes() == again.read_bytes()
+    # noise sd 0 is the noise-free set x = a*y; a negative one is rejected
+    exact = tmp_path / "exact.json"
+    assert main(["synth", "gaussian", "--out", str(exact), "--n", "50",
+                 "--strengths", "0.5,-0.25,0.0", "--noise-sd", "0"]) == 0
+    ds = load_dataset(exact)
+    np.testing.assert_array_equal(ds.features, np.asarray([0.5, -0.25, 0.0]) * ds.labels[:, None])
+    assert main(["synth", "gaussian", "--out", str(tmp_path / "bad.json"),
+                 "--noise-sd", "-1"]) == 1
+    assert "noise_sd must be a finite number >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "bad.json").exists()
 
 
 def test_synth_blobs(tmp_path, capsys):
@@ -656,7 +666,7 @@ def test_verify_rejects_vacuous_sizes_before_sampling(tmp_path, capsys, monkeypa
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before rejecting its arguments")
 
-    monkeypatch.setattr("attrsparse.theory.SyntheticConditionalSampler.sample", no_sampling)
+    monkeypatch.setattr("attrsparse.data.SyntheticConditionalSampler.sample", no_sampling)
     monkeypatch.setattr("attrsparse.cli.theorem3_instances", no_sampling)
     out = tmp_path / "r.json"
     assert main(["verify", *argv, "--out", str(out)]) == 1

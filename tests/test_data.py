@@ -7,8 +7,8 @@ import pytest
 from attrsparse.data import (
     Dataset,
     FeatureGroup,
-    SyntheticSpec,
-    blob_image_spec,
+    SyntheticConditionalSampler,
+    blob_sampler,
     generate_synthetic,
     load_csv,
     load_dataset,
@@ -182,28 +182,29 @@ def test_translated_categorical_skips_one_hot_check(tmp_path):
 # --- synthetic generators -------------------------------------------------------
 
 def test_generate_synthetic_moments():
-    spec = SyntheticSpec(strengths=(1.0, -0.5, 0.0), noise_sd=(1.0, 0.5, 2.0), seed=3)
+    sampler = SyntheticConditionalSampler(strengths=(1.0, -0.5, 0.0), noise_sd=1.5)
     n = 40000
-    ds = generate_synthetic(spec, n)
+    ds = generate_synthetic(sampler, n, seed=3)
     assert ds.features.shape == (n, 3)
     assert set(np.unique(ds.labels)) == {-1.0, 1.0}
-    assert ds.translated
+    assert ds.translated and ds.split_seed == 3
+    assert ds.feature_names == ["f0", "f1", "f2"]
     # E(y x_i) = a_i within 3 SE
-    a = np.asarray(spec.strengths)
-    sd = np.asarray(spec.noise_sd)
+    a = np.asarray(sampler.strengths)
+    sd = sampler.noise_sd
     prod = ds.labels[:, None] * ds.features
     se = np.sqrt((sd**2 + a**2)) / np.sqrt(n)
     assert np.all(np.abs(prod.mean(axis=0) - a) <= 3 * se + 1e-12)
     # balance
     assert abs((ds.labels == 1.0).mean() - 0.5) <= 3 * 0.5 / np.sqrt(n)
     # determinism
-    ds2 = generate_synthetic(spec, n)
+    ds2 = generate_synthetic(sampler, n, seed=3)
     np.testing.assert_array_equal(ds.features, ds2.features)
 
 
 def test_generate_synthetic_conditional_independence():
-    spec = SyntheticSpec(strengths=(0.8, 0.8, -0.4), noise_sd=(1.0, 1.0, 1.0), seed=8)
-    ds = generate_synthetic(spec, 30000)
+    sampler = SyntheticConditionalSampler(strengths=(0.8, 0.8, -0.4))
+    ds = generate_synthetic(sampler, 30000, seed=8)
     for label in (-1.0, 1.0):
         Xc = ds.features[ds.labels == label]
         m = len(Xc)
@@ -212,21 +213,11 @@ def test_generate_synthetic_conditional_independence():
         assert np.all(np.abs(off) <= 3.0 / np.sqrt(m)), off
 
 
-def test_synthetic_spec_validation():
-    with pytest.raises(ValueError, match="positive"):
-        SyntheticSpec(strengths=(1.0,), noise_sd=(0.0,))
-    with pytest.raises(ValueError, match="class_balance"):
-        SyntheticSpec(strengths=(1.0,), noise_sd=(1.0,), class_balance=1.0)
-    with pytest.raises(ValueError, match="non-empty"):
-        SyntheticSpec(strengths=(), noise_sd=(1.0,))
-    with pytest.raises(ValueError, match=">= 1"):
-        generate_synthetic(SyntheticSpec(strengths=(1.0,), noise_sd=(1.0,)), 0)
-
-
-def test_blob_image_spec():
-    spec = blob_image_spec(height=8, width=8, strong_amplitude=1.0,
+def test_blob_sampler():
+    sampler = blob_sampler(height=8, width=8, strong_amplitude=1.0,
                            weak_amplitude=0.05, blob_sigma=1.3)
-    a = np.asarray(spec.strengths).reshape(8, 8)
+    assert sampler.noise_sd == 0.5 and sampler.class_balance == 0.5
+    a = np.asarray(sampler.strengths).reshape(8, 8)
     assert a.shape == (8, 8)
     assert np.all(a >= 0.05 - 1e-12) and np.all(a <= 1.0 + 1e-12)
     # strongest signal at the four center pixels, weakest at the corners

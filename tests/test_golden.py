@@ -1,8 +1,9 @@
 """Golden outputs: sha256 pins of the CLI's deterministic artifacts.
 
 Each case runs one subcommand on small seeded inputs and hashes the files it
-writes, so any change to the training, perturbation, attribution or Monte-Carlo
-arithmetic shows up as a changed byte. The wall-clock ``runtime_seconds`` field
+writes, and the two ``synth`` inputs are hashed too, so any change to the
+synthetic data, training, perturbation, attribution or Monte-Carlo arithmetic
+shows up as a changed byte. The wall-clock ``runtime_seconds`` field
 is dropped from ``report.json`` before hashing; every other byte is pinned.
 
 The pins hold for the NumPy build they were computed with: its BLAS rounds the
@@ -92,6 +93,7 @@ GOLDEN = {
     'attribute-mlp-numeric/attributions.csv': '15b1ed84c1eff0d768436c638a5552d1ce9190f73028a2fb7f20db6857ba17bb',
     'attribute-mlp-numeric/impact_features.csv': '8c5e56b561e8c13841ffb3d058b77b50ed357b47cbf5e493d3a1e631b9c96e56',
     'attribute-mlp-numeric/impact_values.csv': '8c5e56b561e8c13841ffb3d058b77b50ed357b47cbf5e493d3a1e631b9c96e56',
+    'blobs.json': '24977d33ffb683ac45b04b257a531c8678359e475fff0f88a15f457d43249b0b',
     'compare-linear/distributions.csv': '7a0397c1b5a4a551292812db8a49dc060c5cc1d3d3b0bf71400ab028b462fbde',
     'compare-linear/report.json': '9c9f64acaaf01ff3e518e727f1a944512ea75f61c2c9c41298ee1e0dfa5a7ed5',
     'compare-linear/table.csv': 'c19f650e80b8c95b66d6a9d2a1fcf598df96c58b175804c2261b355587187477',
@@ -101,6 +103,7 @@ GOLDEN = {
     'compare-mlp/table.csv': '16517c02429ec9e0be95366f75a88e426a34d2d0dac200e74ce1267f3bace55c',
     'compare-mlp/tradeoff.csv': '28aa9a732aacc8c4f184882ac5c6e822e0cf829e3544407c20db97297ae64e1b',
     'gini-attributions/gini.csv': 'ef60dc9b0fb7d8f6748fdbe4da0871aa5d9d20ed99cf51d6faa9b37e2cc1ebbe',
+    'toy.json': '013a1672c8ee97981d2511049d5900f0e790072eb354d3285888eaf3368f8c23',
     'train-linear-adversarial-hinge/model.json': '7b782473506a7e07233cc47af08d10226d1a5af201ca91b091af6354321e64f4',
     'train-linear-adversarial-hinge/resolved_config.json': 'ea0d5f010af10760f34a44b7af9746cc73350a6af894c0639f436b74cd6fa5ea',
     'train-linear-adversarial-hinge/trace.csv': '12f6daa9b1e5ac897c90bb70256377c656f133648f68fa6d50f3c5c43aa1491c',
@@ -133,12 +136,14 @@ def _digest(path) -> str:
 
 
 def run_cases(root) -> dict:
-    """Run every case under ``root``; map "case/file" to its sha256."""
+    """Run every case under ``root``; map each synth file name and each
+    "case/file" to its sha256."""
     paths = {}
+    digests = {}
     for name, argv in _SYNTH:
         paths[name] = os.path.join(root, name)
         assert main([*argv, "--out", paths[name]]) == 0
-    digests = {}
+        digests[name] = _digest(paths[name])
     for case, template in CASES:
         out = os.path.join(root, case)
         os.makedirs(out, exist_ok=True)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from attrsparse._version import __version__
-from attrsparse.data import SyntheticSpec, generate_synthetic
+from attrsparse.data import SyntheticConditionalSampler, generate_synthetic
 from attrsparse.losses import make_loss
 from attrsparse.pipeline import (
     CompareOutcome,
@@ -22,8 +22,7 @@ LOGISTIC = make_loss("logistic-nll")
 
 @pytest.fixture(scope="module")
 def outcome():
-    spec = SyntheticSpec(strengths=(1.0, 0.05, 0.05, 0.05), noise_sd=(1.0,) * 4, seed=0)
-    ds = generate_synthetic(spec, 300)
+    ds = generate_synthetic(SyntheticConditionalSampler((1.0, 0.05, 0.05, 0.05)), 300, seed=0)
     base = TrainConfig(epochs=8)
     return ds, run_compare(ds, LOGISTIC, [0.1, 0.3], [0.02], base, dataset_id="toy")
 
@@ -114,8 +113,7 @@ def test_models_traces_reports_carried(outcome):
 
 
 def test_empty_sweeps():
-    spec = SyntheticSpec(strengths=(0.8, 0.1), noise_sd=(1.0, 1.0), seed=1)
-    ds = generate_synthetic(spec, 120)
+    ds = generate_synthetic(SyntheticConditionalSampler((0.8, 0.1)), 120, seed=1)
     out = run_compare(ds, LOGISTIC, [], [], TrainConfig(epochs=2))
     assert list(out.report["regimes"]) == ["natural"]
     assert out.report["gaps"] == {}
@@ -133,15 +131,13 @@ def test_bad_baseline_is_rejected_before_training(monkeypatch, baseline, message
         raise AssertionError("trained before rejecting the baseline")
 
     monkeypatch.setattr("attrsparse.pipeline.train_many", refuse)
-    spec = SyntheticSpec(strengths=(0.8, 0.1), noise_sd=(1.0, 1.0), seed=1)
-    ds = generate_synthetic(spec, 120)
+    ds = generate_synthetic(SyntheticConditionalSampler((0.8, 0.1)), 120, seed=1)
     with pytest.raises(ValueError, match=message):
         run_compare(ds, LOGISTIC, [0.1], [], TrainConfig(epochs=2), baseline=np.asarray(baseline))
 
 
 def test_numeric_method_tag_and_steps():
-    spec = SyntheticSpec(strengths=(0.8, 0.1), noise_sd=(1.0, 1.0), seed=1)
-    ds = generate_synthetic(spec, 120)
+    ds = generate_synthetic(SyntheticConditionalSampler((0.8, 0.1)), 120, seed=1)
     out = run_compare(ds, LOGISTIC, [], [0.05], TrainConfig(epochs=2),
                       method="numeric", steps=32)
     assert out.report["attribution"]["method"] == "numeric"
@@ -150,8 +146,7 @@ def test_numeric_method_tag_and_steps():
 
 
 def test_rerun_is_identical_except_runtime():
-    spec = SyntheticSpec(strengths=(0.9, 0.1, 0.1), noise_sd=(1.0,) * 3, seed=2)
-    ds = generate_synthetic(spec, 150)
+    ds = generate_synthetic(SyntheticConditionalSampler((0.9, 0.1, 0.1)), 150, seed=2)
     base = TrainConfig(epochs=3)
     a = run_compare(ds, LOGISTIC, [0.1], [0.02], base, dataset_id="d")
     b = run_compare(ds, LOGISTIC, [0.1], [0.02], base, dataset_id="d")

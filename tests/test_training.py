@@ -7,7 +7,7 @@ import pytest
 
 from helpers import gini_row_reference
 
-from attrsparse.data import Dataset, FeatureGroup, SyntheticSpec, generate_synthetic
+from attrsparse.data import Dataset, FeatureGroup, SyntheticConditionalSampler, generate_synthetic
 from attrsparse.losses import make_loss
 from attrsparse.models import LinearModel, MlpModel
 from attrsparse.sparseness import gini
@@ -26,13 +26,13 @@ LOGISTIC = make_loss("logistic-nll")
 
 
 def _easy_dataset(seed=0, n=400):
-    spec = SyntheticSpec(strengths=(2.0, -1.5, 1.0), noise_sd=(0.1, 0.1, 0.1), seed=seed)
-    return generate_synthetic(spec, n)
+    sampler = SyntheticConditionalSampler(strengths=(2.0, -1.5, 1.0), noise_sd=0.1)
+    return generate_synthetic(sampler, n, seed)
 
 
 def _noisy_dataset(seed=0, n=600):
-    spec = SyntheticSpec(strengths=(1.0,) + (0.05,) * 9, noise_sd=(1.0,) * 10, seed=seed)
-    return generate_synthetic(spec, n)
+    sampler = SyntheticConditionalSampler(strengths=(1.0,) + (0.05,) * 9)
+    return generate_synthetic(sampler, n, seed)
 
 
 def test_soft_threshold():
@@ -86,9 +86,8 @@ def test_stable_ig_requires_linear():
 
 
 def test_strong_l1_zeroes_weights_exactly_but_never_bias():
-    spec = SyntheticSpec(strengths=(0.3, 0.2), noise_sd=(1.0, 1.0),
-                         class_balance=0.8, seed=3)
-    ds = generate_synthetic(spec, 500)
+    sampler = SyntheticConditionalSampler(strengths=(0.3, 0.2), class_balance=0.8)
+    ds = generate_synthetic(sampler, 500, seed=3)
     model, trace = train(ds, LOGISTIC, TrainConfig(
         regime="l1", l1_strength=10.0, use_bias=True, epochs=5))
     np.testing.assert_array_equal(model.w, [0.0, 0.0])
@@ -129,8 +128,7 @@ def test_adversarial_training_concentrates_weight():
 def test_divergence_raises_with_step():
     # overlapping classes: a huge step cannot classify every example, so some
     # batch shows an objective beyond the divergence limit
-    spec = SyntheticSpec(strengths=(0.1, 0.05), noise_sd=(1.0, 1.0), seed=0)
-    ds = generate_synthetic(spec, 400)
+    ds = generate_synthetic(SyntheticConditionalSampler(strengths=(0.1, 0.05)), 400)
     for kind in ("logistic-nll", "hinge"):
         with pytest.raises(TrainingDivergedError) as exc:
             train(ds, make_loss(kind), TrainConfig(
