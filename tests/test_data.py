@@ -213,6 +213,18 @@ def test_generate_synthetic_conditional_independence():
         assert np.all(np.abs(off) <= 3.0 / np.sqrt(m)), off
 
 
+def test_synthetic_spec_validation():
+    # zero noise is the noise-free set; a negative spread is rejected
+    with pytest.raises(ValueError, match="noise_sd"):
+        SyntheticConditionalSampler(strengths=(1.0,), noise_sd=-1.0)
+    with pytest.raises(ValueError, match="class_balance"):
+        SyntheticConditionalSampler(strengths=(1.0,), class_balance=1.0)
+    with pytest.raises(ValueError, match="one or more"):
+        SyntheticConditionalSampler(strengths=())
+    with pytest.raises(ValueError, match=">= 1"):
+        generate_synthetic(SyntheticConditionalSampler(strengths=(1.0,)), 0)
+
+
 def test_blob_sampler():
     sampler = blob_sampler(height=8, width=8, strong_amplitude=1.0,
                            weak_amplitude=0.05, blob_sigma=1.3)

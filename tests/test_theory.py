@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from helpers import one_row
 
-from attrsparse.data import SyntheticConditionalSampler, generate_synthetic
+from attrsparse.data import SyntheticConditionalSampler
 from attrsparse.losses import LOSS_KINDS, make_loss
 from attrsparse.theory import (
     WeightedAverageSpec,
@@ -453,8 +453,6 @@ def test_sampler_validation_and_uniform_support():
     for noise_sd in (np.nan, np.inf, -0.5):
         with pytest.raises(ValueError, match="noise_sd must be a finite number >= 0"):
             SyntheticConditionalSampler(strengths=(0.1,), noise_sd=noise_sd)
-    with pytest.raises(ValueError, match=">= 1"):
-        generate_synthetic(SyntheticConditionalSampler(strengths=(1.0,)), 0)
     s = SyntheticConditionalSampler(strengths=(0.5, -0.2), noise_sd=0.3,
                                     noise_kind="uniform")
     X, y = s.sample(5_000, np.random.default_rng(0))
