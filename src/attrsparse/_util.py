@@ -1,6 +1,7 @@
 """Small shared helpers: thread budget, canonical formatting, chunked work."""
 from __future__ import annotations
 
+import csv
 import json
 import os
 
@@ -20,6 +21,15 @@ def worker_count() -> int:
 def fmt_float(x) -> str:
     """Shortest decimal string that round-trips the float bit-exactly."""
     return repr(float(x))
+
+
+def write_csv(path, header, rows):
+    """UTF-8 CSV with "\n" line endings; floats written with fmt_float."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([fmt_float(v) if isinstance(v, float) else v for v in row]
+                         for row in rows)
 
 
 def canonical_json(obj) -> str:

@@ -8,11 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossSpec, linear_loss_and_grads, loss, make_loss
+from .losses import LossSpec, linear_loss_and_grads, loss
 from .models import LinearModel, MlpModel
 
 __all__ = [
-    "PerturbationBudget",
     "PgdConfig",
     "default_pgd_config",
     "closed_form_perturbation",
@@ -22,22 +21,10 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PerturbationBudget:
-    """Max per-coordinate perturbation magnitude (same units as the features)."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-
-
-@dataclass(frozen=True)
 class PgdConfig:
     steps: int
     step_size: float = 0.01
     random_start: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if self.steps < 1:
@@ -46,13 +33,13 @@ class PgdConfig:
             raise ValueError("step_size must be positive")
 
 
-def default_pgd_config(epsilon: float, seed: int = 0) -> PgdConfig:
+def default_pgd_config(epsilon: float) -> PgdConfig:
     """Step count floor(eps*100) + 10 at step size 0.01, with random start."""
     return PgdConfig(steps=int(math.floor(epsilon * 100)) + 10, step_size=0.01,
-                     random_start=True, seed=seed)
+                     random_start=True)
 
 
-def closed_form_perturbation(model: LinearModel, y, budget: PerturbationBudget):
+def closed_form_perturbation(model: LinearModel, y, epsilon: float):
     """Loss-maximizing perturbation -y * sign(w) * eps (sign(0) = 0).
 
     Independent of x: the worst case pushes every coordinate against the
@@ -60,11 +47,11 @@ def closed_form_perturbation(model: LinearModel, y, budget: PerturbationBudget):
     """
     y = np.asarray(y, dtype=float)
     if y.ndim == 0:
-        return -float(y) * np.sign(model.w) * budget.epsilon
-    return -y[:, None] * np.sign(model.w)[None, :] * budget.epsilon
+        return -float(y) * np.sign(model.w) * epsilon
+    return -y[:, None] * np.sign(model.w)[None, :] * epsilon
 
 
-def adversarial_loss(spec: LossSpec, model: LinearModel, x, y, budget: PerturbationBudget):
+def adversarial_loss(spec: LossSpec, model: LinearModel, x, y, epsilon: float):
     """Worst-case loss over the eps-box: g(eps*||w||_1 - y*<w,x>).
 
     Accepts one example or a batch; equals the natural loss at
@@ -72,7 +59,7 @@ def adversarial_loss(spec: LossSpec, model: LinearModel, x, y, budget: Perturbat
     """
     margin = model.margin(x)
     y = np.asarray(y, dtype=float)
-    return spec.g(budget.epsilon * np.abs(model.w).sum() - y * margin)
+    return spec.g(epsilon * np.abs(model.w).sum() - y * margin)
 
 
 def _input_grad(spec, model, X, y):
@@ -87,20 +74,17 @@ def _input_grad(spec, model, X, y):
     return coeff[0][:, None] * model.w
 
 
-def pgd_perturb_batch(model, X, y, budget: PerturbationBudget, cfg: PgdConfig,
-                      spec: LossSpec | None = None, rng=None):
-    """Projected signed-gradient ascent on a batch; rows perturbed independently.
+def pgd_perturb_batch(model, X, y, eps: float, cfg: PgdConfig, spec: LossSpec, rng):
+    """Projected signed-gradient ascent on a batch within the eps-box; rows
+    perturbed independently.
 
-    Deterministic given cfg.seed (or a caller-supplied generator). If the final
-    iterate somehow scores below the start (possible on non-concave losses),
-    the start is returned, so loss(x + delta) >= loss(x + delta0) always holds.
+    The random start is drawn from rng, so the result is deterministic given
+    the generator's state. If the final iterate somehow scores below the
+    start (possible on non-concave losses), the start is returned, so
+    loss(x + delta) >= loss(x + delta0) always holds.
     """
-    spec = spec or make_loss("logistic-nll")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    eps = budget.epsilon
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     if cfg.random_start:
         delta = rng.uniform(-eps, eps, size=X.shape)
     else:

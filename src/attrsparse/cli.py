@@ -13,10 +13,11 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
-from ._util import canonical_json, fmt_float
+from ._util import canonical_json, fmt_float, write_csv
 from ._version import __version__
 from .attribution import DEFAULT_REPORT_STEPS, attribute_dataset, impact_report, write_pgm
 from .data import (
@@ -72,10 +73,6 @@ def _parse_float_list(text: str) -> list:
     return [float(tok) for tok in body.split(",") if tok.strip()]
 
 
-def _parse_int_list(text: str) -> list:
-    return [int(v) for v in _parse_float_list(text)]
-
-
 def _load_config_file(path) -> dict:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -94,23 +91,8 @@ def _load_config_file(path) -> dict:
     return doc
 
 
-_TRAIN_DEFAULTS = {
-    "regime": "natural",
-    "eps": 0.0,
-    "lam": 0.0,
-    "lr": 0.01,
-    "batch_size": 32,
-    "epochs": 30,
-    "seed": 0,
-    "optimizer": "adam",
-    "model": "linear",
-    "hidden": "16",
-    "hidden_activation": "softplus",
-    "use_bias": False,
-    "loss": "logistic-nll",
-}
-
-# config files may use either the flag spelling or the long field name
+# TrainConfig field -> flag spelling where they differ; config files may use
+# either spelling
 _CONFIG_ALIASES = {
     "epsilon": "eps",
     "l1_strength": "lam",
@@ -120,9 +102,11 @@ _CONFIG_ALIASES = {
 }
 
 
-def _resolve(defaults: dict, file_cfg: dict, args) -> dict:
-    """Defaults, overridden by the config file, overridden by explicit flags."""
-    resolved = dict(defaults)
+def _resolve(file_cfg: dict, args) -> dict:
+    """TrainConfig's defaults and the loss, keyed by flag spelling, overridden
+    by the config file, overridden by explicit flags; hidden as a list of ints."""
+    resolved = {_CONFIG_ALIASES.get(f.name, f.name): f.default for f in fields(TrainConfig)}
+    resolved["loss"] = "logistic-nll"
     for key, value in file_cfg.items():
         canon = _CONFIG_ALIASES.get(key, key)
         if canon not in resolved:
@@ -133,29 +117,17 @@ def _resolve(defaults: dict, file_cfg: dict, args) -> dict:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             resolved[key] = flag_value
+    hidden = resolved["hidden"]
+    if isinstance(hidden, str):
+        hidden = _parse_float_list(hidden)
+    resolved["hidden"] = [int(v) for v in hidden]
     return resolved
 
 
 def _train_config(resolved: dict) -> TrainConfig:
-    hidden = resolved["hidden"]
-    if isinstance(hidden, str):
-        hidden_sizes = tuple(_parse_int_list(hidden))
-    else:
-        hidden_sizes = tuple(int(v) for v in hidden)
-    return TrainConfig(
-        regime=str(resolved["regime"]),
-        epsilon=float(resolved["eps"]),
-        l1_strength=float(resolved["lam"]),
-        learning_rate=float(resolved["lr"]),
-        batch_size=int(resolved["batch_size"]),
-        epochs=int(resolved["epochs"]),
-        seed=int(resolved["seed"]),
-        optimizer=str(resolved["optimizer"]),
-        model_kind=str(resolved["model"]),
-        hidden_sizes=hidden_sizes,
-        hidden_activation=str(resolved["hidden_activation"]),
-        use_bias=bool(resolved["use_bias"]),
-    )
+    """Each resolved option cast to the type of its TrainConfig field's default."""
+    return TrainConfig(**{f.name: type(f.default)(resolved[_CONFIG_ALIASES.get(f.name, f.name)])
+                          for f in fields(TrainConfig)})
 
 
 def _schema_pairs(columns) -> list:
@@ -250,23 +222,20 @@ def _out_dir(args) -> str:
 def cmd_train(args) -> int:
     ds = _load_data(args)
     file_cfg = _load_config_file(args.config) if args.config else {}
-    resolved = _resolve(_TRAIN_DEFAULTS, file_cfg, args)
+    resolved = _resolve(file_cfg, args)
     spec = make_loss(resolved["loss"])
     cfg = _train_config(resolved)
     model, trace = train(ds, spec, cfg)
     out = _out_dir(args)
     save_model(model, os.path.join(out, "model.json"))
     trace.to_csv(os.path.join(out, "trace.csv"))
-    result = evaluate(model, ds, split="test", spec=spec)
-    echo = dict(resolved)
-    echo["hidden"] = list(_parse_int_list(echo["hidden"])
-                          if isinstance(echo["hidden"], str) else echo["hidden"])
+    result = evaluate(model, ds, spec)
     with open(os.path.join(out, "resolved_config.json"), "w", encoding="utf-8") as fh:
         fh.write(canonical_json({
             "format_version": 1,
             "command": "train",
             "toolkit_version": __version__,
-            "resolved": echo,
+            "resolved": resolved,
         }))
     print(f"trained regime={cfg.regime} model={cfg.model_kind} "
           f"test_accuracy={fmt_float(result.accuracy)} mean_loss={fmt_float(result.mean_loss)}")
@@ -277,7 +246,7 @@ def cmd_train(args) -> int:
 def cmd_compare(args) -> int:
     ds = _load_data(args)
     file_cfg = _load_config_file(args.config) if args.config else {}
-    resolved = _resolve(_TRAIN_DEFAULTS, file_cfg, args)
+    resolved = _resolve(file_cfg, args)
     resolved["regime"] = "natural"
     resolved["eps"], resolved["lam"] = 0.0, 0.0
     spec = make_loss(resolved["loss"])
@@ -318,22 +287,15 @@ def cmd_attribute(args) -> int:
                                 split=split, target=target)
     out = _out_dir(args)
     idx = ds.split(split)
-    with open(os.path.join(out, "attributions.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["example_id", *ds.feature_names, "completeness_residual"])
-        for example_id, attr in zip(idx, attribs):
-            writer.writerow([int(example_id),
-                             *[fmt_float(v) for v in attr.values],
-                             fmt_float(attr.completeness_residual)])
+    write_csv(os.path.join(out, "attributions.csv"),
+              ["example_id", *ds.feature_names, "completeness_residual"],
+              ([int(example_id), *attr.values.tolist(), attr.completeness_residual]
+               for example_id, attr in zip(idx, attribs)))
     report = impact_report(attribs, ds)
-    with open(os.path.join(out, "impact_values.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(report.value_names)
-        writer.writerow([fmt_float(v) for v in report.value_impact])
-    with open(os.path.join(out, "impact_features.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(report.feature_names)
-        writer.writerow([fmt_float(v) for v in report.feature_impact])
+    write_csv(os.path.join(out, "impact_values.csv"), report.value_names,
+              [report.value_impact.tolist()])
+    write_csv(os.path.join(out, "impact_features.csv"), report.feature_names,
+              [report.feature_impact.tolist()])
     written = ["attributions.csv", "impact_values.csv", "impact_features.csv"]
     if args.image_shape:
         h, w = (int(v) for v in args.image_shape.lower().split("x"))
@@ -384,11 +346,7 @@ def cmd_gini(args) -> int:
         values[same] = gini_rows(np.abs([data[i] for i in same]))
     mean = float(np.mean(values))
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["row", "gini"])
-            for i, v in enumerate(values):
-                writer.writerow([i, fmt_float(v)])
+        write_csv(args.out, ["row", "gini"], enumerate(values.tolist()))
         print(f"wrote {args.out}")
     else:
         for v in values:
@@ -407,6 +365,25 @@ def _given(args, **flags) -> dict:
     return {key: v for key, v in values.items() if v is not None}
 
 
+# the sampler and geometry flags each synth kind and verify check reads; any
+# other one the user gives is an error, not silently ignored
+_SAMPLER_FLAGS = {
+    "gaussian": ("strengths", "noise_sd", "balance"),
+    "blobs": ("noise_sd", "balance", "height", "width", "strong", "weak", "sigma"),
+    "thm1-zero": ("strengths", "noise_sd", "noise_kind", "balance"),
+    "thm1-bound": ("noise_sd", "noise_kind", "balance"),
+    "thm3": (),
+    "lemmaD1": ("strengths", "noise_sd", "noise_kind", "balance"),
+}
+
+
+def _reject_unread_flags(args, name):
+    known = {flag for flags in _SAMPLER_FLAGS.values() for flag in flags}
+    for flag in sorted(known - set(_SAMPLER_FLAGS[name])):
+        if getattr(args, flag, None) is not None:
+            raise ValueError(f"--{flag.replace('_', '-')} does not apply to {args.command} {name}")
+
+
 def _sampler(args, strengths=None) -> SyntheticConditionalSampler:
     """The sampler of synth and verify from the flags the user gave: the given
     strengths, or else the blob image of synth's blob flags. An unset flag
@@ -420,6 +397,7 @@ def _sampler(args, strengths=None) -> SyntheticConditionalSampler:
 
 
 def cmd_verify(args) -> int:
+    _reject_unread_flags(args, args.check)
     spec = make_loss(args.loss or "logistic-nll")
     seed, n, eps, configs, trials, tol = (args.seed, args.n, args.eps, args.configs,
                                           args.trials, args.tol)
@@ -484,6 +462,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    _reject_unread_flags(args, args.kind)
     strengths = None
     if args.kind == "gaussian":
         strengths = _strengths_from(args, "1.0,0.05,0.05,0.05,0.05,0.05,0.05,0.05,0.05,0.05")

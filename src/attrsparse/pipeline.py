@@ -4,13 +4,12 @@ how much sparser the robust regimes' attributions are.
 """
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._util import fmt_float
+from ._util import write_csv
 from ._version import __version__
 from .attribution import DEFAULT_REPORT_STEPS, attribute_dataset, check_baseline, check_method
 from .data import Dataset
@@ -45,7 +44,6 @@ def _strength(cfg: TrainConfig) -> float:
 def _cfg_dict(cfg: TrainConfig) -> dict:
     out = dict(cfg.__dict__)
     out["hidden_sizes"] = list(cfg.hidden_sizes)
-    out["pgd"] = None if cfg.pgd is None else dict(cfg.pgd.__dict__)
     return out
 
 
@@ -84,7 +82,7 @@ def run_compare(ds: Dataset, spec: LossSpec, eps_list, lam_list, base_cfg: Train
 
     for tag in cfgs:
         model = models[tag]
-        ev = evaluate(model, ds, split="test", spec=spec)
+        ev = evaluate(model, ds, spec)
         attribs = attribute_dataset(model, ds, baseline, method=method, steps=steps)
         accuracies[tag] = ev.accuracy
         mean_losses[tag] = ev.mean_loss
@@ -150,28 +148,15 @@ def run_compare(ds: Dataset, spec: LossSpec, eps_list, lam_list, base_cfg: Train
 
 def write_table_csv(rows, path):
     """Comparison table: dataset,attr,model,dG,AcDrop (drop in % points)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["dataset", "attr", "model", "dG", "AcDrop"])
-        for row in rows:
-            writer.writerow([row["dataset"], row["attr"], row["model"],
-                             fmt_float(row["dG"]), fmt_float(row["AcDrop"])])
+    columns = ["dataset", "attr", "model", "dG", "AcDrop"]
+    write_csv(path, columns, ([row[c] for c in columns] for row in rows))
 
 
 def write_distribution_csv(rows, path):
     """Per-example Gini gaps behind the table's means."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["example_id", "model", "gini_gap"])
-        for example_id, tag, gap in rows:
-            writer.writerow([example_id, tag, fmt_float(gap)])
+    write_csv(path, ["example_id", "model", "gini_gap"], rows)
 
 
 def write_tradeoff_csv(rows, path):
     """Accuracy vs mean attribution Gini per trained model (sweep curves)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["model", "param", "accuracy", "mean_gini"])
-        for tag, param, acc, mean_gini in rows:
-            writer.writerow([tag, "" if param == "" else fmt_float(param),
-                             fmt_float(acc), fmt_float(mean_gini)])
+    write_csv(path, ["model", "param", "accuracy", "mean_gini"], rows)

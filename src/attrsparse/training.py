@@ -5,16 +5,16 @@ share one random stream.
 """
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adversarial import PerturbationBudget, PgdConfig, default_pgd_config, pgd_perturb_batch
+from ._util import write_csv
+from .adversarial import default_pgd_config, pgd_perturb_batch
 from .data import Dataset
-from .losses import LossSpec, linear_loss_and_grads, make_loss
+from .losses import LossSpec, linear_loss_and_grads
 from .models import LinearModel, MlpModel, classify, init_mlp
 from .sparseness import gini_rows
 
@@ -56,7 +56,6 @@ class TrainConfig:
     hidden_sizes: tuple = (16,)
     hidden_activation: str = "softplus"
     use_bias: bool = False
-    pgd: PgdConfig | None = None
 
     def __post_init__(self):
         if self.regime not in REGIMES:
@@ -81,15 +80,11 @@ class TrainTrace:
     accuracy: list = field(default_factory=list)
     weight_l1: list = field(default_factory=list)
     weight_gini: list = field(default_factory=list)
-    final_model: object = None
 
     def to_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["epoch", "loss", "acc", "l1_norm", "weight_gini"])
-            rows = zip(self.loss, self.accuracy, self.weight_l1, self.weight_gini)
-            for e, (lo, ac, l1, gi) in enumerate(rows, start=1):
-                writer.writerow([e, repr(float(lo)), repr(float(ac)), repr(float(l1)), repr(float(gi))])
+        rows = zip(self.loss, self.accuracy, self.weight_l1, self.weight_gini)
+        write_csv(path, ["epoch", "loss", "acc", "l1_norm", "weight_gini"],
+                  ([e, *point] for e, point in enumerate(rows, start=1)))
 
 
 def soft_threshold(values, threshold):
@@ -256,9 +251,6 @@ def train_many(ds: Dataset, spec: LossSpec, cfgs):
         params = stack.weights + stack.biases
         weights = stack.weights
         pgd_model = _unstack(cfg, params, 0) if uses_pgd(cfg) else None
-        if pgd_model is not None:
-            budget = PerturbationBudget(cfg.epsilon)
-            pgd_cfg = cfg.pgd or default_pgd_config(cfg.epsilon, seed=cfg.seed)
 
     optimizer = _make_optimizer(cfg.optimizer, params, cfg.learning_rate)
     trace_eps = epsilon if stack is None else np.zeros(k)  # an MLP traces its natural loss
@@ -273,7 +265,8 @@ def train_many(ds: Dataset, spec: LossSpec, cfgs):
                 losses, grads, _ = linear_loss_and_grads(spec, params[0], bias, Xb, yb, epsilon)
             else:
                 if pgd_model is not None:
-                    Xb = Xb + pgd_perturb_batch(pgd_model, Xb, yb, budget, pgd_cfg, spec=spec, rng=rng)
+                    Xb = Xb + pgd_perturb_batch(pgd_model, Xb, yb, cfg.epsilon,
+                                                default_pgd_config(cfg.epsilon), spec, rng)
                 losses, grads, _ = stack.loss_and_grads(spec, Xb, yb, inputs=False)
             grads = [g / batch.size for g in grads]
             batch_loss = losses.mean(axis=-1)
@@ -305,11 +298,8 @@ def train_many(ds: Dataset, spec: LossSpec, cfgs):
                                       trace.weight_l1, trace.weight_gini), point):
                 series.append(value)
 
-    out = []
-    for i, (c, trace) in enumerate(zip(cfgs, traces)):
-        trace.final_model = _unstack(c, params, i, copy=True)
-        out.append((trace.final_model, trace))
-    return out
+    return [(_unstack(c, params, i, copy=True), trace)
+            for i, (c, trace) in enumerate(zip(cfgs, traces))]
 
 
 def train(ds: Dataset, spec: LossSpec, cfg: TrainConfig):
@@ -326,9 +316,8 @@ class EvalResult:
     mean_loss: float
 
 
-def evaluate(model, ds: Dataset, split: str = "test", spec: LossSpec | None = None) -> EvalResult:
+def evaluate(model, ds: Dataset, spec: LossSpec, split: str = "test") -> EvalResult:
     """Accuracy (0.5 threshold, ties to +1) and mean natural loss on a split."""
-    spec = spec or make_loss("logistic-nll")
     idx = ds.split(split)
     if idx.size == 0:
         raise ValueError(f"{split} split is empty")

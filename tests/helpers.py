@@ -15,7 +15,7 @@ import os
 import numpy as np
 
 from attrsparse.data import Dataset, load_csv
-from attrsparse.losses import linear_loss_and_grads, loss, make_loss, sigmoid
+from attrsparse.losses import linear_loss_and_grads, loss, sigmoid
 from attrsparse.models import MlpModel
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
@@ -65,16 +65,12 @@ def ig_midpoint_reference(model, x, u, steps):
     return values, abs(float(values.sum()) - (fx - fu))
 
 
-def pgd_clip_reference(model, X, y, budget, cfg, spec=None, rng=None):
+def pgd_clip_reference(model, X, y, eps, cfg, spec, rng):
     """Projected signed-gradient ascent written with fresh arrays, the full
     loss-and-gradient call and np.clip at every step: the plain form of
     adversarial.pgd_perturb_batch."""
-    spec = spec or make_loss("logistic-nll")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    eps = budget.epsilon
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     if cfg.random_start:
         delta = rng.uniform(-eps, eps, size=X.shape)
     else:

@@ -24,7 +24,7 @@ from helpers import (
     one_row,
 )
 
-from attrsparse.adversarial import PerturbationBudget, adversarial_loss
+from attrsparse.adversarial import adversarial_loss
 from attrsparse.attribution import attribute_dataset, ig_closed_form, ig_numeric
 from attrsparse.data import SyntheticConditionalSampler, blob_sampler, generate_synthetic
 from attrsparse.losses import make_loss
@@ -226,10 +226,9 @@ def test_worst_case_loss_maximality(acceptance):
         signs = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
         corner_margins = -y * ((x[None, :] + eps * signs) @ w)
         model = LinearModel(w=w)
-        budget = PerturbationBudget(eps)
         for spec in ALL_LOSSES:
             brute = float(np.max(spec.g(corner_margins)))
-            closed = adversarial_loss(spec, model, x, y, budget)
+            closed = adversarial_loss(spec, model, x, y, eps)
             worst_gap = max(worst_gap, abs(closed - brute))
             worst_identity = max(worst_identity,
                                  one_row(check_theorem3_identity, spec, w, x, y, eps))
@@ -298,7 +297,7 @@ def test_blob_image_mlp_sparseness_ordering(acceptance):
         baseline = np.zeros(ds.dim)
 
         def acc_gini(model):
-            acc = evaluate(model, ds).accuracy
+            acc = evaluate(model, ds, LOGISTIC).accuracy
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # collapsed models attribute to nothing
                 attribs = attribute_dataset(model, ds, baseline, method="numeric", steps=256)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from attrsparse.adversarial import (
-    PerturbationBudget,
     PgdConfig,
     adversarial_loss,
     closed_form_perturbation,
@@ -22,12 +21,11 @@ LOG1PE = 1.3132616875182228  # ln(1 + e)
 
 def test_closed_form_signs():
     model = LinearModel(w=np.asarray([2.0, -1.0, 0.0]))
-    budget = PerturbationBudget(0.5)
     np.testing.assert_array_equal(
-        closed_form_perturbation(model, 1.0, budget), [-0.5, 0.5, 0.0])
+        closed_form_perturbation(model, 1.0, 0.5), [-0.5, 0.5, 0.0])
     np.testing.assert_array_equal(
-        closed_form_perturbation(model, -1.0, budget), [0.5, -0.5, -0.0])
-    batch = closed_form_perturbation(model, np.asarray([1.0, -1.0]), budget)
+        closed_form_perturbation(model, -1.0, 0.5), [0.5, -0.5, -0.0])
+    batch = closed_form_perturbation(model, np.asarray([1.0, -1.0]), 0.5)
     assert batch.shape == (2, 3)
     np.testing.assert_array_equal(np.abs(batch[0]), np.abs(batch[1]))
 
@@ -36,7 +34,7 @@ def test_adversarial_loss_hand_value():
     spec = make_loss("logistic-nll")
     model = LinearModel(w=np.asarray([1.0]))
     # margin 0, budget 1: worst case loss g(1) = ln(1 + e)
-    val = adversarial_loss(spec, model, np.asarray([0.0]), 1.0, PerturbationBudget(1.0))
+    val = adversarial_loss(spec, model, np.asarray([0.0]), 1.0, 1.0)
     assert float(val) == pytest.approx(LOG1PE, abs=1e-15)
 
 
@@ -49,9 +47,9 @@ def test_adversarial_loss_equals_loss_at_closed_form(kind):
         model = LinearModel(w=rng.normal(size=d))
         x = rng.normal(size=d)
         y = 1.0 if rng.uniform() < 0.5 else -1.0
-        budget = PerturbationBudget(float(rng.uniform(0, 1)))
-        delta = closed_form_perturbation(model, y, budget)
-        lhs = float(adversarial_loss(spec, model, x, y, budget))
+        eps = float(rng.uniform(0, 1))
+        delta = closed_form_perturbation(model, y, eps)
+        lhs = float(adversarial_loss(spec, model, x, y, eps))
         rhs = float(loss(spec, model, x + delta, y))
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -70,7 +68,7 @@ def test_closed_form_is_corner_maximum(kind):
         best = -np.inf
         for corner in itertools.product((-eps, eps), repeat=d):
             best = max(best, float(loss(spec, model, x + np.asarray(corner), y)))
-        closed = float(adversarial_loss(spec, model, x, y, PerturbationBudget(eps)))
+        closed = float(adversarial_loss(spec, model, x, y, eps))
         assert closed == pytest.approx(best, abs=1e-12)
         assert closed >= best - 1e-12
 
@@ -81,8 +79,7 @@ def test_adversarial_loss_batch_and_gradient_shapes():
     model = LinearModel(w=rng.normal(size=4))
     X = rng.normal(size=(6, 4))
     y = np.where(rng.uniform(size=6) < 0.5, 1.0, -1.0)
-    budget = PerturbationBudget(0.2)
-    vals = adversarial_loss(spec, model, X, y, budget)
+    vals = adversarial_loss(spec, model, X, y, 0.2)
     losses, (grad_sum,), coeff = linear_loss_and_grads(spec, model.w[None], None, X, y, 0.2)
     assert vals.shape == (6,)
     assert losses.shape == (1, 6) and grad_sum.shape == (1, 4) and coeff.shape == (1, 6)
@@ -91,7 +88,7 @@ def test_adversarial_loss_batch_and_gradient_shapes():
             for i in range(6)]
     np.testing.assert_allclose(np.sum(rows, axis=0), grad_sum[0], rtol=1e-12, atol=1e-15)
     for i in range(6):
-        assert float(adversarial_loss(spec, model, X[i], y[i], budget)) == \
+        assert float(adversarial_loss(spec, model, X[i], y[i], 0.2)) == \
             pytest.approx(float(vals[i]), rel=1e-14)
 
 
@@ -104,7 +101,6 @@ def test_adversarial_gradient_matches_fd(kind):
     w = np.sign(w) * (np.abs(w) + 0.1)
     x = rng.normal(size=5)
     y = -1.0
-    budget = PerturbationBudget(0.3)
     _, (grad,), _ = linear_loss_and_grads(spec, w[None], None, x[None, :], np.asarray([y]),
                                           np.asarray([0.3]))
     grad = grad[0]
@@ -114,8 +110,8 @@ def test_adversarial_gradient_matches_fd(kind):
         wp, wm = w.copy(), w.copy()
         wp[i] += h
         wm[i] -= h
-        fd[i] = (float(adversarial_loss(spec, LinearModel(w=wp), x, y, budget))
-                 - float(adversarial_loss(spec, LinearModel(w=wm), x, y, budget))) / (2 * h)
+        fd[i] = (float(adversarial_loss(spec, LinearModel(w=wp), x, y, 0.3))
+                 - float(adversarial_loss(spec, LinearModel(w=wm), x, y, 0.3))) / (2 * h)
     np.testing.assert_allclose(grad, fd, atol=1e-5)
 
 
@@ -127,11 +123,10 @@ def test_pgd_converges_to_linear_closed_form():
     model = LinearModel(w=rng.normal(size=5))
     X = rng.normal(size=(8, 5))
     y = np.where(rng.uniform(size=8) < 0.5, 1.0, -1.0)
-    budget = PerturbationBudget(0.2)
     # enough steps that every coordinate reaches its box face
-    cfg = PgdConfig(steps=60, step_size=0.01, random_start=True, seed=0)
-    delta = pgd_perturb_batch(model, X, y, budget, cfg, spec=spec)
-    target = float(np.mean(adversarial_loss(spec, model, X, y, budget)))
+    cfg = PgdConfig(steps=60, step_size=0.01, random_start=True)
+    delta = pgd_perturb_batch(model, X, y, 0.2, cfg, spec, np.random.default_rng(0))
+    target = float(np.mean(adversarial_loss(spec, model, X, y, 0.2)))
     achieved = float(np.mean(spec.g(-y * model.margin(X + delta))))
     assert achieved == pytest.approx(target, abs=1e-9)
     # coordinates with nonzero weight sit exactly on the box face
@@ -144,13 +139,12 @@ def test_pgd_projection_and_determinism():
     model = init_mlp([6, 4, 1], rng)
     X = rng.normal(size=(5, 6))
     y = np.where(rng.uniform(size=5) < 0.5, 1.0, -1.0)
-    budget = PerturbationBudget(0.15)
-    cfg = default_pgd_config(0.15, seed=7)
-    d1 = pgd_perturb_batch(model, X, y, budget, cfg, spec=spec)
-    d2 = pgd_perturb_batch(model, X, y, budget, cfg, spec=spec)
+    cfg = default_pgd_config(0.15)
+    d1 = pgd_perturb_batch(model, X, y, 0.15, cfg, spec, np.random.default_rng(7))
+    d2 = pgd_perturb_batch(model, X, y, 0.15, cfg, spec, np.random.default_rng(7))
     np.testing.assert_array_equal(d1, d2)
     assert np.all(np.abs(d1) <= 0.15 + 1e-15)
-    d3 = pgd_perturb_batch(model, X, y, budget, PgdConfig(steps=cfg.steps, seed=8), spec=spec)
+    d3 = pgd_perturb_batch(model, X, y, 0.15, cfg, spec, np.random.default_rng(8))
     assert not np.array_equal(d1, d3)
 
 
@@ -160,10 +154,9 @@ def test_pgd_never_worse_than_start():
     model = init_mlp([4, 3, 1], rng, hidden_activation="tanh")
     X = rng.normal(size=(10, 4))
     y = np.where(rng.uniform(size=10) < 0.5, 1.0, -1.0)
-    budget = PerturbationBudget(0.25)
+    cfg = PgdConfig(steps=5, step_size=0.05)
     for seed in range(3):
-        cfg = PgdConfig(steps=5, step_size=0.05, seed=seed)
-        delta = pgd_perturb_batch(model, X, y, budget, cfg, spec=spec)
+        delta = pgd_perturb_batch(model, X, y, 0.25, cfg, spec, np.random.default_rng(seed))
         rng_start = np.random.default_rng(seed)
         start = rng_start.uniform(-0.25, 0.25, size=X.shape)
         start_loss = spec.g(-y * model.margin(X + start))
@@ -177,9 +170,8 @@ def test_pgd_zero_start_monotone_on_linear():
     model = LinearModel(w=np.asarray([1.0, -2.0]))
     x = np.asarray([[0.5, 0.5]])
     y = np.asarray([1.0])
-    budget = PerturbationBudget(0.01)
-    cfg = PgdConfig(steps=1, step_size=0.01, random_start=False, seed=0)
-    delta = pgd_perturb_batch(model, x, y, budget, cfg, spec=spec)
+    cfg = PgdConfig(steps=1, step_size=0.01, random_start=False)
+    delta = pgd_perturb_batch(model, x, y, 0.01, cfg, spec, np.random.default_rng(0))
     np.testing.assert_allclose(delta[0], [-0.01, 0.01], atol=1e-15)
 
 
@@ -189,9 +181,8 @@ def test_mlp_pgd_beats_random_noise():
     model = init_mlp([6, 5, 1], rng)
     X = rng.normal(size=(40, 6))
     y = np.where(rng.uniform(size=40) < 0.5, 1.0, -1.0)
-    budget = PerturbationBudget(0.3)
-    cfg = default_pgd_config(0.3, seed=2)
-    delta = pgd_perturb_batch(model, X, y, budget, cfg, spec=spec)
+    cfg = default_pgd_config(0.3)
+    delta = pgd_perturb_batch(model, X, y, 0.3, cfg, spec, np.random.default_rng(2))
     pgd_loss = float(np.mean(spec.g(-y * model.margin(X + delta))))
     noise = np.random.default_rng(3).uniform(-0.3, 0.3, size=X.shape)
     noise_loss = float(np.mean(spec.g(-y * model.margin(X + noise))))
@@ -218,29 +209,20 @@ def test_pgd_matches_clip_loop_bytewise(kind, eps):
     X = rng.integers(0, 3, size=(24, d)) / 2.0
     X[rng.uniform(size=X.shape) < 0.1] = -0.0
     y = np.where(rng.uniform(size=24) < 0.5, 1.0, -1.0)
-    budget = PerturbationBudget(eps)
+    # one generator drives consecutive calls, as in training
+    shared, shared_ref = np.random.default_rng(9), np.random.default_rng(9)
     for loss_kind, random_start in itertools.product(("logistic-nll", "hinge"), (False, True)):
         spec = make_loss(loss_kind)
-        cfg = PgdConfig(steps=12, step_size=0.04, random_start=random_start, seed=5)
-        got = pgd_perturb_batch(model, X, y, budget, cfg, spec=spec)
-        want = pgd_clip_reference(model, X, y, budget, cfg, spec=spec)
-        case = (loss_kind, random_start)
-        assert got.tobytes() == want.tobytes(), case  # signed zeros too
-        shared = np.random.default_rng(9)
-        got = pgd_perturb_batch(model, X, y, budget, cfg, spec=spec, rng=shared)
-        want = pgd_clip_reference(model, X, y, budget, cfg, spec=spec,
-                                  rng=np.random.default_rng(9))
-        assert got.tobytes() == want.tobytes(), case
+        cfg = PgdConfig(steps=12, step_size=0.04, random_start=random_start)
+        for _ in range(2):
+            got = pgd_perturb_batch(model, X, y, eps, cfg, spec, shared)
+            want = pgd_clip_reference(model, X, y, eps, cfg, spec, shared_ref)
+            assert got.tobytes() == want.tobytes(), (loss_kind, random_start)  # signed zeros too
 
 
 # --- configuration objects -------------------------------------------------------
 
 def test_budget_and_config_validation():
-    with pytest.raises(ValueError, match="epsilon"):
-        PerturbationBudget(-0.1)
-    with pytest.raises(ValueError, match="epsilon"):
-        PerturbationBudget(float("nan"))
-    PerturbationBudget(0.0)  # zero is allowed
     with pytest.raises(ValueError, match="steps"):
         PgdConfig(steps=0)
     with pytest.raises(ValueError, match="step_size"):

@@ -4,15 +4,17 @@ import builtins
 import csv
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from attrsparse._version import __version__
-from attrsparse.cli import main
+from attrsparse.cli import _CONFIG_ALIASES, _resolve, _train_config, build_parser, main
 from attrsparse.data import load_dataset
 from attrsparse.models import load_model
 from attrsparse.sparseness import gini
+from attrsparse.training import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +78,11 @@ def test_synth_gaussian_output(synth_json, tmp_path, capsys):
                  "--noise-sd", "-1"]) == 1
     assert "noise_sd must be a finite number >= 0" in capsys.readouterr().err
     assert not (tmp_path / "bad.json").exists()
+    # a blob geometry flag is an error here, not ignored
+    assert main(["synth", "gaussian", "--out", str(tmp_path / "bad.json"),
+                 "--height", "3", "--sigma", "9"]) == 1
+    assert "--height does not apply to synth gaussian" in capsys.readouterr().err
+    assert not (tmp_path / "bad.json").exists()
 
 
 def test_synth_blobs(tmp_path, capsys):
@@ -86,6 +93,11 @@ def test_synth_blobs(tmp_path, capsys):
     assert "50 examples, 24 features" in capsys.readouterr().out
     ds = load_dataset(out)
     assert ds.dim == 24
+    # blobs draw their own strengths, so giving some is an error
+    assert main(["synth", "blobs", "--out", str(tmp_path / "bad.json"),
+                 "--strengths", "1,2"]) == 1
+    assert "--strengths does not apply to synth blobs" in capsys.readouterr().err
+    assert not (tmp_path / "bad.json").exists()
 
 
 # --- train -----------------------------------------------------------------------
@@ -143,6 +155,29 @@ def test_train_unknown_config_key(synth_json, tmp_path, capsys):
                "--out-dir", str(tmp_path)])
     assert rc == 1
     assert "unknown config key 'learning'" in capsys.readouterr().err
+
+
+def _flag_argv(flag, default):
+    option = "--" + flag.replace("_", "-")
+    if isinstance(default, bool):
+        return [option]
+    return [option, ",".join(map(str, default)) if isinstance(default, tuple) else str(default)]
+
+
+def test_train_config_is_the_one_home_of_training_options():
+    # every field is a flag of train and compare and a config-file key in both
+    # spellings, and the CLI's defaults are TrainConfig's own
+    parser = build_parser()
+    for f in fields(TrainConfig):
+        flag = _CONFIG_ALIASES.get(f.name, f.name)
+        for command in ("train", "compare"):
+            args = parser.parse_args([command, "--data", "x.json", *_flag_argv(flag, f.default)])
+            assert getattr(args, flag) is not None, (command, f.name)
+    args = parser.parse_args(["train", "--data", "x.json"])
+    assert _train_config(_resolve({}, args)) == TrainConfig()
+    for f in fields(TrainConfig):
+        for key in (f.name, _CONFIG_ALIASES.get(f.name, f.name)):
+            assert _train_config(_resolve({key: f.default}, args)) == TrainConfig(), key
 
 
 def test_train_toml_config_needs_newer_python_or_json(synth_json, tmp_path, capsys):
@@ -660,6 +695,9 @@ def test_verify_bound_thread_env_does_not_change_bytes(tmp_path, monkeypatch):
     (["thm1-zero", "--noise-sd", "nan"], "noise_sd must be a finite number >= 0, got nan"),
     (["thm1-bound", "--noise-sd", "-1"], "noise_sd must be a finite number >= 0, got -1.0"),
     (["lemmaD1", "--noise-sd", "inf"], "noise_sd must be a finite number >= 0, got inf"),
+    # a sampler flag the check does not read is an error, not ignored
+    (["thm1-bound", "--strengths", "5,5"], "--strengths does not apply to verify thm1-bound"),
+    (["thm3", "--noise-sd", "3"], "--noise-sd does not apply to verify thm3"),
 ])
 def test_verify_rejects_vacuous_sizes_before_sampling(tmp_path, capsys, monkeypatch,
                                                        argv, message):

@@ -95,11 +95,11 @@ GOLDEN = {
     'attribute-mlp-numeric/impact_values.csv': '8c5e56b561e8c13841ffb3d058b77b50ed357b47cbf5e493d3a1e631b9c96e56',
     'blobs.json': '24977d33ffb683ac45b04b257a531c8678359e475fff0f88a15f457d43249b0b',
     'compare-linear/distributions.csv': '7a0397c1b5a4a551292812db8a49dc060c5cc1d3d3b0bf71400ab028b462fbde',
-    'compare-linear/report.json': '9c9f64acaaf01ff3e518e727f1a944512ea75f61c2c9c41298ee1e0dfa5a7ed5',
+    'compare-linear/report.json': '5374fb011dfb74c5ba1f112910cbac755402fcfe3c20fb3bc0d75b7c8de67b50',
     'compare-linear/table.csv': 'c19f650e80b8c95b66d6a9d2a1fcf598df96c58b175804c2261b355587187477',
     'compare-linear/tradeoff.csv': '6ac29e45891f3c97ac267f43fcec3145034782be28a5d37978589ae79fffe273',
     'compare-mlp/distributions.csv': '3cf2ff66abaf784b8d26862f35c123950ed83b89370317f2eeadf1fd2adbdf8b',
-    'compare-mlp/report.json': 'f9db3c5a5260fc07e795820cefc8380b9528d427d9fc19213c67c6296f588ba8',
+    'compare-mlp/report.json': 'ca04300ac2682ff5901f3ac371ebee15652b2c42e9b717bc3ae0708da6efd29e',
     'compare-mlp/table.csv': '16517c02429ec9e0be95366f75a88e426a34d2d0dac200e74ce1267f3bace55c',
     'compare-mlp/tradeoff.csv': '28aa9a732aacc8c4f184882ac5c6e822e0cf829e3544407c20db97297ae64e1b',
     'gini-attributions/gini.csv': 'ef60dc9b0fb7d8f6748fdbe4da0871aa5d9d20ed99cf51d6faa9b37e2cc1ebbe',

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from attrsparse.adversarial import PerturbationBudget, PgdConfig, pgd_perturb_batch
+from attrsparse.adversarial import PgdConfig, pgd_perturb_batch
 from attrsparse.attribution import ig_numeric
 from attrsparse.losses import make_loss, sigmoid
 from attrsparse.models import (
@@ -294,8 +294,8 @@ def test_mlp_gradients_run_one_forward_pass(monkeypatch):
     # PGD: one forward pass per step plus the start and final loss checks,
     # and never the parameter products
     del calls[:], reverse[:]
-    cfg = PgdConfig(steps=5, step_size=0.05, seed=3)
-    pgd_perturb_batch(model, X, y, PerturbationBudget(0.2), cfg, spec=spec)
+    cfg = PgdConfig(steps=5, step_size=0.05)
+    pgd_perturb_batch(model, X, y, 0.2, cfg, spec, np.random.default_rng(3))
     assert len(calls) == cfg.steps + 2
     assert reverse == [False] * cfg.steps
 

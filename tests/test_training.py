@@ -48,15 +48,14 @@ def test_separable_data_reaches_perfect_accuracy():
     ds = _easy_dataset()
     model, trace = train(ds, LOGISTIC, TrainConfig(epochs=10))
     assert isinstance(model, LinearModel)
-    res = evaluate(model, ds)
+    res = evaluate(model, ds, LOGISTIC)
     assert isinstance(res, EvalResult)
     assert res.accuracy == 1.0
-    assert evaluate(model, ds, split="train").accuracy == 1.0
+    assert evaluate(model, ds, LOGISTIC, split="train").accuracy == 1.0
     assert res.mean_loss < 0.2
     # learned signs follow the generating strengths
     assert model.w[0] > 0 and model.w[1] < 0 and model.w[2] > 0
     assert len(trace.loss) == 10
-    assert trace.final_model is model
 
 
 def test_adversarial_epsilon_zero_is_bitwise_natural():
@@ -180,7 +179,7 @@ def test_evaluate_threshold_ties_to_positive():
     groups = tuple(FeatureGroup(f"f{i}", "numeric", i, i + 1) for i in range(2))
     ds = Dataset(X, y, ["f0", "f1"], groups, split_seed=0, translated=True)
     model = LinearModel(w=np.zeros(2))  # margin 0 everywhere -> predict +1
-    res = evaluate(model, ds, split="train")
+    res = evaluate(model, ds, LOGISTIC, split="train")
     expected = float((ds.labels[ds.train_indices] == 1.0).mean())
     assert res.accuracy == expected
 
@@ -190,7 +189,7 @@ def test_evaluate_empty_split_raises():
                  (FeatureGroup("f0", "numeric", 0, 1),), translated=True)
     assert len(ds.test_indices) == 0
     with pytest.raises(ValueError, match="test split is empty"):
-        evaluate(LinearModel(w=np.zeros(1)), ds)
+        evaluate(LinearModel(w=np.zeros(1)), ds, LOGISTIC)
 
 
 # --- MLP ---------------------------------------------------------------------
@@ -201,7 +200,7 @@ def test_mlp_training_smoke():
     model, trace = train(ds, LOGISTIC, cfg)
     assert isinstance(model, MlpModel)
     assert len(trace.loss) == 5
-    assert evaluate(model, ds).accuracy >= 0.95
+    assert evaluate(model, ds, LOGISTIC).accuracy >= 0.95
     assert trace.loss[-1] < trace.loss[0]
 
 
@@ -285,7 +284,6 @@ def _assert_same_fit(stacked, alone):
             np.testing.assert_array_equal(a, b)
     for series in ("loss", "accuracy", "weight_l1", "weight_gini"):
         np.testing.assert_array_equal(getattr(t_s, series), getattr(t_a, series))
-    assert t_s.final_model is m_s
 
 
 def _sweep(base, eps_list, lam_list):
