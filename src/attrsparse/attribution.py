@@ -31,14 +31,10 @@ DEFAULT_REPORT_STEPS = 256
 @dataclass
 class AttributionVector:
     values: np.ndarray
-    baseline: np.ndarray
-    target_description: str
     completeness_residual: float
-    degenerate: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        self.baseline = np.asarray(self.baseline, dtype=float)
 
 
 @dataclass
@@ -69,7 +65,7 @@ def ig_numeric(model, x, u, steps: int = DEFAULT_REPORT_STEPS) -> AttributionVec
         raise ValueError("steps must be >= 1")
     x, u = _check_dims(model, x, u)
     values, residual = _numeric_rows(model, x[None, :], u, steps)
-    return AttributionVector(values[0], u, "model-output", float(residual[0]))
+    return AttributionVector(values[0], float(residual[0]))
 
 
 def _numeric_rows(model, X, u, steps):
@@ -126,12 +122,12 @@ def _closed_form_rows(model, X, u):
 
         IG = [F(x) - F(u)] * ((x - u) * w) / <x - u, w>
 
-    Returns (values (n, d), completeness residuals (n,), degenerate (n,)).
-    A zero denominator yields the zero attribution flagged degenerate, with
-    residual |F(x) - F(u)|. That is 0 unless <x, w> and <u, w> round apart
-    while <x - u, w> rounds to 0; outputs that differ at equal margins, or at
-    margins further apart than rounding allows, cannot come from a strictly
-    monotone activation and are reported as an error.
+    Returns (values (n, d), completeness residuals (n,)). A zero denominator
+    yields the zero attribution, with residual |F(x) - F(u)|. That is 0
+    unless <x, w> and <u, w> round apart while <x - u, w> rounds to 0;
+    outputs that differ at equal margins, or at margins further apart than
+    rounding allows, cannot come from a strictly monotone activation and are
+    reported as an error.
     """
     if not isinstance(model, LinearModel):
         raise TypeError("closed form applies to linear models only")
@@ -152,7 +148,7 @@ def _closed_form_rows(model, X, u):
     delta = fx - fu
     values = np.divide(delta[:, None] * (diff * model.w), denom[:, None],
                        out=np.zeros_like(diff), where=~degenerate[:, None])
-    return values, np.abs(values.sum(axis=1) - delta), degenerate
+    return values, np.abs(values.sum(axis=1) - delta)
 
 
 def _margins_round_apart(model, X, u) -> bool:
@@ -171,9 +167,8 @@ def ig_closed_form(model: LinearModel, x, u) -> AttributionVector:
     """Exact path integral for F(x) = A(<w, x>): the one-row case of the
     closed-form kernel used by attribute_dataset."""
     x, u = _check_dims(model, x, u)
-    values, residual, degenerate = _closed_form_rows(model, x[None, :], u)
-    return AttributionVector(values[0], u, "model-output", float(residual[0]),
-                             degenerate=bool(degenerate[0]))
+    values, residual = _closed_form_rows(model, x[None, :], u)
+    return AttributionVector(values[0], float(residual[0]))
 
 
 def check_method(method: str, steps: int, model_kind: str = "linear"):
@@ -215,17 +210,14 @@ def attribute_dataset(model, ds: Dataset, u, method: str = "closed",
     if true_class and not ds.binary:
         raise ValueError("true-class target needs binary labels")
     idx = ds.split(split)
-    description = "p(true class)" if true_class else "model-output"
     if method == "closed":
-        values, residual, degenerate = _closed_form_rows(model, ds.features[idx], u)
+        values, residual = _closed_form_rows(model, ds.features[idx], u)
     else:
         values, residual = _numeric_rows(model, ds.features[idx], u, steps)
-        degenerate = np.zeros(idx.size, dtype=bool)
     if true_class:
         flip = ds.labels[idx] == -1.0
         values[flip] = -values[flip]
-    return [AttributionVector(row, u, description, r, degenerate=g)
-            for row, r, g in zip(values, residual.tolist(), degenerate.tolist())]
+    return [AttributionVector(row, r) for row, r in zip(values, residual.tolist())]
 
 
 def impact_report(attribs, ds: Dataset) -> ImpactReport:

@@ -53,11 +53,12 @@ from .training import REGIMES, TrainConfig, TrainingDivergedError, evaluate, tra
 
 __all__ = ["main", "build_parser"]
 
-_VERIFY_IDS = ("thm1-zero", "thm1-bound", "thm3", "lemmaD1")
-
-
 class _Parser(argparse.ArgumentParser):
-    """Argument errors are configuration errors: exit 1, not argparse's 2."""
+    """Argument errors are configuration errors: exit 1, not argparse's 2.
+    Flags are spelled out, so compare takes no --eps for its --eps-list."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -102,117 +103,154 @@ _CONFIG_ALIASES = {
 }
 
 
+# TrainConfig's defaults and the loss, keyed by flag spelling
+_TRAIN_OPTIONS = {**{_CONFIG_ALIASES.get(f.name, f.name): f.default for f in fields(TrainConfig)},
+                  "loss": "logistic-nll"}
+
+
+def _check_config_value(key, value, default):
+    """A config-file value must have its option's type: an int serves for a
+    float, and the hidden sizes are a list or a comma-separated string."""
+    kinds = {float: (int, float), tuple: (list, tuple, str)}.get(type(default), (type(default),))
+    if type(value) not in kinds:
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"config key {key!r} must be {names}, got {value!r}")
+
+
 def _resolve(file_cfg: dict, args) -> dict:
-    """TrainConfig's defaults and the loss, keyed by flag spelling, overridden
-    by the config file, overridden by explicit flags; hidden as a list of ints."""
-    resolved = {_CONFIG_ALIASES.get(f.name, f.name): f.default for f in fields(TrainConfig)}
-    resolved["loss"] = "logistic-nll"
+    """TrainConfig's defaults and the loss, overridden by the config file,
+    overridden by explicit flags; hidden as a list of integers >= 1."""
+    resolved = dict(_TRAIN_OPTIONS)
     for key, value in file_cfg.items():
         canon = _CONFIG_ALIASES.get(key, key)
         if canon not in resolved:
             raise ValueError(
                 f"unknown config key {key!r}; valid keys: {sorted(resolved)}")
+        _check_config_value(key, value, resolved[canon])
         resolved[canon] = value
     for key in resolved:
-        flag_value = getattr(args, key, None)
+        flag_value = getattr(args, key, None)  # compare sets regime, eps and lam itself
         if flag_value is not None:
             resolved[key] = flag_value
     hidden = resolved["hidden"]
-    if isinstance(hidden, str):
-        hidden = _parse_float_list(hidden)
-    resolved["hidden"] = [int(v) for v in hidden]
+    sizes = _parse_float_list(hidden) if isinstance(hidden, str) else hidden
+    if not all(type(v) in (int, float) and float(v).is_integer() and v >= 1 for v in sizes):
+        raise ValueError(f"hidden sizes must be integers >= 1, got {hidden!r}")
+    resolved["hidden"] = [int(v) for v in sizes]
     return resolved
 
 
 def _train_config(resolved: dict) -> TrainConfig:
-    """Each resolved option cast to the type of its TrainConfig field's default."""
+    """The resolved options, each converted to its TrainConfig field's type
+    (an int to a float, the hidden list to a tuple)."""
     return TrainConfig(**{f.name: type(f.default)(resolved[_CONFIG_ALIASES.get(f.name, f.name)])
                           for f in fields(TrainConfig)})
 
 
 def _schema_pairs(columns) -> list:
+    """A schema's columns as (name, kind) pairs: from a {name: kind} object or
+    from a list of [name, kind] pairs or {"name": ..., "kind": ...} objects."""
     if isinstance(columns, dict):
-        return [(name, kind) for name, kind in columns.items()]
-    pairs = []
-    for entry in columns:
-        if isinstance(entry, dict):
-            pairs.append((entry["name"], entry["kind"]))
-        else:
-            name, kind = entry
-            pairs.append((name, kind))
-    return pairs
+        return list(columns.items())
+    return [(e["name"], e["kind"]) if isinstance(e, dict) else tuple(e) for e in columns]
 
 
 def _load_data(args) -> Dataset:
-    path = args.data
-    if str(path).endswith(".json"):
-        return load_dataset(path)
-    delimiter = getattr(args, "delimiter", None) or ","
-    label_column = getattr(args, "label_column", None)
-    schema_path = getattr(args, "schema", None)
-    if schema_path:
-        with open(schema_path, encoding="utf-8") as fh:
+    if str(args.data).endswith(".json"):
+        return load_dataset(args.data)
+    label_column, positive_label = args.label_column, args.positive_label
+    if args.schema:
+        with open(args.schema, encoding="utf-8") as fh:
             doc = json.load(fh)
         label_column = label_column or doc.get("label_column")
         columns = doc.get("columns")
         if columns is None:
-            raise ValueError(f"{schema_path}: schema file needs a 'columns' entry")
-        positive_label = getattr(args, "positive_label", None) or doc.get("positive_label")
-    elif getattr(args, "infer_schema", False):
+            raise ValueError(f"{args.schema}: schema file needs a 'columns' entry")
+        positive_label = positive_label or doc.get("positive_label")
+    elif args.infer_schema:
         if not label_column:
             raise ValueError("--infer-schema needs --label-column")
         columns = None  # load_csv infers the kinds from the rows it reads
-        positive_label = getattr(args, "positive_label", None)
     else:
         raise ValueError("CSV input needs --schema FILE or --infer-schema")
     if not label_column:
         raise ValueError("label column not named (use --label-column or the schema file)")
-    split_seed = getattr(args, "split_seed", None)
     return load_csv(
-        path,
+        args.data,
         None if columns is None else _schema_pairs(columns),
         label_column,
-        delimiter=delimiter,
-        split_seed=0 if split_seed is None else int(split_seed),
+        delimiter=args.delimiter,
+        split_seed=args.split_seed,
         positive_label=positive_label,
     )
 
 
-def _add_data_flags(p):
+def _add_io_flags(p):
     p.add_argument("--data", required=True, help="dataset: .csv (with schema) or .json sidecar")
     p.add_argument("--schema", help="JSON schema file: label_column + columns [[name, kind], ...]")
     p.add_argument("--infer-schema", action="store_true",
                    help="sniff column kinds from the CSV (numeric iff every value parses)")
     p.add_argument("--label-column", help="name of the label column (CSV input)")
     p.add_argument("--positive-label", help="raw label value mapped to +1 (binary CSV input)")
-    p.add_argument("--delimiter", help="CSV field delimiter (default ,)")
-    p.add_argument("--split-seed", type=int, help="seed of the 70/30 split (default 0)")
+    p.add_argument("--delimiter", default=",", help="CSV field delimiter (default %(default)s)")
+    p.add_argument("--split-seed", type=int, default=0,
+                   help="seed of the 70/30 split (default %(default)s)")
+    p.add_argument("--out-dir", default=".", help="output directory (default %(default)s)")
 
 
-def _add_train_flags(p):
+def _add_train_flags(p, regime_flags=True):
+    """TrainConfig's options as flags, their help naming its defaults. The
+    regime, eps and lam flags are train's alone: compare sets them per fit."""
+    def flag(name, text, **kwargs):
+        default = _TRAIN_OPTIONS[name]  # the hidden sizes as the flag spells them
+        shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+        p.add_argument("--" + name.replace("_", "-"), help=f"{text} (default {shown})", **kwargs)
+
     p.add_argument("--config", help="JSON (or TOML on 3.11+) config file; flags override it")
-    p.add_argument("--regime", help=f"training regime: one of {', '.join(REGIMES)}")
-    p.add_argument("--eps", type=float, help="perturbation budget for adversarial/stable-ig")
-    p.add_argument("--lam", type=float, help="l1 penalty strength for the l1 regime")
-    p.add_argument("--lr", type=float, help="learning rate (default 0.01)")
-    p.add_argument("--batch-size", type=int, help="minibatch size (default 32)")
-    p.add_argument("--epochs", type=int, help="training epochs (default 30)")
-    p.add_argument("--seed", type=int, help="training seed (default 0)")
-    p.add_argument("--optimizer", choices=("adam", "sgd"), help="optimizer (default adam)")
-    p.add_argument("--model", choices=("linear", "mlp"), help="model family (default linear)")
-    p.add_argument("--hidden", help="MLP hidden sizes, comma separated (default 16)")
-    p.add_argument("--hidden-activation", choices=("softplus", "tanh", "relu"),
-                   help="MLP hidden activation (default softplus)")
-    p.add_argument("--use-bias", action="store_const", const=True, default=None,
-                   help="add a bias term (linear model; excluded from perturbation math)")
-    p.add_argument("--loss", choices=tuple(LOSS_KINDS) + ("logistic",),
-                   help="margin loss (default logistic-nll)")
+    if regime_flags:
+        flag("regime", f"training regime: one of {', '.join(REGIMES)}")
+        flag("eps", "perturbation budget for adversarial/stable-ig", type=float)
+        flag("lam", "l1 penalty strength for the l1 regime", type=float)
+    flag("lr", "learning rate", type=float)
+    flag("batch_size", "minibatch size", type=int)
+    flag("epochs", "training epochs", type=int)
+    flag("seed", "training seed", type=int)
+    flag("optimizer", "optimizer", choices=("adam", "sgd"))
+    flag("model", "model family", choices=("linear", "mlp"))
+    flag("hidden", "MLP hidden sizes, comma separated")
+    flag("hidden_activation", "MLP hidden activation", choices=("softplus", "tanh", "relu"))
+    flag("use_bias", "add a bias term (linear model; excluded from perturbation math)",
+         action="store_const", const=True)
+    flag("loss", "margin loss", choices=tuple(LOSS_KINDS) + ("logistic",))
+
+
+def _add_method_flags(p):
+    p.add_argument("--method", choices=("closed", "numeric"), default="closed",
+                   help="attribution method (default %(default)s)")
+    p.add_argument("--steps", type=int, default=DEFAULT_REPORT_STEPS,
+                   help="path steps for numeric attribution (default %(default)s)")
+
+
+def _add_sampler_flags(p):
+    """The flags of verify and synth that set the seed and the sampler."""
+    p.add_argument("--seed", type=int, default=0, help="seed (default %(default)s)")
+    p.add_argument("--strengths", type=_parse_float_list,
+                   help="per-feature class association, comma separated")
+    p.add_argument("--noise-sd", type=float, help="sampler noise scale")
+    p.add_argument("--balance", type=float, help="P(y=+1)")
 
 
 def _out_dir(args) -> str:
-    out = args.out_dir or "."
-    os.makedirs(out, exist_ok=True)
-    return out
+    os.makedirs(args.out_dir, exist_ok=True)
+    return args.out_dir
+
+
+def _image_shape(text) -> tuple:
+    """HxW as two integers >= 1: the type of --image-shape."""
+    parts = text.lower().split("x")
+    if len(parts) != 2 or not all(p.isdecimal() and int(p) >= 1 for p in parts):
+        raise argparse.ArgumentTypeError(f"expected HxW with integers >= 1, got {text!r}")
+    return int(parts[0]), int(parts[1])
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +258,11 @@ def _out_dir(args) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    ds = _load_data(args)
     file_cfg = _load_config_file(args.config) if args.config else {}
     resolved = _resolve(file_cfg, args)
     spec = make_loss(resolved["loss"])
     cfg = _train_config(resolved)
+    ds = _load_data(args)
     model, trace = train(ds, spec, cfg)
     out = _out_dir(args)
     save_model(model, os.path.join(out, "model.json"))
@@ -244,20 +282,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    ds = _load_data(args)
     file_cfg = _load_config_file(args.config) if args.config else {}
     resolved = _resolve(file_cfg, args)
-    resolved["regime"] = "natural"
-    resolved["eps"], resolved["lam"] = 0.0, 0.0
+    resolved.update(regime="natural", eps=0.0, lam=0.0)
     spec = make_loss(resolved["loss"])
     base_cfg = _train_config(resolved)
-    eps_list = _parse_float_list("0.1" if args.eps_list is None else args.eps_list)
-    lam_list = _parse_float_list("0.02" if args.lam_list is None else args.lam_list)
+    ds = _load_data(args)
     dataset_id = args.dataset_id or os.path.splitext(os.path.basename(args.data))[0]
-    method = args.method or "closed"
-    steps = DEFAULT_REPORT_STEPS if args.steps is None else args.steps
-    outcome = run_compare(ds, spec, eps_list, lam_list, base_cfg,
-                          dataset_id=dataset_id, method=method, steps=steps)
+    outcome = run_compare(ds, spec, args.eps_list, args.lam_list, base_cfg,
+                          dataset_id=dataset_id, method=args.method, steps=args.steps)
     out = _out_dir(args)
     with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
         fh.write(canonical_json(outcome.report))
@@ -274,19 +307,18 @@ def cmd_compare(args) -> int:
 def cmd_attribute(args) -> int:
     ds = _load_data(args)
     model = load_model(args.model)
+    if args.image_shape and math.prod(args.image_shape) != ds.dim:
+        h, w = args.image_shape
+        raise ValueError(f"--image-shape {h}x{w} does not match dimension {ds.dim}")
     if args.baseline_file:
         with open(args.baseline_file, encoding="utf-8") as fh:
             u = np.asarray(json.load(fh), dtype=float)
     else:
         u = np.zeros(ds.dim)
-    method = args.method or "closed"
-    steps = DEFAULT_REPORT_STEPS if args.steps is None else args.steps
-    split = args.split or "test"
-    target = args.target or "true-class-probability"
-    attribs = attribute_dataset(model, ds, u, method=method, steps=steps,
-                                split=split, target=target)
+    attribs = attribute_dataset(model, ds, u, method=args.method, steps=args.steps,
+                                split=args.split, target=args.target)
     out = _out_dir(args)
-    idx = ds.split(split)
+    idx = ds.split(args.split)
     write_csv(os.path.join(out, "attributions.csv"),
               ["example_id", *ds.feature_names, "completeness_residual"],
               ([int(example_id), *attr.values.tolist(), attr.completeness_residual]
@@ -298,13 +330,12 @@ def cmd_attribute(args) -> int:
               [report.feature_impact.tolist()])
     written = ["attributions.csv", "impact_values.csv", "impact_features.csv"]
     if args.image_shape:
-        h, w = (int(v) for v in args.image_shape.lower().split("x"))
-        if h * w != ds.dim:
-            raise ValueError(f"image shape {h}x{w} does not match dimension {ds.dim}")
         for example_id, attr in zip(idx, attribs):
-            write_pgm(attr.values, (h, w), os.path.join(out, f"attr_{int(example_id):06d}.pgm"))
+            write_pgm(attr.values, args.image_shape,
+                      os.path.join(out, f"attr_{int(example_id):06d}.pgm"))
         written.append(f"{len(attribs)} PGM grids")
-    print(f"attributed {len(attribs)} examples ({method}); wrote {', '.join(written)} in {out}")
+    print(f"attributed {len(attribs)} examples ({args.method}); "
+          f"wrote {', '.join(written)} in {out}")
     return 0
 
 
@@ -355,90 +386,87 @@ def cmd_gini(args) -> int:
     return 0
 
 
-def _strengths_from(args, default) -> tuple:
-    return tuple(_parse_float_list(args.strengths or default))
-
-
-def _given(args, **flags) -> dict:
-    """{parameter: value} for each flag (parameter=flag attribute) the user set."""
-    values = {key: getattr(args, flag, None) for key, flag in flags.items()}
-    return {key: v for key, v in values.items() if v is not None}
-
-
-# the sampler and geometry flags each synth kind and verify check reads; any
-# other one the user gives is an error, not silently ignored
-_SAMPLER_FLAGS = {
-    "gaussian": ("strengths", "noise_sd", "balance"),
-    "blobs": ("noise_sd", "balance", "height", "width", "strong", "weak", "sigma"),
-    "thm1-zero": ("strengths", "noise_sd", "noise_kind", "balance"),
-    "thm1-bound": ("noise_sd", "noise_kind", "balance"),
-    "thm3": (),
-    "lemmaD1": ("strengths", "noise_sd", "noise_kind", "balance"),
+# The flags each verify check and synth kind reads besides --seed and --out,
+# with their defaults. None keeps the default of the sampler or of
+# blob_sampler; a flag of the table that the chosen row does not read exits 1.
+_NOISE = {"noise_sd": None, "noise_kind": None, "balance": None}
+_MC = {"loss": _TRAIN_OPTIONS["loss"], "n": 100_000, **_NOISE}
+_MC_EPS = {**_MC, "eps": 0.1}
+_READS = {
+    "verify": {
+        "thm1-zero": {**_MC, "strengths": (0.8, -0.5, 0.3, 0.0, 0.1)},
+        "thm1-bound": {**_MC_EPS, "configs": 5},
+        "thm3": {"loss": "all", "trials": 1000, "tol": 1e-9},
+        "lemmaD1": {**_MC_EPS, "strengths": (0.6, 0.3, -0.2, 0.1, 0.05)},
+    },
+    "synth": {
+        "gaussian": {"strengths": (1.0,) + (0.05,) * 9, "noise_sd": None, "balance": None},
+        "blobs": {"noise_sd": None, "balance": None, "height": None, "width": None,
+                  "strong": None, "weak": None, "sigma": None},
+    },
 }
+# the sampler keyword of each None-default flag whose name differs from it
+_KEYWORDS = {"balance": "class_balance", "strong": "strong_amplitude",
+             "weak": "weak_amplitude", "sigma": "blob_sigma"}
 
 
-def _reject_unread_flags(args, name):
-    known = {flag for flags in _SAMPLER_FLAGS.values() for flag in flags}
-    for flag in sorted(known - set(_SAMPLER_FLAGS[name])):
-        if getattr(args, flag, None) is not None:
+def _read_flags(args, name) -> tuple:
+    """(each flag that row ``name`` of the command's table reads, as given or
+    else its default; the sampler keywords of its None-default flags the
+    user gave). A flag of another row that the user gave is an error."""
+    rows = _READS[args.command]
+    row = rows[name]
+    for flag in sorted(set().union(*rows.values()) - set(row)):
+        if getattr(args, flag) is not None:
             raise ValueError(f"--{flag.replace('_', '-')} does not apply to {args.command} {name}")
-
-
-def _sampler(args, strengths=None) -> SyntheticConditionalSampler:
-    """The sampler of synth and verify from the flags the user gave: the given
-    strengths, or else the blob image of synth's blob flags. An unset flag
-    keeps the signature default of the sampler or of blob_sampler."""
-    noise = _given(args, noise_sd="noise_sd", class_balance="balance", noise_kind="noise_kind")
-    if strengths is None:
-        return blob_sampler(**noise, **_given(
-            args, height="height", width="width", strong_amplitude="strong",
-            weak_amplitude="weak", blob_sigma="sigma"))
-    return SyntheticConditionalSampler(strengths=strengths, **noise)
+    given = {flag: getattr(args, flag) for flag in row if getattr(args, flag) is not None}
+    sampler_kw = {_KEYWORDS.get(flag, flag): v for flag, v in given.items() if row[flag] is None}
+    return {**row, **given}, sampler_kw
 
 
 def cmd_verify(args) -> int:
-    _reject_unread_flags(args, args.check)
-    spec = make_loss(args.loss or "logistic-nll")
-    seed, n, eps, configs, trials, tol = (args.seed, args.n, args.eps, args.configs,
-                                          args.trials, args.tol)
+    flags, sampler_kw = _read_flags(args, args.check)
+    spec = None if args.check == "thm3" else make_loss(flags["loss"])
     # a check over no instances or samples, or with an infinite tolerance,
-    # would pass on no evidence: reject its sizes before anything is drawn
-    for flag, value in (("--eps", eps), ("--tol", tol)):
+    # would pass on no evidence: reject the sizes it reads before any draw
+    for flag in ("eps", "tol"):
+        value = flags.get(flag, 0.0)
         if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"{flag} must be a finite number >= 0, got {value}")
-    if args.check == "thm3":
-        if trials < 1:
-            raise ValueError(f"--trials must be >= 1, got {trials}")
-    else:
-        check_sample_count(n)
-    if args.check == "thm1-bound" and configs < 1:
-        raise ValueError(f"--configs must be >= 1, got {configs}")
-    results = []
+            raise ValueError(f"--{flag} must be a finite number >= 0, got {value}")
+    for flag in ("trials", "configs"):
+        if flags.get(flag, 1) < 1:
+            raise ValueError(f"--{flag} must be >= 1, got {flags[flag]}")
+    if "n" in flags:
+        check_sample_count(flags["n"])
+    seed, results = args.seed, []
 
     if args.check == "thm1-zero":
-        sampler = _sampler(args, _strengths_from(args, "0.8,-0.5,0.3,0.0,0.1"))
-        results = verify_zero_weight_update(spec, sampler, n, seed=seed)
+        sampler = SyntheticConditionalSampler(flags["strengths"], **sampler_kw)
+        results = verify_zero_weight_update(spec, sampler, flags["n"], seed=seed)
     elif args.check == "thm1-bound":
-        for k, (strengths, wspec, check_seed) in enumerate(theorem1_bound_instances(configs, seed)):
-            res = check_theorem1_bound(spec, wspec, eps, _sampler(args, strengths), n,
-                                       seed=check_seed)
+        instances = theorem1_bound_instances(flags["configs"], seed)
+        for k, (strengths, wspec, check_seed) in enumerate(instances):
+            res = check_theorem1_bound(spec, wspec, flags["eps"],
+                                       SyntheticConditionalSampler(strengths, **sampler_kw),
+                                       flags["n"], seed=check_seed)
             res.check_id = f"weighted-update-bound[{k}]"
             results.append(res)
     elif args.check == "thm3":
-        losses = LOSS_KINDS if (args.loss in (None, "all")) else (spec.kind,)
+        kinds = LOSS_KINDS if flags["loss"] == "all" else (make_loss(flags["loss"]).kind,)
+        tol = flags["tol"]
         # one draw of the instances serves every loss, one call per dimension
-        groups = theorem3_instances(trials, seed).values()
-        for kind in losses:
+        groups = theorem3_instances(flags["trials"], seed).values()
+        for kind in kinds:
             loss_spec = make_loss(kind)
             worst = max(float(check_theorem3_identity(loss_spec, *g).max()) for g in groups)
             results.append(TheoremCheckResult(
                 check_id=f"worst-case-attribution-identity[{kind}]",
-                estimate=worst, reference=0.0, se=0.0, n_samples=trials,
+                estimate=worst, reference=0.0, se=0.0, n_samples=flags["trials"],
                 passed=bool(worst <= tol), detail=f"tol={tol:g}"))
     elif args.check == "lemmaD1":
-        sampler = _sampler(args, _strengths_from(args, "0.6,0.3,-0.2,0.1,0.05"))
-        f, draw = lemma_d1_instance(spec, sampler, eps, seed)
-        results = [check_lemma_exp_bound(f, draw, n, seed=seed)]
+        sampler = SyntheticConditionalSampler(flags["strengths"], **sampler_kw)
+        f, draw = lemma_d1_instance(spec, sampler, flags["eps"], seed)
+        results = [check_lemma_exp_bound(f, draw, flags["n"], seed=seed)]
 
     doc = {
         "format_version": 1,
@@ -462,11 +490,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    _reject_unread_flags(args, args.kind)
-    strengths = None
-    if args.kind == "gaussian":
-        strengths = _strengths_from(args, "1.0,0.05,0.05,0.05,0.05,0.05,0.05,0.05,0.05,0.05")
-    ds = generate_synthetic(_sampler(args, strengths), args.n, args.seed)
+    flags, sampler_kw = _read_flags(args, args.kind)
+    sampler = (blob_sampler(**sampler_kw) if args.kind == "blobs"
+               else SyntheticConditionalSampler(flags["strengths"], **sampler_kw))
+    ds = generate_synthetic(sampler, args.n, args.seed)
     save_dataset(ds, args.out)
     print(f"wrote {args.out}: {ds.n_examples} examples, {ds.dim} features, kind={args.kind}")
     return 0
@@ -483,38 +510,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("train", help="fit one model; writes model.json + trace.csv")
-    _add_data_flags(p)
+    _add_io_flags(p)
     _add_train_flags(p)
-    p.add_argument("--out-dir", help="output directory (default .)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("compare",
                        help="train natural vs adversarial vs l1 models; report Gini gaps")
-    _add_data_flags(p)
-    _add_train_flags(p)
-    p.add_argument("--eps-list", dest="eps_list",
-                   help='adversarial budgets, comma separated (default "0.1"; "" for none)')
-    p.add_argument("--lam-list", dest="lam_list",
-                   help='l1 strengths, comma separated (default "0.02"; "" for none)')
+    _add_io_flags(p)
+    _add_train_flags(p, regime_flags=False)
+    p.add_argument("--eps-list", type=_parse_float_list, default="0.1",
+                   help='adversarial budgets, comma separated (default %(default)s; "" for none)')
+    p.add_argument("--lam-list", type=_parse_float_list, default="0.02",
+                   help='l1 strengths, comma separated (default %(default)s; "" for none)')
     p.add_argument("--dataset-id", help="dataset tag in reports (default: file stem)")
-    p.add_argument("--method", choices=("closed", "numeric"), help="attribution method")
-    p.add_argument("--steps", type=int,
-                   help=f"path steps for numeric attribution (default {DEFAULT_REPORT_STEPS})")
-    p.add_argument("--out-dir", help="output directory (default .)")
+    _add_method_flags(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("attribute", help="attribute a dataset split with a saved model")
-    _add_data_flags(p)
+    _add_io_flags(p)
     p.add_argument("--model", required=True, help="model JSON file")
-    p.add_argument("--method", choices=("closed", "numeric"), help="attribution method")
-    p.add_argument("--steps", type=int,
-                   help=f"path steps for numeric attribution (default {DEFAULT_REPORT_STEPS})")
-    p.add_argument("--split", choices=("train", "test"), help="split to attribute (default test)")
+    _add_method_flags(p)
+    p.add_argument("--split", choices=("train", "test"), default="test",
+                   help="split to attribute (default %(default)s)")
     p.add_argument("--target", choices=("true-class-probability", "model-output"),
-                   help="attribution target (default true-class-probability)")
+                   default="true-class-probability",
+                   help="attribution target (default %(default)s)")
     p.add_argument("--baseline-file", help="JSON list baseline (default all-zero)")
-    p.add_argument("--image-shape", help="HxW: also write one PGM grid per example")
-    p.add_argument("--out-dir", help="output directory (default .)")
+    p.add_argument("--image-shape", type=_image_shape,
+                   help="HxW: also write one PGM grid per example")
     p.set_defaults(func=cmd_attribute)
 
     p = sub.add_parser("gini", help="Gini index of each row of a numeric CSV")
@@ -524,37 +547,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gini)
 
     p = sub.add_parser("verify", help="run a guarantee check; exit 1 if it fails")
-    p.add_argument("check", choices=_VERIFY_IDS, help="which guarantee to check")
-    p.add_argument("--n", type=int, help="Monte-Carlo samples (default 100000)")
-    p.add_argument("--trials", type=int, help="random instances for thm3 (default 1000)")
-    p.add_argument("--configs", type=int, help="random configurations for thm1-bound (default 5)")
-    p.add_argument("--eps", type=float, help="perturbation budget (default 0.1)")
-    p.add_argument("--tol", type=float, help="residual tolerance for thm3 (default 1e-9)")
-    p.add_argument("--loss", choices=tuple(LOSS_KINDS) + ("logistic", "all"),
-                   help="loss (default logistic-nll; thm3 default all)")
-    p.add_argument("--seed", type=int, help="seed (default 0)")
-    p.add_argument("--strengths", help="per-feature class association, comma separated")
-    p.add_argument("--noise-sd", type=float, help="sampler noise scale (default 1.0)")
+    p.add_argument("check", choices=tuple(_READS["verify"]), help="which guarantee to check")
+    p.add_argument("--n", type=int, help="Monte-Carlo samples")
+    p.add_argument("--trials", type=int, help="random instances")
+    p.add_argument("--configs", type=int, help="random configurations")
+    p.add_argument("--eps", type=float, help="perturbation budget")
+    p.add_argument("--tol", type=float, help="residual tolerance")
+    p.add_argument("--loss", choices=tuple(LOSS_KINDS) + ("logistic", "all"), help="loss")
+    _add_sampler_flags(p)
     p.add_argument("--noise-kind", choices=("gaussian", "uniform"),
-                   help="sampler noise family (default gaussian; uniform suits hinge)")
-    p.add_argument("--balance", type=float, help="P(y=+1) (default 0.5)")
+                   help="sampler noise family (uniform suits hinge)")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.set_defaults(func=cmd_verify, n=100_000, trials=1000, configs=5, eps=0.1, tol=1e-9, seed=0)
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset JSON")
-    p.add_argument("kind", choices=("gaussian", "blobs"), help="generator family")
+    p.add_argument("kind", choices=tuple(_READS["synth"]), help="generator family")
     p.add_argument("--out", required=True, help="output dataset JSON path")
-    p.add_argument("--n", type=int, help="number of examples (default 2000)")
-    p.add_argument("--seed", type=int, help="seed (default 0)")
-    p.add_argument("--balance", type=float, help="P(y=+1) (default 0.5)")
-    p.add_argument("--strengths", help="gaussian: per-feature strengths, comma separated")
-    p.add_argument("--noise-sd", type=float, help="noise scale (gaussian 1.0; blobs 0.5)")
-    p.add_argument("--height", type=int, help="blobs: image height (default 8)")
-    p.add_argument("--width", type=int, help="blobs: image width (default 8)")
-    p.add_argument("--strong", type=float, help="blobs: center signal amplitude (default 1.0)")
-    p.add_argument("--weak", type=float, help="blobs: background amplitude (default 0.05)")
-    p.add_argument("--sigma", type=float, help="blobs: blob radius (default 1.3)")
-    p.set_defaults(func=cmd_synth, n=2000, seed=0)
+    p.add_argument("--n", type=int, default=2000, help="number of examples (default %(default)s)")
+    _add_sampler_flags(p)
+    p.add_argument("--height", type=int, help="image height")
+    p.add_argument("--width", type=int, help="image width")
+    p.add_argument("--strong", type=float, help="center signal amplitude")
+    p.add_argument("--weak", type=float, help="background amplitude")
+    p.add_argument("--sigma", type=float, help="blob radius")
+    p.set_defaults(func=cmd_synth)
 
     return parser
 

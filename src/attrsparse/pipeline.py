@@ -5,7 +5,7 @@ how much sparser the robust regimes' attributions are.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,9 +32,6 @@ class CompareOutcome:
     table_rows: list
     distribution_rows: list
     tradeoff_rows: list
-    models: dict = field(default_factory=dict)
-    traces: dict = field(default_factory=dict)
-    gini_reports: dict = field(default_factory=dict)
 
 
 def _strength(cfg: TrainConfig) -> float:
@@ -61,7 +58,7 @@ def run_compare(ds: Dataset, spec: LossSpec, eps_list, lam_list, base_cfg: Train
     n_test = ds.test_indices.size
     split_key = f"{dataset_id}:test:{n_test}"
 
-    models, traces, reports, accuracies, mean_losses = {}, {}, {}, {}, {}
+    reports, accuracies, mean_losses = {}, {}, {}
 
     sweep = ([replace(base_cfg, regime="adversarial", epsilon=float(eps)) for eps in eps_list]
              + [replace(base_cfg, regime="l1", l1_strength=float(lam)) for lam in lam_list])
@@ -77,16 +74,12 @@ def run_compare(ds: Dataset, spec: LossSpec, eps_list, lam_list, base_cfg: Train
     # with PGD draws its random starts from that stream and trains alone.
     shared = [tag for tag, cfg in cfgs.items() if not uses_pgd(cfg)]
     for group in [shared] + [[tag] for tag in cfgs if tag not in shared]:
-        for tag, (model, trace) in zip(group, train_many(ds, spec, [cfgs[t] for t in group])):
-            models[tag], traces[tag] = model, trace
-
-    for tag in cfgs:
-        model = models[tag]
-        ev = evaluate(model, ds, spec)
-        attribs = attribute_dataset(model, ds, baseline, method=method, steps=steps)
-        accuracies[tag] = ev.accuracy
-        mean_losses[tag] = ev.mean_loss
-        reports[tag] = make_gini_report(attribs, tag, split_key)
+        for tag, (model, _) in zip(group, train_many(ds, spec, [cfgs[t] for t in group])):
+            ev = evaluate(model, ds, spec)
+            attribs = attribute_dataset(model, ds, baseline, method=method, steps=steps)
+            accuracies[tag] = ev.accuracy
+            mean_losses[tag] = ev.mean_loss
+            reports[tag] = make_gini_report(attribs, tag, split_key)
 
     attr_tag = "ig-closed" if method == "closed" else f"ig-numeric[{steps}]"
     natural_report = reports["natural"]
@@ -140,9 +133,6 @@ def run_compare(ds: Dataset, spec: LossSpec, eps_list, lam_list, base_cfg: Train
         table_rows=table_rows,
         distribution_rows=distribution_rows,
         tradeoff_rows=tradeoff_rows,
-        models=models,
-        traces=traces,
-        gini_reports=reports,
     )
 
 

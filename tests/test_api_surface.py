@@ -1,7 +1,7 @@
 """The public API is what the program itself uses: every name a module of
 ``src/attrsparse`` exports in ``__all__`` must be referenced from code in
 ``src/``, apart from a short list of names kept on purpose for callers
-outside it."""
+outside it, and every dataclass field must be read by code in ``src/``."""
 import ast
 import os
 
@@ -72,3 +72,48 @@ def test_allowlist_names_real_unused_exports():
     used = {name for name in ALLOWED
             if any(name in _references(tree, name) for _, tree in modules)}
     assert not used, f"allowed but used in src/: {sorted(used)}"
+
+
+def _is_dataclass(node):
+    if not isinstance(node, ast.ClassDef):
+        return False
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+
+
+def _loads(node, skip):
+    """Attribute names read anywhere under node, except inside the nodes in skip."""
+    found = set()
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if n in skip:
+            continue
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            found.add(n.attr)
+        stack.extend(ast.iter_child_nodes(n))
+    return found
+
+
+def _reads_all_fields(cls):
+    """Whether the class hands itself to asdict, which reads every field."""
+    return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "asdict"
+               and n.args and isinstance(n.args[0], ast.Name) and n.args[0].id == "self"
+               for n in ast.walk(cls))
+
+
+def test_every_dataclass_field_is_read_by_the_program():
+    # a field read only by its own __init__/__post_init__ (or by tests) is
+    # state the program carries for no reader
+    modules = list(_modules())
+    unread = []
+    for module, tree in modules:
+        for cls in filter(_is_dataclass, ast.walk(tree)):
+            if _reads_all_fields(cls):
+                continue
+            own = [n for n in cls.body
+                   if isinstance(n, ast.FunctionDef) and n.name in ("__init__", "__post_init__")]
+            read = set().union(*(_loads(other, own) for _, other in modules))
+            unread += [f"{module}: {cls.name}.{n.target.id}" for n in cls.body
+                       if isinstance(n, ast.AnnAssign) and n.target.id not in read]
+    assert not unread, f"dataclass fields no code in src/ reads: {unread}"

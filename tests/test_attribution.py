@@ -27,8 +27,7 @@ def test_closed_form_hand_value():
     attr = ig_closed_form(model, np.asarray([1.0, 2.0]), np.zeros(2))
     np.testing.assert_allclose(attr.values, IG_HAND, rtol=0, atol=1e-15)
     assert attr.completeness_residual <= 1e-15
-    assert not attr.degenerate
-    assert attr.target_description == "model-output"
+    assert np.all(attr.values > 0.0)
     # components split the output difference in proportion to (x-u)*w
     assert float(attr.values.sum()) == pytest.approx(SIGMOID_3 - 0.5, abs=1e-15)
 
@@ -61,14 +60,14 @@ def test_closed_form_completeness_random(rng):
 
 def test_closed_form_degenerate_and_error_branches():
     model = LinearModel(w=np.asarray([1.0, -1.0]))
-    # x == u: zero path, zero attribution, flagged degenerate
+    # x == u: zero path, zero attribution, complete
     attr = ig_closed_form(model, np.asarray([0.3, 0.3]), np.asarray([0.3, 0.3]))
     np.testing.assert_array_equal(attr.values, [0.0, 0.0])
-    assert attr.degenerate and attr.completeness_residual == 0.0
-    # orthogonal move: margin unchanged, outputs equal, still degenerate
+    assert attr.completeness_residual == 0.0
+    # orthogonal move: margin unchanged, outputs equal, still zero and complete
     attr2 = ig_closed_form(model, np.asarray([1.0, 1.0]), np.zeros(2))
-    assert attr2.degenerate
     np.testing.assert_array_equal(attr2.values, [0.0, 0.0])
+    assert attr2.completeness_residual == 0.0
 
     class _Inconsistent(LinearModel):
         def value(self, x):  # output not a function of the margin
@@ -100,7 +99,6 @@ def test_closed_form_rounding_split_is_degenerate_not_an_error(activation, bias)
     gap = float(model.value(x)) - float(model.value(u))
     assert abs(gap) < 1e-15
     attr = ig_closed_form(model, x, u)
-    assert attr.degenerate
     np.testing.assert_array_equal(attr.values, [0.0, 0.0])
     assert attr.completeness_residual == abs(gap)
     if activation == "identity":
@@ -193,8 +191,7 @@ def test_attribute_dataset_true_class_flips_negative_examples():
     for a, b, i in zip(flipped, raw, ds.test_indices):
         sign = 1.0 if ds.labels[i] == 1.0 else -1.0
         np.testing.assert_array_equal(a.values, sign * b.values)
-        assert a.target_description == "p(true class)"
-        assert b.target_description == "model-output"
+        assert a.completeness_residual == b.completeness_residual
     assert any(ds.labels[i] == -1.0 for i in ds.test_indices)
 
 
@@ -244,8 +241,8 @@ def test_impact_report_sums_categorical_spans():
     ds = Dataset(X, np.asarray([1.0, -1.0]),
                  ["color=r", "color=g", "color=b", "size"], groups)
     from attrsparse.attribution import AttributionVector
-    a1 = AttributionVector(np.asarray([0.2, -0.4, 0.0, 1.0]), np.zeros(4), "t", 0.0)
-    a2 = AttributionVector(np.asarray([-0.6, 0.0, 0.2, 3.0]), np.zeros(4), "t", 0.0)
+    a1 = AttributionVector(np.asarray([0.2, -0.4, 0.0, 1.0]), 0.0)
+    a2 = AttributionVector(np.asarray([-0.6, 0.0, 0.2, 3.0]), 0.0)
     rep = impact_report([a1, a2], ds)
     np.testing.assert_allclose(rep.value_impact, [0.4, 0.2, 0.1, 2.0], atol=1e-15)
     np.testing.assert_allclose(rep.feature_impact, [0.7, 2.0], atol=1e-15)
@@ -320,16 +317,14 @@ def test_split_closed_form_matches_per_row_formula_bitwise(bias, activation):
                 values = -values
             assert _same_bits(attr.values, values), (split, target, i)
             assert _same_bits(attr.completeness_residual, residual)
-            assert attr.degenerate is degenerate
-            assert attr.target_description == (
-                "p(true class)" if target == "true-class-probability" else "model-output")
             negative_zero_rows += degenerate and bool(np.signbit(attr.values).all())
         base = got[0].values.base  # the vectors view one matrix
         assert base is not None and all(a.values.base is base for a in got)
     assert negative_zero_rows > 0  # the sign flip of a zero attribution is -0.0
     one = ig_closed_form(model, ds.features[5], zero)
     values, residual, degenerate = _closed_form_row_reference(model, ds.features[5], zero)
-    assert degenerate and one.degenerate and _same_bits(one.values, values)
+    assert degenerate and _same_bits(one.values, values)
+    assert one.completeness_residual == residual
 
 
 # --- the split-level numeric kernel ----------------------------------------------
@@ -383,7 +378,6 @@ def test_numeric_row_does_not_depend_on_its_block(steps):
                 one = singles[i]
                 assert _same_bits(attr.values, one.values), (model, split, i)
                 assert attr.completeness_residual == one.completeness_residual
-                assert attr.degenerate is False
             base = got[0].values.base  # the vectors view one matrix
             assert base is not None and all(a.values.base is base for a in got)
 

@@ -83,6 +83,10 @@ def test_synth_gaussian_output(synth_json, tmp_path, capsys):
                  "--height", "3", "--sigma", "9"]) == 1
     assert "--height does not apply to synth gaussian" in capsys.readouterr().err
     assert not (tmp_path / "bad.json").exists()
+    # the defaults: 2000 examples of ten features
+    assert main(["synth", "gaussian", "--out", str(exact)]) == 0
+    ds = load_dataset(exact)
+    assert ds.n_examples == 2000 and ds.dim == 10
 
 
 def test_synth_blobs(tmp_path, capsys):
@@ -165,19 +169,71 @@ def _flag_argv(flag, default):
 
 
 def test_train_config_is_the_one_home_of_training_options():
-    # every field is a flag of train and compare and a config-file key in both
-    # spellings, and the CLI's defaults are TrainConfig's own
+    # every field is a flag of train and a config-file key in both spellings,
+    # and a flag of compare apart from the three it sets per fit; the CLI's
+    # defaults are TrainConfig's own
     parser = build_parser()
     for f in fields(TrainConfig):
         flag = _CONFIG_ALIASES.get(f.name, f.name)
-        for command in ("train", "compare"):
-            args = parser.parse_args([command, "--data", "x.json", *_flag_argv(flag, f.default)])
-            assert getattr(args, flag) is not None, (command, f.name)
+        argv = ["--data", "x.json", *_flag_argv(flag, f.default)]
+        assert getattr(parser.parse_args(["train", *argv]), flag) is not None, f.name
+        if f.name in ("regime", "epsilon", "l1_strength"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["compare", *argv])
+        else:
+            assert getattr(parser.parse_args(["compare", *argv]), flag) is not None, f.name
     args = parser.parse_args(["train", "--data", "x.json"])
     assert _train_config(_resolve({}, args)) == TrainConfig()
     for f in fields(TrainConfig):
         for key in (f.name, _CONFIG_ALIASES.get(f.name, f.name)):
             assert _train_config(_resolve({key: f.default}, args)) == TrainConfig(), key
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"use_bias": "false"}, "config key 'use_bias' must be bool, got 'false'"),
+    ({"epochs": 2.7}, "config key 'epochs' must be int, got 2.7"),
+    ({"seed": True}, "config key 'seed' must be int, got True"),
+    ({"learning_rate": "0.1"}, "config key 'learning_rate' must be int or float, got '0.1'"),
+    ({"model": ["mlp"]}, "config key 'model' must be str, got ['mlp']"),
+    ({"hidden": 16}, "config key 'hidden' must be list or tuple or str, got 16"),
+])
+def test_train_config_value_of_wrong_type_exit_1(synth_json, tmp_path, capsys, cfg, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    rc = main(["train", "--data", str(synth_json), "--config", str(path),
+               "--out-dir", str(tmp_path / "run")])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_config_int_for_float_field_is_accepted():
+    args = build_parser().parse_args(["train", "--data", "x.json"])
+    cfg = _train_config(_resolve({"lr": 1, "eps": 0}, args))
+    assert cfg == TrainConfig(learning_rate=1.0)
+    assert type(cfg.learning_rate) is float and type(cfg.epsilon) is float
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("hidden", ["3.9", "0", "4,-2", "nan", "inf", [3.9], [0], [True]])
+def test_bad_hidden_sizes_exit_1_before_training(synth_json, tmp_path, capsys, monkeypatch,
+                                                 command, hidden):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model was trained")
+
+    monkeypatch.setattr("attrsparse.cli.train", refuse)
+    monkeypatch.setattr("attrsparse.pipeline.train_many", refuse)
+    if isinstance(hidden, str):
+        argv = [f"--hidden={hidden}"]
+    else:  # a config file's list
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hidden": hidden}), encoding="utf-8")
+        argv = ["--config", str(cfg)]
+    rc = main([command, "--data", str(synth_json), "--model", "mlp", *argv,
+               "--out-dir", str(tmp_path / "run")])
+    assert rc == 1
+    assert "hidden sizes must be integers >= 1, got" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_toml_config_needs_newer_python_or_json(synth_json, tmp_path, capsys):
@@ -429,6 +485,19 @@ def test_compare_rejects_colliding_sweep_values_before_training(synth_json, tmp_
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--regime", "l1"], ["--eps", "3"], ["--lam", "0.5"],
+    ["--regime", "l1", "--lam", "0.5", "--eps", "3"],
+])
+def test_compare_rejects_single_fit_flags(synth_json, tmp_path, capsys, no_training, flags):
+    # compare sets each fit's regime and strength from --eps-list and --lam-list
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--data", str(synth_json), *flags, "--out-dir", str(tmp_path)])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 # --- attribute --------------------------------------------------------------------
 
 def test_attribute_outputs(synth_json, trained_model, tmp_path):
@@ -491,6 +560,26 @@ def test_attribute_image_grids(tmp_path):
     rc = main(["attribute", "--data", str(data), "--model", str(run / "model.json"),
                "--image-shape", "3x2", "--out-dir", str(out)])
     assert rc == 1
+
+
+@pytest.mark.parametrize("shape", ["3x3", "8x8x2", "-2x-5", "0x4", "2x", "2*2", "axb"])
+def test_attribute_rejects_bad_image_shape_before_attributing(synth_json, trained_model,
+                                                              tmp_path, capsys, monkeypatch,
+                                                              shape):
+    def refuse(*args, **kwargs):
+        raise AssertionError("attributed before rejecting the shape")
+
+    monkeypatch.setattr("attrsparse.cli.attribute_dataset", refuse)
+    out = tmp_path / "attr"
+    argv = ["attribute", "--data", str(synth_json), "--model", str(trained_model),
+            f"--image-shape={shape}", "--out-dir", str(out)]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # a malformed shape is an argument error
+        rc = exc.code
+    assert rc == 1
+    assert "--image-shape" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_attribute_closed_rejects_mlp(synth_json, tmp_path, capsys):
@@ -621,9 +710,10 @@ def test_verify_bound_and_lemma(tmp_path):
     doc = _verify_doc(out)
     assert [r["check"] for r in doc["results"]] == [
         "weighted-update-bound[0]", "weighted-update-bound[1]"]
-    assert main(["verify", "lemmaD1", "--n", "20000", "--out", str(out)]) == 0
+    assert main(["verify", "lemmaD1", "--out", str(out)]) == 0
     doc = _verify_doc(out)
     assert doc["results"][0]["check"] == "conditional-expectation-bound"
+    assert doc["results"][0]["n_samples"] == 100_000  # the default --n
 
 
 def test_verify_identity_all_losses_and_forced_failure(tmp_path, capsys):
@@ -698,6 +788,21 @@ def test_verify_bound_thread_env_does_not_change_bytes(tmp_path, monkeypatch):
     # a sampler flag the check does not read is an error, not ignored
     (["thm1-bound", "--strengths", "5,5"], "--strengths does not apply to verify thm1-bound"),
     (["thm3", "--noise-sd", "3"], "--noise-sd does not apply to verify thm3"),
+    # a size flag the check does not read is an error too, whatever its value
+    (["thm3", "--n", "5"], "--n does not apply to verify thm3"),
+    (["thm3", "--eps", "7"], "--eps does not apply to verify thm3"),
+    (["thm3", "--configs", "0"], "--configs does not apply to verify thm3"),
+    (["thm3", "--trials", "10", "--n", "5", "--eps", "7", "--configs", "0"],
+     "--configs does not apply to verify thm3"),
+    (["thm1-zero", "--trials", "0"], "--trials does not apply to verify thm1-zero"),
+    (["thm1-zero", "--tol", "5"], "--tol does not apply to verify thm1-zero"),
+    (["thm1-zero", "--eps", "0.3"], "--eps does not apply to verify thm1-zero"),
+    (["thm1-zero", "--n", "20000", "--trials", "0", "--tol", "5"],
+     "--tol does not apply to verify thm1-zero"),
+    (["thm1-bound", "--tol", "1e-3"], "--tol does not apply to verify thm1-bound"),
+    (["lemmaD1", "--configs", "2"], "--configs does not apply to verify lemmaD1"),
+    (["thm3", "--loss", "all", "--strengths", "1"], "--strengths does not apply to verify thm3"),
+    (["thm1-zero", "--loss", "all"], "unknown loss kind 'all'"),
 ])
 def test_verify_rejects_vacuous_sizes_before_sampling(tmp_path, capsys, monkeypatch,
                                                        argv, message):

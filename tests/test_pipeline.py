@@ -1,11 +1,13 @@
 """Comparison experiment pipeline: report structure, row bookkeeping, writer
 formats, and rerun determinism."""
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from attrsparse._version import __version__
+from attrsparse.attribution import attribute_dataset
 from attrsparse.data import SyntheticConditionalSampler, generate_synthetic
 from attrsparse.losses import make_loss
 from attrsparse.pipeline import (
@@ -15,7 +17,8 @@ from attrsparse.pipeline import (
     write_table_csv,
     write_tradeoff_csv,
 )
-from attrsparse.training import TrainConfig
+from attrsparse.sparseness import make_gini_report
+from attrsparse.training import TrainConfig, evaluate, train_many
 
 LOGISTIC = make_loss("logistic-nll")
 
@@ -101,15 +104,26 @@ def test_tradeoff_rows(outcome):
     assert out.tradeoff_rows[3][1] == 0.02
 
 
-def test_models_traces_reports_carried(outcome):
+def test_report_matches_train_many_and_gini_reports(outcome):
+    # each regime's report entry is the stacked fit of its config, scored by
+    # make_gini_report over the zero-baseline attributions of the test split
     ds, out = outcome
-    assert set(out.models) == set(out.report["regimes"])
-    assert set(out.traces) == set(out.models)
+    base = TrainConfig(epochs=8)
+    cfgs = {"natural": base,
+            "adversarial(eps=0.1)": replace(base, regime="adversarial", epsilon=0.1),
+            "adversarial(eps=0.3)": replace(base, regime="adversarial", epsilon=0.3),
+            "l1(lam=0.02)": replace(base, regime="l1", l1_strength=0.02)}
+    assert list(out.report["regimes"]) == list(cfgs)
     n_test = ds.test_indices.size
-    for tag, rep in out.gini_reports.items():
+    fits = train_many(ds, LOGISTIC, list(cfgs.values()))
+    for (tag, cfg), (model, _) in zip(cfgs.items(), fits):
+        entry = out.report["regimes"][tag]
+        assert entry["config"]["epsilon"] == cfg.epsilon
+        assert entry["accuracy"] == evaluate(model, ds, LOGISTIC).accuracy
+        rep = make_gini_report(attribute_dataset(model, ds, np.zeros(ds.dim)), tag,
+                               f"toy:test:{n_test}")
         assert rep.per_example.size == n_test
-        assert rep.split_key == f"toy:test:{n_test}"
-        assert rep.regime_tag == tag
+        assert entry["mean_attribution_gini"] == rep.mean
 
 
 def test_empty_sweeps():
@@ -156,8 +170,6 @@ def test_rerun_is_identical_except_runtime():
     assert a.table_rows == b.table_rows
     assert a.distribution_rows == b.distribution_rows
     assert a.tradeoff_rows == b.tradeoff_rows
-    for tag in a.models:
-        np.testing.assert_array_equal(a.models[tag].w, b.models[tag].w)
 
 
 def test_writers_exact_format(tmp_path, outcome):

@@ -152,7 +152,7 @@ def test_hypothesis_bounds_and_oracle(vals):
 
 
 def test_make_gini_report_uses_magnitudes():
-    attr = AttributionVector(np.asarray([-3.0, 1.0, 0.0]), np.zeros(3), "t", 0.0)
+    attr = AttributionVector(np.asarray([-3.0, 1.0, 0.0]), 0.0)
     assert make_gini_report([attr], "t").per_example.tolist() == [0.5]
     with pytest.raises(ValueError, match="no attributions"):
         make_gini_report([], "t")
@@ -173,8 +173,8 @@ def test_gini_report_mean_and_validation():
 
 def test_make_gini_report():
     attribs = [
-        AttributionVector(np.asarray([1.0, 0.0]), np.zeros(2), "t", 0.0),
-        AttributionVector(np.asarray([2.0, 2.0]), np.zeros(2), "t", 0.0),
+        AttributionVector(np.asarray([1.0, 0.0]), 0.0),
+        AttributionVector(np.asarray([2.0, 2.0]), 0.0),
     ]
     rep = make_gini_report(attribs, "natural", split_key="k")
     np.testing.assert_allclose(rep.per_example, [0.5, 0.0], atol=1e-15)
