@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossSpec, linear_loss_and_grads, loss
+from .losses import LossSpec
 from .models import LinearModel, MlpModel
 
 __all__ = [
@@ -45,10 +45,7 @@ def closed_form_perturbation(model: LinearModel, y, epsilon: float):
     Independent of x: the worst case pushes every coordinate against the
     weight's sign. Coordinates with w_i = 0 do not affect the loss and stay 0.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 0:
-        return -float(y) * np.sign(model.w) * epsilon
-    return -y[:, None] * np.sign(model.w)[None, :] * epsilon
+    return -np.asarray(y, dtype=float)[..., None] * np.sign(model.w) * epsilon
 
 
 def adversarial_loss(spec: LossSpec, model: LinearModel, x, y, epsilon: float):
@@ -62,16 +59,16 @@ def adversarial_loss(spec: LossSpec, model: LinearModel, x, y, epsilon: float):
     return spec.g(epsilon * np.abs(model.w).sum() - y * margin)
 
 
-def _input_grad(spec, model, X, y):
-    """Per-example input gradient of the natural loss, from the model
-    family's gradient engine without its parameter gradients (and, for an
-    MLP, without the loss values)."""
+def _input_grad(spec, model, X, negy):
+    """(z, input gradient of the natural loss g(z)) per row of X, where
+    z = -y * margin and negy = -y: an MLP runs one forward and one input-only
+    reverse pass; a linear model's gradient is g'(z) * -y * w."""
     if isinstance(model, MlpModel):
         cache = model._forward(X)
-        return model.backprop(cache, -y * spec.gprime(-y * cache[0]), params=False)[2]
-    bias = None if model.bias is None else np.asarray([model.bias])
-    _, _, coeff = linear_loss_and_grads(spec, model.w[None], bias, X, y)
-    return coeff[0][:, None] * model.w
+        z = negy * cache[0]
+        return z, model.backprop(cache, negy * spec.gprime(z), params=False)[2]
+    z = negy * model.margin(X)
+    return z, (negy * spec.gprime(z))[:, None] * model.w
 
 
 def pgd_perturb_batch(model, X, y, eps: float, cfg: PgdConfig, spec: LossSpec, rng):
@@ -91,9 +88,12 @@ def pgd_perturb_batch(model, X, y, eps: float, cfg: PgdConfig, spec: LossSpec, r
         delta = np.zeros_like(X)
     start = delta.copy()
     moved = np.add(X, delta)  # X + delta, refilled in place each step
-    start_loss = loss(spec, model, moved, y)  # a forward pass only
-    for _ in range(cfg.steps):
-        step = np.sign(_input_grad(spec, model, moved, y))
+    negy = -y
+    for k in range(cfg.steps):
+        z, grad = _input_grad(spec, model, moved, negy)
+        if k == 0:
+            start_loss = spec.g(z)  # the first step's forward pass
+        step = np.sign(grad, out=grad)
         step *= cfg.step_size
         delta += step
         # np.clip(delta, -eps, eps) in place. Operand order keeps np.clip's
@@ -102,7 +102,7 @@ def pgd_perturb_batch(model, X, y, eps: float, cfg: PgdConfig, spec: LossSpec, r
         np.maximum(-eps, delta, out=delta)
         np.minimum(eps, delta, out=delta)
         np.add(X, delta, out=moved)
-    final_loss = loss(spec, model, moved, y)
+    final_loss = spec.g(negy * model.margin(moved))
     worse = final_loss < start_loss
     if np.any(worse):
         delta[worse] = start[worse]

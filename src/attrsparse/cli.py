@@ -118,24 +118,31 @@ def _check_config_value(key, value, default):
 
 
 def _resolve(file_cfg: dict, args) -> dict:
-    """TrainConfig's defaults and the loss, overridden by the config file,
-    overridden by explicit flags; hidden as a list of integers >= 1."""
+    """TrainConfig's defaults and the loss, overridden by the config file (a
+    key only where its flag exists), overridden by explicit flags; hidden as
+    a non-empty list of integers >= 1."""
     resolved = dict(_TRAIN_OPTIONS)
+    origin = {}  # where each option's value came from, for error messages
     for key, value in file_cfg.items():
         canon = _CONFIG_ALIASES.get(key, key)
         if canon not in resolved:
             raise ValueError(
                 f"unknown config key {key!r}; valid keys: {sorted(resolved)}")
+        if not hasattr(args, canon):
+            raise ValueError(f"config key {key!r} does not apply to {args.command}")
         _check_config_value(key, value, resolved[canon])
-        resolved[canon] = value
+        resolved[canon], origin[canon] = value, f"config key {key!r}"
     for key in resolved:
-        flag_value = getattr(args, key, None)  # compare sets regime, eps and lam itself
-        if flag_value is not None:
-            resolved[key] = flag_value
+        if getattr(args, key, None) is not None:
+            resolved[key], origin[key] = getattr(args, key), "--" + key.replace("_", "-")
     hidden = resolved["hidden"]
-    sizes = _parse_float_list(hidden) if isinstance(hidden, str) else hidden
-    if not all(type(v) in (int, float) and float(v).is_integer() and v >= 1 for v in sizes):
-        raise ValueError(f"hidden sizes must be integers >= 1, got {hidden!r}")
+    try:
+        sizes = _parse_float_list(hidden) if isinstance(hidden, str) else hidden
+    except ValueError:
+        sizes = None
+    if not sizes or not all(type(v) in (int, float) and float(v).is_integer() and v >= 1
+                            for v in sizes):
+        raise ValueError(f"{origin['hidden']}: hidden sizes must be integers >= 1, got {hidden!r}")
     resolved["hidden"] = [int(v) for v in sizes]
     return resolved
 

@@ -253,19 +253,8 @@ def load_csv(path, schema, label_column, *, delimiter=",", split_seed=0,
     # split before fitting any statistic; categories come from train rows only
     train_rows = _train_indices(n, split_seed)
 
-    categories = {}
-    for name in order:
-        if kinds[name] != "categorical":
-            continue
-        seen = []
-        have = set()
-        j = col_idx[name]
-        for i in train_rows:
-            v = rows[i][j]
-            if v not in have:
-                have.add(v)
-                seen.append(v)
-        categories[name] = seen
+    categories = {name: list(dict.fromkeys(rows[i][col_idx[name]] for i in train_rows))
+                  for name in order if kinds[name] == "categorical"}
 
     groups = []
     names = []

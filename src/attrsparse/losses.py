@@ -26,14 +26,6 @@ def _softplus(z):
     return np.logaddexp(0.0, z)
 
 
-def _logistic_g(z):
-    return _softplus(z)
-
-
-def _logistic_gprime(z):
-    return sigmoid(z)
-
-
 def _hinge_g(z):
     return np.maximum(0.0, 1.0 + np.asarray(z, dtype=float))
 
@@ -62,7 +54,7 @@ class LossSpec:
 
 
 _CATALOG = {
-    "logistic-nll": LossSpec("logistic-nll", _logistic_g, _logistic_gprime),
+    "logistic-nll": LossSpec("logistic-nll", _softplus, sigmoid),
     "hinge": LossSpec("hinge", _hinge_g, _hinge_gprime),
     "softplus-hinge": LossSpec("softplus-hinge", _softplus_hinge_g, _softplus_hinge_gprime),
 }

@@ -231,10 +231,6 @@ def _encode(arr):
     return [[fmt_float(v) for v in row] for row in arr]
 
 
-def _decode(data):
-    return np.asarray(data, dtype=float)
-
-
 def model_to_dict(model) -> dict:
     if isinstance(model, LinearModel):
         return {
@@ -262,14 +258,14 @@ def model_from_dict(data: dict):
     if kind == "linear":
         bias = data.get("bias")
         return LinearModel(
-            w=_decode(data["weights"]),
+            w=data["weights"],
             activation=data["activation"],
             bias=None if bias is None else float(bias),
         )
     if kind == "mlp":
         return MlpModel(
-            weights=[_decode(W) for W in data["weights"]],
-            biases=[_decode(b) for b in data["biases"]],
+            weights=data["weights"],
+            biases=data["biases"],
             hidden_activation=data["hidden_activation"],
         )
     raise ValueError(f"unknown model kind {kind!r}")

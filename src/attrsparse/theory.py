@@ -4,6 +4,7 @@ expectation bound behind it, and the exact worst-case-attribution identity.
 """
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -71,42 +72,44 @@ def check_sample_count(n: int):
         raise ValueError(f"n must be >= {MIN_REPORT_SAMPLES} for reported estimates, got {n}")
 
 
-def _mc_stats(per_sample_fn, n: int, seed: int, width: int):
-    """Accumulate mean and standard error of a per-sample statistic vector.
+def _mc_moments(per_sample_fn, n: int, seed: int):
+    """Means of a per-sample statistic vector and of its elementwise square.
 
     Sampling runs in fixed-size chunks seeded as (seed, chunk_index); chunks
     may execute on worker threads (ATTRSPARSE_THREADS) but are always reduced
-    in index order, so results do not depend on the thread count. A chunk's
-    statistic is a C-ordered (m, width) array, which sum(axis=0) adds up row
-    by row (another layout rounds differently); it is squared in place.
+    in index order, so results do not depend on the thread count, and memory
+    is bounded by the chunk size. A chunk's statistic is an (m, width) array
+    that sum(axis=0) adds up in its own layout: row by row when C-ordered,
+    pairwise down each column when column-major (the layouts round
+    differently); it is squared in place.
     """
     check_sample_count(n)
-    bounds = list(chunk_bounds(n, _CHUNK))
 
     def run(task):
         ci, (lo, hi) = task
-        rng = np.random.default_rng([seed, ci])
-        stats = per_sample_fn(rng, hi - lo)
+        stats = per_sample_fn(np.random.default_rng([seed, ci]), hi - lo)
         total = stats.sum(axis=0)
         stats *= stats
         return total, stats.sum(axis=0)
 
-    tasks = list(enumerate(bounds))
+    tasks = list(enumerate(chunk_bounds(n, _CHUNK)))
     workers = worker_count()
     if workers > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(run, tasks))
     else:
         partials = [run(t) for t in tasks]
-    total = np.zeros(width)
-    total_sq = np.zeros(width)
+    total, total_sq = np.zeros((2, *partials[0][0].shape))
     for s, s2 in partials:
         total += s
         total_sq += s2
-    mean = total / n
-    var = np.maximum(total_sq / n - mean * mean, 0.0)
-    se = np.sqrt(var / n)
-    return mean, se
+    return total / n, total_sq / n
+
+
+def _mc_stats(per_sample_fn, n: int, seed: int):
+    """Mean and standard error of a per-sample statistic vector (_mc_moments)."""
+    mean, mean_sq = _mc_moments(per_sample_fn, n, seed)
+    return mean, np.sqrt(np.maximum(mean_sq - mean * mean, 0.0) / n)
 
 
 def _worst_case_slope(spec, w, budget, X, y):
@@ -133,7 +136,7 @@ def expected_update(spec: LossSpec, w, epsilon: float, sampler, n: int,
         X *= gp[:, None]
         return X
 
-    return _mc_stats(stat, n, seed, w.size)
+    return _mc_stats(stat, n, seed)
 
 
 def verify_zero_weight_update(spec: LossSpec, sampler, n: int, seed: int = 0):
@@ -187,7 +190,7 @@ def _weighted_update_stats(spec, wspec, epsilon, sampler, n, seed):
         np.subtract(s, b, out=gap)
         return out
 
-    mean, se = _mc_stats(stat, n, seed, 3)
+    mean, se = _mc_stats(stat, n, seed)
     return mean, se, abar
 
 
@@ -240,20 +243,31 @@ def check_theorem1_limit(spec: LossSpec, wspec: WeightedAverageSpec, epsilon: fl
 
 def check_lemma_exp_bound(f, sampler, n: int, seed: int = 0) -> TheoremCheckResult:
     """E[Z * f(Z, V)] <= E[Z] * E[f(Z, V)] for f non-increasing in Z when
-    (Z independent of V given Y) and E(Z|Y) = E(Z); checked at 3 SE using the
-    covariance estimator's sampling error."""
-    check_sample_count(n)
-    rng = np.random.default_rng(seed)
-    z, v, _y = sampler(n, rng)
-    fv = f(z, v)
-    z_mean, f_mean = z.mean(), fv.mean()
-    estimate = float((z * fv).mean())
-    reference = float(z_mean * f_mean)
-    # the gap estimate - reference equals the mean centered cross product,
-    # which is exactly 0 (not just tiny) for constant f or constant Z
-    centered = (z - z_mean) * (fv - f_mean)
-    gap = float(centered.mean())
-    se = float(centered.std(ddof=1) / np.sqrt(n))
+    (Z independent of V given Y) and E(Z|Y) = E(Z); checked at 3 SE of the
+    centred cross product c = (Z - E[Z]) * (f - E[f]), whose mean is the gap.
+
+    sampler(m, rng) -> (z, v, y) is drawn on the Monte-Carlo engine in
+    chunks of at most _CHUNK rows seeded (seed, chunk), so memory is bounded
+    by the chunk size and the result does not depend on ATTRSPARSE_THREADS.
+    Each sample gives z, f, zf, z^2 f and z f^2; with their squares these
+    are every moment the gap and the ddof=1 standard error of c need.
+    """
+    def stat(rng, m):
+        z, v, _y = sampler(m, rng)
+        cols = np.empty((5, m))  # returned transposed: each column sums contiguously
+        cols[0], cols[1] = z, f(z, v)
+        np.multiply(cols[0], cols[1], out=cols[2])
+        np.multiply(cols[2], cols[:2], out=cols[3:])  # z^2 f and z f^2
+        return cols.T
+
+    mean, mean_sq = _mc_moments(stat, n, seed)
+    ez, ef, ezf, ez2f, ezf2 = mean.tolist()
+    ez2, ef2, ez2f2 = mean_sq[:3].tolist()
+    estimate, reference = ezf, ez * ef
+    gap = estimate - reference  # exactly 0 when f is a constant power of two
+    c2 = (ez2f2 - 2.0 * ef * ez2f - 2.0 * ez * ezf2 + ef * ef * ez2 + ez * ez * ef2
+          + 4.0 * ez * ef * ezf - 3.0 * reference * reference)  # E[c^2]
+    se = math.sqrt(max(c2 - gap * gap, 0.0) / (n - 1))
     return TheoremCheckResult(
         check_id="conditional-expectation-bound",
         estimate=estimate,
@@ -336,7 +350,7 @@ def lemma_d1_instance(spec: LossSpec, sampler, epsilon: float, seed: int):
     def draw(m, rng):
         X, y = sampler.sample(m, rng)
         X *= y[:, None]
-        return X[:, 0].copy(), X[:, 1:], y
+        return X[:, 0], X[:, 1:], y
 
     def f(z, v):
         return spec.gprime(margin_const - abs(w[0]) * z - v @ w[1:])

@@ -215,7 +215,8 @@ def test_train_config_int_for_float_field_is_accepted():
 
 
 @pytest.mark.parametrize("command", ["train", "compare"])
-@pytest.mark.parametrize("hidden", ["3.9", "0", "4,-2", "nan", "inf", [3.9], [0], [True]])
+@pytest.mark.parametrize("hidden", ["3.9", "0", "4,-2", "nan", "inf", [3.9], [0], [True],
+                                    "", "abc", []])
 def test_bad_hidden_sizes_exit_1_before_training(synth_json, tmp_path, capsys, monkeypatch,
                                                  command, hidden):
     def refuse(*args, **kwargs):
@@ -224,15 +225,15 @@ def test_bad_hidden_sizes_exit_1_before_training(synth_json, tmp_path, capsys, m
     monkeypatch.setattr("attrsparse.cli.train", refuse)
     monkeypatch.setattr("attrsparse.pipeline.train_many", refuse)
     if isinstance(hidden, str):
-        argv = [f"--hidden={hidden}"]
+        argv, origin = [f"--hidden={hidden}"], "--hidden"
     else:  # a config file's list
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"hidden": hidden}), encoding="utf-8")
-        argv = ["--config", str(cfg)]
+        argv, origin = ["--config", str(cfg)], "config key 'hidden'"
     rc = main([command, "--data", str(synth_json), "--model", "mlp", *argv,
                "--out-dir", str(tmp_path / "run")])
     assert rc == 1
-    assert "hidden sizes must be integers >= 1, got" in capsys.readouterr().err
+    assert f"{origin}: hidden sizes must be integers >= 1, got" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -483,6 +484,20 @@ def test_compare_rejects_colliding_sweep_values_before_training(synth_json, tmp_
     err = capsys.readouterr().err
     assert f"sweep values {named} both name the model" in err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("key", ["regime", "eps", "epsilon", "lam", "l1_strength"])
+def test_compare_rejects_single_fit_config_keys(synth_json, tmp_path, capsys, no_training, key):
+    # the config-file twin of the flags below: compare sets them per fit
+    cfg = tmp_path / "cfg.json"
+    doc = {"regime": "l1", "eps": 3, "lam": 0.5}
+    cfg.write_text(json.dumps({"epochs": 2, key: doc[_CONFIG_ALIASES.get(key, key)]}),
+                   encoding="utf-8")
+    rc = main(["compare", "--data", str(synth_json), "--config", str(cfg),
+               "--out-dir", str(tmp_path / "run")])
+    assert rc == 1
+    assert f"config key {key!r} does not apply to compare" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("flags", [
@@ -752,6 +767,17 @@ def test_verify_thread_env_does_not_change_bytes(tmp_path, monkeypatch):
     monkeypatch.setenv("ATTRSPARSE_THREADS", "4")
     assert main(["verify", "thm1-zero", "--n", "200000", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_verify_lemma_thread_env_does_not_change_bytes(tmp_path, monkeypatch):
+    # 150k samples span three Monte-Carlo chunks
+    reports = []
+    for threads in ("1", "2", "4"):
+        monkeypatch.setenv("ATTRSPARSE_THREADS", threads)
+        out = tmp_path / f"t{threads}.json"
+        assert main(["verify", "lemmaD1", "--n", "150000", "--seed", "3", "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_verify_bound_thread_env_does_not_change_bytes(tmp_path, monkeypatch):

@@ -113,9 +113,9 @@ GOLDEN = {
     'train-mlp-adversarial/model.json': 'a9d99a223dd712317fc4f06a545aeb3aeec2a30423e11a6326d3ff361535b44d',
     'train-mlp-adversarial/resolved_config.json': 'd0daa72e17e0e15c4caa7c23a47ff111cb17cb70e2ddbedcb199a135fdf2dcfb',
     'train-mlp-adversarial/trace.csv': '9c854efa320ce4d85547a8e65247cc670e2945fd54f08f6fefcd1673aea2c123',
-    'verify-lemmaD1-gaussian/report.json': 'e69677be98a0886a39b4e89f67af0804a6d1658f7ec3ce6ad737b020de89a2de',
-    'verify-lemmaD1-hinge/report.json': '0a85819df0a1ae3522de08dcd308ae0774aab8ae2890b7ca64d1a7d503706767',
-    'verify-lemmaD1-uniform/report.json': 'b1f72deaf477aa3d5dd6d1c9411f93ce81b13010fd1d03fbe11369f4bbb8dafe',
+    'verify-lemmaD1-gaussian/report.json': '255c74fc2dfc05b330f3540fb86e786f6970deb1acbb3a55a16d0bf5a328fee4',
+    'verify-lemmaD1-hinge/report.json': 'e439fc024564fbcc5c87e77a765710f786eaeb8c9ba2d4eaf7f58a825cedb692',
+    'verify-lemmaD1-uniform/report.json': '95308dc994a8d16d89b5f523157354e15d53d4ba2ab2cbec7ab3d8f6dbd81c82',
     'verify-thm1-bound-uniform/report.json': '0c37c1378a8b50aa3846f55798aff49bffa34be98c85924e3c7196b7fa6830b2',
     'verify-thm1-bound/report.json': '7ace3ac6d129fff3b0c50e26e364ef59927497647e99fc5cbe5bd30ea74f96f3',
     'verify-thm1-zero-gaussian/report.json': '4358bdbfdac10ffaf680104020084fe14854eea9a27297bfc6f5902201c6ca30',

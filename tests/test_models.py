@@ -291,12 +291,12 @@ def test_mlp_gradients_run_one_forward_pass(monkeypatch):
     for a, b in zip(grads, full_grads):
         np.testing.assert_array_equal(a, b)
 
-    # PGD: one forward pass per step plus the start and final loss checks,
-    # and never the parameter products
+    # PGD: one forward pass per step, the first also giving the start loss,
+    # plus the final loss check, and never the parameter products
     del calls[:], reverse[:]
     cfg = PgdConfig(steps=5, step_size=0.05)
     pgd_perturb_batch(model, X, y, 0.2, cfg, spec, np.random.default_rng(3))
-    assert len(calls) == cfg.steps + 2
+    assert len(calls) == cfg.steps + 1
     assert reverse == [False] * cfg.steps
 
 
