@@ -88,7 +88,9 @@ def linear_loss_and_grads(spec: LossSpec, w, bias, X, y, epsilon=0.0):
     Returns (per-example loss (k, n), parameter gradients summed over the
     batch [weights (k, d), then the bias (k,) when it is not None], coeff
     (k, n)), where coeff[:, :, None] * w[:, None, :] is the per-example input
-    gradient of the natural loss.
+    gradient of the natural loss. The weight gradient is one (1, n) @ (n, d)
+    product per model, coeff @ X, plus the eps-box term sum(g') * eps *
+    sign(w); no (k, n, d) per-example array is formed.
     """
     epsilon = np.asarray(epsilon, dtype=float).reshape(-1, 1)
     margin = np.matmul(X, w[..., None])[..., 0]
@@ -97,7 +99,7 @@ def linear_loss_and_grads(spec: LossSpec, w, bias, X, y, epsilon=0.0):
     z = epsilon * np.abs(w).sum(axis=1, keepdims=True) - y * margin
     gp = spec.gprime(z)
     coeff = -(gp * y)
-    grads = [(coeff[..., None] * X + gp[..., None] * (np.sign(w) * epsilon)[:, None, :]).sum(axis=1)]
+    grads = [(coeff[:, None, :] @ X)[:, 0] + gp.sum(axis=1, keepdims=True) * (np.sign(w) * epsilon)]
     if bias is not None:
         grads.append(coeff.sum(axis=1))
     return spec.g(z), grads, coeff

@@ -73,21 +73,25 @@ class LinearModel:
 _HIDDEN_ACTS = ("softplus", "tanh", "relu")
 
 
-def _act(kind, t):
-    """A hidden activation and its derivative at t from one pass; softplus
-    is max(t, 0) + log1p(exp(-|t|)) on NumPy's vectorised exp and log1p, and
-    its derivative is sigmoid(t) bit for bit. Sums and quotients are taken in
-    place, as numeric IG's blocks outgrow NumPy's small-buffer cache."""
+def _act(kind, t, deriv=True):
+    """A hidden activation and its derivative at t from one pass, or the
+    activation alone when deriv is False; softplus is max(t, 0) +
+    log1p(exp(-|t|)) on NumPy's vectorised exp and log1p, and its derivative
+    is sigmoid(t) bit for bit. Sums and quotients are taken in place, as
+    numeric IG's blocks outgrow NumPy's small-buffer cache."""
     if kind == "softplus":
         e = np.exp(-np.abs(t))
         h = np.log1p(e)
         h += np.maximum(t, 0.0)
+        if not deriv:
+            return h
         dh = np.where(t >= 0, 1.0, e)
         return h, np.divide(dh, np.add(e, 1.0, out=e), out=dh)
     if kind == "tanh":
         h = np.tanh(t)
-        return h, 1.0 - h * h
-    return np.maximum(0.0, t), np.where(t > 0.0, 1.0, 0.0)
+        return (h, 1.0 - h * h) if deriv else h
+    h = np.maximum(0.0, t)
+    return (h, np.where(t > 0.0, 1.0, 0.0)) if deriv else h
 
 
 @dataclass
@@ -132,21 +136,25 @@ class MlpModel:
     def layer_sizes(self):
         return [self.dim] + [W.shape[-1] for W in self.weights]
 
-    def _forward(self, X, first=None):
+    def _forward(self, X, first=None, *, backward=True):
         """Forward pass on X (n, d) returning (logit, derivatives, layer
         inputs), with each hidden activation's derivative cached for backprop.
 
         The logit is (n,), or (k, n) for a stack of k models. ``first``, when
         given, replaces the first layer's output X @ W0 + b0 (X then only
         fills the cache's input slot); its leading axes carry through to the
-        logit.
+        logit. backward=False, for callers that run no reverse pass, computes
+        no derivative and leaves that list empty.
         """
         t = X @ self.weights[0] + self.biases[0][..., None, :] if first is None else first
         derivs = []   # activation derivative per hidden layer
         acts = [X]    # layer inputs, starting with the data
         for W, b in zip(self.weights[1:], self.biases[1:]):
-            h, dh = _act(self.hidden_activation, t)
-            derivs.append(dh)
+            if backward:
+                h, dh = _act(self.hidden_activation, t)
+                derivs.append(dh)
+            else:
+                h = _act(self.hidden_activation, t, deriv=False)
             acts.append(h)
             t = h @ W + b[..., None, :]
         return t[..., 0], derivs, acts
@@ -156,7 +164,7 @@ class MlpModel:
         if x.shape[-1] != self.dim:
             raise ValueError(f"input dimension {x.shape[-1]} != model dimension {self.dim}")
         single = x.ndim == 1
-        logit, _, _ = self._forward(x[None, :] if single else x)
+        logit, _, _ = self._forward(x[None, :] if single else x, backward=False)
         return float(logit[0]) if single else logit
 
     def value(self, x):

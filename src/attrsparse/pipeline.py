@@ -74,7 +74,8 @@ def run_compare(ds: Dataset, spec: LossSpec, eps_list, lam_list, base_cfg: Train
     # with PGD draws its random starts from that stream and trains alone.
     shared = [tag for tag, cfg in cfgs.items() if not uses_pgd(cfg)]
     for group in [shared] + [[tag] for tag in cfgs if tag not in shared]:
-        for tag, (model, _) in zip(group, train_many(ds, spec, [cfgs[t] for t in group])):
+        fits = train_many(ds, spec, [cfgs[t] for t in group], trace=False)
+        for tag, (model, _) in zip(group, fits):
             ev = evaluate(model, ds, spec)
             attribs = attribute_dataset(model, ds, baseline, method=method, steps=steps)
             accuracies[tag] = ev.accuracy

@@ -204,7 +204,10 @@ def _unstack(cfg, params, i, copy=False):
                     hidden_activation=cfg.hidden_activation)
 
 
-def train_many(ds: Dataset, spec: LossSpec, cfgs):
+# Overflow in a step's arithmetic shows up as a non-finite objective, which
+# the divergence check below reports by model and step.
+@np.errstate(over="ignore", invalid="ignore")
+def train_many(ds: Dataset, spec: LossSpec, cfgs, *, trace=True):
     """Fit one model per config as one stacked program; deterministic given
     the shared seed.
 
@@ -220,7 +223,9 @@ def train_many(ds: Dataset, spec: LossSpec, cfgs):
     before the gradient step; the stable-ig regime is the same arithmetic by
     the worst-case-attribution equivalence and is limited to linear models;
     l1 applies proximal soft-thresholding to the weights (never the bias)
-    after every optimizer step. Returns [(model, trace)] in config order.
+    after every optimizer step. Returns [(model, trace)] in config order;
+    trace=False skips the per-epoch training-split pass and returns
+    (model, None).
     """
     cfgs = list(cfgs)
     _check_stack(cfgs)
@@ -254,7 +259,7 @@ def train_many(ds: Dataset, spec: LossSpec, cfgs):
 
     optimizer = _make_optimizer(cfg.optimizer, params, cfg.learning_rate)
     trace_eps = epsilon if stack is None else np.zeros(k)  # an MLP traces its natural loss
-    traces = [TrainTrace() for _ in cfgs]
+    traces = [TrainTrace() if trace else None for _ in cfgs]
     step = 0
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
@@ -285,6 +290,8 @@ def train_many(ds: Dataset, spec: LossSpec, cfgs):
                     thr = threshold.reshape((-1,) + (1,) * (arr.ndim - 1))
                     arr[prox] = soft_threshold(arr[prox], thr)
             step += 1
+        if not trace:
+            continue
         if stack is None:
             margins = np.matmul(X, params[0][..., None])[..., 0]
             if bias is not None:
@@ -293,13 +300,12 @@ def train_many(ds: Dataset, spec: LossSpec, cfgs):
             margins = stack.margin(X)
         points = _trace_points(spec, margins, _weight_rows(weights), y,
                                trace_eps, is_l1, lam)
-        for trace, point in zip(traces, zip(*(p.tolist() for p in points))):
-            for series, value in zip((trace.loss, trace.accuracy,
-                                      trace.weight_l1, trace.weight_gini), point):
+        for tr, point in zip(traces, zip(*(p.tolist() for p in points))):
+            for series, value in zip((tr.loss, tr.accuracy, tr.weight_l1, tr.weight_gini), point):
                 series.append(value)
 
-    return [(_unstack(c, params, i, copy=True), trace)
-            for i, (c, trace) in enumerate(zip(cfgs, traces))]
+    return [(_unstack(c, params, i, copy=True), tr)
+            for i, (c, tr) in enumerate(zip(cfgs, traces))]
 
 
 def train(ds: Dataset, spec: LossSpec, cfg: TrainConfig):

@@ -4,6 +4,7 @@ import builtins
 import csv
 import json
 import os
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -423,6 +424,19 @@ def test_compare_divergence_names_the_model_exit_2(synth_json, tmp_path, capsys)
     assert rc == 2
     err = capsys.readouterr().err
     assert "training diverged: adversarial(eps=1e+07):" in err and "at step 1" in err
+
+
+def test_compare_overflow_prints_only_the_diagnosis(synth_json, tmp_path, capsys):
+    # eps = 1e308 overflows the eps-box term; the non-finite objective is
+    # reported by the divergence check, with no NumPy warning before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["compare", "--data", str(synth_json), "--eps-list", "1e308",
+                   "--lam-list", "0.01", "--epochs", "1", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "attrsparse: training diverged: adversarial(eps=1e+308):"), err
 
 
 def test_compare_empty_eps_list(synth_json, tmp_path):

@@ -84,32 +84,32 @@ CASES = [
 ]
 
 GOLDEN = {
-    'attribute-linear-closed-model-output/attributions.csv': '6f1318f19d36bb04c0f4db6c853d8da2158dae7b9d88f20baf302f37e3da774d',
-    'attribute-linear-closed-model-output/impact_features.csv': '5f0dec3e1ae67f10026f2bf1236eeb9442eb238a461534e22a9d9abf2402691c',
-    'attribute-linear-closed-model-output/impact_values.csv': '5f0dec3e1ae67f10026f2bf1236eeb9442eb238a461534e22a9d9abf2402691c',
-    'attribute-linear-closed/attributions.csv': '10d79c01c7ac03e9d0e2a612fdf84f2d0d86b6811ab0898dd030cdc496850b0f',
-    'attribute-linear-closed/impact_features.csv': '5f0dec3e1ae67f10026f2bf1236eeb9442eb238a461534e22a9d9abf2402691c',
-    'attribute-linear-closed/impact_values.csv': '5f0dec3e1ae67f10026f2bf1236eeb9442eb238a461534e22a9d9abf2402691c',
+    'attribute-linear-closed-model-output/attributions.csv': '1a1c99e0f6b0aa0e1c397721f242fd71c42e393542c14e80802345d7d1d0558c',
+    'attribute-linear-closed-model-output/impact_features.csv': 'be6d9573d0512ec1653df65232402e644bd98e919df784415aa69092221e6984',
+    'attribute-linear-closed-model-output/impact_values.csv': 'be6d9573d0512ec1653df65232402e644bd98e919df784415aa69092221e6984',
+    'attribute-linear-closed/attributions.csv': 'dae8eb6b090edc1a6da64897ea46526a882e8ed6727cb0a549d90a3bf7b996de',
+    'attribute-linear-closed/impact_features.csv': 'be6d9573d0512ec1653df65232402e644bd98e919df784415aa69092221e6984',
+    'attribute-linear-closed/impact_values.csv': 'be6d9573d0512ec1653df65232402e644bd98e919df784415aa69092221e6984',
     'attribute-mlp-numeric/attributions.csv': '15b1ed84c1eff0d768436c638a5552d1ce9190f73028a2fb7f20db6857ba17bb',
     'attribute-mlp-numeric/impact_features.csv': '8c5e56b561e8c13841ffb3d058b77b50ed357b47cbf5e493d3a1e631b9c96e56',
     'attribute-mlp-numeric/impact_values.csv': '8c5e56b561e8c13841ffb3d058b77b50ed357b47cbf5e493d3a1e631b9c96e56',
     'blobs.json': '24977d33ffb683ac45b04b257a531c8678359e475fff0f88a15f457d43249b0b',
-    'compare-linear/distributions.csv': '7a0397c1b5a4a551292812db8a49dc060c5cc1d3d3b0bf71400ab028b462fbde',
-    'compare-linear/report.json': '5374fb011dfb74c5ba1f112910cbac755402fcfe3c20fb3bc0d75b7c8de67b50',
-    'compare-linear/table.csv': 'c19f650e80b8c95b66d6a9d2a1fcf598df96c58b175804c2261b355587187477',
-    'compare-linear/tradeoff.csv': '6ac29e45891f3c97ac267f43fcec3145034782be28a5d37978589ae79fffe273',
+    'compare-linear/distributions.csv': '593bfd4f32ae07d63f6ffdd548d1668665c39959b77f4856368d05d74af02044',
+    'compare-linear/report.json': 'a6feaf2bf40163917c050308062f71c6a68bd02e63399cd6947b40b570256c92',
+    'compare-linear/table.csv': '149e39f9ec595e3938d5c2a99137e11d8af53d172dfa8b211793a7a330fe89ec',
+    'compare-linear/tradeoff.csv': '5bf1d448601072480abed30fd4128b5496721dfa80117538a1986665ca26b1a7',
     'compare-mlp/distributions.csv': '3cf2ff66abaf784b8d26862f35c123950ed83b89370317f2eeadf1fd2adbdf8b',
     'compare-mlp/report.json': 'ca04300ac2682ff5901f3ac371ebee15652b2c42e9b717bc3ae0708da6efd29e',
     'compare-mlp/table.csv': '16517c02429ec9e0be95366f75a88e426a34d2d0dac200e74ce1267f3bace55c',
     'compare-mlp/tradeoff.csv': '28aa9a732aacc8c4f184882ac5c6e822e0cf829e3544407c20db97297ae64e1b',
-    'gini-attributions/gini.csv': 'ef60dc9b0fb7d8f6748fdbe4da0871aa5d9d20ed99cf51d6faa9b37e2cc1ebbe',
+    'gini-attributions/gini.csv': '075b78e35b35310e9bc45d4f36eab0243ea4f46ea43aac824ed33ca6184a8f67',
     'toy.json': '013a1672c8ee97981d2511049d5900f0e790072eb354d3285888eaf3368f8c23',
-    'train-linear-adversarial-hinge/model.json': '7b782473506a7e07233cc47af08d10226d1a5af201ca91b091af6354321e64f4',
+    'train-linear-adversarial-hinge/model.json': 'ac715f4f7d290dfbca315c028a79600ad50c0aae6598a70b7c1773832824e86b',
     'train-linear-adversarial-hinge/resolved_config.json': 'ea0d5f010af10760f34a44b7af9746cc73350a6af894c0639f436b74cd6fa5ea',
-    'train-linear-adversarial-hinge/trace.csv': '12f6daa9b1e5ac897c90bb70256377c656f133648f68fa6d50f3c5c43aa1491c',
-    'train-linear-l1/model.json': 'c431315aa3b13a60b1bf58170258a3137f4b0e6737464c04a4bd44c70683248a',
+    'train-linear-adversarial-hinge/trace.csv': '4000c510d51a8defe880b86e7dc29d9591b0f93edd76d93bc9d59abc6edb70c2',
+    'train-linear-l1/model.json': 'c2fcd37c93bae8750fdd221efe789f22b89922adfe5b273dfee690772b89fec7',
     'train-linear-l1/resolved_config.json': '35d60a88c72f06634dd18824d5c4dda3b29c164f83b29bed8bd358be53538f1b',
-    'train-linear-l1/trace.csv': '201094ce13e92a778ad1e37918751ab9c8bdde2d652f21ee59a84d5289060cd1',
+    'train-linear-l1/trace.csv': 'd1fa0e8a010cee39248388e7acd920619e6a4358c9ed37add0baffb0e4897f76',
     'train-mlp-adversarial/model.json': 'a9d99a223dd712317fc4f06a545aeb3aeec2a30423e11a6326d3ff361535b44d',
     'train-mlp-adversarial/resolved_config.json': 'd0daa72e17e0e15c4caa7c23a47ff111cb17cb70e2ddbedcb199a135fdf2dcfb',
     'train-mlp-adversarial/trace.csv': '9c854efa320ce4d85547a8e65247cc670e2945fd54f08f6fefcd1673aea2c123',

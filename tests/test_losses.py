@@ -151,6 +151,38 @@ def test_loss_gradient_matches_finite_difference(kind):
     assert float(gb) == pytest.approx((at(w, b + h, x) - at(w, b - h, x)) / (2 * h), abs=1e-5)
 
 
+@pytest.mark.parametrize("use_bias", [False, True])
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+def test_linear_weight_gradient_matches_broadcast_reference(kind, use_bias):
+    # The engine forms the weight gradient as coeff @ X per model plus the
+    # eps-box term; the reference is the per-example (k, n, d) broadcast sum
+    # it replaced. Sums of n products round apart, so each model's gradient
+    # is held to 1e-12 of its largest entry; loss, bias gradient and coeff
+    # come from the same arithmetic as before and must match bit for bit.
+    spec = make_loss(kind)
+    rng = np.random.default_rng(31)
+    eps = np.asarray([0.0, 0.05, 0.0, 0.2, 0.5, 0.0])
+    k, n, d = eps.size, 32, 52
+    for _ in range(10):
+        w = rng.normal(size=(k, d))
+        w[:, ::7] = 0.0  # sign(0) = 0 keeps those weights out of the eps-box term
+        X = rng.normal(size=(n, d))
+        y = rng.choice([-1.0, 1.0], size=n)
+        bias = rng.normal(size=k) if use_bias else None
+        losses, grads, coeff = linear_loss_and_grads(spec, w, bias, X, y, eps)
+        gp = -coeff * y  # g'(z), as y is +-1
+        margin = np.matmul(X, w[..., None])[..., 0] + (0.0 if bias is None else bias[:, None])
+        z = eps[:, None] * np.abs(w).sum(axis=1, keepdims=True) - y * margin
+        np.testing.assert_array_equal(losses, spec.g(z))
+        np.testing.assert_array_equal(gp, spec.gprime(z))
+        ref = (coeff[..., None] * X + gp[..., None] * (np.sign(w) * eps[:, None])[:, None, :]).sum(axis=1)
+        scale = np.abs(ref).max(axis=1, keepdims=True)
+        assert np.all(np.abs(grads[0] - ref) <= 1e-12 * scale)
+        assert len(grads) == (2 if use_bias else 1)
+        if use_bias:
+            np.testing.assert_array_equal(grads[1], coeff.sum(axis=1))
+
+
 # --- hypothesis properties --------------------------------------------------
 
 finite_z = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)

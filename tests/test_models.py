@@ -7,6 +7,7 @@ import pytest
 
 from attrsparse.adversarial import PgdConfig, pgd_perturb_batch
 from attrsparse.attribution import ig_numeric
+from attrsparse import models
 from attrsparse.losses import make_loss, sigmoid
 from attrsparse.models import (
     LinearModel,
@@ -268,9 +269,9 @@ def test_mlp_gradients_run_one_forward_pass(monkeypatch):
     calls, reverse = [], []
     forward, backprop = MlpModel._forward, MlpModel.backprop
 
-    def counted(self, X):
-        calls.append(X.shape)
-        return forward(self, X)
+    def counted(self, X, **kwargs):
+        calls.append(kwargs.get("backward", True))
+        return forward(self, X, **kwargs)
 
     def recorded(self, cache, dlogit, **kwargs):
         reverse.append(kwargs.get("params", True))
@@ -292,12 +293,38 @@ def test_mlp_gradients_run_one_forward_pass(monkeypatch):
         np.testing.assert_array_equal(a, b)
 
     # PGD: one forward pass per step, the first also giving the start loss,
-    # plus the final loss check, and never the parameter products
+    # plus the forward-only final loss check, and never the parameter products
     del calls[:], reverse[:]
     cfg = PgdConfig(steps=5, step_size=0.05)
     pgd_perturb_batch(model, X, y, 0.2, cfg, spec, np.random.default_rng(3))
-    assert len(calls) == cfg.steps + 1
+    assert calls == [True] * cfg.steps + [False]
     assert reverse == [False] * cfg.steps
+
+
+@pytest.mark.parametrize("act", ["softplus", "tanh", "relu"])
+def test_margin_computes_no_activation_derivative(monkeypatch, act):
+    # margin and value run no reverse pass, so no hidden layer's derivative
+    # is formed; the logits keep the bits of the cached forward pass
+    rng = np.random.default_rng(8)
+    model = init_mlp([5, 7, 4, 1], rng, act)
+    stack = MlpModel(weights=[np.stack([W, 2.0 * W]) for W in model.weights],
+                     biases=[np.stack([b, b + 0.1]) for b in model.biases],
+                     hidden_activation=act)
+    X = rng.normal(size=(9, 5))
+    cached = [m._forward(X)[0] for m in (model, stack)]
+    returned = []
+
+    def recorded(*args, **kwargs):
+        returned.append(act_fn(*args, **kwargs))
+        return returned[-1]
+
+    act_fn = models._act
+    monkeypatch.setattr(models, "_act", recorded)
+    for m, logit in zip((model, stack), cached):
+        np.testing.assert_array_equal(m.margin(X), logit)
+        np.testing.assert_array_equal(m.value(X), sigmoid(logit))
+    # two hidden layers, four calls, each returning the activation alone
+    assert len(returned) == 8 and all(isinstance(r, np.ndarray) for r in returned)
 
 
 # --- prediction helpers -------------------------------------------------------

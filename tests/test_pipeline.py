@@ -18,7 +18,7 @@ from attrsparse.pipeline import (
     write_tradeoff_csv,
 )
 from attrsparse.sparseness import make_gini_report
-from attrsparse.training import TrainConfig, evaluate, train_many
+from attrsparse.training import TrainConfig, evaluate, train, train_many
 
 LOGISTIC = make_loss("logistic-nll")
 
@@ -124,6 +124,30 @@ def test_report_matches_train_many_and_gini_reports(outcome):
                                f"toy:test:{n_test}")
         assert rep.per_example.size == n_test
         assert entry["mean_attribution_gini"] == rep.mean
+
+
+def test_compare_computes_no_training_trace(outcome, monkeypatch):
+    # compare keeps no per-epoch trace, so it never builds one: with the
+    # trace kernel made to fail, it still writes the report it writes
+    # otherwise, while train keeps returning a full trace
+    def refuse(*args, **kwargs):
+        raise AssertionError("compare computed a training trace")
+
+    ds, out = outcome
+    with monkeypatch.context() as patch:
+        patch.setattr("attrsparse.training._trace_points", refuse)
+        again = run_compare(ds, LOGISTIC, [0.1, 0.3], [0.02], TrainConfig(epochs=8),
+                            dataset_id="toy")
+        run_compare(ds, LOGISTIC, [], [0.05], TrainConfig(epochs=2, model_kind="mlp"),
+                    method="numeric", steps=8)
+    drop = {"runtime_seconds"}
+    assert ({k: v for k, v in again.report.items() if k not in drop}
+            == {k: v for k, v in out.report.items() if k not in drop})
+    assert again.table_rows == out.table_rows
+    assert again.distribution_rows == out.distribution_rows
+    _, trace = train(ds, LOGISTIC, TrainConfig(epochs=8))
+    for series in (trace.loss, trace.accuracy, trace.weight_l1, trace.weight_gini):
+        assert len(series) == 8 and np.all(np.isfinite(series))
 
 
 def test_empty_sweeps():
