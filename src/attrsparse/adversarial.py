@@ -1,5 +1,5 @@
 """Worst-case l-infinity perturbations: exact closed form for linear margin
-models, projected gradient ascent for MLPs.
+models, projected gradient ascent for MLPs only.
 """
 from __future__ import annotations
 
@@ -59,18 +59,6 @@ def adversarial_loss(spec: LossSpec, model: LinearModel, x, y, epsilon: float):
     return spec.g(epsilon * np.abs(model.w).sum() - y * margin)
 
 
-def _input_grad(spec, model, X, negy):
-    """(z, input gradient of the natural loss g(z)) per row of X, where
-    z = -y * margin and negy = -y: an MLP runs one forward and one input-only
-    reverse pass; a linear model's gradient is g'(z) * -y * w."""
-    if isinstance(model, MlpModel):
-        cache = model._forward(X)
-        z = negy * cache[0]
-        return z, model.backprop(cache, negy * spec.gprime(z), params=False)[2]
-    z = negy * model.margin(X)
-    return z, (negy * spec.gprime(z))[:, None] * model.w
-
-
 def pgd_perturb_batch(model, X, y, eps: float, cfg: PgdConfig, spec: LossSpec, rng):
     """Projected signed-gradient ascent on a batch within the eps-box; rows
     perturbed independently.
@@ -78,8 +66,12 @@ def pgd_perturb_batch(model, X, y, eps: float, cfg: PgdConfig, spec: LossSpec, r
     The random start is drawn from rng, so the result is deterministic given
     the generator's state. If the final iterate somehow scores below the
     start (possible on non-concave losses), the start is returned, so
-    loss(x + delta) >= loss(x + delta0) always holds.
+    loss(x + delta) >= loss(x + delta0) always holds. The model must be an
+    MlpModel: a linear model's exact worst case is closed_form_perturbation.
     """
+    if not isinstance(model, MlpModel):
+        raise TypeError(f"PGD runs on an MlpModel, got {type(model).__name__}; "
+                        "a linear model's worst case is closed_form_perturbation")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if cfg.random_start:
@@ -90,7 +82,9 @@ def pgd_perturb_batch(model, X, y, eps: float, cfg: PgdConfig, spec: LossSpec, r
     moved = np.add(X, delta)  # X + delta, refilled in place each step
     negy = -y
     for k in range(cfg.steps):
-        z, grad = _input_grad(spec, model, moved, negy)
+        cache = model._forward(moved)
+        z = negy * cache[0]  # -y * margin: the natural loss is g(z)
+        grad = model.backprop(cache, negy * spec.gprime(z), "inputs")
         if k == 0:
             start_loss = spec.g(z)  # the first step's forward pass
         step = np.sign(grad, out=grad)

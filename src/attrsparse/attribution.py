@@ -110,7 +110,7 @@ def _first_layer_grad(model, first):
     if isinstance(model, MlpModel):
         cache = model._forward(None, first=first)
         p = sigmoid(cache[0])
-        return model.backprop(cache, p * (1.0 - p), params=False, first=True)[2]
+        return model.backprop(cache, p * (1.0 - p), "first")
     if model.activation == "identity":
         return np.ones_like(first)
     p = sigmoid(first)

@@ -195,20 +195,18 @@ def _column_kinds(schema, label_column):
 
 
 def _sniff_schema(header, rows, label_column):
-    """(name, kind) per non-label column: numeric iff every value parses."""
-    columns = []
+    """((name, kind) per non-label column, numeric iff every value parses;
+    the parsed values of each numeric column by its header position)."""
+    columns, parsed = [], {}
     for j, name in enumerate(header):
         if name == label_column:
             continue
-        kind = "numeric"
-        for row in rows:
-            try:
-                float(row[j])
-            except (ValueError, IndexError):
-                kind = "categorical"
-                break
-        columns.append((name, kind))
-    return columns
+        try:
+            parsed[j] = [float(row[j]) for row in rows]
+            columns.append((name, "numeric"))
+        except (ValueError, IndexError):
+            columns.append((name, "categorical"))
+    return columns, parsed
 
 
 def load_csv(path, schema, label_column, *, delimiter=",", split_seed=0,
@@ -236,8 +234,10 @@ def load_csv(path, schema, label_column, *, delimiter=",", split_seed=0,
 
     if label_column not in header:
         raise ValueError(f"label column {label_column!r} not in header {header}")
+    parsed = {}  # numeric values an inferred schema already parsed
     if schema is None:
-        kinds, order = _column_kinds(_sniff_schema(header, rows, label_column), label_column)
+        columns, parsed = _sniff_schema(header, rows, label_column)
+        kinds, order = _column_kinds(columns, label_column)
     missing = [c for c in header if c != label_column and c not in kinds]
     if missing:
         raise ValueError(f"schema does not name columns: {missing}")
@@ -282,6 +282,8 @@ def load_csv(path, schema, label_column, *, delimiter=",", split_seed=0,
                         f"row {i}, column {g.name!r}: category {v!r} not seen in training split"
                     )
                 X[i, g.start + lookup[v]] = 1.0
+        elif j in parsed:
+            X[:, g.start] = parsed[j]
         else:
             for i in range(n):
                 v = rows[i][j]
@@ -341,8 +343,16 @@ def blob_sampler(height=8, width=8, *, strong_amplitude=1.0, weak_amplitude=0.05
     """Synthetic image task: the class mean is a centered bright/dark blob.
 
     Pixels near the image center carry a strong class signal, the rest a weak
-    one, so adversarial training has something to prune.
-    """
+    one, so adversarial training has something to prune. A bad geometry is
+    an error that names its synth flag."""
+    for flag, size in (("height", height), ("width", width)):
+        if size < 1:
+            raise ValueError(f"--{flag} must be >= 1, got {size}")
+    if not (math.isfinite(blob_sigma) and blob_sigma > 0.0):
+        raise ValueError(f"--sigma must be a finite number > 0, got {blob_sigma}")
+    for flag, amplitude in (("strong", strong_amplitude), ("weak", weak_amplitude)):
+        if not math.isfinite(amplitude):
+            raise ValueError(f"--{flag} must be a finite number, got {amplitude}")
     rr, cc = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
     cr, cw = (height - 1) / 2.0, (width - 1) / 2.0
     bump = np.exp(-((rr - cr) ** 2 + (cc - cw) ** 2) / (2.0 * blob_sigma**2))

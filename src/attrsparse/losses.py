@@ -11,7 +11,8 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["LossSpec", "make_loss", "LOSS_KINDS", "loss", "linear_loss_and_grads", "sigmoid"]
+__all__ = ["LossSpec", "make_loss", "LOSS_KINDS", "loss", "worst_case_slope",
+           "linear_loss_and_grads", "sigmoid"]
 
 
 def sigmoid(z):
@@ -78,28 +79,35 @@ def loss(spec: LossSpec, model, x, y):
     return spec.g(-np.asarray(y, dtype=float) * margin)
 
 
-def linear_loss_and_grads(spec: LossSpec, w, bias, X, y, epsilon=0.0):
-    """The linear family's one gradient engine: k stacked models on one batch.
-
-    w is (k, d), bias (k,) or None, epsilon a scalar or (k,). Per-example
-    loss is the worst case over each model's eps-box,
-    g(eps*||w||_1 - y*(<w, x> + bias)); epsilon=0 is the natural loss bit for
-    bit, and every row is bit-identical to the same model trained alone.
-    Returns (per-example loss (k, n), parameter gradients summed over the
-    batch [weights (k, d), then the bias (k,) when it is not None], coeff
-    (k, n)), where coeff[:, :, None] * w[:, None, :] is the per-example input
-    gradient of the natural loss. The weight gradient is one (1, n) @ (n, d)
-    product per model, coeff @ X, plus the eps-box term sum(g') * eps *
-    sign(w); no (k, n, d) per-example array is formed.
+def worst_case_slope(spec: LossSpec, w, bias, X, y, epsilon=0.0):
+    """(z, g'(z)), each (k, n), for k stacked linear models on one batch:
+    z = eps*||w||_1 - y*(<w, x> + bias) is the margin's worst case over each
+    model's eps-box. Training's engine and the theorem-1 checks share it.
+    w is (k, d), bias (k,) or None, epsilon a scalar or (k,).
     """
     epsilon = np.asarray(epsilon, dtype=float).reshape(-1, 1)
     margin = np.matmul(X, w[..., None])[..., 0]
     if bias is not None:
         margin = margin + bias[:, None]
     z = epsilon * np.abs(w).sum(axis=1, keepdims=True) - y * margin
-    gp = spec.gprime(z)
+    return z, spec.gprime(z)
+
+
+def linear_loss_and_grads(spec: LossSpec, w, bias, X, y, epsilon=0.0):
+    """The linear family's one gradient engine: k stacked models on one batch.
+
+    Per-example loss is the worst case g(z) of worst_case_slope; epsilon=0 is
+    the natural loss bit for bit, and every row is bit-identical to the same
+    model trained alone. Returns (per-example loss (k, n), parameter
+    gradients summed over the batch [weights (k, d), then the bias (k,) when
+    it is not None]). The weight gradient is one (1, n) @ (n, d) product per
+    model, coeff @ X with coeff = -g'(z) * y, plus the eps-box term
+    sum(g') * eps * sign(w); no (k, n, d) per-example array is formed.
+    """
+    z, gp = worst_case_slope(spec, w, bias, X, y, epsilon)
     coeff = -(gp * y)
-    grads = [(coeff[:, None, :] @ X)[:, 0] + gp.sum(axis=1, keepdims=True) * (np.sign(w) * epsilon)]
+    shift = np.sign(w) * np.asarray(epsilon, dtype=float).reshape(-1, 1)
+    grads = [(coeff[:, None, :] @ X)[:, 0] + gp.sum(axis=1, keepdims=True) * shift]
     if bias is not None:
         grads.append(coeff.sum(axis=1))
-    return spec.g(z), grads, coeff
+    return spec.g(z), grads

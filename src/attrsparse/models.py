@@ -170,46 +170,46 @@ class MlpModel:
     def value(self, x):
         return sigmoid(self.margin(x))
 
-    def backprop(self, cache, dlogit, *, params=True, inputs=True, first=False):
+    def backprop(self, cache, dlogit, wrt):
         """Reverse pass from dLoss/dlogit (n,) through the cached forward pass
         ``cache = self._forward(X)``, using the activation derivatives it cached.
 
-        Returns (weight_grads, bias_grads, input_grads): parameter gradients
-        are summed over the batch, input gradients are per example (n, d);
-        a stack adds its leading model axis to each. params=False skips the
-        parameter products (both lists come back empty) and inputs=False the
-        last input product (input_grads is None); what is computed does not
-        change bit for bit. first=True also skips that product and returns,
-        in place of the input gradients, the gradient at the first layer's
-        output (n, h1), whose product with W0 transposed they are.
+        wrt picks the one result computed: "params", the parameter gradients
+        summed over the batch [weights by layer, then biases by layer];
+        "inputs", the per-example input gradients (n, d); or "first", the
+        gradient at the first layer's output (n, h1), whose product with W0
+        transposed the input gradients are. A stack adds its leading model
+        axis to each. Every product the result does not need is skipped, and
+        what is computed does not depend on wrt bit for bit.
         """
+        if wrt not in ("params", "inputs", "first"):
+            raise ValueError(f"wrt must be 'params', 'inputs' or 'first', got {wrt!r}")
         _, derivs, acts = cache
         weight_grads, bias_grads = [], []
         delta = dlogit[..., None]  # gradient at the output unit
         for l in range(len(self.weights) - 1, -1, -1):
             if l < len(derivs):
                 delta = np.multiply(upstream, derivs[l], out=upstream)
-            if params:
+            if wrt == "params":
                 weight_grads.insert(0, acts[l].swapaxes(-1, -2) @ delta)
                 bias_grads.insert(0, delta.sum(axis=-2))
-            upstream = (delta @ self.weights[l].swapaxes(-1, -2)
-                        if l or (inputs and not first) else None)
-        return weight_grads, bias_grads, delta if first else upstream
+            if l or wrt == "inputs":
+                upstream = delta @ self.weights[l].swapaxes(-1, -2)
+        if wrt == "params":
+            return weight_grads + bias_grads
+        return upstream if wrt == "inputs" else delta
 
-    def loss_and_grads(self, spec: LossSpec, X, y, *, params=True, inputs=True):
+    def loss_and_grads(self, spec: LossSpec, X, y):
         """The MLP family's one gradient engine: g(-y * logit) on a batch
         X (n, d) from one forward and one reverse pass.
 
         Returns (per-example loss (n,), parameter gradients summed over the
-        batch [weights by layer, then biases by layer], per-example input
-        gradients (n, d)); a stack adds its leading model axis to each.
-        params and inputs are those of backprop.
+        batch [weights by layer, then biases by layer]); a stack adds its
+        leading model axis to each.
         """
         cache = self._forward(X)
         z = -y * cache[0]
-        weight_grads, bias_grads, dx = self.backprop(cache, -y * spec.gprime(z),
-                                                     params=params, inputs=inputs)
-        return spec.g(z), weight_grads + bias_grads, dx
+        return spec.g(z), self.backprop(cache, -y * spec.gprime(z), "params")
 
 
 def classify(model, x):

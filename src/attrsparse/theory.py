@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._util import chunk_bounds, worker_count
-from .losses import LossSpec
+from .losses import LossSpec, worst_case_slope
 
 __all__ = [
     "WeightedAverageSpec",
@@ -112,11 +112,16 @@ def _mc_stats(per_sample_fn, n: int, seed: int):
     return mean, np.sqrt(np.maximum(mean_sq - mean * mean, 0.0) / n)
 
 
-def _worst_case_slope(spec, w, budget, X, y):
-    """g'(eps*|w|_1 - y*<x, w>) per row, with budget = eps*|w|_1."""
-    t = X @ w
-    t *= y
-    return spec.gprime(np.subtract(budget, t, out=t))
+def _update_rows(spec, w, epsilon, X, y, cols=slice(None)):
+    """Per-sample worst-case update g'(z) * (y*x_i - sign(w_i)*eps) on the
+    columns cols of X (in place when cols is a slice), with the slope g'(z)
+    per row; z is training's worst-case margin (losses.worst_case_slope)."""
+    gp = worst_case_slope(spec, w[None], None, X, y, epsilon)[1][0]  # a stack of one
+    rows = X[:, cols]
+    rows *= y[:, None]
+    rows -= (np.sign(w) * epsilon)[cols]
+    rows *= gp[:, None]
+    return rows, gp
 
 
 def expected_update(spec: LossSpec, w, epsilon: float, sampler, n: int,
@@ -125,26 +130,15 @@ def expected_update(spec: LossSpec, w, epsilon: float, sampler, n: int,
     per-coordinate mean of g'(margin) * (y*x_i - sign(w_i)*eps), with SEs.
     """
     w = np.asarray(w, dtype=float)
-    shift = np.sign(w) * epsilon
-    budget = epsilon * np.abs(w).sum()
-
-    def stat(rng, m):
-        X, y = sampler.sample(m, rng)
-        gp = _worst_case_slope(spec, w, budget, X, y)
-        X *= y[:, None]
-        X -= shift
-        X *= gp[:, None]
-        return X
-
-    return _mc_stats(stat, n, seed)
+    return _mc_stats(lambda rng, m: _update_rows(spec, w, epsilon, *sampler.sample(m, rng))[0],
+                     n, seed)
 
 
 def verify_zero_weight_update(spec: LossSpec, sampler, n: int, seed: int = 0):
     """At w = 0 the expected update is g'(0) * a exactly; check each coordinate
     against the sampler's true strengths at the 3-SE criterion."""
     d = sampler.dim
-    zeros = np.zeros(d)
-    mean, se = expected_update(spec, zeros, 0.0, sampler, n, seed=seed)
+    mean, se = expected_update(spec, np.zeros(d), 0.0, sampler, n, seed=seed)
     gp0 = float(spec.gprime(np.asarray(0.0)))
     targets = gp0 * np.asarray(sampler.strengths)
     out = []
@@ -172,16 +166,10 @@ def _weighted_update_stats(spec, wspec, epsilon, sampler, n, seed):
     denom = np.abs(w_s).sum()
     a = np.asarray(sampler.strengths)
     abar = float((w_s * a[idx]).sum() / denom)
-    shift_s = (np.sign(w) * epsilon)[idx]
-    budget = epsilon * np.abs(w).sum()
 
     def stat(rng, m):
         X, y = sampler.sample(m, rng)
-        gp = _worst_case_slope(spec, w, budget, X, y)
-        upd = X[:, idx]
-        upd *= y[:, None]
-        upd -= shift_s
-        upd *= gp[:, None]
+        upd, gp = _update_rows(spec, w, epsilon, X, y, idx)
         upd *= w_s
         out = np.empty((m, 3))
         s, b, gap = out.T

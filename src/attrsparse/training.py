@@ -149,13 +149,12 @@ def _trace_points(spec, margins, rows, y, epsilon, is_l1, lam):
     stack on the training split: one row of each per model.
 
     margins is (k, n); rows holds each model's weights, one row per model.
-    epsilon is non-zero only for the linear models whose loss is the
-    worst case over the eps-box; l1 models add lam * ||w||_1.
+    Each model's loss is g(eps*||w||_1 - y*margin), with epsilon non-zero
+    only for the linear models trained on the eps-box's worst case; l1
+    models add lam * ||w||_1.
     """
     l1 = np.abs(rows).sum(axis=1)
-    z = -y * margins
-    adv = epsilon > 0.0
-    z[adv] = epsilon[adv, None] * l1[adv, None] - y * margins[adv]
+    z = epsilon[:, None] * l1[:, None] - y * margins
     mean_loss = spec.g(z).mean(axis=1)
     mean_loss[is_l1] += lam[is_l1] * l1[is_l1]
     acc = (np.where(margins >= 0.0, 1.0, -1.0) == y).mean(axis=1)
@@ -267,12 +266,12 @@ def train_many(ds: Dataset, spec: LossSpec, cfgs, *, trace=True):
             batch = order[lo:lo + cfg.batch_size]
             Xb, yb = X[batch], y[batch]
             if stack is None:
-                losses, grads, _ = linear_loss_and_grads(spec, params[0], bias, Xb, yb, epsilon)
+                losses, grads = linear_loss_and_grads(spec, params[0], bias, Xb, yb, epsilon)
             else:
                 if pgd_model is not None:
                     Xb = Xb + pgd_perturb_batch(pgd_model, Xb, yb, cfg.epsilon,
                                                 default_pgd_config(cfg.epsilon), spec, rng)
-                losses, grads, _ = stack.loss_and_grads(spec, Xb, yb, inputs=False)
+                losses, grads = stack.loss_and_grads(spec, Xb, yb)
             grads = [g / batch.size for g in grads]
             batch_loss = losses.mean(axis=-1)
             if any_l1:

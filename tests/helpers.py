@@ -15,7 +15,7 @@ import os
 import numpy as np
 
 from attrsparse.data import Dataset, load_csv
-from attrsparse.losses import linear_loss_and_grads, loss, sigmoid
+from attrsparse.losses import loss, sigmoid
 from attrsparse.models import MlpModel
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
@@ -53,7 +53,7 @@ def ig_midpoint_reference(model, x, u, steps):
     if isinstance(model, MlpModel):
         cache = model._forward(points)
         p = sigmoid(cache[0])
-        grads = model.backprop(cache, p * (1.0 - p), params=False)[2]
+        grads = model.backprop(cache, p * (1.0 - p), "inputs")
     elif model.activation == "identity":
         grads = np.ones((steps, 1)) * model.w
     else:
@@ -66,9 +66,9 @@ def ig_midpoint_reference(model, x, u, steps):
 
 
 def pgd_clip_reference(model, X, y, eps, cfg, spec, rng):
-    """Projected signed-gradient ascent written with fresh arrays, the full
-    loss-and-gradient call and np.clip at every step: the plain form of
-    adversarial.pgd_perturb_batch."""
+    """Projected signed-gradient ascent on an MLP written with fresh arrays,
+    a full forward and input reverse pass and np.clip at every step: the
+    plain form of adversarial.pgd_perturb_batch."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if cfg.random_start:
@@ -78,12 +78,8 @@ def pgd_clip_reference(model, X, y, eps, cfg, spec, rng):
     start = delta.copy()
     start_loss = loss(spec, model, X + delta, y)
     for _ in range(cfg.steps):
-        if isinstance(model, MlpModel):
-            dx = model.loss_and_grads(spec, X + delta, y, params=False)[2]
-        else:
-            bias = None if model.bias is None else np.asarray([model.bias])
-            coeff = linear_loss_and_grads(spec, model.w[None], bias, X + delta, y)[2]
-            dx = coeff[0][:, None] * model.w
+        cache = model._forward(X + delta)
+        dx = model.backprop(cache, -y * spec.gprime(-y * cache[0]), "inputs")
         delta = np.clip(delta + cfg.step_size * np.sign(dx), -eps, eps)
     final_loss = loss(spec, model, X + delta, y)
     worse = final_loss < start_loss

@@ -12,8 +12,8 @@ from attrsparse.adversarial import (
     default_pgd_config,
     pgd_perturb_batch,
 )
-from attrsparse.losses import LOSS_KINDS, linear_loss_and_grads, loss, make_loss
-from attrsparse.models import LinearModel, init_mlp
+from attrsparse.losses import LOSS_KINDS, linear_loss_and_grads, loss, make_loss, worst_case_slope
+from attrsparse.models import LinearModel, MlpModel, init_mlp
 from helpers import pgd_clip_reference
 
 LOG1PE = 1.3132616875182228  # ln(1 + e)
@@ -80,7 +80,8 @@ def test_adversarial_loss_batch_and_gradient_shapes():
     X = rng.normal(size=(6, 4))
     y = np.where(rng.uniform(size=6) < 0.5, 1.0, -1.0)
     vals = adversarial_loss(spec, model, X, y, 0.2)
-    losses, (grad_sum,), coeff = linear_loss_and_grads(spec, model.w[None], None, X, y, 0.2)
+    losses, (grad_sum,) = linear_loss_and_grads(spec, model.w[None], None, X, y, 0.2)
+    coeff = -(worst_case_slope(spec, model.w[None], None, X, y, 0.2)[1] * y)
     assert vals.shape == (6,)
     assert losses.shape == (1, 6) and grad_sum.shape == (1, 4) and coeff.shape == (1, 6)
     np.testing.assert_allclose(losses[0], vals, rtol=1e-14)
@@ -101,8 +102,8 @@ def test_adversarial_gradient_matches_fd(kind):
     w = np.sign(w) * (np.abs(w) + 0.1)
     x = rng.normal(size=5)
     y = -1.0
-    _, (grad,), _ = linear_loss_and_grads(spec, w[None], None, x[None, :], np.asarray([y]),
-                                          np.asarray([0.3]))
+    _, (grad,) = linear_loss_and_grads(spec, w[None], None, x[None, :], np.asarray([y]),
+                                       np.asarray([0.3]))
     grad = grad[0]
     h = 1e-7
     fd = np.empty(5)
@@ -117,6 +118,21 @@ def test_adversarial_gradient_matches_fd(kind):
 
 # --- PGD -------------------------------------------------------------------------
 
+def _linear_mlp(w, bias=0.0):
+    """The linear model <w, x> + bias as an MLP with no hidden layer, which
+    PGD accepts."""
+    w = np.asarray(w, dtype=float)
+    return MlpModel(weights=[w[:, None]], biases=[np.asarray([bias])])
+
+
+def test_pgd_rejects_linear_model():
+    model = LinearModel(w=np.asarray([1.0, -2.0]))
+    cfg = PgdConfig(steps=1)
+    with pytest.raises(TypeError, match="closed_form_perturbation"):
+        pgd_perturb_batch(model, np.zeros((1, 2)), np.ones(1), 0.1, cfg,
+                          make_loss("logistic-nll"), np.random.default_rng(0))
+
+
 def test_pgd_converges_to_linear_closed_form():
     spec = make_loss("logistic-nll")
     rng = np.random.default_rng(4)
@@ -125,7 +141,8 @@ def test_pgd_converges_to_linear_closed_form():
     y = np.where(rng.uniform(size=8) < 0.5, 1.0, -1.0)
     # enough steps that every coordinate reaches its box face
     cfg = PgdConfig(steps=60, step_size=0.01, random_start=True)
-    delta = pgd_perturb_batch(model, X, y, 0.2, cfg, spec, np.random.default_rng(0))
+    delta = pgd_perturb_batch(_linear_mlp(model.w), X, y, 0.2, cfg, spec,
+                              np.random.default_rng(0))
     target = float(np.mean(adversarial_loss(spec, model, X, y, 0.2)))
     achieved = float(np.mean(spec.g(-y * model.margin(X + delta))))
     assert achieved == pytest.approx(target, abs=1e-9)
@@ -167,7 +184,7 @@ def test_pgd_never_worse_than_start():
 def test_pgd_zero_start_monotone_on_linear():
     # without random start the first step is the fast-gradient-sign corner move
     spec = make_loss("logistic-nll")
-    model = LinearModel(w=np.asarray([1.0, -2.0]))
+    model = _linear_mlp([1.0, -2.0])
     x = np.asarray([[0.5, 0.5]])
     y = np.asarray([1.0])
     cfg = PgdConfig(steps=1, step_size=0.01, random_start=False)
@@ -191,7 +208,7 @@ def test_mlp_pgd_beats_random_noise():
 
 def _pgd_model(kind, rng, d):
     if kind == "linear":
-        return LinearModel(w=rng.normal(size=d), bias=0.3)
+        return _linear_mlp(rng.normal(size=d), bias=0.3)
     model = init_mlp([d, 5, 3, 1], rng, hidden_activation=kind)
     model.biases = [rng.normal(size=b.shape) for b in model.biases]
     return model

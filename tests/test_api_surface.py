@@ -15,6 +15,7 @@ ALLOWED = {
     "closed_form_perturbation": "exact worst-case perturbation that tests compare PGD against",
     "adversarial_loss": "exact worst-case loss that tests compare training against",
     "check_theorem1_limit": "the limit-equality check of acceptance criterion 4",
+    "loss": "natural loss of one model: the reference the engine tests compare against",
 }
 
 
@@ -34,9 +35,11 @@ def _exports(tree):
 
 
 def _references(node, skip):
-    """Names read and attributes taken anywhere under node, except inside the
-    definition named ``skip`` (a recursive call is no outside use). Docstrings
-    and __all__ entries are string constants, so they never count."""
+    """Names read anywhere under node, except inside the definition named
+    ``skip`` (a recursive call is no outside use). Every module imports what
+    it uses by name, so an attribute such as ``trace.loss`` is another
+    object's member, not a use of an export. Docstrings and __all__ entries
+    are string constants, so they never count."""
     found = set()
     stack = [node]
     while stack:
@@ -45,8 +48,6 @@ def _references(node, skip):
             continue
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             found.add(n.id)
-        elif isinstance(n, ast.Attribute):
-            found.add(n.attr)
         stack.extend(ast.iter_child_nodes(n))
     return found
 

@@ -105,6 +105,25 @@ def test_synth_blobs(tmp_path, capsys):
     assert not (tmp_path / "bad.json").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags, message", [
+    (["--sigma", "0"], "--sigma must be a finite number > 0, got 0.0"),
+    (["--height", "3", "--width", "3", "--sigma", "0"], "--sigma must be a finite number > 0"),
+    (["--sigma", "-1.3"], "--sigma must be a finite number > 0, got -1.3"),
+    (["--sigma", "nan"], "--sigma must be a finite number > 0, got nan"),
+    (["--height", "0"], "--height must be >= 1, got 0"),
+    (["--width", "-2"], "--width must be >= 1, got -2"),
+    (["--strong", "inf"], "--strong must be a finite number, got inf"),
+    (["--weak", "nan"], "--weak must be a finite number, got nan"),
+])
+def test_synth_blobs_rejects_bad_geometry(tmp_path, capsys, flags, message):
+    # rejected at the sampler, before any draw and without a NumPy warning
+    out = tmp_path / "bad.json"
+    assert main(["synth", "blobs", "--out", str(out), "--n", "10", *flags]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- train -----------------------------------------------------------------------
 
 def test_train_writes_model_trace_config(synth_json, tmp_path, capsys):

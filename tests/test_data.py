@@ -4,6 +4,7 @@ import csv
 import numpy as np
 import pytest
 
+from attrsparse import data
 from attrsparse.data import (
     Dataset,
     FeatureGroup,
@@ -70,6 +71,36 @@ def test_load_csv_encoding(mixed_csv):
     np.testing.assert_array_equal(np.unique(ds.labels), [-1.0, 1.0])
     # feature names carry the category
     assert ds.feature_names[0] == f"color={expected_cats[0]}"
+
+
+def test_inferred_schema_parses_each_numeric_cell_once(tmp_path, monkeypatch):
+    # Inference parses every cell of a numeric column to pick its kind and
+    # the encoding reuses those values; a categorical column costs the one
+    # failed parse of its first cell. The Dataset is the explicit schema's.
+    rows = [["red", f"{0.25 * i - 1.0}", "yes" if i % 2 else "no", str(i)] for i in range(12)]
+    path = _write_csv(tmp_path / "m.csv", ["color", "size", "label", "count"], rows)
+    calls = []
+
+    class CountingFloat:
+        dtype = np.dtype(float)  # so the module's dtype=float still reads float64
+
+        def __new__(cls, v):
+            calls.append(v)
+            return float(v)
+
+    monkeypatch.setattr(data, "float", CountingFloat, raising=False)
+    got = load_csv(path, None, "label")
+    monkeypatch.undo()
+    assert sorted(calls) == sorted(["red"] + [r[1] for r in rows] + [r[3] for r in rows])
+    want = load_csv(path, [("color", "categorical"), ("size", "numeric"),
+                           ("count", "numeric")], "label")
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.feature_names == want.feature_names == ["color=red", "size", "count"]
+    # a short row is still the row-length error, after inference
+    short = _write_csv(tmp_path / "s.csv", ["color", "size", "label"],
+                       [["red", "1.0", "yes"], ["blue", "2.0"]])
+    with pytest.raises(ValueError, match="row 1: expected 3 fields, got 2"):
+        load_csv(short, None, "label")
 
 
 def test_load_csv_positive_label_override(mixed_csv):

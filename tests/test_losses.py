@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attrsparse.losses import LOSS_KINDS, linear_loss_and_grads, loss, make_loss, sigmoid
+from attrsparse.losses import (LOSS_KINDS, linear_loss_and_grads, loss, make_loss, sigmoid,
+                               worst_case_slope)
 from attrsparse.models import LinearModel
 
 LN2 = 0.6931471805599453
@@ -133,8 +134,9 @@ def test_loss_gradient_matches_finite_difference(kind):
     b = 0.3
     x = rng.normal(size=4)
     y = -1.0
-    losses, (gw, gb), coeff = linear_loss_and_grads(spec, w[None], np.asarray([b]), x[None, :],
-                                                    np.asarray([y]))
+    losses, (gw, gb) = linear_loss_and_grads(spec, w[None], np.asarray([b]), x[None, :],
+                                             np.asarray([y]))
+    coeff = -(worst_case_slope(spec, w[None], np.asarray([b]), x[None, :], np.asarray([y]))[1] * y)
     assert losses.shape == (1, 1) and gw.shape == (1, 4) and gb.shape == (1,)
     losses, gw, gb, dx = losses[0], gw[0], gb[0], coeff[0][:, None] * w
 
@@ -157,7 +159,7 @@ def test_linear_weight_gradient_matches_broadcast_reference(kind, use_bias):
     # The engine forms the weight gradient as coeff @ X per model plus the
     # eps-box term; the reference is the per-example (k, n, d) broadcast sum
     # it replaced. Sums of n products round apart, so each model's gradient
-    # is held to 1e-12 of its largest entry; loss, bias gradient and coeff
+    # is held to 1e-12 of its largest entry; loss, slope and bias gradient
     # come from the same arithmetic as before and must match bit for bit.
     spec = make_loss(kind)
     rng = np.random.default_rng(31)
@@ -169,10 +171,12 @@ def test_linear_weight_gradient_matches_broadcast_reference(kind, use_bias):
         X = rng.normal(size=(n, d))
         y = rng.choice([-1.0, 1.0], size=n)
         bias = rng.normal(size=k) if use_bias else None
-        losses, grads, coeff = linear_loss_and_grads(spec, w, bias, X, y, eps)
-        gp = -coeff * y  # g'(z), as y is +-1
+        losses, grads = linear_loss_and_grads(spec, w, bias, X, y, eps)
+        z_engine, gp = worst_case_slope(spec, w, bias, X, y, eps)
+        coeff = -(gp * y)
         margin = np.matmul(X, w[..., None])[..., 0] + (0.0 if bias is None else bias[:, None])
         z = eps[:, None] * np.abs(w).sum(axis=1, keepdims=True) - y * margin
+        np.testing.assert_array_equal(z_engine, z)
         np.testing.assert_array_equal(losses, spec.g(z))
         np.testing.assert_array_equal(gp, spec.gprime(z))
         ref = (coeff[..., None] * X + gp[..., None] * (np.sign(w) * eps[:, None])[:, None, :]).sum(axis=1)

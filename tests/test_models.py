@@ -182,7 +182,7 @@ def test_mlp_parameter_gradients_match_fd():
     model = _tiny_mlp()
     x = np.asarray([0.4, -0.9])
     y = -1.0
-    losses, grads, _ = model.loss_and_grads(spec, x[None, :], np.asarray([y]))
+    losses, grads = model.loss_and_grads(spec, x[None, :], np.asarray([y]))
     wg, bg = grads[:2], grads[2:]
     h = 1e-6
 
@@ -217,8 +217,8 @@ def test_mlp_input_loss_gradient_matches_fd():
     x = np.asarray([0.4, -0.9])
     y = 1.0
     # the input-only chain that PGD runs
-    _, _, dx = model.loss_and_grads(spec, x[None, :], np.asarray([y]), params=False)
-    dx = dx[0]
+    cache = model._forward(x[None, :])
+    dx = model.backprop(cache, -y * spec.gprime(-y * cache[0]), "inputs")[0]
     h = 1e-6
     for i in range(2):
         xp, xm = x.copy(), x.copy()
@@ -260,12 +260,35 @@ def test_init_mlp():
         init_mlp([4, 3], rng)
 
 
+class _CountedTranspose(np.ndarray):
+    """A weight matrix that counts its transposes: backprop's input product
+    at a layer is delta @ W.swapaxes(-1, -2). Its products are plain arrays,
+    so only the matrix itself counts."""
+
+    count = 0
+
+    def swapaxes(self, *axes):
+        _CountedTranspose.count += 1
+        return np.asarray(self).swapaxes(*axes)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        return getattr(ufunc, method)(*(np.asarray(t) for t in inputs), **kwargs)
+
+
 def test_mlp_gradients_run_one_forward_pass(monkeypatch):
     model = _tiny_mlp()
     spec = make_loss("logistic-nll")
     X = np.asarray([[0.4, -0.9], [0.1, 0.2], [-0.3, 0.5]])
     y = np.asarray([1.0, -1.0, 1.0])
-    _, full_grads, full_dx = model.loss_and_grads(spec, X, y)
+    # the full reverse pass of the 2 -> 2 -> 1 net, written out
+    (W0, W1), _ = model.weights, model.biases
+    logit, (dh,), (_, h) = model._forward(X)
+    dlogit = -y * spec.gprime(-y * logit)
+    delta1 = dlogit[:, None]
+    delta0 = (delta1 @ W1.T) * dh
+    full_grads = [X.T @ delta0, h.T @ delta1, delta0.sum(axis=0), delta1.sum(axis=0)]
+    full_first, full_dx = delta0, delta0 @ W0.T
+
     calls, reverse = [], []
     forward, backprop = MlpModel._forward, MlpModel.backprop
 
@@ -273,24 +296,31 @@ def test_mlp_gradients_run_one_forward_pass(monkeypatch):
         calls.append(kwargs.get("backward", True))
         return forward(self, X, **kwargs)
 
-    def recorded(self, cache, dlogit, **kwargs):
-        reverse.append(kwargs.get("params", True))
-        return backprop(self, cache, dlogit, **kwargs)
+    def recorded(self, cache, dlogit, wrt):
+        reverse.append(wrt)
+        return backprop(self, cache, dlogit, wrt)
 
     monkeypatch.setattr(MlpModel, "_forward", counted)
     monkeypatch.setattr(MlpModel, "backprop", recorded)
-    model.loss_and_grads(spec, X, y)
-    assert len(calls) == 1
-
-    # the input-only chain skips the parameter products and keeps the bits
-    _, grads, dx = model.loss_and_grads(spec, X, y, params=False)
-    assert grads == [] and len(calls) == 2 and reverse[-1] is False
-    np.testing.assert_array_equal(dx, full_dx)
-    # and the parameter-only chain skips the last input product
-    _, grads, dx = model.loss_and_grads(spec, X, y, inputs=False)
-    assert dx is None
+    model.weights[0] = W0.view(_CountedTranspose)
+    _CountedTranspose.count = 0
+    _, grads = model.loss_and_grads(spec, X, y)
+    assert len(calls) == 1 and reverse == ["params"]
+    # the parameter chain keeps the bits and skips the last input product
+    assert len(grads) == len(full_grads) and _CountedTranspose.count == 0
     for a, b in zip(grads, full_grads):
         np.testing.assert_array_equal(a, b)
+
+    # the input-only chain skips the parameter products and keeps the bits
+    cache = model._forward(X)
+    dx = model.backprop(cache, dlogit, "inputs")
+    assert len(calls) == 2 and _CountedTranspose.count == 1
+    np.testing.assert_array_equal(dx, full_dx)
+    # and the first-layer chain stops before that product
+    np.testing.assert_array_equal(model.backprop(cache, dlogit, "first"), full_first)
+    assert _CountedTranspose.count == 1
+    with pytest.raises(ValueError, match="wrt"):
+        model.backprop(cache, dlogit, "weights")
 
     # PGD: one forward pass per step, the first also giving the start loss,
     # plus the forward-only final loss check, and never the parameter products
@@ -298,7 +328,7 @@ def test_mlp_gradients_run_one_forward_pass(monkeypatch):
     cfg = PgdConfig(steps=5, step_size=0.05)
     pgd_perturb_batch(model, X, y, 0.2, cfg, spec, np.random.default_rng(3))
     assert calls == [True] * cfg.steps + [False]
-    assert reverse == [False] * cfg.steps
+    assert reverse == ["inputs"] * cfg.steps
 
 
 @pytest.mark.parametrize("act", ["softplus", "tanh", "relu"])

@@ -6,7 +6,7 @@ from helpers import one_row
 
 from attrsparse import theory
 from attrsparse.data import SyntheticConditionalSampler
-from attrsparse.losses import LOSS_KINDS, make_loss
+from attrsparse.losses import LOSS_KINDS, linear_loss_and_grads, make_loss
 from attrsparse.theory import (
     WeightedAverageSpec,
     attribution_shift_norm,
@@ -462,6 +462,23 @@ def test_expected_update_matches_reference_bitwise(w):
     got = expected_update(LOGISTIC, w, 0.1, s, 140_000, seed=4)
     want = _mc_reference(stat, 140_000, 4, w.size)
     assert all(_same_bits(g, r) for g, r in zip(got, want))
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.15])
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+def test_expected_update_is_minus_the_training_gradient(kind, eps):
+    # On one Monte-Carlo chunk, the expected update is the linear training
+    # engine's weight gradient on the same draw, negated and averaged; the
+    # zero weight keeps sign(0) = 0 out of the eps-box term on both sides.
+    spec = make_loss(kind)
+    w = np.asarray([0.6, 0.0, -0.4, 0.25, -0.1])
+    s = _sampler()
+    n, seed = 20_000, 5
+    mean, _ = expected_update(spec, w, eps, s, n, seed=seed)
+    X, y = s.sample(n, np.random.default_rng([seed, 0]))
+    _, (grad,) = linear_loss_and_grads(spec, w[None], None, X, y, eps)
+    want = -grad[0] / n
+    assert np.all(np.abs(mean - want) <= 1e-12 * np.abs(want).max())
 
 
 def test_theorem1_bound_matches_reference_bitwise():
