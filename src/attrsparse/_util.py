@@ -9,13 +9,18 @@ _THREADS_ENV = "ATTRSPARSE_THREADS"
 
 
 def worker_count() -> int:
-    """Worker cap from the ATTRSPARSE_THREADS env var (default 1, min 1)."""
+    """Worker cap from the ATTRSPARSE_THREADS env var: an integer >= 1, or 1
+    when unset or empty. Any other value is a ValueError naming it."""
     raw = os.environ.get(_THREADS_ENV, "")
+    if not raw:
+        return 1
     try:
         n = int(raw)
     except ValueError:
-        return 1
-    return max(1, n)
+        n = 0
+    if n < 1:
+        raise ValueError(f"{_THREADS_ENV} must be an integer >= 1, got {raw!r}")
+    return n
 
 
 def fmt_float(x) -> str:

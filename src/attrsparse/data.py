@@ -74,7 +74,7 @@ class Dataset:
     translated: bool = False
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
+        self.features = np.ascontiguousarray(self.features, dtype=float)
         self.labels = np.asarray(self.labels, dtype=float)
         n, d = self.features.shape if self.features.ndim == 2 else (0, 0)
         if self.features.ndim != 2 or n < 1 or d < 1:
@@ -168,17 +168,22 @@ class SyntheticConditionalSampler:
         return len(self.strengths)
 
     def sample(self, m: int, rng):
-        """(X (m, d), y (m,)); X is a fresh array the caller may overwrite."""
+        """(X (m, d), y (m,)); X is a fresh array the caller may overwrite.
+
+        X is column-major, the transposed view of a (d, m) array, so each
+        feature is one contiguous column. The noise is drawn row by row in
+        blocks of _ROWS rows (the same stream as one (m, d) draw), and each
+        entry is noise + a_i * y, written straight into its column.
+        """
         a = np.asarray(self.strengths)
         y = np.where(rng.uniform(size=m) < self.class_balance, 1.0, -1.0)
-        if self.noise_kind == "gaussian":
-            X = rng.normal(0.0, self.noise_sd, size=(m, a.size))
-        else:
-            X = rng.uniform(-self.noise_sd, self.noise_sd, size=(m, a.size))
-        # row blocks keep the a * y temporary small; each entry is one add
+        draw = rng.normal if self.noise_kind == "gaussian" else rng.uniform
+        low = 0.0 if self.noise_kind == "gaussian" else -self.noise_sd
+        cols = np.empty((a.size, m))
         for lo, hi in chunk_bounds(m, _ROWS):
-            X[lo:hi] += a * y[lo:hi, None]
-        return X, y
+            noise = draw(low, self.noise_sd, size=(hi - lo, a.size))
+            np.add(noise.T, a[:, None] * y[lo:hi], out=cols[:, lo:hi])
+        return cols.T, y
 
 
 def _column_kinds(schema, label_column):

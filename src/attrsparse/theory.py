@@ -79,9 +79,9 @@ def _mc_moments(per_sample_fn, n: int, seed: int):
     may execute on worker threads (ATTRSPARSE_THREADS) but are always reduced
     in index order, so results do not depend on the thread count, and memory
     is bounded by the chunk size. A chunk's statistic is an (m, width) array
-    that sum(axis=0) adds up in its own layout: row by row when C-ordered,
-    pairwise down each column when column-major (the layouts round
-    differently); it is squared in place.
+    in column-major order, each statistic one contiguous column, as the
+    sampler hands its features over; each column is summed pairwise down its
+    m entries, then squared in place and summed again.
     """
     check_sample_count(n)
 
@@ -171,12 +171,12 @@ def _weighted_update_stats(spec, wspec, epsilon, sampler, n, seed):
         X, y = sampler.sample(m, rng)
         upd, gp = _update_rows(spec, w, epsilon, X, y, idx)
         upd *= w_s
-        out = np.empty((m, 3))
-        s, b, gap = out.T
+        cols = np.empty((3, m))  # returned transposed: each column sums contiguously
+        s, b, gap = cols
         np.divide(upd.sum(axis=1), denom, out=s)
         np.multiply(gp, abar - epsilon, out=b)
         np.subtract(s, b, out=gap)
-        return out
+        return cols.T
 
     mean, se = _mc_stats(stat, n, seed)
     return mean, se, abar

@@ -794,12 +794,13 @@ def test_verify_stdout_and_determinism(tmp_path, capsys):
 
 
 def test_verify_thread_env_does_not_change_bytes(tmp_path, monkeypatch):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    monkeypatch.setenv("ATTRSPARSE_THREADS", "1")
-    assert main(["verify", "thm1-zero", "--n", "200000", "--out", str(a)]) == 0
-    monkeypatch.setenv("ATTRSPARSE_THREADS", "4")
-    assert main(["verify", "thm1-zero", "--n", "200000", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    reports = []
+    for threads in ("1", "2", "4"):
+        monkeypatch.setenv("ATTRSPARSE_THREADS", threads)
+        out = tmp_path / f"t{threads}.json"
+        assert main(["verify", "thm1-zero", "--n", "200000", "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_verify_lemma_thread_env_does_not_change_bytes(tmp_path, monkeypatch):
@@ -815,13 +816,35 @@ def test_verify_lemma_thread_env_does_not_change_bytes(tmp_path, monkeypatch):
 
 def test_verify_bound_thread_env_does_not_change_bytes(tmp_path, monkeypatch):
     # 140k samples span three Monte-Carlo chunks per configuration
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["verify", "thm1-bound", "--n", "140000", "--configs", "2", "--seed", "5"]
-    monkeypatch.setenv("ATTRSPARSE_THREADS", "1")
-    assert main([*argv, "--out", str(a)]) == 0
-    monkeypatch.setenv("ATTRSPARSE_THREADS", "2")
-    assert main([*argv, "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    reports = []
+    for threads in ("1", "2", "4"):
+        monkeypatch.setenv("ATTRSPARSE_THREADS", threads)
+        out = tmp_path / f"t{threads}.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("threads", ["0", "-2", "two", "1.5", " "])
+@pytest.mark.parametrize("check", ["thm1-zero", "thm1-bound", "lemmaD1"])
+def test_verify_rejects_bad_thread_env(tmp_path, monkeypatch, capsys, check, threads):
+    # a typo must not quietly run the Monte-Carlo checks on one thread
+    monkeypatch.setenv("ATTRSPARSE_THREADS", threads)
+    out = tmp_path / "report.json"
+    assert main(["verify", check, "--n", "20000", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"ATTRSPARSE_THREADS must be an integer >= 1, got {threads!r}" in err
+    assert not out.exists()
+
+
+def test_verify_empty_thread_env_means_unset(tmp_path, monkeypatch):
+    empty, unset = tmp_path / "empty.json", tmp_path / "unset.json"
+    monkeypatch.setenv("ATTRSPARSE_THREADS", "")
+    assert main(["verify", "thm1-zero", "--n", "20000", "--out", str(empty)]) == 0
+    monkeypatch.delenv("ATTRSPARSE_THREADS")
+    assert main(["verify", "thm1-zero", "--n", "20000", "--out", str(unset)]) == 0
+    assert empty.read_bytes() == unset.read_bytes()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -233,6 +233,18 @@ def test_generate_synthetic_moments():
     np.testing.assert_array_equal(ds.features, ds2.features)
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "uniform"])
+def test_generate_synthetic_features_are_c_ordered(kind):
+    # the sampler hands over column-major draws; a Dataset holds them row by
+    # row, the layout training, attribution and save_dataset were pinned on
+    sampler = SyntheticConditionalSampler(strengths=(0.5, -0.2, 0.1), noise_kind=kind)
+    ds = generate_synthetic(sampler, 1000, seed=4)
+    assert ds.features.flags.c_contiguous
+    X, y = sampler.sample(1000, np.random.default_rng(4))
+    np.testing.assert_array_equal(ds.features, X)
+    np.testing.assert_array_equal(ds.labels, y)
+
+
 def test_generate_synthetic_conditional_independence():
     sampler = SyntheticConditionalSampler(strengths=(0.8, 0.8, -0.4))
     ds = generate_synthetic(sampler, 30000, seed=8)

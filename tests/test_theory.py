@@ -425,21 +425,28 @@ def _sample_reference(s, m, rng):
     {},
     {"noise_kind": "uniform", "noise_sd": 0.5, "class_balance": 0.3},
 ], ids=["gaussian", "uniform"])
-@pytest.mark.parametrize("m", [1, 1000, 40_000])
+@pytest.mark.parametrize("m", [1, 1000, 40_000, 1 << 16])
 def test_sampler_matches_reference_bitwise(kw, m):
+    # 1 << 16 is one full Monte-Carlo chunk: four row blocks of the draw
     s = _sampler(**kw)
     X, y = s.sample(m, np.random.default_rng(9))
     X_ref, y_ref = _sample_reference(s, m, np.random.default_rng(9))
     assert _same_bits(X, X_ref) and _same_bits(y, y_ref)
-    assert X.flags.c_contiguous
+    # column-major: the transposed view of a (d, m) array, one contiguous column per feature
+    assert X.shape == (m, s.dim) and X.T.flags.c_contiguous
 
 
 def _mc_reference(stat, n, seed, width):
+    """Means and SEs of stat's columns over chunks of 1 << 16 samples seeded
+    (seed, chunk): each statistic is copied out as its own contiguous column
+    and summed there, and so is its square."""
     total, total_sq = np.zeros(width), np.zeros(width)
     for ci, lo in enumerate(range(0, n, 1 << 16)):
         stats = stat(np.random.default_rng([seed, ci]), min(lo + (1 << 16), n) - lo)
-        total += stats.sum(axis=0)
-        total_sq += (stats * stats).sum(axis=0)
+        for j in range(width):
+            col = np.array(stats[:, j], order="C")
+            total[j] += col.sum()
+            total_sq[j] += (col * col).sum()
     mean = total / n
     return mean, np.sqrt(np.maximum(total_sq / n - mean * mean, 0.0) / n)
 
