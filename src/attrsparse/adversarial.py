@@ -1,5 +1,5 @@
-"""Worst-case l-infinity perturbations: exact closed form for linear margin
-models, projected gradient ascent for MLPs only.
+"""Worst-case l-infinity perturbations of MLP inputs by projected gradient
+ascent; a linear model's worst case is closed-form (losses.worst_case_slope).
 """
 from __future__ import annotations
 
@@ -9,13 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import LossSpec
-from .models import LinearModel, MlpModel
+from .models import MlpModel
 
 __all__ = [
     "PgdConfig",
     "default_pgd_config",
-    "closed_form_perturbation",
-    "adversarial_loss",
     "pgd_perturb_batch",
 ]
 
@@ -24,7 +22,6 @@ __all__ = [
 class PgdConfig:
     steps: int
     step_size: float = 0.01
-    random_start: bool = True
 
     def __post_init__(self):
         if self.steps < 1:
@@ -34,50 +31,26 @@ class PgdConfig:
 
 
 def default_pgd_config(epsilon: float) -> PgdConfig:
-    """Step count floor(eps*100) + 10 at step size 0.01, with random start."""
-    return PgdConfig(steps=int(math.floor(epsilon * 100)) + 10, step_size=0.01,
-                     random_start=True)
-
-
-def closed_form_perturbation(model: LinearModel, y, epsilon: float):
-    """Loss-maximizing perturbation -y * sign(w) * eps (sign(0) = 0).
-
-    Independent of x: the worst case pushes every coordinate against the
-    weight's sign. Coordinates with w_i = 0 do not affect the loss and stay 0.
-    """
-    return -np.asarray(y, dtype=float)[..., None] * np.sign(model.w) * epsilon
-
-
-def adversarial_loss(spec: LossSpec, model: LinearModel, x, y, epsilon: float):
-    """Worst-case loss over the eps-box: g(eps*||w||_1 - y*<w,x>).
-
-    Accepts one example or a batch; equals the natural loss at
-    x + closed_form_perturbation exactly.
-    """
-    margin = model.margin(x)
-    y = np.asarray(y, dtype=float)
-    return spec.g(epsilon * np.abs(model.w).sum() - y * margin)
+    """Step count floor(eps*100) + 10 at step size 0.01."""
+    return PgdConfig(steps=int(math.floor(epsilon * 100)) + 10, step_size=0.01)
 
 
 def pgd_perturb_batch(model, X, y, eps: float, cfg: PgdConfig, spec: LossSpec, rng):
     """Projected signed-gradient ascent on a batch within the eps-box; rows
     perturbed independently.
 
-    The random start is drawn from rng, so the result is deterministic given
-    the generator's state. If the final iterate somehow scores below the
-    start (possible on non-concave losses), the start is returned, so
-    loss(x + delta) >= loss(x + delta0) always holds. The model must be an
-    MlpModel: a linear model's exact worst case is closed_form_perturbation.
+    The start is drawn uniformly from the box with rng, so the result is
+    deterministic given the generator's state. If the final iterate somehow
+    scores below the start (possible on non-concave losses), the start is
+    returned, so loss(x + delta) >= loss(x + delta0) always holds. The model
+    must be an MlpModel: a linear model's worst case is closed-form.
     """
     if not isinstance(model, MlpModel):
         raise TypeError(f"PGD runs on an MlpModel, got {type(model).__name__}; "
-                        "a linear model's worst case is closed_form_perturbation")
+                        "a linear model's worst case is closed-form")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if cfg.random_start:
-        delta = rng.uniform(-eps, eps, size=X.shape)
-    else:
-        delta = np.zeros_like(X)
+    delta = rng.uniform(-eps, eps, size=X.shape)
     start = delta.copy()
     moved = np.add(X, delta)  # X + delta, refilled in place each step
     negy = -y

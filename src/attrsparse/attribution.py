@@ -16,8 +16,6 @@ from .models import LinearModel, MlpModel
 __all__ = [
     "AttributionVector",
     "ImpactReport",
-    "ig_numeric",
-    "ig_closed_form",
     "check_method",
     "check_baseline",
     "attribute_dataset",
@@ -46,26 +44,6 @@ class ImpactReport:
     feature_impact: np.ndarray        # one entry per original column
     value_names: list
     feature_names: list
-
-
-def _check_dims(model, x, u):
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.shape != u.shape or x.ndim != 1:
-        raise ValueError(f"input shape {x.shape} and baseline shape {u.shape} must be equal 1-d")
-    if x.shape[0] != model.dim:
-        raise ValueError(f"input dimension {x.shape[0]} != model dimension {model.dim}")
-    return x, u
-
-
-def ig_numeric(model, x, u, steps: int = DEFAULT_REPORT_STEPS) -> AttributionVector:
-    """Midpoint-rule approximation of the gradient path integral from u to x:
-    the one-row case of the numeric kernel used by attribute_dataset."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    x, u = _check_dims(model, x, u)
-    values, residual = _numeric_rows(model, x[None, :], u, steps)
-    return AttributionVector(values[0], float(residual[0]))
 
 
 def _numeric_rows(model, X, u, steps):
@@ -163,14 +141,6 @@ def _margins_round_apart(model, X, u) -> bool:
     return bool(np.all((gap > 0.0) & (gap <= bound)))
 
 
-def ig_closed_form(model: LinearModel, x, u) -> AttributionVector:
-    """Exact path integral for F(x) = A(<w, x>): the one-row case of the
-    closed-form kernel used by attribute_dataset."""
-    x, u = _check_dims(model, x, u)
-    values, residual = _closed_form_rows(model, x[None, :], u)
-    return AttributionVector(values[0], float(residual[0]))
-
-
 def check_method(method: str, steps: int, model_kind: str = "linear"):
     """Reject an unknown method, the closed form for a non-linear model kind,
     or fewer than one numeric path step."""
@@ -207,8 +177,6 @@ def attribute_dataset(model, ds: Dataset, u, method: str = "closed",
     if target not in ("true-class-probability", "model-output"):
         raise ValueError(f"unknown target {target!r}")
     true_class = target == "true-class-probability"
-    if true_class and not ds.binary:
-        raise ValueError("true-class target needs binary labels")
     idx = ds.split(split)
     if method == "closed":
         values, residual = _closed_form_rows(model, ds.features[idx], u)

@@ -198,7 +198,7 @@ def _add_io_flags(p):
     p.add_argument("--infer-schema", action="store_true",
                    help="sniff column kinds from the CSV (numeric iff every value parses)")
     p.add_argument("--label-column", help="name of the label column (CSV input)")
-    p.add_argument("--positive-label", help="raw label value mapped to +1 (binary CSV input)")
+    p.add_argument("--positive-label", help="raw label value mapped to +1 (CSV input)")
     p.add_argument("--delimiter", default=",", help="CSV field delimiter (default %(default)s)")
     p.add_argument("--split-seed", type=int, default=0,
                    help="seed of the 70/30 split (default %(default)s)")

@@ -62,16 +62,14 @@ class FeatureGroup:
 
 @dataclass
 class Dataset:
-    """Encoded feature matrix with labels in {-1,+1} (or class indices), the
-    encoding metadata, and a seeded 70/30 train/test split."""
+    """Encoded feature matrix with labels in {-1,+1}, the encoding metadata,
+    and a seeded 70/30 train/test split."""
 
     features: np.ndarray
     labels: np.ndarray
     feature_names: list
     encoding_map: tuple
     split_seed: int = 0
-    label_map: dict | None = None
-    translated: bool = False
 
     def __post_init__(self):
         self.features = np.ascontiguousarray(self.features, dtype=float)
@@ -88,20 +86,12 @@ class Dataset:
             i, j = bad[0]
             raise ValueError(f"example {i}, feature {self.feature_names[j]!r}: "
                              f"non-finite value {float(self.features[i, j])!r}")
-        self._validate_labels()
+        other = ~np.isin(self.labels, (-1.0, 1.0))
+        if other.any():
+            raise ValueError(f"labels must be -1 or +1, got values {np.unique(self.labels[other])[:8]}")
         self._validate_groups()
         self.train_indices = _train_indices(n, self.split_seed)
         self.test_indices = np.delete(np.arange(n), self.train_indices)
-
-    def _validate_labels(self):
-        uniq = np.unique(self.labels)
-        if set(uniq.tolist()) <= {-1.0, 1.0}:
-            self.binary = True
-            return
-        if np.all(uniq == np.round(uniq)) and uniq.min() >= 0:
-            self.binary = False
-            return
-        raise ValueError(f"labels must be -1/+1 or class indices, got values {uniq[:8]}")
 
     def _validate_groups(self):
         covered = np.zeros(self.dim, dtype=bool)
@@ -113,14 +103,13 @@ class Dataset:
             covered[g.start:g.stop] = True
         if not covered.all():
             raise ValueError("encoding map does not cover every feature position")
-        if not self.translated:
-            for g in self.encoding_map:
-                if g.kind != "categorical":
-                    continue
-                block = self.features[:, g.start:g.stop]
-                ok = np.all(np.isin(block, (0.0, 1.0))) and np.all(block.sum(axis=1) == 1.0)
-                if not ok:
-                    raise ValueError(f"column {g.name!r}: one-hot block must have exactly one 1 per row")
+        for g in self.encoding_map:
+            if g.kind != "categorical":
+                continue
+            block = self.features[:, g.start:g.stop]
+            ok = np.all(np.isin(block, (0.0, 1.0))) and np.all(block.sum(axis=1) == 1.0)
+            if not ok:
+                raise ValueError(f"column {g.name!r}: one-hot block must have exactly one 1 per row")
 
     @property
     def n_examples(self) -> int:
@@ -222,9 +211,9 @@ def load_csv(path, schema, label_column, *, delimiter=",", split_seed=0,
     "numeric", covering every non-label column; None infers it from the rows
     read (numeric iff every value parses as a float). Categories are fitted on the
     training split only (first-seen order); a test-split category unseen in
-    training is an error. Binary labels map to {-1,+1} (sorted raw values, or
-    positive_label forced to +1); more than two distinct values become class
-    indices 0..k-1 in sorted order.
+    training is an error. The label column must hold exactly two distinct
+    values, mapped to {-1,+1}: the larger raw value sorts to +1 unless
+    positive_label names it. A repeated header name is an error.
     """
     if schema is not None:
         kinds, order = _column_kinds(schema, label_column)
@@ -237,6 +226,9 @@ def load_csv(path, schema, label_column, *, delimiter=",", split_seed=0,
             raise ValueError(f"{path}: empty file, header row required") from None
         rows = [row for row in reader if row]
 
+    for j, name in enumerate(header):
+        if name in header[:j]:
+            raise ValueError(f"{path}: column {name!r} appears more than once in the header")
     if label_column not in header:
         raise ValueError(f"label column {label_column!r} not in header {header}")
     parsed = {}  # numeric values an inferred schema already parsed
@@ -246,6 +238,9 @@ def load_csv(path, schema, label_column, *, delimiter=",", split_seed=0,
     missing = [c for c in header if c != label_column and c not in kinds]
     if missing:
         raise ValueError(f"schema does not name columns: {missing}")
+    absent = [c for c in order if c not in header]
+    if absent:
+        raise ValueError(f"schema columns {absent} not in header {header}")
     col_idx = {name: header.index(name) for name in order}
     label_idx = header.index(label_column)
     n = len(rows)
@@ -302,18 +297,15 @@ def load_csv(path, schema, label_column, *, delimiter=",", split_seed=0,
     raw_labels = [row[label_idx] for row in rows]
     distinct = sorted(set(raw_labels))
     if len(distinct) < 2:
-        raise ValueError(f"label column has a single value {distinct[0]!r}")
-    if len(distinct) == 2:
-        if positive_label is not None:
-            if positive_label not in distinct:
-                raise ValueError(f"positive label {positive_label!r} not among {distinct}")
-            neg = distinct[0] if distinct[1] == positive_label else distinct[1]
-            label_map = {neg: -1, positive_label: 1}
-        else:
-            label_map = {distinct[0]: -1, distinct[1]: 1}
-    else:
-        label_map = {v: k for k, v in enumerate(distinct)}
-    y = np.array([label_map[v] for v in raw_labels], dtype=float)
+        raise ValueError(f"label column {label_column!r} has a single value {distinct[0]!r}")
+    if len(distinct) > 2:
+        raise ValueError(f"label column {label_column!r} has {len(distinct)} values "
+                         f"{distinct[:8]}; labels must be binary")
+    if positive_label is None:
+        positive_label = distinct[1]
+    elif positive_label not in distinct:
+        raise ValueError(f"positive label {positive_label!r} not among {distinct}")
+    y = np.asarray([1.0 if v == positive_label else -1.0 for v in raw_labels])
 
     return Dataset(
         features=X,
@@ -321,7 +313,6 @@ def load_csv(path, schema, label_column, *, delimiter=",", split_seed=0,
         feature_names=names,
         encoding_map=tuple(groups),
         split_seed=split_seed,
-        label_map=label_map,
     )
 
 
@@ -339,7 +330,6 @@ def generate_synthetic(sampler: SyntheticConditionalSampler, n: int, seed: int =
         feature_names=names,
         encoding_map=groups,
         split_seed=seed,
-        translated=True,
     )
 
 
@@ -384,8 +374,6 @@ def save_dataset(ds: Dataset, path):
             for g in ds.encoding_map
         ],
         "split_seed": ds.split_seed,
-        "label_map": ds.label_map,
-        "translated": ds.translated,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
@@ -393,6 +381,8 @@ def save_dataset(ds: Dataset, path):
 
 
 def load_dataset(path) -> Dataset:
+    """Read a JSON sidecar; keys that older sidecars carry ("label_map",
+    "translated") are ignored."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     version = doc.get("format_version")
@@ -411,6 +401,4 @@ def load_dataset(path) -> Dataset:
         feature_names=list(doc["feature_names"]),
         encoding_map=groups,
         split_seed=doc["split_seed"],
-        label_map=doc["label_map"],
-        translated=doc["translated"],
     )

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["LossSpec", "make_loss", "LOSS_KINDS", "loss", "worst_case_slope",
+__all__ = ["LossSpec", "make_loss", "LOSS_KINDS", "worst_case_slope",
            "linear_loss_and_grads", "sigmoid"]
 
 
@@ -71,12 +71,6 @@ def make_loss(kind: str) -> LossSpec:
         return _CATALOG[key]
     except KeyError:
         raise ValueError(f"unknown loss kind {kind!r}; choose one of {sorted(_CATALOG)}") from None
-
-
-def loss(spec: LossSpec, model, x, y):
-    """Natural loss g(-y * margin) of a model on one example (or a batch)."""
-    margin = model.margin(x)
-    return spec.g(-np.asarray(y, dtype=float) * margin)
 
 
 def worst_case_slope(spec: LossSpec, w, bias, X, y, epsilon=0.0):

@@ -262,21 +262,33 @@ def model_to_dict(model) -> dict:
 
 
 def model_from_dict(data: dict):
+    """The model a model_to_dict document describes; an unknown format
+    version, or a stored dim or layer_sizes that disagrees with the
+    weights, is an error."""
     kind = data.get("kind")
+    if kind not in ("linear", "mlp"):
+        raise ValueError(f"unknown model kind {kind!r}")
+    version = data.get("format_version")
+    if version != _FORMAT_VERSION:
+        raise ValueError(f"unsupported model format_version {version!r}; expected {_FORMAT_VERSION}")
     if kind == "linear":
         bias = data.get("bias")
-        return LinearModel(
+        model = LinearModel(
             w=data["weights"],
             activation=data["activation"],
             bias=None if bias is None else float(bias),
         )
-    if kind == "mlp":
-        return MlpModel(
+        key, shape = "dim", model.dim
+    else:
+        model = MlpModel(
             weights=data["weights"],
             biases=data["biases"],
             hidden_activation=data["hidden_activation"],
         )
-    raise ValueError(f"unknown model kind {kind!r}")
+        key, shape = "layer_sizes", model.layer_sizes
+    if data.get(key) != shape:
+        raise ValueError(f"model {key} {data.get(key)!r} does not match its weights' {shape!r}")
+    return model
 
 
 def save_model(model, path):

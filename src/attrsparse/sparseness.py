@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "gini",
     "gini_rows",
     "GiniReport",
     "make_gini_report",
@@ -41,14 +40,6 @@ def gini_rows(V) -> np.ndarray:
         warnings.warn("gini of an all-zero vector is degenerate; returning 0", stacklevel=2)
     g = np.divide(num, d * total, out=np.zeros_like(total), where=~zero)
     return np.where(g < 0.0, 0.0, g)
-
-
-def gini(v) -> float:
-    """Sparseness of one non-negative vector: the one-row case of gini_rows."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("gini needs a non-empty 1-d vector")
-    return float(gini_rows(v[None, :])[0])
 
 
 @dataclass

@@ -20,7 +20,6 @@ __all__ = [
     "expected_update",
     "verify_zero_weight_update",
     "check_theorem1_bound",
-    "check_theorem1_limit",
     "check_lemma_exp_bound",
     "check_theorem3_identity",
     "attribution_shift_norm",
@@ -198,35 +197,6 @@ def check_theorem1_bound(spec: LossSpec, wspec: WeightedAverageSpec, epsilon: fl
         passed=bool(estimate <= reference + 3.0 * diff_se),
         detail=f"loss={spec.kind} eps={epsilon} abar={abar:.6g}",
     )
-
-
-def check_theorem1_limit(spec: LossSpec, wspec: WeightedAverageSpec, epsilon: float,
-                         sampler, n: int, scales=(1.0, 0.1, 0.01, 0.001),
-                         seed: int = 0):
-    """Shrinking the weights toward 0 must shrink the bound-vs-update residual
-    (common random numbers across scales; monotone within the paired SEs)."""
-    results = []
-    prev_residual, prev_se = None, None
-    for scale in scales:
-        scaled = WeightedAverageSpec(indices=wspec.indices, w=scale * wspec.w)
-        mean, se, _ = _weighted_update_stats(spec, scaled, epsilon, sampler, n, seed)
-        residual = abs(float(mean[0]) - float(mean[1]))
-        diff_se = float(se[2])
-        if prev_residual is None:
-            passed = True
-        else:
-            passed = residual <= prev_residual + 3.0 * (diff_se + prev_se)
-        results.append(TheoremCheckResult(
-            check_id=f"limit-equality[scale={scale:g}]",
-            estimate=residual,
-            reference=0.0,
-            se=diff_se,
-            n_samples=n,
-            passed=bool(passed),
-            detail=f"loss={spec.kind} eps={epsilon}",
-        ))
-        prev_residual, prev_se = residual, diff_se
-    return results
 
 
 def check_lemma_exp_bound(f, sampler, n: int, seed: int = 0) -> TheoremCheckResult:

@@ -228,8 +228,6 @@ def train_many(ds: Dataset, spec: LossSpec, cfgs, *, trace=True):
     """
     cfgs = list(cfgs)
     _check_stack(cfgs)
-    if not ds.binary:
-        raise ValueError("binary labels required")
     cfg, k = cfgs[0], len(cfgs)
     X, y = ds.features[ds.train_indices], ds.labels[ds.train_indices]
     n, d = X.shape

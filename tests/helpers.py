@@ -1,4 +1,6 @@
-"""Shared test utilities: surrogate dataset generators and file loaders.
+"""Shared test utilities: one-row views of the program's split kernels, the
+exact references tests compare the program against, surrogate dataset
+generators and file loaders.
 
 The surrogate generators produce data with the same shape and texture as the
 two real tabular benchmarks (one all-categorical, one all-numeric) so the
@@ -14,9 +16,12 @@ import os
 
 import numpy as np
 
+from attrsparse.attribution import AttributionVector, _closed_form_rows, _numeric_rows
 from attrsparse.data import Dataset, load_csv
-from attrsparse.losses import loss, sigmoid
-from attrsparse.models import MlpModel
+from attrsparse.losses import LossSpec, sigmoid
+from attrsparse.models import LinearModel, MlpModel
+from attrsparse.sparseness import gini_rows
+from attrsparse.theory import TheoremCheckResult, WeightedAverageSpec, check_theorem1_bound
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 MUSHROOM_PATH = os.path.abspath(os.path.join(DATA_DIR, "mushroom.csv"))
@@ -27,6 +32,75 @@ def one_row(check, spec, *instance) -> float:
     """A row-block theorem check (w, x, ... as (m, d) and (m,) blocks) on one
     1-d instance, passed as a (1, d) block; returns its one row."""
     return float(check(spec, *(np.asarray(t, dtype=float)[None] for t in instance))[0])
+
+
+def ig_row(model, x, u, steps=None) -> AttributionVector:
+    """Integrated gradients of one input x against the baseline u: the
+    program's closed-form split kernel, or its numeric one with ``steps``
+    path points, run on x as a (1, d) block."""
+    X = np.asarray(x, dtype=float)[None, :]
+    u = np.asarray(u, dtype=float)
+    if steps is None:
+        values, residual = _closed_form_rows(model, X, u)
+    else:
+        values, residual = _numeric_rows(model, X, u, steps)
+    return AttributionVector(values[0], float(residual[0]))
+
+
+def gini_row(v) -> float:
+    """The program's gini_rows on one vector, passed as a (1, d) block."""
+    return float(gini_rows(np.asarray(v, dtype=float)[None, :])[0])
+
+
+def loss(spec: LossSpec, model, x, y):
+    """Natural loss g(-y * margin) of a model on one example (or a batch)."""
+    margin = model.margin(x)
+    return spec.g(-np.asarray(y, dtype=float) * margin)
+
+
+def closed_form_perturbation(model: LinearModel, y, epsilon: float):
+    """Loss-maximizing perturbation -y * sign(w) * eps (sign(0) = 0).
+
+    Independent of x: the worst case pushes every coordinate against the
+    weight's sign. Coordinates with w_i = 0 do not affect the loss and stay 0.
+    """
+    return -np.asarray(y, dtype=float)[..., None] * np.sign(model.w) * epsilon
+
+
+def adversarial_loss(spec: LossSpec, model: LinearModel, x, y, epsilon: float):
+    """Worst-case loss over the eps-box: g(eps*||w||_1 - y*<w,x>).
+
+    Accepts one example or a batch; equals the natural loss at
+    x + closed_form_perturbation exactly.
+    """
+    margin = model.margin(x)
+    y = np.asarray(y, dtype=float)
+    return spec.g(epsilon * np.abs(model.w).sum() - y * margin)
+
+
+def theorem1_limit(spec, wspec, epsilon, sampler, n, scales=(1.0, 0.1, 0.01, 0.001), seed=0):
+    """Shrinking the weights toward 0 must shrink the bound-vs-update residual.
+
+    Runs check_theorem1_bound at each scale of w (common random numbers
+    across scales): the residual is |estimate - reference| and its paired SE
+    is se. Each residual may exceed the previous one by at most 3 of their
+    SEs."""
+    results = []
+    for scale in scales:
+        scaled = WeightedAverageSpec(indices=wspec.indices, w=scale * wspec.w)
+        bound = check_theorem1_bound(spec, scaled, epsilon, sampler, n, seed=seed)
+        residual = abs(bound.estimate - bound.reference)
+        passed = not results or residual <= results[-1].estimate + 3.0 * (bound.se + results[-1].se)
+        results.append(TheoremCheckResult(
+            check_id=f"limit-equality[scale={scale:g}]",
+            estimate=residual,
+            reference=0.0,
+            se=bound.se,
+            n_samples=n,
+            passed=bool(passed),
+            detail=f"loss={spec.kind} eps={epsilon}",
+        ))
+    return results
 
 
 def gini_row_reference(v) -> float:
@@ -71,10 +145,7 @@ def pgd_clip_reference(model, X, y, eps, cfg, spec, rng):
     plain form of adversarial.pgd_perturb_batch."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if cfg.random_start:
-        delta = rng.uniform(-eps, eps, size=X.shape)
-    else:
-        delta = np.zeros_like(X)
+    delta = rng.uniform(-eps, eps, size=X.shape)
     start = delta.copy()
     start_loss = loss(spec, model, X + delta, y)
     for _ in range(cfg.steps):

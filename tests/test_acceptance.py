@@ -20,21 +20,23 @@ from helpers import (
     MUSHROOM_PATH,
     SPAMBASE_PATH,
     load_mushroom_file,
+    adversarial_loss,
+    gini_row,
+    ig_row,
     load_spambase_file,
     one_row,
+    theorem1_limit,
 )
 
-from attrsparse.adversarial import adversarial_loss
-from attrsparse.attribution import attribute_dataset, ig_closed_form, ig_numeric
+from attrsparse.attribution import attribute_dataset
 from attrsparse.data import SyntheticConditionalSampler, blob_sampler, generate_synthetic
 from attrsparse.losses import make_loss
 from attrsparse.models import LinearModel
 from attrsparse.pipeline import run_compare
-from attrsparse.sparseness import gini, make_gini_report
+from attrsparse.sparseness import make_gini_report
 from attrsparse.theory import (
     WeightedAverageSpec,
     check_theorem1_bound,
-    check_theorem1_limit,
     check_theorem3_identity,
     verify_zero_weight_update,
 )
@@ -172,7 +174,7 @@ def test_expected_update_monte_carlo(acceptance):
     rng = np.random.default_rng(3)
     wspec = WeightedAverageSpec(indices=(0, 1, 2), w=rng.normal(size=4))
     sampler = SyntheticConditionalSampler(strengths=(0.6, 0.3, -0.2, 0.1))
-    limit = check_theorem1_limit(LOGISTIC, wspec, 0.1, sampler, n, seed=0)
+    limit = theorem1_limit(LOGISTIC, wspec, 0.1, sampler, n, seed=0)
     limit_ok = (all(r.passed for r in limit)
                 and limit[-1].estimate < limit[0].estimate
                 and limit[-1].estimate <= 3.0 * limit[-1].se + 1e-12)
@@ -197,9 +199,9 @@ def test_attribution_oracle_equivalence(acceptance):
         model = LinearModel(w=rng.normal(size=d))  # sigmoid activation
         x = rng.normal(size=d)
         u = rng.normal(size=d)
-        closed = ig_closed_form(model, x, u)
-        fine = ig_numeric(model, x, u, steps=4096)
-        coarse = ig_numeric(model, x, u, steps=256)
+        closed = ig_row(model, x, u)
+        fine = ig_row(model, x, u, steps=4096)
+        coarse = ig_row(model, x, u, steps=256)
         worst_gap = max(worst_gap, float(np.abs(closed.values - fine.values).max()))
         worst_closed_res = max(worst_closed_res, abs(closed.completeness_residual))
         worst_numeric_res = max(worst_numeric_res, abs(coarse.completeness_residual))
@@ -244,9 +246,9 @@ def test_worst_case_loss_maximality(acceptance):
 
 def test_gini_exact_values_and_fuzz(acceptance):
     exact_ok = (
-        gini(np.ones(5)) == 0.0
-        and gini(np.full(17, 3.7)) == 0.0
-        and gini(np.asarray([0.0, 0.0, 123.0, 0.0])) == 0.75
+        gini_row(np.ones(5)) == 0.0
+        and gini_row(np.full(17, 3.7)) == 0.0
+        and gini_row(np.asarray([0.0, 0.0, 123.0, 0.0])) == 0.75
     )
 
     rng = np.random.default_rng(99)
@@ -262,11 +264,11 @@ def test_gini_exact_values_and_fuzz(acceptance):
             v = rng.exponential(size=d) * (rng.uniform(size=d) < 0.7)
             if not np.any(v):
                 v[0] = 1.0
-        g = gini(v)
+        g = gini_row(v)
         in_range = 0.0 <= g <= 1.0 - 1.0 / d + 1e-15
         c = 10.0 ** rng.uniform(-3, 3)
-        scale_inv = abs(gini(c * v) - g) <= 1e-12
-        perm_inv = gini(rng.permutation(v)) == g
+        scale_inv = abs(gini_row(c * v) - g) <= 1e-12
+        perm_inv = gini_row(rng.permutation(v)) == g
         if not (in_range and scale_inv and perm_inv):
             fuzz_fail += 1
     ok = exact_ok and fuzz_fail == 0

@@ -1,5 +1,5 @@
-"""Worst-case perturbations: closed-form exactness, brute-force maximality,
-PGD convergence and determinism."""
+"""Worst-case perturbations: the exact linear references against brute
+force and the training engine, PGD convergence and determinism."""
 import itertools
 
 import numpy as np
@@ -7,14 +7,12 @@ import pytest
 
 from attrsparse.adversarial import (
     PgdConfig,
-    adversarial_loss,
-    closed_form_perturbation,
     default_pgd_config,
     pgd_perturb_batch,
 )
-from attrsparse.losses import LOSS_KINDS, linear_loss_and_grads, loss, make_loss, worst_case_slope
+from attrsparse.losses import LOSS_KINDS, linear_loss_and_grads, make_loss, worst_case_slope
 from attrsparse.models import LinearModel, MlpModel, init_mlp
-from helpers import pgd_clip_reference
+from helpers import adversarial_loss, closed_form_perturbation, loss, pgd_clip_reference
 
 LOG1PE = 1.3132616875182228  # ln(1 + e)
 
@@ -128,7 +126,7 @@ def _linear_mlp(w, bias=0.0):
 def test_pgd_rejects_linear_model():
     model = LinearModel(w=np.asarray([1.0, -2.0]))
     cfg = PgdConfig(steps=1)
-    with pytest.raises(TypeError, match="closed_form_perturbation"):
+    with pytest.raises(TypeError, match="PGD runs on an MlpModel, got LinearModel"):
         pgd_perturb_batch(model, np.zeros((1, 2)), np.ones(1), 0.1, cfg,
                           make_loss("logistic-nll"), np.random.default_rng(0))
 
@@ -140,7 +138,7 @@ def test_pgd_converges_to_linear_closed_form():
     X = rng.normal(size=(8, 5))
     y = np.where(rng.uniform(size=8) < 0.5, 1.0, -1.0)
     # enough steps that every coordinate reaches its box face
-    cfg = PgdConfig(steps=60, step_size=0.01, random_start=True)
+    cfg = PgdConfig(steps=60, step_size=0.01)
     delta = pgd_perturb_batch(_linear_mlp(model.w), X, y, 0.2, cfg, spec,
                               np.random.default_rng(0))
     target = float(np.mean(adversarial_loss(spec, model, X, y, 0.2)))
@@ -181,17 +179,6 @@ def test_pgd_never_worse_than_start():
         assert np.all(final_loss >= start_loss - 1e-15)
 
 
-def test_pgd_zero_start_monotone_on_linear():
-    # without random start the first step is the fast-gradient-sign corner move
-    spec = make_loss("logistic-nll")
-    model = _linear_mlp([1.0, -2.0])
-    x = np.asarray([[0.5, 0.5]])
-    y = np.asarray([1.0])
-    cfg = PgdConfig(steps=1, step_size=0.01, random_start=False)
-    delta = pgd_perturb_batch(model, x, y, 0.01, cfg, spec, np.random.default_rng(0))
-    np.testing.assert_allclose(delta[0], [-0.01, 0.01], atol=1e-15)
-
-
 def test_mlp_pgd_beats_random_noise():
     spec = make_loss("logistic-nll")
     rng = np.random.default_rng(8)
@@ -228,13 +215,13 @@ def test_pgd_matches_clip_loop_bytewise(kind, eps):
     y = np.where(rng.uniform(size=24) < 0.5, 1.0, -1.0)
     # one generator drives consecutive calls, as in training
     shared, shared_ref = np.random.default_rng(9), np.random.default_rng(9)
-    for loss_kind, random_start in itertools.product(("logistic-nll", "hinge"), (False, True)):
+    for loss_kind in ("logistic-nll", "hinge"):
         spec = make_loss(loss_kind)
-        cfg = PgdConfig(steps=12, step_size=0.04, random_start=random_start)
+        cfg = PgdConfig(steps=12, step_size=0.04)
         for _ in range(2):
             got = pgd_perturb_batch(model, X, y, eps, cfg, spec, shared)
             want = pgd_clip_reference(model, X, y, eps, cfg, spec, shared_ref)
-            assert got.tobytes() == want.tobytes(), (loss_kind, random_start)  # signed zeros too
+            assert got.tobytes() == want.tobytes(), loss_kind  # signed zeros too
 
 
 # --- configuration objects -------------------------------------------------------

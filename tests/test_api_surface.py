@@ -1,22 +1,10 @@
 """The public API is what the program itself uses: every name a module of
 ``src/attrsparse`` exports in ``__all__`` must be referenced from code in
-``src/``, apart from a short list of names kept on purpose for callers
-outside it, and every dataclass field must be read by code in ``src/``."""
+``src/``, and every dataclass field must be read by code in ``src/``."""
 import ast
 import os
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "attrsparse")
-
-# name -> why it is public although no code in src/ refers to it
-ALLOWED = {
-    "ig_numeric": "one-row case of the split-level numeric IG kernel",
-    "ig_closed_form": "one-row case of the split-level closed-form IG kernel",
-    "gini": "one-row case of gini_rows",
-    "closed_form_perturbation": "exact worst-case perturbation that tests compare PGD against",
-    "adversarial_loss": "exact worst-case loss that tests compare training against",
-    "check_theorem1_limit": "the limit-equality check of acceptance criterion 4",
-    "loss": "natural loss of one model: the reference the engine tests compare against",
-}
 
 
 def _modules():
@@ -57,22 +45,9 @@ def test_every_export_is_used_by_the_program():
     unused = []
     for module, tree in modules:
         for name in _exports(tree):
-            if name in ALLOWED:
-                continue
             if not any(name in _references(other, name) for _, other in modules):
                 unused.append(f"{module}: {name}")
     assert not unused, f"exported but unused in src/: {unused}"
-
-
-def test_allowlist_names_real_unused_exports():
-    # an allowance for a name that is no longer exported, or that src/ now
-    # uses, would hide nothing and should go
-    modules = list(_modules())
-    exported = {name for _, tree in modules for name in _exports(tree)}
-    assert set(ALLOWED) <= exported
-    used = {name for name in ALLOWED
-            if any(name in _references(tree, name) for _, tree in modules)}
-    assert not used, f"allowed but used in src/: {sorted(used)}"
 
 
 def _is_dataclass(node):

@@ -8,15 +8,15 @@ import pytest
 
 from attrsparse.attribution import (
     attribute_dataset,
-    ig_closed_form,
-    ig_numeric,
+    check_baseline,
+    check_method,
     impact_report,
     write_pgm,
 )
 from attrsparse.data import Dataset, FeatureGroup
 from attrsparse.losses import sigmoid
 from attrsparse.models import LinearModel, init_mlp
-from helpers import ig_midpoint_reference
+from helpers import ig_midpoint_reference, ig_row
 
 SIGMOID_3 = 0.9525741268224334
 IG_HAND = (0.15085804227414445, 0.3017160845482889)  # (s(3)-0.5)*(1/3, 2/3)
@@ -24,7 +24,7 @@ IG_HAND = (0.15085804227414445, 0.3017160845482889)  # (s(3)-0.5)*(1/3, 2/3)
 
 def test_closed_form_hand_value():
     model = LinearModel(w=np.asarray([1.0, 1.0]))
-    attr = ig_closed_form(model, np.asarray([1.0, 2.0]), np.zeros(2))
+    attr = ig_row(model, np.asarray([1.0, 2.0]), np.zeros(2))
     np.testing.assert_allclose(attr.values, IG_HAND, rtol=0, atol=1e-15)
     assert attr.completeness_residual <= 1e-15
     assert np.all(attr.values > 0.0)
@@ -35,14 +35,14 @@ def test_closed_form_hand_value():
 def test_closed_form_identity_activation():
     # for an identity activation the attribution IS the per-coordinate product
     model = LinearModel(w=np.asarray([2.0, -3.0]), activation="identity")
-    attr = ig_closed_form(model, np.asarray([1.0, 1.0]), np.asarray([0.5, 0.0]))
+    attr = ig_row(model, np.asarray([1.0, 1.0]), np.asarray([0.5, 0.0]))
     np.testing.assert_allclose(attr.values, [1.0, -3.0], atol=1e-15)
     assert attr.completeness_residual <= 1e-12
 
 
 def test_closed_form_zero_weight_coordinate_is_exactly_zero():
     model = LinearModel(w=np.asarray([1.5, 0.0, -0.5]))
-    attr = ig_closed_form(model, np.asarray([3.0, 9.0, 1.0]), np.zeros(3))
+    attr = ig_row(model, np.asarray([3.0, 9.0, 1.0]), np.zeros(3))
     assert attr.values[1] == 0.0
 
 
@@ -51,7 +51,7 @@ def test_closed_form_completeness_random(rng):
         d = int(rng.integers(1, 12))
         model = LinearModel(w=rng.normal(size=d))
         x, u = rng.normal(size=d), rng.normal(size=d)
-        attr = ig_closed_form(model, x, u)
+        attr = ig_row(model, x, u)
         fx = float(model.value(x))
         fu = float(model.value(u))
         assert attr.completeness_residual <= 1e-12
@@ -61,11 +61,11 @@ def test_closed_form_completeness_random(rng):
 def test_closed_form_degenerate_and_error_branches():
     model = LinearModel(w=np.asarray([1.0, -1.0]))
     # x == u: zero path, zero attribution, complete
-    attr = ig_closed_form(model, np.asarray([0.3, 0.3]), np.asarray([0.3, 0.3]))
+    attr = ig_row(model, np.asarray([0.3, 0.3]), np.asarray([0.3, 0.3]))
     np.testing.assert_array_equal(attr.values, [0.0, 0.0])
     assert attr.completeness_residual == 0.0
     # orthogonal move: margin unchanged, outputs equal, still zero and complete
-    attr2 = ig_closed_form(model, np.asarray([1.0, 1.0]), np.zeros(2))
+    attr2 = ig_row(model, np.asarray([1.0, 1.0]), np.zeros(2))
     np.testing.assert_array_equal(attr2.values, [0.0, 0.0])
     assert attr2.completeness_residual == 0.0
 
@@ -75,7 +75,7 @@ def test_closed_form_degenerate_and_error_branches():
 
     bad = _Inconsistent(w=np.asarray([1.0, -1.0]))
     with pytest.raises(ValueError, match="monotonicity"):
-        ig_closed_form(bad, np.asarray([1.0, 1.0]), np.zeros(2))
+        ig_row(bad, np.asarray([1.0, 1.0]), np.zeros(2))
 
     class _InconsistentRows(LinearModel):
         def value(self, x):  # output not a function of the margin, row by row
@@ -98,7 +98,7 @@ def test_closed_form_rounding_split_is_degenerate_not_an_error(activation, bias)
     assert float(model.margin(x)) != float(model.margin(u))
     gap = float(model.value(x)) - float(model.value(u))
     assert abs(gap) < 1e-15
-    attr = ig_closed_form(model, x, u)
+    attr = ig_row(model, x, u)
     np.testing.assert_array_equal(attr.values, [0.0, 0.0])
     assert attr.completeness_residual == abs(gap)
     if activation == "identity":
@@ -112,23 +112,23 @@ def test_closed_form_margin_gap_beyond_rounding_is_an_error():
 
     model = _Offset(w=np.asarray([1.0, -1.0]), activation="identity")
     with pytest.raises(ValueError, match="monotonicity"):
-        ig_closed_form(model, np.asarray([1.0, 1.0]), np.zeros(2))
+        ig_row(model, np.asarray([1.0, 1.0]), np.zeros(2))
 
 
 def test_closed_form_rejects_nonlinear_model(rng):
     mlp = init_mlp([3, 2, 1], rng)
     with pytest.raises(TypeError, match="linear"):
-        ig_closed_form(mlp, np.zeros(3), np.zeros(3))
+        ig_row(mlp, np.zeros(3), np.zeros(3))
 
 
 def test_dimension_validation(rng):
     model = LinearModel(w=np.asarray([1.0, 1.0]))
-    with pytest.raises(ValueError, match="must be equal 1-d"):
-        ig_closed_form(model, np.zeros(2), np.zeros(3))
+    with pytest.raises(ValueError, match="does not match dimension 2"):
+        check_baseline(np.zeros(3), model.dim)
     with pytest.raises(ValueError, match="model dimension"):
-        ig_closed_form(model, np.zeros(3), np.zeros(3))
+        ig_row(model, np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError, match="steps"):
-        ig_numeric(model, np.zeros(2), np.zeros(2), steps=0)
+        check_method("numeric", 0)
 
 
 # --- midpoint rule ---------------------------------------------------------------
@@ -136,7 +136,7 @@ def test_dimension_validation(rng):
 def test_numeric_single_step_is_midpoint_gradient():
     model = LinearModel(w=np.asarray([1.0, -2.0]))
     x, u = np.asarray([0.8, 0.2]), np.asarray([0.0, 0.4])
-    attr = ig_numeric(model, x, u, steps=1)
+    attr = ig_row(model, x, u, steps=1)
     p = float(sigmoid(model.margin((x + u) / 2.0)))
     np.testing.assert_allclose(attr.values, (x - u) * p * (1.0 - p) * model.w, rtol=1e-14)
 
@@ -144,10 +144,10 @@ def test_numeric_single_step_is_midpoint_gradient():
 def test_numeric_matches_closed_form_and_converges(rng):
     model = LinearModel(w=rng.normal(size=6))
     x, u = rng.normal(size=6), rng.normal(size=6)
-    exact = ig_closed_form(model, x, u).values
+    exact = ig_row(model, x, u).values
     err = {}
     for steps in (16, 256, 4096):
-        approx = ig_numeric(model, x, u, steps=steps)
+        approx = ig_row(model, x, u, steps=steps)
         err[steps] = float(np.abs(approx.values - exact).max())
     assert err[16] > err[256] > err[4096]
     assert err[4096] <= 1e-6
@@ -159,15 +159,15 @@ def test_numeric_matches_closed_form_and_converges(rng):
 def test_numeric_completeness_residual_tracks_error(rng):
     model = init_mlp([4, 5, 1], rng)
     x, u = rng.normal(size=4), np.zeros(4)
-    r256 = ig_numeric(model, x, u, steps=256).completeness_residual
-    r4096 = ig_numeric(model, x, u, steps=4096).completeness_residual
+    r256 = ig_row(model, x, u, steps=256).completeness_residual
+    r4096 = ig_row(model, x, u, steps=4096).completeness_residual
     assert r256 <= 5e-3
     assert r4096 <= r256 + 1e-15
 
 
 def test_numeric_zero_weight_coordinate_is_exactly_zero():
     model = LinearModel(w=np.asarray([1.0, 0.0]))
-    attr = ig_numeric(model, np.asarray([2.0, 5.0]), np.zeros(2), steps=8)
+    attr = ig_row(model, np.asarray([2.0, 5.0]), np.zeros(2), steps=8)
     assert attr.values[1] == 0.0
 
 
@@ -223,10 +223,6 @@ def test_attribute_dataset_validation():
         attribute_dataset(model, ds, np.zeros(3), steps=0)
     with pytest.raises(TypeError, match="linear"):
         attribute_dataset(init_mlp([3, 2, 1], np.random.default_rng(0)), ds, np.zeros(3))
-    multi = Dataset(ds.features, np.arange(10) % 3, ds.feature_names,
-                    ds.encoding_map, split_seed=0)
-    with pytest.raises(ValueError, match="binary"):
-        attribute_dataset(model, multi, np.zeros(3))
 
 
 def test_impact_report_sums_categorical_spans():
@@ -321,7 +317,7 @@ def test_split_closed_form_matches_per_row_formula_bitwise(bias, activation):
         base = got[0].values.base  # the vectors view one matrix
         assert base is not None and all(a.values.base is base for a in got)
     assert negative_zero_rows > 0  # the sign flip of a zero attribution is -0.0
-    one = ig_closed_form(model, ds.features[5], zero)
+    one = ig_row(model, ds.features[5], zero)
     values, residual, degenerate = _closed_form_row_reference(model, ds.features[5], zero)
     assert degenerate and _same_bits(one.values, values)
     assert one.completeness_residual == residual
@@ -364,7 +360,7 @@ def test_numeric_row_does_not_depend_on_its_block(steps):
     ds = _numeric_dataset(rng, 80, 40)
     for model, u in itertools.product(_numeric_models(rng, ds.dim),
                                       (np.zeros(ds.dim), rng.uniform(size=ds.dim))):
-        singles = {i: ig_numeric(model, ds.features[i], u, steps=steps)
+        singles = {i: ig_row(model, ds.features[i], u, steps=steps)
                    for i in range(ds.features.shape[0])}
         runs = [(split, ds.split(split)) for split in ("train", "test")]
         runs += [("test", [i]) for i in ds.test_indices[:4]]

@@ -13,9 +13,9 @@ import pytest
 from attrsparse._version import __version__
 from attrsparse.cli import _CONFIG_ALIASES, _resolve, _train_config, build_parser, main
 from attrsparse.data import load_dataset
-from attrsparse.models import load_model
-from attrsparse.sparseness import gini
+from attrsparse.models import LinearModel, init_mlp, load_model, save_model
 from attrsparse.training import TrainConfig
+from helpers import gini_row
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +122,22 @@ def test_synth_blobs_rejects_bad_geometry(tmp_path, capsys, flags, message):
     assert main(["synth", "blobs", "--out", str(out), "--n", "10", *flags]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_old_sidecar_keys_load_the_same_dataset(synth_json, tmp_path):
+    # sidecars written before "label_map" and "translated" were dropped
+    doc = json.loads(synth_json.read_text(encoding="utf-8"))
+    assert "label_map" not in doc and "translated" not in doc
+    doc.update(label_map=None, translated=True)
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc), encoding="utf-8")
+    new_ds, old_ds = load_dataset(synth_json), load_dataset(old)
+    for field in ("features", "labels", "train_indices", "test_indices"):
+        assert getattr(old_ds, field).tobytes() == getattr(new_ds, field).tobytes(), field
+    for data, out in ((synth_json, tmp_path / "new-run"), (old, tmp_path / "old-run")):
+        assert main(["train", "--data", str(data), "--epochs", "2", "--out-dir", str(out)]) == 0
+    for name in ("model.json", "trace.csv"):
+        assert (tmp_path / "old-run" / name).read_bytes() == (tmp_path / "new-run" / name).read_bytes()
 
 
 # --- train -----------------------------------------------------------------------
@@ -402,6 +418,47 @@ def test_non_finite_csv_feature_exit_1(csv_file, tmp_path, capsys, command):
     assert "example 2, feature 'amount': non-finite value nan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["compare", "attribute"])
+def test_multiclass_csv_exit_1_at_load(csv_file, tmp_path, capsys, no_training, command):
+    lines = csv_file.read_text(encoding="utf-8").splitlines()
+    lines[5] = "maybe," + lines[5].split(",", 1)[1]
+    three = tmp_path / "three.csv"
+    three.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    model = tmp_path / "model.json"
+    save_model(LinearModel(w=np.zeros(3)), model)
+    out = tmp_path / "out"
+    argv = [command, "--data", str(three), "--infer-schema", "--label-column", "label",
+            "--out-dir", str(out)]
+    if command == "attribute":
+        argv += ["--model", str(model), "--target", "model-output"]
+    assert main(argv) == 1
+    assert ("label column 'label' has 3 values ['maybe', 'no', 'yes']; labels must be binary"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_duplicate_csv_header_exit_1(tmp_path, capsys):
+    path = tmp_path / "dup.csv"
+    path.write_text("a,a,label\n1,10,yes\n2,20,no\n3,30,yes\n", encoding="utf-8")
+    rc = main(["train", "--data", str(path), "--infer-schema", "--label-column", "label",
+               "--out-dir", str(tmp_path / "run")])
+    assert rc == 1
+    assert "column 'a' appears more than once in the header" in capsys.readouterr().err
+
+
+def test_schema_column_missing_from_csv_exit_1(csv_file, tmp_path, capsys):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({
+        "label_column": "label",
+        "columns": [["color", "categorical"], ["amount", "numeric"], ["zz", "numeric"]],
+    }), encoding="utf-8")
+    rc = main(["train", "--data", str(csv_file), "--schema", str(schema),
+               "--out-dir", str(tmp_path / "run")])
+    assert rc == 1
+    assert ("schema columns ['zz'] not in header ['label', 'color', 'amount']"
+            in capsys.readouterr().err)
+
+
 # --- compare ----------------------------------------------------------------------
 
 def test_compare_outputs_and_determinism(synth_json, tmp_path, capsys):
@@ -678,6 +735,31 @@ def test_attribute_rejects_steps_below_one(synth_json, trained_model, tmp_path, 
     assert not (tmp_path / "attributions.csv").exists()
 
 
+@pytest.mark.parametrize("kind, change, message", [
+    ("linear", {"format_version": 99}, "unsupported model format_version 99; expected 1"),
+    ("linear", {"dim": 7}, "model dim 7 does not match its weights' 4"),
+    ("mlp", {"format_version": None}, "unsupported model format_version None; expected 1"),
+    ("mlp", {"layer_sizes": [4, 5, 1]}, "model layer_sizes [4, 5, 1] does not match its "
+                                        "weights' [4, 3, 1]"),
+])
+def test_attribute_rejects_inconsistent_model_file(synth_json, trained_model, tmp_path, capsys,
+                                                   kind, change, message):
+    if kind == "linear":
+        doc = json.loads(trained_model.read_text(encoding="utf-8"))
+    else:
+        save_model(init_mlp([4, 3, 1], np.random.default_rng(0)), tmp_path / "mlp.json")
+        doc = json.loads((tmp_path / "mlp.json").read_text(encoding="utf-8"))
+    doc.update(change)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "attr"
+    rc = main(["attribute", "--data", str(synth_json), "--model", str(bad),
+               "--method", "numeric", "--out-dir", str(out)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- gini -------------------------------------------------------------------------
 
 def test_gini_plain_rows(tmp_path, capsys):
@@ -704,7 +786,7 @@ def test_gini_reads_attribute_output(synth_json, trained_model, tmp_path, capsys
     # the id and residual columns must not leak into the computation
     with open(attr_dir / "attributions.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))[1:]
-    expected = gini(np.abs([float(v) for v in rows[0][1:-1]]))
+    expected = gini_row(np.abs([float(v) for v in rows[0][1:-1]]))
     assert lines[1] == f"0,{expected!r}"
 
 

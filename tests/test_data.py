@@ -1,5 +1,6 @@
-"""Dataset ingestion, encoding, splitting, the translated flag, synthetic generators."""
+"""Dataset ingestion, encoding, splitting, synthetic generators, sidecars."""
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -67,8 +68,7 @@ def test_load_csv_encoding(mixed_csv):
         ds.features[:, size.start],
         [1.5, 2.0, 0.5, 3.0, 1.0, 2.5, 0.0, -1.0, 4.0, 2.2])
     # binary labels map sorted: 'no' -> -1, 'yes' -> +1
-    assert ds.label_map == {"no": -1, "yes": 1}
-    np.testing.assert_array_equal(np.unique(ds.labels), [-1.0, 1.0])
+    np.testing.assert_array_equal(ds.labels, [1.0, -1.0] * 5)
     # feature names carry the category
     assert ds.feature_names[0] == f"color={expected_cats[0]}"
 
@@ -105,20 +105,9 @@ def test_inferred_schema_parses_each_numeric_cell_once(tmp_path, monkeypatch):
 
 def test_load_csv_positive_label_override(mixed_csv):
     ds = load_csv(mixed_csv, SCHEMA, "label", positive_label="no")
-    assert ds.label_map == {"yes": -1, "no": 1}
+    np.testing.assert_array_equal(ds.labels, [-1.0, 1.0] * 5)
     with pytest.raises(ValueError, match="not among"):
         load_csv(mixed_csv, SCHEMA, "label", positive_label="maybe")
-
-
-def test_load_csv_multiclass(tmp_path):
-    header = ["x", "label"]
-    rows = [[str(i), lab] for i, lab in enumerate(["a", "b", "c", "a", "b", "c",
-                                                   "a", "b", "c", "a"])]
-    ds = load_csv(_write_csv(tmp_path / "m.csv", header, rows),
-                  [("x", "numeric")], "label")
-    assert not ds.binary
-    assert ds.label_map == {"a": 0, "b": 1, "c": 2}
-    assert set(np.unique(ds.labels)) == {0.0, 1.0, 2.0}
 
 
 def test_load_csv_errors(tmp_path, mixed_csv):
@@ -197,19 +186,6 @@ def test_split_is_seeded_70_30(tmp_path):
         ds.split("validation")
 
 
-# --- translated features ---------------------------------------------------------
-
-def test_translated_categorical_skips_one_hot_check(tmp_path):
-    path = make_categorical_csv(tmp_path / "cat.csv", n=40, seed=1)
-    ds = load_csv(path, categorical_schema(path), "class")
-    shifted = ds.features - ds.features.mean(axis=0)  # blocks no longer 0/1
-    with pytest.raises(ValueError, match="one-hot"):
-        Dataset(shifted, ds.labels, ds.feature_names, ds.encoding_map)
-    kept = Dataset(shifted, ds.labels, ds.feature_names, ds.encoding_map, translated=True)
-    assert kept.translated
-    assert not np.all(np.isin(kept.features, (0.0, 1.0)))
-
-
 # --- synthetic generators -------------------------------------------------------
 
 def test_generate_synthetic_moments():
@@ -218,7 +194,7 @@ def test_generate_synthetic_moments():
     ds = generate_synthetic(sampler, n, seed=3)
     assert ds.features.shape == (n, 3)
     assert set(np.unique(ds.labels)) == {-1.0, 1.0}
-    assert ds.translated and ds.split_seed == 3
+    assert ds.split_seed == 3
     assert ds.feature_names == ["f0", "f1", "f2"]
     # E(y x_i) = a_i within 3 SE
     a = np.asarray(sampler.strengths)
@@ -332,7 +308,6 @@ def test_sidecar_roundtrip(tmp_path, mixed_csv):
     assert back.feature_names == ds.feature_names
     assert back.encoding_map == ds.encoding_map
     assert back.split_seed == ds.split_seed
-    assert back.label_map == ds.label_map
     np.testing.assert_array_equal(back.train_indices, ds.train_indices)
 
 
@@ -341,3 +316,17 @@ def test_sidecar_version_guard(tmp_path):
     path.write_text('{"format_version": 99}')
     with pytest.raises(ValueError, match="version"):
         load_dataset(path)
+
+
+def test_sidecar_one_hot_check_ignores_old_translated_key(tmp_path):
+    # older sidecars carry "translated"; it no longer skips the one-hot check
+    path = make_categorical_csv(tmp_path / "cat.csv", n=40, seed=1)
+    ds = load_csv(path, categorical_schema(path), "class")
+    side = tmp_path / "ds.json"
+    save_dataset(ds, side)
+    doc = json.loads(side.read_text())
+    doc.update(translated=True, label_map=None)
+    doc["features"] = (ds.features - ds.features.mean(axis=0)).tolist()  # blocks not 0/1
+    side.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="one-hot"):
+        load_dataset(side)

@@ -93,7 +93,7 @@ GOLDEN = {
     'attribute-mlp-numeric/attributions.csv': '15b1ed84c1eff0d768436c638a5552d1ce9190f73028a2fb7f20db6857ba17bb',
     'attribute-mlp-numeric/impact_features.csv': '8c5e56b561e8c13841ffb3d058b77b50ed357b47cbf5e493d3a1e631b9c96e56',
     'attribute-mlp-numeric/impact_values.csv': '8c5e56b561e8c13841ffb3d058b77b50ed357b47cbf5e493d3a1e631b9c96e56',
-    'blobs.json': '24977d33ffb683ac45b04b257a531c8678359e475fff0f88a15f457d43249b0b',
+    'blobs.json': 'bf0b6782cbfd0d9ed23c2de301f11ab8414fbc19ea612dd81b64020654d1a417',
     'compare-linear/distributions.csv': '593bfd4f32ae07d63f6ffdd548d1668665c39959b77f4856368d05d74af02044',
     'compare-linear/report.json': 'a6feaf2bf40163917c050308062f71c6a68bd02e63399cd6947b40b570256c92',
     'compare-linear/table.csv': '149e39f9ec595e3938d5c2a99137e11d8af53d172dfa8b211793a7a330fe89ec',
@@ -103,7 +103,7 @@ GOLDEN = {
     'compare-mlp/table.csv': '16517c02429ec9e0be95366f75a88e426a34d2d0dac200e74ce1267f3bace55c',
     'compare-mlp/tradeoff.csv': '28aa9a732aacc8c4f184882ac5c6e822e0cf829e3544407c20db97297ae64e1b',
     'gini-attributions/gini.csv': '075b78e35b35310e9bc45d4f36eab0243ea4f46ea43aac824ed33ca6184a8f67',
-    'toy.json': '013a1672c8ee97981d2511049d5900f0e790072eb354d3285888eaf3368f8c23',
+    'toy.json': 'f8bb0e542d4d57c059dc97c94158d73039d66bbaedded0bb5704ffaaef4e10e0',
     'train-linear-adversarial-hinge/model.json': 'ac715f4f7d290dfbca315c028a79600ad50c0aae6598a70b7c1773832824e86b',
     'train-linear-adversarial-hinge/resolved_config.json': 'ea0d5f010af10760f34a44b7af9746cc73350a6af894c0639f436b74cd6fa5ea',
     'train-linear-adversarial-hinge/trace.csv': '4000c510d51a8defe880b86e7dc29d9591b0f93edd76d93bc9d59abc6edb70c2',

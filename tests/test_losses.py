@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attrsparse.losses import (LOSS_KINDS, linear_loss_and_grads, loss, make_loss, sigmoid,
-                               worst_case_slope)
+from attrsparse.losses import LOSS_KINDS, linear_loss_and_grads, make_loss, sigmoid, worst_case_slope
 from attrsparse.models import LinearModel
+from helpers import loss
 
 LN2 = 0.6931471805599453
 GRID = np.linspace(-10.0, 10.0, 401)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from attrsparse.adversarial import PgdConfig, pgd_perturb_batch
-from attrsparse.attribution import ig_numeric
 from attrsparse import models
 from attrsparse.losses import make_loss, sigmoid
 from attrsparse.models import (
@@ -20,6 +19,7 @@ from attrsparse.models import (
     model_to_dict,
     save_model,
 )
+from helpers import ig_row
 
 SIGMOID_1 = 0.7310585786300049
 
@@ -27,7 +27,7 @@ SIGMOID_1 = 0.7310585786300049
 def _midpoint_gradient(model, x, h=0.5):
     """dF/dx at x as numeric IG's one-step midpoint rule (its folded
     first-layer kernel) sees it, on the path from x - h to x + h."""
-    attr = ig_numeric(model, x + h, x - h, steps=1)
+    attr = ig_row(model, x + h, x - h, steps=1)
     return attr.values / (2.0 * h)
 
 

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from attrsparse.attribution import AttributionVector
-from helpers import gini_row_reference
+from helpers import gini_row, gini_row_reference
 
 from attrsparse.sparseness import (
     GiniReport,
-    gini,
     gini_gap,
     gini_rows,
     make_gini_report,
@@ -49,40 +48,40 @@ def test_gini_rows_matches_per_row_formula_bitwise(rng):
             ref = gini_row_reference(row)
             assert g == ref and math.copysign(1.0, g) == math.copysign(1.0, ref), (d, row)
         assert got[0] == 0.0 and got[1] == 0.0
-        assert gini(V[2]) == got[2]
+        assert gini_row(V[2]) == got[2]
 
 
 def test_exact_values():
-    assert gini(np.ones(5)) == 0.0
-    assert gini(np.asarray([7.0])) == 0.0
-    assert gini(np.asarray([0.0, 0.0, 0.0, 3.0])) == 0.75
-    assert gini(np.asarray([3.0, 1.0, 0.0])) == 0.5
-    assert gini(np.asarray([1.0, 0.0])) == 0.5
+    assert gini_row(np.ones(5)) == 0.0
+    assert gini_row(np.asarray([7.0])) == 0.0
+    assert gini_row(np.asarray([0.0, 0.0, 0.0, 3.0])) == 0.75
+    assert gini_row(np.asarray([3.0, 1.0, 0.0])) == 0.5
+    assert gini_row(np.asarray([1.0, 0.0])) == 0.5
     # single nonzero among d entries scores (d-1)/d exactly
     for d in (2, 3, 10, 64):
         v = np.zeros(d)
         v[0] = 2.5
-        assert gini(v) == (d - 1) / d
+        assert gini_row(v) == (d - 1) / d
 
 
 def test_all_equal_is_exactly_zero_any_scale():
     for c in (1e-9, 1.0, 3.7, 1e12):
         for d in (1, 2, 7, 100):
-            assert gini(np.full(d, c)) == 0.0
+            assert gini_row(np.full(d, c)) == 0.0
 
 
 def test_zero_vector_warns_and_returns_zero():
     with pytest.warns(UserWarning, match="all-zero"):
-        assert gini(np.zeros(4)) == 0.0
+        assert gini_row(np.zeros(4)) == 0.0
 
 
 def test_validation_errors():
     with pytest.raises(ValueError, match="non-negative"):
-        gini(np.asarray([1.0, -0.5]))
+        gini_row(np.asarray([1.0, -0.5]))
     with pytest.raises(ValueError, match="non-empty"):
-        gini(np.asarray([]))
+        gini_row(np.asarray([]))
     with pytest.raises(ValueError, match="non-empty"):
-        gini(np.zeros((2, 2)))
+        gini_row(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="non-negative"):
         gini_rows(np.asarray([[1.0, 2.0], [0.5, -0.5]]))
     with pytest.raises(ValueError, match="non-empty"):
@@ -97,7 +96,7 @@ def test_matches_two_independent_oracles(rng):
         v = rng.uniform(0, 10, size=d)
         if rng.uniform() < 0.3:
             v[rng.integers(0, d)] = 0.0
-        g = gini(v)
+        g = gini_row(v)
         assert g == pytest.approx(_gini_share_form(v), abs=1e-12)
         assert g == pytest.approx(_gini_lorenz_form(v), abs=1e-12)
 
@@ -106,10 +105,10 @@ def test_fuzz_range_scale_permutation(rng):
     for _ in range(2000):
         d = int(rng.integers(1, 30))
         v = rng.exponential(size=d)
-        g = gini(v)
+        g = gini_row(v)
         assert 0.0 <= g <= (d - 1) / d + 1e-15
-        assert gini(3.25 * v) == pytest.approx(g, abs=1e-12)
-        assert gini(rng.permutation(v)) == g  # sorting makes order exactly irrelevant
+        assert gini_row(3.25 * v) == pytest.approx(g, abs=1e-12)
+        assert gini_row(rng.permutation(v)) == g  # sorting makes order exactly irrelevant
 
 
 def test_replication_invariance(rng):
@@ -117,13 +116,13 @@ def test_replication_invariance(rng):
         d = int(rng.integers(1, 12))
         v = rng.uniform(0, 5, size=d)
         for m in (2, 3, 7):
-            assert gini(np.tile(v, m)) == pytest.approx(gini(v), abs=1e-12)
+            assert gini_row(np.tile(v, m)) == pytest.approx(gini_row(v), abs=1e-12)
 
 
 def test_appending_zero_strictly_increases(rng):
     for _ in range(100):
         v = rng.uniform(0.1, 5, size=int(rng.integers(1, 15)))
-        assert gini(np.append(v, 0.0)) > gini(v)
+        assert gini_row(np.append(v, 0.0)) > gini_row(v)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=25),
@@ -136,8 +135,8 @@ def test_uniform_shift_scales_gini_by_mass_ratio(vals, c):
         return
     d = v.size
     # adding c to every entry rescales the index by T / (T + d c) exactly
-    expected = gini(v) * total / (total + d * c)
-    assert gini(v + c) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+    expected = gini_row(v) * total / (total + d * c)
+    assert gini_row(v + c) == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e9), min_size=1, max_size=40))
@@ -146,7 +145,7 @@ def test_hypothesis_bounds_and_oracle(vals):
     v = np.asarray(vals)
     if math.fsum(vals) == 0.0:
         return
-    g = gini(v)
+    g = gini_row(v)
     assert 0.0 <= g <= 1.0
     assert g == pytest.approx(_gini_share_form(v), abs=1e-12)
 

@@ -2,7 +2,7 @@
 oracles, the conditional-expectation bound, and the exact loss identity."""
 import numpy as np
 import pytest
-from helpers import one_row
+from helpers import one_row, theorem1_limit
 
 from attrsparse import theory
 from attrsparse.data import SyntheticConditionalSampler
@@ -12,7 +12,6 @@ from attrsparse.theory import (
     attribution_shift_norm,
     check_lemma_exp_bound,
     check_theorem1_bound,
-    check_theorem1_limit,
     check_theorem3_identity,
     expected_update,
     lemma_d1_instance,
@@ -124,7 +123,7 @@ def test_limit_residual_shrinks_with_weight_scale():
     rng = np.random.default_rng(3)
     wspec = WeightedAverageSpec(indices=(0, 1, 2), w=rng.normal(size=4))
     sampler = _sampler(strengths=(0.6, 0.3, -0.2, 0.1))
-    results = check_theorem1_limit(LOGISTIC, wspec, 0.1, sampler, 100_000, seed=0)
+    results = theorem1_limit(LOGISTIC, wspec, 0.1, sampler, 100_000, seed=0)
     assert len(results) == 4
     assert all(r.passed for r in results)
     assert results[0].check_id == "limit-equality[scale=1]"

@@ -5,12 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import gini_row_reference
+from helpers import gini_row, gini_row_reference
 
 from attrsparse.data import Dataset, FeatureGroup, SyntheticConditionalSampler, generate_synthetic
 from attrsparse.losses import make_loss
 from attrsparse.models import LinearModel, MlpModel
-from attrsparse.sparseness import gini
 from attrsparse.training import (
     REGIMES,
     EvalResult,
@@ -105,7 +104,7 @@ def test_moderate_l1_sparser_than_natural():
         assert np.sum(m_l1.w == 0.0) >= 3
         assert np.sum(m_nat.w == 0.0) == 0
         assert m_l1.w[0] > 0.5
-        assert gini(np.abs(m_l1.w)) > gini(np.abs(m_nat.w)) + 0.1
+        assert gini_row(np.abs(m_l1.w)) > gini_row(np.abs(m_nat.w)) + 0.1
 
 
 def test_adversarial_training_concentrates_weight():
@@ -116,8 +115,8 @@ def test_adversarial_training_concentrates_weight():
         m_nat, _ = train(ds, LOGISTIC, TrainConfig(seed=seed, epochs=15))
         m_adv, _ = train(ds, LOGISTIC, TrainConfig(
             regime="adversarial", epsilon=0.3, seed=seed, epochs=15))
-        g_nat = gini(np.abs(m_nat.w))
-        g_adv = gini(np.abs(m_adv.w))
+        g_nat = gini_row(np.abs(m_nat.w))
+        g_adv = gini_row(np.abs(m_adv.w))
         assert g_adv > g_nat + 0.1
         share_nat = abs(m_nat.w[0]) / np.abs(m_nat.w).sum()
         share_adv = abs(m_adv.w[0]) / np.abs(m_adv.w).sum()
@@ -153,7 +152,7 @@ def test_test_split_never_touches_the_fit():
     tampered_X = ds.features.copy()
     tampered_X[ds.test_indices] = 1e6
     ds2 = Dataset(tampered_X, ds.labels.copy(), list(ds.feature_names),
-                  ds.encoding_map, split_seed=ds.split_seed, translated=True)
+                  ds.encoding_map, split_seed=ds.split_seed)
     np.testing.assert_array_equal(ds2.train_indices, ds.train_indices)
     m2, _ = train(ds2, LOGISTIC, TrainConfig(epochs=3))
     np.testing.assert_array_equal(m1.w, m2.w)
@@ -177,7 +176,7 @@ def test_evaluate_threshold_ties_to_positive():
     X = np.ones((10, 2))
     y = np.asarray([1.0] * 6 + [-1.0] * 4)
     groups = tuple(FeatureGroup(f"f{i}", "numeric", i, i + 1) for i in range(2))
-    ds = Dataset(X, y, ["f0", "f1"], groups, split_seed=0, translated=True)
+    ds = Dataset(X, y, ["f0", "f1"], groups, split_seed=0)
     model = LinearModel(w=np.zeros(2))  # margin 0 everywhere -> predict +1
     res = evaluate(model, ds, LOGISTIC, split="train")
     expected = float((ds.labels[ds.train_indices] == 1.0).mean())
@@ -186,7 +185,7 @@ def test_evaluate_threshold_ties_to_positive():
 
 def test_evaluate_empty_split_raises():
     ds = Dataset(np.asarray([[1.0]]), np.asarray([1.0]), ["f0"],
-                 (FeatureGroup("f0", "numeric", 0, 1),), translated=True)
+                 (FeatureGroup("f0", "numeric", 0, 1),))
     assert len(ds.test_indices) == 0
     with pytest.raises(ValueError, match="test split is empty"):
         evaluate(LinearModel(w=np.zeros(1)), ds, LOGISTIC)
@@ -228,23 +227,6 @@ def test_mlp_adversarial_pgd_path_runs():
     m_nat, t_nat = train(ds, LOGISTIC, TrainConfig(
         model_kind="mlp", hidden_sizes=(4,), epochs=2, batch_size=64))
     assert trace.loss != t_nat.loss
-
-
-# --- multi-class labels ------------------------------------------------------
-
-def _three_class_dataset(seed=0, n=300):
-    rng = np.random.default_rng(seed)
-    centers = np.asarray([[2.0, 0.0], [-2.0, 1.5], [0.0, -2.5]])
-    y = rng.integers(0, 3, size=n)
-    X = centers[y] + rng.normal(0, 0.4, size=(n, 2))
-    groups = tuple(FeatureGroup(f"f{i}", "numeric", i, i + 1) for i in range(2))
-    return Dataset(X, y.astype(float), ["f0", "f1"], groups,
-                   split_seed=seed, translated=True)
-
-
-def test_train_rejects_multiclass_labels():
-    with pytest.raises(ValueError, match="binary labels required"):
-        train(_three_class_dataset(), LOGISTIC, TrainConfig(epochs=1))
 
 
 def test_config_validation():
@@ -378,7 +360,7 @@ def test_stacked_divergence_names_the_model_and_step():
     # the l1 penalty counts toward its own model's objective only
     easy = _easy_dataset(n=200)
     big = Dataset(easy.features * 100, easy.labels.copy(), list(easy.feature_names),
-                  easy.encoding_map, split_seed=easy.split_seed, translated=True)
+                  easy.encoding_map, split_seed=easy.split_seed)
     base = TrainConfig(epochs=2, optimizer="sgd", learning_rate=1000.0)
     cfgs = [base, replace(base, regime="adversarial", epsilon=0.0, l1_strength=10.0),
             replace(base, regime="l1", l1_strength=10.0)]
