@@ -44,6 +44,12 @@ def pgd_perturb_batch(model, X, y, eps: float, cfg: PgdConfig, spec: LossSpec, r
     scores below the start (possible on non-concave losses), the start is
     returned, so loss(x + delta) >= loss(x + delta0) always holds. The model
     must be an MlpModel: a linear model's worst case is closed-form.
+
+    A loss with spec.positive_slope steps on the sign of -y * dlogit/dx,
+    the loss gradient's sign, so no step forms a logit or g'(z); a row whose
+    g'(z) underflows to 0 (logistic at z below about -745, a huge correct
+    margin) thus still ascends, where a step through g' left it at its start.
+    Hinge's g' in {0, 1} masks rows, so its steps compute the logit.
     """
     if not isinstance(model, MlpModel):
         raise TypeError(f"PGD runs on an MlpModel, got {type(model).__name__}; "
@@ -54,12 +60,17 @@ def pgd_perturb_batch(model, X, y, eps: float, cfg: PgdConfig, spec: LossSpec, r
     start = delta.copy()
     moved = np.add(X, delta)  # X + delta, refilled in place each step
     negy = -y
+    if spec.positive_slope:
+        start_loss = spec.g(negy * model.margin(moved))
     for k in range(cfg.steps):
-        cache = model._forward(moved)
-        z = negy * cache[0]  # -y * margin: the natural loss is g(z)
-        grad = model.backprop(cache, negy * spec.gprime(z), "inputs")
-        if k == 0:
-            start_loss = spec.g(z)  # the first step's forward pass
+        if spec.positive_slope:
+            grad = model.backprop(model._forward(moved, logit=False), negy, "inputs")
+        else:
+            cache = model._forward(moved)
+            z = negy * cache[0]  # -y * margin: the natural loss is g(z)
+            grad = model.backprop(cache, negy * spec.gprime(z), "inputs")
+            if k == 0:
+                start_loss = spec.g(z)  # the first step's forward pass
         step = np.sign(grad, out=grad)
         step *= cfg.step_size
         delta += step

@@ -164,6 +164,11 @@ def _schema_pairs(columns) -> list:
 
 def _load_data(args) -> Dataset:
     if str(args.data).endswith(".json"):
+        for flag in ("schema", "infer_schema", "label_column", "positive_label",
+                     "delimiter", "split_seed"):  # CSV-only; each is None unless given
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag.replace('_', '-')} does not apply to "
+                                 f".json data {args.data}")
         return load_dataset(args.data)
     label_column, positive_label = args.label_column, args.positive_label
     if args.schema:
@@ -173,6 +178,9 @@ def _load_data(args) -> Dataset:
         columns = doc.get("columns")
         if columns is None:
             raise ValueError(f"{args.schema}: schema file needs a 'columns' entry")
+        if not isinstance(doc.get("positive_label", ""), (str, type(None))):
+            raise ValueError(f"{args.schema}: 'positive_label' must be a string, got "
+                             f"{type(doc['positive_label']).__name__}")
         positive_label = positive_label or doc.get("positive_label")
     elif args.infer_schema:
         if not label_column:
@@ -186,8 +194,8 @@ def _load_data(args) -> Dataset:
         args.data,
         None if columns is None else _schema_pairs(columns),
         label_column,
-        delimiter=args.delimiter,
-        split_seed=args.split_seed,
+        delimiter="," if args.delimiter is None else args.delimiter,
+        split_seed=args.split_seed or 0,
         positive_label=positive_label,
     )
 
@@ -195,13 +203,12 @@ def _load_data(args) -> Dataset:
 def _add_io_flags(p):
     p.add_argument("--data", required=True, help="dataset: .csv (with schema) or .json sidecar")
     p.add_argument("--schema", help="JSON schema file: label_column + columns [[name, kind], ...]")
-    p.add_argument("--infer-schema", action="store_true",
+    p.add_argument("--infer-schema", action="store_true", default=None,
                    help="sniff column kinds from the CSV (numeric iff every value parses)")
     p.add_argument("--label-column", help="name of the label column (CSV input)")
     p.add_argument("--positive-label", help="raw label value mapped to +1 (CSV input)")
-    p.add_argument("--delimiter", default=",", help="CSV field delimiter (default %(default)s)")
-    p.add_argument("--split-seed", type=int, default=0,
-                   help="seed of the 70/30 split (default %(default)s)")
+    p.add_argument("--delimiter", help="CSV field delimiter (default ,)")
+    p.add_argument("--split-seed", type=int, help="seed of the 70/30 split (default 0)")
     p.add_argument("--out-dir", default=".", help="output directory (default %(default)s)")
 
 

@@ -47,17 +47,20 @@ def _softplus_hinge_gprime(z):
 
 @dataclass(frozen=True)
 class LossSpec:
-    """A margin loss: non-decreasing convex g with derivative gprime."""
+    """A margin loss: non-decreasing convex g with derivative gprime, which
+    is > 0 everywhere when positive_slope is set."""
 
     kind: str
     g: Callable = field(repr=False)
     gprime: Callable = field(repr=False)
+    positive_slope: bool = False
 
 
 _CATALOG = {
-    "logistic-nll": LossSpec("logistic-nll", _softplus, sigmoid),
+    "logistic-nll": LossSpec("logistic-nll", _softplus, sigmoid, positive_slope=True),
     "hinge": LossSpec("hinge", _hinge_g, _hinge_gprime),
-    "softplus-hinge": LossSpec("softplus-hinge", _softplus_hinge_g, _softplus_hinge_gprime),
+    "softplus-hinge": LossSpec("softplus-hinge", _softplus_hinge_g, _softplus_hinge_gprime,
+                               positive_slope=True),
 }
 _ALIASES = {"logistic": "logistic-nll"}
 

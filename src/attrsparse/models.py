@@ -73,12 +73,14 @@ class LinearModel:
 _HIDDEN_ACTS = ("softplus", "tanh", "relu")
 
 
-def _act(kind, t, deriv=True):
-    """A hidden activation and its derivative at t from one pass, or the
-    activation alone when deriv is False; softplus is max(t, 0) +
-    log1p(exp(-|t|)) on NumPy's vectorised exp and log1p, and its derivative
-    is sigmoid(t) bit for bit. Sums and quotients are taken in place, as
-    numeric IG's blocks outgrow NumPy's small-buffer cache."""
+def _act(kind, t, deriv=True, value=True):
+    """A hidden activation and its derivative at t from one pass, or only the
+    activation (deriv=False) or only the derivative (value=False); softplus is
+    max(t, 0) + log1p(exp(-|t|)) on NumPy's vectorised exp and log1p, and its
+    derivative is sigmoid(t) bit for bit. Sums and quotients are taken in
+    place, as numeric IG's blocks outgrow NumPy's small-buffer cache."""
+    if not value:
+        return sigmoid(t) if kind == "softplus" else _act(kind, t)[1]
     if kind == "softplus":
         e = np.exp(-np.abs(t))
         h = np.log1p(e)
@@ -136,7 +138,7 @@ class MlpModel:
     def layer_sizes(self):
         return [self.dim] + [W.shape[-1] for W in self.weights]
 
-    def _forward(self, X, first=None, *, backward=True):
+    def _forward(self, X, first=None, *, backward=True, logit=True):
         """Forward pass on X (n, d) returning (logit, derivatives, layer
         inputs), with each hidden activation's derivative cached for backprop.
 
@@ -144,12 +146,18 @@ class MlpModel:
         given, replaces the first layer's output X @ W0 + b0 (X then only
         fills the cache's input slot); its leading axes carry through to the
         logit. backward=False, for callers that run no reverse pass, computes
-        no derivative and leaves that list empty.
+        no derivative and leaves that list empty. logit=False, for an input
+        reverse pass whose dlogit needs no logit, stops at the last hidden
+        layer's derivative: that layer's activation and the output product
+        are skipped, and the logit's slot holds None.
         """
         t = X @ self.weights[0] + self.biases[0][..., None, :] if first is None else first
         derivs = []   # activation derivative per hidden layer
         acts = [X]    # layer inputs, starting with the data
         for W, b in zip(self.weights[1:], self.biases[1:]):
+            if not logit and W is self.weights[-1]:
+                derivs.append(_act(self.hidden_activation, t, value=False))
+                return None, derivs, acts
             if backward:
                 h, dh = _act(self.hidden_activation, t)
                 derivs.append(dh)

@@ -202,7 +202,7 @@ def _pgd_model(kind, rng, d):
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.1])
-@pytest.mark.parametrize("kind", ["linear", "softplus", "relu"])
+@pytest.mark.parametrize("kind", ["linear", "softplus", "tanh", "relu"])
 def test_pgd_matches_clip_loop_bytewise(kind, eps):
     # Features on {0, 1/2, 1} with some -0.0, and eps = 0, make the clips
     # meet their bounds at signed zeros, where in-place np.maximum/np.minimum
@@ -215,13 +215,39 @@ def test_pgd_matches_clip_loop_bytewise(kind, eps):
     y = np.where(rng.uniform(size=24) < 0.5, 1.0, -1.0)
     # one generator drives consecutive calls, as in training
     shared, shared_ref = np.random.default_rng(9), np.random.default_rng(9)
-    for loss_kind in ("logistic-nll", "hinge"):
+    for loss_kind in ("logistic-nll", "hinge", "softplus-hinge"):
         spec = make_loss(loss_kind)
         cfg = PgdConfig(steps=12, step_size=0.04)
         for _ in range(2):
             got = pgd_perturb_batch(model, X, y, eps, cfg, spec, shared)
             want = pgd_clip_reference(model, X, y, eps, cfg, spec, shared_ref)
             assert got.tobytes() == want.tobytes(), loss_kind  # signed zeros too
+
+
+def test_pgd_moves_rows_whose_slope_underflows():
+    # A correctly classified row with a huge margin has g'(z) = 0 in floating
+    # point (logistic: z below about -745). A step through g' leaves such a
+    # row at its random start; the sign-only steps move it up the loss.
+    spec = make_loss("logistic-nll")
+    rng = np.random.default_rng(12)
+    model = init_mlp([6, 5, 1], rng)
+    model.weights[1] = 600.0 * model.weights[1]
+    X = rng.normal(size=(40, 6))
+    y = np.where(model.margin(X) >= 0, 1.0, -1.0)
+    y[:5] *= -1.0  # a few misclassified rows too
+    cfg, eps = PgdConfig(steps=10, step_size=0.02), 0.1
+    got = pgd_perturb_batch(model, X, y, eps, cfg, spec, np.random.default_rng(1))
+    want = pgd_clip_reference(model, X, y, eps, cfg, spec, np.random.default_rng(1))
+    start = np.random.default_rng(1).uniform(-eps, eps, size=X.shape)
+    z_start, z_want, z_got = (-y * model.margin(X + d) for d in (start, want, got))
+    moved = np.any(got != want, axis=1)
+    assert moved.sum() >= 3
+    # only rows that the reference left at their start, with g' = 0, differ
+    np.testing.assert_array_equal(want[moved], start[moved])
+    assert np.all(spec.gprime(z_want[moved]) == 0.0)
+    assert np.all(np.abs(got) <= eps)
+    assert np.all(z_got[moved] > z_start[moved])
+    assert np.all(spec.g(z_got) >= spec.g(z_start))
 
 
 # --- configuration objects -------------------------------------------------------

@@ -404,6 +404,33 @@ def test_infer_schema_csv_errors_exit_1(tmp_path, capsys, content, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--schema", "schema.json"], ["--infer-schema"],
+                                  ["--label-column", "label"], ["--positive-label", "yes"],
+                                  ["--delimiter", ","], ["--split-seed", "0"]])
+def test_csv_flags_with_json_data_exit_1(synth_json, tmp_path, capsys, flag):
+    # a .json sidecar carries its own encoding and split, so a CSV-only flag,
+    # even at its default value, would be ignored
+    rc = main(["train", "--data", str(synth_json), *flag, "--epochs", "1",
+               "--out-dir", str(tmp_path / "run")])
+    assert rc == 1
+    assert f"{flag[0]} does not apply to .json data" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("value, type_name", [(1, "int"), (True, "bool"), (["yes"], "list")])
+def test_schema_positive_label_must_be_a_string(csv_file, tmp_path, capsys, value, type_name):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({
+        "label_column": "label",
+        "columns": [["color", "categorical"], ["amount", "numeric"]],
+        "positive_label": value,
+    }), encoding="utf-8")
+    rc = main(["train", "--data", str(csv_file), "--schema", str(schema),
+               "--epochs", "1", "--out-dir", str(tmp_path / "run")])
+    assert rc == 1
+    assert f"'positive_label' must be a string, got {type_name}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["train", "compare"])
 def test_non_finite_csv_feature_exit_1(csv_file, tmp_path, capsys, command):
     lines = csv_file.read_text(encoding="utf-8").splitlines()

@@ -293,7 +293,7 @@ def test_mlp_gradients_run_one_forward_pass(monkeypatch):
     forward, backprop = MlpModel._forward, MlpModel.backprop
 
     def counted(self, X, **kwargs):
-        calls.append(kwargs.get("backward", True))
+        calls.append((kwargs.get("backward", True), kwargs.get("logit", True)))
         return forward(self, X, **kwargs)
 
     def recorded(self, cache, dlogit, wrt):
@@ -322,13 +322,56 @@ def test_mlp_gradients_run_one_forward_pass(monkeypatch):
     with pytest.raises(ValueError, match="wrt"):
         model.backprop(cache, dlogit, "weights")
 
-    # PGD: one forward pass per step, the first also giving the start loss,
-    # plus the forward-only final loss check, and never the parameter products
-    del calls[:], reverse[:]
+    # PGD under a loss with a positive slope: a forward-only start pass, one
+    # derivative-only pass per step that forms no output-layer product, and
+    # the forward-only final loss check. Hinge's steps are full passes, the
+    # first also giving the start loss. Neither forms parameter products.
+    model.weights[1] = W1.view(_CountedProduct)
     cfg = PgdConfig(steps=5, step_size=0.05)
-    pgd_perturb_batch(model, X, y, 0.2, cfg, spec, np.random.default_rng(3))
-    assert calls == [True] * cfg.steps + [False]
-    assert reverse == ["inputs"] * cfg.steps
+    only_forward, only_deriv, full = (False, True), (True, False), (True, True)
+    for kind, passes in [("logistic-nll", [only_forward] + [only_deriv] * cfg.steps),
+                         ("hinge", [full] * cfg.steps)]:
+        del calls[:], reverse[:]
+        _CountedProduct.count = 0
+        pgd_perturb_batch(model, X, y, 0.2, cfg, make_loss(kind), np.random.default_rng(3))
+        assert calls == passes + [only_forward], kind
+        assert reverse == ["inputs"] * cfg.steps
+        assert _CountedProduct.count == passes.count(only_forward) + passes.count(full) + 1
+
+
+class _CountedProduct(np.ndarray):
+    """A weight matrix that counts the forward products it enters, h @ W;
+    its transpose, which backprop multiplies by, is a plain array."""
+
+    count = 0
+
+    def swapaxes(self, *axes):
+        return np.asarray(self).swapaxes(*axes)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _CountedProduct.count += ufunc is np.matmul
+        return getattr(ufunc, method)(*(np.asarray(t) for t in inputs), **kwargs)
+
+
+@pytest.mark.parametrize("act", ["softplus", "tanh", "relu"])
+def test_derivative_only_pass_keeps_the_bits(act):
+    # PGD's sign-only steps form the last hidden layer's derivative alone:
+    # it is _act's derivative bit for bit, at +-0, subnormals, the exp
+    # under- and overflow edges and +-1e308
+    t = np.concatenate([_act_grid(), [1e308, -1e308]])[None, :]
+    model = MlpModel(weights=[np.zeros((2, t.size)), np.ones((t.size, 1))],
+                     biases=[np.zeros(t.size), np.zeros(1)], hidden_activation=act)
+    logit, (deriv,), acts = model._forward(None, first=t, logit=False)
+    assert logit is None and len(acts) == 1
+    assert deriv.tobytes() == _act(act, t)[1].tobytes()
+    # with two hidden layers, the cached derivatives are the full pass's
+    rng = np.random.default_rng(4)
+    model = init_mlp([5, 7, 4, 1], rng, act)
+    X = 3.0 * rng.normal(size=(9, 5))
+    got, want = model._forward(X, logit=False)[1], model._forward(X)[1]
+    assert len(got) == len(want) == 2
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("act", ["softplus", "tanh", "relu"])
