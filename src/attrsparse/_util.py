@@ -3,7 +3,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
+import threading
+from contextlib import contextmanager
+
+import numpy as np
 
 _THREADS_ENV = "ATTRSPARSE_THREADS"
 
@@ -50,3 +55,34 @@ def chunk_bounds(n: int, chunk: int):
         yield start, stop
         start = stop
 
+
+_FREE = []  # workspaces no chunk holds, kept for the life of the process
+_ACTIVE = threading.local()
+
+
+@contextmanager
+def chunk_workspace():
+    """Run the block on a free workspace (or a new one), a dict of named
+    float buffers that take() hands out, and free it again at the end."""
+    try:
+        ws = _FREE.pop()
+    except IndexError:
+        ws = {}
+    _ACTIVE.ws = ws
+    try:
+        yield
+    finally:
+        _ACTIVE.ws = None
+        _FREE.append(ws)
+
+
+def take(key, shape):
+    """A C-order float array of shape: inside chunk_workspace, a view of the
+    start of key's buffer, grown only for a larger shape; outside, a fresh one."""
+    ws = getattr(_ACTIVE, "ws", None)
+    if ws is None:
+        return np.empty(shape)
+    size = math.prod(shape)
+    if key not in ws or ws[key].size < size:
+        ws[key] = np.empty(size)
+    return ws[key][:size].reshape(shape)

@@ -74,6 +74,13 @@ def _parse_float_list(text: str) -> list:
     return [float(tok) for tok in body.split(",") if tok.strip()]
 
 
+def _seed(text: str) -> int:
+    """An integer >= 0, as numpy's generators need: the type of every seed flag."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _load_config_file(path) -> dict:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -208,7 +215,7 @@ def _add_io_flags(p):
     p.add_argument("--label-column", help="name of the label column (CSV input)")
     p.add_argument("--positive-label", help="raw label value mapped to +1 (CSV input)")
     p.add_argument("--delimiter", help="CSV field delimiter (default ,)")
-    p.add_argument("--split-seed", type=int, help="seed of the 70/30 split (default 0)")
+    p.add_argument("--split-seed", type=_seed, help="seed of the 70/30 split (default 0)")
     p.add_argument("--out-dir", default=".", help="output directory (default %(default)s)")
 
 
@@ -228,7 +235,7 @@ def _add_train_flags(p, regime_flags=True):
     flag("lr", "learning rate", type=float)
     flag("batch_size", "minibatch size", type=int)
     flag("epochs", "training epochs", type=int)
-    flag("seed", "training seed", type=int)
+    flag("seed", "training seed", type=_seed)
     flag("optimizer", "optimizer", choices=("adam", "sgd"))
     flag("model", "model family", choices=("linear", "mlp"))
     flag("hidden", "MLP hidden sizes, comma separated")
@@ -247,7 +254,7 @@ def _add_method_flags(p):
 
 def _add_sampler_flags(p):
     """The flags of verify and synth that set the seed and the sampler."""
-    p.add_argument("--seed", type=int, default=0, help="seed (default %(default)s)")
+    p.add_argument("--seed", type=_seed, default=0, help="seed (default %(default)s)")
     p.add_argument("--strengths", type=_parse_float_list,
                    help="per-feature class association, comma separated")
     p.add_argument("--noise-sd", type=float, help="sampler noise scale")

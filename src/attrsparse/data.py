@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import chunk_bounds, fmt_float
+from ._util import chunk_bounds, fmt_float, take
 
 __all__ = [
     "FeatureGroup",
@@ -157,21 +157,32 @@ class SyntheticConditionalSampler:
         return len(self.strengths)
 
     def sample(self, m: int, rng):
-        """(X (m, d), y (m,)); X is a fresh array the caller may overwrite.
+        """(X (m, d), y (m,)), which the caller may overwrite.
 
         X is column-major, the transposed view of a (d, m) array, so each
-        feature is one contiguous column. The noise is drawn row by row in
-        blocks of _ROWS rows (the same stream as one (m, d) draw), and each
-        entry is noise + a_i * y, written straight into its column.
+        feature is one contiguous column: a_i * y plus the noise, filled in
+        blocks of _ROWS rows (the stream of one (m, d) draw, scaled as numpy's
+        normal and uniform scale it). Outside a Monte-Carlo chunk the arrays
+        are fresh; inside one they are the chunk's workspace buffers, valid
+        until the next draw on the same thread.
         """
         a = np.asarray(self.strengths)
-        y = np.where(rng.uniform(size=m) < self.class_balance, 1.0, -1.0)
-        draw = rng.normal if self.noise_kind == "gaussian" else rng.uniform
-        low = 0.0 if self.noise_kind == "gaussian" else -self.noise_sd
-        cols = np.empty((a.size, m))
+        y = take("y", (m,))
+        np.less(rng.random(out=y), self.class_balance, out=y)
+        y *= 2.0
+        y -= 1.0
+        cols = take("X", (a.size, m))
+        gaussian, sd = self.noise_kind == "gaussian", self.noise_sd
+        fill = rng.standard_normal if gaussian else rng.random
+        scale, low = (sd, 0.0) if gaussian else (2.0 * sd, -sd)
+        block = take("noise", (min(m, _ROWS), a.size))
         for lo, hi in chunk_bounds(m, _ROWS):
-            noise = draw(low, self.noise_sd, size=(hi - lo, a.size))
-            np.add(noise.T, a[:, None] * y[lo:hi], out=cols[:, lo:hi])
+            noise = block[:hi - lo]
+            fill(out=noise)
+            noise *= scale
+            noise += low  # +0.0 turns a zero scale's -0.0 into numpy's +0.0
+            np.multiply(a[:, None], y[lo:hi], out=cols[:, lo:hi])
+            cols[:, lo:hi] += noise.T
         return cols.T, y
 
 

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._util import chunk_bounds, worker_count
+from ._util import chunk_bounds, chunk_workspace, take, worker_count
 from .losses import LossSpec, worst_case_slope
 
 __all__ = [
@@ -76,20 +76,23 @@ def _mc_moments(per_sample_fn, n: int, seed: int):
 
     Sampling runs in fixed-size chunks seeded as (seed, chunk_index); chunks
     may execute on worker threads (ATTRSPARSE_THREADS) but are always reduced
-    in index order, so results do not depend on the thread count, and memory
-    is bounded by the chunk size. A chunk's statistic is an (m, width) array
-    in column-major order, each statistic one contiguous column, as the
-    sampler hands its features over; each column is summed pairwise down its
-    m entries, then squared in place and summed again.
+    in index order, so results do not depend on the thread count. Each chunk
+    draws into a reused workspace (_util.chunk_workspace), so memory is one
+    workspace per chunk running at once, about 7 MB each at d = 6, held for
+    the life of the process. A chunk's statistic is an (m, width) array in
+    column-major order, each statistic one contiguous column, as the sampler
+    hands its features over; each column is summed pairwise down its m
+    entries, then squared in place and summed again.
     """
     check_sample_count(n)
 
     def run(task):
         ci, (lo, hi) = task
-        stats = per_sample_fn(np.random.default_rng([seed, ci]), hi - lo)
-        total = stats.sum(axis=0)
-        stats *= stats
-        return total, stats.sum(axis=0)
+        with chunk_workspace():
+            stats = per_sample_fn(np.random.default_rng([seed, ci]), hi - lo)
+            total = stats.sum(axis=0)
+            stats *= stats
+            return total, stats.sum(axis=0)
 
     tasks = list(enumerate(chunk_bounds(n, _CHUNK)))
     workers = worker_count()
@@ -111,16 +114,14 @@ def _mc_stats(per_sample_fn, n: int, seed: int):
     return mean, np.sqrt(np.maximum(mean_sq - mean * mean, 0.0) / n)
 
 
-def _update_rows(spec, w, epsilon, X, y, cols=slice(None)):
-    """Per-sample worst-case update g'(z) * (y*x_i - sign(w_i)*eps) on the
-    columns cols of X (in place when cols is a slice), with the slope g'(z)
-    per row; z is training's worst-case margin (losses.worst_case_slope)."""
+def _update_rows(spec, w, epsilon, X, y):
+    """Per-sample worst-case update g'(z) * (y*x - sign(w)*eps), written over
+    X; z is training's worst-case margin (losses.worst_case_slope)."""
     gp = worst_case_slope(spec, w[None], None, X, y, epsilon)[1][0]  # a stack of one
-    rows = X[:, cols]
-    rows *= y[:, None]
-    rows -= (np.sign(w) * epsilon)[cols]
-    rows *= gp[:, None]
-    return rows, gp
+    X *= y[:, None]
+    X -= np.sign(w) * epsilon
+    X *= gp[:, None]
+    return X
 
 
 def expected_update(spec: LossSpec, w, epsilon: float, sampler, n: int,
@@ -129,7 +130,7 @@ def expected_update(spec: LossSpec, w, epsilon: float, sampler, n: int,
     per-coordinate mean of g'(margin) * (y*x_i - sign(w_i)*eps), with SEs.
     """
     w = np.asarray(w, dtype=float)
-    return _mc_stats(lambda rng, m: _update_rows(spec, w, epsilon, *sampler.sample(m, rng))[0],
+    return _mc_stats(lambda rng, m: _update_rows(spec, w, epsilon, *sampler.sample(m, rng)),
                      n, seed)
 
 
@@ -157,8 +158,11 @@ def verify_zero_weight_update(spec: LossSpec, sampler, n: int, seed: int = 0):
     return out
 
 
-def _weighted_update_stats(spec, wspec, epsilon, sampler, n, seed):
-    """Per-sample weighted update s, its bound b, and their difference."""
+def check_theorem1_bound(spec: LossSpec, wspec: WeightedAverageSpec, epsilon: float,
+                         sampler, n: int, seed: int = 0) -> TheoremCheckResult:
+    """Weighted expected update must not exceed gbar' * (abar - eps), within 3 SE
+    of the paired difference: per sample, the weighted update s, its bound b
+    and their difference."""
     w = wspec.w
     idx = list(wspec.indices)
     w_s = w[idx]
@@ -168,24 +172,22 @@ def _weighted_update_stats(spec, wspec, epsilon, sampler, n, seed):
 
     def stat(rng, m):
         X, y = sampler.sample(m, rng)
-        upd, gp = _update_rows(spec, w, epsilon, X, y, idx)
-        upd *= w_s
-        cols = np.empty((3, m))  # returned transposed: each column sums contiguously
+        gp = worst_case_slope(spec, w[None], None, X, y, epsilon)[1][0]  # a stack of one
+        cols = take("stats", (3, m))  # returned transposed: each column sums contiguously
         s, b, gap = cols
-        np.divide(upd.sum(axis=1), denom, out=s)
+        for k, i in enumerate(idx):  # w_i g'(z) (y*x_i - sign(w_i)*eps), summed in S's order
+            term = np.multiply(X[:, i], y, out=gap if k else s)
+            term -= np.sign(w[i]) * epsilon
+            term *= gp
+            term *= w[i]
+            if k:
+                s += term
+        s /= denom
         np.multiply(gp, abar - epsilon, out=b)
         np.subtract(s, b, out=gap)
         return cols.T
 
     mean, se = _mc_stats(stat, n, seed)
-    return mean, se, abar
-
-
-def check_theorem1_bound(spec: LossSpec, wspec: WeightedAverageSpec, epsilon: float,
-                         sampler, n: int, seed: int = 0) -> TheoremCheckResult:
-    """Weighted expected update must not exceed gbar' * (abar - eps), within 3 SE
-    of the paired difference."""
-    mean, se, abar = _weighted_update_stats(spec, wspec, epsilon, sampler, n, seed)
     estimate, reference = float(mean[0]), float(mean[1])
     diff_se = float(se[2])
     return TheoremCheckResult(
@@ -212,7 +214,7 @@ def check_lemma_exp_bound(f, sampler, n: int, seed: int = 0) -> TheoremCheckResu
     """
     def stat(rng, m):
         z, v, _y = sampler(m, rng)
-        cols = np.empty((5, m))  # returned transposed: each column sums contiguously
+        cols = take("stats", (5, m))  # returned transposed: each column sums contiguously
         cols[0], cols[1] = z, f(z, v)
         np.multiply(cols[0], cols[1], out=cols[2])
         np.multiply(cols[2], cols[:2], out=cols[3:])  # z^2 f and z f^2

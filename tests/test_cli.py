@@ -714,6 +714,25 @@ def test_attribute_rejects_bad_image_shape_before_attributing(synth_json, traine
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "thm3", "--seed", "-1"],
+    ["synth", "gaussian", "--out", "toy.json", "--seed", "-2"],
+    ["train", "--data", "toy.json", "--seed", "-3"],
+    ["train", "--data", "toy.json", "--split-seed", "-4"],
+    ["compare", "--data", "toy.json", "--split-seed", "x"],
+], ids=["verify", "synth", "train", "split", "split-not-int"])
+def test_bad_seed_is_rejected_at_its_flag(argv, tmp_path, monkeypatch, capsys):
+    # numpy's generators take no negative seed; the flag names itself and
+    # its value before anything runs
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    flag, value = argv[-2:]
+    assert f"argument {flag}: expected an integer >= 0, got '{value}'" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
 def test_attribute_closed_rejects_mlp(synth_json, tmp_path, capsys):
     run = tmp_path / "mlp"
     assert main(["train", "--data", str(synth_json), "--model", "mlp",

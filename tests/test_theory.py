@@ -1,11 +1,13 @@
 """Monte-Carlo guarantee checks: exact degenerate statistics, quadrature
 oracles, the conditional-expectation bound, and the exact loss identity."""
+import sys
+
 import numpy as np
 import pytest
 from helpers import one_row, theorem1_limit
 
-from attrsparse import theory
-from attrsparse.data import SyntheticConditionalSampler
+from attrsparse import _util, theory
+from attrsparse.data import SyntheticConditionalSampler, generate_synthetic
 from attrsparse.losses import LOSS_KINDS, linear_loss_and_grads, make_loss
 from attrsparse.theory import (
     WeightedAverageSpec,
@@ -529,6 +531,107 @@ def test_thread_count_does_not_change_estimates(monkeypatch):
     m2, s2 = expected_update(LOGISTIC, w, 0.1, sampler, 150_000, seed=6)
     np.testing.assert_array_equal(m1, m2)
     np.testing.assert_array_equal(s1, s2)
+
+
+def test_sampler_with_zero_noise_matches_reference_bitwise():
+    # numpy's normal adds its zero loc, so a zero noise_sd gives +0.0 noise
+    # and a zero strength gives +0.0 features for both labels
+    for kind in ("gaussian", "uniform"):
+        s = _sampler(strengths=(0.0, 0.5), noise_sd=0.0, noise_kind=kind)
+        X, y = s.sample(5_000, np.random.default_rng(2))
+        X_ref, y_ref = _sample_reference(s, 5_000, np.random.default_rng(2))
+        assert _same_bits(X, X_ref) and _same_bits(y, y_ref), kind
+
+
+def test_sampler_shares_no_memory_outside_a_chunk():
+    s = _sampler()
+    first = s.sample(1000, np.random.default_rng(0))
+    second = s.sample(1000, np.random.default_rng(0))
+    assert not np.shares_memory(*first)
+    assert not any(np.shares_memory(a, b) for a in first for b in second)
+
+
+def test_generate_synthetic_never_aliases_a_workspace():
+    s = _sampler()
+    expected_update(LOGISTIC, np.zeros(5), 0.0, s, 140_000)  # leaves warm workspaces
+    buffers = [buf for ws in _util._FREE for buf in ws.values()]
+    assert buffers
+    ds = generate_synthetic(s, 70_000, seed=1)
+    assert not any(np.shares_memory(a, buf) for a in (ds.features, ds.labels)
+                   for buf in buffers)
+
+
+def _one_check(check, n, seed=1):
+    """A Monte-Carlo check on d = 3 as a flat vector of its result bits."""
+    s = _sampler(strengths=(0.6, 0.3, -0.2))
+    if check == "thm1-zero":
+        return np.concatenate(expected_update(LOGISTIC, np.asarray([0.4, 0.0, -0.3]), 0.1,
+                                              s, n, seed=seed))
+    if check == "thm1-bound":
+        wspec = WeightedAverageSpec(indices=(2, 0), w=np.asarray([0.9, -0.4, 0.3]))
+        res = check_theorem1_bound(LOGISTIC, wspec, 0.2, s, n, seed=seed)
+    else:
+        f, draw = lemma_d1_instance(LOGISTIC, s, 0.1, seed=seed)
+        res = check_lemma_exp_bound(f, draw, n, seed=seed)
+    return np.asarray([res.estimate, res.reference, res.se])
+
+
+@pytest.mark.parametrize("check", ["thm1-zero", "thm1-bound", "lemmaD1"])
+def test_workspace_allocations_do_not_grow_with_the_chunk_count(monkeypatch, check):
+    # Every chunk draws into one reused workspace, so a check allocates the
+    # same buffers at 2 chunks as at 20 (the last chunk shorter each time).
+    # A fresh workspace per chunk, or a draw into fresh arrays, makes the
+    # 20-chunk count larger.
+    monkeypatch.setenv("ATTRSPARSE_THREADS", "1")
+    real_empty = np.empty
+    counts = []
+    for chunks in (2, 20):
+        monkeypatch.setattr(_util, "_FREE", [])
+        calls = []
+
+        def counting_empty(*args, **kwargs):
+            calls.append(args)
+            return real_empty(*args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", counting_empty)
+        _one_check(check, chunks * theory._CHUNK - 5)
+        monkeypatch.setattr(np, "empty", real_empty)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+def test_a_chunk_that_raises_returns_its_workspace(monkeypatch, threads):
+    monkeypatch.setenv("ATTRSPARSE_THREADS", threads)
+    monkeypatch.setattr(_util, "_FREE", [])
+    s = _sampler()
+
+    def draw(m, rng):
+        s.sample(m, rng)  # takes the chunk's buffers, then fails
+        raise RuntimeError("bad draw")
+
+    for _ in range(3):  # 3 chunks per call: never more workspaces than that
+        with pytest.raises(RuntimeError, match="bad draw"):
+            check_lemma_exp_bound(lambda z, v: -z, draw, 150_000)
+        assert 1 <= len(_util._FREE) <= (1 if threads == "1" else 3)
+    assert getattr(_util._ACTIVE, "ws", None) is None
+
+
+def test_warm_workspaces_keep_every_thread_count_bit_identical(monkeypatch):
+    # 4, then 1, then 4 threads in one process, so the later runs start on
+    # workspaces the earlier ones left; more threads than cores and a short
+    # switch interval would show two chunks writing one workspace
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = []
+        for threads in ("4", "1", "4"):
+            monkeypatch.setenv("ATTRSPARSE_THREADS", threads)
+            got.append(np.concatenate([_one_check(c, 200_000, seed=7)
+                                       for c in ("thm1-zero", "thm1-bound", "lemmaD1")]))
+    finally:
+        sys.setswitchinterval(interval)
+    assert _same_bits(got[0], got[1]) and _same_bits(got[0], got[2])
 
 
 def test_sampler_validation_and_uniform_support():
