@@ -15,7 +15,6 @@ from .models import LinearModel, MlpModel
 
 __all__ = [
     "AttributionVector",
-    "ImpactReport",
     "check_method",
     "check_baseline",
     "attribute_dataset",
@@ -33,17 +32,6 @@ class AttributionVector:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-
-
-@dataclass
-class ImpactReport:
-    """Mean |attribution| per encoded position, and per original column
-    (one-hot spans summed)."""
-
-    value_impact: np.ndarray          # one entry per encoded feature position
-    feature_impact: np.ndarray        # one entry per original column
-    value_names: list
-    feature_names: list
 
 
 def _numeric_rows(model, X, u, steps):
@@ -188,23 +176,14 @@ def attribute_dataset(model, ds: Dataset, u, method: str = "closed",
     return [AttributionVector(row, r) for row, r in zip(values, residual.tolist())]
 
 
-def impact_report(attribs, ds: Dataset) -> ImpactReport:
-    """Mean |attribution| per position; categorical spans summed per column."""
+def impact_report(attribs, ds: Dataset):
+    """Mean |attribution| per encoded position (one per ds.feature_names), and
+    per original column (one per ds.encoding_map, its one-hot span summed)."""
     if not attribs:
         raise ValueError("no attributions given")
-    stacked = np.stack([a.values for a in attribs])
-    value_impact = np.abs(stacked).mean(axis=0)
-    per_column = []
-    col_names = []
-    for g in ds.encoding_map:
-        per_column.append(value_impact[g.start:g.stop].sum())
-        col_names.append(g.name)
-    return ImpactReport(
-        value_impact=value_impact,
-        feature_impact=np.asarray(per_column),
-        value_names=list(ds.feature_names),
-        feature_names=col_names,
-    )
+    value_impact = np.abs(np.stack([a.values for a in attribs])).mean(axis=0)
+    return value_impact, np.asarray([value_impact[g.start:g.stop].sum()
+                                     for g in ds.encoding_map])
 
 
 def write_pgm(values, shape, path):

@@ -122,6 +122,8 @@ def _check_config_value(key, value, default):
     if type(value) not in kinds:
         names = " or ".join(kind.__name__ for kind in kinds)
         raise ValueError(f"config key {key!r} must be {names}, got {value!r}")
+    if key == "seed" and value < 0:  # the rule of the --seed flag
+        raise ValueError(f"config key 'seed' must be an integer >= 0, got {value!r}")
 
 
 def _resolve(file_cfg: dict, args) -> dict:
@@ -344,11 +346,10 @@ def cmd_attribute(args) -> int:
               ["example_id", *ds.feature_names, "completeness_residual"],
               ([int(example_id), *attr.values.tolist(), attr.completeness_residual]
                for example_id, attr in zip(idx, attribs)))
-    report = impact_report(attribs, ds)
-    write_csv(os.path.join(out, "impact_values.csv"), report.value_names,
-              [report.value_impact.tolist()])
-    write_csv(os.path.join(out, "impact_features.csv"), report.feature_names,
-              [report.feature_impact.tolist()])
+    value_impact, feature_impact = impact_report(attribs, ds)
+    write_csv(os.path.join(out, "impact_values.csv"), ds.feature_names, [value_impact.tolist()])
+    write_csv(os.path.join(out, "impact_features.csv"), [g.name for g in ds.encoding_map],
+              [feature_impact.tolist()])
     written = ["attributions.csv", "impact_values.csv", "impact_features.csv"]
     if args.image_shape:
         for example_id, attr in zip(idx, attribs):

@@ -14,7 +14,7 @@ from ._version import __version__
 from .attribution import DEFAULT_REPORT_STEPS, attribute_dataset, check_baseline, check_method
 from .data import Dataset
 from .losses import LossSpec
-from .sparseness import gini_gap, make_gini_report
+from .sparseness import make_gini_report
 from .training import TrainConfig, evaluate, regime_tag, train_many, uses_pgd
 
 __all__ = [
@@ -55,10 +55,7 @@ def run_compare(ds: Dataset, spec: LossSpec, eps_list, lam_list, base_cfg: Train
     started = time.perf_counter()
     check_method(method, steps, base_cfg.model_kind)
     baseline = np.zeros(ds.dim) if baseline is None else check_baseline(baseline, ds.dim)
-    n_test = ds.test_indices.size
-    split_key = f"{dataset_id}:test:{n_test}"
-
-    reports, accuracies, mean_losses = {}, {}, {}
+    gini, means, accuracies, mean_losses = {}, {}, {}, {}
 
     sweep = ([replace(base_cfg, regime="adversarial", epsilon=float(eps)) for eps in eps_list]
              + [replace(base_cfg, regime="l1", l1_strength=float(lam)) for lam in lam_list])
@@ -80,29 +77,30 @@ def run_compare(ds: Dataset, spec: LossSpec, eps_list, lam_list, base_cfg: Train
             attribs = attribute_dataset(model, ds, baseline, method=method, steps=steps)
             accuracies[tag] = ev.accuracy
             mean_losses[tag] = ev.mean_loss
-            reports[tag] = make_gini_report(attribs, tag, split_key)
+            gini[tag] = make_gini_report(attribs)
+            means[tag] = float(gini[tag].mean())
 
     attr_tag = "ig-closed" if method == "closed" else f"ig-numeric[{steps}]"
-    natural_report = reports["natural"]
     table_rows = [{
         "dataset": dataset_id, "attr": attr_tag, "model": "natural",
         "dG": 0.0, "AcDrop": 0.0,
     }]
     distribution_rows = []
-    tradeoff_rows = [("natural", "", accuracies["natural"], natural_report.mean)]
+    tradeoff_rows = [("natural", "", accuracies["natural"], means["natural"])]
     gaps = {}
 
     for cfg in sweep:
         tag = regime_tag(cfg)
-        gap, drop, per_example = gini_gap(natural_report, reports[tag], accuracies)
+        gap = means[tag] - means["natural"]
+        drop = 100.0 * (accuracies["natural"] - accuracies[tag])
         gaps[tag] = {"gini_gap": gap, "accuracy_drop_pct": drop}
         table_rows.append({
             "dataset": dataset_id, "attr": attr_tag, "model": tag,
             "dG": gap, "AcDrop": drop,
         })
-        for row_pos, example_idx in enumerate(ds.test_indices):
-            distribution_rows.append((int(example_idx), tag, float(per_example[row_pos])))
-        tradeoff_rows.append((tag, _strength(cfg), accuracies[tag], reports[tag].mean))
+        per_example = (gini[tag] - gini["natural"]).tolist()
+        distribution_rows += [(int(i), tag, g) for i, g in zip(ds.test_indices, per_example)]
+        tradeoff_rows.append((tag, _strength(cfg), accuracies[tag], means[tag]))
 
     report = {
         "format_version": 1,
@@ -122,7 +120,7 @@ def run_compare(ds: Dataset, spec: LossSpec, eps_list, lam_list, base_cfg: Train
                 "config": _cfg_dict(cfgs[tag]),
                 "accuracy": accuracies[tag],
                 "mean_loss": mean_losses[tag],
-                "mean_attribution_gini": reports[tag].mean,
+                "mean_attribution_gini": means[tag],
             }
             for tag in cfgs
         },

@@ -72,6 +72,8 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.model_kind not in ("linear", "mlp"):
             raise ValueError(f"unknown model kind {self.model_kind!r}")
+        if self.use_bias and self.model_kind == "mlp":
+            raise ValueError("use_bias applies to linear models only: an MLP always has biases")
 
 
 @dataclass

@@ -303,7 +303,7 @@ def test_blob_image_mlp_sparseness_ordering(acceptance):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # collapsed models attribute to nothing
                 attribs = attribute_dataset(model, ds, baseline, method="numeric", steps=256)
-                mean_g = make_gini_report(attribs, "tag").mean
+                mean_g = float(make_gini_report(attribs).mean())
             return acc, mean_g
 
         # the natural and l1 fits share the seed's random stream and train as

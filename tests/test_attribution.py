@@ -239,11 +239,9 @@ def test_impact_report_sums_categorical_spans():
     from attrsparse.attribution import AttributionVector
     a1 = AttributionVector(np.asarray([0.2, -0.4, 0.0, 1.0]), 0.0)
     a2 = AttributionVector(np.asarray([-0.6, 0.0, 0.2, 3.0]), 0.0)
-    rep = impact_report([a1, a2], ds)
-    np.testing.assert_allclose(rep.value_impact, [0.4, 0.2, 0.1, 2.0], atol=1e-15)
-    np.testing.assert_allclose(rep.feature_impact, [0.7, 2.0], atol=1e-15)
-    assert rep.feature_names == ["color", "size"]
-    assert rep.value_names == ["color=r", "color=g", "color=b", "size"]
+    value_impact, feature_impact = impact_report([a1, a2], ds)
+    np.testing.assert_allclose(value_impact, [0.4, 0.2, 0.1, 2.0], atol=1e-15)
+    np.testing.assert_allclose(feature_impact, [0.7, 2.0], atol=1e-15)
     with pytest.raises(ValueError, match="no attributions"):
         impact_report([], ds)
 

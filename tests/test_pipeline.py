@@ -30,6 +30,22 @@ def outcome():
     return ds, run_compare(ds, LOGISTIC, [0.1, 0.3], [0.02], base, dataset_id="toy")
 
 
+@pytest.fixture(scope="module")
+def refit(outcome):
+    """Each regime of the outcome refitted as one stack outside the pipeline:
+    tag -> (config, model, per-example Gini vector of the zero-baseline
+    attributions of the test split)."""
+    ds, _ = outcome
+    base = TrainConfig(epochs=8)
+    cfgs = {"natural": base,
+            "adversarial(eps=0.1)": replace(base, regime="adversarial", epsilon=0.1),
+            "adversarial(eps=0.3)": replace(base, regime="adversarial", epsilon=0.3),
+            "l1(lam=0.02)": replace(base, regime="l1", l1_strength=0.02)}
+    fits = train_many(ds, LOGISTIC, list(cfgs.values()))
+    return {tag: (cfg, model, make_gini_report(attribute_dataset(model, ds, np.zeros(ds.dim))))
+            for (tag, cfg), (model, _) in zip(cfgs.items(), fits)}
+
+
 def test_report_structure(outcome):
     ds, out = outcome
     assert isinstance(out, CompareOutcome)
@@ -54,16 +70,29 @@ def test_report_structure(outcome):
     json.dumps(rep)  # report must be JSON-serializable as built
 
 
-def test_gap_bookkeeping(outcome):
+def test_gap_bookkeeping(outcome, refit, tmp_path):
+    # every gap is exact arithmetic on the two per-example Gini vectors: the
+    # difference of their means, the accuracy drop in percentage points (a
+    # lower robust accuracy is a positive drop), and in distributions.csv
+    # the per-example differences in test-split order
     ds, out = outcome
     rep = out.report
-    nat_gini = rep["regimes"]["natural"]["mean_attribution_gini"]
+    acc = {tag: entry["accuracy"] for tag, entry in rep["regimes"].items()}
+    nat = refit["natural"][2]
+    path = tmp_path / "distributions.csv"
+    write_distribution_csv(out.distribution_rows, path)
+    written = {}
+    for line in path.read_text(encoding="utf-8").splitlines()[1:]:
+        example_id, tag, gap = line.split(",")
+        written.setdefault(tag, []).append((int(example_id), float(gap)))
+    assert set(written) == set(rep["gaps"])
     for tag, gap in rep["gaps"].items():
-        expected_gap = rep["regimes"][tag]["mean_attribution_gini"] - nat_gini
-        assert gap["gini_gap"] == pytest.approx(expected_gap, abs=1e-12)
-        expected_drop = 100.0 * (rep["regimes"]["natural"]["accuracy"]
-                                 - rep["regimes"][tag]["accuracy"])
-        assert gap["accuracy_drop_pct"] == pytest.approx(expected_drop, abs=1e-12)
+        gini = refit[tag][2]
+        assert gap["gini_gap"] == float(gini.mean()) - float(nat.mean())
+        assert gap["accuracy_drop_pct"] == 100.0 * (acc["natural"] - acc[tag])
+        assert (gap["accuracy_drop_pct"] > 0.0) == (acc[tag] < acc["natural"])
+        assert written[tag] == list(zip(ds.test_indices.tolist(), (gini - nat).tolist()))
+    assert max(gap["accuracy_drop_pct"] for gap in rep["gaps"].values()) > 0.0
     # stronger box -> sparser attributions on this construction
     assert rep["gaps"]["adversarial(eps=0.3)"]["gini_gap"] > \
         rep["gaps"]["adversarial(eps=0.1)"]["gini_gap"] > 0.0
@@ -104,26 +133,44 @@ def test_tradeoff_rows(outcome):
     assert out.tradeoff_rows[3][1] == 0.02
 
 
-def test_report_matches_train_many_and_gini_reports(outcome):
+def test_report_matches_train_many_and_gini_reports(outcome, refit):
     # each regime's report entry is the stacked fit of its config, scored by
     # make_gini_report over the zero-baseline attributions of the test split
     ds, out = outcome
-    base = TrainConfig(epochs=8)
-    cfgs = {"natural": base,
-            "adversarial(eps=0.1)": replace(base, regime="adversarial", epsilon=0.1),
-            "adversarial(eps=0.3)": replace(base, regime="adversarial", epsilon=0.3),
-            "l1(lam=0.02)": replace(base, regime="l1", l1_strength=0.02)}
-    assert list(out.report["regimes"]) == list(cfgs)
-    n_test = ds.test_indices.size
-    fits = train_many(ds, LOGISTIC, list(cfgs.values()))
-    for (tag, cfg), (model, _) in zip(cfgs.items(), fits):
+    assert list(out.report["regimes"]) == list(refit)
+    for tag, (cfg, model, gini) in refit.items():
         entry = out.report["regimes"][tag]
         assert entry["config"]["epsilon"] == cfg.epsilon
         assert entry["accuracy"] == evaluate(model, ds, LOGISTIC).accuracy
-        rep = make_gini_report(attribute_dataset(model, ds, np.zeros(ds.dim)), tag,
-                               f"toy:test:{n_test}")
-        assert rep.per_example.size == n_test
-        assert entry["mean_attribution_gini"] == rep.mean
+        assert gini.shape == (ds.test_indices.size,)
+        assert entry["mean_attribution_gini"] == float(gini.mean())
+
+
+@pytest.mark.parametrize("cfg, method", [
+    (TrainConfig(epochs=2), "closed"),
+    (TrainConfig(epochs=1, model_kind="mlp", hidden_sizes=(3,)), "numeric"),
+])
+def test_run_compare_calls_the_traced_bindings_once_per_model(monkeypatch, cfg, method):
+    # perfbench times attribution and Gini through the pipeline's module
+    # bindings, and its residual gate reads each attribution's residual
+    attributed, scored = [], []
+
+    def attribute(*args, **kwargs):
+        attributed.append(attribute_dataset(*args, **kwargs))
+        return attributed[-1]
+
+    def gini(attribs):
+        scored.append(attribs)
+        return make_gini_report(attribs)
+
+    monkeypatch.setattr("attrsparse.pipeline.attribute_dataset", attribute)
+    monkeypatch.setattr("attrsparse.pipeline.make_gini_report", gini)
+    ds = generate_synthetic(SyntheticConditionalSampler((0.8, 0.1)), 120, seed=1)
+    out = run_compare(ds, LOGISTIC, [0.1], [0.02, 0.05], cfg, method=method, steps=4)
+    assert len(out.report["regimes"]) == len(attributed) == len(scored) == 4
+    for attribs in attributed:
+        assert len(attribs) == ds.test_indices.size
+        assert all(type(a.completeness_residual) is float for a in attribs)
 
 
 def test_compare_computes_no_training_trace(outcome, monkeypatch):

@@ -1,5 +1,6 @@
 """Gini sparseness: frozen exact values, agreement with two independently
-coded oracle formulas, invariance properties, and the gap between regimes."""
+coded oracle formulas, invariance properties, and the per-example vector of
+a set of attributions. The gap between regimes is tested with the pipeline."""
 import math
 
 import numpy as np
@@ -9,12 +10,7 @@ from hypothesis import given, settings, strategies as st
 from attrsparse.attribution import AttributionVector
 from helpers import gini_row, gini_row_reference
 
-from attrsparse.sparseness import (
-    GiniReport,
-    gini_gap,
-    gini_rows,
-    make_gini_report,
-)
+from attrsparse.sparseness import gini_rows, make_gini_report
 
 
 def _gini_share_form(v):
@@ -152,22 +148,9 @@ def test_hypothesis_bounds_and_oracle(vals):
 
 def test_make_gini_report_uses_magnitudes():
     attr = AttributionVector(np.asarray([-3.0, 1.0, 0.0]), 0.0)
-    assert make_gini_report([attr], "t").per_example.tolist() == [0.5]
+    assert make_gini_report([attr]).tolist() == [0.5]
     with pytest.raises(ValueError, match="no attributions"):
-        make_gini_report([], "t")
-
-
-# --- reports and regime comparison ------------------------------------------------
-
-def test_gini_report_mean_and_validation():
-    rep = GiniReport("natural", np.asarray([0.2, 0.4, 0.9]), split_key="d:test:3")
-    assert rep.mean == pytest.approx(0.5, abs=1e-15)
-    with pytest.raises(ValueError, match="non-empty"):
-        GiniReport("natural", np.asarray([]))
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        GiniReport("natural", np.asarray([0.5, 1.2]))
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        GiniReport("natural", np.asarray([-0.1]))
+        make_gini_report([])
 
 
 def test_make_gini_report():
@@ -175,37 +158,4 @@ def test_make_gini_report():
         AttributionVector(np.asarray([1.0, 0.0]), 0.0),
         AttributionVector(np.asarray([2.0, 2.0]), 0.0),
     ]
-    rep = make_gini_report(attribs, "natural", split_key="k")
-    np.testing.assert_allclose(rep.per_example, [0.5, 0.0], atol=1e-15)
-    assert rep.regime_tag == "natural" and rep.split_key == "k"
-
-
-def test_compare_regimes_gaps_and_drops():
-    nat = GiniReport("natural", np.asarray([0.2, 0.4]), split_key="k")
-    adv = GiniReport("adversarial(eps=0.1)", np.asarray([0.5, 0.5]), split_key="k")
-    l1 = GiniReport("l1(lam=0.02)", np.asarray([0.3, 0.7]), split_key="k")
-    acc = {"natural": 0.90, "adversarial(eps=0.1)": 0.85, "l1(lam=0.02)": 0.92}
-    gap, drop, per_example = gini_gap(nat, adv, acc)
-    assert gap == pytest.approx(0.2)
-    # lower robust accuracy shows as a positive drop in percentage points
-    assert drop == pytest.approx(5.0)
-    np.testing.assert_allclose(per_example, [0.3, 0.1])
-    gap, drop, per_example = gini_gap(nat, l1, acc)
-    assert gap == pytest.approx(0.2)
-    assert drop == pytest.approx(-2.0)
-    np.testing.assert_allclose(per_example, [0.1, 0.3])
-
-
-def test_compare_regimes_partial_and_errors():
-    nat = GiniReport("natural", np.asarray([0.2, 0.4]), split_key="k")
-    adv = GiniReport("adv", np.asarray([0.5, 0.5]), split_key="k")
-    with pytest.raises(ValueError, match="missing accuracy for regime 'natural'"):
-        gini_gap(nat, adv, {"adv": 0.8})
-    with pytest.raises(ValueError, match="missing accuracy for regime 'adv'"):
-        gini_gap(nat, adv, {"natural": 0.9})
-    short = GiniReport("adv", np.asarray([0.5]), split_key="k")
-    with pytest.raises(ValueError, match="splits differ"):
-        gini_gap(nat, short, {"natural": 0.9, "adv": 0.8})
-    other_split = GiniReport("adv", np.asarray([0.5, 0.5]), split_key="other")
-    with pytest.raises(ValueError, match="split key"):
-        gini_gap(nat, other_split, {"natural": 0.9, "adv": 0.8})
+    np.testing.assert_allclose(make_gini_report(attribs), [0.5, 0.0], atol=1e-15)

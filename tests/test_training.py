@@ -247,6 +247,8 @@ def test_config_validation():
         TrainConfig(optimizer="lbfgs")
     with pytest.raises(ValueError, match="unknown model kind"):
         TrainConfig(model_kind="tree")
+    with pytest.raises(ValueError, match="use_bias applies to linear models only"):
+        TrainConfig(model_kind="mlp", use_bias=True)
     for field in ("learning_rate", "l1_strength", "epsilon"):
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"{field} must be finite"):
