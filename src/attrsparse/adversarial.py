@@ -46,7 +46,8 @@ def pgd_perturb_batch(model, X, y, eps: float, cfg: PgdConfig, spec: LossSpec, r
     must be an MlpModel: a linear model's worst case is closed-form.
 
     A loss with spec.positive_slope steps on the sign of -y * dlogit/dx,
-    the loss gradient's sign, so no step forms a logit or g'(z); a row whose
+    the loss gradient's sign, so no step forms a logit or g'(z), and the
+    output-layer product -y * W_last is formed once per call; a row whose
     g'(z) underflows to 0 (logistic at z below about -745, a huge correct
     margin) thus still ascends, where a step through g' left it at its start.
     Hinge's g' in {0, 1} masks rows, so its steps compute the logit.
@@ -62,9 +63,11 @@ def pgd_perturb_batch(model, X, y, eps: float, cfg: PgdConfig, spec: LossSpec, r
     negy = -y
     if spec.positive_slope:
         start_loss = spec.g(negy * model.margin(moved))
+        # dlogit = -y at the output unit, the same on every step
+        top = negy[..., None] @ model.weights[-1].swapaxes(-1, -2)
     for k in range(cfg.steps):
         if spec.positive_slope:
-            grad = model.backprop(model._forward(moved, logit=False), negy, "inputs")
+            grad = model.ascent_slope(moved, top)
         else:
             cache = model._forward(moved)
             z = negy * cache[0]  # -y * margin: the natural loss is g(z)

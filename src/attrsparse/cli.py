@@ -129,7 +129,7 @@ def _check_config_value(key, value, default):
 def _resolve(file_cfg: dict, args) -> dict:
     """TrainConfig's defaults and the loss, overridden by the config file (a
     key only where its flag exists), overridden by explicit flags; hidden as
-    a non-empty list of integers >= 1."""
+    a non-empty list of integers >= 1, given only for an MLP."""
     resolved = dict(_TRAIN_OPTIONS)
     origin = {}  # where each option's value came from, for error messages
     for key, value in file_cfg.items():
@@ -144,6 +144,9 @@ def _resolve(file_cfg: dict, args) -> dict:
     for key in resolved:
         if getattr(args, key, None) is not None:
             resolved[key], origin[key] = getattr(args, key), "--" + key.replace("_", "-")
+    for key in ("hidden", "hidden_activation"):
+        if key in origin and resolved["model"] == "linear":
+            raise ValueError(f"{origin[key]} applies to MLP models only, and the model is linear")
     hidden = resolved["hidden"]
     try:
         sizes = _parse_float_list(hidden) if isinstance(hidden, str) else hidden

@@ -73,14 +73,12 @@ class LinearModel:
 _HIDDEN_ACTS = ("softplus", "tanh", "relu")
 
 
-def _act(kind, t, deriv=True, value=True):
+def _act(kind, t, deriv=True):
     """A hidden activation and its derivative at t from one pass, or only the
-    activation (deriv=False) or only the derivative (value=False); softplus is
-    max(t, 0) + log1p(exp(-|t|)) on NumPy's vectorised exp and log1p, and its
-    derivative is sigmoid(t) bit for bit. Sums and quotients are taken in
-    place, as numeric IG's blocks outgrow NumPy's small-buffer cache."""
-    if not value:
-        return sigmoid(t) if kind == "softplus" else _act(kind, t)[1]
+    activation (deriv=False); softplus is max(t, 0) + log1p(exp(-|t|)) on
+    NumPy's vectorised exp and log1p, and its derivative is sigmoid(t) bit
+    for bit. Sums and quotients are taken in place, as numeric IG's blocks
+    outgrow NumPy's small-buffer cache."""
     if kind == "softplus":
         e = np.exp(-np.abs(t))
         h = np.log1p(e)
@@ -138,7 +136,7 @@ class MlpModel:
     def layer_sizes(self):
         return [self.dim] + [W.shape[-1] for W in self.weights]
 
-    def _forward(self, X, first=None, *, backward=True, logit=True):
+    def _forward(self, X, first=None, *, backward=True):
         """Forward pass on X (n, d) returning (logit, derivatives, layer
         inputs), with each hidden activation's derivative cached for backprop.
 
@@ -146,18 +144,12 @@ class MlpModel:
         given, replaces the first layer's output X @ W0 + b0 (X then only
         fills the cache's input slot); its leading axes carry through to the
         logit. backward=False, for callers that run no reverse pass, computes
-        no derivative and leaves that list empty. logit=False, for an input
-        reverse pass whose dlogit needs no logit, stops at the last hidden
-        layer's derivative: that layer's activation and the output product
-        are skipped, and the logit's slot holds None.
+        no derivative and leaves that list empty.
         """
         t = X @ self.weights[0] + self.biases[0][..., None, :] if first is None else first
         derivs = []   # activation derivative per hidden layer
         acts = [X]    # layer inputs, starting with the data
         for W, b in zip(self.weights[1:], self.biases[1:]):
-            if not logit and W is self.weights[-1]:
-                derivs.append(_act(self.hidden_activation, t, value=False))
-                return None, derivs, acts
             if backward:
                 h, dh = _act(self.hidden_activation, t)
                 derivs.append(dh)
@@ -206,6 +198,39 @@ class MlpModel:
         if wrt == "params":
             return weight_grads + bias_grads
         return upstream if wrt == "inputs" else delta
+
+    def ascent_slope(self, X, top):
+        """The input gradient from dlogit = -y, backprop(_forward(X), -y,
+        "inputs") bit for bit, given top = (-y)[:, None] @ W_last^T: one PGD
+        step of a loss with a positive slope, for a call that forms top once.
+
+        Only the activation derivatives are formed, with no logit and no
+        output-layer product; the last hidden layer's derivative is written
+        out here (softplus's keeps sigmoid's bits). A stack adds its leading
+        model axis to the result.
+        """
+        Ws, kind = self.weights, self.hidden_activation
+        if len(Ws) == 1:
+            return top.copy()
+        t = X @ Ws[0] + self.biases[0][..., None, :]
+        derivs = []
+        for W, b in zip(Ws[1:-1], self.biases[1:-1]):
+            h, dh = _act(kind, t)
+            derivs.append(dh)
+            t = h @ W + b[..., None, :]
+        if kind == "softplus":
+            e = np.exp(-np.abs(t))
+            dh = np.where(t >= 0, 1.0, e)
+            dh /= np.add(e, 1.0, out=e)
+        elif kind == "tanh":
+            dh = np.tanh(t)
+            dh = np.subtract(1.0, np.multiply(dh, dh, out=dh), out=dh)
+        else:
+            dh = np.where(t > 0.0, 1.0, 0.0)
+        upstream = np.multiply(top, dh, out=dh) @ Ws[-2].swapaxes(-1, -2)
+        for l in range(len(derivs) - 1, -1, -1):
+            upstream = np.multiply(upstream, derivs[l], out=upstream) @ Ws[l].swapaxes(-1, -2)
+        return upstream
 
     def loss_and_grads(self, spec: LossSpec, X, y):
         """The MLP family's one gradient engine: g(-y * logit) on a batch

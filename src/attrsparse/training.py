@@ -96,44 +96,37 @@ def soft_threshold(values, threshold):
 
 
 class _Sgd:
-    def __init__(self, params, lr):
-        self.params = params
+    def __init__(self, param, lr):
+        self.param = param
         self.lr = lr
 
-    def step(self, grads):
-        for p, g in zip(self.params, grads):
-            p -= self.lr * g
+    def step(self, grad):
+        self.param -= self.lr * grad
 
 
 class _Adam:
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = params
+    def __init__(self, param, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.param = param
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(param)
+        self.v = np.zeros_like(param)
         self.t = 0
 
-    def step(self, grads):
+    def step(self, g):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, m, v = self.beta1, self.beta2, self.m, self.v
         correction1 = 1.0 - b1**self.t
         correction2 = 1.0 - b2**self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= self.lr * (m / correction1) / (np.sqrt(v / correction2) + self.eps)
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        self.param -= self.lr * (m / correction1) / (np.sqrt(v / correction2) + self.eps)
 
 
-def _make_optimizer(kind, params, lr):
-    return _Adam(params, lr) if kind == "adam" else _Sgd(params, lr)
-
-
-def _weight_rows(weights):
-    """Every weight of each model in a stack, one row per model, in layer order."""
-    return np.concatenate([W.reshape(W.shape[0], -1) for W in weights], axis=1)
+def _make_optimizer(kind, param, lr):
+    return _Adam(param, lr) if kind == "adam" else _Sgd(param, lr)
 
 
 def regime_tag(cfg):
@@ -239,24 +232,29 @@ def train_many(ds: Dataset, spec: LossSpec, cfgs, *, trace=True):
     is_l1 = np.asarray([c.regime == "l1" for c in cfgs])
     lam = np.asarray([c.l1_strength for c in cfgs])
     prox = is_l1 & (lam > 0.0)
-    threshold = cfg.learning_rate * lam[prox]
+    threshold = cfg.learning_rate * lam[prox][:, None]
     any_l1, any_prox = bool(is_l1.any()), bool(prox.any())
 
+    # Every parameter of model i lives in row i of flat, weights first in
+    # layer order; the stack's parameter arrays are views into it.
     if cfg.model_kind == "linear":
-        bias = np.zeros(k) if cfg.use_bias else None
-        params = [np.zeros((k, d))] + ([bias] if cfg.use_bias else [])
-        weights = params[:1]
+        flat = np.zeros((k, d + cfg.use_bias))
+        params = [flat[:, :d]] + ([flat[:, d]] if cfg.use_bias else [])
+        bias = params[1] if cfg.use_bias else None
+        n_weights = d
         stack = pgd_model = None
     else:
         one = init_mlp([d, *cfg.hidden_sizes, 1], rng, cfg.hidden_activation)
-        stack = MlpModel(weights=[np.repeat(W[None], k, axis=0) for W in one.weights],
-                         biases=[np.repeat(b[None], k, axis=0) for b in one.biases],
+        parts = one.weights + one.biases
+        flat = np.repeat(np.concatenate([p.ravel() for p in parts])[None], k, axis=0)
+        ends = np.cumsum([p.size for p in parts])
+        params = [flat[:, end - p.size:end].reshape((k,) + p.shape) for p, end in zip(parts, ends)]
+        n_weights = int(ends[len(one.weights) - 1])
+        stack = MlpModel(weights=params[:len(one.weights)], biases=params[len(one.weights):],
                          hidden_activation=cfg.hidden_activation)
-        params = stack.weights + stack.biases
-        weights = stack.weights
         pgd_model = _unstack(cfg, params, 0) if uses_pgd(cfg) else None
 
-    optimizer = _make_optimizer(cfg.optimizer, params, cfg.learning_rate)
+    optimizer = _make_optimizer(cfg.optimizer, flat, cfg.learning_rate)
     trace_eps = epsilon if stack is None else np.zeros(k)  # an MLP traces its natural loss
     traces = [TrainTrace() if trace else None for _ in cfgs]
     step = 0
@@ -272,22 +270,21 @@ def train_many(ds: Dataset, spec: LossSpec, cfgs, *, trace=True):
                     Xb = Xb + pgd_perturb_batch(pgd_model, Xb, yb, cfg.epsilon,
                                                 default_pgd_config(cfg.epsilon), spec, rng)
                 losses, grads = stack.loss_and_grads(spec, Xb, yb)
-            grads = [g / batch.size for g in grads]
+            grad = grads[0] if len(grads) == 1 else np.concatenate(
+                [g.reshape(k, -1) for g in grads], axis=1)
+            grad /= batch.size
             batch_loss = losses.mean(axis=-1)
             if any_l1:
-                l1 = np.abs(_weight_rows([W[is_l1] for W in weights])).sum(axis=1)
-                batch_loss[is_l1] += lam[is_l1] * l1
+                batch_loss[is_l1] += lam[is_l1] * np.abs(flat[is_l1, :n_weights]).sum(axis=1)
             bad = ~(batch_loss <= DIVERGENCE_LIMIT)  # NaN compares False too
             if bad.any():
                 i = int(np.argmax(bad))
                 raise TrainingDivergedError(
                     f"{regime_tag(cfgs[i])}: objective {float(batch_loss[i])!r} exceeded "
                     f"{DIVERGENCE_LIMIT:g} at step {step}", step)
-            optimizer.step(grads)
+            optimizer.step(grad)
             if any_prox:
-                for arr in weights:
-                    thr = threshold.reshape((-1,) + (1,) * (arr.ndim - 1))
-                    arr[prox] = soft_threshold(arr[prox], thr)
+                flat[prox, :n_weights] = soft_threshold(flat[prox, :n_weights], threshold)
             step += 1
         if not trace:
             continue
@@ -297,8 +294,7 @@ def train_many(ds: Dataset, spec: LossSpec, cfgs, *, trace=True):
                 margins = margins + bias[:, None]
         else:
             margins = stack.margin(X)
-        points = _trace_points(spec, margins, _weight_rows(weights), y,
-                               trace_eps, is_l1, lam)
+        points = _trace_points(spec, margins, flat[:, :n_weights], y, trace_eps, is_l1, lam)
         for tr, point in zip(traces, zip(*(p.tolist() for p in points))):
             for series, value in zip((tr.loss, tr.accuracy, tr.weight_l1, tr.weight_gini), point):
                 series.append(value)

@@ -18,10 +18,11 @@ import numpy as np
 
 from attrsparse.attribution import AttributionVector, _closed_form_rows, _numeric_rows
 from attrsparse.data import Dataset, load_csv
-from attrsparse.losses import LossSpec, sigmoid
-from attrsparse.models import LinearModel, MlpModel
+from attrsparse.losses import LossSpec, linear_loss_and_grads, sigmoid
+from attrsparse.models import LinearModel, MlpModel, init_mlp
 from attrsparse.sparseness import gini_rows
 from attrsparse.theory import TheoremCheckResult, WeightedAverageSpec, check_theorem1_bound
+from attrsparse.training import soft_threshold
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 MUSHROOM_PATH = os.path.abspath(os.path.join(DATA_DIR, "mushroom.csv"))
@@ -157,6 +158,82 @@ def pgd_clip_reference(model, X, y, eps, cfg, spec, rng):
     if np.any(worse):
         delta[worse] = start[worse]
     return delta
+
+
+class _Sgd:
+    def __init__(self, params, lr):
+        self.params = params
+        self.lr = lr
+
+    def step(self, grads):
+        for p, g in zip(self.params, grads):
+            p -= self.lr * g
+
+
+class _Adam:
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.lr = lr
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+
+    def step(self, grads):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        correction1 = 1.0 - b1**self.t
+        correction2 = 1.0 - b2**self.t
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p -= self.lr * (m / correction1) / (np.sqrt(v / correction2) + self.eps)
+
+
+def train_reference(ds, spec: LossSpec, cfg):
+    """training.train for one linear model, or one MLP outside the PGD
+    regime, with one parameter array per layer and bias: the optimizer
+    updates each array and the l1 prox shrinks each weight array in turn.
+    Returns the fitted model."""
+    X, y = ds.features[ds.train_indices], ds.labels[ds.train_indices]
+    n, d = X.shape
+    rng = np.random.default_rng(cfg.seed)
+    epsilon = np.asarray([cfg.epsilon if cfg.regime in ("adversarial", "stable-ig") else 0.0])
+    prox = np.asarray([cfg.regime == "l1" and cfg.l1_strength > 0.0])
+    threshold = cfg.learning_rate * np.asarray([cfg.l1_strength])[prox]
+    if cfg.model_kind == "linear":
+        params = [np.zeros((1, d))] + ([np.zeros(1)] if cfg.use_bias else [])
+        weights = params[:1]
+    else:
+        one = init_mlp([d, *cfg.hidden_sizes, 1], rng, cfg.hidden_activation)
+        stack = MlpModel(weights=[W[None] for W in one.weights],
+                         biases=[b[None] for b in one.biases],
+                         hidden_activation=cfg.hidden_activation)
+        params = stack.weights + stack.biases
+        weights = stack.weights
+    optimizer = (_Adam if cfg.optimizer == "adam" else _Sgd)(params, cfg.learning_rate)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, cfg.batch_size):
+            batch = order[lo:lo + cfg.batch_size]
+            Xb, yb = X[batch], y[batch]
+            if cfg.model_kind == "linear":
+                bias = params[1] if cfg.use_bias else None
+                _, grads = linear_loss_and_grads(spec, params[0], bias, Xb, yb, epsilon)
+            else:
+                _, grads = stack.loss_and_grads(spec, Xb, yb)
+            grads = [g / batch.size for g in grads]
+            optimizer.step(grads)
+            if prox.any():
+                for arr in weights:
+                    thr = threshold.reshape((-1,) + (1,) * (arr.ndim - 1))
+                    arr[prox] = soft_threshold(arr[prox], thr)
+    if cfg.model_kind == "linear":
+        return LinearModel(w=params[0][0], bias=float(params[1][0]) if cfg.use_bias else None)
+    return MlpModel(weights=[W[0] for W in weights], biases=[b[0] for b in stack.biases],
+                    hidden_activation=cfg.hidden_activation)
 
 
 def make_categorical_csv(path, n=2000, seed=0) -> str:

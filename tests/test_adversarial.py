@@ -224,6 +224,30 @@ def test_pgd_matches_clip_loop_bytewise(kind, eps):
             assert got.tobytes() == want.tobytes(), loss_kind  # signed zeros too
 
 
+@pytest.mark.parametrize("loss_kind", ["logistic-nll", "softplus-hinge"])
+def test_pgd_follows_weights_updated_in_place(loss_kind):
+    # Training updates the model's parameter arrays in place between calls,
+    # as views of one buffer, so nothing PGD forms from the weights (the
+    # output product -y * W_last above all) may outlive a call.
+    spec = make_loss(loss_kind)
+    rng = np.random.default_rng(13)
+    model = init_mlp([6, 5, 1], rng)
+    X = rng.normal(size=(30, 6))
+    y = np.where(rng.uniform(size=30) < 0.5, 1.0, -1.0)
+    cfg = PgdConfig(steps=8, step_size=0.05)
+    shared, shared_ref = np.random.default_rng(5), np.random.default_rng(5)
+    results = []
+    for scale in (1.0, -1.5, 0.5):
+        for W in model.weights:
+            W *= scale
+            W += 0.1 * rng.normal(size=W.shape)
+        got = pgd_perturb_batch(model, X, y, 0.3, cfg, spec, shared)
+        want = pgd_clip_reference(model, X, y, 0.3, cfg, spec, shared_ref)
+        assert got.tobytes() == want.tobytes(), scale
+        results.append(got)
+    assert not np.array_equal(np.sign(results[0]), np.sign(results[1]))
+
+
 def test_pgd_moves_rows_whose_slope_underflows():
     # A correctly classified row with a huge margin has g'(z) = 0 in floating
     # point (logistic: z below about -745). A step through g' leaves such a

@@ -221,8 +221,10 @@ def test_train_config_is_the_one_home_of_training_options():
     args = parser.parse_args(["train", "--data", "x.json"])
     assert _train_config(_resolve({}, args)) == TrainConfig()
     for f in fields(TrainConfig):
+        # the MLP options are keys of an MLP's config alone
+        mlp = {"model_kind": "mlp"} if f.name.startswith("hidden") else {}
         for key in (f.name, _CONFIG_ALIASES.get(f.name, f.name)):
-            assert _train_config(_resolve({key: f.default}, args)) == TrainConfig(), key
+            assert _train_config(_resolve({key: f.default, **mlp}, args)) == TrainConfig(**mlp), key
 
 
 @pytest.mark.parametrize("cfg, message", [
@@ -269,6 +271,40 @@ def test_use_bias_with_mlp_exit_1(synth_json, tmp_path, capsys, command, given):
     assert main(argv) == 1
     assert "use_bias applies to linear models only" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("option, value, origin", [
+    ("--hidden", "4,4", "--hidden"), ("--hidden-activation", "tanh", "--hidden-activation"),
+    ("hidden", [4, 4], "config key 'hidden'"), ("hidden_sizes", "4", "config key 'hidden_sizes'"),
+    ("hidden_activation", "softplus", "config key 'hidden_activation'")])
+@pytest.mark.parametrize("model", [None, "linear"])
+def test_mlp_options_with_linear_model_exit_1(synth_json, tmp_path, capsys, command, option,
+                                              value, origin, model):
+    # a linear model has no hidden layers, so an MLP option is a mistaken
+    # invocation, even at its default value, whether --model is given or not
+    argv = [command, "--data", str(synth_json), "--epochs", "1",
+            "--out-dir", str(tmp_path / "run")]
+    if model:
+        argv += ["--model", model]
+    if option.startswith("--"):
+        argv += [option, value]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({option: value}), encoding="utf-8")
+        argv += ["--config", str(path)]
+    assert main(argv) == 1
+    assert f"{origin} applies to MLP models only" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_mlp_options_in_a_config_serve_an_mlp_flag(synth_json, tmp_path):
+    # a config written for an MLP stays usable when --model mlp is given
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": "linear", "hidden": [3]}), encoding="utf-8")
+    assert main(["train", "--data", str(synth_json), "--epochs", "1", "--config", str(path),
+                 "--model", "mlp", "--out-dir", str(tmp_path / "run")]) == 0
+    assert load_model(tmp_path / "run" / "model.json").layer_sizes[1:] == [3, 1]
 
 
 def test_train_config_int_for_float_field_is_accepted():

@@ -289,19 +289,24 @@ def test_mlp_gradients_run_one_forward_pass(monkeypatch):
     full_grads = [X.T @ delta0, h.T @ delta1, delta0.sum(axis=0), delta1.sum(axis=0)]
     full_first, full_dx = delta0, delta0 @ W0.T
 
-    calls, reverse = [], []
-    forward, backprop = MlpModel._forward, MlpModel.backprop
+    calls, reverse, ascents = [], [], []
+    forward, backprop, ascent = MlpModel._forward, MlpModel.backprop, MlpModel.ascent_slope
 
     def counted(self, X, **kwargs):
-        calls.append((kwargs.get("backward", True), kwargs.get("logit", True)))
+        calls.append(kwargs.get("backward", True))
         return forward(self, X, **kwargs)
 
     def recorded(self, cache, dlogit, wrt):
         reverse.append(wrt)
         return backprop(self, cache, dlogit, wrt)
 
+    def stepped(self, X, top):
+        ascents.append(top)
+        return ascent(self, X, top)
+
     monkeypatch.setattr(MlpModel, "_forward", counted)
     monkeypatch.setattr(MlpModel, "backprop", recorded)
+    monkeypatch.setattr(MlpModel, "ascent_slope", stepped)
     model.weights[0] = W0.view(_CountedTranspose)
     _CountedTranspose.count = 0
     _, grads = model.loss_and_grads(spec, X, y)
@@ -322,56 +327,97 @@ def test_mlp_gradients_run_one_forward_pass(monkeypatch):
     with pytest.raises(ValueError, match="wrt"):
         model.backprop(cache, dlogit, "weights")
 
-    # PGD under a loss with a positive slope: a forward-only start pass, one
-    # derivative-only pass per step that forms no output-layer product, and
-    # the forward-only final loss check. Hinge's steps are full passes, the
-    # first also giving the start loss. Neither forms parameter products.
-    model.weights[1] = W1.view(_CountedProduct)
+    # PGD under a loss with a positive slope: a forward-only start pass, the
+    # output product -y * W1^T once, then one ascent_slope call per step,
+    # each forming X @ W0 and the input product delta @ W0^T only (no
+    # output-layer product, no parameter product), and the forward-only
+    # final loss check. Hinge's steps are full passes with an input reverse
+    # pass, the first also giving the start loss.
+    model.weights[:] = [W.view(_Tracked) for W in (W0, W1)]
+    _Tracked.output = model.weights[1]
     cfg = PgdConfig(steps=5, step_size=0.05)
-    only_forward, only_deriv, full = (False, True), (True, False), (True, True)
-    for kind, passes in [("logistic-nll", [only_forward] + [only_deriv] * cfg.steps),
-                         ("hinge", [full] * cfg.steps)]:
-        del calls[:], reverse[:]
-        _CountedProduct.count = 0
+    for kind, passes, products, output_products in [
+            ("logistic-nll", [False, False], 2 + 1 + 2 * cfg.steps + 2, 2),
+            ("hinge", [True] * cfg.steps + [False], 4 * cfg.steps + 2, cfg.steps + 1)]:
+        del calls[:], reverse[:], ascents[:]
+        _Tracked.products = _Tracked.output_products = 0
         pgd_perturb_batch(model, X, y, 0.2, cfg, make_loss(kind), np.random.default_rng(3))
-        assert calls == passes + [only_forward], kind
-        assert reverse == ["inputs"] * cfg.steps
-        assert _CountedProduct.count == passes.count(only_forward) + passes.count(full) + 1
+        assert calls == passes, kind
+        assert _Tracked.products == products and _Tracked.output_products == output_products
+        if kind == "hinge":
+            assert reverse == ["inputs"] * cfg.steps and not ascents
+        else:
+            assert not reverse and len(ascents) == cfg.steps
+            assert all(top is ascents[0] for top in ascents)  # formed once per call
+            np.testing.assert_array_equal(ascents[0], (-y)[:, None] * W1.T)
 
 
-class _CountedProduct(np.ndarray):
-    """A weight matrix that counts the forward products it enters, h @ W;
-    its transpose, which backprop multiplies by, is a plain array."""
+class _Tracked(np.ndarray):
+    """A weight matrix that counts every matrix product formed from it or
+    from any array computed from it (its transpose included); products
+    with the output layer's matrix itself, h @ W, are also counted apart."""
 
-    count = 0
+    products = output_products = 0
+    output = None
 
-    def swapaxes(self, *axes):
-        return np.asarray(self).swapaxes(*axes)
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if ufunc is np.matmul:
+            _Tracked.products += 1
+            _Tracked.output_products += any(t is _Tracked.output for t in inputs)
+        plain = [t.view(np.ndarray) if isinstance(t, _Tracked) else t for t in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(o.view(np.ndarray) if isinstance(o, _Tracked) else o
+                                  for o in out)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        result = out[0] if out is not None else result
+        return result.view(_Tracked) if isinstance(result, np.ndarray) else result
 
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        _CountedProduct.count += ufunc is np.matmul
-        return getattr(ufunc, method)(*(np.asarray(t) for t in inputs), **kwargs)
+
+def _ascent_reference(model, X, y):
+    """The input reverse pass from dlogit = -y through a full forward pass."""
+    return model.backprop(model._forward(X), -y, "inputs")
+
+
+def _top(model, y):
+    return (-y)[:, None] @ model.weights[-1].swapaxes(-1, -2)
 
 
 @pytest.mark.parametrize("act", ["softplus", "tanh", "relu"])
 def test_derivative_only_pass_keeps_the_bits(act):
-    # PGD's sign-only steps form the last hidden layer's derivative alone:
-    # it is _act's derivative bit for bit, at +-0, subnormals, the exp
-    # under- and overflow edges and +-1e308
-    t = np.concatenate([_act_grid(), [1e308, -1e308]])[None, :]
-    model = MlpModel(weights=[np.zeros((2, t.size)), np.ones((t.size, 1))],
-                     biases=[np.zeros(t.size), np.zeros(1)], hidden_activation=act)
-    logit, (deriv,), acts = model._forward(None, first=t, logit=False)
-    assert logit is None and len(acts) == 1
-    assert deriv.tobytes() == _act(act, t)[1].tobytes()
-    # with two hidden layers, the cached derivatives are the full pass's
+    # PGD's sign-only step, ascent_slope, forms the last hidden layer's
+    # derivative itself: it is _act's derivative bit for bit at +-0,
+    # subnormals, the exp under- and overflow edges and +-1e308, and the step
+    # is the full reverse pass bit for bit. One row per grid value through a
+    # 1 -> 1 -> 1 net; x @ [[1]] is x except that -0 comes out +0, where every
+    # derivative takes the same value.
+    t = np.concatenate([_act_grid(), [1e308, -1e308]])
+    assert _act(act, np.asarray([0.0]))[1].tobytes() == _act(act, np.asarray([-0.0]))[1].tobytes()
+    model = MlpModel(weights=[np.ones((1, 1)), np.ones((1, 1))],
+                     biases=[np.zeros(1), np.zeros(1)], hidden_activation=act)
+    X, y = t[:, None], np.ones(t.size)
+    got = model.ascent_slope(X, _top(model, y))
+    assert got.tobytes() == _ascent_reference(model, X, y).tobytes()
+    assert np.abs(got[:, 0]).tobytes() == _act(act, t)[1].tobytes()
+    # 0, 1 and 2 hidden layers, one model and a stack of two
     rng = np.random.default_rng(4)
-    model = init_mlp([5, 7, 4, 1], rng, act)
-    X = 3.0 * rng.normal(size=(9, 5))
-    got, want = model._forward(X, logit=False)[1], model._forward(X)[1]
-    assert len(got) == len(want) == 2
-    for a, b in zip(got, want):
-        assert a.tobytes() == b.tobytes()
+    for sizes in ([5, 1], [5, 7, 1], [5, 7, 4, 1]):
+        one = init_mlp(sizes, rng, act)
+        stack = MlpModel(weights=[np.stack([W, 2.0 * W]) for W in one.weights],
+                         biases=[np.stack([b + 0.1, b - 0.3]) for b in one.biases],
+                         hidden_activation=act)
+        X = 3.0 * rng.normal(size=(9, 5))
+        y = np.where(rng.random(9) < 0.5, -1.0, 1.0)
+        for m in (one, stack):
+            top = _top(m, y)
+            kept = top.copy()
+            got, want = m.ascent_slope(X, top), _ascent_reference(m, X, y)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), sizes
+            assert top.tobytes() == kept.tobytes()  # top is reused on the next step
+            if m is stack:
+                for i in range(2):
+                    alone = MlpModel(weights=[W[i] for W in m.weights],
+                                     biases=[b[i] for b in m.biases], hidden_activation=act)
+                    assert got[i].tobytes() == alone.ascent_slope(X, _top(alone, y)).tobytes()
 
 
 @pytest.mark.parametrize("act", ["softplus", "tanh", "relu"])

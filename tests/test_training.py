@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import gini_row, gini_row_reference
+from helpers import gini_row, gini_row_reference, train_reference
 
 from attrsparse.data import Dataset, FeatureGroup, SyntheticConditionalSampler, generate_synthetic
 from attrsparse.losses import make_loss
@@ -306,6 +306,67 @@ def test_mlp_stack_matches_each_model_alone(optimizer):
     for cfg, fit in zip(cfgs, stacked):
         _assert_same_fit(fit, train(ds, LOGISTIC, cfg))
     assert not np.array_equal(stacked[0][0].weights[0], stacked[-1][0].weights[0])
+
+
+def _parameters(model):
+    return [model.w] if isinstance(model, LinearModel) else model.weights + model.biases
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("kind, regime, use_bias", [
+    ("linear", "natural", False), ("linear", "l1", True), ("linear", "adversarial", True),
+    ("mlp", "natural", False), ("mlp", "l1", False)])
+def test_one_parameter_buffer_matches_per_array_updates(optimizer, kind, regime, use_bias):
+    # train keeps all of a model's parameters in one row, updated by one
+    # optimizer call and one prox; the per-array loop gives the same bits
+    ds = _noisy_dataset(seed=6, n=200)
+    cfg = TrainConfig(regime=regime, epsilon=0.2 if regime == "adversarial" else 0.0,
+                      l1_strength=0.2 if regime == "l1" else 0.0, epochs=3, seed=6,
+                      optimizer=optimizer, learning_rate=0.05, use_bias=use_bias,
+                      model_kind=kind, hidden_sizes=(6, 3))
+    model, _ = train(ds, LOGISTIC, cfg)
+    want = train_reference(ds, LOGISTIC, cfg)
+    for a, b in zip(_parameters(model), _parameters(want), strict=True):
+        np.testing.assert_array_equal(a, b)
+    if kind == "linear":
+        assert model.bias == want.bias and (model.bias is None) != use_bias
+    if regime == "l1":  # the prox acted, on weights only
+        weights = _parameters(model)[:1 if kind == "linear" else 2]
+        assert sum(np.sum(W == 0.0) for W in weights) > 0
+
+
+def test_l1_objective_counts_the_weights_only(monkeypatch):
+    # the divergence check's objective adds lam * ||w||_1 of the buffer's
+    # weight columns, never the bias; one full batch per epoch, so step 1
+    # sees the model after one update
+    monkeypatch.setattr("attrsparse.training.DIVERGENCE_LIMIT", 0.75)
+    ds = _easy_dataset(n=200)
+    cfg = TrainConfig(regime="l1", l1_strength=0.5, optimizer="sgd", learning_rate=5.0,
+                      epochs=2, batch_size=1000, use_bias=True)
+    with pytest.raises(TrainingDivergedError) as exc:
+        train(ds, LOGISTIC, cfg)
+    assert exc.value.step == 1
+    one = train_reference(ds, LOGISTIC, replace(cfg, epochs=1))
+    X, y = ds.features[ds.train_indices], ds.labels[ds.train_indices]
+    want = float(LOGISTIC.g(-y * one.margin(X)).mean() + 0.5 * np.abs(one.w).sum())
+    got = float(str(exc.value).split("objective ")[1].split(" exceeded")[0])
+    assert one.bias != 0.0 and got == pytest.approx(want, rel=1e-12)
+
+
+def test_returned_models_own_their_parameters():
+    # each returned model is a copy, not a view of the training buffer
+    ds = _noisy_dataset(seed=7, n=120)
+    for base in (TrainConfig(epochs=1, seed=7, use_bias=True),
+                 TrainConfig(epochs=1, seed=7, model_kind="mlp", hidden_sizes=(6, 3))):
+        (first, _), (second, _) = train_many(
+            ds, LOGISTIC, [base, replace(base, regime="l1", l1_strength=0.1)])
+        kept = [a.copy() for a in _parameters(second)]
+        for a in _parameters(first) + _parameters(second):
+            assert a.flags.owndata and a.flags.c_contiguous
+        for a in _parameters(first):
+            a += 1.0
+        for a, b in zip(_parameters(second), kept):
+            np.testing.assert_array_equal(a, b)
 
 
 def _trace_point_reference(spec, cfg, model, X, y):
