@@ -47,13 +47,9 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def chunk_bounds(n: int, chunk: int):
-    """Yield (start, stop) pairs covering range(n) in order."""
-    start = 0
-    while start < n:
-        stop = min(start + chunk, n)
-        yield start, stop
-        start = stop
+def chunk_bounds(n: int, chunk: int) -> list:
+    """(start, stop) pairs covering range(n) in order."""
+    return [(start, min(start + chunk, n)) for start in range(0, n, chunk)]
 
 
 _FREE = []  # workspaces no chunk holds, kept for the life of the process

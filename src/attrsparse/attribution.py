@@ -193,8 +193,6 @@ def write_pgm(values, shape, path):
     mag = np.abs(np.asarray(values, dtype=float)).reshape(h, w)
     top = mag.max()
     scaled = np.zeros_like(mag, dtype=int) if top == 0.0 else np.rint(mag / top * 255).astype(int)
-    lines = ["P2", f"{w} {h}", "255"]
-    for row in scaled:
-        lines.append(" ".join(str(v) for v in row))
+    lines = ["P2", f"{w} {h}", "255", *(" ".join(map(str, row)) for row in scaled)]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")

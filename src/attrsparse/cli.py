@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
 
 import numpy as np
 
@@ -27,10 +26,11 @@ from .data import (
     generate_synthetic,
     load_csv,
     load_dataset,
+    read_schema,
     save_dataset,
 )
-from .losses import LOSS_KINDS, make_loss
-from .models import load_model, save_model
+from .losses import DEFAULT_LOSS, LOSS_NAMES, make_loss
+from .models import HIDDEN_ACTIVATIONS, MODEL_KINDS, load_model, save_model
 from .pipeline import (
     run_compare,
     write_distribution_csv,
@@ -38,18 +38,8 @@ from .pipeline import (
     write_tradeoff_csv,
 )
 from .sparseness import gini_rows
-from .theory import (
-    TheoremCheckResult,
-    check_lemma_exp_bound,
-    check_sample_count,
-    check_theorem1_bound,
-    check_theorem3_identity,
-    lemma_d1_instance,
-    theorem1_bound_instances,
-    theorem3_instances,
-    verify_zero_weight_update,
-)
-from .training import REGIMES, TrainConfig, TrainingDivergedError, evaluate, train
+from .theory import CHECKS
+from .training import OPTIMIZERS, REGIMES, TrainConfig, TrainingDivergedError, evaluate, train
 
 __all__ = ["main", "build_parser"]
 
@@ -99,20 +89,31 @@ def _load_config_file(path) -> dict:
     return doc
 
 
-# TrainConfig field -> flag spelling where they differ; config files may use
-# either spelling
-_CONFIG_ALIASES = {
-    "epsilon": "eps",
-    "l1_strength": "lam",
-    "learning_rate": "lr",
-    "model_kind": "model",
-    "hidden_sizes": "hidden",
-}
-
-
-# TrainConfig's defaults and the loss, keyed by flag spelling
-_TRAIN_OPTIONS = {**{_CONFIG_ALIASES.get(f.name, f.name): f.default for f in fields(TrainConfig)},
-                  "loss": "logistic-nll"}
+# One row per training option: its TrainConfig field (None for the loss,
+# which is no field), its flag spelling, its help and its argparse keywords.
+# A config file may spell an option as its field or as its flag.
+_OPTIONS = (
+    ("regime", "regime", f"training regime: one of {', '.join(REGIMES)}", {}),
+    ("epsilon", "eps", "perturbation budget for adversarial/stable-ig", {"type": float}),
+    ("l1_strength", "lam", "l1 penalty strength for the l1 regime", {"type": float}),
+    ("learning_rate", "lr", "learning rate", {"type": float}),
+    ("batch_size", "batch_size", "minibatch size", {"type": int}),
+    ("epochs", "epochs", "training epochs", {"type": int}),
+    ("seed", "seed", "training seed", {"type": _seed}),
+    ("optimizer", "optimizer", "optimizer", {"choices": OPTIMIZERS}),
+    ("model_kind", "model", "model family", {"choices": MODEL_KINDS}),
+    ("hidden_sizes", "hidden", "MLP hidden sizes, comma separated", {}),
+    ("hidden_activation", "hidden_activation", "MLP hidden activation",
+     {"choices": HIDDEN_ACTIVATIONS}),
+    ("use_bias", "use_bias", "add a bias term (linear model; excluded from perturbation math)",
+     {"action": "store_const", "const": True}),
+    (None, "loss", "margin loss", {"choices": LOSS_NAMES}),
+)
+# TrainConfig field -> flag spelling where they differ
+_CONFIG_ALIASES = {field: flag for field, flag, _, _ in _OPTIONS if field not in (None, flag)}
+# TrainConfig's defaults and the loss's, keyed by flag spelling
+_TRAIN_OPTIONS = {flag: getattr(TrainConfig(), field) if field else DEFAULT_LOSS
+                  for field, flag, _, _ in _OPTIONS}
 
 
 def _check_config_value(key, value, default):
@@ -162,16 +163,8 @@ def _resolve(file_cfg: dict, args) -> dict:
 def _train_config(resolved: dict) -> TrainConfig:
     """The resolved options, each converted to its TrainConfig field's type
     (an int to a float, the hidden list to a tuple)."""
-    return TrainConfig(**{f.name: type(f.default)(resolved[_CONFIG_ALIASES.get(f.name, f.name)])
-                          for f in fields(TrainConfig)})
-
-
-def _schema_pairs(columns) -> list:
-    """A schema's columns as (name, kind) pairs: from a {name: kind} object or
-    from a list of [name, kind] pairs or {"name": ..., "kind": ...} objects."""
-    if isinstance(columns, dict):
-        return list(columns.items())
-    return [(e["name"], e["kind"]) if isinstance(e, dict) else tuple(e) for e in columns]
+    return TrainConfig(**{field: type(_TRAIN_OPTIONS[flag])(resolved[flag])
+                          for field, flag, _, _ in _OPTIONS if field})
 
 
 def _load_data(args) -> Dataset:
@@ -184,19 +177,10 @@ def _load_data(args) -> Dataset:
         return load_dataset(args.data)
     label_column, positive_label = args.label_column, args.positive_label
     if args.schema:
-        with open(args.schema, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        label_column = label_column or doc.get("label_column")
-        columns = doc.get("columns")
-        if columns is None:
-            raise ValueError(f"{args.schema}: schema file needs a 'columns' entry")
-        if not isinstance(doc.get("positive_label", ""), (str, type(None))):
-            raise ValueError(f"{args.schema}: 'positive_label' must be a string, got "
-                             f"{type(doc['positive_label']).__name__}")
-        positive_label = positive_label or doc.get("positive_label")
+        columns, schema_label, schema_positive = read_schema(args.schema)
+        label_column = label_column or schema_label
+        positive_label = positive_label or schema_positive
     elif args.infer_schema:
-        if not label_column:
-            raise ValueError("--infer-schema needs --label-column")
         columns = None  # load_csv infers the kinds from the rows it reads
     else:
         raise ValueError("CSV input needs --schema FILE or --infer-schema")
@@ -204,7 +188,7 @@ def _load_data(args) -> Dataset:
         raise ValueError("label column not named (use --label-column or the schema file)")
     return load_csv(
         args.data,
-        None if columns is None else _schema_pairs(columns),
+        columns,
         label_column,
         delimiter="," if args.delimiter is None else args.delimiter,
         split_seed=args.split_seed or 0,
@@ -225,29 +209,15 @@ def _add_io_flags(p):
 
 
 def _add_train_flags(p, regime_flags=True):
-    """TrainConfig's options as flags, their help naming its defaults. The
+    """The training options as flags, their help naming the defaults. The
     regime, eps and lam flags are train's alone: compare sets them per fit."""
-    def flag(name, text, **kwargs):
-        default = _TRAIN_OPTIONS[name]  # the hidden sizes as the flag spells them
-        shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
-        p.add_argument("--" + name.replace("_", "-"), help=f"{text} (default {shown})", **kwargs)
-
     p.add_argument("--config", help="JSON (or TOML on 3.11+) config file; flags override it")
-    if regime_flags:
-        flag("regime", f"training regime: one of {', '.join(REGIMES)}")
-        flag("eps", "perturbation budget for adversarial/stable-ig", type=float)
-        flag("lam", "l1 penalty strength for the l1 regime", type=float)
-    flag("lr", "learning rate", type=float)
-    flag("batch_size", "minibatch size", type=int)
-    flag("epochs", "training epochs", type=int)
-    flag("seed", "training seed", type=_seed)
-    flag("optimizer", "optimizer", choices=("adam", "sgd"))
-    flag("model", "model family", choices=("linear", "mlp"))
-    flag("hidden", "MLP hidden sizes, comma separated")
-    flag("hidden_activation", "MLP hidden activation", choices=("softplus", "tanh", "relu"))
-    flag("use_bias", "add a bias term (linear model; excluded from perturbation math)",
-         action="store_const", const=True)
-    flag("loss", "margin loss", choices=tuple(LOSS_KINDS) + ("logistic",))
+    for field, flag, text, kwargs in _OPTIONS:
+        if regime_flags or field not in ("regime", "epsilon", "l1_strength"):
+            default = _TRAIN_OPTIONS[flag]  # the hidden sizes as the flag spells them
+            shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+            p.add_argument("--" + flag.replace("_", "-"), help=f"{text} (default {shown})",
+                           **kwargs)
 
 
 def _add_method_flags(p):
@@ -411,19 +381,12 @@ def cmd_gini(args) -> int:
     return 0
 
 
-# The flags each verify check and synth kind reads besides --seed and --out,
-# with their defaults. None keeps the default of the sampler or of
-# blob_sampler; a flag of the table that the chosen row does not read exits 1.
-_NOISE = {"noise_sd": None, "noise_kind": None, "balance": None}
-_MC = {"loss": _TRAIN_OPTIONS["loss"], "n": 100_000, **_NOISE}
-_MC_EPS = {**_MC, "eps": 0.1}
+# The flags each verify check (theory.CHECKS) and synth kind reads besides
+# --seed and --out, with their defaults. None keeps the default of the
+# sampler or of blob_sampler; a flag of the table that the chosen row does
+# not read exits 1.
 _READS = {
-    "verify": {
-        "thm1-zero": {**_MC, "strengths": (0.8, -0.5, 0.3, 0.0, 0.1)},
-        "thm1-bound": {**_MC_EPS, "configs": 5},
-        "thm3": {"loss": "all", "trials": 1000, "tol": 1e-9},
-        "lemmaD1": {**_MC_EPS, "strengths": (0.6, 0.3, -0.2, 0.1, 0.05)},
-    },
+    "verify": {name: defaults for name, (defaults, _) in CHECKS.items()},
     "synth": {
         "gaussian": {"strengths": (1.0,) + (0.05,) * 9, "noise_sd": None, "balance": None},
         "blobs": {"noise_sd": None, "balance": None, "height": None, "width": None,
@@ -451,48 +414,7 @@ def _read_flags(args, name) -> tuple:
 
 def cmd_verify(args) -> int:
     flags, sampler_kw = _read_flags(args, args.check)
-    spec = None if args.check == "thm3" else make_loss(flags["loss"])
-    # a check over no instances or samples, or with an infinite tolerance,
-    # would pass on no evidence: reject the sizes it reads before any draw
-    for flag in ("eps", "tol"):
-        value = flags.get(flag, 0.0)
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"--{flag} must be a finite number >= 0, got {value}")
-    for flag in ("trials", "configs"):
-        if flags.get(flag, 1) < 1:
-            raise ValueError(f"--{flag} must be >= 1, got {flags[flag]}")
-    if "n" in flags:
-        check_sample_count(flags["n"])
-    seed, results = args.seed, []
-
-    if args.check == "thm1-zero":
-        sampler = SyntheticConditionalSampler(flags["strengths"], **sampler_kw)
-        results = verify_zero_weight_update(spec, sampler, flags["n"], seed=seed)
-    elif args.check == "thm1-bound":
-        instances = theorem1_bound_instances(flags["configs"], seed)
-        for k, (strengths, wspec, check_seed) in enumerate(instances):
-            res = check_theorem1_bound(spec, wspec, flags["eps"],
-                                       SyntheticConditionalSampler(strengths, **sampler_kw),
-                                       flags["n"], seed=check_seed)
-            res.check_id = f"weighted-update-bound[{k}]"
-            results.append(res)
-    elif args.check == "thm3":
-        kinds = LOSS_KINDS if flags["loss"] == "all" else (make_loss(flags["loss"]).kind,)
-        tol = flags["tol"]
-        # one draw of the instances serves every loss, one call per dimension
-        groups = theorem3_instances(flags["trials"], seed).values()
-        for kind in kinds:
-            loss_spec = make_loss(kind)
-            worst = max(float(check_theorem3_identity(loss_spec, *g).max()) for g in groups)
-            results.append(TheoremCheckResult(
-                check_id=f"worst-case-attribution-identity[{kind}]",
-                estimate=worst, reference=0.0, se=0.0, n_samples=flags["trials"],
-                passed=bool(worst <= tol), detail=f"tol={tol:g}"))
-    elif args.check == "lemmaD1":
-        sampler = SyntheticConditionalSampler(flags["strengths"], **sampler_kw)
-        f, draw = lemma_d1_instance(spec, sampler, flags["eps"], seed)
-        results = [check_lemma_exp_bound(f, draw, flags["n"], seed=seed)]
-
+    results = CHECKS[args.check][1](flags, sampler_kw, args.seed)
     doc = {
         "format_version": 1,
         "check": args.check,
@@ -578,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--configs", type=int, help="random configurations")
     p.add_argument("--eps", type=float, help="perturbation budget")
     p.add_argument("--tol", type=float, help="residual tolerance")
-    p.add_argument("--loss", choices=tuple(LOSS_KINDS) + ("logistic", "all"), help="loss")
+    p.add_argument("--loss", choices=LOSS_NAMES + ("all",), help="loss")
     _add_sampler_flags(p)
     p.add_argument("--noise-kind", choices=("gaussian", "uniform"),
                    help="sampler noise family (uniform suits hinge)")

@@ -7,7 +7,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -17,6 +17,7 @@ __all__ = [
     "FeatureGroup",
     "Dataset",
     "SyntheticConditionalSampler",
+    "read_schema",
     "load_csv",
     "generate_synthetic",
     "blob_sampler",
@@ -51,6 +52,8 @@ class FeatureGroup:
     categories: tuple | None = None
 
     def __post_init__(self):
+        if self.categories is not None:  # a sidecar's JSON list, say
+            object.__setattr__(self, "categories", tuple(self.categories))
         if self.kind not in ("categorical", "numeric"):
             raise ValueError(f"unknown column kind {self.kind!r}")
         if self.kind == "numeric" and self.stop - self.start != 1:
@@ -187,31 +190,59 @@ class SyntheticConditionalSampler:
 
 
 def _column_kinds(schema, label_column):
+    """{name: kind} of the non-label columns, in schema order; a name given
+    twice is an error, as it would encode its column twice."""
     kinds = {}
-    order = []
     for name, kind in schema:
         if kind not in ("categorical", "numeric"):
             raise ValueError(f"column {name!r}: unknown kind {kind!r}")
-        if name == label_column:
-            continue
-        kinds[name] = kind
-        order.append(name)
-    return kinds, order
+        if name in kinds:
+            raise ValueError(f"column {name!r} appears more than once in the schema")
+        if name != label_column:
+            kinds[name] = kind
+    return kinds
 
 
 def _sniff_schema(header, rows, label_column):
-    """((name, kind) per non-label column, numeric iff every value parses;
-    the parsed values of each numeric column by its header position)."""
-    columns, parsed = [], {}
+    """({name: kind} of the non-label columns, numeric iff every value
+    parses; the parsed values of each numeric column by its header position)."""
+    kinds, parsed = {}, {}
     for j, name in enumerate(header):
         if name == label_column:
             continue
         try:
             parsed[j] = [float(row[j]) for row in rows]
-            columns.append((name, "numeric"))
+            kinds[name] = "numeric"
         except (ValueError, IndexError):
-            columns.append((name, "categorical"))
-    return columns, parsed
+            kinds[name] = "categorical"
+    return kinds, parsed
+
+
+def read_schema(path) -> tuple:
+    """(columns as (name, kind) pairs, label column, positive label) of a
+    JSON schema file; each of the last two is None when the file leaves it
+    out. The columns are a {name: kind} object or a list whose entries are
+    [name, kind] pairs or {"name": ..., "kind": ...} objects, every name
+    and kind a string; a malformed entry is an error naming its index."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a schema file holds one JSON object")
+    if not isinstance(doc.get("positive_label", ""), (str, type(None))):
+        raise ValueError(f"{path}: 'positive_label' must be a string, got "
+                         f"{type(doc['positive_label']).__name__}")
+    columns = doc.get("columns")
+    if not isinstance(columns, (dict, list)):
+        raise ValueError(f"{path}: schema file needs a 'columns' object or list, got {columns!r}")
+    pairs = []
+    for i, entry in enumerate(columns.items() if isinstance(columns, dict) else columns):
+        pair = (entry.get("name"), entry.get("kind")) if isinstance(entry, dict) else entry
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(isinstance(part, str) for part in pair)):
+            raise ValueError(f"{path}: columns entry {i} must be [name, kind] or "
+                             f'{{"name": ..., "kind": ...}} with string values, got {entry!r}')
+        pairs.append(tuple(pair))
+    return pairs, doc.get("label_column"), doc.get("positive_label")
 
 
 def load_csv(path, schema, label_column, *, delimiter=",", split_seed=0,
@@ -224,10 +255,10 @@ def load_csv(path, schema, label_column, *, delimiter=",", split_seed=0,
     training split only (first-seen order); a test-split category unseen in
     training is an error. The label column must hold exactly two distinct
     values, mapped to {-1,+1}: the larger raw value sorts to +1 unless
-    positive_label names it. A repeated header name is an error.
+    positive_label names it. A name repeated in the header or the schema is an error.
     """
     if schema is not None:
-        kinds, order = _column_kinds(schema, label_column)
+        kinds = _column_kinds(schema, label_column)
 
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -244,15 +275,14 @@ def load_csv(path, schema, label_column, *, delimiter=",", split_seed=0,
         raise ValueError(f"label column {label_column!r} not in header {header}")
     parsed = {}  # numeric values an inferred schema already parsed
     if schema is None:
-        columns, parsed = _sniff_schema(header, rows, label_column)
-        kinds, order = _column_kinds(columns, label_column)
+        kinds, parsed = _sniff_schema(header, rows, label_column)
     missing = [c for c in header if c != label_column and c not in kinds]
     if missing:
         raise ValueError(f"schema does not name columns: {missing}")
-    absent = [c for c in order if c not in header]
+    absent = [c for c in kinds if c not in header]
     if absent:
         raise ValueError(f"schema columns {absent} not in header {header}")
-    col_idx = {name: header.index(name) for name in order}
+    col_idx = {name: header.index(name) for name in kinds}
     label_idx = header.index(label_column)
     n = len(rows)
     if n < 1:
@@ -265,15 +295,15 @@ def load_csv(path, schema, label_column, *, delimiter=",", split_seed=0,
     train_rows = _train_indices(n, split_seed)
 
     categories = {name: list(dict.fromkeys(rows[i][col_idx[name]] for i in train_rows))
-                  for name in order if kinds[name] == "categorical"}
+                  for name in kinds if kinds[name] == "categorical"}
 
     groups = []
     names = []
     pos = 0
-    for name in order:
+    for name in kinds:
         if kinds[name] == "categorical":
             cats = categories[name]
-            groups.append(FeatureGroup(name, "categorical", pos, pos + len(cats), tuple(cats)))
+            groups.append(FeatureGroup(name, "categorical", pos, pos + len(cats), cats))
             names.extend(f"{name}={c}" for c in cats)
             pos += len(cats)
         else:
@@ -374,16 +404,7 @@ def save_dataset(ds: Dataset, path):
         "features": [[fmt_float(v) for v in row] for row in ds.features],
         "labels": [fmt_float(v) for v in ds.labels],
         "feature_names": list(ds.feature_names),
-        "encoding_map": [
-            {
-                "name": g.name,
-                "kind": g.kind,
-                "start": g.start,
-                "stop": g.stop,
-                "categories": list(g.categories) if g.categories is not None else None,
-            }
-            for g in ds.encoding_map
-        ],
+        "encoding_map": [asdict(g) for g in ds.encoding_map],
         "split_seed": ds.split_seed,
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -399,13 +420,7 @@ def load_dataset(path) -> Dataset:
     version = doc.get("format_version")
     if version != _SIDECAR_VERSION:
         raise ValueError(f"unsupported dataset sidecar version {version!r}")
-    groups = tuple(
-        FeatureGroup(
-            g["name"], g["kind"], g["start"], g["stop"],
-            tuple(g["categories"]) if g["categories"] is not None else None,
-        )
-        for g in doc["encoding_map"]
-    )
+    groups = tuple(FeatureGroup(**g) for g in doc["encoding_map"])
     return Dataset(
         features=np.asarray(doc["features"], dtype=float),
         labels=np.asarray(doc["labels"], dtype=float),

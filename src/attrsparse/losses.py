@@ -11,8 +11,8 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["LossSpec", "make_loss", "LOSS_KINDS", "worst_case_slope",
-           "linear_loss_and_grads", "sigmoid"]
+__all__ = ["LossSpec", "make_loss", "LOSS_KINDS", "LOSS_NAMES", "DEFAULT_LOSS",
+           "worst_case_slope", "linear_loss_and_grads", "sigmoid"]
 
 
 def sigmoid(z):
@@ -65,6 +65,8 @@ _CATALOG = {
 _ALIASES = {"logistic": "logistic-nll"}
 
 LOSS_KINDS = tuple(_CATALOG)
+LOSS_NAMES = LOSS_KINDS + tuple(_ALIASES)  # every name make_loss accepts
+DEFAULT_LOSS = "logistic-nll"
 
 
 def make_loss(kind: str) -> LossSpec:

@@ -14,6 +14,8 @@ from ._util import fmt_float
 from .losses import LossSpec, sigmoid
 
 __all__ = [
+    "MODEL_KINDS",
+    "HIDDEN_ACTIVATIONS",
     "LinearModel",
     "MlpModel",
     "classify",
@@ -25,6 +27,7 @@ __all__ = [
 ]
 
 _FORMAT_VERSION = 1
+MODEL_KINDS = ("linear", "mlp")
 
 
 def _check_finite(arr, what):
@@ -70,28 +73,34 @@ class LinearModel:
         return sigmoid(m) if self.activation == "sigmoid" else m
 
 
-_HIDDEN_ACTS = ("softplus", "tanh", "relu")
+HIDDEN_ACTIVATIONS = ("softplus", "tanh", "relu")
 
 
-def _act(kind, t, deriv=True):
+def _act(kind, t, value=True, deriv=True):
     """A hidden activation and its derivative at t from one pass, or only the
-    activation (deriv=False); softplus is max(t, 0) + log1p(exp(-|t|)) on
+    activation (deriv=False), or only the derivative (value=False), each of
+    the same bits in every mode. Softplus is max(t, 0) + log1p(exp(-|t|)) on
     NumPy's vectorised exp and log1p, and its derivative is sigmoid(t) bit
-    for bit. Sums and quotients are taken in place, as numeric IG's blocks
-    outgrow NumPy's small-buffer cache."""
+    for bit. Sums, products and quotients are taken in place, as numeric
+    IG's blocks outgrow NumPy's small-buffer cache and PGD forms a
+    derivative on every step."""
     if kind == "softplus":
         e = np.exp(-np.abs(t))
-        h = np.log1p(e)
-        h += np.maximum(t, 0.0)
-        if not deriv:
-            return h
-        dh = np.where(t >= 0, 1.0, e)
-        return h, np.divide(dh, np.add(e, 1.0, out=e), out=dh)
-    if kind == "tanh":
+        if value:
+            h = np.log1p(e)
+            h += np.maximum(t, 0.0)
+        if deriv:
+            dh = np.where(t >= 0, 1.0, e)
+            dh /= np.add(e, 1.0, out=e)
+    elif kind == "tanh":
         h = np.tanh(t)
-        return (h, 1.0 - h * h) if deriv else h
-    h = np.maximum(0.0, t)
-    return (h, np.where(t > 0.0, 1.0, 0.0)) if deriv else h
+        if deriv:  # 1 - h * h, written over h when h is not returned
+            dh = np.multiply(h, h, out=None if value else h)
+            dh = np.subtract(1.0, dh, out=dh)
+    else:
+        h = np.maximum(0.0, t) if value else None
+        dh = np.where(t > 0.0, 1.0, 0.0) if deriv else None
+    return (h, dh) if value and deriv else h if value else dh
 
 
 @dataclass
@@ -113,7 +122,7 @@ class MlpModel:
     def __post_init__(self):
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ValueError("weights and biases must be non-empty lists of equal length")
-        if self.hidden_activation not in _HIDDEN_ACTS:
+        if self.hidden_activation not in HIDDEN_ACTIVATIONS:
             raise ValueError(f"unknown hidden activation {self.hidden_activation!r}")
         self.weights = [np.asarray(W, dtype=float) for W in self.weights]
         self.biases = [np.asarray(b, dtype=float) for b in self.biases]
@@ -204,10 +213,9 @@ class MlpModel:
         "inputs") bit for bit, given top = (-y)[:, None] @ W_last^T: one PGD
         step of a loss with a positive slope, for a call that forms top once.
 
-        Only the activation derivatives are formed, with no logit and no
-        output-layer product; the last hidden layer's derivative is written
-        out here (softplus's keeps sigmoid's bits). A stack adds its leading
-        model axis to the result.
+        Only the activation derivatives are formed, the last hidden layer's
+        alone, with no logit and no output-layer product. A stack adds its
+        leading model axis to the result.
         """
         Ws, kind = self.weights, self.hidden_activation
         if len(Ws) == 1:
@@ -218,15 +226,7 @@ class MlpModel:
             h, dh = _act(kind, t)
             derivs.append(dh)
             t = h @ W + b[..., None, :]
-        if kind == "softplus":
-            e = np.exp(-np.abs(t))
-            dh = np.where(t >= 0, 1.0, e)
-            dh /= np.add(e, 1.0, out=e)
-        elif kind == "tanh":
-            dh = np.tanh(t)
-            dh = np.subtract(1.0, np.multiply(dh, dh, out=dh), out=dh)
-        else:
-            dh = np.where(t > 0.0, 1.0, 0.0)
+        dh = _act(kind, t, value=False)
         upstream = np.multiply(top, dh, out=dh) @ Ws[-2].swapaxes(-1, -2)
         for l in range(len(derivs) - 1, -1, -1):
             upstream = np.multiply(upstream, derivs[l], out=upstream) @ Ws[l].swapaxes(-1, -2)
@@ -252,9 +252,8 @@ def classify(model, x):
 
 
 def init_mlp(layer_sizes, rng, hidden_activation="softplus") -> MlpModel:
-    """Glorot-uniform initialized MLP; layer_sizes like [d, h1, ..., 1]."""
-    if layer_sizes[-1] != 1:
-        raise ValueError("output layer size must be 1")
+    """Glorot-uniform initialized MLP; layer_sizes like [d, h1, ..., 1] (an
+    output layer of another size is MlpModel's error)."""
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -299,17 +298,16 @@ def model_from_dict(data: dict):
     version, or a stored dim or layer_sizes that disagrees with the
     weights, is an error."""
     kind = data.get("kind")
-    if kind not in ("linear", "mlp"):
+    if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     version = data.get("format_version")
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version {version!r}; expected {_FORMAT_VERSION}")
     if kind == "linear":
-        bias = data.get("bias")
         model = LinearModel(
             w=data["weights"],
             activation=data["activation"],
-            bias=None if bias is None else float(bias),
+            bias=data.get("bias"),  # a decimal string, which LinearModel parses
         )
         key, shape = "dim", model.dim
     else:

@@ -5,7 +5,7 @@ how much sparser the robust regimes' attributions are.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -36,12 +36,6 @@ class CompareOutcome:
 
 def _strength(cfg: TrainConfig) -> float:
     return cfg.epsilon if cfg.regime == "adversarial" else cfg.l1_strength
-
-
-def _cfg_dict(cfg: TrainConfig) -> dict:
-    out = dict(cfg.__dict__)
-    out["hidden_sizes"] = list(cfg.hidden_sizes)
-    return out
 
 
 def run_compare(ds: Dataset, spec: LossSpec, eps_list, lam_list, base_cfg: TrainConfig,
@@ -114,10 +108,10 @@ def run_compare(ds: Dataset, spec: LossSpec, eps_list, lam_list, base_cfg: Train
             "baseline": "zero" if not np.any(baseline) else "custom",
             "target": "p(true class)",
         },
-        "base_config": _cfg_dict(base_cfg),
+        "base_config": asdict(base_cfg),
         "regimes": {
             tag: {
-                "config": _cfg_dict(cfgs[tag]),
+                "config": asdict(cfgs[tag]),
                 "accuracy": accuracies[tag],
                 "mean_loss": mean_losses[tag],
                 "mean_attribution_gini": means[tag],
@@ -127,12 +121,7 @@ def run_compare(ds: Dataset, spec: LossSpec, eps_list, lam_list, base_cfg: Train
         "gaps": gaps,
         "runtime_seconds": time.perf_counter() - started,
     }
-    return CompareOutcome(
-        report=report,
-        table_rows=table_rows,
-        distribution_rows=distribution_rows,
-        tradeoff_rows=tradeoff_rows,
-    )
+    return CompareOutcome(report, table_rows, distribution_rows, tradeoff_rows)
 
 
 def write_table_csv(rows, path):

@@ -1,22 +1,24 @@
 """Monte-Carlo and algebraic checks of the library's guarantees: the
 expected single-step update of worst-case training, the conditional
-expectation bound behind it, and the exact worst-case-attribution identity.
+expectation bound behind it, and the exact worst-case-attribution identity;
+CHECKS is the table of the checks `attrsparse verify` runs.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from ._util import chunk_bounds, chunk_workspace, take, worker_count
-from .losses import LossSpec, worst_case_slope
+from .data import SyntheticConditionalSampler
+from .losses import DEFAULT_LOSS, LOSS_KINDS, LossSpec, make_loss, worst_case_slope
 
 __all__ = [
     "WeightedAverageSpec",
     "TheoremCheckResult",
-    "check_sample_count",
+    "CHECKS",
     "expected_update",
     "verify_zero_weight_update",
     "check_theorem1_bound",
@@ -65,12 +67,6 @@ class TheoremCheckResult:
         return doc
 
 
-def check_sample_count(n: int):
-    """Reject a Monte-Carlo size below the floor for reported estimates."""
-    if n < MIN_REPORT_SAMPLES:
-        raise ValueError(f"n must be >= {MIN_REPORT_SAMPLES} for reported estimates, got {n}")
-
-
 def _mc_moments(per_sample_fn, n: int, seed: int):
     """Means of a per-sample statistic vector and of its elementwise square.
 
@@ -82,9 +78,11 @@ def _mc_moments(per_sample_fn, n: int, seed: int):
     the life of the process. A chunk's statistic is an (m, width) array in
     column-major order, each statistic one contiguous column, as the sampler
     hands its features over; each column is summed pairwise down its m
-    entries, then squared in place and summed again.
+    entries, then squared in place and summed again. A size below
+    MIN_REPORT_SAMPLES is an error, raised before any draw.
     """
-    check_sample_count(n)
+    if n < MIN_REPORT_SAMPLES:
+        raise ValueError(f"n must be >= {MIN_REPORT_SAMPLES} for reported estimates, got {n}")
 
     def run(task):
         ci, (lo, hi) = task
@@ -114,24 +112,23 @@ def _mc_stats(per_sample_fn, n: int, seed: int):
     return mean, np.sqrt(np.maximum(mean_sq - mean * mean, 0.0) / n)
 
 
-def _update_rows(spec, w, epsilon, X, y):
-    """Per-sample worst-case update g'(z) * (y*x - sign(w)*eps), written over
-    X; z is training's worst-case margin (losses.worst_case_slope)."""
-    gp = worst_case_slope(spec, w[None], None, X, y, epsilon)[1][0]  # a stack of one
-    X *= y[:, None]
-    X -= np.sign(w) * epsilon
-    X *= gp[:, None]
-    return X
-
-
 def expected_update(spec: LossSpec, w, epsilon: float, sampler, n: int,
                     seed: int = 0):
     """Expected unit-learning-rate weight update under worst-case training:
-    per-coordinate mean of g'(margin) * (y*x_i - sign(w_i)*eps), with SEs.
+    per-coordinate mean of g'(margin) * (y*x_i - sign(w_i)*eps), with SEs;
+    the margin is training's worst case (losses.worst_case_slope).
     """
     w = np.asarray(w, dtype=float)
-    return _mc_stats(lambda rng, m: _update_rows(spec, w, epsilon, *sampler.sample(m, rng)),
-                     n, seed)
+
+    def stat(rng, m):  # each sample's update, written over its X
+        X, y = sampler.sample(m, rng)
+        gp = worst_case_slope(spec, w[None], None, X, y, epsilon)[1][0]  # a stack of one
+        X *= y[:, None]
+        X -= np.sign(w) * epsilon
+        X *= gp[:, None]
+        return X
+
+    return _mc_stats(stat, n, seed)
 
 
 def verify_zero_weight_update(spec: LossSpec, sampler, n: int, seed: int = 0):
@@ -334,3 +331,80 @@ def theorem3_instances(trials: int, seed: int) -> dict:
         groups.setdefault(d, []).append((w, x, y, eps))
     return {d: tuple(np.asarray(column) for column in zip(*rows))
             for d, rows in sorted(groups.items())}
+
+
+def _reject_vacuous_sizes(flags):
+    """Reject, before any draw, each size a check reads that would let it
+    pass on no evidence: no instances, or an infinite tolerance. (A
+    Monte-Carlo size below the floor is _mc_moments' own error.)"""
+    for flag in ("eps", "tol"):
+        value = flags.get(flag, 0.0)
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"--{flag} must be a finite number >= 0, got {value}")
+    for flag in ("trials", "configs"):
+        if flags.get(flag, 1) < 1:
+            raise ValueError(f"--{flag} must be >= 1, got {flags[flag]}")
+
+
+def _run_thm1_zero(flags, sampler_kw, seed):
+    spec = make_loss(flags["loss"])
+    sampler = SyntheticConditionalSampler(flags["strengths"], **sampler_kw)
+    return verify_zero_weight_update(spec, sampler, flags["n"], seed=seed)
+
+
+def _run_thm1_bound(flags, sampler_kw, seed):
+    spec = make_loss(flags["loss"])
+    _reject_vacuous_sizes(flags)
+    return [replace(check_theorem1_bound(spec, wspec, flags["eps"],
+                                         SyntheticConditionalSampler(strengths, **sampler_kw),
+                                         flags["n"], seed=check_seed),
+                    check_id=f"weighted-update-bound[{k}]")
+            for k, (strengths, wspec, check_seed)
+            in enumerate(theorem1_bound_instances(flags["configs"], seed))]
+
+
+def _run_thm3(flags, sampler_kw, seed):
+    kinds = LOSS_KINDS if flags["loss"] == "all" else (make_loss(flags["loss"]).kind,)
+    _reject_vacuous_sizes(flags)
+    # one draw of the instances serves every loss, one call per dimension
+    groups = theorem3_instances(flags["trials"], seed).values()
+    results = []
+    for kind in kinds:
+        worst = max(float(check_theorem3_identity(make_loss(kind), *g).max()) for g in groups)
+        results.append(TheoremCheckResult(
+            check_id=f"worst-case-attribution-identity[{kind}]", estimate=worst,
+            reference=0.0, se=0.0, n_samples=flags["trials"],
+            passed=bool(worst <= flags["tol"]), detail=f"tol={flags['tol']:g}"))
+    return results
+
+
+def _run_lemma_d1(flags, sampler_kw, seed):
+    spec = make_loss(flags["loss"])
+    _reject_vacuous_sizes(flags)
+    sampler = SyntheticConditionalSampler(flags["strengths"], **sampler_kw)
+    f, draw = lemma_d1_instance(spec, sampler, flags["eps"], seed)
+    ranges = []  # f's (min, max) on each chunk
+
+    def f_seen(z, v):
+        values = f(z, v)
+        ranges.append((values.min(), values.max()))
+        return values
+
+    result = check_lemma_exp_bound(f_seen, draw, flags["n"], seed=seed)
+    if min(lo for lo, _ in ranges) == max(hi for _, hi in ranges):  # as when g' saturates
+        raise ValueError(f"--eps {flags['eps']:g}: f is the same on every sample, so "
+                         "lemmaD1's check has no evidence")
+    return [result]
+
+
+# Each check verify runs: the flags it reads besides --seed and --out, with
+# their defaults (None keeps the sampler's own), and run(flags, sampler_kw,
+# seed) -> its results, sampler_kw holding the given None-default flags.
+_MC = {"loss": DEFAULT_LOSS, "n": 100_000, "noise_sd": None, "noise_kind": None, "balance": None}
+_MC_EPS = {**_MC, "eps": 0.1}
+CHECKS = {
+    "thm1-zero": ({**_MC, "strengths": (0.8, -0.5, 0.3, 0.0, 0.1)}, _run_thm1_zero),
+    "thm1-bound": ({**_MC_EPS, "configs": 5}, _run_thm1_bound),
+    "thm3": ({"loss": "all", "trials": 1000, "tol": 1e-9}, _run_thm3),
+    "lemmaD1": ({**_MC_EPS, "strengths": (0.6, 0.3, -0.2, 0.1, 0.05)}, _run_lemma_d1),
+}

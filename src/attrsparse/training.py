@@ -15,11 +15,12 @@ from ._util import write_csv
 from .adversarial import default_pgd_config, pgd_perturb_batch
 from .data import Dataset
 from .losses import LossSpec, linear_loss_and_grads
-from .models import LinearModel, MlpModel, classify, init_mlp
+from .models import MODEL_KINDS, LinearModel, MlpModel, classify, init_mlp
 from .sparseness import gini_rows
 
 __all__ = [
     "REGIMES",
+    "OPTIMIZERS",
     "TrainConfig",
     "TrainTrace",
     "TrainingDivergedError",
@@ -33,7 +34,11 @@ __all__ = [
 ]
 
 REGIMES = ("natural", "adversarial", "l1", "stable-ig")
+OPTIMIZERS = ("adam", "sgd")
 DIVERGENCE_LIMIT = 1e6
+# default_pgd_config's floor(100*eps) + 10 steps per batch stay within
+# MAX_PGD_STEPS exactly when eps < MAX_PGD_EPS, in floating point too
+MAX_PGD_STEPS, MAX_PGD_EPS = 1000, 9.91
 
 
 class TrainingDivergedError(RuntimeError):
@@ -68,10 +73,13 @@ class TrainConfig:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
-        if self.optimizer not in ("adam", "sgd"):
+        if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.model_kind not in ("linear", "mlp"):
+        if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
+        if uses_pgd(self) and self.epsilon >= MAX_PGD_EPS:
+            raise ValueError(f"epsilon {self.epsilon:g} asks an adversarial MLP for more than "
+                             f"{MAX_PGD_STEPS} PGD steps per batch; it must be < {MAX_PGD_EPS:g}")
         if self.use_bias and self.model_kind == "mlp":
             raise ValueError("use_bias applies to linear models only: an MLP always has biases")
 
@@ -123,10 +131,6 @@ class _Adam:
         v *= b2
         v += (1.0 - b2) * g * g
         self.param -= self.lr * (m / correction1) / (np.sqrt(v / correction2) + self.eps)
-
-
-def _make_optimizer(kind, param, lr):
-    return _Adam(param, lr) if kind == "adam" else _Sgd(param, lr)
 
 
 def regime_tag(cfg):
@@ -254,7 +258,7 @@ def train_many(ds: Dataset, spec: LossSpec, cfgs, *, trace=True):
                          hidden_activation=cfg.hidden_activation)
         pgd_model = _unstack(cfg, params, 0) if uses_pgd(cfg) else None
 
-    optimizer = _make_optimizer(cfg.optimizer, flat, cfg.learning_rate)
+    optimizer = (_Adam if cfg.optimizer == "adam" else _Sgd)(flat, cfg.learning_rate)
     trace_eps = epsilon if stack is None else np.zeros(k)  # an MLP traces its natural loss
     traces = [TrainTrace() if trace else None for _ in cfgs]
     step = 0

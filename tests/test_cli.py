@@ -4,6 +4,7 @@ import builtins
 import csv
 import json
 import os
+import re
 import warnings
 from dataclasses import fields
 
@@ -11,9 +12,18 @@ import numpy as np
 import pytest
 
 from attrsparse._version import __version__
-from attrsparse.cli import _CONFIG_ALIASES, _resolve, _train_config, build_parser, main
+from attrsparse.cli import (
+    _CONFIG_ALIASES,
+    _OPTIONS,
+    _READS,
+    _resolve,
+    _train_config,
+    build_parser,
+    main,
+)
 from attrsparse.data import load_dataset
 from attrsparse.models import LinearModel, init_mlp, load_model, save_model
+from attrsparse.theory import CHECKS
 from attrsparse.training import TrainConfig
 from helpers import gini_row, make_categorical_csv, make_numeric_csv
 
@@ -205,12 +215,16 @@ def _flag_argv(flag, default):
 
 
 def test_train_config_is_the_one_home_of_training_options():
-    # every field is a flag of train and a config-file key in both spellings,
-    # and a flag of compare apart from the three it sets per fit; the CLI's
-    # defaults are TrainConfig's own
+    # the options table has one row per TrainConfig field, in field order,
+    # and one for the loss; every field is a flag of train and a config-file
+    # key in both spellings, and a flag of compare apart from the three it
+    # sets per fit; the CLI's defaults are TrainConfig's own
+    flag_of = {field: flag for field, flag, _, _ in _OPTIONS}
+    assert [field for field, *_ in _OPTIONS] == [f.name for f in fields(TrainConfig)] + [None]
+    assert flag_of[None] == "loss"
     parser = build_parser()
     for f in fields(TrainConfig):
-        flag = _CONFIG_ALIASES.get(f.name, f.name)
+        flag = flag_of[f.name]
         argv = ["--data", "x.json", *_flag_argv(flag, f.default)]
         assert getattr(parser.parse_args(["train", *argv]), flag) is not None, f.name
         if f.name in ("regime", "epsilon", "l1_strength"):
@@ -223,7 +237,7 @@ def test_train_config_is_the_one_home_of_training_options():
     for f in fields(TrainConfig):
         # the MLP options are keys of an MLP's config alone
         mlp = {"model_kind": "mlp"} if f.name.startswith("hidden") else {}
-        for key in (f.name, _CONFIG_ALIASES.get(f.name, f.name)):
+        for key in (f.name, flag_of[f.name]):
             assert _train_config(_resolve({key: f.default, **mlp}, args)) == TrainConfig(**mlp), key
 
 
@@ -495,6 +509,32 @@ def test_schema_positive_label_must_be_a_string(csv_file, tmp_path, capsys, valu
     assert f"'positive_label' must be a string, got {type_name}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, message", [
+    # each malformed columns entry is named by its index in the file
+    ({"columns": [{"kind": "numeric"}]}, "columns entry 0 must be [name, kind]"),
+    ({"columns": [["color", "categorical"], ["amount"]]}, "columns entry 1 must be [name, kind]"),
+    ({"columns": [["color", "categorical"], ["amount", "numeric"], 5]},
+     "columns entry 2 must be [name, kind]"),
+    ({"columns": {"color": "categorical", "amount": 5}}, "columns entry 1 must be [name, kind]"),
+    ({"columns": [{"name": "color", "kind": ["categorical"]}]},
+     "columns entry 0 must be [name, kind]"),
+    ({"columns": 5}, "schema file needs a 'columns' object or list, got 5"),
+    ({"label_column": "label"}, "schema file needs a 'columns' object or list, got None"),
+    ([["color", "categorical"]], "a schema file holds one JSON object"),
+])
+def test_malformed_schema_names_the_file_and_entry(csv_file, tmp_path, capsys, doc, message):
+    schema = tmp_path / "schema.json"
+    if isinstance(doc, dict):
+        doc = {"label_column": "label", **doc}
+    schema.write_text(json.dumps(doc), encoding="utf-8")
+    rc = main(["train", "--data", str(csv_file), "--schema", str(schema),
+               "--epochs", "1", "--out-dir", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"attrsparse: error: {schema}: {message}"), err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "compare"])
 def test_non_finite_csv_feature_exit_1(csv_file, tmp_path, capsys, command):
     lines = csv_file.read_text(encoding="utf-8").splitlines()
@@ -620,6 +660,29 @@ def test_compare_divergence_names_the_model_exit_2(synth_json, tmp_path, capsys)
     assert rc == 2
     err = capsys.readouterr().err
     assert "training diverged: adversarial(eps=1e+07):" in err and "at step 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--regime", "adversarial", "--eps", "1e9"],
+    ["train", "--regime", "adversarial", "--eps", "1e308"],
+    ["train", "--regime", "adversarial", "--eps", "9.91"],
+    ["compare", "--method", "numeric", "--eps-list", "0.1,1e308"],
+])
+def test_mlp_pgd_work_is_bounded_exit_1(synth_json, tmp_path, capsys, monkeypatch, argv):
+    # PGD takes floor(100 eps) + 10 steps per batch; an eps that asks for more
+    # than 1000 exits 1 before any PGD is set up, with one line and no output
+    def no_pgd(*args, **kwargs):
+        raise AssertionError("set up PGD for an eps past the bound")
+
+    monkeypatch.setattr("attrsparse.training.default_pgd_config", no_pgd)
+    out = tmp_path / "run"
+    rc = main([argv[0], "--data", str(synth_json), "--model", "mlp", "--epochs", "1",
+               *argv[1:], "--out-dir", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("attrsparse: error: epsilon "), err
+    assert err[0].endswith("for more than 1000 PGD steps per batch; it must be < 9.91"), err
+    assert not out.exists()
 
 
 def test_compare_overflow_prints_only_the_diagnosis(synth_json, tmp_path, capsys):
@@ -1113,11 +1176,67 @@ def test_verify_rejects_vacuous_sizes_before_sampling(tmp_path, capsys, monkeypa
         raise AssertionError("sampled before rejecting its arguments")
 
     monkeypatch.setattr("attrsparse.data.SyntheticConditionalSampler.sample", no_sampling)
-    monkeypatch.setattr("attrsparse.cli.theorem3_instances", no_sampling)
+    monkeypatch.setattr("attrsparse.theory.theorem3_instances", no_sampling)
     out = tmp_path / "r.json"
     assert main(["verify", *argv, "--out", str(out)]) == 1
     assert f"attrsparse: error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_verify_lemma_with_a_saturated_slope_has_no_evidence(tmp_path, capsys):
+    # at eps = 100 logistic g' saturates, so f is 1 on every sample and the
+    # bound holds with equality by construction: exit 1 naming --eps, no
+    # report. At this n the reported se is rounding residue (about 1e-10),
+    # not 0, so only f's own spread shows it. thm1-bound keeps a spread at
+    # the same eps and still runs
+    out = tmp_path / "r.json"
+    assert main(["verify", "lemmaD1", "--eps", "100", "--n", "10000", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("attrsparse: error: --eps 100: "), err
+    assert not out.exists()
+    assert main(["verify", "thm1-bound", "--eps", "100", "--n", "10000", "--configs", "1",
+                 "--out", str(out)]) == 0
+    assert _verify_doc(out)["results"][0]["se"] > 0.0
+
+
+def _readme_flag_table():
+    """README's "flags read (default)" table: {(command, row): {flag: the
+    parenthesis after it, or None}}."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    table = {}
+    for line in lines:
+        row = re.fullmatch(r"\| `(verify|synth) ([\w-]+)` \| (.*) \|", line)
+        if row:
+            cells = re.findall(r"`--([\w-]+)`(?: \(([^)]*)\))?", row.group(3))
+            table[row.group(1), row.group(2)] = {flag.replace("-", "_"): shown or None
+                                                 for flag, shown in cells}
+    return table
+
+
+def _shows(shown, default):
+    """Whether README's parenthesis shows the table's default."""
+    if default is None:  # the sampler's own default, named once per row
+        return shown in (None, "sampler", "blob_sampler")
+    if isinstance(default, tuple):
+        return tuple(float(v) for v in shown.split(",")) == default
+    if isinstance(default, str):
+        return shown.split(":")[0] == default
+    return float(shown) == default
+
+
+def test_readme_flag_table_matches_the_code():
+    # each verify check's row (theory.CHECKS) and each synth kind's row lists
+    # exactly the flags the code reads, each with the code's default
+    code = {("verify", name): defaults for name, (defaults, _) in CHECKS.items()}
+    code.update((("synth", kind), row) for kind, row in _READS["synth"].items())
+    readme = _readme_flag_table()
+    assert sorted(readme) == sorted(code)
+    for key, defaults in code.items():
+        assert sorted(readme[key]) == sorted(defaults), key
+        for flag, default in defaults.items():
+            assert _shows(readme[key][flag], default), (key, flag, readme[key][flag], default)
 
 
 def test_verify_hinge_with_uniform_noise(tmp_path):

@@ -14,6 +14,7 @@ from attrsparse.data import (
     generate_synthetic,
     load_csv,
     load_dataset,
+    read_schema,
     save_dataset,
 )
 
@@ -117,6 +118,9 @@ def test_load_csv_errors(tmp_path, mixed_csv):
         load_csv(mixed_csv, [("color", "categorical")], "label")
     with pytest.raises(ValueError, match="unknown kind"):
         load_csv(mixed_csv, [("color", "ordinal"), ("size", "numeric")], "label")
+    # a column the schema names twice would be encoded twice
+    with pytest.raises(ValueError, match="'color' appears more than once in the schema"):
+        load_csv(mixed_csv, [*SCHEMA, ("color", "categorical")], "label")
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     with pytest.raises(ValueError, match="header row required"):
@@ -330,3 +334,19 @@ def test_sidecar_one_hot_check_ignores_old_translated_key(tmp_path):
     side.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="one-hot"):
         load_dataset(side)
+
+
+def test_schema_column_forms_read_alike(tmp_path):
+    # [name, kind] pairs, {"name", "kind"} objects and one {name: kind}
+    # object are the same schema
+    forms = [
+        [["color", "categorical"], ["amount", "numeric"]],
+        [{"name": "color", "kind": "categorical"}, {"name": "amount", "kind": "numeric"}],
+        {"color": "categorical", "amount": "numeric"},
+    ]
+    for i, columns in enumerate(forms):
+        path = tmp_path / f"s{i}.json"
+        path.write_text(json.dumps({"columns": columns, "positive_label": "yes"}),
+                        encoding="utf-8")
+        assert read_schema(path) == ([("color", "categorical"), ("amount", "numeric")],
+                                     None, "yes")

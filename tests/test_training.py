@@ -7,10 +7,13 @@ import pytest
 
 from helpers import gini_row, gini_row_reference, train_reference
 
+from attrsparse.adversarial import default_pgd_config
 from attrsparse.data import Dataset, FeatureGroup, SyntheticConditionalSampler, generate_synthetic
 from attrsparse.losses import make_loss
 from attrsparse.models import LinearModel, MlpModel
 from attrsparse.training import (
+    MAX_PGD_EPS,
+    MAX_PGD_STEPS,
     REGIMES,
     EvalResult,
     TrainConfig,
@@ -458,3 +461,20 @@ def test_train_many_rejects_mlp_groups_that_cannot_share_a_stream():
     # alone, or with eps = 0 (no PGD), the adversarial MLP is accepted
     assert len(train_many(ds, LOGISTIC, [pgd])) == 1
     assert len(train_many(ds, LOGISTIC, [base, replace(pgd, epsilon=0.0)])) == 2
+
+
+def test_mlp_pgd_bound_is_exact_at_its_edge():
+    # eps < MAX_PGD_EPS exactly when default_pgd_config takes at most
+    # MAX_PGD_STEPS steps, compared without forming 100 * eps
+    below = float(np.nextafter(MAX_PGD_EPS, 0.0))
+    TrainConfig(regime="adversarial", epsilon=below, model_kind="mlp")
+    assert default_pgd_config(below).steps == MAX_PGD_STEPS
+    assert default_pgd_config(MAX_PGD_EPS).steps == MAX_PGD_STEPS + 1
+    for eps in (MAX_PGD_EPS, 1e9, 1e308):
+        with pytest.raises(ValueError, match=f"more than {MAX_PGD_STEPS} PGD steps"):
+            TrainConfig(regime="adversarial", epsilon=eps, model_kind="mlp")
+        with pytest.raises(ValueError, match=f"more than {MAX_PGD_STEPS} PGD steps"):
+            replace(TrainConfig(model_kind="mlp"), regime="adversarial", epsilon=eps)
+    # only an adversarial MLP runs PGD: a linear model's worst case is closed-form
+    TrainConfig(regime="adversarial", epsilon=1e308)
+    TrainConfig(regime="natural", epsilon=1e308, model_kind="mlp")
