@@ -93,12 +93,8 @@ def _closed_form_rows(model, X, u):
     unless <x, w> and <u, w> round apart while <x - u, w> rounds to 0;
     outputs that differ at equal margins, or at margins further apart than
     rounding allows, cannot come from a strictly monotone activation and are
-    reported as an error.
+    reported as an error; attribute_dataset checks the model first.
     """
-    if not isinstance(model, LinearModel):
-        raise TypeError("closed form applies to linear models only")
-    if X.shape[1] != model.dim:
-        raise ValueError(f"input dimension {X.shape[1]} != model dimension {model.dim}")
     # Taking each row as a (1, d) block makes matmul run one dot product per
     # row, the kernel of x @ w for a single row; a 2-d X @ w is a
     # matrix-vector product, which rounds differently.
@@ -160,8 +156,10 @@ def attribute_dataset(model, ds: Dataset, u, method: str = "closed",
     model-output attribution (sign flip, residual unchanged). Either method
     attributes the whole split as one array; its vectors view rows of it.
     """
+    check_method(method, steps, "linear" if isinstance(model, LinearModel) else "mlp")
+    if model.dim != ds.dim:
+        raise ValueError(f"model dimension {model.dim} does not match data dimension {ds.dim}")
     u = check_baseline(u, ds.dim)
-    check_method(method, steps)
     if target not in ("true-class-probability", "model-output"):
         raise ValueError(f"unknown target {target!r}")
     true_class = target == "true-class-probability"

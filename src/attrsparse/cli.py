@@ -148,6 +148,10 @@ def _resolve(file_cfg: dict, args) -> dict:
     for key in ("hidden", "hidden_activation"):
         if key in origin and resolved["model"] == "linear":
             raise ValueError(f"{origin[key]} applies to MLP models only, and the model is linear")
+    for key, readers in (("eps", ("adversarial", "stable-ig")), ("lam", ("l1",))):
+        if key in origin and resolved["regime"] in set(REGIMES).difference(readers):
+            raise ValueError(f"{origin[key]} applies to regime {' or '.join(readers)} only, "
+                             f"and the regime is {resolved['regime']}")
     hidden = resolved["hidden"]
     try:
         sizes = _parse_float_list(hidden) if isinstance(hidden, str) else hidden
@@ -223,8 +227,16 @@ def _add_train_flags(p, regime_flags=True):
 def _add_method_flags(p):
     p.add_argument("--method", choices=("closed", "numeric"), default="closed",
                    help="attribution method (default %(default)s)")
-    p.add_argument("--steps", type=int, default=DEFAULT_REPORT_STEPS,
-                   help="path steps for numeric attribution (default %(default)s)")
+    p.add_argument("--steps", type=int,
+                   help=f"path steps for numeric attribution (default {DEFAULT_REPORT_STEPS})")
+
+
+def _steps(args) -> int:
+    """--steps, which the numeric method alone reads, or its default."""
+    if args.steps is not None and args.method != "numeric":
+        raise ValueError(f"--steps applies to the numeric method only, "
+                         f"and the method is {args.method}")
+    return DEFAULT_REPORT_STEPS if args.steps is None else args.steps
 
 
 def _add_sampler_flags(p):
@@ -283,10 +295,11 @@ def cmd_compare(args) -> int:
     resolved.update(regime="natural", eps=0.0, lam=0.0)
     spec = make_loss(resolved["loss"])
     base_cfg = _train_config(resolved)
+    steps = _steps(args)
     ds = _load_data(args)
     dataset_id = args.dataset_id or os.path.splitext(os.path.basename(args.data))[0]
     outcome = run_compare(ds, spec, args.eps_list, args.lam_list, base_cfg,
-                          dataset_id=dataset_id, method=args.method, steps=args.steps)
+                          dataset_id=dataset_id, method=args.method, steps=steps)
     out = _out_dir(args)
     with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
         fh.write(canonical_json(outcome.report))
@@ -301,6 +314,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_attribute(args) -> int:
+    steps = _steps(args)
     ds = _load_data(args)
     model = load_model(args.model)
     if args.image_shape and math.prod(args.image_shape) != ds.dim:
@@ -311,7 +325,7 @@ def cmd_attribute(args) -> int:
             u = np.asarray(json.load(fh), dtype=float)
     else:
         u = np.zeros(ds.dim)
-    attribs = attribute_dataset(model, ds, u, method=args.method, steps=args.steps,
+    attribs = attribute_dataset(model, ds, u, method=args.method, steps=steps,
                                 split=args.split, target=args.target)
     out = _out_dir(args)
     idx = ds.split(args.split)

@@ -91,7 +91,8 @@ class Dataset:
                              f"non-finite value {float(self.features[i, j])!r}")
         other = ~np.isin(self.labels, (-1.0, 1.0))
         if other.any():
-            raise ValueError(f"labels must be -1 or +1, got values {np.unique(self.labels[other])[:8]}")
+            raise ValueError("labels must be -1 or +1, got values "
+                             f"{np.unique(self.labels[other])[:8]}")
         self._validate_groups()
         self.train_indices = _train_indices(n, self.split_seed)
         self.test_indices = np.delete(np.arange(n), self.train_indices)
@@ -112,7 +113,8 @@ class Dataset:
             block = self.features[:, g.start:g.stop]
             ok = np.all(np.isin(block, (0.0, 1.0))) and np.all(block.sum(axis=1) == 1.0)
             if not ok:
-                raise ValueError(f"column {g.name!r}: one-hot block must have exactly one 1 per row")
+                raise ValueError(f"column {g.name!r}: one-hot block must have exactly one 1 "
+                                 "per row")
 
     @property
     def n_examples(self) -> int:

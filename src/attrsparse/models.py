@@ -129,7 +129,8 @@ class MlpModel:
         lead = self.weights[0].shape[:-2]  # () for one model, (k,) for a stack
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
             if W.ndim not in (2, 3) or W.shape[:-2] != lead or b.shape != lead + W.shape[-1:]:
-                raise ValueError(f"layer {i}: weight shape {W.shape} and bias shape {b.shape} disagree")
+                raise ValueError(f"layer {i}: weight shape {W.shape} and bias shape {b.shape} "
+                                 "disagree")
             if i > 0 and self.weights[i - 1].shape[-1] != W.shape[-2]:
                 raise ValueError(f"layer {i}: fan-in {W.shape[-2]} != previous fan-out")
             _check_finite(W, f"layer {i} weights")
@@ -302,7 +303,8 @@ def model_from_dict(data: dict):
         raise ValueError(f"unknown model kind {kind!r}")
     version = data.get("format_version")
     if version != _FORMAT_VERSION:
-        raise ValueError(f"unsupported model format_version {version!r}; expected {_FORMAT_VERSION}")
+        raise ValueError(f"unsupported model format_version {version!r}; "
+                         f"expected {_FORMAT_VERSION}")
     if kind == "linear":
         model = LinearModel(
             w=data["weights"],

@@ -11,11 +11,11 @@ import numpy as np
 
 from ._util import write_csv
 from ._version import __version__
-from .attribution import DEFAULT_REPORT_STEPS, attribute_dataset, check_baseline, check_method
+from .attribution import DEFAULT_REPORT_STEPS, attribute_dataset, check_method
 from .data import Dataset
 from .losses import LossSpec
 from .sparseness import make_gini_report
-from .training import TrainConfig, evaluate, regime_tag, train_many, uses_pgd
+from .training import TrainConfig, evaluate, regime_tag, train_many
 
 __all__ = [
     "CompareOutcome",
@@ -34,67 +34,47 @@ class CompareOutcome:
     tradeoff_rows: list
 
 
-def _strength(cfg: TrainConfig) -> float:
-    return cfg.epsilon if cfg.regime == "adversarial" else cfg.l1_strength
-
-
 def run_compare(ds: Dataset, spec: LossSpec, eps_list, lam_list, base_cfg: TrainConfig,
                 *, dataset_id: str = "dataset", method: str = "closed",
-                steps: int = DEFAULT_REPORT_STEPS, baseline=None) -> CompareOutcome:
+                steps: int = DEFAULT_REPORT_STEPS) -> CompareOutcome:
     """Train one natural model plus one model per epsilon and per lambda (same
-    seed and split), attribute the unperturbed test split against the given
-    baseline (zero by default), and report mean-Gini gaps and accuracy drops.
-    The attribution settings are checked before any model trains.
+    seed and split), attribute the unperturbed test split against the zero
+    baseline, and report mean-Gini gaps and accuracy drops. The attribution
+    settings are checked before any model trains.
     """
     started = time.perf_counter()
     check_method(method, steps, base_cfg.model_kind)
-    baseline = np.zeros(ds.dim) if baseline is None else check_baseline(baseline, ds.dim)
-    gini, means, accuracies, mean_losses = {}, {}, {}, {}
-
-    sweep = ([replace(base_cfg, regime="adversarial", epsilon=float(eps)) for eps in eps_list]
-             + [replace(base_cfg, regime="l1", l1_strength=float(lam)) for lam in lam_list])
-    cfgs = {"natural": replace(base_cfg, regime="natural")}
-    for cfg in sweep:
+    baseline = np.zeros(ds.dim)
+    # each fit with its tradeoff.csv param: its sweep value, "" for natural
+    sweep = [(replace(base_cfg, regime="natural"), "")]
+    sweep += [(replace(base_cfg, regime="adversarial", epsilon=e), e) for e in map(float, eps_list)]
+    sweep += [(replace(base_cfg, regime="l1", l1_strength=v), v) for v in map(float, lam_list)]
+    tagged = {}
+    for cfg, value in sweep:
         tag = regime_tag(cfg)
-        if tag in cfgs:  # the tag keys every model and report row
-            raise ValueError(f"sweep values {_strength(cfgs[tag])!r} and {_strength(cfg)!r} "
+        if tag in tagged:  # the tag keys every model and report row
+            raise ValueError(f"sweep values {tagged[tag][1]!r} and {value!r} "
                              f"both name the model {tag}")
-        cfgs[tag] = cfg
-
-    # Fits that share the seed's random stream train as one stack; an MLP
-    # with PGD draws its random starts from that stream and trains alone.
-    shared = [tag for tag, cfg in cfgs.items() if not uses_pgd(cfg)]
-    for group in [shared] + [[tag] for tag in cfgs if tag not in shared]:
-        fits = train_many(ds, spec, [cfgs[t] for t in group], trace=False)
-        for tag, (model, _) in zip(group, fits):
-            ev = evaluate(model, ds, spec)
-            attribs = attribute_dataset(model, ds, baseline, method=method, steps=steps)
-            accuracies[tag] = ev.accuracy
-            mean_losses[tag] = ev.mean_loss
-            gini[tag] = make_gini_report(attribs)
-            means[tag] = float(gini[tag].mean())
+        tagged[tag] = cfg, value
 
     attr_tag = "ig-closed" if method == "closed" else f"ig-numeric[{steps}]"
-    table_rows = [{
-        "dataset": dataset_id, "attr": attr_tag, "model": "natural",
-        "dG": 0.0, "AcDrop": 0.0,
-    }]
-    distribution_rows = []
-    tradeoff_rows = [("natural", "", accuracies["natural"], means["natural"])]
-    gaps = {}
-
-    for cfg in sweep:
-        tag = regime_tag(cfg)
-        gap = means[tag] - means["natural"]
-        drop = 100.0 * (accuracies["natural"] - accuracies[tag])
-        gaps[tag] = {"gini_gap": gap, "accuracy_drop_pct": drop}
-        table_rows.append({
-            "dataset": dataset_id, "attr": attr_tag, "model": tag,
-            "dG": gap, "AcDrop": drop,
-        })
-        per_example = (gini[tag] - gini["natural"]).tolist()
-        distribution_rows += [(int(i), tag, g) for i, g in zip(ds.test_indices, per_example)]
-        tradeoff_rows.append((tag, _strength(cfg), accuracies[tag], means[tag]))
+    regimes, gaps, table_rows, distribution_rows, tradeoff_rows = {}, {}, [], [], []
+    fits = train_many(ds, spec, [cfg for cfg, _ in tagged.values()], trace=False)
+    for (tag, (cfg, value)), (model, _) in zip(tagged.items(), fits):
+        gini = make_gini_report(attribute_dataset(model, ds, baseline, method=method, steps=steps))
+        record = regimes[tag] = {"config": asdict(cfg), **asdict(evaluate(model, ds, spec)),
+                                 "mean_attribution_gini": float(gini.mean())}
+        if tag == "natural":
+            natural, natural_gini, gap, drop = record, gini, 0.0, 0.0
+        else:
+            gap = record["mean_attribution_gini"] - natural["mean_attribution_gini"]
+            drop = 100.0 * (natural["accuracy"] - record["accuracy"])
+            gaps[tag] = {"gini_gap": gap, "accuracy_drop_pct": drop}
+            distribution_rows += [(int(i), tag, g) for i, g
+                                  in zip(ds.test_indices, (gini - natural_gini).tolist())]
+        table_rows.append({"dataset": dataset_id, "attr": attr_tag, "model": tag,
+                           "dG": gap, "AcDrop": drop})
+        tradeoff_rows.append((tag, value, record["accuracy"], record["mean_attribution_gini"]))
 
     report = {
         "format_version": 1,
@@ -105,19 +85,11 @@ def run_compare(ds: Dataset, spec: LossSpec, eps_list, lam_list, base_cfg: Train
         "attribution": {
             "method": method,
             "steps": steps if method == "numeric" else None,
-            "baseline": "zero" if not np.any(baseline) else "custom",
+            "baseline": "zero",
             "target": "p(true class)",
         },
         "base_config": asdict(base_cfg),
-        "regimes": {
-            tag: {
-                "config": asdict(cfgs[tag]),
-                "accuracy": accuracies[tag],
-                "mean_loss": mean_losses[tag],
-                "mean_attribution_gini": means[tag],
-            }
-            for tag in cfgs
-        },
+        "regimes": regimes,
         "gaps": gaps,
         "runtime_seconds": time.perf_counter() - started,
     }

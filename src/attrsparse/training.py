@@ -26,7 +26,6 @@ __all__ = [
     "TrainingDivergedError",
     "train",
     "train_many",
-    "uses_pgd",
     "regime_tag",
     "evaluate",
     "EvalResult",
@@ -77,7 +76,7 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
-        if uses_pgd(self) and self.epsilon >= MAX_PGD_EPS:
+        if _uses_pgd(self) and self.epsilon >= MAX_PGD_EPS:
             raise ValueError(f"epsilon {self.epsilon:g} asks an adversarial MLP for more than "
                              f"{MAX_PGD_STEPS} PGD steps per batch; it must be < {MAX_PGD_EPS:g}")
         if self.use_bias and self.model_kind == "mlp":
@@ -167,7 +166,7 @@ _SHARED = ("seed", "epochs", "batch_size", "optimizer", "learning_rate", "model_
 _SHARED_MLP = ("hidden_sizes", "hidden_activation")
 
 
-def uses_pgd(cfg):
+def _uses_pgd(cfg):
     """True for an MLP fit that draws PGD starts from its seed's stream, so
     it cannot share that stream with other fits."""
     return cfg.model_kind == "mlp" and cfg.regime == "adversarial" and cfg.epsilon > 0.0
@@ -185,9 +184,6 @@ def _check_stack(cfgs):
             if getattr(cfg, name) != getattr(first, name):
                 raise ValueError(f"stacked configs must share {name}: {getattr(first, name)!r} "
                                  f"!= {getattr(cfg, name)!r}")
-        if len(cfgs) > 1 and uses_pgd(cfg):
-            raise ValueError(f"{regime_tag(cfg)} draws PGD starts from the shared generator "
-                             "and must train alone")
 
 
 def _unstack(cfg, params, i, copy=False):
@@ -206,15 +202,15 @@ def _unstack(cfg, params, i, copy=False):
 # the divergence check below reports by model and step.
 @np.errstate(over="ignore", invalid="ignore")
 def train_many(ds: Dataset, spec: LossSpec, cfgs, *, trace=True):
-    """Fit one model per config as one stacked program; deterministic given
-    the shared seed.
+    """Fit one model per config; deterministic given the shared seed.
 
     The configs must share one random stream: the same seed, epochs, batch
-    size, optimizer, learning rate, model kind and shape, and bias. Every
+    size, optimizer, learning rate, model kind and shape, and bias. The fits
+    train as one stacked program, except that each adversarial MLP with
+    eps > 0, which draws its PGD starts from the stream, trains alone. Every
     parameter carries a leading model axis, and each model keeps its own
     epsilon, l1 strength and proximal mask, so each returned (model, trace)
-    is bit-identical to that config trained alone. An adversarial MLP with
-    eps > 0 draws its PGD starts from the shared stream and must be alone.
+    is bit-identical to that config trained alone.
 
     The adversarial regime perturbs every batch example with the
     current-weight closed form (linear) or projected gradient ascent (MLP)
@@ -227,6 +223,12 @@ def train_many(ds: Dataset, spec: LossSpec, cfgs, *, trace=True):
     """
     cfgs = list(cfgs)
     _check_stack(cfgs)
+    alone = [i for i, c in enumerate(cfgs) if _uses_pgd(c)]
+    if alone and len(cfgs) > 1:  # the shared stack first, then each PGD fit
+        stacks = [[i for i in range(len(cfgs)) if i not in alone]] + [[i] for i in alone]
+        fits = {i: fit for stack in stacks if stack for i, fit
+                in zip(stack, train_many(ds, spec, [cfgs[i] for i in stack], trace=trace))}
+        return [fits[i] for i in range(len(cfgs))]
     cfg, k = cfgs[0], len(cfgs)
     X, y = ds.features[ds.train_indices], ds.labels[ds.train_indices]
     n, d = X.shape
@@ -256,7 +258,7 @@ def train_many(ds: Dataset, spec: LossSpec, cfgs, *, trace=True):
         n_weights = int(ends[len(one.weights) - 1])
         stack = MlpModel(weights=params[:len(one.weights)], biases=params[len(one.weights):],
                          hidden_activation=cfg.hidden_activation)
-        pgd_model = _unstack(cfg, params, 0) if uses_pgd(cfg) else None
+        pgd_model = _unstack(cfg, params, 0) if _uses_pgd(cfg) else None
 
     optimizer = (_Adam if cfg.optimizer == "adam" else _Sgd)(flat, cfg.learning_rate)
     trace_eps = epsilon if stack is None else np.zeros(k)  # an MLP traces its natural loss

@@ -93,3 +93,14 @@ def test_every_dataclass_field_is_read_by_the_program():
             unread += [f"{module}: {cls.name}.{n.target.id}" for n in cls.body
                        if isinstance(n, ast.AnnAssign) and n.target.id not in read]
     assert not unread, f"dataclass fields no code in src/ reads: {unread}"
+
+
+def test_no_source_line_exceeds_100_characters():
+    # a line budget counts lines, so it must not be met by packing them
+    long = []
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                long += [f"{name}:{i}" for i, line in enumerate(fh, start=1)
+                         if len(line.rstrip("\n")) > 100]
+    assert long == []

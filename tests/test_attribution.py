@@ -118,15 +118,16 @@ def test_closed_form_margin_gap_beyond_rounding_is_an_error():
 def test_closed_form_rejects_nonlinear_model(rng):
     mlp = init_mlp([3, 2, 1], rng)
     with pytest.raises(TypeError, match="linear"):
-        ig_row(mlp, np.zeros(3), np.zeros(3))
+        attribute_dataset(mlp, _toy_dataset(), np.zeros(3))
 
 
 def test_dimension_validation(rng):
     model = LinearModel(w=np.asarray([1.0, 1.0]))
     with pytest.raises(ValueError, match="does not match dimension 2"):
         check_baseline(np.zeros(3), model.dim)
-    with pytest.raises(ValueError, match="model dimension"):
-        ig_row(model, np.zeros(3), np.zeros(3))
+    for method in ("closed", "numeric"):
+        with pytest.raises(ValueError, match="model dimension 2 does not match data dimension 3"):
+            attribute_dataset(model, _toy_dataset(), np.zeros(3), method=method)
     with pytest.raises(ValueError, match="steps"):
         check_method("numeric", 0)
 

@@ -235,10 +235,13 @@ def test_train_config_is_the_one_home_of_training_options():
     args = parser.parse_args(["train", "--data", "x.json"])
     assert _train_config(_resolve({}, args)) == TrainConfig()
     for f in fields(TrainConfig):
-        # the MLP options are keys of an MLP's config alone
-        mlp = {"model_kind": "mlp"} if f.name.startswith("hidden") else {}
+        # the MLP options are keys of an MLP's config alone, eps and lam of
+        # the regimes that read them
+        reader = {"epsilon": {"regime": "adversarial"}, "l1_strength": {"regime": "l1"}}.get(
+            f.name, {"model_kind": "mlp"} if f.name.startswith("hidden") else {})
         for key in (f.name, flag_of[f.name]):
-            assert _train_config(_resolve({key: f.default, **mlp}, args)) == TrainConfig(**mlp), key
+            assert (_train_config(_resolve({key: f.default, **reader}, args))
+                    == TrainConfig(**reader)), key
 
 
 @pytest.mark.parametrize("cfg, message", [
@@ -311,6 +314,49 @@ def test_mlp_options_with_linear_model_exit_1(synth_json, tmp_path, capsys, comm
     assert f"{origin} applies to MLP models only" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["train", "--regime", "natural", "--eps", "0.3"], None,
+     "--eps applies to regime adversarial or stable-ig only, and the regime is natural"),
+    (["train", "--regime", "l1", "--eps", "0.2"], None,
+     "--eps applies to regime adversarial or stable-ig only, and the regime is l1"),
+    (["train", "--regime", "adversarial", "--lam", "0.5"], None,
+     "--lam applies to regime l1 only, and the regime is adversarial"),
+    (["train", "--regime", "stable-ig", "--eps", "0.1", "--lam", "0"], None,
+     "--lam applies to regime l1 only, and the regime is stable-ig"),
+    (["train", "--eps", "0"], None,
+     "--eps applies to regime adversarial or stable-ig only, and the regime is natural"),
+    (["train"], {"regime": "natural", "epsilon": 0.4},
+     "config key 'epsilon' applies to regime adversarial or stable-ig only"),
+    (["train"], {"regime": "adversarial", "eps": 0.1, "l1_strength": 0.0},
+     "config key 'l1_strength' applies to regime l1 only, and the regime is adversarial"),
+    (["train", "--regime", "bogus", "--eps", "0.1"], None, "unknown regime 'bogus'"),
+    (["compare", "--steps", "7"], None,
+     "--steps applies to the numeric method only, and the method is closed"),
+    (["compare", "--method", "closed", "--steps", "256"], None,
+     "--steps applies to the numeric method only, and the method is closed"),
+    (["attribute", "--steps", "7"], None,
+     "--steps applies to the numeric method only, and the method is closed"),
+])
+def test_flags_the_run_does_not_read_exit_1(synth_json, trained_model, tmp_path, capsys,
+                                             monkeypatch, argv, config, message):
+    # a strength its regime never reads, or path steps for the closed form,
+    # would be ignored (and recorded as if used): exit 1, even at a default
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model was trained")
+
+    monkeypatch.setattr("attrsparse.cli.train", refuse)
+    monkeypatch.setattr("attrsparse.pipeline.train_many", refuse)
+    argv = argv + ["--data", str(synth_json), "--out-dir", str(tmp_path / "run")]
+    if argv[0] == "attribute":
+        argv += ["--model", str(trained_model)]
+    if config:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(path)]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
 
 def test_mlp_options_in_a_config_serve_an_mlp_flag(synth_json, tmp_path):
     # a config written for an MLP stays usable when --model mlp is given
@@ -323,8 +369,8 @@ def test_mlp_options_in_a_config_serve_an_mlp_flag(synth_json, tmp_path):
 
 def test_train_config_int_for_float_field_is_accepted():
     args = build_parser().parse_args(["train", "--data", "x.json"])
-    cfg = _train_config(_resolve({"lr": 1, "eps": 0}, args))
-    assert cfg == TrainConfig(learning_rate=1.0)
+    cfg = _train_config(_resolve({"lr": 1, "eps": 0, "regime": "adversarial"}, args))
+    assert cfg == TrainConfig(learning_rate=1.0, regime="adversarial")
     assert type(cfg.learning_rate) is float and type(cfg.epsilon) is float
 
 
@@ -727,11 +773,12 @@ def no_training(monkeypatch):
 @pytest.mark.parametrize("steps", ["0", "-3"])
 def test_compare_rejects_steps_below_one_before_training(synth_json, tmp_path, capsys,
                                                           no_training, steps):
-    for method in ("numeric", "closed"):
+    for method, message in (("numeric", f"steps must be >= 1, got {steps}"),
+                            ("closed", "--steps applies to the numeric method only")):
         rc = main(["compare", "--data", str(synth_json), "--method", method,
                    "--steps", steps, "--out-dir", str(tmp_path)])
         assert rc == 1
-        assert f"steps must be >= 1, got {steps}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 
@@ -927,13 +974,32 @@ def test_attribute_baseline_file(synth_json, trained_model, tmp_path):
         assert not (tmp_path / "nan" / "attributions.csv").exists()
 
 
+@pytest.mark.parametrize("method", ["numeric", "closed"])
+def test_attribute_names_a_model_data_dimension_mismatch(synth_json, tmp_path, capsys, method):
+    # a model fitted on 64 features, given the 4-feature toy data, exits 1
+    # naming both dimensions (numeric IG used to fail inside NumPy's matmul)
+    blobs = tmp_path / "blobs.json"
+    assert main(["synth", "blobs", "--out", str(blobs), "--n", "60"]) == 0
+    model = ["--model", "mlp", "--hidden", "3"] if method == "numeric" else []
+    assert main(["train", "--data", str(blobs), "--epochs", "1", *model,
+                 "--out-dir", str(tmp_path / "m")]) == 0
+    capsys.readouterr()
+    rc = main(["attribute", "--data", str(synth_json), "--model",
+               str(tmp_path / "m" / "model.json"), "--method", method,
+               "--out-dir", str(tmp_path / "a")])
+    assert rc == 1
+    assert "model dimension 64 does not match data dimension 4" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+
+
 @pytest.mark.parametrize("steps", ["0", "-3"])
 def test_attribute_rejects_steps_below_one(synth_json, trained_model, tmp_path, capsys, steps):
-    for method in ("numeric", "closed"):
+    for method, message in (("numeric", f"steps must be >= 1, got {steps}"),
+                            ("closed", "--steps applies to the numeric method only")):
         rc = main(["attribute", "--data", str(synth_json), "--model", str(trained_model),
                    "--method", method, "--steps", steps, "--out-dir", str(tmp_path)])
         assert rc == 1
-        assert f"steps must be >= 1, got {steps}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
     assert not (tmp_path / "attributions.csv").exists()
 
 

@@ -18,7 +18,7 @@ from attrsparse.pipeline import (
     write_tradeoff_csv,
 )
 from attrsparse.sparseness import make_gini_report
-from attrsparse.training import TrainConfig, evaluate, train, train_many
+from attrsparse.training import TrainConfig, evaluate, regime_tag, train, train_many
 
 LOGISTIC = make_loss("logistic-nll")
 
@@ -206,19 +206,21 @@ def test_empty_sweeps():
     assert len(out.tradeoff_rows) == 1
 
 
-@pytest.mark.parametrize("baseline, message", [
-    ([0.0, np.nan], "baseline has non-finite entries"),
-    ([np.inf, 0.0], "baseline has non-finite entries"),
-    ([0.0, 0.0, 0.0], "baseline shape"),
-])
-def test_bad_baseline_is_rejected_before_training(monkeypatch, baseline, message):
-    def refuse(*args, **kwargs):
-        raise AssertionError("trained before rejecting the baseline")
+def test_compare_trains_the_whole_sweep_in_one_call(monkeypatch):
+    # an adversarial MLP trains alone inside train_many, so compare hands it
+    # the whole sweep, in report order, once
+    calls = []
 
-    monkeypatch.setattr("attrsparse.pipeline.train_many", refuse)
+    def counted(ds, spec, cfgs, **kwargs):
+        calls.append([regime_tag(cfg) for cfg in cfgs])
+        return train_many(ds, spec, cfgs, **kwargs)
+
+    monkeypatch.setattr("attrsparse.pipeline.train_many", counted)
     ds = generate_synthetic(SyntheticConditionalSampler((0.8, 0.1)), 120, seed=1)
-    with pytest.raises(ValueError, match=message):
-        run_compare(ds, LOGISTIC, [0.1], [], TrainConfig(epochs=2), baseline=np.asarray(baseline))
+    base = TrainConfig(epochs=1, model_kind="mlp", hidden_sizes=(3,))
+    out = run_compare(ds, LOGISTIC, [0.1, 0.0], [0.02], base, method="numeric", steps=4)
+    assert calls == [list(out.report["regimes"])]
+    assert calls[0] == ["natural", "adversarial(eps=0.1)", "adversarial(eps=0)", "l1(lam=0.02)"]
 
 
 def test_numeric_method_tag_and_steps():

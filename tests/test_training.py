@@ -454,13 +454,28 @@ def test_train_many_rejects_mlp_groups_that_cannot_share_a_stream():
         with pytest.raises(ValueError, match="must share hidden_"):
             train_many(ds, LOGISTIC, [base, replace(base, **change)])
     pgd = replace(base, regime="adversarial", epsilon=0.1)
-    with pytest.raises(ValueError, match=r"adversarial\(eps=0.1\) draws PGD starts"):
-        train_many(ds, LOGISTIC, [base, pgd])
     with pytest.raises(ValueError, match="at least one config"):
         train_many(ds, LOGISTIC, [])
-    # alone, or with eps = 0 (no PGD), the adversarial MLP is accepted
+    # alone, with eps = 0 (no PGD), or with other fits, the adversarial MLP
+    # is accepted: a PGD fit trains alone inside the call
     assert len(train_many(ds, LOGISTIC, [pgd])) == 1
     assert len(train_many(ds, LOGISTIC, [base, replace(pgd, epsilon=0.0)])) == 2
+    assert len(train_many(ds, LOGISTIC, [base, pgd])) == 2
+
+
+def test_mixed_mlp_sweep_matches_each_model_alone():
+    # the PGD fits train alone inside the call and the others as one stack;
+    # every fit comes back in config order, bit-identical to its own train()
+    ds = _noisy_dataset(seed=8, n=160)
+    base = TrainConfig(model_kind="mlp", hidden_sizes=(5,), epochs=2, seed=8,
+                       learning_rate=0.05)
+    cfgs = [base, replace(base, regime="adversarial", epsilon=0.1),
+            replace(base, regime="l1", l1_strength=0.05),
+            replace(base, regime="adversarial", epsilon=0.05)]
+    fits = train_many(ds, LOGISTIC, cfgs)
+    assert len(fits) == len(cfgs)
+    for cfg, fit in zip(cfgs, fits):
+        _assert_same_fit(fit, train(ds, LOGISTIC, cfg))
 
 
 def test_mlp_pgd_bound_is_exact_at_its_edge():
