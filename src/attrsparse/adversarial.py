@@ -50,7 +50,8 @@ def pgd_perturb_batch(model, X, y, eps: float, cfg: PgdConfig, spec: LossSpec, r
     output-layer product -y * W_last is formed once per call; a row whose
     g'(z) underflows to 0 (logistic at z below about -745, a huge correct
     margin) thus still ascends, where a step through g' left it at its start.
-    Hinge's g' in {0, 1} masks rows, so its steps compute the logit.
+    Its steps write into buffers made once per call. Hinge's g' in {0, 1}
+    masks rows, so its steps compute the logit.
     """
     if not isinstance(model, MlpModel):
         raise TypeError(f"PGD runs on an MlpModel, got {type(model).__name__}; "
@@ -60,14 +61,17 @@ def pgd_perturb_batch(model, X, y, eps: float, cfg: PgdConfig, spec: LossSpec, r
     delta = rng.uniform(-eps, eps, size=X.shape)
     start = delta.copy()
     moved = np.add(X, delta)  # X + delta, refilled in place each step
+    lo, hi = np.full(X.shape, -eps), np.full(X.shape, eps)  # full bounds clip faster than scalars
     negy = -y
     if spec.positive_slope:
         start_loss = spec.g(negy * model.margin(moved))
         # dlogit = -y at the output unit, the same on every step
         top = negy[..., None] @ model.weights[-1].swapaxes(-1, -2)
+        work = (np.empty(top.shape[:-1] + model.weights[0].shape[-1:]), np.empty(top.shape),
+                np.empty(X.shape))
     for k in range(cfg.steps):
         if spec.positive_slope:
-            grad = model.ascent_slope(moved, top)
+            grad = model.ascent_slope(moved, top, work)
         else:
             cache = model._forward(moved)
             z = negy * cache[0]  # -y * margin: the natural loss is g(z)
@@ -80,8 +84,8 @@ def pgd_perturb_batch(model, X, y, eps: float, cfg: PgdConfig, spec: LossSpec, r
         # np.clip(delta, -eps, eps) in place. Operand order keeps np.clip's
         # signed-zero ties: on a tie np.maximum and np.minimum return their
         # second operand, and np.clip keeps delta against scalar bounds.
-        np.maximum(-eps, delta, out=delta)
-        np.minimum(eps, delta, out=delta)
+        np.maximum(lo, delta, out=delta)
+        np.minimum(hi, delta, out=delta)
         np.add(X, delta, out=moved)
     final_loss = spec.g(negy * model.margin(moved))
     worse = final_loss < start_loss

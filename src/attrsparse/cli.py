@@ -270,6 +270,7 @@ def cmd_train(args) -> int:
     resolved = _resolve(file_cfg, args)
     spec = make_loss(resolved["loss"])
     cfg = _train_config(resolved)
+    resolved.update(eps=cfg.epsilon, lam=cfg.l1_strength)  # as trained: -0.0 is +0.0
     ds = _load_data(args)
     model, trace = train(ds, spec, cfg)
     out = _out_dir(args)

@@ -16,10 +16,12 @@ __all__ = ["LossSpec", "make_loss", "LOSS_KINDS", "LOSS_NAMES", "DEFAULT_LOSS",
 
 
 def sigmoid(z):
-    """Numerically stable logistic function, elementwise."""
+    """Numerically stable logistic function, elementwise: exp(min(z, 0)) /
+    (1 + exp(-|z|)). np.fmin, not np.minimum: at a NaN the quotient then
+    takes its sign bit from exp(-|z|), as the two-branch form does."""
     z = np.asarray(z, dtype=float)
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return np.exp(np.fmin(z, 0.0)) / (1.0 + e)
 
 
 def _softplus(z):

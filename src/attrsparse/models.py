@@ -76,30 +76,34 @@ class LinearModel:
 HIDDEN_ACTIVATIONS = ("softplus", "tanh", "relu")
 
 
-def _act(kind, t, value=True, deriv=True):
+def _act(kind, t, value=True, deriv=True, scratch=None):
     """A hidden activation and its derivative at t from one pass, or only the
-    activation (deriv=False), or only the derivative (value=False), each of
-    the same bits in every mode. Softplus is max(t, 0) + log1p(exp(-|t|)) on
-    NumPy's vectorised exp and log1p, and its derivative is sigmoid(t) bit
-    for bit. Sums, products and quotients are taken in place, as numeric
-    IG's blocks outgrow NumPy's small-buffer cache and PGD forms a
-    derivative on every step."""
+    activation (deriv=False), or only the derivative (value=False), which is
+    written over t, softplus's exp(-|t|) into scratch when one is given; each
+    of the same bits in every mode. Softplus is max(t, 0) + log1p(exp(-|t|))
+    on NumPy's vectorised exp and log1p, and its derivative is
+    losses.sigmoid(t) bit for bit, exp(min(t, 0)) / (1 + exp(-|t|)). Sums,
+    products and quotients are taken in place, as numeric IG's blocks outgrow
+    NumPy's small-buffer cache and PGD forms a derivative on every step."""
+    own = None if value else t  # where a derivative-only call writes
     if kind == "softplus":
-        e = np.exp(-np.abs(t))
+        e = np.copysign(t, -1.0, out=scratch)  # -|t|
+        e = np.exp(e, out=e)
         if value:
             h = np.log1p(e)
             h += np.maximum(t, 0.0)
         if deriv:
-            dh = np.where(t >= 0, 1.0, e)
+            dh = np.fmin(t, 0.0, out=own)
+            dh = np.exp(dh, out=dh)
             dh /= np.add(e, 1.0, out=e)
     elif kind == "tanh":
-        h = np.tanh(t)
+        h = np.tanh(t, out=own)
         if deriv:  # 1 - h * h, written over h when h is not returned
-            dh = np.multiply(h, h, out=None if value else h)
+            dh = np.multiply(h, h, out=own)
             dh = np.subtract(1.0, dh, out=dh)
     else:
         h = np.maximum(0.0, t) if value else None
-        dh = np.where(t > 0.0, 1.0, 0.0) if deriv else None
+        dh = np.greater(t, 0.0, out=np.empty_like(t) if value else t) if deriv else None
     return (h, dh) if value and deriv else h if value else dh
 
 
@@ -209,29 +213,33 @@ class MlpModel:
             return weight_grads + bias_grads
         return upstream if wrt == "inputs" else delta
 
-    def ascent_slope(self, X, top):
+    def ascent_slope(self, X, top, work=(None, None, None)):
         """The input gradient from dlogit = -y, backprop(_forward(X), -y,
         "inputs") bit for bit, given top = (-y)[:, None] @ W_last^T: one PGD
         step of a loss with a positive slope, for a call that forms top once.
 
         Only the activation derivatives are formed, the last hidden layer's
         alone, with no logit and no output-layer product. A stack adds its
-        leading model axis to the result.
+        leading model axis to the result. work holds buffers, or None, for
+        the first layer's pre-activation, the last hidden layer's exp(-|t|)
+        and the result, so that a one-hidden-layer step allocates nothing.
         """
         Ws, kind = self.weights, self.hidden_activation
         if len(Ws) == 1:
             return top.copy()
-        t = X @ Ws[0] + self.biases[0][..., None, :]
+        t, scratch, out = work
+        t = np.matmul(X, Ws[0], out=t)
+        t += self.biases[0][..., None, :]
         derivs = []
         for W, b in zip(Ws[1:-1], self.biases[1:-1]):
             h, dh = _act(kind, t)
             derivs.append(dh)
             t = h @ W + b[..., None, :]
-        dh = _act(kind, t, value=False)
-        upstream = np.multiply(top, dh, out=dh) @ Ws[-2].swapaxes(-1, -2)
-        for l in range(len(derivs) - 1, -1, -1):
-            upstream = np.multiply(upstream, derivs[l], out=upstream) @ Ws[l].swapaxes(-1, -2)
-        return upstream
+        upstream = np.multiply(top, _act(kind, t, value=False, scratch=scratch), out=t)
+        for l in range(len(derivs), 0, -1):
+            upstream = upstream @ Ws[l].swapaxes(-1, -2)
+            upstream *= derivs[l - 1]
+        return np.matmul(upstream, Ws[0].swapaxes(-1, -2), out=out)
 
     def loss_and_grads(self, spec: LossSpec, X, y):
         """The MLP family's one gradient engine: g(-y * logit) on a batch

@@ -45,7 +45,7 @@ def run_compare(ds: Dataset, spec: LossSpec, eps_list, lam_list, base_cfg: Train
     started = time.perf_counter()
     check_method(method, steps, base_cfg.model_kind)
     baseline = np.zeros(ds.dim)
-    # each fit with its tradeoff.csv param: its sweep value, "" for natural
+    # each fit with its sweep value, "" for natural
     sweep = [(replace(base_cfg, regime="natural"), "")]
     sweep += [(replace(base_cfg, regime="adversarial", epsilon=e), e) for e in map(float, eps_list)]
     sweep += [(replace(base_cfg, regime="l1", l1_strength=v), v) for v in map(float, lam_list)]
@@ -74,7 +74,9 @@ def run_compare(ds: Dataset, spec: LossSpec, eps_list, lam_list, base_cfg: Train
                                   in zip(ds.test_indices, (gini - natural_gini).tolist())]
         table_rows.append({"dataset": dataset_id, "attr": attr_tag, "model": tag,
                            "dG": gap, "AcDrop": drop})
-        tradeoff_rows.append((tag, value, record["accuracy"], record["mean_attribution_gini"]))
+        # the param as trained, so that a -0 sweep value reads 0.0 as in report.json
+        param = {"natural": "", "adversarial": cfg.epsilon, "l1": cfg.l1_strength}[cfg.regime]
+        tradeoff_rows.append((tag, param, record["accuracy"], record["mean_attribution_gini"]))
 
     report = {
         "format_version": 1,

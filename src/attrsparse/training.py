@@ -1,10 +1,11 @@
 """The minibatch training loop for the four regimes: natural, worst-case
 (adversarial), l1-proximal, and stable-attribution (which shares the
-adversarial arithmetic step for step), run over a stack of models that
-share one random stream.
+adversarial arithmetic step for step), run over a stack of models, each
+drawing from the random stream it would draw from alone.
 """
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -81,6 +82,9 @@ class TrainConfig:
                              f"{MAX_PGD_STEPS} PGD steps per batch; it must be < {MAX_PGD_EPS:g}")
         if self.use_bias and self.model_kind == "mlp":
             raise ValueError("use_bias applies to linear models only: an MLP always has biases")
+        # -0.0 is stored as +0.0, so that it names its model as 0.0 does
+        self.epsilon, self.l1_strength = (abs(v) if v == 0 else v
+                                          for v in (self.epsilon, self.l1_strength))
 
 
 @dataclass
@@ -167,8 +171,7 @@ _SHARED_MLP = ("hidden_sizes", "hidden_activation")
 
 
 def _uses_pgd(cfg):
-    """True for an MLP fit that draws PGD starts from its seed's stream, so
-    it cannot share that stream with other fits."""
+    """True for an MLP fit that draws PGD starts, so it owns its stream."""
     return cfg.model_kind == "mlp" and cfg.regime == "adversarial" and cfg.epsilon > 0.0
 
 
@@ -202,33 +205,31 @@ def _unstack(cfg, params, i, copy=False):
 # the divergence check below reports by model and step.
 @np.errstate(over="ignore", invalid="ignore")
 def train_many(ds: Dataset, spec: LossSpec, cfgs, *, trace=True):
-    """Fit one model per config; deterministic given the shared seed.
+    """Fit one model per config as one stacked program; deterministic given
+    the seed.
 
-    The configs must share one random stream: the same seed, epochs, batch
-    size, optimizer, learning rate, model kind and shape, and bias. The fits
-    train as one stacked program, except that each adversarial MLP with
-    eps > 0, which draws its PGD starts from the stream, trains alone. Every
-    parameter carries a leading model axis, and each model keeps its own
-    epsilon, l1 strength and proximal mask, so each returned (model, trace)
-    is bit-identical to that config trained alone.
+    The configs must share the seed, epochs, batch size, optimizer, learning
+    rate, model kind and shape, and bias. Each fit draws from the generator
+    train() gives it, default_rng(seed): the fits that draw no PGD start
+    share that stream and so one permutation per epoch, and each adversarial
+    MLP with eps > 0 owns a copy of it for its permutations and PGD starts.
+    Every parameter carries a leading model axis, and each model keeps its
+    own batch rows, epsilon, l1 strength and proximal mask, so each returned
+    (model, trace) is bit-identical to that config trained alone.
 
     The adversarial regime perturbs every batch example with the
-    current-weight closed form (linear) or projected gradient ascent (MLP)
-    before the gradient step; the stable-ig regime is the same arithmetic by
-    the worst-case-attribution equivalence and is limited to linear models;
-    l1 applies proximal soft-thresholding to the weights (never the bias)
-    after every optimizer step. Returns [(model, trace)] in config order;
+    current-weight closed form (linear) or projected gradient ascent (MLP),
+    one pgd_perturb_batch call per PGD fit on its row of the stack, before
+    the gradient step; the stable-ig regime is the same arithmetic by the
+    worst-case-attribution equivalence and is limited to linear models; l1
+    applies proximal soft-thresholding to the weights (never the bias) after
+    every optimizer step. Returns [(model, trace)] in config order;
     trace=False skips the per-epoch training-split pass and returns
-    (model, None).
+    (model, None). A divergence is raised at the first step where any model
+    diverges, naming the first such model in config order.
     """
     cfgs = list(cfgs)
     _check_stack(cfgs)
-    alone = [i for i, c in enumerate(cfgs) if _uses_pgd(c)]
-    if alone and len(cfgs) > 1:  # the shared stack first, then each PGD fit
-        stacks = [[i for i in range(len(cfgs)) if i not in alone]] + [[i] for i in alone]
-        fits = {i: fit for stack in stacks if stack for i, fit
-                in zip(stack, train_many(ds, spec, [cfgs[i] for i in stack], trace=trace))}
-        return [fits[i] for i in range(len(cfgs))]
     cfg, k = cfgs[0], len(cfgs)
     X, y = ds.features[ds.train_indices], ds.labels[ds.train_indices]
     n, d = X.shape
@@ -248,7 +249,7 @@ def train_many(ds: Dataset, spec: LossSpec, cfgs, *, trace=True):
         params = [flat[:, :d]] + ([flat[:, d]] if cfg.use_bias else [])
         bias = params[1] if cfg.use_bias else None
         n_weights = d
-        stack = pgd_model = None
+        stack = None
     else:
         one = init_mlp([d, *cfg.hidden_sizes, 1], rng, cfg.hidden_activation)
         parts = one.weights + one.biases
@@ -258,27 +259,32 @@ def train_many(ds: Dataset, spec: LossSpec, cfgs, *, trace=True):
         n_weights = int(ends[len(one.weights) - 1])
         stack = MlpModel(weights=params[:len(one.weights)], biases=params[len(one.weights):],
                          hidden_activation=cfg.hidden_activation)
-        pgd_model = _unstack(cfg, params, 0) if _uses_pgd(cfg) else None
+    # Each PGD fit views its row of the stack and owns a copy of the stream
+    # in the state the init left, for its permutations and PGD starts.
+    pgd = {i: (_unstack(c, params, i), default_pgd_config(c.epsilon), copy.deepcopy(rng))
+           for i, c in enumerate(cfgs) if _uses_pgd(c)}
 
     optimizer = (_Adam if cfg.optimizer == "adam" else _Sgd)(flat, cfg.learning_rate)
     trace_eps = epsilon if stack is None else np.zeros(k)  # an MLP traces its natural loss
     traces = [TrainTrace() if trace else None for _ in cfgs]
     step = 0
     for _ in range(cfg.epochs):
-        order = rng.permutation(n)
+        perm = rng.permutation(n) if len(pgd) < k else None  # the shared stream's order
+        if pgd:  # one row of batch indices per model
+            perm = np.stack([pgd[i][2].permutation(n) if i in pgd else perm for i in range(k)])
         for lo in range(0, n, cfg.batch_size):
-            batch = order[lo:lo + cfg.batch_size]
-            Xb, yb = X[batch], y[batch]
+            rows = perm[..., lo:lo + cfg.batch_size]
+            Xb, yb = X[rows], y[rows]
             if stack is None:
                 losses, grads = linear_loss_and_grads(spec, params[0], bias, Xb, yb, epsilon)
             else:
-                if pgd_model is not None:
-                    Xb = Xb + pgd_perturb_batch(pgd_model, Xb, yb, cfg.epsilon,
-                                                default_pgd_config(cfg.epsilon), spec, rng)
+                for i, (model, pgd_cfg, stream) in pgd.items():
+                    Xb[i] += pgd_perturb_batch(model, Xb[i], yb[i], cfgs[i].epsilon, pgd_cfg,
+                                               spec, stream)
                 losses, grads = stack.loss_and_grads(spec, Xb, yb)
             grad = grads[0] if len(grads) == 1 else np.concatenate(
                 [g.reshape(k, -1) for g in grads], axis=1)
-            grad /= batch.size
+            grad /= rows.shape[-1]
             batch_loss = losses.mean(axis=-1)
             if any_l1:
                 batch_loss[is_l1] += lam[is_l1] * np.abs(flat[is_l1, :n_weights]).sum(axis=1)

@@ -183,6 +183,15 @@ def test_train_epsilon_zero_matches_natural_bytes(synth_json, tmp_path):
     assert (nat / "trace.csv").read_bytes() == (adv / "trace.csv").read_bytes()
 
 
+def test_train_records_negative_zero_strengths_as_zero(synth_json, tmp_path):
+    for flags in (["--regime", "adversarial", "--eps", "-0"], ["--regime", "l1", "--lam", "-0"]):
+        out = tmp_path / flags[1]
+        assert main(["train", "--data", str(synth_json), "--epochs", "1", *flags,
+                     "--out-dir", str(out)]) == 0
+        doc = json.loads((out / "resolved_config.json").read_text(encoding="utf-8"))
+        assert repr(doc["resolved"]["eps"]) == repr(doc["resolved"]["lam"]) == "0.0"
+
+
 def test_train_config_file_and_flag_precedence(synth_json, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"regime": "l1", "l1_strength": 0.05,
@@ -753,6 +762,18 @@ def test_compare_empty_eps_list(synth_json, tmp_path):
     assert set(rep["regimes"]) == {"natural", "l1(lam=0.02)"}
 
 
+def test_compare_records_negative_zero_sweep_values_as_zero(synth_json, tmp_path):
+    out = tmp_path / "c"
+    assert main(["compare", "--data", str(synth_json), "--epochs", "1",
+                 "--eps-list", "-0", "--lam-list", "-0", "--out-dir", str(out)]) == 0
+    rep = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    configs = [rep["regimes"][tag]["config"] for tag in ("adversarial(eps=0)", "l1(lam=0)")]
+    assert repr((configs[0]["epsilon"], configs[1]["l1_strength"])) == "(0.0, 0.0)"
+    rows = (out / "tradeoff.csv").read_text(encoding="utf-8").splitlines()
+    params = [row.split(",")[:2] for row in rows[1:]]
+    assert params[1:] == [["adversarial(eps=0)", "0.0"], ["l1(lam=0)", "0.0"]]
+
+
 def test_compare_dataset_id_defaults_to_file_stem(synth_json, tmp_path):
     out = tmp_path / "c"
     rc = main(["compare", "--data", str(synth_json), "--epochs", "2",
@@ -795,6 +816,9 @@ def test_compare_closed_form_rejects_mlp_before_training(synth_json, tmp_path, c
     ("--eps-list", "0.1,0.1000001", "0.1 and 0.1000001"),
     ("--eps-list", "0.1,0.1", "0.1 and 0.1"),
     ("--lam-list", "0.05,0.2,0.0500000001", "0.05 and 0.0500000001"),
+    # -0 is 0: TrainConfig stores it as +0.0, so both values name one model
+    ("--eps-list", "0,-0", "0.0 and -0.0"),
+    ("--lam-list", "0,-0", "0.0 and -0.0"),
 ])
 def test_compare_rejects_colliding_sweep_values_before_training(synth_json, tmp_path, capsys,
                                                                 no_training, flag, values,

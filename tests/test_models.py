@@ -300,9 +300,9 @@ def test_mlp_gradients_run_one_forward_pass(monkeypatch):
         reverse.append(wrt)
         return backprop(self, cache, dlogit, wrt)
 
-    def stepped(self, X, top):
+    def stepped(self, X, top, *work):
         ascents.append(top)
-        return ascent(self, X, top)
+        return ascent(self, X, top, *work)
 
     monkeypatch.setattr(MlpModel, "_forward", counted)
     monkeypatch.setattr(MlpModel, "backprop", recorded)
@@ -328,28 +328,33 @@ def test_mlp_gradients_run_one_forward_pass(monkeypatch):
         model.backprop(cache, dlogit, "weights")
 
     # PGD under a loss with a positive slope: a forward-only start pass, the
-    # output product -y * W1^T once, then one ascent_slope call per step,
-    # each forming X @ W0 and the input product delta @ W0^T only (no
-    # output-layer product, no parameter product), and the forward-only
-    # final loss check. Hinge's steps are full passes with an input reverse
-    # pass, the first also giving the start loss.
-    model.weights[:] = [W.view(_Tracked) for W in (W0, W1)]
-    _Tracked.output = model.weights[1]
+    # output product -y * W1^T once, then per step X @ W0 and the input
+    # product delta @ W0^T only (no output-layer product, no parameter
+    # product), and the forward-only final loss check; a stack of two takes
+    # the same two products per step. Hinge's steps are full passes with an
+    # input reverse pass, the first also giving the start loss.
+    stack = MlpModel(weights=[np.stack([W0, 2.0 * W0]), np.stack([W1, -W1])],
+                     biases=[np.stack([b, b + 0.1]) for b in model.biases])
     cfg = PgdConfig(steps=5, step_size=0.05)
-    for kind, passes, products, output_products in [
-            ("logistic-nll", [False, False], 2 + 1 + 2 * cfg.steps + 2, 2),
-            ("hinge", [True] * cfg.steps + [False], 4 * cfg.steps + 2, cfg.steps + 1)]:
+    for net, kind, passes, products, output_products in [
+            (model, "logistic-nll", [False, False], 2 + 1 + 2 * cfg.steps + 2, 2),
+            (model, "hinge", [True] * cfg.steps + [False], 4 * cfg.steps + 2, cfg.steps + 1),
+            (stack, "logistic-nll", [False, False], 2 + 1 + 2 * cfg.steps + 2, 2)]:
+        net.weights[:] = [W.view(_Tracked) for W in net.weights]
+        _Tracked.output = net.weights[1]
         del calls[:], reverse[:], ascents[:]
         _Tracked.products = _Tracked.output_products = 0
-        pgd_perturb_batch(model, X, y, 0.2, cfg, make_loss(kind), np.random.default_rng(3))
+        Xs, ys = (X, y) if net is model else (np.stack([X, -X]), np.stack([y, -y]))
+        pgd_perturb_batch(net, Xs, ys, 0.2, cfg, make_loss(kind), np.random.default_rng(3))
         assert calls == passes, kind
         assert _Tracked.products == products and _Tracked.output_products == output_products
         if kind == "hinge":
             assert reverse == ["inputs"] * cfg.steps and not ascents
-        else:
-            assert not reverse and len(ascents) == cfg.steps
-            assert all(top is ascents[0] for top in ascents)  # formed once per call
-            np.testing.assert_array_equal(ascents[0], (-y)[:, None] * W1.T)
+            continue
+        assert not reverse and len(ascents) == cfg.steps
+        assert all(top is ascents[0] for top in ascents)  # formed once per call
+        want = (-y)[:, None] * W1.T  # the stack's second row too: -(-y) * (-W1)^T
+        np.testing.assert_array_equal(ascents[0], want if net is model else [want, want])
 
 
 class _Tracked(np.ndarray):

@@ -207,8 +207,8 @@ def test_empty_sweeps():
 
 
 def test_compare_trains_the_whole_sweep_in_one_call(monkeypatch):
-    # an adversarial MLP trains alone inside train_many, so compare hands it
-    # the whole sweep, in report order, once
+    # an adversarial MLP joins train_many's one stack on a stream of its
+    # own, so compare hands it the whole sweep, in report order, once
     calls = []
 
     def counted(ds, spec, cfgs, **kwargs):

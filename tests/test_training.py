@@ -252,6 +252,10 @@ def test_config_validation():
         TrainConfig(model_kind="tree")
     with pytest.raises(ValueError, match="use_bias applies to linear models only"):
         TrainConfig(model_kind="mlp", use_bias=True)
+    # -0.0 is stored as +0.0, so that it names its model as 0.0 does
+    cfg = TrainConfig(regime="adversarial", epsilon=-0.0, l1_strength=-0.0)
+    assert repr((cfg.epsilon, cfg.l1_strength)) == "(0.0, 0.0)"
+    assert repr(replace(cfg, regime="l1", l1_strength=-0.0).l1_strength) == "0.0"
     for field in ("learning_rate", "l1_strength", "epsilon"):
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"{field} must be finite"):
@@ -422,6 +426,9 @@ def test_stacked_divergence_names_the_model_and_step():
     assert stacked.value.step == alone.value.step == 1
     for cfg in cfgs[:2] + cfgs[3:]:
         train(ds, LOGISTIC, cfg)  # the other models alone do not diverge
+    # two models diverging at one step: the first in config order is named
+    with pytest.raises(TrainingDivergedError, match=r"^adversarial\(eps=1e\+07\): .* step 1$"):
+        train_many(ds, LOGISTIC, [cfgs[2], replace(cfgs[2], epsilon=2e7)])
 
     # the l1 penalty counts toward its own model's objective only
     easy = _easy_dataset(n=200)
@@ -433,6 +440,24 @@ def test_stacked_divergence_names_the_model_and_step():
     with pytest.raises(TrainingDivergedError, match=r"^l1\(lam=10\): objective .* at step 1$"):
         train_many(big, LOGISTIC, cfgs)
     train_many(big, LOGISTIC, cfgs[:2])
+
+    # a mixed MLP sweep is one stack, so the first divergence in step order
+    # is raised: the PGD fit's at step 2, before the natural fit's (step 3)
+    # and the l1 fit's (step 5), though it comes last in config order
+    base = TrainConfig(model_kind="mlp", hidden_sizes=(4,), epochs=3, optimizer="sgd",
+                       learning_rate=100.0)
+    cfgs = [base, replace(base, regime="l1", l1_strength=1.0),
+            replace(base, regime="adversarial", epsilon=2.0)]
+    with pytest.raises(TrainingDivergedError) as stacked:
+        train_many(ds, LOGISTIC, cfgs)
+    steps = []
+    for cfg in cfgs:
+        with pytest.raises(TrainingDivergedError) as alone:
+            train(ds, LOGISTIC, cfg)
+        steps.append(alone.value.step)
+    assert steps == [3, 5, 2] and stacked.value.step == 2
+    assert str(stacked.value) == str(alone.value)
+    assert str(stacked.value).startswith("adversarial(eps=2): objective ")
 
 
 @pytest.mark.parametrize("change", [
@@ -457,25 +482,35 @@ def test_train_many_rejects_mlp_groups_that_cannot_share_a_stream():
     with pytest.raises(ValueError, match="at least one config"):
         train_many(ds, LOGISTIC, [])
     # alone, with eps = 0 (no PGD), or with other fits, the adversarial MLP
-    # is accepted: a PGD fit trains alone inside the call
+    # is accepted: a PGD fit joins the stack on a stream of its own
     assert len(train_many(ds, LOGISTIC, [pgd])) == 1
     assert len(train_many(ds, LOGISTIC, [base, replace(pgd, epsilon=0.0)])) == 2
     assert len(train_many(ds, LOGISTIC, [base, pgd])) == 2
 
 
 def test_mixed_mlp_sweep_matches_each_model_alone():
-    # the PGD fits train alone inside the call and the others as one stack;
-    # every fit comes back in config order, bit-identical to its own train()
+    # one stack: three PGD fits of 20, 15 and 23 steps, each on its own
+    # stream, with natural, l1 and eps = 0 fits on the shared one; every fit
+    # comes back in config order, bit-identical to its own train(), under
+    # each loss and on a two-hidden-layer tanh net
     ds = _noisy_dataset(seed=8, n=160)
-    base = TrainConfig(model_kind="mlp", hidden_sizes=(5,), epochs=2, seed=8,
-                       learning_rate=0.05)
-    cfgs = [base, replace(base, regime="adversarial", epsilon=0.1),
-            replace(base, regime="l1", l1_strength=0.05),
-            replace(base, regime="adversarial", epsilon=0.05)]
-    fits = train_many(ds, LOGISTIC, cfgs)
-    assert len(fits) == len(cfgs)
-    for cfg, fit in zip(cfgs, fits):
-        _assert_same_fit(fit, train(ds, LOGISTIC, cfg))
+    for loss_kind, hidden, act in [("logistic-nll", (5,), "softplus"),
+                                   ("hinge", (5,), "softplus"),
+                                   ("softplus-hinge", (5,), "softplus"),
+                                   ("logistic-nll", (6, 3), "tanh")]:
+        spec = make_loss(loss_kind)
+        base = TrainConfig(model_kind="mlp", hidden_sizes=hidden, hidden_activation=act,
+                           epochs=2, seed=8, learning_rate=0.05)
+        cfgs = [base, replace(base, regime="adversarial", epsilon=0.1),
+                replace(base, regime="l1", l1_strength=0.05),
+                replace(base, regime="adversarial", epsilon=0.05),
+                replace(base, regime="adversarial", epsilon=0.0),
+                replace(base, regime="adversarial", epsilon=0.13)]
+        assert [default_pgd_config(c.epsilon).steps for c in cfgs[1::2]] == [20, 15, 23]
+        fits = train_many(ds, spec, cfgs)
+        assert len(fits) == len(cfgs)
+        for cfg, fit in zip(cfgs, fits):
+            _assert_same_fit(fit, train(ds, spec, cfg))
 
 
 def test_mlp_pgd_bound_is_exact_at_its_edge():
