@@ -37,7 +37,7 @@ from .pipeline import (
     write_table_csv,
     write_tradeoff_csv,
 )
-from .sparseness import gini_rows
+from .sparseness import RowOverflowError, gini_rows
 from .theory import CHECKS
 from .training import OPTIMIZERS, REGIMES, TrainConfig, TrainingDivergedError, evaluate, train
 
@@ -349,7 +349,7 @@ def cmd_attribute(args) -> int:
     return 0
 
 
-def _read_vector_rows(path) -> tuple:
+def _read_vector_rows(path) -> list:
     """Numeric CSV rows; a non-numeric first row is a header. Files written by
     the attribute subcommand are recognized and stripped of their id/residual
     columns."""
@@ -361,8 +361,7 @@ def _read_vector_rows(path) -> tuple:
     try:
         [float(v) for v in rows[0]]
     except ValueError:
-        header = rows[0]
-        rows = rows[1:]
+        header, rows = rows[0], rows[1:]
     if not rows:
         raise ValueError(f"{path}: header but no data rows")
     keep = slice(None)
@@ -373,26 +372,27 @@ def _read_vector_rows(path) -> tuple:
         data = [np.asarray([float(v) for v in row[keep]]) for row in rows]
     except ValueError as exc:
         raise ValueError(f"{path}: non-numeric cell ({exc})") from None
-    for i, row in enumerate(data):
-        if not np.all(np.isfinite(row)):
-            raise ValueError(f"{path}: data row {i}: non-finite cell")
-    return data, header
+    bad = [i for i, row in enumerate(data) if not np.all(np.isfinite(row))]
+    if bad:
+        raise ValueError(f"{path}: data row {bad[0]}: non-finite cell")
+    return data
 
 
 def cmd_gini(args) -> int:
-    data, _ = _read_vector_rows(args.input)
+    data = _read_vector_rows(args.input)
     values = np.empty(len(data))
-    for width in {row.size for row in data}:  # rows of one width score as one array
-        same = [i for i, row in enumerate(data) if row.size == width]
-        values[same] = gini_rows(np.abs([data[i] for i in same]))
-    mean = float(np.mean(values))
+    try:
+        for width in {row.size for row in data}:  # rows of one width score as one array
+            same = [i for i, row in enumerate(data) if row.size == width]
+            values[same] = gini_rows(np.abs([data[i] for i in same]))
+    except RowOverflowError as exc:  # exc.row counts the rows of this width alone
+        raise ValueError(f"{args.input}: data row {same[exc.row]}: {exc.reason}") from None
     if args.out:
         write_csv(args.out, ["row", "gini"], enumerate(values.tolist()))
         print(f"wrote {args.out}")
     else:
-        for v in values:
-            print(fmt_float(v))
-    print(f"mean_gini {fmt_float(mean)}")
+        print(*map(fmt_float, values), sep="\n")
+    print(f"mean_gini {fmt_float(float(np.mean(values)))}")
     return 0
 
 

@@ -1099,6 +1099,13 @@ def test_gini_error_cases(tmp_path, capsys):
         assert main(["gini", "--input", str(bad), "--out", str(tmp_path / "g.csv")]) == 1
         assert "data row 1: non-finite cell" in capsys.readouterr().err
         assert not (tmp_path / "g.csv").exists()
+    big = tmp_path / "big.csv"  # the second width's first row overflows its sums
+    for rows in ("1,2\n1,2,3\n1e308,1e308,1e308\n", "1,2\n1,2,3\n1e308,1,2\n"):
+        big.write_text(rows, encoding="utf-8")
+        assert main(["gini", "--input", str(big)]) == 1
+        err = capsys.readouterr().err
+        assert f"{big}: data row 2: magnitudes sum past the float range" in err
+        assert err.count("\n") == 1
 
 
 # --- verify -----------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from attrsparse.attribution import AttributionVector
 from helpers import gini_row, gini_row_reference
 
-from attrsparse.sparseness import gini_rows, make_gini_report
+from attrsparse.sparseness import RowOverflowError, _row_fsums, gini_rows, make_gini_report
 
 
 def _gini_share_form(v):
@@ -37,6 +37,11 @@ def test_gini_rows_matches_per_row_formula_bitwise(rng):
         V[0] = 2.75                      # all equal: exactly 0
         V[1] = 0.0                       # all zero: warns, scores 0
         V[2] = 10.0 ** rng.uniform(-12, 12, size=d)  # wide dynamic range
+        V[3] = np.where(V[3] > 0.0, V[3], rng.choice([-0.0, 0.0], size=d))  # zeros of both signs
+        V[4] = rng.choice([-0.0, 0.0], size=d)
+        V[4, 0] = -0.0                   # all zero, -0.0 among them: warns, scores 0
+        for i, c in enumerate((5e-324, 1e-300, 0.1, 3.0, 1e300)):
+            V[5 + i] = c                 # all equal at several scales: exactly 0
         with pytest.warns(UserWarning, match="all-zero"):
             got = gini_rows(V)
         assert got.shape == (60,)
@@ -45,6 +50,67 @@ def test_gini_rows_matches_per_row_formula_bitwise(rng):
             assert g == ref and math.copysign(1.0, g) == math.copysign(1.0, ref), (d, row)
         assert got[0] == 0.0 and got[1] == 0.0
         assert gini_row(V[2]) == got[2]
+
+
+def _fsum_bits(A):
+    return np.asarray([math.fsum(row) for row in A.tolist()]).view(np.int64)
+
+
+def test_row_fsums_matches_fsum_bitwise(rng):
+    """The certified sums equal math.fsum's bits, sign of zero included, on
+    rows made to strain the certificate: exact ties, ties pushed over by a
+    term below u, rounding lost in the error sum, cancellations, and every
+    exponent from subnormal to 1e300."""
+    big = 2.0 ** 60
+    lost = 3.0 * 2.0 ** -55  # below half a unit in the last place of 1.0
+    special = [
+        [1e16, 1.0],                     # exact tie: rounds to even
+        [1e16, 1.0, 1e-20],              # tie pushed over by a term below u
+        [1e16, 1.0, 1.0],
+        [1e16 + 2.0, 1.0],
+        [big, -big, big, -big, 1.0, lost, lost, 0.0],  # the error sum drops 2 * lost
+        [1.0, 1e100, 1.0, -1e100],
+        [5e-324, -5e-324, 2.0 ** -1022, -2.0 ** -1022, 5e-324],
+        [1e300, 1e300, -1e300, -1e300, 1e-300],
+        [-0.0], [-0.0, -0.0], [0.0, -0.0, -0.0], [-1.0, 1.0],
+    ]
+    for row in special:
+        A = np.asarray([row, [-v for v in row], row[::-1]])
+        assert np.array_equal(_row_fsums(A).view(np.int64), _fsum_bits(A)), row
+    for d in (1, 2, 3, 5, 8, 13, 52, 101):
+        blocks = [
+            rng.choice([-1.0, 1.0], size=(200, d)) * 10.0 ** rng.uniform(-300, 300, size=(200, d)),
+            rng.choice([-1.0, 1.0], size=(200, d)) * rng.integers(1, 2 ** 20, size=(200, d)) * 5e-324,
+            rng.choice([0.0, -0.0, 5e-324, 1.0, -1.0, 1e16, -1e16], size=(200, d)),
+        ]
+        half = rng.normal(size=(200, (d + 1) // 2)) * 10.0 ** rng.integers(-30, 30, size=(200, 1))
+        tiny = rng.normal(size=(200, (d + 1) // 2)) * 10.0 ** rng.integers(-60, -10, size=(200, 1))
+        pairs = np.concatenate([half, -half + tiny], axis=1)[:, :d]  # near-exact cancellation
+        blocks.append(rng.permuted(pairs, axis=1))
+        exact = np.concatenate([half, -half], axis=1)[:, :d]         # exact cancellation
+        blocks.append(rng.permuted(exact, axis=1))
+        for A in blocks:
+            assert np.array_equal(_row_fsums(A).view(np.int64), _fsum_bits(A)), d
+
+
+def test_row_fsums_certifies_almost_every_row(rng, monkeypatch):
+    """Exponential rows of the benchmark's width reach math.fsum rarely: a
+    certificate that rejected every row would only be slower fsum."""
+    calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda row: calls.append(1) or fsum(row))
+    V = rng.exponential(size=(600, 52))
+    gini_rows(V)
+    assert len(calls) <= 0.01 * 2 * len(V)  # two sums per row
+
+
+def test_gini_rows_names_the_row_whose_sums_overflow():
+    rows = [[1.0, 2.0, 3.0], [1e308, 1e308, 1e308]]    # the total overflows
+    with pytest.raises(RowOverflowError, match="row 1: magnitudes sum past") as info:
+        gini_rows(np.asarray(rows))
+    assert info.value.row == 1
+    with pytest.raises(ValueError, match="row 0: magnitudes sum past"):
+        gini_rows(np.asarray([[1e308, 1.0, 2.0]]))      # the rank-weighted sum does
 
 
 def test_exact_values():
