@@ -321,11 +321,17 @@ def cmd_attribute(args) -> int:
     if args.image_shape and math.prod(args.image_shape) != ds.dim:
         h, w = args.image_shape
         raise ValueError(f"--image-shape {h}x{w} does not match dimension {ds.dim}")
+    u = np.zeros(ds.dim)
     if args.baseline_file:
         with open(args.baseline_file, encoding="utf-8") as fh:
-            u = np.asarray(json.load(fh), dtype=float)
-    else:
-        u = np.zeros(ds.dim)
+            try:
+                u = json.load(fh)
+            except json.JSONDecodeError:
+                u = None
+        if not (isinstance(u, list) and len(u) == ds.dim
+                and all(type(v) in (int, float) for v in u)):
+            raise ValueError(f"--baseline-file {args.baseline_file}: the baseline must be a "
+                             f"JSON list of {ds.dim} numbers")
     attribs = attribute_dataset(model, ds, u, method=args.method, steps=steps,
                                 split=args.split, target=args.target)
     out = _out_dir(args)

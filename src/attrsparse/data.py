@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._util import chunk_bounds, fmt_float, take
+from ._util import canonical_json, chunk_bounds, fmt_float, take
 
 __all__ = [
     "FeatureGroup",
@@ -205,21 +205,6 @@ def _column_kinds(schema, label_column):
     return kinds
 
 
-def _sniff_schema(header, rows, label_column):
-    """({name: kind} of the non-label columns, numeric iff every value
-    parses; the parsed values of each numeric column by its header position)."""
-    kinds, parsed = {}, {}
-    for j, name in enumerate(header):
-        if name == label_column:
-            continue
-        try:
-            parsed[j] = [float(row[j]) for row in rows]
-            kinds[name] = "numeric"
-        except (ValueError, IndexError):
-            kinds[name] = "categorical"
-    return kinds, parsed
-
-
 def read_schema(path) -> tuple:
     """(columns as (name, kind) pairs, label column, positive label) of a
     JSON schema file; each of the last two is None when the file leaves it
@@ -252,15 +237,16 @@ def load_csv(path, schema, label_column, *, delimiter=",", split_seed=0,
     """Read a headed CSV into an encoded Dataset.
 
     schema: iterable of (column_name, kind) with kind "categorical" or
-    "numeric", covering every non-label column; None infers it from the rows
-    read (numeric iff every value parses as a float). Categories are fitted on the
-    training split only (first-seen order); a test-split category unseen in
-    training is an error. The label column must hold exactly two distinct
-    values, mapped to {-1,+1}: the larger raw value sorts to +1 unless
+    "numeric", covering every non-label column; None infers each column's kind
+    (numeric iff every value parses as a float). Columns are encoded one at a
+    time in schema (or header) order, so the first holding a bad cell names the
+    error. Categories are fitted on the training split only (first-seen order),
+    and each row is one-hot at its category's index; a test-split category
+    unseen in training is an error. The label column must hold exactly two
+    distinct values, mapped to {-1,+1}: the larger raw value sorts to +1 unless
     positive_label names it. A name repeated in the header or the schema is an error.
     """
-    if schema is not None:
-        kinds = _column_kinds(schema, label_column)
+    kinds = None if schema is None else _column_kinds(schema, label_column)
 
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -275,17 +261,14 @@ def load_csv(path, schema, label_column, *, delimiter=",", split_seed=0,
             raise ValueError(f"{path}: column {name!r} appears more than once in the header")
     if label_column not in header:
         raise ValueError(f"label column {label_column!r} not in header {header}")
-    parsed = {}  # numeric values an inferred schema already parsed
-    if schema is None:
-        kinds, parsed = _sniff_schema(header, rows, label_column)
+    if kinds is None:  # each kind is left open: numeric iff all the column's cells parse
+        kinds = dict.fromkeys(c for c in header if c != label_column)
     missing = [c for c in header if c != label_column and c not in kinds]
     if missing:
         raise ValueError(f"schema does not name columns: {missing}")
     absent = [c for c in kinds if c not in header]
     if absent:
         raise ValueError(f"schema columns {absent} not in header {header}")
-    col_idx = {name: header.index(name) for name in kinds}
-    label_idx = header.index(label_column)
     n = len(rows)
     if n < 1:
         raise ValueError(f"{path}: no data rows")
@@ -293,52 +276,41 @@ def load_csv(path, schema, label_column, *, delimiter=",", split_seed=0,
         if len(row) != len(header):
             raise ValueError(f"row {i}: expected {len(header)} fields, got {len(row)}")
 
+    columns = dict(zip(header, zip(*rows)))  # each column's cells, transposed once
     # split before fitting any statistic; categories come from train rows only
     train_rows = _train_indices(n, split_seed)
+    groups, names, blocks = [], [], []
+    for name, kind in kinds.items():
+        cells, pos = columns[name], groups[-1].stop if groups else 0
+        if kind != "categorical":
+            try:
+                values = [float(v) for v in cells]
+            except ValueError:  # an inferred column is then categorical
+                if kind == "numeric":  # a given one names its first bad cell
+                    for i, v in enumerate(cells):
+                        try:
+                            float(v)
+                        except ValueError:
+                            raise ValueError(f"row {i}, column {name!r}: non-numeric "
+                                             f"value {v!r}") from None
+            else:
+                blocks.append(np.array(values)[:, None])
+                groups.append(FeatureGroup(name, "numeric", pos, pos + 1))
+                names.append(name)
+                continue
+        cats = dict.fromkeys(cells[i] for i in train_rows)
+        group = FeatureGroup(name, "categorical", pos, pos + len(cats), cats)
+        index = {c: k for k, c in enumerate(group.categories)}
+        try:
+            blocks.append(np.eye(len(index))[[index[v] for v in cells]])
+        except KeyError:
+            i = next(i for i, v in enumerate(cells) if v not in index)
+            raise ValueError(f"row {i}, column {name!r}: category {cells[i]!r} not seen in "
+                             "training split") from None
+        groups.append(group)
+        names.extend(f"{name}={c}" for c in group.categories)
 
-    categories = {name: list(dict.fromkeys(rows[i][col_idx[name]] for i in train_rows))
-                  for name in kinds if kinds[name] == "categorical"}
-
-    groups = []
-    names = []
-    pos = 0
-    for name in kinds:
-        if kinds[name] == "categorical":
-            cats = categories[name]
-            groups.append(FeatureGroup(name, "categorical", pos, pos + len(cats), cats))
-            names.extend(f"{name}={c}" for c in cats)
-            pos += len(cats)
-        else:
-            groups.append(FeatureGroup(name, "numeric", pos, pos + 1))
-            names.append(name)
-            pos += 1
-
-    X = np.zeros((n, pos))
-    for g in groups:
-        j = col_idx[g.name]
-        if g.kind == "categorical":
-            lookup = {c: k for k, c in enumerate(g.categories)}
-            for i in range(n):
-                v = rows[i][j]
-                if v not in lookup:
-                    raise ValueError(
-                        f"row {i}, column {g.name!r}: category {v!r} not seen in training split"
-                    )
-                X[i, g.start + lookup[v]] = 1.0
-        elif j in parsed:
-            X[:, g.start] = parsed[j]
-        else:
-            for i in range(n):
-                v = rows[i][j]
-                try:
-                    X[i, g.start] = float(v)
-                except ValueError:
-                    raise ValueError(
-                        f"row {i}, column {g.name!r}: non-numeric value {v!r}"
-                    ) from None
-
-    raw_labels = [row[label_idx] for row in rows]
-    distinct = sorted(set(raw_labels))
+    distinct = sorted(set(columns[label_column]))
     if len(distinct) < 2:
         raise ValueError(f"label column {label_column!r} has a single value {distinct[0]!r}")
     if len(distinct) > 2:
@@ -348,10 +320,10 @@ def load_csv(path, schema, label_column, *, delimiter=",", split_seed=0,
         positive_label = distinct[1]
     elif positive_label not in distinct:
         raise ValueError(f"positive label {positive_label!r} not among {distinct}")
-    y = np.asarray([1.0 if v == positive_label else -1.0 for v in raw_labels])
+    y = np.asarray([1.0 if v == positive_label else -1.0 for v in columns[label_column]])
 
     return Dataset(
-        features=X,
+        features=np.hstack([np.empty((n, 0)), *blocks]),  # (n, 0) when only the label is left
         labels=y,
         feature_names=names,
         encoding_map=tuple(groups),
@@ -410,8 +382,7 @@ def save_dataset(ds: Dataset, path):
         "split_seed": ds.split_seed,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(canonical_json(doc))
 
 
 def load_dataset(path) -> Dataset:

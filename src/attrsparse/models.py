@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import fmt_float
+from ._util import canonical_json, fmt_float
 from .losses import LossSpec, sigmoid
 
 __all__ = [
@@ -334,8 +334,7 @@ def model_from_dict(data: dict):
 
 def save_model(model, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(canonical_json(model_to_dict(model)))
 
 
 def load_model(path):

@@ -80,15 +80,19 @@ def gini_rows(V) -> np.ndarray:
     all-equal row scores exactly 0. Both sums are math.fsum's bits, certified
     in array arithmetic by _row_fsums under the bound
     b = 2^ceil(log2(d - 2)) * 2^-53 * sum|err| on the rounding of a TwoSum
-    tree's error terms; only the rows it cannot certify (non-finite values,
-    exact rounding ties, sums that cancel below b) run math.fsum. An all-zero
-    row scores 0 with a warning. Raises on negative entries, and raises
-    RowOverflowError, a ValueError, on a row of finite entries whose total or
-    rank-weighted sum passes the float range.
+    tree's error terms; only the rows it cannot certify (an overflow, exact
+    rounding ties, sums that cancel below b) run math.fsum. An all-zero row
+    scores 0 with a warning. Raises a ValueError naming the first row that
+    holds NaN or an infinity, raises on negative entries, and raises
+    RowOverflowError, a ValueError, on a row whose total or rank-weighted sum
+    passes the float range.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim != 2 or V.shape[1] == 0:
         raise ValueError("gini needs non-empty rows: an (n, d) array with d >= 1")
+    bad = np.flatnonzero(~np.isfinite(V).all(axis=1))
+    if bad.size:
+        raise ValueError(f"row {bad[0]}: gini is defined for finite values only")
     if np.any(V < 0):
         raise ValueError("gini is defined for non-negative values only")
     d = V.shape[1]
@@ -97,8 +101,7 @@ def gini_rows(V) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # such rows fall back or raise
         total = _row_fsums(ordered)
         num = _row_fsums(ordered * ranks)
-    # a finite row whose products overflow: fsum returns inf instead of raising
-    over = np.flatnonzero(np.isinf(num) & np.isfinite(ordered[:, -1]))
+    over = np.flatnonzero(np.isinf(num))  # products that overflow: fsum returns inf
     if over.size:
         raise RowOverflowError(int(over[0]))
     zero = total == 0.0

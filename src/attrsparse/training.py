@@ -146,24 +146,24 @@ def regime_tag(cfg):
     return cfg.regime
 
 
-def _trace_points(spec, margins, rows, y, epsilon, is_l1, lam):
-    """Loss, accuracy, weight l1 norm and weight Gini of every model in a
-    stack on the training split: one row of each per model.
-
-    margins is (k, n); rows holds each model's weights, one row per model.
-    Each model's loss is g(eps*||w||_1 - y*margin), with epsilon non-zero
-    only for the linear models trained on the eps-box's worst case; l1
-    models add lam * ||w||_1.
-    """
-    l1 = np.abs(rows).sum(axis=1)
-    z = epsilon[:, None] * l1[:, None] - y * margins
-    mean_loss = spec.g(z).mean(axis=1)
-    mean_loss[is_l1] += lam[is_l1] * l1[is_l1]
+def _trace_points(margins, weights, y):
+    """Accuracy and weight Gini of every model in a stack on the training
+    split, the trace's columns besides the objective's."""
     acc = (np.where(margins >= 0.0, 1.0, -1.0) == y).mean(axis=1)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        wg = gini_rows(np.abs(rows))
-    return mean_loss, acc, l1, wg
+        warnings.simplefilter("ignore")  # an all-zero row of weights scores 0
+        return acc, gini_rows(np.abs(weights))
+
+
+def _check_objective(objective, cfgs, step):
+    """Raise TrainingDivergedError naming the first model whose objective is
+    NaN or above DIVERGENCE_LIMIT after step updates."""
+    bad = ~(objective <= DIVERGENCE_LIMIT)  # NaN compares False too
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise TrainingDivergedError(
+            f"{regime_tag(cfgs[i])}: objective {float(objective[i])!r} exceeded "
+            f"{DIVERGENCE_LIMIT:g} at step {step}", step)
 
 
 _SHARED = ("seed", "epochs", "batch_size", "optimizer", "learning_rate", "model_kind", "use_bias")
@@ -224,9 +224,12 @@ def train_many(ds: Dataset, spec: LossSpec, cfgs, *, trace=True):
     worst-case-attribution equivalence and is limited to linear models; l1
     applies proximal soft-thresholding to the weights (never the bias) after
     every optimizer step. Returns [(model, trace)] in config order;
-    trace=False skips the per-epoch training-split pass and returns
-    (model, None). A divergence is raised at the first step where any model
-    diverges, naming the first such model in config order.
+    trace=False skips the per-epoch trace and returns (model, None). Each
+    step's result is checked before anything reads it: by the batch
+    objective before the next step, and after an epoch's last step by the
+    training split's objective (an MLP's natural loss), on every epoch when
+    tracing and on the last one otherwise. A divergence is raised at the
+    first check any model fails, naming the first such model in config order.
     """
     cfgs = list(cfgs)
     _check_stack(cfgs)
@@ -265,10 +268,10 @@ def train_many(ds: Dataset, spec: LossSpec, cfgs, *, trace=True):
            for i, c in enumerate(cfgs) if _uses_pgd(c)}
 
     optimizer = (_Adam if cfg.optimizer == "adam" else _Sgd)(flat, cfg.learning_rate)
-    trace_eps = epsilon if stack is None else np.zeros(k)  # an MLP traces its natural loss
+    split_eps = epsilon if stack is None else np.zeros(k)  # an MLP's split loss is natural
     traces = [TrainTrace() if trace else None for _ in cfgs]
     step = 0
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         perm = rng.permutation(n) if len(pgd) < k else None  # the shared stream's order
         if pgd:  # one row of batch indices per model
             perm = np.stack([pgd[i][2].permutation(n) if i in pgd else perm for i in range(k)])
@@ -288,26 +291,30 @@ def train_many(ds: Dataset, spec: LossSpec, cfgs, *, trace=True):
             batch_loss = losses.mean(axis=-1)
             if any_l1:
                 batch_loss[is_l1] += lam[is_l1] * np.abs(flat[is_l1, :n_weights]).sum(axis=1)
-            bad = ~(batch_loss <= DIVERGENCE_LIMIT)  # NaN compares False too
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise TrainingDivergedError(
-                    f"{regime_tag(cfgs[i])}: objective {float(batch_loss[i])!r} exceeded "
-                    f"{DIVERGENCE_LIMIT:g} at step {step}", step)
+            _check_objective(batch_loss, cfgs, step)
             optimizer.step(grad)
             if any_prox:
                 flat[prox, :n_weights] = soft_threshold(flat[prox, :n_weights], threshold)
             step += 1
-        if not trace:
-            continue
+        if not (trace or epoch == cfg.epochs - 1):
+            continue  # the next step's check covers this epoch's last one
         if stack is None:
             margins = np.matmul(X, params[0][..., None])[..., 0]
             if bias is not None:
                 margins = margins + bias[:, None]
         else:
             margins = stack.margin(X)
-        points = _trace_points(spec, margins, flat[:, :n_weights], y, trace_eps, is_l1, lam)
-        for tr, point in zip(traces, zip(*(p.tolist() for p in points))):
+        # the training split's objective: g(eps*||w||_1 - y*margin), eps non-zero
+        # only for a linear model's worst case, plus lam*||w||_1 for l1 models
+        weights = flat[:, :n_weights]
+        l1 = np.abs(weights).sum(axis=1)
+        mean_loss = spec.g(split_eps[:, None] * l1[:, None] - y * margins).mean(axis=1)
+        mean_loss[is_l1] += lam[is_l1] * l1[is_l1]
+        _check_objective(mean_loss, cfgs, step)
+        if not trace:
+            continue
+        acc, wg = _trace_points(margins, weights, y)
+        for tr, point in zip(traces, zip(*(p.tolist() for p in (mean_loss, acc, l1, wg)))):
             for series, value in zip((tr.loss, tr.accuracy, tr.weight_l1, tr.weight_gini), point):
                 series.append(value)
 

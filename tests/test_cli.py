@@ -437,6 +437,27 @@ def test_train_divergence_exit_2(tmp_path, capsys):
     assert "training diverged" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--lr", "1e308"],    # weights summing past the float range reach no trace
+    ["train", "--lr", "1e300"],    # a finite objective of 1e+298 writes no model
+    ["compare", "--lr", "1e308"],  # an untraced fit writes no report
+])
+def test_last_step_divergence_exit_2(tmp_path, capsys, argv):
+    # one sgd step, which no later step checks: the training split's
+    # objective after it must, before the trace or the caller reads the model
+    data = tmp_path / "toy.json"
+    assert main(["synth", "gaussian", "--n", "200", "--out", str(data)]) == 0
+    out = tmp_path / "run"
+    rc = main([argv[0], "--data", str(data), "--optimizer", "sgd", "--epochs", "1",
+               "--batch-size", "1000", *argv[1:], "--out-dir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("attrsparse: training diverged: natural: "
+                                               "objective "), err
+    assert err[0].endswith("exceeded 1e+06 at step 1"), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--lr", "nan"],
     ["--regime", "adversarial", "--eps", "nan"],
@@ -996,6 +1017,20 @@ def test_attribute_baseline_file(synth_json, trained_model, tmp_path):
                    "--out-dir", str(tmp_path / "nan")])
         assert rc == 1
         assert not (tmp_path / "nan" / "attributions.csv").exists()
+
+
+@pytest.mark.parametrize("text", ['"abc"', '{"a": 1}', "abc", '["0", 0, 0, 0]', "[1.0]"])
+def test_attribute_baseline_file_must_be_a_list_of_dim_numbers(synth_json, trained_model,
+                                                               tmp_path, capsys, text):
+    baseline = tmp_path / "u.json"
+    baseline.write_text(text, encoding="utf-8")
+    out = tmp_path / "attr"
+    rc = main(["attribute", "--data", str(synth_json), "--model", str(trained_model),
+               "--baseline-file", str(baseline), "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"attrsparse: error: --baseline-file {baseline}: the "
+                                       "baseline must be a JSON list of 4 numbers\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("method", ["numeric", "closed"])

@@ -75,11 +75,12 @@ def test_load_csv_encoding(mixed_csv):
 
 
 def test_inferred_schema_parses_each_numeric_cell_once(tmp_path, monkeypatch):
-    # Inference parses every cell of a numeric column to pick its kind and
-    # the encoding reuses those values; a categorical column costs the one
-    # failed parse of its first cell. The Dataset is the explicit schema's.
-    rows = [["red", f"{0.25 * i - 1.0}", "yes" if i % 2 else "no", str(i)] for i in range(12)]
-    path = _write_csv(tmp_path / "m.csv", ["color", "size", "label", "count"], rows)
+    # Inference parses every cell of a numeric column once, and those values
+    # are its encoding; a categorical column costs the one failed parse of
+    # its first cell. The Dataset is the explicit schema's.
+    header = ["color", "size", "label", "count"]
+    rows = [["red", f"{0.25 * i - 1.0}", "yes" if i % 2 else "no", str(i % 3)] for i in range(12)]
+    path = _write_csv(tmp_path / "m.csv", header, rows)
     calls = []
 
     class CountingFloat:
@@ -93,10 +94,28 @@ def test_inferred_schema_parses_each_numeric_cell_once(tmp_path, monkeypatch):
     got = load_csv(path, None, "label")
     monkeypatch.undo()
     assert sorted(calls) == sorted(["red"] + [r[1] for r in rows] + [r[3] for r in rows])
-    want = load_csv(path, [("color", "categorical"), ("size", "numeric"),
-                           ("count", "numeric")], "label")
+    schema = [("color", "categorical"), ("size", "numeric"), ("count", "numeric")]
+    want = load_csv(path, schema, "label")
     assert got.features.tobytes() == want.features.tobytes()
     assert got.feature_names == want.feature_names == ["color=red", "size", "count"]
+    # a numeric-looking column the schema calls categorical stays categorical
+    given = load_csv(path, [*schema[:2], ("count", "categorical")], "label")
+    count = given.encoding_map[2]
+    assert count.kind == "categorical" and sorted(count.categories) == ["0", "1", "2"]
+    assert given.feature_names[2:] == [f"count={c}" for c in count.categories]
+    assert [count.categories[k] for k in given.features[:, 2:].argmax(axis=1)] == \
+        [r[3] for r in rows]
+    # columns are checked in schema order, whatever the rows: color's unseen
+    # test category wins over a non-numeric size in row 0, and the other way
+    # round when size comes first
+    target = int(want.test_indices[-1])
+    bad = [["blue" if i == target else r[0], "oops" if i == 0 else r[1], *r[2:]]
+           for i, r in enumerate(rows)]
+    bad_path = _write_csv(tmp_path / "b.csv", header, bad)
+    with pytest.raises(ValueError, match=f"row {target}, column 'color': category 'blue'"):
+        load_csv(bad_path, schema, "label")
+    with pytest.raises(ValueError, match="row 0, column 'size': non-numeric value 'oops'"):
+        load_csv(bad_path, [schema[1], schema[0], schema[2]], "label")
     # a short row is still the row-length error, after inference
     short = _write_csv(tmp_path / "s.csv", ["color", "size", "label"],
                        [["red", "1.0", "yes"], ["blue", "2.0"]])

@@ -225,3 +225,10 @@ def test_make_gini_report():
         AttributionVector(np.asarray([2.0, 2.0]), 0.0),
     ]
     np.testing.assert_allclose(make_gini_report(attribs), [0.5, 0.0], atol=1e-15)
+
+
+@pytest.mark.filterwarnings("error")  # an error, not a NaN score and a RuntimeWarning
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gini_rows_names_the_first_non_finite_row(bad):
+    with pytest.raises(ValueError, match="^row 1: gini is defined for finite values only$"):
+        gini_rows(np.asarray([[1.0, 2.0], [bad, 1.0], [1.0, bad]]))
