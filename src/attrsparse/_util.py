@@ -47,6 +47,19 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def read_json_object(path, kind: str) -> dict:
+    """The one JSON object a file holds; a ValueError naming the file when it
+    is not UTF-8 JSON, or when it holds another JSON value."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # json.JSONDecodeError or UnicodeDecodeError
+            raise ValueError(f"{path}: not a valid JSON {kind} file ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a {kind} file holds one JSON object")
+    return doc
+
+
 def chunk_bounds(n: int, chunk: int) -> list:
     """(start, stop) pairs covering range(n) in order."""
     return [(start, min(start + chunk, n)) for start in range(0, n, chunk)]

@@ -45,13 +45,14 @@ def pgd_perturb_batch(model, X, y, eps: float, cfg: PgdConfig, spec: LossSpec, r
     returned, so loss(x + delta) >= loss(x + delta0) always holds. The model
     must be an MlpModel: a linear model's worst case is closed-form.
 
-    A loss with spec.positive_slope steps on the sign of -y * dlogit/dx,
-    the loss gradient's sign, so no step forms a logit or g'(z), and the
-    output-layer product -y * W_last is formed once per call; a row whose
-    g'(z) underflows to 0 (logistic at z below about -745, a huge correct
-    margin) thus still ascends, where a step through g' left it at its start.
-    Its steps write into buffers made once per call. Hinge's g' in {0, 1}
-    masks rows, so its steps compute the logit.
+    Every loss steps on the sign of its input gradient through
+    MlpModel.ascent_slope, from the output-layer product top = -y * W_last
+    formed once per call. A loss with spec.positive_slope steps on top
+    itself: g'(z) > 0 leaves the gradient's sign alone, so no step forms a
+    logit, and a row whose g'(z) underflows to 0 (logistic at z below about
+    -745, a huge correct margin) still ascends. Hinge's g'(z) in {0, 1}
+    masks rows, so each of its steps scales top row by row by g'(z), with
+    z = -y * margin. Steps write into buffers made once per call.
     """
     if not isinstance(model, MlpModel):
         raise TypeError(f"PGD runs on an MlpModel, got {type(model).__name__}; "
@@ -63,21 +64,16 @@ def pgd_perturb_batch(model, X, y, eps: float, cfg: PgdConfig, spec: LossSpec, r
     moved = np.add(X, delta)  # X + delta, refilled in place each step
     lo, hi = np.full(X.shape, -eps), np.full(X.shape, eps)  # full bounds clip faster than scalars
     negy = -y
-    if spec.positive_slope:
-        start_loss = spec.g(negy * model.margin(moved))
-        # dlogit = -y at the output unit, the same on every step
-        top = negy[..., None] @ model.weights[-1].swapaxes(-1, -2)
-        work = (np.empty(top.shape[:-1] + model.weights[0].shape[-1:]), np.empty(top.shape),
-                np.empty(X.shape))
-    for k in range(cfg.steps):
-        if spec.positive_slope:
-            grad = model.ascent_slope(moved, top, work)
-        else:
-            cache = model._forward(moved)
-            z = negy * cache[0]  # -y * margin: the natural loss is g(z)
-            grad = model.backprop(cache, negy * spec.gprime(z), "inputs")
-            if k == 0:
-                start_loss = spec.g(z)  # the first step's forward pass
+    start_loss = spec.g(negy * model.margin(moved))
+    # dlogit = -y * g'(z) at the output unit, -y alone when g' > 0
+    top = negy[..., None] @ model.weights[-1].swapaxes(-1, -2)
+    slope = top if spec.positive_slope else np.empty(top.shape)
+    work = (np.empty(top.shape[:-1] + model.weights[0].shape[-1:]), np.empty(top.shape),
+            np.empty(X.shape))
+    for _ in range(cfg.steps):
+        if not spec.positive_slope:
+            np.multiply(top, spec.gprime(negy * model.margin(moved))[..., None], out=slope)
+        grad = model.ascent_slope(moved, slope, work)
         step = np.sign(grad, out=grad)
         step *= cfg.step_size
         delta += step

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from ._util import canonical_json, fmt_float, write_csv
+from ._util import canonical_json, fmt_float, read_json_object, write_csv
 from ._version import __version__
 from .attribution import DEFAULT_REPORT_STEPS, attribute_dataset, impact_report, write_pgm
 from .data import (
@@ -37,7 +37,7 @@ from .pipeline import (
     write_table_csv,
     write_tradeoff_csv,
 )
-from .sparseness import RowOverflowError, gini_rows
+from .sparseness import gini_rows
 from .theory import CHECKS
 from .training import OPTIMIZERS, REGIMES, TrainConfig, TrainingDivergedError, evaluate, train
 
@@ -72,21 +72,16 @@ def _seed(text: str) -> int:
 
 
 def _load_config_file(path) -> dict:
+    if not str(path).endswith(".toml"):
+        return read_json_object(path, "config")
+    try:
+        import tomllib
+    except ModuleNotFoundError:
+        raise ValueError(
+            f"{path}: TOML config files need Python 3.11+; use a JSON config"
+        ) from None
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if str(path).endswith(".toml"):
-        try:
-            import tomllib
-        except ModuleNotFoundError:
-            raise ValueError(
-                f"{path}: TOML config files need Python 3.11+; use a JSON config"
-            ) from None
-        doc = tomllib.loads(raw.decode("utf-8"))
-    else:
-        doc = json.loads(raw.decode("utf-8"))
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: config file must hold a single table/object")
-    return doc
+        return tomllib.load(fh)  # a TOML document is one table
 
 
 # One row per training option: its TrainConfig field (None for the loss,
@@ -326,10 +321,11 @@ def cmd_attribute(args) -> int:
         with open(args.baseline_file, encoding="utf-8") as fh:
             try:
                 u = json.load(fh)
-            except json.JSONDecodeError:
+            except ValueError:  # not UTF-8 JSON
                 u = None
-        if not (isinstance(u, list) and len(u) == ds.dim
-                and all(type(v) in (int, float) for v in u)):
+        if not (isinstance(u, list) and len(u) == ds.dim  # an int may lie past the float range
+                and all(type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max)
+                        for v in u)):
             raise ValueError(f"--baseline-file {args.baseline_file}: the baseline must be a "
                              f"JSON list of {ds.dim} numbers")
     attribs = attribute_dataset(model, ds, u, method=args.method, steps=steps,
@@ -387,12 +383,9 @@ def _read_vector_rows(path) -> list:
 def cmd_gini(args) -> int:
     data = _read_vector_rows(args.input)
     values = np.empty(len(data))
-    try:
-        for width in {row.size for row in data}:  # rows of one width score as one array
-            same = [i for i, row in enumerate(data) if row.size == width]
-            values[same] = gini_rows(np.abs([data[i] for i in same]))
-    except RowOverflowError as exc:  # exc.row counts the rows of this width alone
-        raise ValueError(f"{args.input}: data row {same[exc.row]}: {exc.reason}") from None
+    for width in {row.size for row in data}:  # rows of one width score as one array
+        same = [i for i, row in enumerate(data) if row.size == width]
+        values[same] = gini_rows(np.abs([data[i] for i in same]))
     if args.out:
         write_csv(args.out, ["row", "gini"], enumerate(values.tolist()))
         print(f"wrote {args.out}")
@@ -551,7 +544,7 @@ def main(argv=None) -> int:
     except TrainingDivergedError as exc:
         print(f"attrsparse: training diverged: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError, KeyError) as exc:
         detail = str(exc) or repr(exc)
         print(f"attrsparse: error: {detail}", file=sys.stderr)
         return 1

@@ -5,13 +5,12 @@ both synthetic datasets and the theory checks draw from.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._util import canonical_json, chunk_bounds, fmt_float, take
+from ._util import canonical_json, chunk_bounds, fmt_float, read_json_object, take
 
 __all__ = [
     "FeatureGroup",
@@ -211,10 +210,7 @@ def read_schema(path) -> tuple:
     out. The columns are a {name: kind} object or a list whose entries are
     [name, kind] pairs or {"name": ..., "kind": ...} objects, every name
     and kind a string; a malformed entry is an error naming its index."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: a schema file holds one JSON object")
+    doc = read_json_object(path, "schema")
     if not isinstance(doc.get("positive_label", ""), (str, type(None))):
         raise ValueError(f"{path}: 'positive_label' must be a string, got "
                          f"{type(doc['positive_label']).__name__}")
@@ -388,8 +384,7 @@ def save_dataset(ds: Dataset, path):
 def load_dataset(path) -> Dataset:
     """Read a JSON sidecar; keys that older sidecars carry ("label_map",
     "translated") are ignored."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json_object(path, "dataset")
     version = doc.get("format_version")
     if version != _SIDECAR_VERSION:
         raise ValueError(f"unsupported dataset sidecar version {version!r}")

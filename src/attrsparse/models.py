@@ -5,12 +5,11 @@ uniformly; probability-style output goes through value(x).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import canonical_json, fmt_float
+from ._util import canonical_json, fmt_float, read_json_object
 from .losses import LossSpec, sigmoid
 
 __all__ = [
@@ -189,15 +188,15 @@ class MlpModel:
         ``cache = self._forward(X)``, using the activation derivatives it cached.
 
         wrt picks the one result computed: "params", the parameter gradients
-        summed over the batch [weights by layer, then biases by layer];
-        "inputs", the per-example input gradients (n, d); or "first", the
-        gradient at the first layer's output (n, h1), whose product with W0
-        transposed the input gradients are. A stack adds its leading model
-        axis to each. Every product the result does not need is skipped, and
-        what is computed does not depend on wrt bit for bit.
+        summed over the batch [weights by layer, then biases by layer]; or
+        "first", the gradient at the first layer's output (n, h1), whose
+        product with W0 transposed is the per-example input gradient (n, d).
+        A stack adds its leading model axis to each. Every product the result
+        does not need is skipped, and what is computed does not depend on wrt
+        bit for bit.
         """
-        if wrt not in ("params", "inputs", "first"):
-            raise ValueError(f"wrt must be 'params', 'inputs' or 'first', got {wrt!r}")
+        if wrt not in ("params", "first"):
+            raise ValueError(f"wrt must be 'params' or 'first', got {wrt!r}")
         _, derivs, acts = cache
         weight_grads, bias_grads = [], []
         delta = dlogit[..., None]  # gradient at the output unit
@@ -207,16 +206,17 @@ class MlpModel:
             if wrt == "params":
                 weight_grads.insert(0, acts[l].swapaxes(-1, -2) @ delta)
                 bias_grads.insert(0, delta.sum(axis=-2))
-            if l or wrt == "inputs":
+            if l:
                 upstream = delta @ self.weights[l].swapaxes(-1, -2)
         if wrt == "params":
             return weight_grads + bias_grads
-        return upstream if wrt == "inputs" else delta
+        return delta
 
     def ascent_slope(self, X, top, work=(None, None, None)):
-        """The input gradient from dlogit = -y, backprop(_forward(X), -y,
-        "inputs") bit for bit, given top = (-y)[:, None] @ W_last^T: one PGD
-        step of a loss with a positive slope, for a call that forms top once.
+        """The input gradient for dLoss/dlogit = c (n,) given
+        top = c[:, None] * W_last^T, backprop(_forward(X), c, "first") @ W0^T
+        bit for bit when top is that product: one PGD step, whose call forms
+        top = -y * W_last^T once and, for hinge, scales it row by row by g'(z).
 
         Only the activation derivatives are formed, the last hidden layer's
         alone, with no logit and no output-layer product. A stack adds its
@@ -338,5 +338,4 @@ def save_model(model, path):
 
 
 def load_model(path):
-    with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    return model_from_dict(read_json_object(path, "model"))

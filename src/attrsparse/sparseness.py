@@ -6,22 +6,12 @@ import warnings
 
 import numpy as np
 
-__all__ = ["RowOverflowError", "gini_rows", "make_gini_report"]
-
-
-class RowOverflowError(ValueError):
-    """A row of finite magnitudes whose Gini sums pass the float range."""
-
-    reason = "magnitudes sum past the float range"
-
-    def __init__(self, row: int):
-        super().__init__(f"row {row}: {self.reason}")
-        self.row = row
+__all__ = ["gini_rows", "make_gini_report"]
 
 
 def _row_fsums(A) -> np.ndarray:
     """math.fsum of each row of an (n, d) float array, bit for bit, where fsum
-    returns; RowOverflowError for a row on which it overflows.
+    returns; inf for a row on which it overflows or meets inf - inf.
 
     A pairwise TwoSum tree over the columns gives each row a float sum s and
     d - 1 exact error terms e, so that s + sum(e) is the row's exact sum X.
@@ -65,8 +55,8 @@ def _row_fsums(A) -> np.ndarray:
     for i in np.flatnonzero(~ok):
         try:
             r[i] = math.fsum(A[i].tolist())
-        except OverflowError:
-            raise RowOverflowError(int(i)) from None
+        except (OverflowError, ValueError):
+            r[i] = math.inf
     return r
 
 
@@ -81,11 +71,13 @@ def gini_rows(V) -> np.ndarray:
     in array arithmetic by _row_fsums under the bound
     b = 2^ceil(log2(d - 2)) * 2^-53 * sum|err| on the rounding of a TwoSum
     tree's error terms; only the rows it cannot certify (an overflow, exact
-    rounding ties, sums that cancel below b) run math.fsum. An all-zero row
-    scores 0 with a warning. Raises a ValueError naming the first row that
-    holds NaN or an infinity, raises on negative entries, and raises
-    RowOverflowError, a ValueError, on a row whose total or rank-weighted sum
-    passes the float range.
+    rounding ties, sums that cancel below b) run math.fsum. A row whose
+    total, rank-weighted sum or d * total passes the float range is summed
+    again scaled by 2^-(2 * bit_length(d) + 1), which keeps each in range;
+    a power of two scales exactly, save for entries it makes subnormal, and
+    the Gini index is scale-invariant. An all-zero row scores 0 with a
+    warning. Raises a ValueError naming the first row that holds NaN or an
+    infinity, and raises on negative entries.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim != 2 or V.shape[1] == 0:
@@ -98,16 +90,20 @@ def gini_rows(V) -> np.ndarray:
     d = V.shape[1]
     ordered = np.sort(V, axis=1)  # equal keys are equal values, or zeros that add nothing
     ranks = 2.0 * np.arange(1, d + 1) - d - 1
-    with np.errstate(over="ignore", invalid="ignore"):  # such rows fall back or raise
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are scaled below
         total = _row_fsums(ordered)
         num = _row_fsums(ordered * ranks)
-    over = np.flatnonzero(np.isinf(num))  # products that overflow: fsum returns inf
-    if over.size:
-        raise RowOverflowError(int(over[0]))
+        den = d * total
+    over = np.flatnonzero(~(np.isfinite(num) & np.isfinite(den)))
+    if over.size:  # |sum| <= d * d * max < 2^1023 once scaled
+        scaled = np.ldexp(ordered[over], -2 * d.bit_length() - 1)
+        total[over] = _row_fsums(scaled)
+        num[over] = _row_fsums(scaled * ranks)
+        den[over] = d * total[over]
     zero = total == 0.0
     if zero.any():
         warnings.warn("gini of an all-zero vector is degenerate; returning 0", stacklevel=2)
-    g = np.divide(num, d * total, out=np.zeros_like(total), where=~zero)
+    g = np.divide(num, den, out=np.zeros_like(total), where=~zero)
     return np.where(g < 0.0, 0.0, g)
 
 

@@ -128,7 +128,7 @@ def ig_midpoint_reference(model, x, u, steps):
     if isinstance(model, MlpModel):
         cache = model._forward(points)
         p = sigmoid(cache[0])
-        grads = model.backprop(cache, p * (1.0 - p), "inputs")
+        grads = model.backprop(cache, p * (1.0 - p), "first") @ model.weights[0].swapaxes(-1, -2)
     elif model.activation == "identity":
         grads = np.ones((steps, 1)) * model.w
     else:
@@ -151,7 +151,8 @@ def pgd_clip_reference(model, X, y, eps, cfg, spec, rng):
     start_loss = loss(spec, model, X + delta, y)
     for _ in range(cfg.steps):
         cache = model._forward(X + delta)
-        dx = model.backprop(cache, -y * spec.gprime(-y * cache[0]), "inputs")
+        first = model.backprop(cache, -y * spec.gprime(-y * cache[0]), "first")
+        dx = first @ model.weights[0].swapaxes(-1, -2)
         delta = np.clip(delta + cfg.step_size * np.sign(dx), -eps, eps)
     final_loss = loss(spec, model, X + delta, y)
     worse = final_loss < start_loss

@@ -224,7 +224,7 @@ def test_pgd_matches_clip_loop_bytewise(kind, eps):
             assert got.tobytes() == want.tobytes(), loss_kind  # signed zeros too
 
 
-@pytest.mark.parametrize("loss_kind", ["logistic-nll", "softplus-hinge"])
+@pytest.mark.parametrize("loss_kind", ["logistic-nll", "hinge", "softplus-hinge"])
 def test_pgd_follows_weights_updated_in_place(loss_kind):
     # Training updates the model's parameter arrays in place between calls,
     # as views of one buffer, so nothing PGD forms from the weights (the

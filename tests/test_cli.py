@@ -611,6 +611,26 @@ def test_malformed_schema_names_the_file_and_entry(csv_file, tmp_path, capsys, d
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"format_version": ', "not a valid JSON {kind} file (Expecting value"),  # truncated
+    ("[1, 2]", "a {kind} file holds one JSON object"),
+])
+@pytest.mark.parametrize("flag, kind", [("config", "config"), ("schema", "schema"),
+                                        ("model", "model"), ("data", "dataset")])
+def test_bad_json_file_exit_1_naming_it(synth_json, csv_file, tmp_path, capsys,
+                                        flag, kind, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    data = {"schema": csv_file, "data": bad}.get(flag, synth_json)
+    argv = ["attribute" if flag == "model" else "train", "--data", str(data),
+            "--out-dir", str(tmp_path / "run")]
+    assert main(argv + ([f"--{flag}", str(bad)] if flag != "data" else [])) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"attrsparse: error: {bad}: {message.format(kind=kind)}"), err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "compare"])
 def test_non_finite_csv_feature_exit_1(csv_file, tmp_path, capsys, command):
     lines = csv_file.read_text(encoding="utf-8").splitlines()
@@ -1019,7 +1039,8 @@ def test_attribute_baseline_file(synth_json, trained_model, tmp_path):
         assert not (tmp_path / "nan" / "attributions.csv").exists()
 
 
-@pytest.mark.parametrize("text", ['"abc"', '{"a": 1}', "abc", '["0", 0, 0, 0]', "[1.0]"])
+@pytest.mark.parametrize("text", ['"abc"', '{"a": 1}', "abc", '["0", 0, 0, 0]', "[1.0]",
+                                  "[" + ", ".join(["9" * 400] * 4) + "]"])  # past the float range
 def test_attribute_baseline_file_must_be_a_list_of_dim_numbers(synth_json, trained_model,
                                                                tmp_path, capsys, text):
     baseline = tmp_path / "u.json"
@@ -1134,13 +1155,13 @@ def test_gini_error_cases(tmp_path, capsys):
         assert main(["gini", "--input", str(bad), "--out", str(tmp_path / "g.csv")]) == 1
         assert "data row 1: non-finite cell" in capsys.readouterr().err
         assert not (tmp_path / "g.csv").exists()
-    big = tmp_path / "big.csv"  # the second width's first row overflows its sums
-    for rows in ("1,2\n1,2,3\n1e308,1e308,1e308\n", "1,2\n1,2,3\n1e308,1,2\n"):
-        big.write_text(rows, encoding="utf-8")
-        assert main(["gini", "--input", str(big)]) == 1
-        err = capsys.readouterr().err
-        assert f"{big}: data row 2: magnitudes sum past the float range" in err
-        assert err.count("\n") == 1
+    big = tmp_path / "big.csv"  # the second width's second row overflows its sums
+    for last, gini in (("1e308,1e308,1e308", "0.0"), ("1e308,1,2", "0.6666666666666666")):
+        big.write_text(f"1,2\n1,2,3\n{last}\n", encoding="utf-8")
+        assert main(["gini", "--input", str(big)]) == 0
+        out = capsys.readouterr()
+        assert out.out.splitlines()[:3] == ["0.16666666666666666", "0.2222222222222222", gini]
+        assert out.err == ""
 
 
 # --- verify -----------------------------------------------------------------------

@@ -218,7 +218,8 @@ def test_mlp_input_loss_gradient_matches_fd():
     y = 1.0
     # the input-only chain that PGD runs
     cache = model._forward(x[None, :])
-    dx = model.backprop(cache, -y * spec.gprime(-y * cache[0]), "inputs")[0]
+    first = model.backprop(cache, -y * spec.gprime(-y * cache[0]), "first")
+    dx = (first @ model.weights[0].swapaxes(-1, -2))[0]
     h = 1e-6
     for i in range(2):
         xp, xm = x.copy(), x.copy()
@@ -287,9 +288,9 @@ def test_mlp_gradients_run_one_forward_pass(monkeypatch):
     delta1 = dlogit[:, None]
     delta0 = (delta1 @ W1.T) * dh
     full_grads = [X.T @ delta0, h.T @ delta1, delta0.sum(axis=0), delta1.sum(axis=0)]
-    full_first, full_dx = delta0, delta0 @ W0.T
+    full_first = delta0
 
-    calls, reverse, ascents = [], [], []
+    calls, reverse, ascents, steps = [], [], [], []
     forward, backprop, ascent = MlpModel._forward, MlpModel.backprop, MlpModel.ascent_slope
 
     def counted(self, X, **kwargs):
@@ -302,6 +303,7 @@ def test_mlp_gradients_run_one_forward_pass(monkeypatch):
 
     def stepped(self, X, top, *work):
         ascents.append(top)
+        steps.append((np.array(X), np.array(top)))  # each step's point and rows
         return ascent(self, X, top, *work)
 
     monkeypatch.setattr(MlpModel, "_forward", counted)
@@ -316,45 +318,45 @@ def test_mlp_gradients_run_one_forward_pass(monkeypatch):
     for a, b in zip(grads, full_grads):
         np.testing.assert_array_equal(a, b)
 
-    # the input-only chain skips the parameter products and keeps the bits
+    # the first-layer chain skips the parameter products and the input
+    # product, and keeps the bits
     cache = model._forward(X)
-    dx = model.backprop(cache, dlogit, "inputs")
-    assert len(calls) == 2 and _CountedTranspose.count == 1
-    np.testing.assert_array_equal(dx, full_dx)
-    # and the first-layer chain stops before that product
-    np.testing.assert_array_equal(model.backprop(cache, dlogit, "first"), full_first)
-    assert _CountedTranspose.count == 1
-    with pytest.raises(ValueError, match="wrt"):
-        model.backprop(cache, dlogit, "weights")
+    first = model.backprop(cache, dlogit, "first")
+    assert len(calls) == 2 and _CountedTranspose.count == 0
+    np.testing.assert_array_equal(first, full_first)
+    for wrt in ("weights", "inputs"):
+        with pytest.raises(ValueError, match="wrt"):
+            model.backprop(cache, dlogit, wrt)
 
-    # PGD under a loss with a positive slope: a forward-only start pass, the
-    # output product -y * W1^T once, then per step X @ W0 and the input
-    # product delta @ W0^T only (no output-layer product, no parameter
-    # product), and the forward-only final loss check; a stack of two takes
-    # the same two products per step. Hinge's steps are full passes with an
-    # input reverse pass, the first also giving the start loss.
+    # PGD: a forward-only start pass, the output product -y * W1^T once,
+    # then per step X @ W0 and the input product delta @ W0^T only (no
+    # output-layer product, no parameter product), and the forward-only final
+    # loss check; a stack of two takes the same two products per step.
+    # Hinge's steps each add a forward-only pass for g'(z), which scales the
+    # rows of that one output product.
     stack = MlpModel(weights=[np.stack([W0, 2.0 * W0]), np.stack([W1, -W1])],
                      biases=[np.stack([b, b + 0.1]) for b in model.biases])
     cfg = PgdConfig(steps=5, step_size=0.05)
     for net, kind, passes, products, output_products in [
             (model, "logistic-nll", [False, False], 2 + 1 + 2 * cfg.steps + 2, 2),
-            (model, "hinge", [True] * cfg.steps + [False], 4 * cfg.steps + 2, cfg.steps + 1),
+            (model, "hinge", [False] * (cfg.steps + 2), 2 + 1 + 4 * cfg.steps + 2,
+             cfg.steps + 2),
             (stack, "logistic-nll", [False, False], 2 + 1 + 2 * cfg.steps + 2, 2)]:
         net.weights[:] = [W.view(_Tracked) for W in net.weights]
         _Tracked.output = net.weights[1]
-        del calls[:], reverse[:], ascents[:]
+        del calls[:], reverse[:], ascents[:], steps[:]
         _Tracked.products = _Tracked.output_products = 0
         Xs, ys = (X, y) if net is model else (np.stack([X, -X]), np.stack([y, -y]))
         pgd_perturb_batch(net, Xs, ys, 0.2, cfg, make_loss(kind), np.random.default_rng(3))
         assert calls == passes, kind
         assert _Tracked.products == products and _Tracked.output_products == output_products
-        if kind == "hinge":
-            assert reverse == ["inputs"] * cfg.steps and not ascents
-            continue
         assert not reverse and len(ascents) == cfg.steps
         assert all(top is ascents[0] for top in ascents)  # formed once per call
         want = (-y)[:, None] * W1.T  # the stack's second row too: -(-y) * (-W1)^T
-        np.testing.assert_array_equal(ascents[0], want if net is model else [want, want])
+        want = want if net is model else np.stack([want, want])
+        for moved, top in steps:  # hinge scales the rows by g'(z) in {0, 1}
+            mask = make_loss(kind).gprime(-ys * net.margin(moved))[..., None]
+            np.testing.assert_array_equal(top, want * mask if kind == "hinge" else want)
 
 
 class _Tracked(np.ndarray):
@@ -380,7 +382,7 @@ class _Tracked(np.ndarray):
 
 def _ascent_reference(model, X, y):
     """The input reverse pass from dlogit = -y through a full forward pass."""
-    return model.backprop(model._forward(X), -y, "inputs")
+    return model.backprop(model._forward(X), -y, "first") @ model.weights[0].swapaxes(-1, -2)
 
 
 def _top(model, y):

@@ -2,6 +2,7 @@
 coded oracle formulas, invariance properties, and the per-example vector of
 a set of attributions. The gap between regimes is tested with the pipeline."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from attrsparse.attribution import AttributionVector
 from helpers import gini_row, gini_row_reference
 
-from attrsparse.sparseness import RowOverflowError, _row_fsums, gini_rows, make_gini_report
+from attrsparse.sparseness import _row_fsums, gini_rows, make_gini_report
 
 
 def _gini_share_form(v):
@@ -104,13 +105,28 @@ def test_row_fsums_certifies_almost_every_row(rng, monkeypatch):
     assert len(calls) <= 0.01 * 2 * len(V)  # two sums per row
 
 
-def test_gini_rows_names_the_row_whose_sums_overflow():
-    rows = [[1.0, 2.0, 3.0], [1e308, 1e308, 1e308]]    # the total overflows
-    with pytest.raises(RowOverflowError, match="row 1: magnitudes sum past") as info:
-        gini_rows(np.asarray(rows))
-    assert info.value.row == 1
-    with pytest.raises(ValueError, match="row 0: magnitudes sum past"):
-        gini_rows(np.asarray([[1e308, 1.0, 2.0]]))      # the rank-weighted sum does
+def test_gini_rows_scores_rows_whose_sums_pass_the_float_range(rng):
+    # A row whose total, rank-weighted sum or d * total overflows is summed
+    # again scaled by a power of two; the Gini index is scale-invariant.
+    rows = np.asarray([[1.0, 2.0, 3.0],
+                       [1e308, 1.0, 2.0],       # the rank-weighted sum overflows
+                       [1e308, 1e308, 1e308],   # the total does
+                       [6e307, 6e307, 1.0]])    # d * total does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gini_rows(rows)
+    assert got.tolist()[:3] == [gini_row_reference(rows[0]), 2.0 / 3.0, 0.0]
+    assert got[3] == pytest.approx(1.0 / 3.0, rel=1e-15)
+    # fsum's partial sums overflow, though the rank-weighted products cancel
+    assert gini_rows(np.full((1, 10), 1e307)).tolist() == [0.0]
+    top = np.finfo(float).max
+    assert gini_rows(np.full((1, 1000), top)).tolist() == [0.0]
+    assert gini_rows(np.asarray([[0.0] + [top] * 999])) == pytest.approx(0.001, rel=1e-15)
+    # 2^1020 scales exactly, and so does the power of two that brings the
+    # rows it pushes past the float range back: every row keeps its bits
+    for d in (1, 2, 3, 17, 52, 200):
+        V = rng.uniform(size=(50, d))
+        assert gini_rows(np.ldexp(V, 1020)).tobytes() == gini_rows(V).tobytes(), d
 
 
 def test_exact_values():
