@@ -1,14 +1,9 @@
-"""Small shared helpers: thread budget, canonical formatting, chunked work."""
+"""Small shared helpers: thread budget, canonical formatting, chunk bounds."""
 from __future__ import annotations
 
 import csv
 import json
-import math
 import os
-import threading
-from contextlib import contextmanager
-
-import numpy as np
 
 _THREADS_ENV = "ATTRSPARSE_THREADS"
 
@@ -64,34 +59,3 @@ def chunk_bounds(n: int, chunk: int) -> list:
     """(start, stop) pairs covering range(n) in order."""
     return [(start, min(start + chunk, n)) for start in range(0, n, chunk)]
 
-
-_FREE = []  # workspaces no chunk holds, kept for the life of the process
-_ACTIVE = threading.local()
-
-
-@contextmanager
-def chunk_workspace():
-    """Run the block on a free workspace (or a new one), a dict of named
-    float buffers that take() hands out, and free it again at the end."""
-    try:
-        ws = _FREE.pop()
-    except IndexError:
-        ws = {}
-    _ACTIVE.ws = ws
-    try:
-        yield
-    finally:
-        _ACTIVE.ws = None
-        _FREE.append(ws)
-
-
-def take(key, shape):
-    """A C-order float array of shape: inside chunk_workspace, a view of the
-    start of key's buffer, grown only for a larger shape; outside, a fresh one."""
-    ws = getattr(_ACTIVE, "ws", None)
-    if ws is None:
-        return np.empty(shape)
-    size = math.prod(shape)
-    if key not in ws or ws[key].size < size:
-        ws[key] = np.empty(size)
-    return ws[key][:size].reshape(shape)

@@ -81,7 +81,10 @@ def _load_config_file(path) -> dict:
             f"{path}: TOML config files need Python 3.11+; use a JSON config"
         ) from None
     with open(path, "rb") as fh:
-        return tomllib.load(fh)  # a TOML document is one table
+        try:
+            return tomllib.load(fh)  # a TOML document is one table
+        except ValueError as exc:  # tomllib.TOMLDecodeError or UnicodeDecodeError
+            raise ValueError(f"{path}: not a valid TOML config file ({exc})") from None
 
 
 # One row per training option: its TrainConfig field (None for the loss,
@@ -454,7 +457,10 @@ def cmd_synth(args) -> int:
     flags, sampler_kw = _read_flags(args, args.kind)
     sampler = (blob_sampler(**sampler_kw) if args.kind == "blobs"
                else SyntheticConditionalSampler(flags["strengths"], **sampler_kw))
-    ds = generate_synthetic(sampler, args.n, args.seed)
+    try:
+        ds = generate_synthetic(sampler, args.n, args.seed)
+    except MemoryError:
+        raise ValueError(f"--n {args.n}: too many examples to fit in memory") from None
     save_dataset(ds, args.out)
     print(f"wrote {args.out}: {ds.n_examples} examples, {ds.dim} features, kind={args.kind}")
     return 0

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._util import canonical_json, chunk_bounds, fmt_float, read_json_object, take
+from ._util import canonical_json, chunk_bounds, fmt_float, read_json_object
 
 __all__ = [
     "FeatureGroup",
@@ -161,25 +161,23 @@ class SyntheticConditionalSampler:
         return len(self.strengths)
 
     def sample(self, m: int, rng):
-        """(X (m, d), y (m,)), which the caller may overwrite.
+        """(X (m, d), y (m,)), fresh arrays the caller may overwrite.
 
         X is column-major, the transposed view of a (d, m) array, so each
         feature is one contiguous column: a_i * y plus the noise, filled in
         blocks of _ROWS rows (the stream of one (m, d) draw, scaled as numpy's
-        normal and uniform scale it). Outside a Monte-Carlo chunk the arrays
-        are fresh; inside one they are the chunk's workspace buffers, valid
-        until the next draw on the same thread.
+        normal and uniform scale it).
         """
         a = np.asarray(self.strengths)
-        y = take("y", (m,))
+        y = np.empty(m)
         np.less(rng.random(out=y), self.class_balance, out=y)
         y *= 2.0
         y -= 1.0
-        cols = take("X", (a.size, m))
+        cols = np.empty((a.size, m))
         gaussian, sd = self.noise_kind == "gaussian", self.noise_sd
         fill = rng.standard_normal if gaussian else rng.random
         scale, low = (sd, 0.0) if gaussian else (2.0 * sd, -sd)
-        block = take("noise", (min(m, _ROWS), a.size))
+        block = np.empty((min(m, _ROWS), a.size))
         for lo, hi in chunk_bounds(m, _ROWS):
             noise = block[:hi - lo]
             fill(out=noise)
@@ -388,11 +386,13 @@ def load_dataset(path) -> Dataset:
     version = doc.get("format_version")
     if version != _SIDECAR_VERSION:
         raise ValueError(f"unsupported dataset sidecar version {version!r}")
-    groups = tuple(FeatureGroup(**g) for g in doc["encoding_map"])
-    return Dataset(
-        features=np.asarray(doc["features"], dtype=float),
-        labels=np.asarray(doc["labels"], dtype=float),
-        feature_names=list(doc["feature_names"]),
-        encoding_map=groups,
-        split_seed=doc["split_seed"],
-    )
+    try:
+        return Dataset(
+            features=np.asarray(doc["features"], dtype=float),
+            labels=np.asarray(doc["labels"], dtype=float),
+            feature_names=list(doc["feature_names"]),
+            encoding_map=tuple(FeatureGroup(**g) for g in doc["encoding_map"]),
+            split_seed=doc["split_seed"],
+        )
+    except KeyError as exc:  # the only lookups are the document's entries
+        raise ValueError(f"{path}: the dataset file has no {exc} entry") from None

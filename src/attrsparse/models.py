@@ -338,4 +338,7 @@ def save_model(model, path):
 
 
 def load_model(path):
-    return model_from_dict(read_json_object(path, "model"))
+    try:
+        return model_from_dict(read_json_object(path, "model"))
+    except KeyError as exc:  # the only lookups are the document's entries
+        raise ValueError(f"{path}: the model file has no {exc} entry") from None

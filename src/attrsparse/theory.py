@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ._util import chunk_bounds, chunk_workspace, take, worker_count
+from ._util import chunk_bounds, worker_count
 from .data import SyntheticConditionalSampler
 from .losses import DEFAULT_LOSS, LOSS_KINDS, LossSpec, make_loss, worst_case_slope
 
@@ -71,38 +71,28 @@ def _mc_moments(per_sample_fn, n: int, seed: int):
     """Means of a per-sample statistic vector and of its elementwise square.
 
     Sampling runs in fixed-size chunks seeded as (seed, chunk_index); chunks
-    may execute on worker threads (ATTRSPARSE_THREADS) but are always reduced
-    in index order, so results do not depend on the thread count. Each chunk
-    draws into a reused workspace (_util.chunk_workspace), so memory is one
-    workspace per chunk running at once, about 7 MB each at d = 6, held for
-    the life of the process. A chunk's statistic is an (m, width) array in
-    column-major order, each statistic one contiguous column, as the sampler
-    hands its features over; each column is summed pairwise down its m
-    entries, then squared in place and summed again. A size below
-    MIN_REPORT_SAMPLES is an error, raised before any draw.
+    run on ATTRSPARSE_THREADS worker threads but are always reduced in index
+    order, so results do not depend on the thread count. Each chunk draws
+    into arrays of its own, freed when it ends, so memory is bounded by the
+    chunks running at once, about 7 MB each at d = 6. A chunk's statistic
+    is an (m, width) array in column-major order, each statistic one
+    contiguous column, as the sampler hands its features over; each column is
+    summed pairwise down its m entries, then squared in place and summed
+    again. A size below MIN_REPORT_SAMPLES is an error, raised before any draw.
     """
     if n < MIN_REPORT_SAMPLES:
         raise ValueError(f"n must be >= {MIN_REPORT_SAMPLES} for reported estimates, got {n}")
 
     def run(task):
         ci, (lo, hi) = task
-        with chunk_workspace():
-            stats = per_sample_fn(np.random.default_rng([seed, ci]), hi - lo)
-            total = stats.sum(axis=0)
-            stats *= stats
-            return total, stats.sum(axis=0)
+        stats = per_sample_fn(np.random.default_rng([seed, ci]), hi - lo)
+        total = stats.sum(axis=0)
+        stats *= stats
+        return total, stats.sum(axis=0)
 
-    tasks = list(enumerate(chunk_bounds(n, _CHUNK)))
-    workers = worker_count()
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run, tasks))
-    else:
-        partials = [run(t) for t in tasks]
-    total, total_sq = np.zeros((2, *partials[0][0].shape))
-    for s, s2 in partials:
-        total += s
-        total_sq += s2
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+        partials = list(pool.map(run, enumerate(chunk_bounds(n, _CHUNK))))
+    total, total_sq = (sum(parts) for parts in zip(*partials))  # in chunk order
     return total / n, total_sq / n
 
 
@@ -170,7 +160,7 @@ def check_theorem1_bound(spec: LossSpec, wspec: WeightedAverageSpec, epsilon: fl
     def stat(rng, m):
         X, y = sampler.sample(m, rng)
         gp = worst_case_slope(spec, w[None], None, X, y, epsilon)[1][0]  # a stack of one
-        cols = take("stats", (3, m))  # returned transposed: each column sums contiguously
+        cols = np.empty((3, m))  # returned transposed: each column sums contiguously
         s, b, gap = cols
         for k, i in enumerate(idx):  # w_i g'(z) (y*x_i - sign(w_i)*eps), summed in S's order
             term = np.multiply(X[:, i], y, out=gap if k else s)
@@ -211,7 +201,7 @@ def check_lemma_exp_bound(f, sampler, n: int, seed: int = 0) -> TheoremCheckResu
     """
     def stat(rng, m):
         z, v, _y = sampler(m, rng)
-        cols = take("stats", (5, m))  # returned transposed: each column sums contiguously
+        cols = np.empty((5, m))  # returned transposed: each column sums contiguously
         cols[0], cols[1] = z, f(z, v)
         np.multiply(cols[0], cols[1], out=cols[2])
         np.multiply(cols[2], cols[:2], out=cols[3:])  # z^2 f and z f^2

@@ -191,13 +191,13 @@ def _check_stack(cfgs):
 
 def _unstack(cfg, params, i, copy=False):
     """Model i of the stack, viewing the stacked parameters unless copy."""
-    take = (lambda a: a[i].copy()) if copy else (lambda a: a[i])
+    pick = (lambda a: a[i].copy()) if copy else (lambda a: a[i])
     if cfg.model_kind == "linear":
         bias = None if len(params) == 1 else float(params[1][i])
-        return LinearModel(w=take(params[0]), activation="sigmoid", bias=bias)
+        return LinearModel(w=pick(params[0]), activation="sigmoid", bias=bias)
     half = len(params) // 2
-    return MlpModel(weights=[take(W) for W in params[:half]],
-                    biases=[take(b) for b in params[half:]],
+    return MlpModel(weights=[pick(W) for W in params[:half]],
+                    biases=[pick(b) for b in params[half:]],
                     hidden_activation=cfg.hidden_activation)
 
 

@@ -28,19 +28,17 @@ from helpers import (
     theorem1_limit,
 )
 
-from attrsparse.attribution import attribute_dataset
 from attrsparse.data import SyntheticConditionalSampler, blob_sampler, generate_synthetic
 from attrsparse.losses import make_loss
 from attrsparse.models import LinearModel
 from attrsparse.pipeline import run_compare
-from attrsparse.sparseness import make_gini_report
 from attrsparse.theory import (
     WeightedAverageSpec,
     check_theorem1_bound,
     check_theorem3_identity,
     verify_zero_weight_update,
 )
-from attrsparse.training import TrainConfig, evaluate, train, train_many
+from attrsparse.training import TrainConfig, train
 
 C1, C2, C3, C4, C5, C6, C7, C8 = ACCEPTANCE_CRITERIA
 
@@ -296,26 +294,15 @@ def test_blob_image_mlp_sparseness_ordering(acceptance):
             8, 8, strong_amplitude=0.69, weak_amplitude=0.085, blob_sigma=0.55,
             noise_sd=0.50), 5000, seed)
         base = dict(model_kind="mlp", hidden_sizes=(16,), epochs=18, seed=seed)
-        baseline = np.zeros(ds.dim)
-
-        def acc_gini(model):
-            acc = evaluate(model, ds, LOGISTIC).accuracy
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # collapsed models attribute to nothing
-                attribs = attribute_dataset(model, ds, baseline, method="numeric", steps=256)
-                mean_g = float(make_gini_report(attribs).mean())
-            return acc, mean_g
-
-        # the natural and l1 fits share the seed's random stream and train as
-        # one stack; the adversarial fit draws PGD starts from its own stream
-        stack = train_many(ds, LOGISTIC, [TrainConfig(**base)] + [
-            TrainConfig(regime="l1", l1_strength=lam, **base) for lam in lams])
-        adversarial, _ = train(ds, LOGISTIC, TrainConfig(regime="adversarial", epsilon=0.1,
-                                                         **base))
-        acc_nat, gini_nat = acc_gini(stack[0][0])
-        _, gini_adv = acc_gini(adversarial)
-        qualifying = [g for acc, g in (acc_gini(model) for model, _ in stack[1:])
-                      if acc >= acc_nat - 0.02]
+        # the program's own sweep: natural, adversarial at 0.1 and the l1 fits
+        # as one stack, attributed at 256 numeric steps
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # collapsed models attribute to nothing
+            regimes = run_compare(ds, LOGISTIC, [0.1], lams, TrainConfig(**base),
+                                  method="numeric", steps=256).report["regimes"]
+        (acc_nat, gini_nat), (_, gini_adv), *l1 = (
+            (r["accuracy"], r["mean_attribution_gini"]) for r in regimes.values())
+        qualifying = [g for acc, g in l1 if acc >= acc_nat - 0.02]
         g_nat.append(gini_nat)
         g_adv.append(gini_adv)
         if qualifying:

@@ -115,6 +115,17 @@ def test_synth_blobs(tmp_path, capsys):
     assert not (tmp_path / "bad.json").exists()
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "blobs"])
+def test_synth_n_past_memory_exit_1_naming_it(tmp_path, capsys, kind):
+    # 10**15 rows fail at the first allocation, before any memory is touched
+    out = tmp_path / "huge.json"
+    assert main(["synth", kind, "--out", str(out), "--n", "1000000000000000"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["attrsparse: error: --n 1000000000000000: too many examples to fit "
+                   "in memory"], err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("flags, message", [
     (["--sigma", "0"], "--sigma must be a finite number > 0, got 0.0"),
@@ -419,6 +430,19 @@ def test_train_toml_config_needs_newer_python_or_json(synth_json, tmp_path, caps
         assert "JSON" in capsys.readouterr().err
 
 
+def test_train_bad_toml_config_exit_1_naming_it(synth_json, tmp_path, capsys):
+    pytest.importorskip("tomllib")
+    cfg = tmp_path / "bad.toml"
+    cfg.write_text("epochs = \n", encoding="utf-8")
+    rc = main(["train", "--data", str(synth_json), "--config", str(cfg),
+               "--out-dir", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"attrsparse: error: {cfg}: not a valid TOML config file "
+                   "(Invalid value (at line 1, column 10))"], err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_bad_regime_lists_choices(synth_json, tmp_path, capsys):
     rc = main(["train", "--data", str(synth_json), "--regime", "robust",
                "--out-dir", str(tmp_path)])
@@ -628,6 +652,23 @@ def test_bad_json_file_exit_1_naming_it(synth_json, csv_file, tmp_path, capsys,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1, err
     assert err[0].startswith(f"attrsparse: error: {bad}: {message.format(kind=kind)}"), err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flag, kind, doc, key", [
+    ("model", "model", {"format_version": 1, "kind": "mlp"}, "weights"),
+    ("model", "model", {"format_version": 1, "kind": "linear", "dim": 4}, "weights"),
+    ("data", "dataset", {"format_version": 1}, "features"),
+])
+def test_json_file_missing_an_entry_names_the_file_and_key(synth_json, tmp_path, capsys,
+                                                          flag, kind, doc, key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["attribute", "--model", str(bad), "--data", str(synth_json)] if flag == "model" \
+        else ["train", "--data", str(bad)]
+    assert main(argv + ["--out-dir", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"attrsparse: error: {bad}: the {kind} file has no '{key}' entry"], err
     assert not (tmp_path / "run").exists()
 
 

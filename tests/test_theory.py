@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from helpers import one_row, theorem1_limit
 
-from attrsparse import _util, theory
-from attrsparse.data import SyntheticConditionalSampler, generate_synthetic
+from attrsparse import theory
+from attrsparse.data import SyntheticConditionalSampler
 from attrsparse.losses import LOSS_KINDS, linear_loss_and_grads, make_loss
 from attrsparse.theory import (
     WeightedAverageSpec,
@@ -543,22 +543,12 @@ def test_sampler_with_zero_noise_matches_reference_bitwise():
         assert _same_bits(X, X_ref) and _same_bits(y, y_ref), kind
 
 
-def test_sampler_shares_no_memory_outside_a_chunk():
+def test_sampler_draws_share_no_memory():
     s = _sampler()
     first = s.sample(1000, np.random.default_rng(0))
     second = s.sample(1000, np.random.default_rng(0))
     assert not np.shares_memory(*first)
     assert not any(np.shares_memory(a, b) for a in first for b in second)
-
-
-def test_generate_synthetic_never_aliases_a_workspace():
-    s = _sampler()
-    expected_update(LOGISTIC, np.zeros(5), 0.0, s, 140_000)  # leaves warm workspaces
-    buffers = [buf for ws in _util._FREE for buf in ws.values()]
-    assert buffers
-    ds = generate_synthetic(s, 70_000, seed=1)
-    assert not any(np.shares_memory(a, buf) for a in (ds.features, ds.labels)
-                   for buf in buffers)
 
 
 def _one_check(check, n, seed=1):
@@ -576,51 +566,22 @@ def _one_check(check, n, seed=1):
     return np.asarray([res.estimate, res.reference, res.se])
 
 
-@pytest.mark.parametrize("check", ["thm1-zero", "thm1-bound", "lemmaD1"])
-def test_workspace_allocations_do_not_grow_with_the_chunk_count(monkeypatch, check):
-    # Every chunk draws into one reused workspace, so a check allocates the
-    # same buffers at 2 chunks as at 20 (the last chunk shorter each time).
-    # A fresh workspace per chunk, or a draw into fresh arrays, makes the
-    # 20-chunk count larger.
-    monkeypatch.setenv("ATTRSPARSE_THREADS", "1")
-    real_empty = np.empty
-    counts = []
-    for chunks in (2, 20):
-        monkeypatch.setattr(_util, "_FREE", [])
-        calls = []
-
-        def counting_empty(*args, **kwargs):
-            calls.append(args)
-            return real_empty(*args, **kwargs)
-
-        monkeypatch.setattr(np, "empty", counting_empty)
-        _one_check(check, chunks * theory._CHUNK - 5)
-        monkeypatch.setattr(np, "empty", real_empty)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
-
-
 @pytest.mark.parametrize("threads", ["1", "4"])
-def test_a_chunk_that_raises_returns_its_workspace(monkeypatch, threads):
+def test_a_chunk_that_raises_propagates_its_error(monkeypatch, threads):
     monkeypatch.setenv("ATTRSPARSE_THREADS", threads)
-    monkeypatch.setattr(_util, "_FREE", [])
     s = _sampler()
 
     def draw(m, rng):
-        s.sample(m, rng)  # takes the chunk's buffers, then fails
+        s.sample(m, rng)
         raise RuntimeError("bad draw")
 
-    for _ in range(3):  # 3 chunks per call: never more workspaces than that
-        with pytest.raises(RuntimeError, match="bad draw"):
-            check_lemma_exp_bound(lambda z, v: -z, draw, 150_000)
-        assert 1 <= len(_util._FREE) <= (1 if threads == "1" else 3)
-    assert getattr(_util._ACTIVE, "ws", None) is None
+    with pytest.raises(RuntimeError, match="bad draw"):
+        check_lemma_exp_bound(lambda z, v: -z, draw, 150_000)
 
 
-def test_warm_workspaces_keep_every_thread_count_bit_identical(monkeypatch):
-    # 4, then 1, then 4 threads in one process, so the later runs start on
-    # workspaces the earlier ones left; more threads than cores and a short
-    # switch interval would show two chunks writing one workspace
+def test_repeated_checks_keep_every_thread_count_bit_identical(monkeypatch):
+    # 4, then 1, then 4 threads in one process; more threads than cores and
+    # a short switch interval would show two chunks writing one array
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
