@@ -326,9 +326,9 @@ def cmd_attribute(args) -> int:
                 u = json.load(fh)
             except ValueError:  # not UTF-8 JSON
                 u = None
-        if not (isinstance(u, list) and len(u) == ds.dim  # an int may lie past the float range
-                and all(type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max)
-                        for v in u)):
+        # NaN, Infinity and an int past the float range all fail the bound
+        if not (isinstance(u, list) and len(u) == ds.dim
+                and all(type(v) in (float, int) and abs(v) <= sys.float_info.max for v in u)):
             raise ValueError(f"--baseline-file {args.baseline_file}: the baseline must be a "
                              f"JSON list of {ds.dim} numbers")
     attribs = attribute_dataset(model, ds, u, method=args.method, steps=steps,

@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._util import canonical_json, chunk_bounds, fmt_float, read_json_object
+from ._util import canonical_json, chunk_bounds, fmt_float, json_entry, read_json_object
 
 __all__ = [
     "FeatureGroup",
@@ -53,6 +54,8 @@ class FeatureGroup:
     def __post_init__(self):
         if self.categories is not None:  # a sidecar's JSON list, say
             object.__setattr__(self, "categories", tuple(self.categories))
+        for end in ("start", "stop"):  # a TypeError unless an integer
+            object.__setattr__(self, end, operator.index(getattr(self, end)))
         if self.kind not in ("categorical", "numeric"):
             raise ValueError(f"unknown column kind {self.kind!r}")
         if self.kind == "numeric" and self.stop - self.start != 1:
@@ -386,13 +389,14 @@ def load_dataset(path) -> Dataset:
     version = doc.get("format_version")
     if version != _SIDECAR_VERSION:
         raise ValueError(f"unsupported dataset sidecar version {version!r}")
-    try:
-        return Dataset(
-            features=np.asarray(doc["features"], dtype=float),
-            labels=np.asarray(doc["labels"], dtype=float),
-            feature_names=list(doc["feature_names"]),
-            encoding_map=tuple(FeatureGroup(**g) for g in doc["encoding_map"]),
-            split_seed=doc["split_seed"],
-        )
-    except KeyError as exc:  # the only lookups are the document's entries
-        raise ValueError(f"{path}: the dataset file has no {exc} entry") from None
+
+    def entry(key, convert):
+        return json_entry(doc, key, convert, f"{path}: the dataset file")
+
+    return Dataset(
+        features=entry("features", lambda v: np.asarray(v, dtype=float)),
+        labels=entry("labels", lambda v: np.asarray(v, dtype=float)),
+        feature_names=entry("feature_names", list),
+        encoding_map=entry("encoding_map", lambda gs: tuple(FeatureGroup(**g) for g in gs)),
+        split_seed=entry("split_seed", operator.index),
+    )

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import canonical_json, fmt_float, read_json_object
+from ._util import canonical_json, fmt_float, json_entry, read_json_object
 from .losses import LossSpec, sigmoid
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "HIDDEN_ACTIVATIONS",
     "LinearModel",
     "MlpModel",
-    "classify",
     "init_mlp",
     "model_to_dict",
     "model_from_dict",
@@ -254,12 +253,6 @@ class MlpModel:
         return spec.g(z), self.backprop(cache, -y * spec.gprime(z), "params")
 
 
-def classify(model, x):
-    """Hard labels: +1 where value >= 0.5 else -1."""
-    p = model.value(x)
-    return np.where(np.asarray(p) >= 0.5, 1.0, -1.0)
-
-
 def init_mlp(layer_sizes, rng, hidden_activation="softplus") -> MlpModel:
     """Glorot-uniform initialized MLP; layer_sizes like [d, h1, ..., 1] (an
     output layer of another size is MlpModel's error)."""
@@ -302,10 +295,10 @@ def model_to_dict(model) -> dict:
     raise TypeError(f"cannot serialize model of type {type(model).__name__}")
 
 
-def model_from_dict(data: dict):
+def model_from_dict(data: dict, where: str = "the model document"):
     """The model a model_to_dict document describes; an unknown format
-    version, or a stored dim or layer_sizes that disagrees with the
-    weights, is an error."""
+    version, a missing or wrong-typed entry (named with `where`), or a
+    stored dim or layer_sizes that disagrees with the weights, is an error."""
     kind = data.get("kind")
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
@@ -313,18 +306,25 @@ def model_from_dict(data: dict):
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version {version!r}; "
                          f"expected {_FORMAT_VERSION}")
+
+    def entry(key, convert=lambda v: v):
+        return json_entry(data, key, convert, where)
+
+    def arrays(v):  # decimal strings, which parse to their floats
+        return [np.asarray(a, dtype=float) for a in v]
+
     if kind == "linear":
         model = LinearModel(
-            w=data["weights"],
-            activation=data["activation"],
-            bias=data.get("bias"),  # a decimal string, which LinearModel parses
+            w=entry("weights", lambda v: np.asarray(v, dtype=float)),
+            activation=entry("activation"),
+            bias=None if data.get("bias") is None else entry("bias", float),
         )
         key, shape = "dim", model.dim
     else:
         model = MlpModel(
-            weights=data["weights"],
-            biases=data["biases"],
-            hidden_activation=data["hidden_activation"],
+            weights=entry("weights", arrays),
+            biases=entry("biases", arrays),
+            hidden_activation=entry("hidden_activation"),
         )
         key, shape = "layer_sizes", model.layer_sizes
     if data.get(key) != shape:
@@ -338,7 +338,4 @@ def save_model(model, path):
 
 
 def load_model(path):
-    try:
-        return model_from_dict(read_json_object(path, "model"))
-    except KeyError as exc:  # the only lookups are the document's entries
-        raise ValueError(f"{path}: the model file has no {exc} entry") from None
+    return model_from_dict(read_json_object(path, "model"), f"{path}: the model file")

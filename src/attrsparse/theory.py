@@ -16,7 +16,6 @@ from .data import SyntheticConditionalSampler
 from .losses import DEFAULT_LOSS, LOSS_KINDS, LossSpec, make_loss, worst_case_slope
 
 __all__ = [
-    "WeightedAverageSpec",
     "TheoremCheckResult",
     "CHECKS",
     "expected_update",
@@ -32,23 +31,8 @@ __all__ = [
 
 _CHUNK = 1 << 16
 MIN_REPORT_SAMPLES = 10_000
-
-
-@dataclass(frozen=True)
-class WeightedAverageSpec:
-    """A feature subset S and weights for the weighted average
-    sum_S w_i q_i / sum_S |w_i|."""
-
-    indices: tuple
-    w: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
-        if len(self.indices) == 0:
-            raise ValueError("S must be non-empty")
-        if np.abs(self.w[list(self.indices)]).sum() == 0.0:
-            raise ValueError("weights must not vanish on S")
+# 65,536 chunks: the chunk list and the pool's futures exist before any draw
+MAX_REPORT_SAMPLES = 1 << 32
 
 
 @dataclass
@@ -78,10 +62,13 @@ def _mc_moments(per_sample_fn, n: int, seed: int):
     is an (m, width) array in column-major order, each statistic one
     contiguous column, as the sampler hands its features over; each column is
     summed pairwise down its m entries, then squared in place and summed
-    again. A size below MIN_REPORT_SAMPLES is an error, raised before any draw.
+    again. A size below MIN_REPORT_SAMPLES or above MAX_REPORT_SAMPLES is an
+    error, raised before any draw.
     """
     if n < MIN_REPORT_SAMPLES:
         raise ValueError(f"n must be >= {MIN_REPORT_SAMPLES} for reported estimates, got {n}")
+    if n > MAX_REPORT_SAMPLES:
+        raise ValueError(f"n must be <= {MAX_REPORT_SAMPLES} for one run, got {n}")
 
     def run(task):
         ci, (lo, hi) = task
@@ -145,15 +132,20 @@ def verify_zero_weight_update(spec: LossSpec, sampler, n: int, seed: int = 0):
     return out
 
 
-def check_theorem1_bound(spec: LossSpec, wspec: WeightedAverageSpec, epsilon: float,
+def check_theorem1_bound(spec: LossSpec, w, subset, epsilon: float,
                          sampler, n: int, seed: int = 0) -> TheoremCheckResult:
-    """Weighted expected update must not exceed gbar' * (abar - eps), within 3 SE
-    of the paired difference: per sample, the weighted update s, its bound b
-    and their difference."""
-    w = wspec.w
-    idx = list(wspec.indices)
+    """Weighted expected update sum_S w_i E[update_i] / sum_S |w_i| must not
+    exceed gbar' * (abar - eps), within 3 SE of the paired difference: per
+    sample, the weighted update s, its bound b and their difference. The
+    feature subset S must be non-empty and w must not vanish on it."""
+    w = np.asarray(w, dtype=float)
+    idx = [int(i) for i in subset]
+    if not idx:
+        raise ValueError("S must be non-empty")
     w_s = w[idx]
     denom = np.abs(w_s).sum()
+    if denom == 0.0:
+        raise ValueError("weights must not vanish on S")
     a = np.asarray(sampler.strengths)
     abar = float((w_s * a[idx]).sum() / denom)
 
@@ -272,7 +264,7 @@ def check_theorem3_identity(spec: LossSpec, w, x, y, epsilon):
 
 def theorem1_bound_instances(configs: int, seed: int):
     """Random configurations for the weighted-update bound: yields one
-    (strengths, WeightedAverageSpec, check seed) per k < configs. Each draws
+    (strengths, w, subset, check seed) per k < configs. Each draws
     d = 6 strengths uniform in [-0.8, 0.8), w standard normal and a non-empty
     subset S from its own default_rng([seed, k]); its check samples with
     seed * 100_003 + k."""
@@ -283,7 +275,7 @@ def theorem1_bound_instances(configs: int, seed: int):
         w = rng.normal(0.0, 1.0, size=d)
         size = int(rng.integers(1, d + 1))
         subset = tuple(sorted(rng.choice(d, size=size, replace=False).tolist()))
-        yield strengths, WeightedAverageSpec(indices=subset, w=w), seed * 100_003 + k
+        yield strengths, w, subset, seed * 100_003 + k
 
 
 def lemma_d1_instance(spec: LossSpec, sampler, epsilon: float, seed: int):
@@ -345,11 +337,11 @@ def _run_thm1_zero(flags, sampler_kw, seed):
 def _run_thm1_bound(flags, sampler_kw, seed):
     spec = make_loss(flags["loss"])
     _reject_vacuous_sizes(flags)
-    return [replace(check_theorem1_bound(spec, wspec, flags["eps"],
+    return [replace(check_theorem1_bound(spec, w, subset, flags["eps"],
                                          SyntheticConditionalSampler(strengths, **sampler_kw),
                                          flags["n"], seed=check_seed),
                     check_id=f"weighted-update-bound[{k}]")
-            for k, (strengths, wspec, check_seed)
+            for k, (strengths, w, subset, check_seed)
             in enumerate(theorem1_bound_instances(flags["configs"], seed))]
 
 

@@ -15,8 +15,8 @@ import numpy as np
 from ._util import write_csv
 from .adversarial import default_pgd_config, pgd_perturb_batch
 from .data import Dataset
-from .losses import LossSpec, linear_loss_and_grads
-from .models import MODEL_KINDS, LinearModel, MlpModel, classify, init_mlp
+from .losses import LossSpec, linear_loss_and_grads, sigmoid
+from .models import MODEL_KINDS, LinearModel, MlpModel, init_mlp
 from .sparseness import gini_rows
 
 __all__ = [
@@ -337,13 +337,15 @@ class EvalResult:
 
 
 def evaluate(model, ds: Dataset, spec: LossSpec, split: str = "test") -> EvalResult:
-    """Accuracy (0.5 threshold, ties to +1) and mean natural loss on a split."""
+    """Accuracy (+1 where sigmoid(margin) >= 0.5, so a zero margin counts as
+    +1) and mean natural loss on a split, both from one margin pass."""
     idx = ds.split(split)
     if idx.size == 0:
         raise ValueError(f"{split} split is empty")
     X = ds.features[idx]
     y = ds.labels[idx]
-    preds = classify(model, X)
+    margin = model.margin(X)
+    preds = np.where(sigmoid(margin) >= 0.5, 1.0, -1.0)
     acc = float((preds == y).mean())
-    mean_loss = float(spec.g(-y * model.margin(X)).mean())
+    mean_loss = float(spec.g(-y * margin).mean())
     return EvalResult(acc, mean_loss)

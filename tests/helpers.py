@@ -21,7 +21,7 @@ from attrsparse.data import Dataset, load_csv
 from attrsparse.losses import LossSpec, linear_loss_and_grads, sigmoid
 from attrsparse.models import LinearModel, MlpModel, init_mlp
 from attrsparse.sparseness import gini_rows
-from attrsparse.theory import TheoremCheckResult, WeightedAverageSpec, check_theorem1_bound
+from attrsparse.theory import TheoremCheckResult, check_theorem1_bound
 from attrsparse.training import soft_threshold
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
@@ -79,7 +79,7 @@ def adversarial_loss(spec: LossSpec, model: LinearModel, x, y, epsilon: float):
     return spec.g(epsilon * np.abs(model.w).sum() - y * margin)
 
 
-def theorem1_limit(spec, wspec, epsilon, sampler, n, scales=(1.0, 0.1, 0.01, 0.001), seed=0):
+def theorem1_limit(spec, w, subset, epsilon, sampler, n, scales=(1.0, 0.1, 0.01, 0.001), seed=0):
     """Shrinking the weights toward 0 must shrink the bound-vs-update residual.
 
     Runs check_theorem1_bound at each scale of w (common random numbers
@@ -88,8 +88,7 @@ def theorem1_limit(spec, wspec, epsilon, sampler, n, scales=(1.0, 0.1, 0.01, 0.0
     SEs."""
     results = []
     for scale in scales:
-        scaled = WeightedAverageSpec(indices=wspec.indices, w=scale * wspec.w)
-        bound = check_theorem1_bound(spec, scaled, epsilon, sampler, n, seed=seed)
+        bound = check_theorem1_bound(spec, scale * w, subset, epsilon, sampler, n, seed=seed)
         residual = abs(bound.estimate - bound.reference)
         passed = not results or residual <= results[-1].estimate + 3.0 * (bound.se + results[-1].se)
         results.append(TheoremCheckResult(

@@ -33,7 +33,6 @@ from attrsparse.losses import make_loss
 from attrsparse.models import LinearModel
 from attrsparse.pipeline import run_compare
 from attrsparse.theory import (
-    WeightedAverageSpec,
     check_theorem1_bound,
     check_theorem3_identity,
     verify_zero_weight_update,
@@ -160,7 +159,7 @@ def test_expected_update_monte_carlo(acceptance):
         idx = tuple(sorted(rng.choice(d, size=size, replace=False).tolist()))
         eps = float(rng.uniform(0.02, 0.4))
         res = check_theorem1_bound(
-            LOGISTIC, WeightedAverageSpec(indices=idx, w=w), eps,
+            LOGISTIC, w, idx, eps,
             SyntheticConditionalSampler(strengths=strengths), n,
             seed=2_000_003 + k)
         if not res.passed:
@@ -170,9 +169,9 @@ def test_expected_update_monte_carlo(acceptance):
 
     # the bound tightens to equality as the weights shrink
     rng = np.random.default_rng(3)
-    wspec = WeightedAverageSpec(indices=(0, 1, 2), w=rng.normal(size=4))
+    w = rng.normal(size=4)
     sampler = SyntheticConditionalSampler(strengths=(0.6, 0.3, -0.2, 0.1))
-    limit = theorem1_limit(LOGISTIC, wspec, 0.1, sampler, n, seed=0)
+    limit = theorem1_limit(LOGISTIC, w, (0, 1, 2), 0.1, sampler, n, seed=0)
     limit_ok = (all(r.passed for r in limit)
                 and limit[-1].estimate < limit[0].estimate
                 and limit[-1].estimate <= 3.0 * limit[-1].se + 1e-12)

@@ -1,8 +1,10 @@
 """The public API is what the program itself uses: every name a module of
 ``src/attrsparse`` exports in ``__all__`` must be referenced from code in
-``src/``, and every dataclass field must be read by code in ``src/``."""
+``src/``, and every dataclass field must be read by code in ``src/``. The
+README's Python examples run against that API."""
 import ast
 import os
+import re
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "attrsparse")
 
@@ -104,3 +106,15 @@ def test_no_source_line_exceeds_100_characters():
                 long += [f"{name}:{i}" for i, line in enumerate(fh, start=1)
                          if len(line.rstrip("\n")) > 100]
     assert long == []
+
+
+def test_readme_python_examples_run():
+    # the README's ```python blocks, run in order in one namespace
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```", fh.read(), flags=re.M | re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert len(namespace["fits"]) == 3

@@ -22,7 +22,7 @@ from attrsparse.cli import (
     main,
 )
 from attrsparse.data import load_dataset
-from attrsparse.models import LinearModel, init_mlp, load_model, save_model
+from attrsparse.models import LinearModel, init_mlp, load_model, model_to_dict, save_model
 from attrsparse.theory import CHECKS
 from attrsparse.training import TrainConfig
 from helpers import gini_row, make_categorical_csv, make_numeric_csv
@@ -672,6 +672,31 @@ def test_json_file_missing_an_entry_names_the_file_and_key(synth_json, tmp_path,
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("flag, key, edit", [
+    ("data", "encoding_map", lambda doc: doc["encoding_map"][0].pop("stop")),
+    ("data", "encoding_map", lambda doc: doc["encoding_map"][0].update(stop=1.0)),
+    ("data", "feature_names", lambda doc: doc.update(feature_names=5)),
+    ("data", "split_seed", lambda doc: doc.update(split_seed="x")),
+    ("model", "weights", lambda doc: doc.update(weights=5)),
+], ids=["group-without-stop", "group-float-stop", "int-names", "str-seed", "int-mlp-weights"])
+def test_json_file_wrong_typed_entry_names_the_file_and_key(synth_json, tmp_path, capsys,
+                                                            flag, key, edit):
+    doc = (json.loads(synth_json.read_text(encoding="utf-8")) if flag == "data"
+           else model_to_dict(init_mlp([4, 3, 1], np.random.default_rng(0))))
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["attribute", "--model", str(bad), "--data", str(synth_json)] if flag == "model" \
+        else ["train", "--data", str(bad)]
+    assert main(argv + ["--out-dir", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    kind = "model" if flag == "model" else "dataset"
+    assert len(err) == 1, err
+    assert err[0].startswith(f"attrsparse: error: {bad}: the {kind} file's '{key}' entry "
+                             "is malformed ("), err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "compare"])
 def test_non_finite_csv_feature_exit_1(csv_file, tmp_path, capsys, command):
     lines = csv_file.read_text(encoding="utf-8").splitlines()
@@ -1081,7 +1106,8 @@ def test_attribute_baseline_file(synth_json, trained_model, tmp_path):
 
 
 @pytest.mark.parametrize("text", ['"abc"', '{"a": 1}', "abc", '["0", 0, 0, 0]', "[1.0]",
-                                  "[" + ", ".join(["9" * 400] * 4) + "]"])  # past the float range
+                                  "[" + ", ".join(["9" * 400] * 4) + "]",  # past the float range
+                                  "[NaN, 0, 0, 0]", "[0, Infinity, 0, 0]", "[0, 0, -Infinity, 0]"])
 def test_attribute_baseline_file_must_be_a_list_of_dim_numbers(synth_json, trained_model,
                                                                tmp_path, capsys, text):
     baseline = tmp_path / "u.json"
@@ -1313,6 +1339,16 @@ def test_verify_rejects_bad_thread_env(tmp_path, monkeypatch, capsys, check, thr
     assert main(["verify", check, "--n", "20000", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert f"ATTRSPARSE_THREADS must be an integer >= 1, got {threads!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("check", ["thm1-zero", "thm1-bound", "lemmaD1"])
+def test_verify_n_past_the_maximum_exits_1_before_any_draw(tmp_path, capsys, check):
+    # 10**15 samples would be about 1.5e10 chunks, each listed before any draw
+    out = tmp_path / "r.json"
+    assert main(["verify", check, "--n", str(10**15), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("attrsparse: error: n must be <= 4294967296 for one "
+                                       f"run, got {10**15}\n")
     assert not out.exists()
 
 

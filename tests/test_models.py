@@ -12,7 +12,6 @@ from attrsparse.models import (
     LinearModel,
     MlpModel,
     _act,
-    classify,
     init_mlp,
     load_model,
     model_from_dict,
@@ -451,14 +450,6 @@ def test_margin_computes_no_activation_derivative(monkeypatch, act):
         np.testing.assert_array_equal(m.value(X), sigmoid(logit))
     # two hidden layers, four calls, each returning the activation alone
     assert len(returned) == 8 and all(isinstance(r, np.ndarray) for r in returned)
-
-
-# --- prediction helpers -------------------------------------------------------
-
-def test_classify_ties_to_positive():
-    model = LinearModel(w=np.zeros(2))  # value exactly 0.5 everywhere
-    X = np.random.default_rng(1).normal(size=(4, 2))
-    np.testing.assert_array_equal(classify(model, X), np.ones(4))
 
 
 # --- serialization -------------------------------------------------------------

@@ -10,7 +10,6 @@ from attrsparse import theory
 from attrsparse.data import SyntheticConditionalSampler
 from attrsparse.losses import LOSS_KINDS, linear_loss_and_grads, make_loss
 from attrsparse.theory import (
-    WeightedAverageSpec,
     attribution_shift_norm,
     check_lemma_exp_bound,
     check_theorem1_bound,
@@ -96,13 +95,13 @@ def test_expected_update_matches_quadrature_oracle():
 def test_weighted_average_hand_value_and_validation():
     # the bound's abar is the weighted average sum_S w_i a_i / sum_S |w_i| of
     # the strengths: (2*1 + 3*3) / (2 + 3) = 2.2
-    wspec = WeightedAverageSpec(indices=(0, 2), w=np.asarray([2.0, -1.0, 3.0]))
-    res = check_theorem1_bound(LOGISTIC, wspec, 0.1, _sampler((1.0, 2.0, 3.0)), 10_000)
+    s = _sampler((1.0, 2.0, 3.0))
+    res = check_theorem1_bound(LOGISTIC, np.asarray([2.0, -1.0, 3.0]), (0, 2), 0.1, s, 10_000)
     assert res.detail.endswith("abar=2.2")
     with pytest.raises(ValueError, match="non-empty"):
-        WeightedAverageSpec(indices=(), w=np.asarray([1.0]))
+        check_theorem1_bound(LOGISTIC, np.asarray([1.0, 1.0, 1.0]), (), 0.1, s, 10_000)
     with pytest.raises(ValueError, match="vanish"):
-        WeightedAverageSpec(indices=(1,), w=np.asarray([1.0, 0.0]))
+        check_theorem1_bound(LOGISTIC, np.asarray([1.0, 0.0, 1.0]), (1,), 0.1, s, 10_000)
 
 
 def test_bound_holds_across_random_configurations():
@@ -113,9 +112,8 @@ def test_bound_holds_across_random_configurations():
         w = rng.normal(size=d)
         size = int(rng.integers(1, d + 1))
         idx = tuple(sorted(rng.choice(d, size=size, replace=False).tolist()))
-        wspec = WeightedAverageSpec(indices=idx, w=w)
         sampler = _sampler(strengths=strengths)
-        res = check_theorem1_bound(LOGISTIC, wspec, 0.1, sampler, 50_000, seed=k)
+        res = check_theorem1_bound(LOGISTIC, w, idx, 0.1, sampler, 50_000, seed=k)
         assert res.passed, f"config {k}: {res.estimate} > {res.reference} + 3*{res.se}"
         assert res.estimate <= res.reference + 3.0 * res.se
         assert "abar=" in res.detail
@@ -123,9 +121,9 @@ def test_bound_holds_across_random_configurations():
 
 def test_limit_residual_shrinks_with_weight_scale():
     rng = np.random.default_rng(3)
-    wspec = WeightedAverageSpec(indices=(0, 1, 2), w=rng.normal(size=4))
+    w = rng.normal(size=4)
     sampler = _sampler(strengths=(0.6, 0.3, -0.2, 0.1))
-    results = theorem1_limit(LOGISTIC, wspec, 0.1, sampler, 100_000, seed=0)
+    results = theorem1_limit(LOGISTIC, w, (0, 1, 2), 0.1, sampler, 100_000, seed=0)
     assert len(results) == 4
     assert all(r.passed for r in results)
     assert results[0].check_id == "limit-equality[scale=1]"
@@ -387,12 +385,12 @@ def test_theorem3_instances_follow_the_per_trial_stream():
 def test_theorem1_bound_instances_follow_their_own_streams():
     got = list(theorem1_bound_instances(4, seed=3))
     assert len(got) == 4
-    for k, (strengths, wspec, check_seed) in enumerate(got):
+    for k, (strengths, w, subset, check_seed) in enumerate(got):
         rng = np.random.default_rng([3, k])
         assert strengths == tuple(rng.uniform(-0.8, 0.8, size=6).tolist())
-        assert _same_bits(wspec.w, rng.normal(0.0, 1.0, size=6))
+        assert _same_bits(w, rng.normal(0.0, 1.0, size=6))
         size = int(rng.integers(1, 7))
-        assert wspec.indices == tuple(sorted(rng.choice(6, size=size, replace=False).tolist()))
+        assert subset == tuple(sorted(rng.choice(6, size=size, replace=False).tolist()))
         assert check_seed == 3 * 100_003 + k
 
 
@@ -491,9 +489,8 @@ def test_expected_update_is_minus_the_training_gradient(kind, eps):
 
 def test_theorem1_bound_matches_reference_bitwise():
     w = np.asarray([0.9, -0.4, 0.3, 0.2, -1.1, 0.5])
-    wspec = WeightedAverageSpec(indices=(4, 0, 2), w=w)
+    idx = [4, 0, 2]
     s = _sampler(strengths=(0.6, 0.3, -0.2, 0.1, 0.4, -0.5))
-    idx = list(wspec.indices)
     denom = np.abs(w[idx]).sum()
     abar = float((w[idx] * np.asarray(s.strengths)[idx]).sum() / denom)
 
@@ -506,15 +503,14 @@ def test_theorem1_bound_matches_reference_bitwise():
         return np.stack([sv, b, sv - b], axis=1)
 
     mean, se = _mc_reference(stat, 140_000, 8, 3)
-    res = check_theorem1_bound(LOGISTIC, wspec, 0.2, s, 140_000, seed=8)
+    res = check_theorem1_bound(LOGISTIC, w, (4, 0, 2), 0.2, s, 140_000, seed=8)
     assert _same_bits([res.estimate, res.reference, res.se], [mean[0], mean[1], se[2]])
 
 
 def test_checks_need_enough_samples():
-    wspec = WeightedAverageSpec(indices=(0,), w=np.asarray([1.0, 0.5]))
     s = _sampler(strengths=(0.1, 0.2))
     with pytest.raises(ValueError, match="10000"):
-        check_theorem1_bound(LOGISTIC, wspec, 0.1, s, 9_999)
+        check_theorem1_bound(LOGISTIC, np.asarray([1.0, 0.5]), (0,), 0.1, s, 9_999)
     with pytest.raises(ValueError, match="10000"):
         check_lemma_exp_bound(lambda z, v: -z, _zv_sampler((0.6, 0.3)), 5)
 
@@ -558,8 +554,8 @@ def _one_check(check, n, seed=1):
         return np.concatenate(expected_update(LOGISTIC, np.asarray([0.4, 0.0, -0.3]), 0.1,
                                               s, n, seed=seed))
     if check == "thm1-bound":
-        wspec = WeightedAverageSpec(indices=(2, 0), w=np.asarray([0.9, -0.4, 0.3]))
-        res = check_theorem1_bound(LOGISTIC, wspec, 0.2, s, n, seed=seed)
+        res = check_theorem1_bound(LOGISTIC, np.asarray([0.9, -0.4, 0.3]), (2, 0), 0.2, s, n,
+                                   seed=seed)
     else:
         f, draw = lemma_d1_instance(LOGISTIC, s, 0.1, seed=seed)
         res = check_lemma_exp_bound(f, draw, n, seed=seed)

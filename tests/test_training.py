@@ -186,6 +186,24 @@ def test_evaluate_threshold_ties_to_positive():
     assert res.accuracy == expected
 
 
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_evaluate_counts_zero_margins_as_positive_from_one_pass(kind, monkeypatch):
+    X = np.random.default_rng(1).normal(size=(20, 2))
+    y = np.asarray([1.0, -1.0] * 10)
+    groups = tuple(FeatureGroup(f"f{i}", "numeric", i, i + 1) for i in range(2))
+    ds = Dataset(X, y, ["f0", "f1"], groups, split_seed=0)
+    model = (LinearModel(w=np.zeros(2)) if kind == "linear"  # a zero output layer:
+             else MlpModel(weights=[np.ones((2, 3)), np.zeros((3, 1))],  # margin 0 everywhere
+                           biases=[np.zeros(3), np.zeros(1)]))
+    passes = []
+    margin = model.margin
+    monkeypatch.setattr(model, "margin", lambda x: passes.append(len(x)) or margin(x))
+    res = evaluate(model, ds, LOGISTIC)
+    assert passes == [ds.test_indices.size]  # value() would run a second pass
+    assert res.accuracy == float((ds.labels[ds.test_indices] == 1.0).mean())
+    assert res.mean_loss == pytest.approx(np.log(2.0), rel=1e-15)
+
+
 def test_evaluate_empty_split_raises():
     ds = Dataset(np.asarray([[1.0]]), np.asarray([1.0]), ["f0"],
                  (FeatureGroup("f0", "numeric", 0, 1),))
