@@ -56,17 +56,18 @@ def read_json_object(path, kind: str) -> dict:
 
 
 def json_entry(doc: dict, key: str, convert, where: str):
-    """convert(doc[key]); a missing entry, or one whose type convert rejects
-    with a TypeError, is a ValueError naming `where` (the document) and key."""
+    """convert(doc[key]); a missing entry, or one whose type or value convert
+    rejects (a TypeError or ValueError), is a ValueError naming `where` (the
+    document) and key."""
     if key not in doc:
         raise ValueError(f"{where} has no {key!r} entry")
     try:
         return convert(doc[key])
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{where}'s {key!r} entry is malformed ({exc})") from None
 
 
-def chunk_bounds(n: int, chunk: int) -> list:
-    """(start, stop) pairs covering range(n) in order."""
-    return [(start, min(start + chunk, n)) for start in range(0, n, chunk)]
+def chunk_bounds(n: int, chunk: int):
+    """(start, stop) pairs covering range(n) in order, made as they are read."""
+    return ((start, min(start + chunk, n)) for start in range(0, n, chunk))
 

@@ -1,10 +1,12 @@
-"""Integrated-gradients attribution: midpoint-rule path integration for
-linear models and MLPs, the exact closed form for linear scoring models, and
-dataset-level impact aggregation.
+"""Integrated-gradients attribution: numeric path integration (Gauss-Legendre
+for softplus and tanh MLPs, the midpoint rule for linear models and ReLU
+MLPs), the exact closed form for linear scoring models, and dataset-level
+impact aggregation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,12 +19,15 @@ __all__ = [
     "AttributionVector",
     "check_method",
     "check_baseline",
+    "numeric_rule",
     "attribute_dataset",
     "impact_report",
     "write_pgm",
 ]
 
 DEFAULT_REPORT_STEPS = 256
+GL_START = 32     # Gauss-Legendre nodes of a row's first pass
+GL_TOL = 1e-10    # the completeness residual that ends a row's refinement
 
 
 @dataclass
@@ -35,40 +40,83 @@ class AttributionVector:
 
 
 def _numeric_rows(model, X, u, steps):
-    """Midpoint-rule path integrals for the rows of X (n, d) against one
-    baseline u:
+    """Numeric path integrals for the rows of X (n, d) against one baseline u:
 
-        IG_i ~ (x_i - u_i) * (1/S) * sum_k dF/dx_i at u + ((k - 0.5)/S)(x - u)
+        IG_i ~ (x_i - u_i) * sum_k w_k * dF/dx_i at u + alpha_k (x - u)
+
+    A softplus or tanh MLP (numeric_rule) takes Gauss-Legendre nodes alpha_k
+    and weights w_k on [0, 1]: min(steps, GL_START) of them, then twice as
+    many, never more than steps, for each row whose completeness residual
+    still exceeds GL_TOL. Other models take the midpoint rule,
+    alpha_k = (k - 0.5)/S and w_k = 1/S for S = steps.
 
     The path enters the model only through its first layer, whose output
     along it is a + alpha*c with a = u @ W0 + b0 and c = (x - u) @ W0, and the
-    mean input gradient is W0 times the mean gradient at that output. So each
-    row takes one (d, h1) product in and one (h1, d) product out, and the S
-    path points run through the layers above as one (rows, S, h) block. A
-    linear model is the case with no hidden layer, W0 = w as one column.
+    weighted input gradient is W0 times the weighted gradient at that output.
+    So each row takes one (d, h1) product in and one (h1, d) product out,
+    and its path points run through the layers above as one (rows, S, h)
+    block. A linear model is the case with no hidden layer, W0 = w as one
+    column. Every product and sum rounds row by row, so a row's bits depend
+    neither on its block nor on which other rows were refined.
     Returns (values (n, d), completeness residuals (n,)).
     """
     if isinstance(model, LinearModel):
         W0, a, widest = model.w[:, None], np.atleast_1d(model.margin(u)), 1
+        rule = numeric_rule("linear")
     else:
         W0 = model.weights[0]
         a = u @ W0 + model.biases[0]
         widest = max(W.shape[-1] for W in model.weights)
-    # Blocks hold no temporary larger than one row's S x max(d, h) points.
-    rows = max(1, max(model.dim, widest) // widest)
-    alphas = ((np.arange(1, steps + 1) - 0.5) / steps)[:, None]
+        rule = numeric_rule("mlp", model.hidden_activation)
     diff = X - u
-    grads = np.empty_like(diff)
-    # Each row is its own (1, d) and (1, h1) product, so its bits do not
-    # depend on the block it lands in.
-    for start, stop in chunk_bounds(len(X), rows):
-        first = a + alphas * (diff[start:stop, None, :] @ W0)
-        mean = _first_layer_grad(model, first).mean(axis=1)
-        grads[start:stop] = (mean[:, None, :] @ W0.T)[:, 0]
-    values = diff * grads
     fx = np.asarray(model.value(X[:, None, :]), dtype=float).reshape(-1)
-    fu = float(np.asarray(model.value(u)))
-    return values, np.abs(values.sum(axis=1) - (fx - fu))
+    gap = fx - float(np.asarray(model.value(u)))
+    width = max(model.dim, widest)
+    if rule == "midpoint":
+        alphas = (np.arange(1, steps + 1) - 0.5) / steps
+        values = diff * _path_grads(model, W0, a, diff, alphas, None, width // widest)
+        return values, np.abs(values.sum(axis=1) - gap)
+    values, residual = np.empty_like(diff), np.empty(len(X))
+    todo, nodes = np.arange(len(X)), min(steps, GL_START)
+    while todo.size:
+        part = diff[todo]
+        # the midpoint rule's temporaries at its default step count
+        rows = max(1, DEFAULT_REPORT_STEPS * width // (nodes * widest))
+        part *= _path_grads(model, W0, a, part, *_gauss_legendre(nodes), rows)
+        values[todo], residual[todo] = part, np.abs(part.sum(axis=1) - gap[todo])
+        if nodes == steps:
+            break
+        todo, nodes = todo[residual[todo] > GL_TOL], min(2 * nodes, steps)
+    return values, residual
+
+
+@lru_cache(maxsize=8)
+def _gauss_legendre(nodes):
+    """Gauss-Legendre nodes and weights on [0, 1], read-only: numpy's
+    [-1, 1] rule, whose O(nodes^3) solve each count pays once."""
+    from numpy.polynomial.legendre import leggauss  # off the CLI's import path
+
+    t, w = leggauss(nodes)
+    rule = (t + 1.0) / 2.0, w / 2.0
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
+def _path_grads(model, W0, a, diff, alphas, weights, rows):
+    """The weighted input gradient along each row's path, `rows` rows to a
+    block: the mean over the nodes alphas when weights is None, else
+    sum_k weights[k] * gradient at alphas[k]."""
+    grads = np.empty_like(diff)
+    for start, stop in chunk_bounds(len(diff), rows):
+        first = a + alphas[:, None] * (diff[start:stop, None, :] @ W0)
+        g = _first_layer_grad(model, first)
+        if weights is None:
+            g = g.mean(axis=1)
+        else:
+            g = np.multiply(g, weights[:, None], out=g).sum(axis=1)
+        grads[start:stop] = (g[:, None, :] @ W0.T)[:, 0]
+    return grads
 
 
 def _first_layer_grad(model, first):
@@ -106,6 +154,14 @@ def _closed_form_rows(model, X, u):
     values = np.divide(delta[:, None] * (diff * model.w), denom[:, None],
                        out=np.zeros_like(diff), where=~degenerate[:, None])
     return values, np.abs(values.sum(axis=1) - delta)
+
+
+def numeric_rule(model_kind: str, hidden_activation: str | None = None) -> str:
+    """The rule the numeric method integrates a model with: "gauss-legendre"
+    for a softplus or tanh MLP, whose path integrand is analytic, else
+    "midpoint" (a linear model, or a ReLU MLP's integrand with its kinks)."""
+    smooth = model_kind == "mlp" and hidden_activation in ("softplus", "tanh")
+    return "gauss-legendre" if smooth else "midpoint"
 
 
 def check_method(method: str, steps: int, model_kind: str = "linear"):

@@ -226,7 +226,11 @@ def _add_method_flags(p):
     p.add_argument("--method", choices=("closed", "numeric"), default="closed",
                    help="attribution method (default %(default)s)")
     p.add_argument("--steps", type=int,
-                   help=f"path steps for numeric attribution (default {DEFAULT_REPORT_STEPS})")
+                   help="numeric attribution's path points per row: the midpoint rule's "
+                        "exact count for linear and ReLU models; the cap on Gauss-Legendre "
+                        "nodes for softplus and tanh MLPs, which start at min(32, STEPS) "
+                        "and double while a row's completeness residual exceeds 1e-10 "
+                        f"(default {DEFAULT_REPORT_STEPS})")
 
 
 def _steps(args) -> int:

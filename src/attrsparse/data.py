@@ -398,5 +398,13 @@ def load_dataset(path) -> Dataset:
         labels=entry("labels", lambda v: np.asarray(v, dtype=float)),
         feature_names=entry("feature_names", list),
         encoding_map=entry("encoding_map", lambda gs: tuple(FeatureGroup(**g) for g in gs)),
-        split_seed=entry("split_seed", operator.index),
+        split_seed=entry("split_seed", _split_seed),
     )
+
+
+def _split_seed(value) -> int:
+    """A JSON split seed: an integer >= 0, as numpy's SeedSequence takes."""
+    seed = operator.index(value)
+    if seed < 0:
+        raise ValueError(f"{seed} is negative")
+    return seed

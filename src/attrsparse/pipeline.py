@@ -11,7 +11,7 @@ import numpy as np
 
 from ._util import write_csv
 from ._version import __version__
-from .attribution import DEFAULT_REPORT_STEPS, attribute_dataset, check_method
+from .attribution import DEFAULT_REPORT_STEPS, attribute_dataset, check_method, numeric_rule
 from .data import Dataset
 from .losses import LossSpec
 from .sparseness import make_gini_report
@@ -57,7 +57,11 @@ def run_compare(ds: Dataset, spec: LossSpec, eps_list, lam_list, base_cfg: Train
                              f"both name the model {tag}")
         tagged[tag] = cfg, value
 
-    attr_tag = "ig-closed" if method == "closed" else f"ig-numeric[{steps}]"
+    # the Gauss-Legendre rule is named; a midpoint run's tag and report are as before
+    rule = numeric_rule(base_cfg.model_kind, base_cfg.hidden_activation)
+    gauss = method == "numeric" and rule == "gauss-legendre"
+    attr_tag = ("ig-closed" if method == "closed" else
+                f"ig-gl[{steps}]" if gauss else f"ig-numeric[{steps}]")
     regimes, gaps, table_rows, distribution_rows, tradeoff_rows = {}, {}, [], [], []
     fits = train_many(ds, spec, [cfg for cfg, _ in tagged.values()], trace=False)
     for (tag, (cfg, value)), (model, _) in zip(tagged.items(), fits):
@@ -89,6 +93,7 @@ def run_compare(ds: Dataset, spec: LossSpec, eps_list, lam_list, base_cfg: Train
             "steps": steps if method == "numeric" else None,
             "baseline": "zero",
             "target": "p(true class)",
+            **({"rule": rule} if gauss else {}),
         },
         "base_config": asdict(base_cfg),
         "regimes": regimes,

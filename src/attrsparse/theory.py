@@ -6,8 +6,10 @@ CHECKS is the table of the checks `attrsparse verify` runs.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -56,14 +58,16 @@ def _mc_moments(per_sample_fn, n: int, seed: int):
 
     Sampling runs in fixed-size chunks seeded as (seed, chunk_index); chunks
     run on ATTRSPARSE_THREADS worker threads but are always reduced in index
-    order, so results do not depend on the thread count. Each chunk draws
-    into arrays of its own, freed when it ends, so memory is bounded by the
-    chunks running at once, about 7 MB each at d = 6. A chunk's statistic
-    is an (m, width) array in column-major order, each statistic one
-    contiguous column, as the sampler hands its features over; each column is
-    summed pairwise down its m entries, then squared in place and summed
-    again. A size below MIN_REPORT_SAMPLES or above MAX_REPORT_SAMPLES is an
-    error, raised before any draw.
+    order, so results do not depend on the thread count. At most two chunks
+    per thread are in flight: the next is submitted as the oldest is
+    reduced. Each chunk draws into arrays of its own, freed when it ends, so
+    memory is bounded by the chunks running at once, about 7 MB each at
+    d = 6, whatever n is. A chunk's statistic is an (m, width) array in
+    column-major order, each statistic one contiguous column, as the sampler
+    hands its features over; each column is summed pairwise down its m
+    entries, then squared in place and summed again. A size below
+    MIN_REPORT_SAMPLES or above MAX_REPORT_SAMPLES is an error, raised
+    before any draw.
     """
     if n < MIN_REPORT_SAMPLES:
         raise ValueError(f"n must be >= {MIN_REPORT_SAMPLES} for reported estimates, got {n}")
@@ -77,9 +81,15 @@ def _mc_moments(per_sample_fn, n: int, seed: int):
         stats *= stats
         return total, stats.sum(axis=0)
 
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        partials = list(pool.map(run, enumerate(chunk_bounds(n, _CHUNK))))
-    total, total_sq = (sum(parts) for parts in zip(*partials))  # in chunk order
+    tasks = enumerate(chunk_bounds(n, _CHUNK))
+    total = total_sq = 0  # summed in chunk order, as sum() would
+    threads = worker_count()
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending = deque(pool.submit(run, task) for task in islice(tasks, 2 * threads))
+        while pending:
+            part, part_sq = pending.popleft().result()
+            total, total_sq = total + part, total_sq + part_sq
+            pending.extend(pool.submit(run, task) for task in islice(tasks, 1))
     return total / n, total_sq / n
 
 

@@ -116,27 +116,49 @@ def gini_row_reference(v) -> float:
     return max(math.fsum((ordered * ranks).tolist()) / (d * total), 0.0)
 
 
-def ig_midpoint_reference(model, x, u, steps):
-    """The midpoint rule evaluated point by point: the model's input
-    gradient at all S path points, averaged. The gradient is taken directly,
-    by a full reverse pass through an MLP and as p(1-p) * w (w for the
-    identity activation) for a linear model. Returns (values, residual)."""
-    diff = x - u
-    alphas = (np.arange(1, steps + 1) - 0.5) / steps
-    points = u[None, :] + alphas[:, None] * diff[None, :]
+def _path_input_grads(model, x, u, alphas):
+    """The model's input gradient at each path point u + alpha (x - u),
+    taken directly: by a full reverse pass through an MLP and as p(1-p) * w
+    (w for the identity activation) for a linear model. Returns (S, d)."""
+    points = u[None, :] + alphas[:, None] * (x - u)[None, :]
     if isinstance(model, MlpModel):
         cache = model._forward(points)
         p = sigmoid(cache[0])
-        grads = model.backprop(cache, p * (1.0 - p), "first") @ model.weights[0].swapaxes(-1, -2)
-    elif model.activation == "identity":
-        grads = np.ones((steps, 1)) * model.w
-    else:
-        p = sigmoid(model.margin(points))
-        grads = (p * (1.0 - p))[:, None] * model.w
-    values = diff * grads.mean(axis=0)
+        return model.backprop(cache, p * (1.0 - p), "first") @ model.weights[0].swapaxes(-1, -2)
+    if model.activation == "identity":
+        return np.ones((alphas.size, 1)) * model.w
+    p = sigmoid(model.margin(points))
+    return (p * (1.0 - p))[:, None] * model.w
+
+
+def _completeness_residual(model, x, u, values) -> float:
     fx = float(np.asarray(model.value(x)))
     fu = float(np.asarray(model.value(u)))
-    return values, abs(float(values.sum()) - (fx - fu))
+    return abs(float(values.sum()) - (fx - fu))
+
+
+def ig_midpoint_reference(model, x, u, steps):
+    """The midpoint rule evaluated point by point: the model's input
+    gradient at all S path points, averaged. Returns (values, residual)."""
+    alphas = (np.arange(1, steps + 1) - 0.5) / steps
+    values = (x - u) * _path_input_grads(model, x, u, alphas).mean(axis=0)
+    return values, _completeness_residual(model, x, u, values)
+
+
+def ig_gauss_legendre_reference(model, x, u, steps, start=32, tol=1e-10):
+    """Gauss-Legendre path integration evaluated point by point for one row:
+    numpy's rule on [-1, 1] mapped to [0, 1] (nodes (t + 1)/2, weights w/2),
+    first min(steps, start) nodes, doubled up to steps while the completeness
+    residual exceeds tol. Returns (values, residual, nodes used)."""
+    nodes = min(steps, start)
+    while True:
+        t, w = np.polynomial.legendre.leggauss(nodes)
+        grads = _path_input_grads(model, x, u, (t + 1.0) / 2.0)
+        values = (x - u) * (w[:, None] / 2.0 * grads).sum(axis=0)
+        residual = _completeness_residual(model, x, u, values)
+        if residual <= tol or nodes == steps:
+            return values, residual, nodes
+        nodes = min(2 * nodes, steps)
 
 
 def pgd_clip_reference(model, X, y, eps, cfg, spec, rng):

@@ -2,21 +2,25 @@
 completeness, dataset-level aggregation, and graymap export."""
 import copy
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from attrsparse.attribution import (
+    _gauss_legendre,
+    _numeric_rows,
     attribute_dataset,
     check_baseline,
     check_method,
     impact_report,
+    numeric_rule,
     write_pgm,
 )
 from attrsparse.data import Dataset, FeatureGroup
 from attrsparse.losses import sigmoid
 from attrsparse.models import LinearModel, init_mlp
-from helpers import ig_midpoint_reference, ig_row
+from helpers import ig_gauss_legendre_reference, ig_midpoint_reference, ig_row
 
 SIGMOID_3 = 0.9525741268224334
 IG_HAND = (0.15085804227414445, 0.3017160845482889)  # (s(3)-0.5)*(1/3, 2/3)
@@ -297,16 +301,25 @@ def test_split_closed_form_matches_per_row_formula_bitwise(bias, activation):
 
 # --- the split-level numeric kernel ----------------------------------------------
 
-def _numeric_models(rng, d):
+def _numeric_models(rng, d, steep=False):
     """Linear models and MLPs of hidden widths 16 and (6, 4) in every
-    hidden activation, with non-zero biases."""
+    hidden activation, with non-zero biases; steep=True adds softplus and
+    tanh MLPs of width (6, 4) whose weights are 5x Glorot's, whose path
+    integrands 32 Gauss-Legendre nodes do not resolve for many rows."""
     models = [LinearModel(w=rng.normal(size=d)),
               LinearModel(w=rng.normal(size=d), activation="identity", bias=-0.4)]
     for hidden, act in itertools.product(((16,), (6, 4)), ("softplus", "tanh", "relu")):
-        mlp = init_mlp([d, *hidden, 1], rng, hidden_activation=act)
-        mlp.biases = [0.3 * rng.normal(size=b.shape) for b in mlp.biases]
-        models.append(mlp)
+        models.append(_mlp(rng, [d, *hidden, 1], act))
+    if steep:
+        models += [_mlp(rng, [d, 6, 4, 1], act, scale=5.0) for act in ("softplus", "tanh")]
     return models
+
+
+def _mlp(rng, sizes, act, scale=1.0):
+    mlp = init_mlp(sizes, rng, hidden_activation=act)
+    mlp.weights = [scale * W for W in mlp.weights]
+    mlp.biases = [0.3 * rng.normal(size=b.shape) for b in mlp.biases]
+    return mlp
 
 
 def _numeric_dataset(rng, n, d):
@@ -323,17 +336,23 @@ def _on_test_rows(ds, idx):
     return view
 
 
-@pytest.mark.parametrize("steps", [1, 24])
+@pytest.mark.parametrize("steps", [1, 24, 64])
 def test_numeric_row_does_not_depend_on_its_block(steps):
-    # d = 40 puts 2 (hidden 16), 6 (hidden 6, 4) or 40 (linear)
-    # rows in a block, so a row lands at different block offsets when it is
-    # attributed alone, among 5 rows, or with its whole split.
+    # d = 40 puts 2 (hidden 16), 6 (hidden 6, 4) or 40 (linear) midpoint
+    # rows in a block, and 20 or 53 rows at 32 Gauss-Legendre nodes, so a
+    # row lands at different block offsets when it is attributed alone,
+    # among 5 rows, or with its whole split. At 64 steps the steep models
+    # refine some rows to 64 nodes, so their blocks mix both levels.
     rng = np.random.default_rng(21)
     ds = _numeric_dataset(rng, 80, 40)
-    for model, u in itertools.product(_numeric_models(rng, ds.dim),
+    refined = 0
+    for model, u in itertools.product(_numeric_models(rng, ds.dim, steep=True),
                                       (np.zeros(ds.dim), rng.uniform(size=ds.dim))):
         singles = {i: ig_row(model, ds.features[i], u, steps=steps)
                    for i in range(ds.features.shape[0])}
+        if steps > 32 and not isinstance(model, LinearModel):
+            if numeric_rule("mlp", model.hidden_activation) == "gauss-legendre":
+                refined += int((_numeric_rows(model, ds.features, u, 32)[1] > 1e-10).sum())
         runs = [(split, ds.split(split)) for split in ("train", "test")]
         runs += [("test", [i]) for i in ds.test_indices[:4]]
         runs += [("test", ds.test_indices[k:k + 5]) for k in (0, 3, 7)]
@@ -348,20 +367,80 @@ def test_numeric_row_does_not_depend_on_its_block(steps):
                 assert attr.completeness_residual == one.completeness_residual
             base = got[0].values.base  # the vectors view one matrix
             assert base is not None and all(a.values.base is base for a in got)
+    assert refined > 0 if steps > 32 else refined == 0
 
 
 def test_numeric_kernel_matches_pointwise_midpoint_rule():
+    # the midpoint rule for linear and ReLU models, Gauss-Legendre for
+    # softplus and tanh MLPs: at 24 steps with 24 nodes, and at 256 steps
+    # with the rows that 32 nodes leave above the tolerance refined
     rng = np.random.default_rng(22)
-    d, steps = 12, 24
+    d = 12
     ds = _numeric_dataset(rng, 40, d)
-    for model in _numeric_models(rng, d):
+    refined = 0
+    for model, steps in itertools.product(_numeric_models(rng, d, steep=True), (24, 256)):
+        kind = "linear" if isinstance(model, LinearModel) else "mlp"
+        rule = numeric_rule(kind, getattr(model, "hidden_activation", None))
         for u in (np.zeros(d), rng.uniform(size=d)):
             got = attribute_dataset(model, ds, u, method="numeric", steps=steps,
                                     split="train", target="model-output")
-            want = [ig_midpoint_reference(model, ds.features[i], u, steps)
-                    for i in ds.train_indices]
-            scale = max(float(np.abs(v).max()) for v, _ in want)
+            if rule == "midpoint":
+                want = [ig_midpoint_reference(model, ds.features[i], u, steps)
+                        for i in ds.train_indices]
+            else:
+                want = [ig_gauss_legendre_reference(model, ds.features[i], u, steps)
+                        for i in ds.train_indices]
+                refined += sum(nodes > 32 for *_, nodes in want)
+            scale = max(float(np.abs(v[0]).max()) for v in want)
             assert scale > 0.0
-            for attr, (values, residual) in zip(got, want):
+            for attr, (values, residual, *_) in zip(got, want):
                 np.testing.assert_allclose(attr.values, values, rtol=0, atol=1e-12 * scale)
                 assert abs(attr.completeness_residual - residual) <= 1e-12 * scale * d
+    assert refined > 0
+
+
+# --- Gauss-Legendre against a fine midpoint oracle ----------------------------------
+
+# Measured max |GL - oracle| over the cases below, relative to each case's
+# largest attribution: 1.1e-7 (2.7e-10 on the Glorot-scale models). Most of
+# it is the 16,384-step midpoint oracle's own error: against a Richardson
+# step from 8,192 and 16,384 steps the gap is at most 1.7e-8, on a row that
+# stopped at 64 nodes with residual 7.6e-11. A refined row's 32-node values
+# were up to 0.17 away, so a row that kept them fails.
+GL_ORACLE_TOL = 2e-7
+
+
+def test_gauss_legendre_matches_fine_midpoint_oracle():
+    rng = np.random.default_rng(23)
+    d, steps = 10, 256
+    X = rng.uniform(size=(12, d))
+    refined = 0
+    for hidden, act, scale in itertools.product(((16,), (6, 4)), ("softplus", "tanh"),
+                                                (1.0, 8.0)):
+        model = _mlp(rng, [d, *hidden, 1], act, scale)
+        for u in (np.zeros(d), rng.uniform(size=d)):
+            values, residual = _numeric_rows(model, X, u, steps)
+            oracle = np.stack([ig_midpoint_reference(model, x, u, 16384)[0] for x in X])
+            top = float(np.abs(oracle).max())
+            np.testing.assert_allclose(values, oracle, rtol=0, atol=GL_ORACLE_TOL * top)
+            nodes = np.asarray([ig_gauss_legendre_reference(model, x, u, steps)[2] for x in X])
+            assert np.all(residual[nodes < steps] <= 1e-10), (hidden, act, scale)
+            refined += int((nodes > 32).sum())
+    assert refined > 0
+
+
+def test_gauss_legendre_nodes_are_mapped_to_the_unit_interval():
+    alphas, weights = _gauss_legendre(5)
+    assert np.all((alphas > 0.0) & (alphas < 1.0))
+    assert math.fsum(weights.tolist()) == pytest.approx(1.0, abs=1e-15)
+    # exact for polynomials up to degree 9: the integral of t^9 over [0, 1]
+    assert float(weights @ alphas**9) == pytest.approx(0.1, abs=1e-15)
+    with pytest.raises(ValueError):
+        alphas[0] = 0.5  # shared by every call at this count
+
+
+def test_numeric_rule_by_model():
+    assert numeric_rule("linear") == "midpoint"
+    assert numeric_rule("linear", "softplus") == "midpoint"
+    assert numeric_rule("mlp", "relu") == "midpoint"
+    assert numeric_rule("mlp", "softplus") == numeric_rule("mlp", "tanh") == "gauss-legendre"

@@ -697,6 +697,24 @@ def test_json_file_wrong_typed_entry_names_the_file_and_key(synth_json, tmp_path
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("key, edit, cause", [
+    ("split_seed", lambda doc: doc.update(split_seed=-1), "(-1 is negative)"),
+    ("features", lambda doc: doc["features"][0].__setitem__(1, "abc"),
+     "(could not convert string to float: 'abc')"),
+], ids=["negative-seed", "text-feature-cell"])
+def test_json_dataset_bad_valued_entry_names_the_file_and_key(synth_json, tmp_path, capsys,
+                                                              key, edit, cause):
+    doc = json.loads(synth_json.read_text(encoding="utf-8"))
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["train", "--data", str(bad), "--out-dir", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"attrsparse: error: {bad}: the dataset file's '{key}' entry "
+                   f"is malformed {cause}"], err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "compare"])
 def test_non_finite_csv_feature_exit_1(csv_file, tmp_path, capsys, command):
     lines = csv_file.read_text(encoding="utf-8").splitlines()

@@ -40,6 +40,9 @@ CASES = [
     ("compare-mlp", ["compare", "--data", "{blobs}", "--model", "mlp", "--hidden", "6",
                      "--epochs", "3", "--eps-list", "0.1", "--lam-list", "0.05",
                      "--method", "numeric", "--steps", "24"]),
+    ("compare-mlp-relu", ["compare", "--data", "{blobs}", "--model", "mlp", "--hidden", "6",
+                          "--hidden-activation", "relu", "--epochs", "3", "--eps-list", "0.1",
+                          "--lam-list", "0.05", "--method", "numeric", "--steps", "24"]),
     ("train-mlp-adversarial", ["train", "--data", "{blobs}", "--model", "mlp",
                                "--hidden", "6,4", "--regime", "adversarial", "--eps", "0.1",
                                "--epochs", "3", "--seed", "1"]),
@@ -90,18 +93,22 @@ GOLDEN = {
     'attribute-linear-closed/attributions.csv': 'dae8eb6b090edc1a6da64897ea46526a882e8ed6727cb0a549d90a3bf7b996de',
     'attribute-linear-closed/impact_features.csv': 'be6d9573d0512ec1653df65232402e644bd98e919df784415aa69092221e6984',
     'attribute-linear-closed/impact_values.csv': 'be6d9573d0512ec1653df65232402e644bd98e919df784415aa69092221e6984',
-    'attribute-mlp-numeric/attributions.csv': '15b1ed84c1eff0d768436c638a5552d1ce9190f73028a2fb7f20db6857ba17bb',
-    'attribute-mlp-numeric/impact_features.csv': '8c5e56b561e8c13841ffb3d058b77b50ed357b47cbf5e493d3a1e631b9c96e56',
-    'attribute-mlp-numeric/impact_values.csv': '8c5e56b561e8c13841ffb3d058b77b50ed357b47cbf5e493d3a1e631b9c96e56',
+    'attribute-mlp-numeric/attributions.csv': '923c0bf81b702fa33ac36bc06c44f9c376d99768f3d4d8d5da23d492fe4b81e4',
+    'attribute-mlp-numeric/impact_features.csv': 'b3b7f1256bb699845cc644fd8d73d23d5fd7e83c2e96ba24f2ccf4b681afe1d6',
+    'attribute-mlp-numeric/impact_values.csv': 'b3b7f1256bb699845cc644fd8d73d23d5fd7e83c2e96ba24f2ccf4b681afe1d6',
     'blobs.json': 'bf0b6782cbfd0d9ed23c2de301f11ab8414fbc19ea612dd81b64020654d1a417',
     'compare-linear/distributions.csv': '593bfd4f32ae07d63f6ffdd548d1668665c39959b77f4856368d05d74af02044',
     'compare-linear/report.json': 'a6feaf2bf40163917c050308062f71c6a68bd02e63399cd6947b40b570256c92',
     'compare-linear/table.csv': '149e39f9ec595e3938d5c2a99137e11d8af53d172dfa8b211793a7a330fe89ec',
     'compare-linear/tradeoff.csv': '5bf1d448601072480abed30fd4128b5496721dfa80117538a1986665ca26b1a7',
-    'compare-mlp/distributions.csv': '3cf2ff66abaf784b8d26862f35c123950ed83b89370317f2eeadf1fd2adbdf8b',
-    'compare-mlp/report.json': 'ca04300ac2682ff5901f3ac371ebee15652b2c42e9b717bc3ae0708da6efd29e',
-    'compare-mlp/table.csv': '16517c02429ec9e0be95366f75a88e426a34d2d0dac200e74ce1267f3bace55c',
-    'compare-mlp/tradeoff.csv': '28aa9a732aacc8c4f184882ac5c6e822e0cf829e3544407c20db97297ae64e1b',
+    'compare-mlp-relu/distributions.csv': 'ca711db3f49f5c775cadcc788c0f6fe354ec7738e4b735f41148a4f0af8eb6e0',
+    'compare-mlp-relu/report.json': 'e1efbcd8d79050f1c8ec28759d12b1429e597afe3daa809d533ec98350348f35',
+    'compare-mlp-relu/table.csv': 'e6723c3c32b32150e428823e026862f91c9771b47dda14f768c79d421ba6bc38',
+    'compare-mlp-relu/tradeoff.csv': 'c847918a56773afcc25c96a352ed335aff3dc96ef50cbf95e191871f31c4969e',
+    'compare-mlp/distributions.csv': '277fd51de33bccf707e8b9890797622fcb9d1ad2f42f901a05e3f556ca1efbe1',
+    'compare-mlp/report.json': '6b4b19f66db09678d44aa0f23314e10bfec46af194f9bb8f395bd01cdfa7dd61',
+    'compare-mlp/table.csv': '41db2d5168ae0f1e1eae3dd2f3bc9b3f8f9e04f864a153aab595431b4a1ed248',
+    'compare-mlp/tradeoff.csv': 'a377035b77ad2f66e735ec4586755284f5f47d66f7537d0be19116eefaa0d650',
     'gini-attributions/gini.csv': '075b78e35b35310e9bc45d4f36eab0243ea4f46ea43aac824ed33ca6184a8f67',
     'toy.json': 'f8bb0e542d4d57c059dc97c94158d73039d66bbaedded0bb5704ffaaef4e10e0',
     'train-linear-adversarial-hinge/model.json': 'ac715f4f7d290dfbca315c028a79600ad50c0aae6598a70b7c1773832824e86b',

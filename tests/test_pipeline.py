@@ -230,6 +230,19 @@ def test_numeric_method_tag_and_steps():
     assert out.report["attribution"]["method"] == "numeric"
     assert out.report["attribution"]["steps"] == 32
     assert out.table_rows[0]["attr"] == "ig-numeric[32]"
+    assert "rule" not in out.report["attribution"]  # the midpoint rule's report as before
+
+
+@pytest.mark.parametrize("act, rule, tag", [("softplus", "gauss-legendre", "ig-gl[32]"),
+                                            ("tanh", "gauss-legendre", "ig-gl[32]"),
+                                            ("relu", None, "ig-numeric[32]")])
+def test_numeric_rule_is_named_in_report_and_table(act, rule, tag):
+    ds = generate_synthetic(SyntheticConditionalSampler((0.8, 0.1)), 120, seed=1)
+    base = TrainConfig(epochs=1, model_kind="mlp", hidden_sizes=(3,), hidden_activation=act)
+    out = run_compare(ds, LOGISTIC, [], [0.05], base, method="numeric", steps=32)
+    assert out.report["attribution"].get("rule") == rule
+    assert out.report["attribution"]["steps"] == 32
+    assert {row["attr"] for row in out.table_rows} == {tag}
 
 
 def test_rerun_is_identical_except_runtime():

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from attrsparse.attribution import AttributionVector
 from helpers import gini_row, gini_row_reference
 
+from attrsparse import sparseness
 from attrsparse.sparseness import _row_fsums, gini_rows, make_gini_report
 
 
@@ -92,6 +93,28 @@ def test_row_fsums_matches_fsum_bitwise(rng):
         blocks.append(rng.permuted(exact, axis=1))
         for A in blocks:
             assert np.array_equal(_row_fsums(A).view(np.int64), _fsum_bits(A)), d
+
+
+def test_row_fsums_tree_matches_fsum_bitwise_at_every_size(rng, monkeypatch):
+    """The rows above with no call routed to math.fsum by its size, so that
+    the small blocks of special rows run the certified tree too."""
+    monkeypatch.setattr(sparseness, "_TREE_MIN_ENTRIES", 0)
+    test_row_fsums_matches_fsum_bitwise(rng)
+
+
+def test_small_calls_take_fsum_and_large_calls_the_tree(rng, monkeypatch):
+    calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda row: calls.append(len(row)) or fsum(row))
+    for shape in ((1, 10), (5, 40), (1, 1073)):
+        V = rng.exponential(size=shape)
+        calls.clear()
+        got = gini_rows(V)
+        assert calls == [shape[1]] * (2 * shape[0])  # the total and the rank-weighted sum
+        assert got.tolist() == [gini_row_reference(v) for v in V]
+    calls.clear()
+    gini_rows(rng.exponential(size=(30, 40)))
+    assert len(calls) <= 1
 
 
 def test_row_fsums_certifies_almost_every_row(rng, monkeypatch):

@@ -1,6 +1,8 @@
 """Monte-Carlo guarantee checks: exact degenerate statistics, quadrature
 oracles, the conditional-expectation bound, and the exact loss identity."""
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -527,6 +529,30 @@ def test_thread_count_does_not_change_estimates(monkeypatch):
     m2, s2 = expected_update(LOGISTIC, w, 0.1, sampler, 150_000, seed=6)
     np.testing.assert_array_equal(m1, m2)
     np.testing.assert_array_equal(s1, s2)
+
+
+def test_chunks_in_flight_stay_within_two_per_thread(monkeypatch):
+    # Chunk 0 holds its thread until all 40 chunks have started, or for
+    # 0.3 s. With every chunk submitted at once the other thread starts all
+    # of them in that time; with a window, none past the first 2 x 2 until
+    # chunk 0 is reduced. Each chunk is known by its seed words (seed, index).
+    monkeypatch.setenv("ATTRSPARSE_THREADS", "2")
+    started, lock, live = [], threading.Lock(), []
+
+    def stat(rng, m):
+        index = rng.bit_generator.seed_seq.entropy[1]
+        with lock:
+            started.append(index)
+        if index == 0:
+            deadline = time.monotonic() + 0.3
+            while len(started) < 40 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            live.append(len(started))
+        return np.ones((m, 1))
+
+    mean, mean_sq = theory._mc_moments(stat, 40 * theory._CHUNK, seed=0)
+    assert mean[0] == mean_sq[0] == 1.0 and sorted(started) == list(range(40))
+    assert live[0] <= 4
 
 
 def test_sampler_with_zero_noise_matches_reference_bitwise():
