@@ -1,7 +1,7 @@
 """Integrated-gradients attribution: numeric path integration (Gauss-Legendre
 for softplus and tanh MLPs, the midpoint rule for linear models and ReLU
-MLPs), the exact closed form for linear scoring models, and dataset-level
-impact aggregation.
+MLPs), the exact closed form for functions of one linear score (a linear
+model, or the theory layer's loss map), and dataset-level impact aggregation.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from .models import LinearModel, MlpModel
 
 __all__ = [
     "AttributionVector",
+    "straight_path_ig",
     "check_method",
     "check_baseline",
     "numeric_rule",
@@ -39,26 +40,41 @@ class AttributionVector:
         self.values = np.asarray(self.values, dtype=float)
 
 
-def _numeric_rows(model, X, u, steps):
-    """Numeric path integrals for the rows of X (n, d) against one baseline u:
+def _attribute_rows(model, X, u, method, steps):
+    """IG of the rows of X (n, d) against one baseline u by either method, and
+    each row's completeness residual |sum_i IG_i - (F(x) - F(u))|: the
+    (values (n, d), residuals (n,)) attribute_dataset reports."""
+    diff = X - u
+    gap = np.asarray(model.value(X[:, None, :]), dtype=float).reshape(-1)
+    gap -= float(np.asarray(model.value(u)))
+    if method == "closed":
+        values = straight_path_ig(gap, diff, model.w)
+    else:
+        values = _numeric_rows(model, diff, u, gap, steps)
+    return values, np.abs(values.sum(axis=1) - gap)
+
+
+def _numeric_rows(model, diff, u, gap, steps):
+    """Numeric path integrals for the rows of diff = X - u (n, d):
 
         IG_i ~ (x_i - u_i) * sum_k w_k * dF/dx_i at u + alpha_k (x - u)
 
-    A softplus or tanh MLP (numeric_rule) takes Gauss-Legendre nodes alpha_k
-    and weights w_k on [0, 1]: min(steps, GL_START) of them, then twice as
-    many, never more than steps, for each row whose completeness residual
+    One refinement loop serves both rules. A softplus or tanh MLP
+    (numeric_rule) takes Gauss-Legendre nodes alpha_k and weights w_k on
+    [0, 1]: min(steps, GL_START) of them, then twice as many, never more than
+    steps, for each row whose completeness residual against gap = F(x) - F(u)
     still exceeds GL_TOL. Other models take the midpoint rule,
-    alpha_k = (k - 0.5)/S and w_k = 1/S for S = steps.
+    alpha_k = (k - 0.5)/S and w_k = 1/S for S = steps, as the loop's one pass.
 
     The path enters the model only through its first layer, whose output
     along it is a + alpha*c with a = u @ W0 + b0 and c = (x - u) @ W0, and the
     weighted input gradient is W0 times the weighted gradient at that output.
     So each row takes one (d, h1) product in and one (h1, d) product out,
     and its path points run through the layers above as one (rows, S, h)
-    block. A linear model is the case with no hidden layer, W0 = w as one
-    column. Every product and sum rounds row by row, so a row's bits depend
-    neither on its block nor on which other rows were refined.
-    Returns (values (n, d), completeness residuals (n,)).
+    block, of about DEFAULT_REPORT_STEPS path points per row. A linear model
+    is the case with no hidden layer, W0 = w as one column. Every product and
+    sum rounds row by row, so a row's bits depend neither on its block nor on
+    which other rows were refined.
     """
     if isinstance(model, LinearModel):
         W0, a, widest = model.w[:, None], np.atleast_1d(model.margin(u)), 1
@@ -68,26 +84,26 @@ def _numeric_rows(model, X, u, steps):
         a = u @ W0 + model.biases[0]
         widest = max(W.shape[-1] for W in model.weights)
         rule = numeric_rule("mlp", model.hidden_activation)
-    diff = X - u
-    fx = np.asarray(model.value(X[:, None, :]), dtype=float).reshape(-1)
-    gap = fx - float(np.asarray(model.value(u)))
     width = max(model.dim, widest)
-    if rule == "midpoint":
-        alphas = (np.arange(1, steps + 1) - 0.5) / steps
-        values = diff * _path_grads(model, W0, a, diff, alphas, None, width // widest)
-        return values, np.abs(values.sum(axis=1) - gap)
-    values, residual = np.empty_like(diff), np.empty(len(X))
-    todo, nodes = np.arange(len(X)), min(steps, GL_START)
+    quadrature = _midpoint if rule == "midpoint" else _gauss_legendre
+    nodes = steps if rule == "midpoint" else min(steps, GL_START)
+    values, todo = np.empty_like(diff), np.arange(len(diff))
     while todo.size:
         part = diff[todo]
-        # the midpoint rule's temporaries at its default step count
+        # about DEFAULT_REPORT_STEPS path points a row, at any node count
         rows = max(1, DEFAULT_REPORT_STEPS * width // (nodes * widest))
-        part *= _path_grads(model, W0, a, part, *_gauss_legendre(nodes), rows)
-        values[todo], residual[todo] = part, np.abs(part.sum(axis=1) - gap[todo])
+        part *= _path_grads(model, W0, a, part, *quadrature(nodes), rows)
+        values[todo] = part
         if nodes == steps:
             break
-        todo, nodes = todo[residual[todo] > GL_TOL], min(2 * nodes, steps)
-    return values, residual
+        todo = todo[np.abs(part.sum(axis=1) - gap[todo]) > GL_TOL]
+        nodes = min(2 * nodes, steps)
+    return values
+
+
+def _midpoint(nodes):
+    """The midpoint rule's nodes on [0, 1]; None: equal weights, a mean."""
+    return (np.arange(1, nodes + 1) - 0.5) / nodes, None
 
 
 @lru_cache(maxsize=8)
@@ -131,29 +147,28 @@ def _first_layer_grad(model, first):
     return p * (1.0 - p)
 
 
-def _closed_form_rows(model, X, u):
-    """Exact path integrals for the rows of X (n, d) against one baseline u:
+def _row_dot(A, B):
+    """Per-row <a, b> of an (m, d) block A with B, an (m, d) block or one
+    (d,) row for every a. A (1, d) @ (d, 1) product runs one dot product per
+    row, the kernel of a 1-d a @ b, so each row rounds as the one-row call
+    would; a 2-d A @ b is a matrix-vector product, which rounds differently."""
+    return (A[:, None, :] @ B[..., None])[:, 0, 0]
 
-        IG = [F(x) - F(u)] * ((x - u) * w) / <x - u, w>
 
-    Returns (values (n, d), completeness residuals (n,)). A zero denominator
-    yields the zero attribution, with residual |F(x) - F(u)|. Both
-    activations are strictly monotone in the margin, so that residual is 0
-    unless <x, w> and <u, w> round apart while <x - u, w> rounds to 0, and
-    it then reports the gap.
+def straight_path_ig(change, diff, w):
+    """Exact integrated gradients of a function of one score, F(v) = f(<w, v>),
+    along the straight path from s to s + diff, one path per row:
+
+        IG = change * diff * w / <diff, w>,   change = F(s + diff) - F(s)
+
+    diff is (m, d), w (m, d) or one (d,) row for every path, change (m,). A
+    zero <diff, w> yields the zero attribution, whose completeness gap is
+    |change|: 0 for a monotone f unless f(<s, w>) and f(<s + diff, w>)
+    round apart while <diff, w> rounds to 0.
     """
-    # Taking each row as a (1, d) block makes matmul run one dot product per
-    # row, the kernel of x @ w for a single row; a 2-d X @ w is a
-    # matrix-vector product, which rounds differently.
-    diff = X - u
-    denom = (diff[:, None, :] @ model.w)[:, 0]
-    fx = np.asarray(model.value(X[:, None, :]), dtype=float).reshape(-1)
-    fu = float(np.asarray(model.value(u)))
-    degenerate = denom == 0.0
-    delta = fx - fu
-    values = np.divide(delta[:, None] * (diff * model.w), denom[:, None],
-                       out=np.zeros_like(diff), where=~degenerate[:, None])
-    return values, np.abs(values.sum(axis=1) - delta)
+    denom = _row_dot(diff, w)[:, None]
+    return np.divide(change[:, None] * (diff * w), denom, out=np.zeros_like(diff),
+                     where=denom != 0.0)
 
 
 def numeric_rule(model_kind: str, hidden_activation: str | None = None) -> str:
@@ -170,7 +185,7 @@ def check_method(method: str, steps: int, model_kind: str = "linear"):
     if method not in ("closed", "numeric"):
         raise ValueError(f"unknown method {method!r}; use 'closed' or 'numeric'")
     if method == "closed" and model_kind != "linear":
-        raise TypeError("closed form applies to linear models only")
+        raise ValueError("closed form applies to linear models only")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
 
@@ -203,10 +218,7 @@ def attribute_dataset(model, ds: Dataset, u, method: str = "closed",
         raise ValueError(f"unknown target {target!r}")
     true_class = target == "true-class-probability"
     idx = ds.split(split)
-    if method == "closed":
-        values, residual = _closed_form_rows(model, ds.features[idx], u)
-    else:
-        values, residual = _numeric_rows(model, ds.features[idx], u, steps)
+    values, residual = _attribute_rows(model, ds.features[idx], u, method, steps)
     if true_class:
         flip = ds.labels[idx] == -1.0
         values[flip] = -values[flip]

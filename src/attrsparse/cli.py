@@ -554,7 +554,7 @@ def main(argv=None) -> int:
     except TrainingDivergedError as exc:
         print(f"attrsparse: training diverged: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         detail = str(exc) or repr(exc)
         print(f"attrsparse: error: {detail}", file=sys.stderr)
         return 1

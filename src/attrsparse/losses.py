@@ -83,8 +83,9 @@ def make_loss(kind: str) -> LossSpec:
 def worst_case_slope(spec: LossSpec, w, bias, X, y, epsilon=0.0):
     """(z, g'(z)), each (k, n), for k stacked linear models on one batch:
     z = eps*||w||_1 - y*(<w, x> + bias) is the margin's worst case over each
-    model's eps-box. Training's engine and the theorem-1 checks share it.
-    w is (k, d), bias (k,) or None, epsilon a scalar or (k,).
+    model's eps-box. Training's engine and the theorem checks share it.
+    w is (k, d), bias (k,) or None, epsilon a scalar or (k,), and X (n, d)
+    or (k, n, d), a batch of its own for each model.
     """
     epsilon = np.asarray(epsilon, dtype=float).reshape(-1, 1)
     margin = np.matmul(X, w[..., None])[..., 0]

@@ -14,6 +14,7 @@ from itertools import islice
 import numpy as np
 
 from ._util import chunk_bounds, worker_count
+from .attribution import _row_dot, straight_path_ig
 from .data import SyntheticConditionalSampler
 from .losses import DEFAULT_LOSS, LOSS_KINDS, LossSpec, make_loss, worst_case_slope
 
@@ -227,14 +228,6 @@ def check_lemma_exp_bound(f, sampler, n: int, seed: int = 0) -> TheoremCheckResu
     )
 
 
-def _row_dot(A, B):
-    """Per-row <a, b> of two (m, d) blocks. A (1, d) @ (d, 1) product runs one
-    dot product per row, the kernel of a 1-d a @ b, so each row rounds as
-    the one-row call would; a 2-d A @ b is a matrix-vector product, which
-    rounds differently."""
-    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
-
-
 def attribution_shift_norm(spec: LossSpec, w, x, y, delta):
     """l1 norm of the attribution of the per-label loss map v -> g(-y<w,v>)
     taken from baseline x to input x + delta (exact closed form).
@@ -244,16 +237,8 @@ def attribution_shift_norm(spec: LossSpec, w, x, y, delta):
     """
     w, x, y, delta = (np.asarray(t, dtype=float) for t in (w, x, y, delta))
     wl = -y[:, None] * w  # the loss map is g(<wl, v>)
-    denom = _row_dot(delta, wl)
-    f0 = spec.g(_row_dot(x, wl))
-    f1 = spec.g(_row_dot(x + delta, wl))
-    flat = denom == 0.0
-    if np.any(f0[flat] != f1[flat]):
-        raise ValueError("zero score change with differing loss values")
-    values = delta * wl
-    values *= (f1 - f0)[:, None]
-    # a flat row keeps (f1 - f0) * delta * wl = +-0, so its norm is 0
-    np.divide(values, denom[:, None], out=values, where=~flat[:, None])
+    change = spec.g(_row_dot(x + delta, wl)) - spec.g(_row_dot(x, wl))
+    values = straight_path_ig(change, delta, wl)
     return np.abs(values, out=values).sum(axis=1)
 
 
@@ -261,15 +246,15 @@ def check_theorem3_identity(spec: LossSpec, w, x, y, epsilon):
     """|[natural loss + worst-case attribution shift] - worst-case loss| at the
     closed-form maximizer delta_i = -y * sign(w_i) * eps.
 
-    w and x are (m, d) blocks, y and epsilon are (m,), one instance per row,
-    and the result is one residual per row.
+    w and x are (m, d) blocks and y and epsilon (m,), one instance per row,
+    which training's worst_case_slope takes as one model with a batch of one;
+    the result is one residual per row.
     """
     w, x, y, epsilon = (np.asarray(t, dtype=float) for t in (w, x, y, epsilon))
     delta = -y[:, None] * np.sign(w) * epsilon[:, None]
-    score = _row_dot(x, w)
-    lhs = spec.g(-y * score) + attribution_shift_norm(spec, w, x, y, delta)
-    rhs = spec.g(epsilon * np.abs(w).sum(axis=1) - y * score)
-    return np.abs(lhs - rhs)
+    worst = worst_case_slope(spec, w, None, x[:, None, :], y[:, None], epsilon)[0][:, 0]
+    lhs = spec.g(-y * _row_dot(x, w)) + attribution_shift_norm(spec, w, x, y, delta)
+    return np.abs(lhs - spec.g(worst))
 
 
 def theorem1_bound_instances(configs: int, seed: int):

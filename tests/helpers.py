@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from attrsparse.attribution import AttributionVector, _closed_form_rows, _numeric_rows
+from attrsparse.attribution import AttributionVector, _attribute_rows
 from attrsparse.data import Dataset, load_csv
 from attrsparse.losses import LossSpec, linear_loss_and_grads, sigmoid
 from attrsparse.models import LinearModel, MlpModel, init_mlp
@@ -37,14 +37,11 @@ def one_row(check, spec, *instance) -> float:
 
 def ig_row(model, x, u, steps=None) -> AttributionVector:
     """Integrated gradients of one input x against the baseline u: the
-    program's closed-form split kernel, or its numeric one with ``steps``
+    program's split kernel by the closed form, or numerically with ``steps``
     path points, run on x as a (1, d) block."""
     X = np.asarray(x, dtype=float)[None, :]
-    u = np.asarray(u, dtype=float)
-    if steps is None:
-        values, residual = _closed_form_rows(model, X, u)
-    else:
-        values, residual = _numeric_rows(model, X, u, steps)
+    method = "closed" if steps is None else "numeric"
+    values, residual = _attribute_rows(model, X, np.asarray(u, dtype=float), method, steps)
     return AttributionVector(values[0], float(residual[0]))
 
 

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from attrsparse.attribution import (
+    _attribute_rows,
     _gauss_legendre,
-    _numeric_rows,
     attribute_dataset,
     check_baseline,
     check_method,
@@ -94,7 +94,7 @@ def test_closed_form_rounding_split_is_degenerate_not_an_error(activation, bias)
 
 def test_closed_form_rejects_nonlinear_model(rng):
     mlp = init_mlp([3, 2, 1], rng)
-    with pytest.raises(TypeError, match="linear"):
+    with pytest.raises(ValueError, match="linear"):
         attribute_dataset(mlp, _toy_dataset(), np.zeros(3))
 
 
@@ -199,7 +199,7 @@ def test_attribute_dataset_validation():
         attribute_dataset(model, ds, np.zeros(3), target="logit")
     with pytest.raises(ValueError, match="steps must be >= 1"):
         attribute_dataset(model, ds, np.zeros(3), steps=0)
-    with pytest.raises(TypeError, match="linear"):
+    with pytest.raises(ValueError, match="linear"):
         attribute_dataset(init_mlp([3, 2, 1], np.random.default_rng(0)), ds, np.zeros(3))
 
 
@@ -336,13 +336,15 @@ def _on_test_rows(ds, idx):
     return view
 
 
-@pytest.mark.parametrize("steps", [1, 24, 64])
+@pytest.mark.parametrize("steps", [1, 24, 64, 1024])
 def test_numeric_row_does_not_depend_on_its_block(steps):
-    # d = 40 puts 2 (hidden 16), 6 (hidden 6, 4) or 40 (linear) midpoint
-    # rows in a block, and 20 or 53 rows at 32 Gauss-Legendre nodes, so a
-    # row lands at different block offsets when it is attributed alone,
-    # among 5 rows, or with its whole split. At 64 steps the steep models
-    # refine some rows to 64 nodes, so their blocks mix both levels.
+    # A block holds about 256 path points a row: at d = 40 that is 26
+    # (hidden 16), 71 (hidden 6, 4) or 426 (linear) rows at 24 midpoint
+    # steps, 1, 1 or 10 rows at 1024 steps, and 20 or 53 rows at 32
+    # Gauss-Legendre nodes, so a row lands at different block offsets when
+    # it is attributed alone, among 5 rows, or with its whole split. At 64
+    # steps the steep models refine some rows to 64 nodes, so their blocks
+    # mix both levels.
     rng = np.random.default_rng(21)
     ds = _numeric_dataset(rng, 80, 40)
     refined = 0
@@ -352,7 +354,8 @@ def test_numeric_row_does_not_depend_on_its_block(steps):
                    for i in range(ds.features.shape[0])}
         if steps > 32 and not isinstance(model, LinearModel):
             if numeric_rule("mlp", model.hidden_activation) == "gauss-legendre":
-                refined += int((_numeric_rows(model, ds.features, u, 32)[1] > 1e-10).sum())
+                residual = _attribute_rows(model, ds.features, u, "numeric", 32)[1]
+                refined += int((residual > 1e-10).sum())
         runs = [(split, ds.split(split)) for split in ("train", "test")]
         runs += [("test", [i]) for i in ds.test_indices[:4]]
         runs += [("test", ds.test_indices[k:k + 5]) for k in (0, 3, 7)]
@@ -419,7 +422,7 @@ def test_gauss_legendre_matches_fine_midpoint_oracle():
                                                 (1.0, 8.0)):
         model = _mlp(rng, [d, *hidden, 1], act, scale)
         for u in (np.zeros(d), rng.uniform(size=d)):
-            values, residual = _numeric_rows(model, X, u, steps)
+            values, residual = _attribute_rows(model, X, u, "numeric", steps)
             oracle = np.stack([ig_midpoint_reference(model, x, u, 16384)[0] for x in X])
             top = float(np.abs(oracle).max())
             np.testing.assert_allclose(values, oracle, rtol=0, atol=GL_ORACLE_TOL * top)

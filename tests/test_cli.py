@@ -11,6 +11,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from attrsparse import attribution, losses, theory
 from attrsparse._version import __version__
 from attrsparse.cli import (
     _CONFIG_ALIASES,
@@ -1301,6 +1302,43 @@ def test_verify_identity_all_losses_and_forced_failure(tmp_path, capsys):
     assert rc == 1
     assert json.loads(out.read_text(encoding="utf-8"))["passed"] is False
     assert "[FAIL]" in capsys.readouterr().err
+
+
+def _worst_case_eps_dropped(spec, w, bias, X, y, epsilon=0.0):
+    return losses.worst_case_slope(spec, w, bias, X, y, 0.0)
+
+
+def _ig_change_dropped(change, diff, w):
+    return attribution.straight_path_ig(np.ones_like(change), diff, w)
+
+
+@pytest.mark.parametrize("target, fault", [
+    ("attrsparse.theory.worst_case_slope", _worst_case_eps_dropped),
+    ("attrsparse.theory.straight_path_ig", _ig_change_dropped),
+])
+def test_verify_identity_fails_on_a_broken_shipped_formula(tmp_path, capsys, monkeypatch,
+                                                          target, fault):
+    # thm3 runs training's worst case and attribute's closed-form kernel, so
+    # a fault in either one must fail it
+    assert theory.worst_case_slope is losses.worst_case_slope
+    assert theory.straight_path_ig is attribution.straight_path_ig
+    monkeypatch.setattr(target, fault)
+    out = tmp_path / "r.json"
+    assert main(["verify", "thm3", "--trials", "50", "--out", str(out)]) == 1
+    doc = _verify_doc(out)
+    assert not doc["passed"] and not any(r["passed"] for r in doc["results"])
+    assert "[FAIL]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bug", [TypeError, KeyError])
+def test_program_bug_in_a_command_is_not_reported_as_bad_input(monkeypatch, capsys, bug):
+    def broken(trials, seed):
+        raise bug("a program bug")
+
+    monkeypatch.setattr("attrsparse.theory.theorem3_instances", broken)
+    with pytest.raises(bug, match="a program bug"):
+        main(["verify", "thm3", "--trials", "5"])
+    assert "attrsparse: error:" not in capsys.readouterr().err
 
 
 def test_verify_stdout_and_determinism(tmp_path, capsys):

@@ -18,6 +18,7 @@ from attrsparse.training import (
     EvalResult,
     TrainConfig,
     TrainingDivergedError,
+    _trace_points,
     evaluate,
     soft_threshold,
     train,
@@ -192,16 +193,23 @@ def test_evaluate_counts_zero_margins_as_positive_from_one_pass(kind, monkeypatc
     y = np.asarray([1.0, -1.0] * 10)
     groups = tuple(FeatureGroup(f"f{i}", "numeric", i, i + 1) for i in range(2))
     ds = Dataset(X, y, ["f0", "f1"], groups, split_seed=0)
-    model = (LinearModel(w=np.zeros(2)) if kind == "linear"  # a zero output layer:
-             else MlpModel(weights=[np.ones((2, 3)), np.zeros((3, 1))],  # margin 0 everywhere
-                           biases=[np.zeros(3), np.zeros(1)]))
-    passes = []
-    margin = model.margin
-    monkeypatch.setattr(model, "margin", lambda x: passes.append(len(x)) or margin(x))
-    res = evaluate(model, ds, LOGISTIC)
-    assert passes == [ds.test_indices.size]  # value() would run a second pass
-    assert res.accuracy == float((ds.labels[ds.test_indices] == 1.0).mean())
-    assert res.mean_loss == pytest.approx(np.log(2.0), rel=1e-15)
+    test_y = ds.labels[ds.test_indices]
+    # -1e-17 is a negative margin whose sigmoid rounds to 0.5: it predicts -1,
+    # as the training trace does
+    for margin_value, label in ((0.0, 1.0), (-1e-17, -1.0)):
+        model = (LinearModel(w=np.zeros(2), bias=margin_value) if kind == "linear"
+                 else MlpModel(weights=[np.ones((2, 3)), np.zeros((3, 1))],  # a zero output
+                               biases=[np.zeros(3), np.full(1, margin_value)]))  # layer
+        passes = []
+        margin = model.margin
+        monkeypatch.setattr(model, "margin", lambda x: passes.append(len(x)) or margin(x))
+        res = evaluate(model, ds, LOGISTIC)
+        assert passes == [ds.test_indices.size]  # value() would run a second pass
+        margins = margin(ds.features[ds.test_indices])
+        assert np.all(margins == margin_value)
+        assert res.accuracy == float((test_y == label).mean())
+        assert res.accuracy == float(_trace_points(margins[None], np.ones((1, 2)), test_y)[0][0])
+        assert res.mean_loss == pytest.approx(np.log(2.0), rel=1e-15)
 
 
 def test_evaluate_empty_split_raises():
