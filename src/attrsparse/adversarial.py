@@ -3,7 +3,6 @@ ascent; a linear model's worst case is closed-form (losses.worst_case_slope).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +30,11 @@ class PgdConfig:
 
 
 def default_pgd_config(epsilon: float) -> PgdConfig:
-    """Step count floor(eps*100) + 10 at step size 0.01."""
-    return PgdConfig(steps=int(math.floor(epsilon * 100)) + 10, step_size=0.01)
+    """5 steps of eps / 2 (eps itself where that rounds to 0), Madry et al.'s
+    (2018) 2.5 * eps / steps. A uniform start reaches either face of the box
+    only if the travel, steps * step_size, is at least 2 * eps; past that the
+    step count barely matters, so PGD's work per batch is the same for any eps."""
+    return PgdConfig(steps=5, step_size=epsilon / 2 or epsilon)
 
 
 def pgd_perturb_batch(model, X, y, eps: float, cfg: PgdConfig, spec: LossSpec, rng):

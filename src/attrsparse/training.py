@@ -36,9 +36,6 @@ __all__ = [
 REGIMES = ("natural", "adversarial", "l1", "stable-ig")
 OPTIMIZERS = ("adam", "sgd")
 DIVERGENCE_LIMIT = 1e6
-# default_pgd_config's floor(100*eps) + 10 steps per batch stay within
-# MAX_PGD_STEPS exactly when eps < MAX_PGD_EPS, in floating point too
-MAX_PGD_STEPS, MAX_PGD_EPS = 1000, 9.91
 
 
 class TrainingDivergedError(RuntimeError):
@@ -77,9 +74,9 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
-        if _uses_pgd(self) and self.epsilon >= MAX_PGD_EPS:
-            raise ValueError(f"epsilon {self.epsilon:g} asks an adversarial MLP for more than "
-                             f"{MAX_PGD_STEPS} PGD steps per batch; it must be < {MAX_PGD_EPS:g}")
+        if _uses_pgd(self) and not math.isfinite(2 * self.epsilon):
+            raise ValueError(f"epsilon {self.epsilon} is too large for PGD: "
+                             "the box width 2 * epsilon is not finite")
         if self.use_bias and self.model_kind == "mlp":
             raise ValueError("use_bias applies to linear models only: an MLP always has biases")
         # -0.0 is stored as +0.0, so that it names its model as 0.0 does

@@ -1,6 +1,7 @@
 """Worst-case perturbations: the exact linear references against brute
 force and the training engine, PGD convergence and determinism."""
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from attrsparse.adversarial import (
     default_pgd_config,
     pgd_perturb_batch,
 )
+from attrsparse.data import blob_sampler, generate_synthetic
 from attrsparse.losses import LOSS_KINDS, linear_loss_and_grads, make_loss, worst_case_slope
 from attrsparse.models import LinearModel, MlpModel, init_mlp
+from attrsparse.training import TrainConfig, train
 from helpers import adversarial_loss, closed_form_perturbation, loss, pgd_clip_reference
 
 LOG1PE = 1.3132616875182228  # ln(1 + e)
@@ -154,13 +157,65 @@ def test_pgd_projection_and_determinism():
     model = init_mlp([6, 4, 1], rng)
     X = rng.normal(size=(5, 6))
     y = np.where(rng.uniform(size=5) < 0.5, 1.0, -1.0)
-    cfg = default_pgd_config(0.15)
+    # travel 0.25 < 2 * eps, so some coordinates end short of a face, where
+    # their random start shows
+    cfg = PgdConfig(steps=25, step_size=0.01)
     d1 = pgd_perturb_batch(model, X, y, 0.15, cfg, spec, np.random.default_rng(7))
     d2 = pgd_perturb_batch(model, X, y, 0.15, cfg, spec, np.random.default_rng(7))
     np.testing.assert_array_equal(d1, d2)
     assert np.all(np.abs(d1) <= 0.15 + 1e-15)
     d3 = pgd_perturb_batch(model, X, y, 0.15, cfg, spec, np.random.default_rng(8))
     assert not np.array_equal(d1, d3)
+
+
+@pytest.mark.parametrize("loss_kind", ["logistic-nll", "softplus-hinge"])
+def test_default_pgd_lands_on_the_linear_worst_case_vertex(loss_kind):
+    # A model with no hidden layer has a constant gradient sign, so its exact
+    # worst case is the vertex -y * sign(w) * eps (losses.worst_case_slope).
+    # The default schedule's travel covers the box from any start, so every
+    # coordinate with w_i != 0 ends on that vertex exactly. Hinge is left
+    # out: its rows with g' = 0 do not move.
+    spec = make_loss(loss_kind)
+    rng = np.random.default_rng(21)
+    d = 6
+    for trial in range(4):
+        w = rng.normal(size=d)
+        w[trial % d] = 0.0
+        model = _linear_mlp(w, bias=rng.normal())
+        X = rng.normal(size=(25, d))
+        y = np.where(rng.uniform(size=25) < 0.5, 1.0, -1.0)
+        moves = w != 0.0
+        for eps in (0.05, 0.1, 0.3, 1.0, 7.0):
+            vertex = -y[:, None] * np.sign(w[moves]) * eps
+            for start in range(3):
+                delta = pgd_perturb_batch(model, X, y, eps, default_pgd_config(eps), spec,
+                                          np.random.default_rng(start))
+                assert np.array_equal(delta[:, moves], vertex), (trial, eps, start)
+
+
+def test_default_pgd_is_close_to_a_long_attack_on_trained_mlps():
+    # The training attack against a 200 x 0.005 reference on the test split
+    # of small blob MLPs, natural and adversarial (eps = 0.1). Here the
+    # default schedule reached at least 0.993 of the reference loss; at
+    # eps = 0.3, 40 steps of 0.01, whose travel cannot cross the box, reached
+    # about 0.82.
+    spec = make_loss("logistic-nll")
+    ds = generate_synthetic(blob_sampler(8, 8, strong_amplitude=0.69, weak_amplitude=0.085,
+                                         blob_sigma=0.55, noise_sd=0.50), 600, 0)
+    idx = ds.split("test")
+    X, y = ds.features[idx], ds.labels[idx]
+    base = TrainConfig(model_kind="mlp", hidden_sizes=(16,), epochs=6)
+    reference = PgdConfig(steps=200, step_size=0.005)
+    for cfg in (base, replace(base, regime="adversarial", epsilon=0.1)):
+        model, _ = train(ds, spec, cfg)
+        for eps in (0.1, 0.3):
+            def attack_loss(pgd_cfg):
+                delta = pgd_perturb_batch(model, X, y, eps, pgd_cfg, spec,
+                                          np.random.default_rng(1))
+                return float(np.mean(spec.g(-y * model.margin(X + delta))))
+
+            assert attack_loss(default_pgd_config(eps)) >= 0.98 * attack_loss(reference), \
+                (cfg.regime, eps)
 
 
 def test_pgd_never_worse_than_start():
@@ -284,8 +339,11 @@ def test_budget_and_config_validation():
 
 
 def test_default_pgd_step_counts():
-    assert default_pgd_config(0.1).steps == 20
-    assert default_pgd_config(0.3).steps == 40
-    assert default_pgd_config(0.0).steps == 10
-    assert default_pgd_config(0.1).step_size == 0.01
+    # 5 steps of eps / 2 for every eps > 0: travel 2.5 * eps covers the box
+    for eps in (1e-323, 0.05, 0.1, 0.3, 9.91, 1e9):
+        assert default_pgd_config(eps) == PgdConfig(steps=5, step_size=eps / 2)
+    # the smallest subnormal halves to 0; its step is eps itself
+    assert default_pgd_config(5e-324) == PgdConfig(steps=5, step_size=5e-324)
+    with pytest.raises(ValueError, match="step_size"):
+        default_pgd_config(0.0)
 

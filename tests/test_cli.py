@@ -843,15 +843,19 @@ def test_compare_divergence_names_the_model_exit_2(synth_json, tmp_path, capsys)
     assert "training diverged: adversarial(eps=1e+07):" in err and "at step 1" in err
 
 
+_TOP_EPS = float(np.finfo(float).max / 2)  # the largest eps whose 2 * eps is finite
+_PAST_TOP_EPS = repr(float(np.nextafter(_TOP_EPS, np.inf)))
+
+
 @pytest.mark.parametrize("argv", [
-    ["train", "--regime", "adversarial", "--eps", "1e9"],
     ["train", "--regime", "adversarial", "--eps", "1e308"],
-    ["train", "--regime", "adversarial", "--eps", "9.91"],
+    ["train", "--regime", "adversarial", "--eps", _PAST_TOP_EPS],
     ["compare", "--method", "numeric", "--eps-list", "0.1,1e308"],
+    ["compare", "--method", "numeric", "--eps-list", "0.1," + _PAST_TOP_EPS],
 ])
 def test_mlp_pgd_work_is_bounded_exit_1(synth_json, tmp_path, capsys, monkeypatch, argv):
-    # PGD takes floor(100 eps) + 10 steps per batch; an eps that asks for more
-    # than 1000 exits 1 before any PGD is set up, with one line and no output
+    # PGD draws its start from the box [-eps, eps]; an eps whose width 2 * eps
+    # is not finite exits 1 before any PGD is set up, with one line and no output
     def no_pgd(*args, **kwargs):
         raise AssertionError("set up PGD for an eps past the bound")
 
@@ -862,8 +866,32 @@ def test_mlp_pgd_work_is_bounded_exit_1(synth_json, tmp_path, capsys, monkeypatc
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("attrsparse: error: epsilon "), err
-    assert err[0].endswith("for more than 1000 PGD steps per batch; it must be < 9.91"), err
+    assert err[0].endswith("is too large for PGD: the box width 2 * epsilon is not finite"), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["train", "--regime", "adversarial", "--eps", "5e-324"], 0),
+    (["train", "--regime", "adversarial", "--eps", "9.91"], 0),
+    (["train", "--regime", "adversarial", "--eps", "1e9"], 2),
+    (["train", "--regime", "adversarial", "--eps", repr(_TOP_EPS)], 2),
+    (["compare", "--method", "numeric", "--eps-list", "0.1,9.91"], 0),
+    (["compare", "--method", "numeric", "--eps-list", "0.1,1e9"], 2),
+])
+def test_mlp_pgd_takes_any_eps_with_a_finite_box(synth_json, tmp_path, capsys, argv, rc):
+    # PGD's work per batch is the same for every eps > 0, so any eps with a
+    # finite box trains; one that makes the objective explode exits 2 naming
+    # its model
+    out = tmp_path / "run"
+    assert main([argv[0], "--data", str(synth_json), "--model", "mlp", "--epochs", "1",
+                 *argv[1:], "--out-dir", str(out)]) == rc
+    err = capsys.readouterr().err.splitlines()
+    if rc == 0:
+        assert err == [] and out.exists()
+    else:
+        eps = float(argv[-1].split(",")[-1])
+        assert len(err) == 1 and err[0].startswith(
+            f"attrsparse: training diverged: adversarial(eps={eps:g}):"), err
 
 
 def test_compare_overflow_prints_only_the_diagnosis(synth_json, tmp_path, capsys):

@@ -93,22 +93,22 @@ GOLDEN = {
     'attribute-linear-closed/attributions.csv': 'dae8eb6b090edc1a6da64897ea46526a882e8ed6727cb0a549d90a3bf7b996de',
     'attribute-linear-closed/impact_features.csv': 'be6d9573d0512ec1653df65232402e644bd98e919df784415aa69092221e6984',
     'attribute-linear-closed/impact_values.csv': 'be6d9573d0512ec1653df65232402e644bd98e919df784415aa69092221e6984',
-    'attribute-mlp-numeric/attributions.csv': '923c0bf81b702fa33ac36bc06c44f9c376d99768f3d4d8d5da23d492fe4b81e4',
-    'attribute-mlp-numeric/impact_features.csv': 'b3b7f1256bb699845cc644fd8d73d23d5fd7e83c2e96ba24f2ccf4b681afe1d6',
-    'attribute-mlp-numeric/impact_values.csv': 'b3b7f1256bb699845cc644fd8d73d23d5fd7e83c2e96ba24f2ccf4b681afe1d6',
+    'attribute-mlp-numeric/attributions.csv': 'f68184b963255728210823791b306a9fe7016e0bcee742976f5afc5f0ebf8990',
+    'attribute-mlp-numeric/impact_features.csv': 'e6046ac54cebcd3fe90f7614c04d6b6287e970deb69e8610673fce7b2a6810fe',
+    'attribute-mlp-numeric/impact_values.csv': 'e6046ac54cebcd3fe90f7614c04d6b6287e970deb69e8610673fce7b2a6810fe',
     'blobs.json': 'bf0b6782cbfd0d9ed23c2de301f11ab8414fbc19ea612dd81b64020654d1a417',
     'compare-linear/distributions.csv': '593bfd4f32ae07d63f6ffdd548d1668665c39959b77f4856368d05d74af02044',
     'compare-linear/report.json': 'a6feaf2bf40163917c050308062f71c6a68bd02e63399cd6947b40b570256c92',
     'compare-linear/table.csv': '149e39f9ec595e3938d5c2a99137e11d8af53d172dfa8b211793a7a330fe89ec',
     'compare-linear/tradeoff.csv': '5bf1d448601072480abed30fd4128b5496721dfa80117538a1986665ca26b1a7',
-    'compare-mlp-relu/distributions.csv': 'ca711db3f49f5c775cadcc788c0f6fe354ec7738e4b735f41148a4f0af8eb6e0',
-    'compare-mlp-relu/report.json': 'e1efbcd8d79050f1c8ec28759d12b1429e597afe3daa809d533ec98350348f35',
-    'compare-mlp-relu/table.csv': 'e6723c3c32b32150e428823e026862f91c9771b47dda14f768c79d421ba6bc38',
-    'compare-mlp-relu/tradeoff.csv': 'c847918a56773afcc25c96a352ed335aff3dc96ef50cbf95e191871f31c4969e',
-    'compare-mlp/distributions.csv': '277fd51de33bccf707e8b9890797622fcb9d1ad2f42f901a05e3f556ca1efbe1',
-    'compare-mlp/report.json': '6b4b19f66db09678d44aa0f23314e10bfec46af194f9bb8f395bd01cdfa7dd61',
-    'compare-mlp/table.csv': '41db2d5168ae0f1e1eae3dd2f3bc9b3f8f9e04f864a153aab595431b4a1ed248',
-    'compare-mlp/tradeoff.csv': 'a377035b77ad2f66e735ec4586755284f5f47d66f7537d0be19116eefaa0d650',
+    'compare-mlp-relu/distributions.csv': 'd83e1ea1bb38f325041746185f69fd24891cb485cdc93492108acd5c00a2e7ae',
+    'compare-mlp-relu/report.json': 'fd0c60b4c0ebda264384ad327da89f4258065a089cfc3b849256838d6e0543f7',
+    'compare-mlp-relu/table.csv': '69eb94da4df82c02ad36ad3ff4ebcafd6db258f43d18d0cadd1b1c01d1503046',
+    'compare-mlp-relu/tradeoff.csv': 'b312cfc27649d4a3a7729494e89d7f360b8a50b1b99b9593b85e9ec698eef8bf',
+    'compare-mlp/distributions.csv': 'b88d0b5f399ce45f33b1b495d52fe3efffc0fdcad4ddbf34cd82b3058b5a4a34',
+    'compare-mlp/report.json': '301abf1b1b52649a3d8fd18691744109a3c21b64714d14406814dee0d7cd2701',
+    'compare-mlp/table.csv': '45287da3ca1fe563e2169a019c154f8c7434beeeb45fccd1ba47add78dcc95b0',
+    'compare-mlp/tradeoff.csv': '6dd64536f338d91463e39ec46de74f14f5c6268be69449eced4cd79ca741b992',
     'gini-attributions/gini.csv': '075b78e35b35310e9bc45d4f36eab0243ea4f46ea43aac824ed33ca6184a8f67',
     'toy.json': 'f8bb0e542d4d57c059dc97c94158d73039d66bbaedded0bb5704ffaaef4e10e0',
     'train-linear-adversarial-hinge/model.json': 'ac715f4f7d290dfbca315c028a79600ad50c0aae6598a70b7c1773832824e86b',
@@ -117,9 +117,9 @@ GOLDEN = {
     'train-linear-l1/model.json': 'c2fcd37c93bae8750fdd221efe789f22b89922adfe5b273dfee690772b89fec7',
     'train-linear-l1/resolved_config.json': '35d60a88c72f06634dd18824d5c4dda3b29c164f83b29bed8bd358be53538f1b',
     'train-linear-l1/trace.csv': 'd1fa0e8a010cee39248388e7acd920619e6a4358c9ed37add0baffb0e4897f76',
-    'train-mlp-adversarial/model.json': 'a9d99a223dd712317fc4f06a545aeb3aeec2a30423e11a6326d3ff361535b44d',
+    'train-mlp-adversarial/model.json': 'c24e816f0d597057373d66bbf9c6aae7d80814abb1f43439e563ede7f81ee919',
     'train-mlp-adversarial/resolved_config.json': 'd0daa72e17e0e15c4caa7c23a47ff111cb17cb70e2ddbedcb199a135fdf2dcfb',
-    'train-mlp-adversarial/trace.csv': '9c854efa320ce4d85547a8e65247cc670e2945fd54f08f6fefcd1673aea2c123',
+    'train-mlp-adversarial/trace.csv': 'fc36445c7c9ab6d9dacf5c665cc5b09deb46549c2c806e6299aaa5a936881479',
     'verify-lemmaD1-gaussian/report.json': '255c74fc2dfc05b330f3540fb86e786f6970deb1acbb3a55a16d0bf5a328fee4',
     'verify-lemmaD1-hinge/report.json': 'e439fc024564fbcc5c87e77a765710f786eaeb8c9ba2d4eaf7f58a825cedb692',
     'verify-lemmaD1-uniform/report.json': '95308dc994a8d16d89b5f523157354e15d53d4ba2ab2cbec7ab3d8f6dbd81c82',

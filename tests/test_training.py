@@ -12,8 +12,6 @@ from attrsparse.data import Dataset, FeatureGroup, SyntheticConditionalSampler, 
 from attrsparse.losses import make_loss
 from attrsparse.models import LinearModel, MlpModel
 from attrsparse.training import (
-    MAX_PGD_EPS,
-    MAX_PGD_STEPS,
     REGIMES,
     EvalResult,
     TrainConfig,
@@ -515,7 +513,7 @@ def test_train_many_rejects_mlp_groups_that_cannot_share_a_stream():
 
 
 def test_mixed_mlp_sweep_matches_each_model_alone():
-    # one stack: three PGD fits of 20, 15 and 23 steps, each on its own
+    # one stack: three PGD fits of distinct step sizes, each on its own
     # stream, with natural, l1 and eps = 0 fits on the shared one; every fit
     # comes back in config order, bit-identical to its own train(), under
     # each loss and on a two-hidden-layer tanh net
@@ -532,7 +530,7 @@ def test_mixed_mlp_sweep_matches_each_model_alone():
                 replace(base, regime="adversarial", epsilon=0.05),
                 replace(base, regime="adversarial", epsilon=0.0),
                 replace(base, regime="adversarial", epsilon=0.13)]
-        assert [default_pgd_config(c.epsilon).steps for c in cfgs[1::2]] == [20, 15, 23]
+        assert len({default_pgd_config(c.epsilon).step_size for c in cfgs[1::2]}) == 3
         fits = train_many(ds, spec, cfgs)
         assert len(fits) == len(cfgs)
         for cfg, fit in zip(cfgs, fits):
@@ -540,16 +538,13 @@ def test_mixed_mlp_sweep_matches_each_model_alone():
 
 
 def test_mlp_pgd_bound_is_exact_at_its_edge():
-    # eps < MAX_PGD_EPS exactly when default_pgd_config takes at most
-    # MAX_PGD_STEPS steps, compared without forming 100 * eps
-    below = float(np.nextafter(MAX_PGD_EPS, 0.0))
-    TrainConfig(regime="adversarial", epsilon=below, model_kind="mlp")
-    assert default_pgd_config(below).steps == MAX_PGD_STEPS
-    assert default_pgd_config(MAX_PGD_EPS).steps == MAX_PGD_STEPS + 1
-    for eps in (MAX_PGD_EPS, 1e9, 1e308):
-        with pytest.raises(ValueError, match=f"more than {MAX_PGD_STEPS} PGD steps"):
+    # a PGD fit accepts eps exactly while its box width 2 * eps is finite
+    top = float(np.finfo(float).max / 2)
+    TrainConfig(regime="adversarial", epsilon=top, model_kind="mlp")
+    for eps in (float(np.nextafter(top, np.inf)), 1e308):
+        with pytest.raises(ValueError, match="the box width 2 \\* epsilon is not finite"):
             TrainConfig(regime="adversarial", epsilon=eps, model_kind="mlp")
-        with pytest.raises(ValueError, match=f"more than {MAX_PGD_STEPS} PGD steps"):
+        with pytest.raises(ValueError, match="the box width 2 \\* epsilon is not finite"):
             replace(TrainConfig(model_kind="mlp"), regime="adversarial", epsilon=eps)
     # only an adversarial MLP runs PGD: a linear model's worst case is closed-form
     TrainConfig(regime="adversarial", epsilon=1e308)
