@@ -29,12 +29,12 @@ def fmt_float(x) -> str:
 
 
 def write_csv(path, header, rows):
-    """UTF-8 CSV with "\n" line endings; floats written with fmt_float."""
+    """UTF-8 CSV with "\n" line endings. csv.writer writes every float,
+    np.float64 included, as float.__repr__: the text of fmt_float."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([fmt_float(v) if isinstance(v, float) else v for v in row]
-                         for row in rows)
+        writer.writerows(rows)
 
 
 def canonical_json(obj) -> str:

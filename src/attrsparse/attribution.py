@@ -230,7 +230,7 @@ def impact_report(attribs, ds: Dataset):
     per original column (one per ds.encoding_map, its one-hot span summed)."""
     if not attribs:
         raise ValueError("no attributions given")
-    value_impact = np.abs(np.stack([a.values for a in attribs])).mean(axis=0)
+    value_impact = np.abs(np.array([a.values for a in attribs])).mean(axis=0)
     return value_impact, np.asarray([value_impact[g.start:g.stop].sum()
                                      for g in ds.encoding_map])
 

@@ -274,6 +274,9 @@ def cmd_train(args) -> int:
     cfg = _train_config(resolved)
     resolved.update(eps=cfg.epsilon, lam=cfg.l1_strength)  # as trained: -0.0 is +0.0
     ds = _load_data(args)
+    if ds.test_indices.size == 0:  # before the fit, which it would score
+        raise ValueError(f"{args.data}: the test split is empty (the 70/30 split of "
+                         f"n = {len(ds.labels)} examples holds out none)")
     model, trace = train(ds, spec, cfg)
     out = _out_dir(args)
     save_model(model, os.path.join(out, "model.json"))

@@ -81,18 +81,20 @@ def make_loss(kind: str) -> LossSpec:
 
 
 def worst_case_slope(spec: LossSpec, w, bias, X, y, epsilon=0.0):
-    """(z, g'(z)), each (k, n), for k stacked linear models on one batch:
-    z = eps*||w||_1 - y*(<w, x> + bias) is the margin's worst case over each
-    model's eps-box. Training's engine and the theorem checks share it.
-    w is (k, d), bias (k,) or None, epsilon a scalar or (k,), and X (n, d)
-    or (k, n, d), a batch of its own for each model.
+    """(z, g'(z), ||w||_1) for k stacked linear models on one batch: z =
+    eps*||w||_1 - y*(<w, x> + bias), each (k, n), is the margin's worst case
+    over each model's eps-box, formed from each model's l1 norm (k,).
+    Training's engine and the theorem checks share it. w is (k, d), bias (k,)
+    or None, epsilon a scalar, (k,) or (k, 1), and X (n, d) or (k, n, d), a
+    batch of its own for each model.
     """
     epsilon = np.asarray(epsilon, dtype=float).reshape(-1, 1)
     margin = np.matmul(X, w[..., None])[..., 0]
     if bias is not None:
         margin = margin + bias[:, None]
-    z = epsilon * np.abs(w).sum(axis=1, keepdims=True) - y * margin
-    return z, spec.gprime(z)
+    l1 = np.abs(w).sum(axis=1)
+    z = epsilon * l1[:, None] - y * margin
+    return z, spec.gprime(z), l1
 
 
 def linear_loss_and_grads(spec: LossSpec, w, bias, X, y, epsilon=0.0):
@@ -102,14 +104,15 @@ def linear_loss_and_grads(spec: LossSpec, w, bias, X, y, epsilon=0.0):
     the natural loss bit for bit, and every row is bit-identical to the same
     model trained alone. Returns (per-example loss (k, n), parameter
     gradients summed over the batch [weights (k, d), then the bias (k,) when
-    it is not None]). The weight gradient is one (1, n) @ (n, d) product per
-    model, coeff @ X with coeff = -g'(z) * y, plus the eps-box term
-    sum(g') * eps * sign(w); no (k, n, d) per-example array is formed.
+    it is not None], each model's ||w||_1 (k,)). The weight gradient is one
+    (1, n) @ (n, d) product per model, coeff @ X with coeff = -g'(z) * y,
+    plus the eps-box term sum(g') * eps * sign(w); no (k, n, d) per-example
+    array is formed.
     """
-    z, gp = worst_case_slope(spec, w, bias, X, y, epsilon)
+    z, gp, l1 = worst_case_slope(spec, w, bias, X, y, epsilon)
     coeff = -(gp * y)
     shift = np.sign(w) * np.asarray(epsilon, dtype=float).reshape(-1, 1)
     grads = [(coeff[:, None, :] @ X)[:, 0] + gp.sum(axis=1, keepdims=True) * shift]
     if bias is not None:
         grads.append(coeff.sum(axis=1))
-    return spec.g(z), grads
+    return spec.g(z), grads, l1

@@ -40,10 +40,13 @@ def run_compare(ds: Dataset, spec: LossSpec, eps_list, lam_list, base_cfg: Train
     """Train one natural model plus one model per epsilon and per lambda (same
     seed and split), attribute the unperturbed test split against the zero
     baseline, and report mean-Gini gaps and accuracy drops. The attribution
-    settings are checked before any model trains.
+    settings and a nonempty test split are checked before any model trains.
     """
     started = time.perf_counter()
     check_method(method, steps, base_cfg.model_kind)
+    if ds.test_indices.size == 0:
+        raise ValueError(f"{dataset_id}: the test split is empty (the 70/30 split of "
+                         f"n = {len(ds.labels)} examples holds out none)")
     baseline = np.zeros(ds.dim)
     # each fit with its sweep value, "" for natural
     sweep = [(replace(base_cfg, regime="natural"), "")]
@@ -74,8 +77,8 @@ def run_compare(ds: Dataset, spec: LossSpec, eps_list, lam_list, base_cfg: Train
             gap = record["mean_attribution_gini"] - natural["mean_attribution_gini"]
             drop = 100.0 * (natural["accuracy"] - record["accuracy"])
             gaps[tag] = {"gini_gap": gap, "accuracy_drop_pct": drop}
-            distribution_rows += [(int(i), tag, g) for i, g
-                                  in zip(ds.test_indices, (gini - natural_gini).tolist())]
+            distribution_rows += [(i, tag, g) for i, g
+                                  in zip(ds.test_indices.tolist(), (gini - natural_gini).tolist())]
         table_rows.append({"dataset": dataset_id, "attr": attr_tag, "model": tag,
                            "dG": gap, "AcDrop": drop})
         # the param as trained, so that a -0 sweep value reads 0.0 as in report.json

@@ -123,4 +123,4 @@ def make_gini_report(attribs) -> np.ndarray:
     """The Gini index of each attribution's magnitudes, one per example."""
     if not attribs:
         raise ValueError("no attributions given")
-    return gini_rows(np.abs(np.stack([a.values for a in attribs])))
+    return gini_rows(np.abs(np.array([a.values for a in attribs])))

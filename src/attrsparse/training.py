@@ -120,17 +120,19 @@ class _Adam:
         self.m = np.zeros_like(param)
         self.v = np.zeros_like(param)
         self.t = 0
+        self._a, self._b = np.empty_like(param), np.empty_like(param)  # temporaries
 
     def step(self, g):
+        """param -= lr * (m / c1) / (sqrt(v / c2) + eps), rounded as written."""
         self.t += 1
-        b1, b2, m, v = self.beta1, self.beta2, self.m, self.v
-        correction1 = 1.0 - b1**self.t
-        correction2 = 1.0 - b2**self.t
+        b1, b2, m, v, a, b = self.beta1, self.beta2, self.m, self.v, self._a, self._b
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(g, 1.0 - b1, out=a)
         v *= b2
-        v += (1.0 - b2) * g * g
-        self.param -= self.lr * (m / correction1) / (np.sqrt(v / correction2) + self.eps)
+        v += np.multiply(np.multiply(g, 1.0 - b2, out=a), g, out=a)
+        np.multiply(np.divide(m, 1.0 - b1**self.t, out=a), self.lr, out=a)
+        np.add(np.sqrt(np.divide(v, 1.0 - b2**self.t, out=b), out=b), self.eps, out=b)
+        self.param -= np.divide(a, b, out=a)
 
 
 def regime_tag(cfg):
@@ -155,9 +157,9 @@ def _trace_points(margins, weights, y):
 def _check_objective(objective, cfgs, step):
     """Raise TrainingDivergedError naming the first model whose objective is
     NaN or above DIVERGENCE_LIMIT after step updates."""
-    bad = ~(objective <= DIVERGENCE_LIMIT)  # NaN compares False too
-    if bad.any():
-        i = int(np.argmax(bad))
+    ok = objective <= DIVERGENCE_LIMIT  # NaN compares False
+    if not ok.all():
+        i = int(np.argmin(ok))
         raise TrainingDivergedError(
             f"{regime_tag(cfgs[i])}: objective {float(objective[i])!r} exceeded "
             f"{DIVERGENCE_LIMIT:g} at step {step}", step)
@@ -211,7 +213,7 @@ def train_many(ds: Dataset, spec: LossSpec, cfgs, *, trace=True):
     share that stream and so one permutation per epoch, and each adversarial
     MLP with eps > 0 owns a copy of it for its permutations and PGD starts.
     Every parameter carries a leading model axis, and each model keeps its
-    own batch rows, epsilon, l1 strength and proximal mask, so each returned
+    own batch rows, epsilon, l1 strength and proximal rows, so each returned
     (model, trace) is bit-identical to that config trained alone.
 
     The adversarial regime perturbs every batch example with the
@@ -234,13 +236,14 @@ def train_many(ds: Dataset, spec: LossSpec, cfgs, *, trace=True):
     X, y = ds.features[ds.train_indices], ds.labels[ds.train_indices]
     n, d = X.shape
     rng = np.random.default_rng(cfg.seed)
-    epsilon = np.asarray([c.epsilon if c.regime in ("adversarial", "stable-ig") else 0.0
+    # built once: each model's eps as a column, and the l1 and proximal rows
+    # with their strengths and thresholds
+    eps_col = np.asarray([[c.epsilon if c.regime in ("adversarial", "stable-ig") else 0.0]
                           for c in cfgs])
-    is_l1 = np.asarray([c.regime == "l1" for c in cfgs])
+    l1_rows = np.flatnonzero([c.regime == "l1" for c in cfgs])
+    prox_rows = np.flatnonzero([c.regime == "l1" and c.l1_strength > 0.0 for c in cfgs])
     lam = np.asarray([c.l1_strength for c in cfgs])
-    prox = is_l1 & (lam > 0.0)
-    threshold = cfg.learning_rate * lam[prox][:, None]
-    any_l1, any_prox = bool(is_l1.any()), bool(prox.any())
+    lam_l1, threshold = lam[l1_rows], cfg.learning_rate * lam[prox_rows][:, None]
 
     # Every parameter of model i lives in row i of flat, weights first in
     # layer order; the stack's parameter arrays are views into it.
@@ -265,7 +268,7 @@ def train_many(ds: Dataset, spec: LossSpec, cfgs, *, trace=True):
            for i, c in enumerate(cfgs) if _uses_pgd(c)}
 
     optimizer = (_Adam if cfg.optimizer == "adam" else _Sgd)(flat, cfg.learning_rate)
-    split_eps = epsilon if stack is None else np.zeros(k)  # an MLP's split loss is natural
+    split_eps = eps_col if stack is None else np.zeros((k, 1))  # an MLP's split loss is natural
     traces = [TrainTrace() if trace else None for _ in cfgs]
     step = 0
     for epoch in range(cfg.epochs):
@@ -276,7 +279,7 @@ def train_many(ds: Dataset, spec: LossSpec, cfgs, *, trace=True):
             rows = perm[..., lo:lo + cfg.batch_size]
             Xb, yb = X[rows], y[rows]
             if stack is None:
-                losses, grads = linear_loss_and_grads(spec, params[0], bias, Xb, yb, epsilon)
+                losses, grads, norms = linear_loss_and_grads(spec, params[0], bias, Xb, yb, eps_col)
             else:
                 for i, (model, pgd_cfg, stream) in pgd.items():
                     Xb[i] += pgd_perturb_batch(model, Xb[i], yb[i], cfgs[i].epsilon, pgd_cfg,
@@ -285,13 +288,16 @@ def train_many(ds: Dataset, spec: LossSpec, cfgs, *, trace=True):
             grad = grads[0] if len(grads) == 1 else np.concatenate(
                 [g.reshape(k, -1) for g in grads], axis=1)
             grad /= rows.shape[-1]
-            batch_loss = losses.mean(axis=-1)
-            if any_l1:
-                batch_loss[is_l1] += lam[is_l1] * np.abs(flat[is_l1, :n_weights]).sum(axis=1)
+            batch_loss = losses.sum(axis=-1)
+            batch_loss /= rows.shape[-1]  # the mean, rounded as np.mean rounds it
+            if l1_rows.size:  # a linear stack's worst case formed each ||w||_1
+                l1 = (norms[l1_rows] if stack is None
+                      else np.abs(flat[l1_rows, :n_weights]).sum(axis=1))
+                batch_loss[l1_rows] += lam_l1 * l1
             _check_objective(batch_loss, cfgs, step)
             optimizer.step(grad)
-            if any_prox:
-                flat[prox, :n_weights] = soft_threshold(flat[prox, :n_weights], threshold)
+            if prox_rows.size:
+                flat[prox_rows, :n_weights] = soft_threshold(flat[prox_rows, :n_weights], threshold)
             step += 1
         if not (trace or epoch == cfg.epochs - 1):
             continue  # the next step's check covers this epoch's last one
@@ -305,8 +311,8 @@ def train_many(ds: Dataset, spec: LossSpec, cfgs, *, trace=True):
         # only for a linear model's worst case, plus lam*||w||_1 for l1 models
         weights = flat[:, :n_weights]
         l1 = np.abs(weights).sum(axis=1)
-        mean_loss = spec.g(split_eps[:, None] * l1[:, None] - y * margins).mean(axis=1)
-        mean_loss[is_l1] += lam[is_l1] * l1[is_l1]
+        mean_loss = spec.g(split_eps * l1[:, None] - y * margins).mean(axis=1)
+        mean_loss[l1_rows] += lam_l1 * l1[l1_rows]
         _check_objective(mean_loss, cfgs, step)
         if not trace:
             continue

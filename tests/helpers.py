@@ -240,7 +240,7 @@ def train_reference(ds, spec: LossSpec, cfg):
             Xb, yb = X[batch], y[batch]
             if cfg.model_kind == "linear":
                 bias = params[1] if cfg.use_bias else None
-                _, grads = linear_loss_and_grads(spec, params[0], bias, Xb, yb, epsilon)
+                _, grads, _ = linear_loss_and_grads(spec, params[0], bias, Xb, yb, epsilon)
             else:
                 _, grads = stack.loss_and_grads(spec, Xb, yb)
             grads = [g / batch.size for g in grads]

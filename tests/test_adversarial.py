@@ -81,7 +81,7 @@ def test_adversarial_loss_batch_and_gradient_shapes():
     X = rng.normal(size=(6, 4))
     y = np.where(rng.uniform(size=6) < 0.5, 1.0, -1.0)
     vals = adversarial_loss(spec, model, X, y, 0.2)
-    losses, (grad_sum,) = linear_loss_and_grads(spec, model.w[None], None, X, y, 0.2)
+    losses, (grad_sum,), _ = linear_loss_and_grads(spec, model.w[None], None, X, y, 0.2)
     coeff = -(worst_case_slope(spec, model.w[None], None, X, y, 0.2)[1] * y)
     assert vals.shape == (6,)
     assert losses.shape == (1, 6) and grad_sum.shape == (1, 4) and coeff.shape == (1, 6)
@@ -103,8 +103,8 @@ def test_adversarial_gradient_matches_fd(kind):
     w = np.sign(w) * (np.abs(w) + 0.1)
     x = rng.normal(size=5)
     y = -1.0
-    _, (grad,) = linear_loss_and_grads(spec, w[None], None, x[None, :], np.asarray([y]),
-                                       np.asarray([0.3]))
+    _, (grad,), _ = linear_loss_and_grads(spec, w[None], None, x[None, :], np.asarray([y]),
+                                          np.asarray([0.3]))
     grad = grad[0]
     h = 1e-7
     fd = np.empty(5)

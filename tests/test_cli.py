@@ -24,6 +24,7 @@ from attrsparse.cli import (
 )
 from attrsparse.data import load_dataset
 from attrsparse.models import LinearModel, init_mlp, load_model, model_to_dict, save_model
+from attrsparse.pipeline import run_compare
 from attrsparse.theory import CHECKS
 from attrsparse.training import TrainConfig
 from helpers import gini_row, make_categorical_csv, make_numeric_csv
@@ -982,6 +983,42 @@ def test_compare_rejects_colliding_sweep_values_before_training(synth_json, tmp_
     err = capsys.readouterr().err
     assert f"sweep values {named} both name the model" in err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.fixture
+def one_example(tmp_path):
+    """A one-example dataset: its 70/30 split holds no test row."""
+    path = tmp_path / "one.json"
+    assert main(["synth", "gaussian", "--out", str(path), "--n", "1"]) == 0
+    assert load_dataset(path).test_indices.size == 0
+    return path
+
+
+def test_train_rejects_an_empty_test_split_before_training(one_example, tmp_path, capsys,
+                                                          monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model was trained")
+    monkeypatch.setattr("attrsparse.cli.train", refuse)
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(one_example), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{one_example}: the test split is empty (the 70/30 split of n = 1" in err
+    assert not out.exists()
+
+
+def test_compare_rejects_an_empty_test_split_before_training(one_example, tmp_path, capsys,
+                                                            no_training):
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert main(["compare", "--data", str(one_example), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    # run_compare checks it, naming the dataset id: the file's basename by default
+    assert "one: the test split is empty (the 70/30 split of n = 1" in err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="^lib: the test split is empty"):
+        run_compare(load_dataset(one_example), losses.make_loss("logistic-nll"), [0.1], [0.1],
+                    TrainConfig(), dataset_id="lib")
 
 
 @pytest.mark.parametrize("key", ["regime", "eps", "epsilon", "lam", "l1_strength"])

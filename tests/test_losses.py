@@ -134,8 +134,8 @@ def test_loss_gradient_matches_finite_difference(kind):
     b = 0.3
     x = rng.normal(size=4)
     y = -1.0
-    losses, (gw, gb) = linear_loss_and_grads(spec, w[None], np.asarray([b]), x[None, :],
-                                             np.asarray([y]))
+    losses, (gw, gb), _ = linear_loss_and_grads(spec, w[None], np.asarray([b]), x[None, :],
+                                                np.asarray([y]))
     coeff = -(worst_case_slope(spec, w[None], np.asarray([b]), x[None, :], np.asarray([y]))[1] * y)
     assert losses.shape == (1, 1) and gw.shape == (1, 4) and gb.shape == (1,)
     losses, gw, gb, dx = losses[0], gw[0], gb[0], coeff[0][:, None] * w
@@ -171,12 +171,18 @@ def test_linear_weight_gradient_matches_broadcast_reference(kind, use_bias):
         X = rng.normal(size=(n, d))
         y = rng.choice([-1.0, 1.0], size=n)
         bias = rng.normal(size=k) if use_bias else None
-        losses, grads = linear_loss_and_grads(spec, w, bias, X, y, eps)
-        z_engine, gp = worst_case_slope(spec, w, bias, X, y, eps)
+        losses, grads, l1 = linear_loss_and_grads(spec, w, bias, X, y, eps)
+        z_engine, gp, l1_slope = worst_case_slope(spec, w, bias, X, y, eps)
         coeff = -(gp * y)
         margin = np.matmul(X, w[..., None])[..., 0] + (0.0 if bias is None else bias[:, None])
         z = eps[:, None] * np.abs(w).sum(axis=1, keepdims=True) - y * margin
         np.testing.assert_array_equal(z_engine, z)
+        np.testing.assert_array_equal(l1, np.abs(w).sum(axis=1))
+        np.testing.assert_array_equal(l1_slope, l1)
+        # epsilon as training passes it, a (k, 1) column, gives the same bits
+        column = linear_loss_and_grads(spec, w, bias, X, y, eps[:, None])
+        np.testing.assert_array_equal(column[0], losses)
+        np.testing.assert_array_equal(column[1][0], grads[0])
         np.testing.assert_array_equal(losses, spec.g(z))
         np.testing.assert_array_equal(gp, spec.gprime(z))
         ref = (coeff[..., None] * X + gp[..., None] * (np.sign(w) * eps[:, None])[:, None, :]).sum(axis=1)

@@ -1,11 +1,13 @@
 """Comparison experiment pipeline: report structure, row bookkeeping, writer
 formats, and rerun determinism."""
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from attrsparse._util import fmt_float, write_csv
 from attrsparse._version import __version__
 from attrsparse.attribution import attribute_dataset
 from attrsparse.data import SyntheticConditionalSampler, generate_synthetic
@@ -287,3 +289,20 @@ def test_writers_exact_format(tmp_path, outcome):
     tp2 = tmp_path / "t2.csv"
     write_table_csv(out.table_rows, tp2)
     assert tp.read_bytes() == tp2.read_bytes()
+
+
+def test_write_csv_writes_each_float_as_fmt_float(tmp_path):
+    # write_csv hands its rows to csv.writer as given, which writes a float,
+    # np.float64 included, as float.__repr__; that must stay fmt_float's text
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-7, 0.1, 1 / 3, 1e16,
+             1.7976931348623157e308, -1.7976931348623157e308, math.nan, math.inf, -math.inf]
+    bits = np.random.default_rng(3).integers(0, 2**63, size=2000, dtype=np.uint64)
+    drawn = bits.view(np.float64) * np.where(bits % 2 == 0, 1.0, -1.0)
+    values = edges + drawn.tolist()
+    rows = [values, [np.float64(v) for v in values], ["id", 7, np.int64(-3), np.float64(-0.0)]]
+    path = tmp_path / "floats.csv"
+    write_csv(path, [f"c{j}" for j in range(len(values))], rows)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    want = ",".join(fmt_float(v) for v in values)
+    assert lines[1] == want and lines[2] == want
+    assert lines[3] == "id,7,-3,-0.0"

@@ -484,7 +484,7 @@ def test_expected_update_is_minus_the_training_gradient(kind, eps):
     n, seed = 20_000, 5
     mean, _ = expected_update(spec, w, eps, s, n, seed=seed)
     X, y = s.sample(n, np.random.default_rng([seed, 0]))
-    _, (grad,) = linear_loss_and_grads(spec, w[None], None, X, y, eps)
+    _, (grad,), _ = linear_loss_and_grads(spec, w[None], None, X, y, eps)
     want = -grad[0] / n
     assert np.all(np.abs(mean - want) <= 1e-12 * np.abs(want).max())
 

@@ -7,9 +7,10 @@ import pytest
 
 from helpers import gini_row, gini_row_reference, train_reference
 
+from attrsparse import training
 from attrsparse.adversarial import default_pgd_config
 from attrsparse.data import Dataset, FeatureGroup, SyntheticConditionalSampler, generate_synthetic
-from attrsparse.losses import make_loss
+from attrsparse.losses import linear_loss_and_grads, make_loss
 from attrsparse.models import LinearModel, MlpModel
 from attrsparse.training import (
     REGIMES,
@@ -325,6 +326,87 @@ def test_linear_stack_matches_each_model_alone(optimizer, use_bias):
     # only on l1 rows
     assert np.sum(stacked[-3][0].w == 0.0) > 0
     _assert_same_fit(stacked[-2], stacked[2])
+
+
+def _interleaved(base):
+    """A linear sweep whose l1 and proximal rows are neither consecutive nor
+    last: row 3 is l1 without a prox (lam = 0)."""
+    return [replace(base, regime="l1", l1_strength=0.1), replace(base, regime="natural"),
+            replace(base, regime="adversarial", epsilon=0.2),
+            replace(base, regime="l1", l1_strength=0.0),
+            replace(base, regime="adversarial", epsilon=0.05),
+            replace(base, regime="l1", l1_strength=0.03)]
+
+
+def _objective_reference(ds, spec, cfg, steps):
+    """The batch objective the divergence check sees at steps 0..steps-1 of a
+    linear fit whose one batch is the whole shuffled training split: the
+    worst-case loss of the model after s updates, plus lam * ||w||_1 of
+    those same weights for an l1 fit."""
+    X, y = ds.features[ds.train_indices], ds.labels[ds.train_indices]
+    rng = np.random.default_rng(cfg.seed)
+    eps = cfg.epsilon if cfg.regime in ("adversarial", "stable-ig") else 0.0
+    out = []
+    for s in range(steps):
+        order = rng.permutation(y.size)
+        model = (train_reference(ds, spec, replace(cfg, epochs=s)) if s else
+                 LinearModel(w=np.zeros(ds.dim), bias=0.0 if cfg.use_bias else None))
+        bias = None if model.bias is None else np.asarray([model.bias])
+        losses, _, _ = linear_loss_and_grads(spec, model.w[None], bias, X[order], y[order], eps)
+        value = losses[0].mean()
+        if cfg.regime == "l1":
+            value += cfg.l1_strength * np.abs(model.w).sum()
+        out.append(float(value))
+    return out
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("use_bias", [False, True])
+def test_interleaved_linear_sweep_matches_the_reference(optimizer, use_bias, monkeypatch):
+    # the l1 rows, their strengths and thresholds, and each model's optimizer
+    # state are built once per call; with l1 rows interleaved, a fit that
+    # read a neighbour's row or buffer would differ from the reference
+    ds = _noisy_dataset(seed=8, n=300)
+    base = TrainConfig(epochs=3, seed=8, optimizer=optimizer, learning_rate=0.05,
+                       use_bias=use_bias)
+    cfgs = _interleaved(base)
+    for cfg, (model, _) in zip(cfgs, train_many(ds, LOGISTIC, cfgs), strict=True):
+        want = train_reference(ds, LOGISTIC, cfg)
+        np.testing.assert_array_equal(model.w, want.w)
+        assert model.bias == want.bias
+
+    # every row's objective at every step, one full batch per epoch
+    seen = []
+    check = training._check_objective
+    monkeypatch.setattr("attrsparse.training._check_objective",
+                        lambda objective, c, step: seen.append(objective.copy())
+                        or check(objective, c, step))
+    cfgs = _interleaved(replace(base, batch_size=1000))
+    train_many(ds, LOGISTIC, cfgs, trace=False)
+    steps = base.epochs
+    got = np.asarray(seen[:steps])  # the last check is the split objective's
+    for i, cfg in enumerate(cfgs):
+        assert got[:, i].tolist() == _objective_reference(ds, LOGISTIC, cfg, steps), cfg
+
+
+@pytest.mark.parametrize("use_bias", [False, True])
+def test_interleaved_linear_divergence_keeps_its_text(use_bias):
+    # every model of an interleaved sweep diverges at step 1; the first in
+    # config order, an l1 fit, is named with its step and its own batch
+    # objective, lam * ||w||_1 of its pre-step weights included (untraced,
+    # so that no split objective is checked before it)
+    ds = _noisy_dataset(seed=0, n=300)
+    base = TrainConfig(epochs=2, optimizer="sgd", learning_rate=1e8, batch_size=1000,
+                       use_bias=use_bias)
+    cfgs = _interleaved(base)
+    with pytest.raises(TrainingDivergedError) as stacked:
+        train_many(ds, LOGISTIC, cfgs, trace=False)
+    with pytest.raises(TrainingDivergedError) as alone:
+        train_many(ds, LOGISTIC, cfgs[:1], trace=False)
+    want = _objective_reference(ds, LOGISTIC, cfgs[0], 2)[1]
+    assert str(stacked.value) == str(alone.value) == (
+        f"l1(lam=0.1): objective {want!r} exceeded 1e+06 at step 1")
+    assert stacked.value.step == alone.value.step == 1
 
 
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
