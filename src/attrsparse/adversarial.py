@@ -70,12 +70,10 @@ def pgd_perturb_batch(model, X, y, eps: float, cfg: PgdConfig, spec: LossSpec, r
     # dlogit = -y * g'(z) at the output unit, -y alone when g' > 0
     top = negy[..., None] @ model.weights[-1].swapaxes(-1, -2)
     slope = top if spec.positive_slope else np.empty(top.shape)
-    work = (np.empty(top.shape[:-1] + model.weights[0].shape[-1:]), np.empty(top.shape),
-            np.empty(X.shape))
     for _ in range(cfg.steps):
         if not spec.positive_slope:
             np.multiply(top, spec.gprime(negy * model.margin(moved))[..., None], out=slope)
-        grad = model.ascent_slope(moved, slope, work)
+        grad = model.ascent_slope(moved, slope)
         step = np.sign(grad, out=grad)
         step *= cfg.step_size
         delta += step

@@ -250,6 +250,15 @@ def _add_sampler_flags(p):
     p.add_argument("--balance", type=float, help="P(y=+1)")
 
 
+def _split_rows(args, ds, split="test"):
+    """The rows of a split of --data, rejected when empty before anything is fit or written."""
+    idx = ds.split(split)
+    if idx.size == 0:
+        raise ValueError(f"{args.data}: the {split} split is empty (the 70/30 split of "
+                         f"n = {len(ds.labels)} examples holds out none)")
+    return idx
+
+
 def _out_dir(args) -> str:
     os.makedirs(args.out_dir, exist_ok=True)
     return args.out_dir
@@ -274,9 +283,7 @@ def cmd_train(args) -> int:
     cfg = _train_config(resolved)
     resolved.update(eps=cfg.epsilon, lam=cfg.l1_strength)  # as trained: -0.0 is +0.0
     ds = _load_data(args)
-    if ds.test_indices.size == 0:  # before the fit, which it would score
-        raise ValueError(f"{args.data}: the test split is empty (the 70/30 split of "
-                         f"n = {len(ds.labels)} examples holds out none)")
+    _split_rows(args, ds)  # the fit is scored on it
     model, trace = train(ds, spec, cfg)
     out = _out_dir(args)
     save_model(model, os.path.join(out, "model.json"))
@@ -322,6 +329,7 @@ def cmd_compare(args) -> int:
 def cmd_attribute(args) -> int:
     steps = _steps(args)
     ds = _load_data(args)
+    idx = _split_rows(args, ds, args.split)
     model = load_model(args.model)
     if args.image_shape and math.prod(args.image_shape) != ds.dim:
         h, w = args.image_shape
@@ -341,7 +349,6 @@ def cmd_attribute(args) -> int:
     attribs = attribute_dataset(model, ds, u, method=args.method, steps=steps,
                                 split=args.split, target=args.target)
     out = _out_dir(args)
-    idx = ds.split(args.split)
     write_csv(os.path.join(out, "attributions.csv"),
               ["example_id", *ds.feature_names, "completeness_residual"],
               ([int(example_id), *attr.values.tolist(), attr.completeness_residual]

@@ -74,18 +74,18 @@ class LinearModel:
 HIDDEN_ACTIVATIONS = ("softplus", "tanh", "relu")
 
 
-def _act(kind, t, value=True, deriv=True, scratch=None):
+def _act(kind, t, value=True, deriv=True):
     """A hidden activation and its derivative at t from one pass, or only the
     activation (deriv=False), or only the derivative (value=False), which is
-    written over t, softplus's exp(-|t|) into scratch when one is given; each
-    of the same bits in every mode. Softplus is max(t, 0) + log1p(exp(-|t|))
-    on NumPy's vectorised exp and log1p, and its derivative is
-    losses.sigmoid(t) bit for bit, exp(min(t, 0)) / (1 + exp(-|t|)). Sums,
-    products and quotients are taken in place, as numeric IG's blocks outgrow
-    NumPy's small-buffer cache and PGD forms a derivative on every step."""
+    written over t; each of the same bits in every mode. Softplus is
+    max(t, 0) + log1p(exp(-|t|)) on NumPy's vectorised exp and log1p, and its
+    derivative is losses.sigmoid(t) bit for bit, exp(min(t, 0)) /
+    (1 + exp(-|t|)). Sums, products and quotients are taken in place, as
+    numeric IG's blocks outgrow NumPy's small-buffer cache and PGD forms a
+    derivative on every step."""
     own = None if value else t  # where a derivative-only call writes
     if kind == "softplus":
-        e = np.copysign(t, -1.0, out=scratch)  # -|t|
+        e = np.copysign(t, -1.0)  # -|t|
         e = np.exp(e, out=e)
         if value:
             h = np.log1p(e)
@@ -211,7 +211,7 @@ class MlpModel:
             return weight_grads + bias_grads
         return delta
 
-    def ascent_slope(self, X, top, work=(None, None, None)):
+    def ascent_slope(self, X, top):
         """The input gradient for dLoss/dlogit = c (n,) given
         top = c[:, None] * W_last^T, backprop(_forward(X), c, "first") @ W0^T
         bit for bit when top is that product: one PGD step, whose call forms
@@ -219,26 +219,23 @@ class MlpModel:
 
         Only the activation derivatives are formed, the last hidden layer's
         alone, with no logit and no output-layer product. A stack adds its
-        leading model axis to the result. work holds buffers, or None, for
-        the first layer's pre-activation, the last hidden layer's exp(-|t|)
-        and the result, so that a one-hidden-layer step allocates nothing.
+        leading model axis to the result.
         """
         Ws, kind = self.weights, self.hidden_activation
         if len(Ws) == 1:
             return top.copy()
-        t, scratch, out = work
-        t = np.matmul(X, Ws[0], out=t)
+        t = X @ Ws[0]
         t += self.biases[0][..., None, :]
         derivs = []
         for W, b in zip(Ws[1:-1], self.biases[1:-1]):
             h, dh = _act(kind, t)
             derivs.append(dh)
             t = h @ W + b[..., None, :]
-        upstream = np.multiply(top, _act(kind, t, value=False, scratch=scratch), out=t)
+        upstream = np.multiply(top, _act(kind, t, value=False), out=t)
         for l in range(len(derivs), 0, -1):
             upstream = upstream @ Ws[l].swapaxes(-1, -2)
             upstream *= derivs[l - 1]
-        return np.matmul(upstream, Ws[0].swapaxes(-1, -2), out=out)
+        return upstream @ Ws[0].swapaxes(-1, -2)
 
     def loss_and_grads(self, spec: LossSpec, X, y):
         """The MLP family's one gradient engine: g(-y * logit) on a batch

@@ -100,21 +100,24 @@ def _mc_stats(per_sample_fn, n: int, seed: int):
     return mean, np.sqrt(np.maximum(mean_sq - mean * mean, 0.0) / n)
 
 
+def _update(x, y, gp, shift, out):
+    """Each sample's worst-case update g'(z) * (y*x - sign(w)*eps) into out, for gp = g'(z)
+    from losses.worst_case_slope and shift = sign(w)*eps; x is one feature or a block of them."""
+    np.multiply(x, y, out=out)
+    out -= shift
+    out *= gp
+    return out
+
+
 def expected_update(spec: LossSpec, w, epsilon: float, sampler, n: int,
                     seed: int = 0):
-    """Expected unit-learning-rate weight update under worst-case training:
-    per-coordinate mean of g'(margin) * (y*x_i - sign(w_i)*eps), with SEs;
-    the margin is training's worst case (losses.worst_case_slope).
-    """
+    """Expected unit-learning-rate update of each weight under worst-case training, with SEs."""
     w = np.asarray(w, dtype=float)
 
     def stat(rng, m):  # each sample's update, written over its X
         X, y = sampler.sample(m, rng)
         gp = worst_case_slope(spec, w[None], None, X, y, epsilon)[1][0]  # a stack of one
-        X *= y[:, None]
-        X -= np.sign(w) * epsilon
-        X *= gp[:, None]
-        return X
+        return _update(X, y[:, None], gp[:, None], np.sign(w) * epsilon, out=X)
 
     return _mc_stats(stat, n, seed)
 
@@ -145,10 +148,9 @@ def verify_zero_weight_update(spec: LossSpec, sampler, n: int, seed: int = 0):
 
 def check_theorem1_bound(spec: LossSpec, w, subset, epsilon: float,
                          sampler, n: int, seed: int = 0) -> TheoremCheckResult:
-    """Weighted expected update sum_S w_i E[update_i] / sum_S |w_i| must not
-    exceed gbar' * (abar - eps), within 3 SE of the paired difference: per
-    sample, the weighted update s, its bound b and their difference. The
-    feature subset S must be non-empty and w must not vanish on it."""
+    """Weighted expected update sum_S w_i E[update_i] / sum_S |w_i| (_update) must
+    not exceed gbar' * (abar - eps), within 3 SE of their paired per-sample
+    difference. The feature subset S must be non-empty and w must not vanish on it."""
     w = np.asarray(w, dtype=float)
     idx = [int(i) for i in subset]
     if not idx:
@@ -165,10 +167,8 @@ def check_theorem1_bound(spec: LossSpec, w, subset, epsilon: float,
         gp = worst_case_slope(spec, w[None], None, X, y, epsilon)[1][0]  # a stack of one
         cols = np.empty((3, m))  # returned transposed: each column sums contiguously
         s, b, gap = cols
-        for k, i in enumerate(idx):  # w_i g'(z) (y*x_i - sign(w_i)*eps), summed in S's order
-            term = np.multiply(X[:, i], y, out=gap if k else s)
-            term -= np.sign(w[i]) * epsilon
-            term *= gp
+        for k, i in enumerate(idx):  # w_i * update_i, summed in S's order
+            term = _update(X[:, i], y, gp, np.sign(w[i]) * epsilon, out=gap if k else s)
             term *= w[i]
             if k:
                 s += term

@@ -100,6 +100,26 @@ def theorem1_limit(spec, w, subset, epsilon, sampler, n, scales=(1.0, 0.1, 0.01,
     return results
 
 
+def expected_update_exact(spec, w, strengths, noise_sd, epsilon, nodes=160):
+    """The exact E[g'(z) * (y*x_i - sign(w_i)*eps)] for every i, and E[g'(z)],
+    under the Gaussian sampler, at z = eps*|w|_1 - y*<w, x>.
+
+    With n = y * noise, y*x = a + n, and t = <w, n> ~ N(0, sd^2 |w|^2) carries
+    all of z's randomness; E[n_i | t] = w_i t / |w|^2, so each coordinate is a
+    1-d integral over t, taken by Gauss-Hermite quadrature (probabilists'
+    nodes). The class balance drops out. w must not vanish. Returns
+    (E[update] (d,), E[g'(z)]).
+    """
+    w, a = np.asarray(w, dtype=float), np.asarray(strengths, dtype=float)
+    u, weights = np.polynomial.hermite_e.hermegauss(nodes)
+    weights = weights / weights.sum()
+    norm2 = float(w @ w)
+    t = noise_sd * math.sqrt(norm2) * u
+    slope = weights * spec.gprime(epsilon * np.abs(w).sum() - w @ a - t)
+    given_t = (a - np.sign(w) * epsilon)[:, None] + w[:, None] * (t / norm2)[None, :]
+    return given_t @ slope, float(slope.sum())
+
+
 def gini_row_reference(v) -> float:
     """The Gini index of one non-negative vector in the rank form with exact
     sums, coded one 1-d row at a time (0 for an all-zero vector)."""

@@ -1007,6 +1007,22 @@ def test_train_rejects_an_empty_test_split_before_training(one_example, tmp_path
     assert not out.exists()
 
 
+def test_attribute_rejects_an_empty_split_before_writing(one_example, tmp_path, capsys):
+    model = tmp_path / "m.json"
+    save_model(LinearModel(w=np.full(load_dataset(one_example).dim, 0.5)), model)
+    capsys.readouterr()
+    out = tmp_path / "run"
+    argv = ["attribute", "--data", str(one_example), "--model", str(model), "--out-dir", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{one_example}: the test split is empty (the 70/30 split of n = 1 examples " \
+           "holds out none)" in err
+    assert not out.exists()
+    # the training split of the same file holds its one example
+    assert main(argv + ["--split", "train"]) == 0
+    assert len((out / "attributions.csv").read_text().splitlines()) == 2
+
+
 def test_compare_rejects_an_empty_test_split_before_training(one_example, tmp_path, capsys,
                                                             no_training):
     capsys.readouterr()
