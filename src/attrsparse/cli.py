@@ -71,6 +71,13 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _delimiter(text: str) -> str:
+    """One character, as csv.reader needs: the type of --delimiter."""
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError(f"expected one character, got {text!r}")
+    return text
+
+
 def _load_config_file(path) -> dict:
     if not str(path).endswith(".toml"):
         return read_json_object(path, "config")
@@ -205,7 +212,7 @@ def _add_io_flags(p):
                    help="sniff column kinds from the CSV (numeric iff every value parses)")
     p.add_argument("--label-column", help="name of the label column (CSV input)")
     p.add_argument("--positive-label", help="raw label value mapped to +1 (CSV input)")
-    p.add_argument("--delimiter", help="CSV field delimiter (default ,)")
+    p.add_argument("--delimiter", type=_delimiter, help="CSV field delimiter (default ,)")
     p.add_argument("--split-seed", type=_seed, help="seed of the 70/30 split (default 0)")
     p.add_argument("--out-dir", default=".", help="output directory (default %(default)s)")
 

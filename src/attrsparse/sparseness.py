@@ -14,8 +14,8 @@ _TREE_MIN_ENTRIES = 1200
 
 
 def _row_fsums(A) -> np.ndarray:
-    """math.fsum of each row of an (n, d) float array, bit for bit, where fsum
-    returns; inf for a row on which it overflows or meets inf - inf.
+    """math.fsum of each row of an (n, d) float array of finite values, bit
+    for bit; the caller keeps every partial sum in the float range.
 
     A pairwise TwoSum tree over the columns gives each row a float sum s and
     d - 1 exact error terms e, so that s + sum(e) is the row's exact sum X.
@@ -25,12 +25,11 @@ def _row_fsums(A) -> np.ndarray:
     exceeds S. A last TwoSum gives r = fl(s + E) and its exact residual t, so
     |X - r| <= |t| + b, and r is X correctly rounded when |t| + b is below
     half the smaller float gap at r, or when t = b = 0 (then r = X). The
-    other rows (non-finite values or an overflow, exact ties, and sums that
-    cancel below b) go to math.fsum, and so do arrays of fewer than
-    _TREE_MIN_ENTRIES entries.
+    other rows (exact ties and sums that cancel below b) go to math.fsum,
+    and so do arrays of fewer than _TREE_MIN_ENTRIES entries.
     """
     if A.size < _TREE_MIN_ENTRIES:
-        return np.asarray([_fsum(row) for row in A.tolist()], dtype=float)
+        return np.asarray([math.fsum(row) for row in A.tolist()], dtype=float)
     n, d = A.shape
     s = A.T.copy()  # one row per column of A, so each half below is one block
     err = np.empty((d - 1, n))
@@ -60,16 +59,8 @@ def _row_fsums(A) -> np.ndarray:
     half_gap = 0.5 * np.spacing(np.nextafter(np.abs(r), 0.0))
     ok = (t + b < half_gap) | ((t == 0.0) & (b == 0.0))  # NaN fails both
     for i in np.flatnonzero(~ok):
-        r[i] = _fsum(A[i].tolist())
+        r[i] = math.fsum(A[i].tolist())
     return r
-
-
-def _fsum(row) -> float:
-    """math.fsum of a list, or inf where it overflows or meets inf - inf."""
-    try:
-        return math.fsum(row)
-    except (OverflowError, ValueError):
-        return math.inf
 
 
 def gini_rows(V) -> np.ndarray:
@@ -82,12 +73,13 @@ def gini_rows(V) -> np.ndarray:
     all-equal row scores exactly 0. Both sums are math.fsum's bits, certified
     in array arithmetic by _row_fsums under the bound
     b = 2^ceil(log2(d - 2)) * 2^-53 * sum|err| on the rounding of a TwoSum
-    tree's error terms; only the rows it cannot certify (an overflow, exact
-    rounding ties, sums that cancel below b), and small calls, run
-    math.fsum. A row whose total, rank-weighted sum or d * total passes the
-    float range is summed again scaled by 2^-(2 * bit_length(d) + 1), which
-    keeps each in range; a power of two scales exactly, save for entries it
-    makes subnormal, and the Gini index is scale-invariant. An all-zero row
+    tree's error terms; only the rows it cannot certify (exact rounding ties,
+    sums that cancel below b), and small calls, run math.fsum. A row whose
+    largest entry is at least 2^(1023 - 2L), L = bit_length(d), is scaled by
+    2^-(2L + 1) before it is summed, so that d * d * max < 2^1023 bounds the
+    total, the rank-weighted sum, d * total and every partial sum of each
+    row; a power of two scales exactly, save for entries it makes subnormal,
+    and the Gini index is scale-invariant. An all-zero row
     scores 0 with a warning. Raises a ValueError naming the first row that
     holds NaN or an infinity, and raises on negative entries.
     """
@@ -101,17 +93,12 @@ def gini_rows(V) -> np.ndarray:
         raise ValueError("gini is defined for non-negative values only")
     d = V.shape[1]
     ordered = np.sort(V, axis=1)  # equal keys are equal values, or zeros that add nothing
+    big = ordered[:, -1] >= math.ldexp(1.0, 1023 - 2 * d.bit_length())
+    ordered[big] = np.ldexp(ordered[big], -2 * d.bit_length() - 1)
     ranks = 2.0 * np.arange(1, d + 1) - d - 1
-    with np.errstate(over="ignore", invalid="ignore"):  # such rows are scaled below
-        total = _row_fsums(ordered)
-        num = _row_fsums(ordered * ranks)
-        den = d * total
-    over = np.flatnonzero(~(np.isfinite(num) & np.isfinite(den)))
-    if over.size:  # |sum| <= d * d * max < 2^1023 once scaled
-        scaled = np.ldexp(ordered[over], -2 * d.bit_length() - 1)
-        total[over] = _row_fsums(scaled)
-        num[over] = _row_fsums(scaled * ranks)
-        den[over] = d * total[over]
+    total = _row_fsums(ordered)
+    num = _row_fsums(ordered * ranks)
+    den = d * total
     zero = total == 0.0
     if zero.any():
         warnings.warn("gini of an all-zero vector is degenerate; returning 0", stacklevel=2)

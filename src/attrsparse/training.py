@@ -39,9 +39,7 @@ DIVERGENCE_LIMIT = 1e6
 
 
 class TrainingDivergedError(RuntimeError):
-    def __init__(self, message, step):
-        super().__init__(message)
-        self.step = step
+    """A model's objective passed DIVERGENCE_LIMIT; the message names it and the step."""
 
 
 @dataclass
@@ -162,7 +160,7 @@ def _check_objective(objective, cfgs, step):
         i = int(np.argmin(ok))
         raise TrainingDivergedError(
             f"{regime_tag(cfgs[i])}: objective {float(objective[i])!r} exceeded "
-            f"{DIVERGENCE_LIMIT:g} at step {step}", step)
+            f"{DIVERGENCE_LIMIT:g} at step {step}")
 
 
 _SHARED = ("seed", "epochs", "batch_size", "optimizer", "learning_rate", "model_kind", "use_bias")

@@ -107,13 +107,22 @@ def expected_update_exact(spec, w, strengths, noise_sd, epsilon, nodes=160):
     With n = y * noise, y*x = a + n, and t = <w, n> ~ N(0, sd^2 |w|^2) carries
     all of z's randomness; E[n_i | t] = w_i t / |w|^2, so each coordinate is a
     1-d integral over t, taken by Gauss-Hermite quadrature (probabilists'
-    nodes). The class balance drops out. w must not vanish. Returns
-    (E[update] (d,), E[g'(z)]).
+    nodes) for a smooth loss. For hinge, g'(z) = 1{t < c} with c = 1 +
+    eps*|w|_1 - <w, a>, so with s = sd |w|, E[g'] = Phi(c/s) and
+    E[update_i] = Phi(c/s) (a_i - sign(w_i) eps) - (w_i / |w|^2) s phi(c/s),
+    taken from math.erf rather than spec.gprime. The class balance drops
+    out. w must not vanish. Returns (E[update] (d,), E[g'(z)]).
     """
     w, a = np.asarray(w, dtype=float), np.asarray(strengths, dtype=float)
+    norm2 = float(w @ w)
+    if spec.kind == "hinge":
+        s = noise_sd * math.sqrt(norm2)
+        c = (1.0 + epsilon * np.abs(w).sum() - w @ a) / s
+        cdf = 0.5 * (1.0 + math.erf(c / math.sqrt(2.0)))
+        pdf = math.exp(-0.5 * c * c) / math.sqrt(2.0 * math.pi)
+        return cdf * (a - np.sign(w) * epsilon) - w / norm2 * s * pdf, cdf
     u, weights = np.polynomial.hermite_e.hermegauss(nodes)
     weights = weights / weights.sum()
-    norm2 = float(w @ w)
     t = noise_sd * math.sqrt(norm2) * u
     slope = weights * spec.gprime(epsilon * np.abs(w).sum() - w @ a - t)
     given_t = (a - np.sign(w) * epsilon)[:, None] + w[:, None] * (t / norm2)[None, :]

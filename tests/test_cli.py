@@ -545,6 +545,30 @@ def test_train_csv_infer_schema(csv_file, tmp_path):
     assert load_model(out / "model.json").dim == 3
 
 
+@pytest.mark.parametrize("delimiter", ["", ";;"])
+def test_delimiter_must_be_one_character(csv_file, tmp_path, capsys, delimiter):
+    # csv.reader takes one character; anything else is an argument error
+    # before the file is read, not a TypeError from the reader
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", str(csv_file), "--infer-schema", "--label-column", "label",
+              "--delimiter", delimiter, "--out-dir", str(out)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"argument --delimiter: expected one character, got {delimiter!r}" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_tab_delimiter_is_accepted(csv_file, tmp_path):
+    tsv = tmp_path / "data.tsv"
+    tsv.write_text(csv_file.read_text(encoding="utf-8").replace(",", "\t"), encoding="utf-8")
+    out = tmp_path / "run"
+    rc = main(["train", "--data", str(tsv), "--infer-schema", "--label-column", "label",
+               "--delimiter", "\t", "--epochs", "1", "--out-dir", str(out)])
+    assert rc == 0
+    assert load_model(out / "model.json").dim == 3
+
+
 def test_train_csv_without_schema_fails(csv_file, tmp_path, capsys):
     rc = main(["train", "--data", str(csv_file), "--out-dir", str(tmp_path)])
     assert rc == 1

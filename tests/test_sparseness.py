@@ -152,6 +152,20 @@ def test_gini_rows_scores_rows_whose_sums_pass_the_float_range(rng):
         assert gini_rows(np.ldexp(V, 1020)).tobytes() == gini_rows(V).tobytes(), d
 
 
+def test_gini_rows_keeps_its_bits_across_the_scaling_threshold(rng):
+    # a row is scaled before it is summed once its largest entry reaches
+    # 2^(1023 - 2L), L = bit_length(d). The entries of 2^k * V lie in
+    # [2^(k-1), 2^k), so k runs from 1022 - 2L, two binades below the
+    # threshold, to 1023, the float top; the wider blocks run the TwoSum tree
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in (1, 2, 3, 17, 52, 200, 1000):
+            V = rng.uniform(0.5, 1.0, size=(30, d))
+            want = gini_rows(V).tobytes()
+            for k in range(1023 - 2 * d.bit_length() - 1, 1024):
+                assert gini_rows(np.ldexp(V, k)).tobytes() == want, (d, k)
+
+
 def test_exact_values():
     assert gini_row(np.ones(5)) == 0.0
     assert gini_row(np.asarray([7.0])) == 0.0

@@ -79,12 +79,12 @@ def test_expected_update_needs_enough_samples():
         expected_update(LOGISTIC, np.zeros(2), 0.0, _sampler(strengths=(0.1, 0.2)), 9_999)
 
 
-def _oracle_z_scores(seed, n=200_000):
+def _oracle_z_scores(seed, kinds=("logistic-nll", "softplus-hinge"), n=200_000):
     """z-scores of the Monte-Carlo engine against expected_update_exact on 6
     random d = 6 Gaussian configurations (strengths, w, S, eps, noise and
-    class balance drawn from default_rng(seed)) under two smooth losses:
+    class balance drawn from default_rng(seed)) under each loss of kinds:
     every coordinate of expected_update, then thm1-bound's estimate -
-    reference against its exact value at the se it reports; 84 in all."""
+    reference against its exact value at the se it reports; 42 per loss."""
     rng = np.random.default_rng(seed)
     z = []
     for k in range(6):
@@ -92,13 +92,13 @@ def _oracle_z_scores(seed, n=200_000):
         subset = rng.choice(6, size=int(rng.integers(1, 7)), replace=False).tolist()
         eps, sd, balance = rng.uniform(0.05, 0.3), rng.uniform(0.5, 1.5), rng.uniform(0.3, 0.7)
         sampler = _sampler(tuple(strengths), noise_sd=sd, class_balance=balance)
-        for j, kind in enumerate(("logistic-nll", "softplus-hinge")):
+        for j, kind in enumerate(kinds):
             spec = make_loss(kind)
             update, slope = expected_update_exact(spec, w, strengths, sd, eps)
-            mean, se = expected_update(spec, w, eps, sampler, n, seed=1000 * seed + 2 * k + j)
+            stream = 1000 * seed + len(kinds) * k + j
+            mean, se = expected_update(spec, w, eps, sampler, n, seed=stream)
             z.extend((mean - update) / se)
-            res = check_theorem1_bound(spec, w, subset, eps, sampler, n,
-                                       seed=1000 * seed + 500 + 2 * k + j)
+            res = check_theorem1_bound(spec, w, subset, eps, sampler, n, seed=stream + 500)
             ws, denom = w[subset], np.abs(w[subset]).sum()
             want = ws @ update[subset] / denom - slope * (ws @ strengths[subset] / denom - eps)
             z.append((res.estimate - res.reference - want) / res.se)
@@ -123,6 +123,17 @@ def test_expected_update_matches_quadrature_oracle():
     assert z.size == 84
     assert np.abs(z).max() <= 4.5
     assert float(np.mean(z * z)) <= 1.6
+
+
+def test_hinge_update_matches_its_closed_form():
+    # hinge's g' is an indicator, so the oracle is Phi and phi in closed
+    # form, from math.erf, and shares no code with losses._hinge_gprime.
+    # Over seeds 0-39 the 42 z-scores read max |z| 1.67-3.37 and mean z^2
+    # 0.62-1.54; g' shifted to z > -0.9 reads 6.30 and 6.55 at seed 0.
+    z = _oracle_z_scores(0, kinds=("hinge",))
+    assert z.size == 42
+    assert np.abs(z).max() <= 4.5
+    assert float(np.mean(z * z)) <= 1.8
 
 
 def test_weighted_average_hand_value_and_validation():

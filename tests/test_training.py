@@ -1,5 +1,6 @@
 """Training loops: regime equivalences (bitwise), proximal sparsity, divergence
 detection, determinism, and evaluation."""
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -126,6 +127,26 @@ def test_adversarial_training_concentrates_weight():
         assert share_adv > share_nat
 
 
+def test_adversarial_training_drives_weak_weights_toward_zero():
+    # Theorem 1(a) on trained weights: eps above the weak strengths (0.05)
+    # drives their weights toward 0, and eps below them does not. The
+    # statistic is sum_{i>=1} |w_i| / |w_0|. Over seeds 0-39 it read
+    # 0.25-0.65 natural, 0.13-0.39 at eps = 0.03, 0.03-0.13 at 0.1 and
+    # 0.01-0.04 at 0.3; at most 0.31 (eps = 0.1) and 0.09 (eps = 0.3) of the
+    # natural model's, and eps = 0.03's at least 1.7 times eps = 0.1's.
+    # Zeroing train_many's eps column, or dropping the eps * sign(w) term of
+    # linear_loss_and_grads' gradient, fails it. Dropping eps * ||w||_1 from
+    # worst_case_slope's z barely moves the weights, so this test does not
+    # catch that; verify thm3 does.
+    for seed in range(5):
+        base = TrainConfig(epochs=20, seed=seed)
+        cfgs = [base] + [replace(base, regime="adversarial", epsilon=e) for e in (0.03, 0.1, 0.3)]
+        fits = train_many(_noisy_dataset(seed=seed, n=4000), LOGISTIC, cfgs, trace=False)
+        natural, below, above, far = (np.abs(m.w[1:]).sum() / abs(m.w[0]) for m, _ in fits)
+        assert above < 0.5 * natural and far < 0.2 * natural, seed
+        assert below > above, seed
+
+
 def test_divergence_raises_with_step():
     # overlapping classes: a huge step cannot classify every example, so some
     # batch shows an objective beyond the divergence limit
@@ -134,8 +155,7 @@ def test_divergence_raises_with_step():
         with pytest.raises(TrainingDivergedError) as exc:
             train(ds, make_loss(kind), TrainConfig(
                 optimizer="sgd", learning_rate=1e8, epochs=2))
-        assert exc.value.step >= 0
-        assert "exceeded" in str(exc.value)
+        assert re.search(r": objective .* exceeded 1e\+06 at step \d+$", str(exc.value))
 
 
 def test_training_is_deterministic_and_seed_sensitive():
@@ -406,7 +426,6 @@ def test_interleaved_linear_divergence_keeps_its_text(use_bias):
     want = _objective_reference(ds, LOGISTIC, cfgs[0], 2)[1]
     assert str(stacked.value) == str(alone.value) == (
         f"l1(lam=0.1): objective {want!r} exceeded 1e+06 at step 1")
-    assert stacked.value.step == alone.value.step == 1
 
 
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
@@ -458,7 +477,7 @@ def test_l1_objective_counts_the_weights_only(monkeypatch):
                       epochs=2, batch_size=1000, use_bias=True)
     with pytest.raises(TrainingDivergedError) as exc:
         train(ds, LOGISTIC, cfg)
-    assert exc.value.step == 1
+    assert str(exc.value).endswith(" at step 1")
     one = train_reference(ds, LOGISTIC, replace(cfg, epochs=1))
     X, y = ds.features[ds.train_indices], ds.labels[ds.train_indices]
     want = float(LOGISTIC.g(-y * one.margin(X)).mean() + 0.5 * np.abs(one.w).sum())
@@ -529,7 +548,7 @@ def test_stacked_divergence_names_the_model_and_step():
         train(ds, LOGISTIC, cfgs[2])
     assert str(stacked.value) == str(alone.value)
     assert str(stacked.value).startswith("adversarial(eps=1e+07): objective ")
-    assert stacked.value.step == alone.value.step == 1
+    assert str(stacked.value).endswith(" at step 1")
     for cfg in cfgs[:2] + cfgs[3:]:
         train(ds, LOGISTIC, cfg)  # the other models alone do not diverge
     # two models diverging at one step: the first in config order is named
@@ -556,13 +575,13 @@ def test_stacked_divergence_names_the_model_and_step():
             replace(base, regime="adversarial", epsilon=2.0)]
     with pytest.raises(TrainingDivergedError) as stacked:
         train_many(ds, LOGISTIC, cfgs)
-    steps = []
+    alone = []
     for cfg in cfgs:
-        with pytest.raises(TrainingDivergedError) as alone:
+        with pytest.raises(TrainingDivergedError) as exc:
             train(ds, LOGISTIC, cfg)
-        steps.append(alone.value.step)
-    assert steps == [3, 5, 2] and stacked.value.step == 2
-    assert str(stacked.value) == str(alone.value)
+        alone.append(str(exc.value))
+    assert [m.rsplit(" at step ", 1)[1] for m in alone] == ["3", "5", "2"]
+    assert str(stacked.value) == alone[2]
     assert str(stacked.value).startswith("adversarial(eps=2): objective ")
 
 
