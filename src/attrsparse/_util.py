@@ -1,9 +1,14 @@
-"""Small shared helpers: thread budget, canonical formatting, chunk bounds."""
+"""Small shared helpers: thread budget, canonical formatting, artifact I/O, chunk bounds."""
 from __future__ import annotations
 
 import csv
 import json
 import os
+import sys
+from contextlib import nullcontext
+from itertools import islice
+
+import numpy as np
 
 _THREADS_ENV = "ATTRSPARSE_THREADS"
 
@@ -37,9 +42,23 @@ def write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def canonical_json(obj) -> str:
-    """Deterministic JSON text: sorted keys, fixed indentation, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _array_rows(arr):
+    """The encoder's hook: a 1-d array as fmt_float strings, a deeper one as
+    its rows, so that one row's strings exist at a time."""
+    if isinstance(arr, np.ndarray):
+        return list(map(repr, arr.astype(float).tolist())) if arr.ndim == 1 else list(arr)
+    raise TypeError(f"Object of type {type(arr).__name__} is not JSON serializable")
+
+
+def write_json(path, doc):
+    """Write doc as an artifact, to stdout when path is None: sorted keys,
+    2-space indent, a trailing newline, and arrays as fmt_float strings (a
+    float outside an array stays a JSON number), streamed as they are encoded."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=2, default=_array_rows).iterencode(doc)
+    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
+        while block := "".join(islice(chunks, 4096)):  # a few thousand floats a write
+            fh.write(block)
+        fh.write("\n")
 
 
 def read_json_object(path, kind: str) -> dict:
@@ -55,16 +74,18 @@ def read_json_object(path, kind: str) -> dict:
     return doc
 
 
-def json_entry(doc: dict, key: str, convert, where: str):
-    """convert(doc[key]); a missing entry, or one whose type or value convert
-    rejects (a TypeError or ValueError), is a ValueError naming `where` (the
-    document) and key."""
-    if key not in doc:
-        raise ValueError(f"{where} has no {key!r} entry")
-    try:
-        return convert(doc[key])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}'s {key!r} entry is malformed ({exc})") from None
+def json_entries(doc: dict, where: str):
+    """entry(key, convert) -> convert(doc[key]); a missing entry, or one whose
+    type or value convert rejects (a TypeError or ValueError), is a ValueError
+    naming `where` (the document) and key."""
+    def entry(key: str, convert=lambda v: v):
+        if key not in doc:
+            raise ValueError(f"{where} has no {key!r} entry")
+        try:
+            return convert(doc[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}'s {key!r} entry is malformed ({exc})") from None
+    return entry
 
 
 def chunk_bounds(n: int, chunk: int):

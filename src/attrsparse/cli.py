@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from ._util import canonical_json, fmt_float, read_json_object, write_csv
+from ._util import fmt_float, read_json_object, write_csv, write_json
 from ._version import __version__
 from .attribution import DEFAULT_REPORT_STEPS, attribute_dataset, impact_report, write_pgm
 from .data import (
@@ -296,13 +296,12 @@ def cmd_train(args) -> int:
     save_model(model, os.path.join(out, "model.json"))
     trace.to_csv(os.path.join(out, "trace.csv"))
     result = evaluate(model, ds, spec)
-    with open(os.path.join(out, "resolved_config.json"), "w", encoding="utf-8") as fh:
-        fh.write(canonical_json({
-            "format_version": 1,
-            "command": "train",
-            "toolkit_version": __version__,
-            "resolved": resolved,
-        }))
+    write_json(os.path.join(out, "resolved_config.json"), {
+        "format_version": 1,
+        "command": "train",
+        "toolkit_version": __version__,
+        "resolved": resolved,
+    })
     print(f"trained regime={cfg.regime} model={cfg.model_kind} "
           f"test_accuracy={fmt_float(result.accuracy)} mean_loss={fmt_float(result.mean_loss)}")
     print(f"wrote {out}/model.json, {out}/trace.csv, {out}/resolved_config.json")
@@ -321,8 +320,7 @@ def cmd_compare(args) -> int:
     outcome = run_compare(ds, spec, args.eps_list, args.lam_list, base_cfg,
                           dataset_id=dataset_id, method=args.method, steps=steps)
     out = _out_dir(args)
-    with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(outcome.report))
+    write_json(os.path.join(out, "report.json"), outcome.report)
     write_table_csv(outcome.table_rows, os.path.join(out, "table.csv"))
     write_distribution_csv(outcome.distribution_rows, os.path.join(out, "distributions.csv"))
     write_tradeoff_csv(outcome.tradeoff_rows, os.path.join(out, "tradeoff.csv"))
@@ -460,12 +458,7 @@ def cmd_verify(args) -> int:
         "results": [r.to_dict() for r in results],
         "passed": bool(all(r.passed for r in results)),
     }
-    text = canonical_json(doc)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    write_json(args.out, doc)
     for r in results:
         status = "pass" if r.passed else "FAIL"
         print(f"[{status}] {r.check_id}: estimate={r.estimate:.6g} "

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._util import canonical_json, chunk_bounds, fmt_float, json_entry, read_json_object
+from ._util import chunk_bounds, json_entries, read_json_object, write_json
 
 __all__ = [
     "FeatureGroup",
@@ -370,16 +370,14 @@ def blob_sampler(height=8, width=8, *, strong_amplitude=1.0, weak_amplitude=0.05
 
 def save_dataset(ds: Dataset, path):
     """Persist to the JSON sidecar (values as round-trip decimal strings)."""
-    doc = {
+    write_json(path, {
         "format_version": _SIDECAR_VERSION,
-        "features": [[fmt_float(v) for v in row] for row in ds.features],
-        "labels": [fmt_float(v) for v in ds.labels],
+        "features": ds.features,
+        "labels": ds.labels,
         "feature_names": list(ds.feature_names),
         "encoding_map": [asdict(g) for g in ds.encoding_map],
         "split_seed": ds.split_seed,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(doc))
+    })
 
 
 def load_dataset(path) -> Dataset:
@@ -389,10 +387,7 @@ def load_dataset(path) -> Dataset:
     version = doc.get("format_version")
     if version != _SIDECAR_VERSION:
         raise ValueError(f"unsupported dataset sidecar version {version!r}")
-
-    def entry(key, convert):
-        return json_entry(doc, key, convert, f"{path}: the dataset file")
-
+    entry = json_entries(doc, f"{path}: the dataset file")
     return Dataset(
         features=entry("features", lambda v: np.asarray(v, dtype=float)),
         labels=entry("labels", lambda v: np.asarray(v, dtype=float)),

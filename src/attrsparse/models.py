@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import canonical_json, fmt_float, json_entry, read_json_object
+from ._util import fmt_float, json_entries, read_json_object, write_json
 from .losses import LossSpec, sigmoid
 
 __all__ = [
@@ -263,13 +263,6 @@ def init_mlp(layer_sizes, rng, hidden_activation="softplus") -> MlpModel:
 
 # --- serialization: parameters as decimal strings that round-trip bit-exact ---
 
-def _encode(arr):
-    arr = np.asarray(arr, dtype=float)
-    if arr.ndim == 1:
-        return [fmt_float(v) for v in arr]
-    return [[fmt_float(v) for v in row] for row in arr]
-
-
 def model_to_dict(model) -> dict:
     if isinstance(model, LinearModel):
         return {
@@ -277,7 +270,7 @@ def model_to_dict(model) -> dict:
             "kind": "linear",
             "activation": model.activation,
             "dim": model.dim,
-            "weights": _encode(model.w),
+            "weights": model.w,
             "bias": None if model.bias is None else fmt_float(model.bias),
         }
     if isinstance(model, MlpModel):
@@ -286,8 +279,8 @@ def model_to_dict(model) -> dict:
             "kind": "mlp",
             "hidden_activation": model.hidden_activation,
             "layer_sizes": model.layer_sizes,
-            "weights": [_encode(W) for W in model.weights],
-            "biases": [_encode(b) for b in model.biases],
+            "weights": model.weights,
+            "biases": model.biases,
         }
     raise TypeError(f"cannot serialize model of type {type(model).__name__}")
 
@@ -303,9 +296,7 @@ def model_from_dict(data: dict, where: str = "the model document"):
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version {version!r}; "
                          f"expected {_FORMAT_VERSION}")
-
-    def entry(key, convert=lambda v: v):
-        return json_entry(data, key, convert, where)
+    entry = json_entries(data, where)
 
     def arrays(v):  # decimal strings, which parse to their floats
         return [np.asarray(a, dtype=float) for a in v]
@@ -330,8 +321,7 @@ def model_from_dict(data: dict, where: str = "the model document"):
 
 
 def save_model(model, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(model_to_dict(model)))
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path):

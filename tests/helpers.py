@@ -11,6 +11,7 @@ real files (see data/README.md).
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 
@@ -100,6 +101,17 @@ def theorem1_limit(spec, w, subset, epsilon, sampler, n, scales=(1.0, 0.1, 0.01,
     return results
 
 
+@functools.lru_cache(maxsize=4)
+def _gauss_hermite(nodes):
+    """Probabilists' Gauss-Hermite nodes and weights, normalised to sum to 1,
+    read-only: the rule for E[h(u)] with u standard normal."""
+    u, weights = np.polynomial.hermite_e.hermegauss(nodes)
+    rule = u, weights / weights.sum()
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
 def expected_update_exact(spec, w, strengths, noise_sd, epsilon, nodes=160):
     """The exact E[g'(z) * (y*x_i - sign(w_i)*eps)] for every i, and E[g'(z)],
     under the Gaussian sampler, at z = eps*|w|_1 - y*<w, x>.
@@ -121,12 +133,33 @@ def expected_update_exact(spec, w, strengths, noise_sd, epsilon, nodes=160):
         cdf = 0.5 * (1.0 + math.erf(c / math.sqrt(2.0)))
         pdf = math.exp(-0.5 * c * c) / math.sqrt(2.0 * math.pi)
         return cdf * (a - np.sign(w) * epsilon) - w / norm2 * s * pdf, cdf
-    u, weights = np.polynomial.hermite_e.hermegauss(nodes)
-    weights = weights / weights.sum()
+    u, weights = _gauss_hermite(nodes)
     t = noise_sd * math.sqrt(norm2) * u
     slope = weights * spec.gprime(epsilon * np.abs(w).sum() - w @ a - t)
     given_t = (a - np.sign(w) * epsilon)[:, None] + w[:, None] * (t / norm2)[None, :]
     return given_t @ slope, float(slope.sum())
+
+
+def lemma_d1_exact(spec, w, strengths, noise_sd, epsilon, nodes=80) -> dict:
+    """The exact moments of lemma D1's (Z, f) under the Gaussian sampler, as
+    theory.lemma_d1_instance poses them: Z = y*x_0 and f = g'(eps*|w|_1 -
+    |w_0| Z - <w_rest, y*x_rest>).
+
+    y * noise has the law of the noise and is independent of y, so Z = a_0 +
+    sd*u and <w_rest, y*x_rest> = <w_rest, a_rest> + sd*|w_rest|*s for two
+    independent standard normals u and s. A 2-d tensor Gauss-Hermite rule
+    (probabilists' nodes) over (u, s) gives E[Z^j f^k] for j, k in 0..2, keyed
+    "zf", "zzff", "f" and so on ("z" is E[Z]). The class balance drops out.
+    """
+    w, a = np.asarray(w, dtype=float), np.asarray(strengths, dtype=float)
+    nodes_1d, weights_1d = _gauss_hermite(nodes)
+    u, s = nodes_1d[:, None], nodes_1d[None, :]
+    weights = weights_1d[:, None] * weights_1d[None, :]
+    z = a[0] + noise_sd * u
+    rest = w[1:] @ a[1:] + noise_sd * math.sqrt(w[1:] @ w[1:]) * s
+    f = spec.gprime(epsilon * np.abs(w).sum() - abs(w[0]) * z - rest)
+    return {"z" * j + "f" * k: float((weights * z**j * f**k).sum())
+            for j in range(3) for k in range(3) if j or k}
 
 
 def gini_row_reference(v) -> float:

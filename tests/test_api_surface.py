@@ -1,7 +1,8 @@
 """The public API is what the program itself uses: every name a module of
 ``src/attrsparse`` exports in ``__all__`` must be referenced from code in
 ``src/``, and every dataclass field must be read by code in ``src/``. The
-README's Python examples run against that API."""
+JSON artifact format is _util's alone. The README's Python examples run
+against that API."""
 import ast
 import os
 import re
@@ -95,6 +96,35 @@ def test_every_dataclass_field_is_read_by_the_program():
             unread += [f"{module}: {cls.name}.{n.target.id}" for n in cls.body
                        if isinstance(n, ast.AnnAssign) and n.target.id not in read]
     assert not unread, f"dataclass fields no code in src/ reads: {unread}"
+
+
+def _named(node, *names):
+    return isinstance(node, ast.Name) and node.id in names
+
+
+def test_only_util_writes_json_artifacts():
+    # the artifact format lives in _util.write_json: no other module calls
+    # json.dump or json.dumps, imports them by name, or builds a list of
+    # fmt_float strings (by a comprehension, or list or tuple over a map)
+    stray = []
+    for module, tree in _modules():
+        if module == "_util.py":
+            continue
+        for n in ast.walk(tree):
+            if (isinstance(n, ast.Attribute) and n.attr in ("dump", "dumps")
+                    and _named(n.value, "json")):
+                stray.append(f"{module}:{n.lineno}: json.{n.attr}")
+            elif isinstance(n, ast.ImportFrom) and n.module == "json":
+                stray += [f"{module}:{n.lineno}: from json import {a.name}" for a in n.names
+                          if a.name in ("dump", "dumps")]
+            elif isinstance(n, (ast.ListComp, ast.GeneratorExp)) and any(
+                    isinstance(c, ast.Call) and _named(c.func, "fmt_float") for c in ast.walk(n.elt)):
+                stray.append(f"{module}:{n.lineno}: a comprehension of fmt_float strings")
+            elif (isinstance(n, ast.Call) and _named(n.func, "list", "tuple") and n.args
+                  and isinstance(n.args[0], ast.Call) and _named(n.args[0].func, "map")
+                  and any(_named(a, "fmt_float") for a in n.args[0].args[:1])):
+                stray.append(f"{module}:{n.lineno}: {n.func.id}(map(fmt_float, ...))")
+    assert stray == []
 
 
 def test_no_source_line_exceeds_100_characters():

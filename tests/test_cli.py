@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from attrsparse import attribution, losses, theory
+from attrsparse._util import write_json
 from attrsparse._version import __version__
 from attrsparse.cli import (
     _CONFIG_ALIASES,
@@ -711,7 +712,7 @@ def test_json_file_wrong_typed_entry_names_the_file_and_key(synth_json, tmp_path
            else model_to_dict(init_mlp([4, 3, 1], np.random.default_rng(0))))
     edit(doc)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc), encoding="utf-8")
+    write_json(bad, doc)  # the model document holds arrays for the artifact encoder
     argv = ["attribute", "--model", str(bad), "--data", str(synth_json)] if flag == "model" \
         else ["train", "--data", str(bad)]
     assert main(argv + ["--out-dir", str(tmp_path / "run")]) == 1

@@ -454,12 +454,15 @@ def test_margin_computes_no_activation_derivative(monkeypatch, act):
 
 # --- serialization -------------------------------------------------------------
 
-def test_linear_roundtrip_bit_exact():
+def test_linear_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(9)
     model = LinearModel(w=rng.normal(size=7) * 1e-3, bias=float(rng.normal()))
-    doc = model_to_dict(model)
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
     assert doc["format_version"] == 1
-    assert isinstance(doc["weights"][0], str)  # decimal-string parameters
+    # decimal-string parameters, the bias too
+    assert isinstance(doc["weights"][0], str) and isinstance(doc["bias"], str)
     back = model_from_dict(doc)
     np.testing.assert_array_equal(back.w, model.w)
     assert back.bias == model.bias

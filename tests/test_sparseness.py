@@ -129,8 +129,10 @@ def test_row_fsums_certifies_almost_every_row(rng, monkeypatch):
 
 
 def test_gini_rows_scores_rows_whose_sums_pass_the_float_range(rng):
-    # A row whose total, rank-weighted sum or d * total overflows is summed
-    # again scaled by a power of two; the Gini index is scale-invariant.
+    # A row whose largest entry reaches 2^(1023 - 2 * bit_length(d)) is
+    # scaled by a power of two before it is summed, so that no total,
+    # rank-weighted sum or d * total overflows; the Gini index is
+    # scale-invariant.
     rows = np.asarray([[1.0, 2.0, 3.0],
                        [1e308, 1.0, 2.0],       # the rank-weighted sum overflows
                        [1e308, 1e308, 1e308],   # the total does

@@ -1,12 +1,13 @@
 """Monte-Carlo guarantee checks: exact degenerate statistics, quadrature
 oracles, the conditional-expectation bound, and the exact loss identity."""
+import math
 import sys
 import threading
 import time
 
 import numpy as np
 import pytest
-from helpers import expected_update_exact, one_row, theorem1_limit
+from helpers import expected_update_exact, lemma_d1_exact, one_row, theorem1_limit
 
 from attrsparse import theory
 from attrsparse.data import SyntheticConditionalSampler
@@ -136,6 +137,28 @@ def test_hinge_update_matches_its_closed_form():
     assert float(np.mean(z * z)) <= 1.8
 
 
+def test_theorem1_holds_exactly_on_every_configuration():
+    # both sides of thm1-bound's inequality from expected_update_exact, no
+    # Monte Carlo: 200 of theorem1_bound_instances' configurations, each at
+    # its own eps and noise scale, under every loss. The smallest true margin
+    # of the 600 is 2.23e-9 (hinge, its kink deep in the tail); logistic-nll's
+    # is 1.77e-3 and softplus-hinge's 7.71e-4. A flipped eps term in the
+    # oracle's update (+sign(w_i) eps) breaks 448 of the 600.
+    rng = np.random.default_rng(0)
+    margins = []
+    for strengths, w, subset, _ in theorem1_bound_instances(200, 0):
+        eps, sd = rng.uniform(0.0, 0.5), rng.uniform(0.3, 2.0)
+        a, S = np.asarray(strengths), list(subset)
+        ws, denom = w[S], np.abs(w[S]).sum()
+        for kind in LOSS_KINDS:
+            update, slope = expected_update_exact(make_loss(kind), w, a, sd, eps)
+            margins.append(slope * (ws @ a[S] / denom - eps) - ws @ update[S] / denom)
+    margins = np.asarray(margins)
+    assert margins.size == 600
+    assert (margins > 0.0).all(), np.flatnonzero(margins <= 0.0)
+    assert margins.min() == pytest.approx(2.226257e-9, rel=1e-5)
+
+
 def test_weighted_average_hand_value_and_validation():
     # the bound's abar is the weighted average sum_S w_i a_i / sum_S |w_i| of
     # the strengths: (2*1 + 3*3) / (2 + 3) = 2.2
@@ -231,6 +254,49 @@ def test_lemma_canned_loss_instantiation_passes():
     shared = _zv_sampler((0.6, 0.3, -0.2, 0.1), shared=(1, 2, 3), weight=0.7)
     res2 = check_lemma_exp_bound(f, shared, 100_000, seed=0)
     assert res2.passed
+
+
+def _lemma_z_scores(seed, n=400_000):
+    """z-scores of check_lemma_exp_bound on lemma_d1_instance against
+    lemma_d1_exact, on 6 random Gaussian configurations (d, strengths, eps,
+    noise and class balance from default_rng(seed)) under each positive-slope
+    loss: the estimate E[Z f] and the reference E[Z] E[f] at their exact
+    standard errors (the reference's by the delta method), then the gap at
+    the se the check reports; 36 in all. Also returns the w_0 drawn."""
+    rng = np.random.default_rng(seed)
+    z, w0 = [], []
+    for k in range(6):
+        d = int(rng.integers(2, 7))
+        strengths = tuple(rng.uniform(-0.8, 0.8, size=d).tolist())
+        eps, sd, balance = rng.uniform(0.05, 0.3), rng.uniform(0.5, 1.5), rng.uniform(0.3, 0.7)
+        sampler = _sampler(strengths, noise_sd=sd, class_balance=balance)
+        for j, kind in enumerate(("logistic-nll", "softplus-hinge")):
+            spec, stream = make_loss(kind), 1000 * seed + 2 * k + j
+            res = check_lemma_exp_bound(*lemma_d1_instance(spec, sampler, eps, stream), n,
+                                        seed=stream)
+            w = np.random.default_rng(stream).normal(size=d)  # as lemma_d1_instance draws it
+            m = lemma_d1_exact(spec, w, strengths, sd, eps)
+            cov = m["zf"] - m["z"] * m["f"]
+            var_ref = (m["f"] ** 2 * (m["zz"] - m["z"] ** 2) + m["z"] ** 2 * (m["ff"] - m["f"] ** 2)
+                       + 2.0 * m["z"] * m["f"] * cov)
+            z.append((res.estimate - m["zf"]) / math.sqrt((m["zzff"] - m["zf"] ** 2) / n))
+            z.append((res.reference - m["z"] * m["f"]) / math.sqrt(var_ref / n))
+            z.append((res.estimate - res.reference - cov) / res.se)
+            w0.append(w[0])
+    return np.asarray(z), np.asarray(w0)
+
+
+def test_lemma_d1_matches_its_exact_moments():
+    # Over seeds 0-39 of _lemma_z_scores the 36 z-scores read max |z|
+    # 1.46-3.66 and mean z^2 0.57-1.81, so the bounds below sit past the
+    # null spread. A dropped chunk and |w_0| replaced by w_0 in
+    # lemma_d1_instance read max |z| past 100; every chunk seeded (seed)
+    # rather than (seed, chunk) reads mean z^2 10.7 here and 2.8-10.7 over
+    # seeds 0-9. w_0 < 0 in some configuration, so the sign of w_0 matters.
+    z, w0 = _lemma_z_scores(0)
+    assert z.size == 36 and (w0 < 0.0).any()
+    assert np.abs(z).max() <= 4.5
+    assert float(np.mean(z * z)) <= 2.2
 
 
 def _lemma_bits(res):
