@@ -77,16 +77,17 @@ def adversarial_loss(spec: LossSpec, model: LinearModel, x, y, epsilon: float):
     return spec.g(epsilon * np.abs(model.w).sum() - y * margin)
 
 
-def theorem1_limit(spec, w, subset, epsilon, sampler, n, scales=(1.0, 0.1, 0.01, 0.001), seed=0):
+def theorem1_limit(spec, w, subset, epsilon, strengths, n, scales=(1.0, 0.1, 0.01, 0.001), seed=0):
     """Shrinking the weights toward 0 must shrink the bound-vs-update residual.
 
-    Runs check_theorem1_bound at each scale of w (common random numbers
-    across scales): the residual is |estimate - reference| and its paired SE
-    is se. Each residual may exceed the previous one by at most 3 of their
-    SEs."""
+    Runs check_theorem1_bound on one stack of w at each scale, so every scale
+    sees the same samples: the residual is |estimate - reference| and its
+    paired SE is se. Each residual may exceed the previous one by at most 3
+    of their SEs."""
+    bounds = check_theorem1_bound(spec, [(strengths, scale * w, subset) for scale in scales],
+                                  epsilon, n, seed=seed)
     results = []
-    for scale in scales:
-        bound = check_theorem1_bound(spec, scale * w, subset, epsilon, sampler, n, seed=seed)
+    for scale, bound in zip(scales, bounds):
         residual = abs(bound.estimate - bound.reference)
         passed = not results or residual <= results[-1].estimate + 3.0 * (bound.se + results[-1].se)
         results.append(TheoremCheckResult(

@@ -158,10 +158,8 @@ def test_expected_update_monte_carlo(acceptance):
         size = int(rng.integers(1, d + 1))
         idx = tuple(sorted(rng.choice(d, size=size, replace=False).tolist()))
         eps = float(rng.uniform(0.02, 0.4))
-        res = check_theorem1_bound(
-            LOGISTIC, w, idx, eps,
-            SyntheticConditionalSampler(strengths=strengths), n,
-            seed=2_000_003 + k)
+        res, = check_theorem1_bound(LOGISTIC, [(strengths, w, idx)], eps, n,
+                                    seed=2_000_003 + k)
         if not res.passed:
             bound_fail += 1
         elif res.se > 0:
@@ -170,8 +168,7 @@ def test_expected_update_monte_carlo(acceptance):
     # the bound tightens to equality as the weights shrink
     rng = np.random.default_rng(3)
     w = rng.normal(size=4)
-    sampler = SyntheticConditionalSampler(strengths=(0.6, 0.3, -0.2, 0.1))
-    limit = theorem1_limit(LOGISTIC, w, (0, 1, 2), 0.1, sampler, n, seed=0)
+    limit = theorem1_limit(LOGISTIC, w, (0, 1, 2), 0.1, (0.6, 0.3, -0.2, 0.1), n, seed=0)
     limit_ok = (all(r.passed for r in limit)
                 and limit[-1].estimate < limit[0].estimate
                 and limit[-1].estimate <= 3.0 * limit[-1].se + 1e-12)

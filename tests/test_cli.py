@@ -2,9 +2,11 @@
 documented defaults, exercised in-process through main(argv)."""
 import builtins
 import csv
+import importlib.util
 import json
 import os
 import re
+import types
 import warnings
 from dataclasses import fields
 
@@ -1490,6 +1492,35 @@ def test_verify_bound_thread_env_does_not_change_bytes(tmp_path, monkeypatch):
         assert main([*argv, "--out", str(out)]) == 0
         reports.append(out.read_bytes())
     assert reports[0] == reports[1] == reports[2]
+
+
+def _benchmark_workloads():
+    """The benchmark's workload definitions (perfbench/workloads.py), imported unedited."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_verify_workload_passes_its_own_check(tmp_path, monkeypatch):
+    # the benchmark's toy verify-mc operation through main at 2 threads, held
+    # to that workload's own check() against a 1-thread reference, as the
+    # benchmark holds it: a verify change that fails the benchmark's
+    # correctness gate fails here
+    workloads = _benchmark_workloads()
+    verify_mc = workloads.make_workloads(toy=True)["verify-mc"]
+    reference = {}
+    for threads, out in (("1", tmp_path / "reference"), ("2", tmp_path / "out")):
+        out.mkdir()
+        monkeypatch.setenv("ATTRSPARSE_THREADS", threads)
+        rcs = [workloads.call_cli(main, argv)[0]
+               for argv in verify_mc.op_argvs(str(tmp_path), str(out), 3)]
+        if not reference:
+            reference = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(reference) == 4
+    observed = types.SimpleNamespace(reference=reference)
+    assert verify_mc.check(str(out), rcs, observed) == []
 
 
 @pytest.mark.parametrize("threads", ["0", "-2", "two", "1.5", " "])

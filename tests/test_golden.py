@@ -123,8 +123,8 @@ GOLDEN = {
     'verify-lemmaD1-gaussian/report.json': '255c74fc2dfc05b330f3540fb86e786f6970deb1acbb3a55a16d0bf5a328fee4',
     'verify-lemmaD1-hinge/report.json': 'e439fc024564fbcc5c87e77a765710f786eaeb8c9ba2d4eaf7f58a825cedb692',
     'verify-lemmaD1-uniform/report.json': '95308dc994a8d16d89b5f523157354e15d53d4ba2ab2cbec7ab3d8f6dbd81c82',
-    'verify-thm1-bound-uniform/report.json': '3df36fbc059320e235ab8bc0541d78edf37f5d48c77f249269c5e73e3117ac3b',
-    'verify-thm1-bound/report.json': '33d732ac6e9c935dd09cb5eda3ad631e6ecb2c0f7bb37d6c82c315cbc5b09e7d',
+    'verify-thm1-bound-uniform/report.json': '3488e8dc6efc1130e33aa09a2274595bf20e44424c81165349f4ea258dce9584',
+    'verify-thm1-bound/report.json': '8684152f8aedd2fc095c7193c151551ee34a6f398f7f2a2d50a78b9c8642d7a6',
     'verify-thm1-zero-gaussian/report.json': 'edc3a4bcfc72c04ae7dd0f06f0f8504eebb64291ff37b3bc51944dfd9147b821',
     'verify-thm1-zero-hinge/report.json': '2a7cfe8660b7e40af26bbedc0f356212ebfd674b2a1af86b1017d7a39b3540ec',
     'verify-thm3-all/report.json': '67e362dd6b54b15af72d2a2ec81737d4cc70d6fea657c0f793b4b2caf996cab7',

@@ -99,7 +99,8 @@ def _oracle_z_scores(seed, kinds=("logistic-nll", "softplus-hinge"), n=200_000):
             stream = 1000 * seed + len(kinds) * k + j
             mean, se = expected_update(spec, w, eps, sampler, n, seed=stream)
             z.extend((mean - update) / se)
-            res = check_theorem1_bound(spec, w, subset, eps, sampler, n, seed=stream + 500)
+            res, = check_theorem1_bound(spec, [(strengths, w, subset)], eps, n, seed=stream + 500,
+                                        noise_sd=sd, class_balance=balance)
             ws, denom = w[subset], np.abs(w[subset]).sum()
             want = ws @ update[subset] / denom - slope * (ws @ strengths[subset] / denom - eps)
             z.append((res.estimate - res.reference - want) / res.se)
@@ -146,7 +147,7 @@ def test_theorem1_holds_exactly_on_every_configuration():
     # oracle's update (+sign(w_i) eps) breaks 448 of the 600.
     rng = np.random.default_rng(0)
     margins = []
-    for strengths, w, subset, _ in theorem1_bound_instances(200, 0):
+    for strengths, w, subset in theorem1_bound_instances(200, 0):
         eps, sd = rng.uniform(0.0, 0.5), rng.uniform(0.3, 2.0)
         a, S = np.asarray(strengths), list(subset)
         ws, denom = w[S], np.abs(w[S]).sum()
@@ -162,35 +163,75 @@ def test_theorem1_holds_exactly_on_every_configuration():
 def test_weighted_average_hand_value_and_validation():
     # the bound's abar is the weighted average sum_S w_i a_i / sum_S |w_i| of
     # the strengths: (2*1 + 3*3) / (2 + 3) = 2.2
-    s = _sampler((1.0, 2.0, 3.0))
-    res = check_theorem1_bound(LOGISTIC, np.asarray([2.0, -1.0, 3.0]), (0, 2), 0.1, s, 10_000)
+    a = (1.0, 2.0, 3.0)
+    res, = check_theorem1_bound(LOGISTIC, [(a, [2.0, -1.0, 3.0], (0, 2))], 0.1, 10_000)
     assert res.detail.endswith("abar=2.2")
-    with pytest.raises(ValueError, match="non-empty"):
-        check_theorem1_bound(LOGISTIC, np.asarray([1.0, 1.0, 1.0]), (), 0.1, s, 10_000)
-    with pytest.raises(ValueError, match="vanish"):
-        check_theorem1_bound(LOGISTIC, np.asarray([1.0, 0.0, 1.0]), (1,), 0.1, s, 10_000)
+    for w, subset in (([1.0, 1.0, 1.0], ()), ([1.0, 0.0, 1.0], (1,))):
+        with pytest.raises(ValueError, match="configuration 0: S must be non-empty and w must"):
+            check_theorem1_bound(LOGISTIC, [(a, w, subset)], 0.1, 10_000)
+    with pytest.raises(ValueError, match="no configurations"):
+        check_theorem1_bound(LOGISTIC, [], 0.1, 10_000)
+
+
+_EMPTY_OR_VANISHING = "configuration 2: S must be non-empty and w must not vanish on it"
+_OTHER_D = "configuration 2: strengths and w must have d = 3 entries"
+
+
+@pytest.mark.parametrize("bad, message", [
+    (((0.1, 0.2, 0.3), [1.0, 1.0, 1.0], ()), _EMPTY_OR_VANISHING),
+    (((0.1, 0.2, 0.3), [1.0, 0.0, 1.0], (1,)), _EMPTY_OR_VANISHING),
+    (((0.1, 0.2), [1.0, 1.0], (1,)), _OTHER_D),
+    (((0.1, 0.2, 0.3), [1.0, 1.0], (1,)), _OTHER_D),
+])
+def test_a_bad_configuration_is_named_before_any_draw(monkeypatch, bad, message):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before rejecting its arguments")
+
+    monkeypatch.setattr(SyntheticConditionalSampler, "sample", no_sampling)
+    good = ((0.5, -0.2, 0.1), [0.3, 0.4, -1.0], (0, 2))
+    with pytest.raises(ValueError, match=f"^{message}"):
+        check_theorem1_bound(LOGISTIC, [good, good, bad, good], 0.1, 10_000)
 
 
 def test_bound_holds_across_random_configurations():
     rng = np.random.default_rng(0)
-    for k in range(5):
+    configs = []
+    for _ in range(5):
         d = 6
         strengths = tuple(rng.uniform(-0.8, 0.8, size=d).tolist())
         w = rng.normal(size=d)
         size = int(rng.integers(1, d + 1))
         idx = tuple(sorted(rng.choice(d, size=size, replace=False).tolist()))
-        sampler = _sampler(strengths=strengths)
-        res = check_theorem1_bound(LOGISTIC, w, idx, 0.1, sampler, 50_000, seed=k)
+        configs.append((strengths, w, idx))
+    results = check_theorem1_bound(LOGISTIC, configs, 0.1, 50_000)
+    assert len(results) == 5
+    for k, res in enumerate(results):
         assert res.passed, f"config {k}: {res.estimate} > {res.reference} + 3*{res.se}"
         assert res.estimate <= res.reference + 3.0 * res.se
         assert "abar=" in res.detail
 
 
+@pytest.mark.parametrize("kw", [
+    {},
+    {"noise_kind": "uniform", "noise_sd": 0.5, "class_balance": 0.3},
+], ids=["gaussian", "uniform"])
+def test_each_configuration_of_a_stack_is_the_check_run_alone(kw):
+    # one (noise, y) draw per chunk serves the stack, and each configuration
+    # forms its own X from it, so configuration k of five is bit for bit the
+    # same configuration run as a stack of one at the same seed; 140k
+    # samples span three chunks, the last one short
+    configs = list(theorem1_bound_instances(5, seed=2))
+    stacked = check_theorem1_bound(LOGISTIC, configs, 0.15, 140_000, seed=9, **kw)
+    alone = [check_theorem1_bound(LOGISTIC, [c], 0.15, 140_000, seed=9, **kw)[0]
+             for c in configs]
+    assert [r.to_dict() for r in stacked] == [r.to_dict() for r in alone]
+    assert len({r.estimate for r in stacked}) == 5
+
+
 def test_limit_residual_shrinks_with_weight_scale():
     rng = np.random.default_rng(3)
     w = rng.normal(size=4)
-    sampler = _sampler(strengths=(0.6, 0.3, -0.2, 0.1))
-    results = theorem1_limit(LOGISTIC, w, (0, 1, 2), 0.1, sampler, 100_000, seed=0)
+    results = theorem1_limit(LOGISTIC, w, (0, 1, 2), 0.1, (0.6, 0.3, -0.2, 0.1), 100_000, seed=0)
     assert len(results) == 4
     assert all(r.passed for r in results)
     assert results[0].check_id == "limit-equality[scale=1]"
@@ -495,13 +536,12 @@ def test_theorem3_instances_follow_the_per_trial_stream():
 def test_theorem1_bound_instances_follow_their_own_streams():
     got = list(theorem1_bound_instances(4, seed=3))
     assert len(got) == 4
-    for k, (strengths, w, subset, check_seed) in enumerate(got):
+    for k, (strengths, w, subset) in enumerate(got):
         rng = np.random.default_rng([3, k])
         assert strengths == tuple(rng.uniform(-0.8, 0.8, size=6).tolist())
         assert _same_bits(w, rng.normal(0.0, 1.0, size=6))
         size = int(rng.integers(1, 7))
         assert subset == tuple(sorted(rng.choice(6, size=size, replace=False).tolist()))
-        assert check_seed == 3 * 100_003 + k
 
 
 def test_lemma_d1_instance_draws_z_v_and_a_non_increasing_f():
@@ -545,17 +585,22 @@ def test_sampler_matches_reference_bitwise(kw, m):
     assert X.shape == (m, s.dim) and X.T.flags.c_contiguous
 
 
-def _mc_reference(stat, n, seed, width):
+def _mc_reference(stat, n, seed, width, rows=1 << 16):
     """Means and SEs of stat's columns over chunks of 1 << 16 samples seeded
     (seed, chunk): each statistic is copied out as its own contiguous column
-    and summed there, and so is its square."""
+    and summed there in blocks of rows, and so is its square; a chunk's
+    block sums add up in order before they join the total."""
     total, total_sq = np.zeros(width), np.zeros(width)
     for ci, lo in enumerate(range(0, n, 1 << 16)):
         stats = stat(np.random.default_rng([seed, ci]), min(lo + (1 << 16), n) - lo)
         for j in range(width):
-            col = np.array(stats[:, j], order="C")
-            total[j] += col.sum()
-            total_sq[j] += (col * col).sum()
+            part = part_sq = 0.0
+            for b in range(0, len(stats), rows):
+                col = np.array(stats[b:b + rows, j], order="C")
+                part += col.sum()
+                part_sq += (col * col).sum()
+            total[j] += part
+            total_sq[j] += part_sq
     mean = total / n
     return mean, np.sqrt(np.maximum(total_sq / n - mean * mean, 0.0) / n)
 
@@ -597,35 +642,43 @@ def test_expected_update_is_minus_the_training_gradient(kind, eps):
     want = -grad[0] / n
     assert np.all(np.abs(mean - want) <= 1e-12 * np.abs(want).max())
     subset = [3, 0, 1, 4]
-    bound = check_theorem1_bound(spec, w, subset, eps, s, n, seed=seed)
+    bound, = check_theorem1_bound(spec, [(s.strengths, w, subset)], eps, n, seed=seed)
     weighted = float(w[subset] @ want[subset] / np.abs(w[subset]).sum())
     assert abs(bound.estimate - weighted) <= 1e-12 * abs(weighted)
 
 
 def test_theorem1_bound_matches_reference_bitwise():
-    w = np.asarray([0.9, -0.4, 0.3, 0.2, -1.1, 0.5])
-    idx = [4, 0, 2]
-    s = _sampler(strengths=(0.6, 0.3, -0.2, 0.1, 0.4, -0.5))
-    denom = np.abs(w[idx]).sum()
-    abar = float((w[idx] * np.asarray(s.strengths)[idx]).sum() / denom)
+    # two configurations, each drawn by the reference sampler from a fresh
+    # generator on its chunk's seed and summed in row blocks of 1 << 14;
+    # 140k samples span three chunks, the last one short
+    configs = [((0.6, 0.3, -0.2, 0.1, 0.4, -0.5), [0.9, -0.4, 0.3, 0.2, -1.1, 0.5], (4, 0, 2)),
+               ((-0.3, 0.7, 0.0, 0.5, -0.1, 0.2), [-0.2, 1.3, 0.6, -0.8, 0.0, 0.4], (1, 5, 3, 4))]
 
     def stat(rng, m):
-        X, y = s.sample(m, rng)
-        gp = _slope_reference(LOGISTIC, w, 0.2, X, y)
-        upd = gp[:, None] * (y[:, None] * X[:, idx] - (np.sign(w) * 0.2)[idx][None, :])
-        sv = (upd * w[idx][None, :]).sum(axis=1) / denom
-        b = gp * (abar - 0.2)
-        return np.stack([sv, b, sv - b], axis=1)
+        cols = []
+        for strengths, w, idx in configs:
+            w, idx = np.asarray(w), list(idx)
+            denom = np.abs(w[idx]).sum()
+            abar = float((w[idx] * np.asarray(strengths)[idx]).sum() / denom)
+            X, y = _sample_reference(_sampler(strengths), m,
+                                     np.random.default_rng(rng.bit_generator.seed_seq))
+            gp = _slope_reference(LOGISTIC, w, 0.2, X, y)
+            upd = gp[:, None] * (y[:, None] * X[:, idx] - (np.sign(w) * 0.2)[idx][None, :])
+            sv = (upd * w[idx][None, :]).sum(axis=1) / denom
+            b = gp * (abar - 0.2)
+            cols += [sv, b, sv - b]
+        return np.stack(cols, axis=1)
 
-    mean, se = _mc_reference(stat, 140_000, 8, 3)
-    res = check_theorem1_bound(LOGISTIC, w, (4, 0, 2), 0.2, s, 140_000, seed=8)
-    assert _same_bits([res.estimate, res.reference, res.se], [mean[0], mean[1], se[2]])
+    mean, se = _mc_reference(stat, 140_000, 8, 6, rows=1 << 14)
+    got = check_theorem1_bound(LOGISTIC, configs, 0.2, 140_000, seed=8)
+    want = [[mean[0], mean[1], se[2]], [mean[3], mean[4], se[5]]]
+    assert _same_bits([[r.estimate, r.reference, r.se] for r in got], want)
 
 
 def test_checks_need_enough_samples():
     s = _sampler(strengths=(0.1, 0.2))
     with pytest.raises(ValueError, match="10000"):
-        check_theorem1_bound(LOGISTIC, np.asarray([1.0, 0.5]), (0,), 0.1, s, 9_999)
+        check_theorem1_bound(LOGISTIC, [(s.strengths, [1.0, 0.5], (0,))], 0.1, 9_999)
     with pytest.raises(ValueError, match="10000"):
         check_lemma_exp_bound(lambda z, v: -z, _zv_sampler((0.6, 0.3)), 5)
 
@@ -661,7 +714,7 @@ def test_chunks_in_flight_stay_within_two_per_thread(monkeypatch):
             while len(started) < 40 and time.monotonic() < deadline:
                 time.sleep(0.005)
             live.append(len(started))
-        return np.ones((m, 1))
+        return theory._column_moments(np.ones((m, 1)))
 
     mean, mean_sq = theory._mc_moments(stat, 40 * theory._CHUNK, seed=0)
     assert mean[0] == mean_sq[0] == 1.0 and sorted(started) == list(range(40))
@@ -693,8 +746,8 @@ def _one_check(check, n, seed=1):
         return np.concatenate(expected_update(LOGISTIC, np.asarray([0.4, 0.0, -0.3]), 0.1,
                                               s, n, seed=seed))
     if check == "thm1-bound":
-        res = check_theorem1_bound(LOGISTIC, np.asarray([0.9, -0.4, 0.3]), (2, 0), 0.2, s, n,
-                                   seed=seed)
+        res, = check_theorem1_bound(LOGISTIC, [(s.strengths, [0.9, -0.4, 0.3], (2, 0))], 0.2, n,
+                                    seed=seed)
     else:
         f, draw = lemma_d1_instance(LOGISTIC, s, 0.1, seed=seed)
         res = check_lemma_exp_bound(f, draw, n, seed=seed)
